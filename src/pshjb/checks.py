@@ -12,7 +12,7 @@ import numpy as np
 from .config import RunConfig
 from .delay import DelayProjectedModel, gramian, kalman_rank
 from .errors import PshjbError
-from .hjb import Hamiltonian, h_min
+from .hjb import Hamiltonian, h_min_batch
 from .ou import cameron_martin_density, sample_noise_path
 from .smoothing import fit_blowup, inclusion_residual, lambda_operator
 from .spectral import (
@@ -133,7 +133,8 @@ def _check_kalman_vs_gramian(run: RunConfig):
 
 def _check_hmin(run: RunConfig):
     ham = Hamiltonian(np.zeros((1, run.model.control_dim)), np.zeros(1))
-    val, idx = h_min(ham, np.ones(run.model.control_dim))
+    val, idx = h_min_batch(ham, np.ones((run.model.control_dim, 1)), argmin=True)
+    val, idx = float(val[0]), int(idx[0])
     return (val, idx) == (0.0, 0), f"trivial control set gives {(val, idx)}"
 
 

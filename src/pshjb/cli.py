@@ -231,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default=".")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
         if name == "simulate":
             p.add_argument(
@@ -243,9 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.threads is not None:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
         run = load_config(

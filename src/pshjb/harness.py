@@ -170,7 +170,7 @@ def simulate_cost(
         # resulting control is still admissible, so dominance is unaffected
         tau = max(T - steps[j], t_min)
         p = tau ** (-sol.gamma) * interp_fbar(sol.iterate, tau, z)
-        _, idx = h_min_batch(cost.ham, p)
+        _, idx = h_min_batch(cost.ham, p.T, argmin=True)
         run_cost += ell1[idx] * dt
         ctrl_sum += u_grid[idx] @ b_ints[j].T
         z = z_det[None, :] + ctrl_sum + noise[:, j, :]

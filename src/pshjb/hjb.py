@@ -13,10 +13,13 @@ fbar(t, y) = t^gamma * grad_C-coordinates.  Storing t^gamma times the
 gradient keeps arrays bounded; the t^{-gamma} singularity is reconstructed
 analytically at evaluation time.
 
-Both endpoint singularities of the convolution (s^{-gamma} from the stored
-gradient, (t-s)^{-gamma} from the smoothing weight) are absorbed by
-Gauss-Jacobi quadrature after the substitution s = t * sigma^{1/(1-gamma)}
-applied symmetrically from both ends, split at s = t/2.
+The convolution integral is split at s = t/2 and each half is mapped by
+s = t * sigma^{1/(1-gamma)}, measured from its own end.  The Gauss-Jacobi
+weight sigma^p, p = gamma / (1 - gamma), carries only the Jacobian of this
+substitution.  The endpoint singularities (s^{-gamma} from the stored
+gradient, (t-s)^{-gamma} from the smoothing weight) stay in the integrand,
+which near each end therefore keeps a sigma^{-p} factor; the rule does not
+absorb them, and its error is part of the discretization error.
 
 Convolution gradient weight: for the inner expectation over
 Y ~ N(0, pushforward_cov(s, t)) the control-directional derivative is
@@ -74,29 +77,28 @@ class Hamiltonian:
         return float(np.linalg.norm(self.control_points, axis=1).max())
 
 
-def h_min(ham: Hamiltonian, p) -> tuple[float, int]:
-    """Minimized Hamiltonian min_j <p, u_j> + ell1(u_j) with its argmin.
+def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False):
+    """Minimized Hamiltonian min_j <p, u_j> + ell1(u_j) over a batch of gradients.
 
-    Ties break to the lowest index (determinism).
+    ``p`` has shape (m, ...): gradient components along the first axis.  One
+    pass per control point keeps a running minimum, so no array of all
+    (point, control) values is formed.  With ``argmin`` the index of the
+    minimizer is returned as well; ties break to the lowest index
+    (determinism).
     """
-    p = np.asarray(p, dtype=float)
-    vals = ham.control_points @ p + ham.running_cost
-    j = int(np.argmin(vals))
-    return float(vals[j]), j
-
-
-def h_min_batch(ham: Hamiltonian, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized h_min over an (..., m) array of gradients."""
-    vals = p @ ham.control_points.T + ham.running_cost
-    idx = np.argmin(vals, axis=-1)
-    return np.take_along_axis(vals, idx[..., None], axis=-1)[..., 0], idx
-
-
-def h_min_values(ham: Hamiltonian, p: np.ndarray) -> np.ndarray:
-    """Values-only h_min (the Picard map never needs the argmins)."""
-    vals = p @ ham.control_points.T
-    vals += ham.running_cost
-    return vals.min(axis=-1)
+    p2 = p.reshape(ham.control_dim, -1)
+    best = np.full(p2.shape[1], np.inf)
+    idx = np.zeros(best.shape, dtype=np.intp) if argmin else None
+    for j, (u, cost) in enumerate(zip(ham.control_points, ham.running_cost)):
+        vals = np.full(p2.shape[1], cost)
+        for uk, pk in zip(u, p2):
+            if uk != 0.0:           # axis-aligned control grids skip most terms
+                vals += uk * pk
+        if argmin:
+            np.putmask(idx, vals < best, j)
+        np.minimum(best, vals, out=best)
+    shape = p.shape[1:]
+    return (best.reshape(shape), idx.reshape(shape)) if argmin else best.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,59 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     return map_coordinates(values, coords, order=1, mode="nearest")
 
 
+def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per-axis index data of interpolation at "mesh + constant shift".
+
+    ``shifts`` has shape (*B, N).  On a uniform axis with step h, moving
+    every node j by the same c lands at j + k + a with k = floor(c / h) and
+    a = c / h - k in [0, 1), for all j alike.  Returns one pair (k, a) of
+    (*B,) arrays per axis.
+    """
+    out = []
+    for d, ax in enumerate(axes):
+        pos = shifts[..., d] / (ax[1] - ax[0])
+        k = np.floor(pos)
+        out.append((k.astype(np.intp), pos - k))
+    return tuple(out)
+
+
+def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+    """(*B, n, n) matrices W with (W F)[j] = (1 - a) F[lo] + a F[hi],
+    lo = clip(j + k), hi = clip(j + k + 1): clamped linear interpolation."""
+    lo = k[..., None] + np.arange(n)
+    rows = n * np.arange(lo.size).reshape(lo.shape)
+    w = np.zeros(lo.shape + (n,))
+    flat = w.reshape(-1)
+    flat[rows + np.clip(lo, 0, n - 1)] = (1.0 - a)[..., None]
+    flat[rows + np.clip(lo + 1, 0, n - 1)] += a[..., None]
+    return w
+
+
+def interp_shifted(values: np.ndarray, stencil) -> np.ndarray:
+    """Multilinear interpolation at every mesh point plus each stencil shift.
+
+    ``values`` has shape (*Bv, *grid_shape) with Bv broadcasting against the
+    stencil's batch shape B; the result has shape (*broadcast(Bv, B),
+    *grid_shape).  With the shift fixed across the mesh the interpolation
+    is separable: an N-mode product with one clamped 1-D interpolation
+    matrix per axis (``Wx @ F @ Wy.T`` in 2-D), which reproduces
+    :func:`interp_space` (``mode="nearest"``) at mesh + shift.
+    """
+    n_dim = len(stencil)
+    grid = values.shape[values.ndim - n_dim:]
+    batch = np.broadcast_shapes(values.shape[:-n_dim], stencil[0][0].shape)
+    for d, (k, a) in enumerate(stencil):
+        w = _shift_matrices(k, a, grid[d])
+        lead = values.shape[:-n_dim] + (int(np.prod(grid[:d])), grid[d])
+        if d == n_dim - 1:
+            values = values.reshape(lead) @ np.swapaxes(w, -1, -2)
+        else:
+            post = int(np.prod(grid[d + 1:]))
+            values = w[..., None, :, :] @ values.reshape(lead + (post,))
+        values = values.reshape(batch + grid)
+    return values
+
+
 def _time_bracket(t_axis: np.ndarray, s: float) -> tuple[int, int, float]:
     """Bracketing indices and blend weight for linear time interpolation."""
     if s <= t_axis[0]:
@@ -229,16 +284,20 @@ def _time_bracket(t_axis: np.ndarray, s: float) -> tuple[int, int, float]:
 # the Picard map
 
 @dataclass(frozen=True)
-class _TimeQuadNode:
-    s: float
-    weight: float       # total weight, jacobian of the substitution included
-    i0: int             # bracketing gradient-slice indices for interpolation
-    i1: int
-    theta: float
-    s_pow: float        # s^{-gamma}
-    offsets: np.ndarray    # (n_q, N): sqrt(pushforward_cov) @ xi
-    gweights: np.ndarray   # (n_q, m): xi @ pinv_sqrt(pushforward_cov) @ B_t
-    wgweights: np.ndarray  # gweights premultiplied by the expectation weights
+class _Convolution:
+    """Iterate-independent data of the convolution integral at one time node.
+
+    The batch axes are (s-node, Gauss node): S = 2 * time_quad_order
+    s-nodes times n_q expectation nodes.
+    """
+
+    i0: np.ndarray         # (S,) bracketing gradient-slice indices
+    i1: np.ndarray
+    w0: np.ndarray         # (S, 1, ...) s^{-gamma} times the time-interpolation
+    w1: np.ndarray         # weights, shaped to broadcast over a gradient slice
+    stencil: tuple         # shift_stencil of the (S, n_q, N) quadrature offsets
+    fweights: np.ndarray   # (S * n_q,) time-quadrature times expectation weights
+    gweights: np.ndarray   # (S * n_q, m) the same times the gradient weights
 
 
 class UpsilonOperator:
@@ -248,6 +307,13 @@ class UpsilonOperator:
     covariance square roots, quadrature offsets and gradient weights) is
     assembled once; ``apply`` then only interpolates, evaluates the
     Hamiltonian and sums.
+
+    ``apply`` relies on three facts: the space grid is a uniform tensor
+    grid, each Gaussian quadrature offset is one constant shift for every
+    mesh point, and interpolation clamps at the box edge.  Interpolating the
+    gradient iterate at mesh + offset is then a separable per-axis product
+    (:func:`shift_stencil`, :func:`interp_shifted`), done at each time node
+    for all (s-node, Gauss node) pairs at once.
     """
 
     def __init__(
@@ -299,7 +365,7 @@ class UpsilonOperator:
 
         self.s_f = np.empty((n_t, npts))
         self.s_grad = np.empty((n_t, npts, m))
-        self.squad: list[list[_TimeQuadNode]] = []
+        self.conv: list[_Convolution | None] = []
         for i, t in enumerate(t_pos):
             sqrt_cov = psd_sqrt(self.model.proj_cov(t))
             offs = self.rule.nodes @ sqrt_cov.T
@@ -309,38 +375,36 @@ class UpsilonOperator:
             lam = lambda_operator(self.model, t).matrix
             wk = self.rule.nodes @ lam                       # (nq, m)
             self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, wk)
-            self.squad.append([] if self.trivial_ham else self._time_quadrature(t, t_pos))
+            self.conv.append(None if self.trivial_ham else self._time_quadrature(t, t_pos))
 
-    def _time_quadrature(self, t: float, t_pos: np.ndarray) -> list[_TimeQuadNode]:
-        """Two-sided singularity-absorbing quadrature of int_0^t . ds."""
+    def _time_quadrature(self, t: float, t_pos: np.ndarray) -> _Convolution:
+        """Two-sided Gauss-Jacobi quadrature of int_0^t . ds, see the module doc."""
         gamma = self.gamma
         p = gamma / (1.0 - gamma)
         x, w = roots_jacobi(self.cfg.time_quad_order, 0.0, p)
         c = 0.5 ** (1.0 - gamma)                 # sigma value mapping to s = t/2
         scale = (c / 2.0) ** (p + 1.0) * t / (1.0 - gamma)
-        sigma = c * 0.5 * (1.0 + x)
-        nodes = []
-        for side in ("left", "right"):
-            for sig, wj in zip(sigma, w):
-                frac = sig ** (1.0 / (1.0 - gamma))
-                s = t * frac if side == "left" else t * (1.0 - frac)
-                nodes.append((s, scale * wj))
-        out = []
+        frac = (c * 0.5 * (1.0 + x)) ** (1.0 / (1.0 - gamma))
+        s_nodes = np.concatenate((t * frac, t * (1.0 - frac)))
+        s_weights = np.concatenate((scale * w, scale * w))
         b_t = self.model.proj_control(t)
-        for s, wtot in nodes:
+        offs, gvecs = [], []
+        for s in s_nodes:
             pf = self.model.pushforward_cov(s, t)
-            offs = self.rule.nodes @ psd_sqrt(pf).T
+            offs.append(self.rule.nodes @ psd_sqrt(pf).T)
             pinv, _ = psd_pinv_sqrt(pf)
-            gvecs = self.rule.nodes @ (pinv @ b_t)
-            i0, i1, theta = _time_bracket(t_pos, s)
-            out.append(
-                _TimeQuadNode(
-                    s=s, weight=wtot, i0=i0, i1=i1, theta=theta,
-                    s_pow=s ** (-gamma), offsets=offs, gweights=gvecs,
-                    wgweights=self.rule.weights[:, None] * gvecs,
-                )
-            )
-        return out
+            gvecs.append(self.rule.nodes @ (pinv @ b_t))
+        brackets = [_time_bracket(t_pos, s) for s in s_nodes]
+        i0, i1, theta = (np.array(v) for v in zip(*brackets))
+        s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * (len(self.space_axes) + 1))
+        theta = theta.reshape(s_pow.shape)
+        qw = np.outer(s_weights, self.rule.weights)
+        return _Convolution(
+            i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
+            stencil=shift_stencil(self.space_axes, np.stack(offs)),
+            fweights=qw.ravel(),
+            gweights=(qw[..., None] * np.stack(gvecs)).reshape(qw.size, -1),
+        )
 
     # -- iterates ----------------------------------------------------------
     def zero_iterate(self) -> ValueIterate:
@@ -379,48 +443,26 @@ class UpsilonOperator:
         t_pos = self.time_grid[1:]
         n_t = t_pos.size
         npts = self.mesh.shape[0]
-        nq = self.rule.nodes.shape[0]
         m = self.ham.control_dim
-        fbar = g.fbar_values.reshape((n_t,) + self.space_shape + (m,))
-        steps = np.array([ax[1] - ax[0] for ax in self.space_axes])
-        lattice = [
-            (self.mesh[:, d] - self.space_axes[d][0]) / steps[d]
-            for d in range(len(self.space_axes))
-        ]
-
+        fbar = g.fbar_values
         f_new = np.empty((n_t + 1, npts))
         f_new[0] = self.phi(self.mesh)
         fbar_new = np.empty((n_t, npts, m))
-        pvals = np.empty((nq * npts, m))
         for i, t in enumerate(t_pos):
             if self.trivial_ham:
                 f_new[i + 1] = self.s_f[i] + self.ell0_cum[i] + self.h_const * t
                 fbar_new[i] = t**self.gamma * self.s_grad[i]
                 continue
-            conv_f = np.zeros(npts)
-            conv_g = np.zeros((npts, m))
-            for node in self.squad[i]:
-                coords = [
-                    (node.offsets[:, d, None] / steps[d] + lattice[d]).ravel()
-                    for d in range(len(self.space_axes))
-                ]
-                for comp in range(m):
-                    # interpolation is linear in the array: blend the two
-                    # bracketing time slices first, interpolate once
-                    if node.i1 != node.i0 and node.theta > 0.0:
-                        sl = (1.0 - node.theta) * fbar[node.i0, ..., comp] \
-                            + node.theta * fbar[node.i1, ..., comp]
-                    else:
-                        sl = fbar[node.i0, ..., comp]
-                    map_coordinates(
-                        sl, coords, output=pvals[:, comp], order=1, mode="nearest"
-                    )
-                pvals *= node.s_pow
-                hvals = h_min_values(self.ham, pvals).reshape(nq, npts)
-                conv_f += node.weight * (self.rule.weights @ hvals)
-                conv_g += node.weight * (hvals.T @ node.wgweights)
-            f_new[i + 1] = self.s_f[i] + self.ell0_cum[i] + conv_f
-            fbar_new[i] = t**self.gamma * (self.s_grad[i] + conv_g)
+            cv = self.conv[i]
+            # interpolation is linear in the array: blend the two bracketing
+            # time slices (times s^{-gamma}) first, then shift-interpolate
+            # once per (s-node, Gauss node)
+            sl = cv.w0 * fbar[cv.i0] + cv.w1 * fbar[cv.i1]
+            # p: (m, S, n_q, *grid), gradient components first
+            p = interp_shifted(np.moveaxis(sl, -1, 0)[:, :, None], cv.stencil)
+            hvals = h_min_batch(self.ham, p).reshape(-1, npts)
+            f_new[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
+            fbar_new[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
         return self._pack(f_new, fbar_new)
 
     def _check_grids(self, g: ValueIterate):
@@ -452,23 +494,6 @@ class UpsilonOperator:
                 * np.tanh(self.mesh @ c + rng.standard_normal())[None, :]
             )
         return self._pack(f, fbar)
-
-
-def apply_upsilon(
-    model: ProjectedModel,
-    ham: Hamiltonian,
-    phi: ProjectedTerminalCost,
-    ell0,
-    g: ValueIterate,
-    cfg: SolverConfig,
-) -> ValueIterate:
-    """One application of the Picard map to ``g`` (convenience wrapper).
-
-    For repeated applications build an :class:`UpsilonOperator` once: the
-    grid/covariance precomputation dominates a single application.
-    """
-    ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=g.gamma)
-    return ups.apply(g)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pshjb import costs, hjb
+from pshjb import costs
 from pshjb.errors import (
     GridMismatch,
     NoContraction,
@@ -16,8 +16,12 @@ from pshjb.hjb import (
     contraction_ratios,
     eval_c_gradient,
     eval_value,
-    h_min,
+    h_min_batch,
+    interp_shifted,
+    interp_space,
+    make_space_axes,
     picard_solve,
+    shift_stencil,
     weighted_distance,
 )
 from pshjb.ou import semigroup_apply
@@ -30,20 +34,51 @@ class TestHMin:
     def test_trivial_control_set(self):
         ham = Hamiltonian(np.zeros((1, 3)), np.zeros(1))
         for p in (np.zeros(3), np.array([1.0, -2.0, 0.5])):
-            assert h_min(ham, p) == (0.0, 0)
+            value, idx = h_min_batch(ham, p[:, None], argmin=True)
+            assert (value[0], idx[0]) == (0.0, 0)
 
     def test_two_point_enumeration(self):
         ham = Hamiltonian(np.array([[-1.0], [1.0]]), np.zeros(2))
-        value, idx = h_min(ham, np.array([2.0]))
-        assert value == -2.0
-        assert idx == 0                      # u = -1 sits at index 0
+        value, idx = h_min_batch(ham, np.array([[2.0]]), argmin=True)
+        assert value[0] == -2.0
+        assert idx[0] == 0                   # u = -1 sits at index 0
 
     def test_zero_gradient_minimizes_cost(self):
         ham = Hamiltonian(np.array([[1.0], [2.0], [3.0]]),
                           np.array([0.7, 0.2, 0.2]))
-        value, idx = h_min(ham, np.zeros(1))
-        assert value == 0.2
-        assert idx == 1                      # ties break to the lowest index
+        value, idx = h_min_batch(ham, np.zeros((1, 1)), argmin=True)
+        assert value[0] == 0.2
+        assert idx[0] == 1                   # ties break to the lowest index
+
+
+class TestShiftInterpolation:
+    @pytest.mark.parametrize("name", ["heat_spectral1", "heat_model", "delay_model"])
+    def test_matches_scattered_interpolation(self, name, request):
+        # N = 1 (m = 2), N = 2 (m = 2) and N = 2 (m = 1): the separable kernel
+        # against map_coordinates at mesh + shift, for two fields broadcast
+        # against a batch of shifts as in the Picard map
+        model = request.getfixturevalue(name)
+        axes = make_space_axes(model, SolverConfig(**MINI_CFG))
+        n_dim, m = len(axes), model.control_dim
+        shape = tuple(a.size for a in axes)
+        step, width = axes[0][1] - axes[0][0], axes[0][-1] - axes[0][0]
+        rng = np.random.default_rng(11)
+        shifts = np.concatenate([
+            0.3 * width * rng.uniform(-1.0, 1.0, (6, n_dim)),   # inside, partly clamped
+            1.5 * width * rng.uniform(-1.0, 1.0, (4, n_dim)),   # beyond the box edge
+            step * rng.integers(-4, 5, (4, n_dim)),             # onto grid nodes
+        ])
+        fields = rng.standard_normal((m, 2, 1) + shape)
+        stencil = shift_stencil(axes, np.broadcast_to(shifts, (2,) + shifts.shape))
+        got = interp_shifted(fields, stencil)
+        assert got.shape == (m, 2, len(shifts)) + shape
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+        for k in range(m):
+            for b in range(2):
+                for i, c in enumerate(shifts):
+                    ref = interp_space(axes, fields[k, b, 0], mesh + c)
+                    err = np.abs(got[k, b, i] - ref.reshape(shape)).max()
+                    assert err <= 1e-13
 
 
 class TestWeightedDistance:
@@ -138,17 +173,6 @@ class TestUpsilon:
         expected = 0.25 * t_pos
         err = np.abs(conv - expected[:, None, None]).max()
         assert err <= 1e-10
-
-    def test_apply_upsilon_wrapper(self, delay_model):
-        ham = shipped_delay_ham()
-        phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-        ell0 = costs.constant_ell0(0.1)
-        cfg = SolverConfig(**MINI_CFG)
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
-        g = ups.initial_iterate()
-        out1 = ups.apply(g)
-        out2 = hjb.apply_upsilon(delay_model, ham, phi, ell0, g, cfg)
-        assert weighted_distance(out1, out2, 0.0) <= 1e-14
 
 
 class TestPicard:

@@ -61,11 +61,6 @@ def table_ell0(times, values):
     return lambda s: np.interp(np.asarray(s, dtype=float), t, v)
 
 
-def grid_hamiltonian(points, ell1_values) -> Hamiltonian:
-    """Hamiltonian from explicit control points and running-cost table."""
-    return Hamiltonian(np.atleast_2d(points), np.asarray(ell1_values, dtype=float))
-
-
 def box_hamiltonian(dim: int, lo: float, hi: float, points_per_dim: int, ell1_fn=None) -> Hamiltonian:
     """Tensor control grid over a box with ell1 evaluated on the grid."""
     axis = np.linspace(lo, hi, points_per_dim)

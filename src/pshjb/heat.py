@@ -227,11 +227,6 @@ class HeatProjectedModel(ProjectedModel):
             raise ValueError("need 0 < s < t")
         return self._congruence(np.exp(-2.0 * s * self._lam) * self._q(t - s))
 
-    def cross_cov(self, s: float, t: float) -> np.ndarray:
-        if not 0.0 < s < t:
-            raise ValueError("need 0 < s < t")
-        return self._congruence(np.exp(-s * self._lam) * self._q(t - s))
-
     def noise_cov(self, s: float, s2: float) -> np.ndarray:
         if not (s > 0.0 and s2 > 0.0):
             raise ValueError("times must be > 0")

@@ -42,7 +42,6 @@ class ProjectedModel:
     - ``proj_cov(t)``: N x N matrix of P Q_t P*;
     - ``proj_control(t)``: N x m matrix of (P e^{tA}) C;
     - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t;
-    - ``cross_cov(s, t)``: P e^{sA} Q_{t-s} P*;
     - ``noise_cov(s, s2)``: Cov(P W_A(s), P W_A(s2)) of the projected
       stochastic convolution.
 
@@ -70,9 +69,6 @@ class ProjectedModel:
         raise NotImplementedError
 
     def pushforward_cov(self, s: float, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def cross_cov(self, s: float, t: float) -> np.ndarray:
         raise NotImplementedError
 
     def noise_cov(self, s: float, s2: float) -> np.ndarray:

@@ -4,9 +4,9 @@ The operator Lambda(t) = (P Q_t P*)^{-1/2} (P e^{tA}) C measures how strongly
 the transition semigroup regularizes along control directions: its operator
 norm blows up like t^{-gamma} as t -> 0, and gamma in (0, 1) is exactly what
 the fixed-point construction of the HJB solution needs.  This module builds
-Lambda (and its two-time variant), evaluates the control-directional gradient
-of the smoothed terminal cost through the Cameron-Martin weight, and fits the
-blow-up exponent from a log-log regression.
+Lambda, evaluates the control-directional gradient of the smoothed terminal
+cost through the Cameron-Martin weight, and fits the blow-up exponent from a
+log-log regression.
 """
 
 from __future__ import annotations
@@ -24,15 +24,9 @@ INCLUSION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SmoothingOperator:
-    """Matrix of (P Q_{t-s} P*)^{-1/2} (P e^{tA}) C with bookkeeping.
-
-    ``s = 0`` is the one-time operator Lambda(t); s > 0 is the two-time
-    variant needed by the convolution gradient, where the control factor is
-    evaluated at t but the covariance at t - s.
-    """
+    """Matrix of (P Q_t P*)^{-1/2} (P e^{tA}) C with bookkeeping."""
 
     t: float
-    s: float
     matrix: np.ndarray
     rank: int
 
@@ -55,28 +49,27 @@ def inclusion_residual(cov, columns, rank_tol: float = 1e-12) -> float:
 def lambda_operator(
     model: ProjectedModel,
     t: float,
-    s: float = 0.0,
     rank_tol: float = 1e-12,
     inclusion_tol: float = INCLUSION_TOL,
 ) -> SmoothingOperator:
-    """Smoothing operator for the pair (t, s), with the image-inclusion check.
+    """Smoothing operator Lambda(t), with the image-inclusion check.
 
     Raises :class:`InclusionViolated` when the control columns leave the
     image of the covariance square root beyond ``inclusion_tol``: for such a
     model the operator is simply not well defined, and failing loudly is the
     point of the check.
     """
-    if not t - s > 0.0:
-        raise ValueError("need t - s > 0")
-    cov = model.proj_cov(t - s)
+    if not t > 0.0:
+        raise ValueError("need t > 0")
+    cov = model.proj_cov(t)
     ctrl = model.proj_control(t)
     res = inclusion_residual(cov, ctrl, rank_tol)
     if res > inclusion_tol:
         raise InclusionViolated(
-            f"image-inclusion residual {res:.3e} > {inclusion_tol:g} at t={t:g}, s={s:g}"
+            f"image-inclusion residual {res:.3e} > {inclusion_tol:g} at t={t:g}"
         )
     pinv_sqrt, rank = psd_pinv_sqrt(cov, rank_tol)
-    return SmoothingOperator(t=t, s=s, matrix=pinv_sqrt @ ctrl, rank=rank)
+    return SmoothingOperator(t=t, matrix=pinv_sqrt @ ctrl, rank=rank)
 
 
 def c_gradient_semigroup(
@@ -93,7 +86,7 @@ def c_gradient_semigroup(
     weight is the Cameron-Martin derivative of the shifted Gaussian measure.
     """
     y0 = np.asarray(y0, dtype=float)
-    lam = lambda_operator(model, t, 0.0)
+    lam = lambda_operator(model, t)
     sqrt_cov = psd_sqrt(model.proj_cov(t))
     pts = y0[None, :] + rule.nodes @ sqrt_cov.T
     vals = phi(pts)
@@ -115,7 +108,7 @@ def c_gradient_norm_bound_check(
     Monte Carlo noise when the rule is stochastic.
     """
     grad = c_gradient_semigroup(model, phi, t, y0, rule)
-    lam = lambda_operator(model, t, 0.0)
+    lam = lambda_operator(model, t)
     lhs = float(np.linalg.norm(grad))
     rhs = lam.norm * phi.bound
     ok = lhs <= rhs * (1.0 + 1e-3) + mc_slack + 1e-12

@@ -8,7 +8,7 @@ noise; speed is a non-issue at these sizes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,30 +36,6 @@ class SpectralBasis:
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(lam) < 0):
             raise ValueError("eigenvalues must be nondecreasing")
-
-
-@dataclass(frozen=True)
-class SymPSDMatrix:
-    """A validated symmetric numerically-PSD matrix.
-
-    Construction symmetrizes exactly and rejects matrices whose smallest
-    eigenvalue is below ``-TOL_PSD * lam_max``.
-    """
-
-    entries: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        a = np.asarray(self.entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch("entries must be a square matrix")
-        if not np.allclose(a, a.T, rtol=0.0, atol=1e-8 * (1.0 + np.abs(a).max())):
-            raise ValueError("matrix is not symmetric")
-        a = 0.5 * (a + a.T)
-        _assert_psd_spectrum(np.linalg.eigvalsh(a))
-        a.setflags(write=False)
-        object.__setattr__(self, "entries", a)
-        object.__setattr__(self, "dim", a.shape[0])
 
 
 @dataclass(frozen=True)
@@ -121,7 +97,7 @@ def _assert_psd_spectrum(lam: np.ndarray, tol_psd: float = TOL_PSD) -> float:
 
 
 def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    a = m.entries if isinstance(m, SymPSDMatrix) else np.asarray(m, dtype=float)
+    a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch("expected a square matrix")
     return np.linalg.eigh(0.5 * (a + a.T))

@@ -48,14 +48,14 @@ def delay_scalar():
 
 
 def shipped_delay_ham():
-    return costs.grid_hamiltonian(
+    return hjb.Hamiltonian(
         [[-1.0], [-0.5], [0.0], [0.5], [1.0]], [0.05, 0.0125, 0.0, 0.0125, 0.05]
     )
 
 
 def shipped_heat_ham():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
-    return costs.grid_hamiltonian(pts, 0.05 * np.sum(pts**2, axis=1))
+    return hjb.Hamiltonian(pts, 0.05 * np.sum(pts**2, axis=1))
 
 
 MINI_CFG = dict(

@@ -94,11 +94,6 @@ class TestProjectedModel:
             (v * (np.exp(-2.0 * s * lam) * q)) @ v.T,
             atol=1e-14,
         )
-        np.testing.assert_allclose(
-            heat_model.cross_cov(s, t),
-            (v * (np.exp(-s * lam) * q)) @ v.T,
-            atol=1e-14,
-        )
 
     def test_semigroup_handles_growing_coefficients(self, heat_model):
         # states from the extrapolation space: coefficients growing like

@@ -48,22 +48,6 @@ class TestLambdaOperator:
         lam = lambda_operator(model, 0.3)
         assert np.all(lam.matrix == 0.0)
 
-    def test_two_time_variant(self, delay_model):
-        l0 = lambda_operator(delay_model, 0.4, 0.0)
-        l1 = lambda_operator(delay_model, 0.4)
-        np.testing.assert_allclose(l0.matrix, l1.matrix)
-        # covariance taken at t - s, control factor at t
-        l2 = lambda_operator(delay_model, 0.4, 0.15)
-        cov = delay_model.proj_cov(0.25)
-        expected = np.linalg.solve(
-            np.linalg.cholesky(cov) @ np.linalg.cholesky(cov).T,
-            delay_model.proj_control(0.4),
-        )
-        # pinv_sqrt applied once: compare squared action instead
-        np.testing.assert_allclose(l2.matrix.T @ l2.matrix,
-                                   delay_model.proj_control(0.4).T @ expected,
-                                   rtol=1e-8)
-
     def test_inclusion_violated_on_singular_model(self, delay_scalar):
         class Stub:
             proj_dim, control_dim = 2, 1

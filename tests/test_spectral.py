@@ -6,7 +6,6 @@ from pshjb.spectral import (
     GaussianMeasureN,
     QuadratureRule,
     SpectralBasis,
-    SymPSDMatrix,
     build_quadrature,
     gauss_expectation,
     psd_image_projector,
@@ -159,14 +158,6 @@ class TestContainers:
             SpectralBasis(2, np.array([4.0, 1.0]))
         with pytest.raises(ValueError):
             SpectralBasis(2, np.array([0.0, 1.0]))
-
-    def test_sympsd_validation(self):
-        m = SymPSDMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert m.dim == 2
-        with pytest.raises(ValueError):
-            SymPSDMatrix(np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(NotPSD):
-            SymPSDMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
     def test_gaussian_measure_dims(self):
         with pytest.raises(DimensionMismatch):

@@ -199,15 +199,26 @@ def load_config(
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _build_solver(raw.get("solver", {}), cost.horizon, seed)
     sim = raw.get("simulate", {})
+    t0 = float(sim.get("t0", 0.0))
+    n_samples = int(sim.get("n_samples", 10_000))
+    time_steps = int(sim.get("time_steps", 20))
+    if not 0.0 <= t0 < cost.horizon:
+        raise ConfigError(
+            f"simulate.t0 = {t0} must lie in [0, horizon = {cost.horizon})"
+        )
+    if n_samples < 1:
+        raise ConfigError(f"simulate.n_samples must be >= 1, got {n_samples}")
+    if time_steps < 1:
+        raise ConfigError(f"simulate.time_steps must be >= 1, got {time_steps}")
     return RunConfig(
         model=model,
         model_kind=kind,
         cost=cost,
         solver=solver,
         x0=x0,
-        t0=float(sim.get("t0", 0.0)),
-        n_samples=int(sim.get("n_samples", 10_000)),
-        time_steps=int(sim.get("time_steps", 20)),
+        t0=t0,
+        n_samples=n_samples,
+        time_steps=time_steps,
         n_random_policies=int(sim.get("n_random_policies", 10)),
         seed=seed,
         raw=raw,

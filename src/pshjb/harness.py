@@ -12,6 +12,12 @@ increments are independent Gaussians with covariances assembled from
 pushforward_cov, so the path law is exact and the only approximation is that
 the control is held constant between steps (itself an admissible policy, so
 dominance bounds remain valid).
+
+The greedy loop keeps its arrays components first: the state and the
+control sum are (N, B) and the gradient (m, B) for B samples, so the
+scattered interpolation, the Hamiltonian argmin and the per-step updates
+read contiguous rows.  Each step's control response is an (N, n_u) table
+gathered by the argmin index.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, DominanceViolated
 from .hjb import HJBSolution, Hamiltonian, h_min_batch, interp_fbar
-from .ou import ProjectedModel, ProjectedTerminalCost, sample_block_gaussian
+from .ou import ProjectedModel, ProjectedTerminalCost, assemble_block_cov
 from .spectral import psd_sqrt
 
 
@@ -160,22 +166,30 @@ def simulate_cost(
             return model.proj_cov(T - t0)
         return model.pushforward_cov(T - s, T - t0)
 
-    noise = sample_block_gaussian(block, time_steps, model.proj_dim, rng, n_samples)
+    # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for draws of
+    # shape (B, steps*N); the draws are freed once the product exists.
+    n_dim = model.proj_dim
+    root = psd_sqrt(assemble_block_cov(block, time_steps, n_dim))
+    noise = root @ rng.standard_normal((n_samples, time_steps * n_dim)).T
+    response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
-    ctrl_sum = np.zeros((n_samples, model.proj_dim))
+    ctrl_sum = np.zeros((n_dim, n_samples))
     run_cost = np.zeros(n_samples)
-    z = np.tile(z_det, (n_samples, 1))
+    z = np.broadcast_to(z_det[:, None], (n_dim, n_samples))
     for j in range(time_steps):
         # gradient clamped to the first resolved node near the horizon; the
         # resulting control is still admissible, so dominance is unaffected
         tau = max(T - steps[j], t_min)
-        p = tau ** (-sol.gamma) * interp_fbar(sol.iterate, tau, z)
-        _, idx = h_min_batch(cost.ham, p.T, argmin=True)
+        p = interp_fbar(sol.iterate, tau, z)
+        p *= tau ** (-sol.gamma)
+        _, idx = h_min_batch(cost.ham, p, argmin=True)
         run_cost += ell1[idx] * dt
-        ctrl_sum += u_grid[idx] @ b_ints[j].T
-        z = z_det[None, :] + ctrl_sum + noise[:, j, :]
-    costs = ell0_int + run_cost + cost.phi(z)   # z now equals P X(T)
-    return SimulationResult.from_costs(costs, z)
+        ctrl_sum += response[j].take(idx, axis=1)
+        z = z_det[:, None] + ctrl_sum
+        z += noise[j * n_dim:(j + 1) * n_dim]
+    terminals = z.T                             # z now equals P X(T)
+    costs = ell0_int + run_cost + cost.phi(terminals)
+    return SimulationResult.from_costs(costs, terminals)
 
 
 def value_dominance_check(

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import map_coordinates
 from scipy.special import roots_jacobi
 
 from .errors import (
@@ -128,6 +127,13 @@ class SolverConfig:
             raise ValueError("eta_weight must be >= 0")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
+        # two nodes per axis bracket every point (interp_space)
+        for name, least in (("space_points", 2), ("n_time", 1), ("max_iter", 1),
+                            ("quad_order", 1), ("time_quad_order", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(
+                    f"{name} must be >= {least}, got {getattr(self, name)}"
+                )
 
 
 @dataclass(frozen=True)
@@ -202,17 +208,46 @@ def make_space_axes(model: ProjectedModel, cfg: SolverConfig) -> tuple[np.ndarra
 
 
 def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation on the tensor grid, clamped at the boundary.
+    """Multilinear interpolation at scattered points, clamped at the boundary.
 
-    ``values`` has shape (*grid_shape); ``pts`` has shape (B, N).  Points
-    outside the box take the boundary value, which preserves sup-norm bounds
-    of the iterates.
+    ``values`` has shape (*lead, *grid_shape) and ``pts`` shape (N, B), one
+    row per coordinate; the result has shape (*lead, B).  A point outside
+    the box takes the value at the nearest boundary point (as
+    ``mode="nearest"`` of ``scipy.ndimage.map_coordinates``), which
+    preserves sup-norm bounds of the iterates.  Cell indices and corner
+    weights are computed once; every leading component is then gathered
+    from a (components, mesh) table with 1-D ``take``.  Needs at least two
+    nodes per axis.
     """
-    coords = [
-        (pts[:, d] - axes[d][0]) / (axes[d][1] - axes[d][0])
-        for d in range(len(axes))
-    ]
-    return map_coordinates(values, coords, order=1, mode="nearest")
+    n_dim = len(axes)
+    grid = values.shape[values.ndim - n_dim:]
+    lead = values.shape[:values.ndim - n_dim]
+    table = values.reshape((-1, int(np.prod(grid))))
+    base = 0                      # flat mesh index of each point's cell
+    corners = [(0, None)]         # (flat offset from base, weight) per corner
+    stride = 1
+    for d in reversed(range(n_dim)):
+        ax, n = axes[d], grid[d]
+        c = np.clip((pts[d] - ax[0]) / (ax[1] - ax[0]), 0.0, n - 1.0)
+        i = np.minimum(c.astype(np.intp), n - 2)   # c >= 0: the cast floors
+        a = c - i
+        base = base + i * stride
+        corners = [
+            (off + o, w if wt is None else wt * w)
+            for off, wt in corners
+            for o, w in ((0, 1.0 - a), (stride, a))
+        ]
+        stride *= n
+    # base + offset stays inside the mesh (the n - 2 clamp), so mode="clip"
+    # never clips; unlike the default mode it lets take write into buf
+    out = np.empty((table.shape[0], pts.shape[1]))
+    buf = np.empty(pts.shape[1])
+    for row, field in zip(out, table):
+        (off, wt), *rest = corners
+        np.multiply(field[off:].take(base, out=buf, mode="clip"), wt, out=row)
+        for off, wt in rest:
+            row += np.multiply(field[off:].take(base, out=buf, mode="clip"), wt, out=buf)
+    return out.reshape(lead + (pts.shape[1],))
 
 
 def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -666,30 +701,28 @@ def _check_in_box(axes, y: np.ndarray):
             )
 
 
-def interp_f(iterate: ValueIterate, tau: float, pts: np.ndarray) -> np.ndarray:
-    """Interpolate f at backward time tau over a batch of projected points."""
-    i0, i1, theta = _time_bracket(iterate.time_grid, tau)
-    v0 = interp_space(iterate.space_axes, iterate.f_values[i0], pts)
+def _time_blend(values: np.ndarray, t_axis: np.ndarray, tau: float) -> np.ndarray:
+    """Slice of ``values`` (time along the first axis) linearly interpolated
+    at time ``tau`` on the grid; scattered interpolation is linear in the
+    values, so blending before it gives the same result."""
+    i0, i1, theta = _time_bracket(t_axis, tau)
     if i1 != i0 and theta > 0:
-        v1 = interp_space(iterate.space_axes, iterate.f_values[i1], pts)
-        return (1.0 - theta) * v0 + theta * v1
-    return v0
+        return (1.0 - theta) * values[i0] + theta * values[i1]
+    return values[i0]
+
+
+def interp_f(iterate: ValueIterate, tau: float, pts: np.ndarray) -> np.ndarray:
+    """Interpolate f at backward time tau over projected points ``pts``
+    of shape (N, B); returns shape (B,)."""
+    f = _time_blend(iterate.f_values, iterate.time_grid, tau)
+    return interp_space(iterate.space_axes, f, pts)
 
 
 def interp_fbar(iterate: ValueIterate, tau: float, pts: np.ndarray) -> np.ndarray:
-    """Interpolate the stored gradient representative at backward time tau."""
-    t_pos = iterate.time_grid[1:]
-    i0, i1, theta = _time_bracket(t_pos, tau)
-    m = iterate.control_dim
-    out = np.empty((pts.shape[0], m))
-    for k in range(m):
-        v0 = interp_space(iterate.space_axes, iterate.fbar_values[i0, ..., k], pts)
-        if i1 != i0 and theta > 0:
-            v1 = interp_space(iterate.space_axes, iterate.fbar_values[i1, ..., k], pts)
-            out[:, k] = (1.0 - theta) * v0 + theta * v1
-        else:
-            out[:, k] = v0
-    return out
+    """Interpolate the stored gradient representative at backward time tau
+    over projected points ``pts`` of shape (N, B); returns shape (m, B)."""
+    fbar = _time_blend(iterate.fbar_values, iterate.time_grid[1:], tau)
+    return interp_space(iterate.space_axes, np.moveaxis(fbar, -1, 0), pts)
 
 
 def eval_value(sol: HJBSolution, model: ProjectedModel, t: float, x) -> float:
@@ -705,7 +738,7 @@ def eval_value(sol: HJBSolution, model: ProjectedModel, t: float, x) -> float:
         return float(sol.phi(model.project_state(x)))
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
     _check_in_box(sol.iterate.space_axes, y)
-    return float(interp_f(sol.iterate, tau, y[None, :])[0])
+    return float(interp_f(sol.iterate, tau, y[:, None])[0])
 
 
 def eval_c_gradient(sol: HJBSolution, model: ProjectedModel, t: float, x) -> np.ndarray:
@@ -727,4 +760,4 @@ def eval_c_gradient(sol: HJBSolution, model: ProjectedModel, t: float, x) -> np.
         )
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
     _check_in_box(sol.iterate.space_axes, y)
-    return tau ** (-sol.gamma) * interp_fbar(sol.iterate, tau, y[None, :])[0]
+    return tau ** (-sol.gamma) * interp_fbar(sol.iterate, tau, y[:, None])[:, 0]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 from pshjb import costs, delay, heat, hjb
 
@@ -56,6 +57,13 @@ def shipped_delay_ham():
 def shipped_heat_ham():
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
     return hjb.Hamiltonian(pts, 0.05 * np.sum(pts**2, axis=1))
+
+
+def nearest_multilinear(axes, values, pts):
+    """Independent oracle of scattered interpolation: map_coordinates on
+    one field, clamped at the box, points of shape (B, N)."""
+    coords = [(pts[:, d] - ax[0]) / (ax[1] - ax[0]) for d, ax in enumerate(axes)]
+    return map_coordinates(values, coords, order=1, mode="nearest")
 
 
 MINI_CFG = dict(

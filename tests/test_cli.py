@@ -99,6 +99,30 @@ class TestSolve:
         assert meta["residual"] > 1e-12
 
 
+class TestInvalidConfig:
+    @pytest.mark.parametrize("key, value", [
+        ("solver.space_points", 1),
+        ("solver.n_time", 0),
+        ("solver.max_iter", 0),
+        ("solver.quad_order", 0),
+        ("solver.time_quad_order", 0),
+        ("simulate.t0", 1.0),           # = horizon
+        ("simulate.t0", -0.1),
+        ("simulate.time_steps", 0),
+        ("simulate.n_samples", 0),
+    ])
+    def test_rejected_before_solve(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, small_delay_config(**{key: value}))
+        out = tmp_path / "out"
+        command = "solve" if key.startswith("solver.") else "simulate"
+        rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert key.split(".")[1] in err
+        assert not (out / "solve_meta.json").exists()
+
+
 class TestLambda:
     def test_delay_slope(self, tmp_path):
         path = write_config(tmp_path, small_delay_config())

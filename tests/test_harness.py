@@ -7,13 +7,23 @@ from pshjb.errors import DominanceViolated
 from pshjb.harness import (
     CostSpec,
     Policy,
+    _control_integrals,
     random_open_loop_policies,
     simulate_cost,
     value_dominance_check,
 )
-from pshjb.hjb import Hamiltonian, SolverConfig, eval_value, picard_solve
+from pshjb.hjb import (
+    Hamiltonian,
+    SolverConfig,
+    _time_bracket,
+    eval_c_gradient,
+    eval_value,
+    h_min_batch,
+    picard_solve,
+)
+from pshjb.ou import sample_block_gaussian
 
-from conftest import MINI_CFG, shipped_delay_ham
+from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham
 
 
 X0 = DelayState.zero_past([0.3, -0.2], 0.2)
@@ -21,6 +31,104 @@ X0 = DelayState.zero_past([0.3, -0.2], 0.2)
 
 def make_cost(ham, phi, c=0.1):
     return CostSpec(ell0=costs.constant_ell0(c), ham=ham, phi=phi, horizon=1.0)
+
+
+# ---------------------------------------------------------------------------
+# reference greedy simulation: one map_coordinates call per component and
+# time slice, samples-first arrays, noise from sample_block_gaussian
+
+def per_slice_interp(axes, slices, t_axis, tau, pts):
+    """Linear-in-time, multilinear-in-space interpolation of one field,
+    each bracketing slice separately; ``pts`` has shape (B, N)."""
+    i0, i1, theta = _time_bracket(t_axis, tau)
+    v0 = nearest_multilinear(axes, slices[i0], pts)
+    if i1 != i0 and theta > 0:
+        return (1.0 - theta) * v0 + theta * nearest_multilinear(axes, slices[i1], pts)
+    return v0
+
+
+def reference_fbar(iterate, tau, pts):
+    """(B, m) gradient representative, one component at a time."""
+    return np.stack([
+        per_slice_interp(iterate.space_axes, iterate.fbar_values[..., k],
+                         iterate.time_grid[1:], tau, pts)
+        for k in range(iterate.control_dim)
+    ], axis=-1)
+
+
+def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
+    T = cost.horizon
+    rng = np.random.default_rng(seed)
+    steps = np.linspace(t0, T, time_steps + 1)
+    dt = steps[1] - steps[0]
+    b_ints = _control_integrals(model, t0, T, steps)
+    u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
+    z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
+
+    def block(i, j):
+        s = steps[min(i, j) + 1]
+        if s >= T:
+            return model.proj_cov(T - t0)
+        return model.pushforward_cov(T - s, T - t0)
+
+    noise = sample_block_gaussian(block, time_steps, model.proj_dim, rng, n_samples)
+    t_min = sol.iterate.time_grid[1]
+    ctrl_sum = np.zeros((n_samples, model.proj_dim))
+    run_cost = np.zeros(n_samples)
+    z = np.tile(z_det, (n_samples, 1))
+    for j in range(time_steps):
+        tau = max(T - steps[j], t_min)
+        p = tau ** (-sol.gamma) * reference_fbar(sol.iterate, tau, z)
+        _, idx = h_min_batch(cost.ham, p.T, argmin=True)
+        run_cost += ell1[idx] * dt
+        ctrl_sum += u_grid[idx] @ b_ints[j].T
+        z = z_det[None, :] + ctrl_sum + noise[:, j, :]
+    costs_ = cost.ell0_integral(t0, T) + run_cost + cost.phi(z)
+    return costs_, z
+
+
+HEAT_X0 = 0.5 * np.arange(1, 257, dtype=float) ** -2.0
+
+
+@pytest.fixture(params=["heat", "delay"])
+def solved_case(request):
+    """(model, cost, solution, x0) for the mini heat (m = 2) and delay
+    (m = 1) solutions."""
+    name = request.param
+    model = request.getfixturevalue(f"{name}_model")
+    sol, ham, phi, ell0, cfg = request.getfixturevalue(f"mini_{name}_solution")
+    cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+    return model, cost, sol, HEAT_X0 if name == "heat" else X0
+
+
+class TestAgainstReferenceLoop:
+    def test_greedy_matches_reference(self, solved_case):
+        model, cost, sol, x0 = solved_case
+        for t0, n, steps, seed in ((0.0, 3000, 20, 11), (0.35, 500, 7, 3)):
+            res = simulate_cost(model, cost, Policy.greedy(sol), t0, x0, n,
+                                steps, seed=seed)
+            ref_costs, ref_z = reference_greedy(model, cost, sol, t0, x0, n,
+                                                steps, seed)
+            assert res.terminal_projected_states.shape == ref_z.shape
+            assert np.abs(res.sample_costs - ref_costs).max() <= 1e-12
+            assert np.abs(res.terminal_projected_states - ref_z).max() <= 1e-12
+
+    def test_eval_matches_per_slice(self, solved_case):
+        model, cost, sol, x0 = solved_case
+        it = sol.iterate
+        f_scale = np.abs(it.f_values).max()
+        g_scale = np.abs(it.fbar_values).max()
+        # between time nodes, on a node, and at the last node (t = 0)
+        for t in (0.0, 0.2, 1.0 - it.time_grid[7], 0.61, 0.97):
+            tau = 1.0 - t
+            y = np.asarray(model.proj_semigroup_apply(tau, x0), dtype=float)
+            ref = per_slice_interp(it.space_axes, it.f_values, it.time_grid,
+                                   tau, y[None, :])[0]
+            assert abs(eval_value(sol, model, t, x0) - ref) <= 1e-13 * f_scale
+            ref_g = tau ** (-sol.gamma) * reference_fbar(it, tau, y[None, :])[0]
+            got_g = eval_c_gradient(sol, model, t, x0)
+            assert got_g.shape == ref_g.shape
+            assert np.abs(got_g - ref_g).max() <= 1e-13 * tau ** (-sol.gamma) * g_scale
 
 
 class TestCostBuilders:

@@ -27,7 +27,7 @@ from pshjb.hjb import (
 from pshjb.ou import semigroup_apply
 from pshjb.spectral import build_quadrature
 
-from conftest import MINI_CFG, shipped_delay_ham
+from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham
 
 
 class TestHMin:
@@ -49,6 +49,40 @@ class TestHMin:
         value, idx = h_min_batch(ham, np.zeros((1, 1)), argmin=True)
         assert value[0] == 0.2
         assert idx[0] == 1                   # ties break to the lowest index
+
+
+class TestScatteredInterpolation:
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    @pytest.mark.parametrize("n_comp", [1, 2])
+    def test_matches_map_coordinates(self, n_dim, n_comp):
+        # a non-square grid with its own step per axis; points inside the
+        # box, beyond both edges, on grid nodes and on the last node
+        rng = np.random.default_rng(10 * n_dim + n_comp)
+        axes = tuple(
+            np.linspace(-1.0 - 0.3 * d, 1.5 + 0.2 * d, 4 + 3 * d)
+            for d in range(n_dim)
+        )
+        lo = np.array([a[0] for a in axes])
+        hi = np.array([a[-1] for a in axes])
+        width = hi - lo
+        nodes = np.stack([rng.choice(a, 8) for a in axes], axis=-1)
+        pts = np.concatenate([
+            rng.uniform(lo, hi, (40, n_dim)),                     # inside
+            lo - width * rng.uniform(0.01, 2.0, (6, n_dim)),      # below
+            hi + width * rng.uniform(0.01, 2.0, (6, n_dim)),      # above
+            rng.uniform(lo - width, hi + width, (20, n_dim)),     # mixed
+            nodes,                                                # grid nodes
+            np.stack([lo, hi, np.where(np.arange(n_dim) % 2, lo, hi)]),
+        ])
+        fields = rng.standard_normal((n_comp,) + tuple(a.size for a in axes))
+        got = interp_space(axes, fields, pts.T)
+        assert got.shape == (n_comp, pts.shape[0])
+        for k in range(n_comp):
+            ref = nearest_multilinear(axes, fields[k], pts)
+            assert np.abs(got[k] - ref).max() <= 1e-13
+        # a single field without a component axis
+        ref = nearest_multilinear(axes, fields[0], pts)
+        assert np.abs(interp_space(axes, fields[0], pts.T) - ref).max() <= 1e-13
 
 
 class TestShiftInterpolation:
@@ -76,7 +110,7 @@ class TestShiftInterpolation:
         for k in range(m):
             for b in range(2):
                 for i, c in enumerate(shifts):
-                    ref = interp_space(axes, fields[k, b, 0], mesh + c)
+                    ref = nearest_multilinear(axes, fields[k, b, 0], mesh + c)
                     err = np.abs(got[k, b, i] - ref.reshape(shape)).max()
                     assert err <= 1e-13
 
@@ -342,10 +376,10 @@ class TestEvaluation:
             b_col = delay_model.proj_control(tau)[:, k]
             a = 1e-3
             fd = (
-                interp_f(it, tau, (y + a * b_col)[None, :])[0]
-                - interp_f(it, tau, (y - a * b_col)[None, :])[0]
+                interp_f(it, tau, (y + a * b_col)[:, None])[0]
+                - interp_f(it, tau, (y - a * b_col)[:, None])[0]
             ) / (2 * a)
-            grad_k = tau ** (-sol.gamma) * interp_fbar(it, tau, y[None, :])[0, k]
+            grad_k = tau ** (-sol.gamma) * interp_fbar(it, tau, y[:, None])[k, 0]
             # bilinear interpolation of f limits the FD fidelity on the
             # coarse mini grid; the agreement scale is the grid spacing
             assert abs(grad_k - fd) <= 0.08 * max(1.0, abs(fd))

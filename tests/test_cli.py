@@ -64,6 +64,10 @@ class TestSolve:
         meta = json.loads((out / "solve_meta.json").read_text())
         assert meta["status"] == "ok"
         assert meta["residual"] <= 1e-4
+        assert meta["diagnostics"]["applies"] == {
+            "eta_probe": 6, "picard": meta["iterations"]
+        }
+        assert 0.0 <= meta["diagnostics"]["clamped_mass"] <= 1.0
         assert (out / "solution.csv").exists()
 
     def test_solution_csv_reproducible(self, tmp_path):

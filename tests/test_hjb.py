@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pshjb import costs
+from pshjb import costs, hjb
 from pshjb.errors import (
     GridMismatch,
     NoContraction,
@@ -13,6 +13,7 @@ from pshjb.hjb import (
     SolverConfig,
     UpsilonOperator,
     auto_select_eta,
+    clamped_share,
     contraction_ratios,
     eval_c_gradient,
     eval_value,
@@ -27,7 +28,7 @@ from pshjb.hjb import (
 from pshjb.ou import semigroup_apply
 from pshjb.spectral import build_quadrature
 
-from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham
+from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham, shipped_heat_ham
 
 
 class TestHMin:
@@ -49,6 +50,43 @@ class TestHMin:
         value, idx = h_min_batch(ham, np.zeros((1, 1)), argmin=True)
         assert value[0] == 0.2
         assert idx[0] == 1                   # ties break to the lowest index
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_brute_force(self, m):
+        # an all-zero control, one with two nonzero coordinates, duplicated
+        # rows (exact ties) and axis-aligned controls, against the minimum
+        # of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
+        rng = np.random.default_rng(m)
+        u = np.zeros((7, m))
+        u[1, 0], u[2, 1] = 1.5, -0.5
+        u[3, :2] = (0.75, -1.25)
+        u[4] = u[3]
+        u[6] = u[1]
+        cost = rng.uniform(0.0, 0.5, 7)
+        cost[4], cost[6] = cost[3], cost[1]
+        cost[0] = cost[5] = 0.0              # rows 0 and 5: all-zero controls
+        ham = Hamiltonian(u, cost)
+        p = rng.standard_normal((m, 3, 4))
+        p[:, 0, 0] = 0.0                     # every control costs only ell1
+        want_v, want_i = np.empty((3, 4)), np.empty((3, 4), dtype=int)
+        for pos in np.ndindex(3, 4):
+            vals = []
+            for uj, cj in zip(u, cost):
+                v = cj
+                for uk, pk in zip(uj, p[(slice(None),) + pos]):
+                    if uk != 0.0:
+                        v = v + uk * pk
+                vals.append(v)
+            want_v[pos] = min(vals)
+            want_i[pos] = vals.index(min(vals))
+        out = np.empty((3, 4))
+        value, idx = h_min_batch(ham, p, argmin=True, out=out)
+        assert np.array_equal(value, want_v) and np.array_equal(idx, want_i)
+        assert np.shares_memory(value, out) and np.array_equal(out, want_v)
+        assert np.array_equal(h_min_batch(ham, p), want_v)
+        assert idx[0, 0] == 0                # tie of the two all-zero controls
+        with pytest.raises(ValueError):
+            h_min_batch(ham, p, out=np.empty((4, 3)).T)
 
 
 class TestScatteredInterpolation:
@@ -115,6 +153,42 @@ class TestShiftInterpolation:
                     assert err <= 1e-13
 
 
+class TestClampedShare:
+    def test_hand_made_stencil(self):
+        # 5 nodes per axis; each shift moves node j to j + k + a
+        k = np.array([[0, -1], [0, 10]])
+        a = np.array([[0.0, 0.5], [0.25, 0.0]])
+        w = np.array([1.0, 3.0, 2.0, 2.0])
+        # 1-D: none clamped, node 0 lands at -0.5, node 4 at 4.25, all beyond
+        want = (3.0 * 1 / 5 + 2.0 * 1 / 5 + 2.0 * 1.0) / 8.0
+        assert clamped_share(((k, a),), w, (5,)) == pytest.approx(want, abs=1e-15)
+        # 2-D: second axis shifted by 2 nodes keeps 3 of 5 inside
+        k2, a2 = np.full_like(k, 2), np.zeros_like(a)
+        inside = np.array([1.0, 4 / 5, 4 / 5, 0.0]) * 3 / 5
+        want2 = w @ (1.0 - inside) / w.sum()
+        got2 = clamped_share(((k, a), (k2, a2)), w, (5, 5))
+        assert got2 == pytest.approx(want2, abs=1e-15)
+
+    def test_matches_point_count(self):
+        # against counting mesh + shift points outside [0, n - 1] per axis
+        rng = np.random.default_rng(4)
+        shape = (6, 4)
+        axes = tuple(np.arange(n, dtype=float) for n in shape)
+        shifts = np.concatenate([
+            rng.uniform(-8.0, 8.0, (20, 2)),
+            rng.integers(-5, 6, (10, 2)).astype(float),   # onto grid nodes
+        ])
+        w = rng.uniform(0.1, 1.0, len(shifts))
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+        outside = [
+            np.mean(np.any((mesh + c < 0) | (mesh + c > np.array(shape) - 1), axis=1))
+            for c in shifts
+        ]
+        want = w @ np.array(outside) / w.sum()
+        got = clamped_share(shift_stencil(axes, shifts), w, shape)
+        assert got == pytest.approx(want, abs=1e-14)
+
+
 class TestWeightedDistance:
     def test_identical_iterates(self, mini_delay_solution):
         sol, *_ = mini_delay_solution
@@ -164,6 +238,21 @@ def trivial_ups(delay_model):
     return UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
 
 
+@pytest.fixture(scope="module")
+def mini_ups(heat_model, delay_model):
+    """Mini-grid Picard maps of the shipped heat (m = 2) and delay (m = 1)
+    problems."""
+    cfg = SolverConfig(**MINI_CFG)
+    return {
+        "heat": UpsilonOperator(heat_model, shipped_heat_ham(),
+                                costs.tanh_cost([0.8, -0.5], 0.0, 1.0),
+                                costs.constant_ell0(0.1), cfg, gamma=0.52),
+        "delay": UpsilonOperator(delay_model, shipped_delay_ham(),
+                                 costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
+                                 costs.constant_ell0(0.1), cfg, gamma=0.52),
+    }
+
+
 class TestUpsilon:
     def test_trivial_hamiltonian_is_constant_map(self, trivial_ups):
         g0 = trivial_ups.initial_iterate()
@@ -208,6 +297,29 @@ class TestUpsilon:
         err = np.abs(conv - expected[:, None, None]).max()
         assert err <= 1e-10
 
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_blocked_apply_equals_one_block(self, name, mini_ups, monkeypatch):
+        ups = mini_ups[name]
+        g = ups.random_iterate(np.random.default_rng(7))
+        n_s, n_q = 2 * ups.cfg.time_quad_order, ups.rule.nodes.shape[0]
+        pair = 8 * ups.ham.control_dim * ups.mesh.shape[0]
+        monkeypatch.setattr(hjb, "APPLY_BLOCK_BYTES", 2**62)
+        assert hjb._pair_blocks(n_s, n_q, pair) == [(0, n_s, 0, n_q)]
+        ref = ups.apply(g)
+        # one pair per block; runs of 7 Gauss nodes (uneven last run);
+        # 5 s-nodes per block (uneven last block)
+        for budget, n_blocks in ((1, n_s * n_q), (7 * pair, n_s * -(-n_q // 7)),
+                                 (5 * n_q * pair, -(-n_s // 5))):
+            monkeypatch.setattr(hjb, "APPLY_BLOCK_BYTES", budget)
+            blocks = hjb._pair_blocks(n_s, n_q, pair)
+            assert len(blocks) == n_blocks
+            pairs = [s * n_q + q for s0, s1, q0, q1 in blocks
+                     for s in range(s0, s1) for q in range(q0, q1)]
+            assert pairs == list(range(n_s * n_q))
+            out = ups.apply(g)
+            assert np.array_equal(out.f_values, ref.f_values)
+            assert np.array_equal(out.fbar_values, ref.fbar_values)
+
 
 class TestPicard:
     def test_trivial_converges_in_one_iteration(self, delay_model):
@@ -248,6 +360,17 @@ class TestPicard:
                 break
         assert d < cfg.tol
         assert weighted_distance(g, sol.iterate, sol.eta_weight) <= 2.0 * cfg.tol
+
+    def test_diagnostics(self, mini_delay_solution, delay_model):
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        diag = sol.diagnostics
+        assert diag["applies"] == {"eta_probe": 6, "picard": sol.iterations}
+        assert 0.0 < diag["clamped_mass"] < 0.5
+        pinned = SolverConfig(**{**MINI_CFG, "gamma": sol.gamma,
+                                 "eta_weight": sol.eta_weight})
+        sol_p = picard_solve(delay_model, ham, phi, ell0, pinned)
+        assert sol_p.diagnostics["applies"] == {"eta_probe": 0, "picard": sol.iterations}
+        assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
 
     def test_no_contraction_detected(self, delay_model):
         # enormous controls at a pinned weight of zero cannot contract

@@ -134,7 +134,7 @@ class SolverConfig:
 
     horizon: float = 1.0
     gamma: float | None = None        # None: take it from the blow-up fit
-    eta_weight: float | None = None   # None: auto-select
+    eta_weight: float | None = None   # None: sup norm, eta ladder on failure
     tol: float = 1e-4
     max_iter: int = 30
     n_time: int = 40
@@ -621,8 +621,10 @@ def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> 
 
     The t^gamma factor of the gradient part is already embedded in the
     stored fbar arrays.  The decaying weight e^{-eta t} (eta >= 0) is the
-    equivalent norm under which the Picard map contracts for eta large
-    enough.
+    equivalent (Bielecki-type) norm under which the Picard map contracts for
+    eta large enough.  The weight is at most 1, so the distance never grows
+    with eta: eta = 0, the sup norm, is the strictest, and a weighted
+    distance below tol admits a sup distance of up to e^{eta T} tol.
     """
     if g1.time_grid.shape != g2.time_grid.shape or not np.allclose(
         g1.time_grid, g2.time_grid
@@ -679,8 +681,10 @@ def auto_select_eta(
 ) -> float:
     """Smallest eta from the doubling ladder with measured ratio < target.
 
-    The Picard images of the probe pairs do not depend on eta, so they are
-    computed once and the ladder is scanned cheaply.
+    Each of the ``n_pairs`` random probe pairs costs two applies of the
+    Picard map.  The images do not depend on eta, so they are computed once
+    and the ladder is scanned cheaply.  ``picard_solve`` calls this only
+    after the sup-norm residual has grown three steps in a row.
     """
     rng = rng or np.random.default_rng(ups.cfg.seed + 1)
     cache: list = []
@@ -706,9 +710,16 @@ def picard_solve(
 
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
-    ``eta_weight`` defaults to the smallest dyadic weight with measured
-    contraction ratio below 0.9.  Raises :class:`NoContraction` after three
-    consecutive residual increases.
+
+    A configured ``eta_weight`` sets the norm of the stopping test and of
+    the growth rule: :class:`NoContraction` after three consecutive residual
+    increases.  Without one the loop runs in the sup norm (eta = 0).  eta
+    never changes the fixed point, only the norm it is measured in, so the
+    eta ladder (:func:`auto_select_eta`) runs only when the sup residual
+    first grows three steps in a row; the loop then carries on from the
+    current iterate in the chosen norm, and a second such streak raises.
+    ``diagnostics["sup_residual"]`` is the last residual in the sup norm,
+    ``diagnostics["auto_eta"]`` is set only when the ladder ran.
     """
     diagnostics: dict = {}
     gamma = cfg.gamma
@@ -733,11 +744,9 @@ def picard_solve(
 
     ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
-    eta = cfg.eta_weight
-    if eta is None:
-        eta = auto_select_eta(ups, scale=max(phi.bound, 1.0))
-        diagnostics["auto_eta"] = eta
-    eta_applies = ups.applies
+    eta = 0.0 if cfg.eta_weight is None else cfg.eta_weight
+    ladder_left = cfg.eta_weight is None
+    eta_applies = 0
 
     g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
     residuals: list[float] = []
@@ -745,21 +754,32 @@ def picard_solve(
     bad_streak = 0
     for it in range(1, cfg.max_iter + 1):
         g_next = ups.apply(g)
-        d = weighted_distance(g_next, g, eta)
+        sup = weighted_distance(g_next, g, 0.0)
+        d = sup if eta == 0.0 else weighted_distance(g_next, g, eta)
         if residuals:
             ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio > 1.0 else 0
             if bad_streak >= 3:
-                raise NoContraction(
-                    f"residual grew for 3 consecutive Picard steps "
-                    f"(eta={eta}, gamma={gamma}); residuals={residuals[-4:] + [d]}"
-                )
+                if not ladder_left:
+                    raise NoContraction(
+                        f"residual grew for 3 consecutive Picard steps "
+                        f"(eta={eta}, gamma={gamma}); residuals={residuals[-4:] + [d]}"
+                    )
+                # fall back to the weighted norm once; the iterate is kept
+                ladder_left = False
+                applies = ups.applies
+                eta = auto_select_eta(ups, scale=max(phi.bound, 1.0))
+                eta_applies = ups.applies - applies
+                diagnostics["auto_eta"] = eta
+                bad_streak = 0
+                d = weighted_distance(g_next, g, eta)
         residuals.append(d)
         g = g_next
         if d < cfg.tol:
             break
     diagnostics["applies"] = {"eta_probe": eta_applies, "picard": ups.applies - eta_applies}
+    diagnostics["sup_residual"] = sup
     diagnostics["residual_history"] = residuals
     return HJBSolution(
         iterate=g,

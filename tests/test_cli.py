@@ -65,7 +65,7 @@ class TestSolve:
         assert meta["status"] == "ok"
         assert meta["residual"] <= 1e-4
         assert meta["diagnostics"]["applies"] == {
-            "eta_probe": 6, "picard": meta["iterations"]
+            "eta_probe": 0, "picard": meta["iterations"]
         }
         assert 0.0 <= meta["diagnostics"]["clamped_mass"] <= 1.0
         assert (out / "solution.csv").exists()

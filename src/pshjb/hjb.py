@@ -134,7 +134,7 @@ class SolverConfig:
 
     horizon: float = 1.0
     gamma: float | None = None        # None: take it from the blow-up fit
-    eta_weight: float | None = None   # None: sup norm, eta ladder on failure
+    eta_weight: float | None = None   # None: 0, the sup norm
     tol: float = 1e-4
     max_iter: int = 30
     n_time: int = 40
@@ -683,8 +683,8 @@ def auto_select_eta(
 
     Each of the ``n_pairs`` random probe pairs costs two applies of the
     Picard map.  The images do not depend on eta, so they are computed once
-    and the ladder is scanned cheaply.  ``picard_solve`` calls this only
-    after the sup-norm residual has grown three steps in a row.
+    and the ladder is scanned cheaply.  ``picard_solve`` does not call
+    this; it iterates in the sup norm unless eta is configured.
     """
     rng = rng or np.random.default_rng(ups.cfg.seed + 1)
     cache: list = []
@@ -711,15 +711,14 @@ def picard_solve(
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
 
-    A configured ``eta_weight`` sets the norm of the stopping test and of
-    the growth rule: :class:`NoContraction` after three consecutive residual
-    increases.  Without one the loop runs in the sup norm (eta = 0).  eta
-    never changes the fixed point, only the norm it is measured in, so the
-    eta ladder (:func:`auto_select_eta`) runs only when the sup residual
-    first grows three steps in a row; the loop then carries on from the
-    current iterate in the chosen norm, and a second such streak raises.
-    ``diagnostics["sup_residual"]`` is the last residual in the sup norm,
-    ``diagnostics["auto_eta"]`` is set only when the ladder ran.
+    ``eta_weight`` sets the norm of the stopping test and of the growth
+    rule: :class:`NoContraction` after three consecutive residual
+    increases.  It defaults to 0, the sup norm: eta never changes the fixed
+    point, only the norm it is measured in, and the sup norm is the
+    strictest, so converged then means a sup residual below ``tol``.  No
+    eta is probed up front; :func:`auto_select_eta` stays available to
+    measure contraction.  ``diagnostics["sup_residual"]`` is the last
+    residual in the sup norm whatever eta is.
     """
     diagnostics: dict = {}
     gamma = cfg.gamma
@@ -745,8 +744,6 @@ def picard_solve(
     ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
     eta = 0.0 if cfg.eta_weight is None else cfg.eta_weight
-    ladder_left = cfg.eta_weight is None
-    eta_applies = 0
 
     g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
     residuals: list[float] = []
@@ -761,24 +758,15 @@ def picard_solve(
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio > 1.0 else 0
             if bad_streak >= 3:
-                if not ladder_left:
-                    raise NoContraction(
-                        f"residual grew for 3 consecutive Picard steps "
-                        f"(eta={eta}, gamma={gamma}); residuals={residuals[-4:] + [d]}"
-                    )
-                # fall back to the weighted norm once; the iterate is kept
-                ladder_left = False
-                applies = ups.applies
-                eta = auto_select_eta(ups, scale=max(phi.bound, 1.0))
-                eta_applies = ups.applies - applies
-                diagnostics["auto_eta"] = eta
-                bad_streak = 0
-                d = weighted_distance(g_next, g, eta)
+                raise NoContraction(
+                    f"residual grew for 3 consecutive Picard steps "
+                    f"(eta={eta}, gamma={gamma}); residuals={residuals[-4:] + [d]}"
+                )
         residuals.append(d)
         g = g_next
         if d < cfg.tol:
             break
-    diagnostics["applies"] = {"eta_probe": eta_applies, "picard": ups.applies - eta_applies}
+    diagnostics["applies"] = {"picard": ups.applies}
     diagnostics["sup_residual"] = sup
     diagnostics["residual_history"] = residuals
     return HJBSolution(

@@ -43,15 +43,14 @@ EXIT_INVARIANT = 5
 FLOAT_FMT = "%.17g"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
-
-
 def _write_csv(path: str, header: list[str], rows) -> None:
+    """Write ``rows`` (anything numpy turns into a (rows, len(header)) float
+    array) under ``header``, every value as FLOAT_FMT."""
+    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
+    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in values.tolist())
 
 
 def _write_json(path: str, obj) -> None:
@@ -85,21 +84,18 @@ def cmd_solve(args, run: RunConfig) -> int:
     mesh = np.stack(
         [g.ravel() for g in np.meshgrid(*it.space_axes, indexing="ij")], axis=-1
     )
-    n_pts = mesh.shape[0]
+    n_pts, n_dim = mesh.shape
+    n_t = it.time_grid.size
     m = it.control_dim
-    rows = []
-    for i, t in enumerate(it.time_grid):
-        fbar = (
-            np.zeros((n_pts, m))
-            if i == 0
-            else it.fbar_values[i - 1].reshape(n_pts, m)
-        )
-        fvals = it.f_values[i].reshape(n_pts)
-        for p in range(n_pts):
-            rows.append([t, *mesh[p], fvals[p], *fbar[p]])
+    # rows (t, y1..yN, f, fbar1..fbarM), time-major; fbar is zero at t = 0
+    rows = np.zeros((n_t, n_pts, n_dim + 2 + m))
+    rows[..., 0] = it.time_grid[:, None]
+    rows[..., 1 : n_dim + 1] = mesh
+    rows[..., n_dim + 1] = it.f_values.reshape(n_t, n_pts)
+    rows[1:, :, n_dim + 2 :] = it.fbar_values.reshape(n_t - 1, n_pts, m)
     header = (
         ["t"]
-        + [f"y{d + 1}" for d in range(run.model.proj_dim)]
+        + [f"y{d + 1}" for d in range(n_dim)]
         + ["f"]
         + [f"fbar{k + 1}" for k in range(m)]
     )
@@ -132,7 +128,7 @@ def cmd_lambda(args, run: RunConfig) -> int:
     _write_csv(
         os.path.join(args.out_dir, "lambda_norms.csv"),
         ["t", "norm"],
-        zip(fit.times, fit.norms),
+        np.column_stack((fit.times, fit.norms)),
     )
     gamma_ok = 0.0 < fit.gamma < 1.0
     _write_json(

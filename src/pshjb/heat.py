@@ -22,15 +22,14 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch
 from .ou import ProjectedModel
-from .spectral import SpectralBasis
 
 
-def eigenvalues(n_modes: int) -> SpectralBasis:
+def eigenvalues(n_modes: int) -> np.ndarray:
     """Dirichlet Laplacian spectrum on (0, pi): lambda_k = k^2, k = 1..n."""
     if n_modes < 1:
         raise ConfigError("n_modes must be >= 1")
     k = np.arange(1, n_modes + 1, dtype=float)
-    return SpectralBasis(n_modes, k**2)
+    return k**2
 
 
 def dirichlet_map_coeffs(a, n_modes: int) -> np.ndarray:
@@ -54,7 +53,7 @@ def control_coeffs(a, n_modes: int) -> np.ndarray:
     The divergence is expected: the control operator takes values outside
     the state space and only becomes summable after the semigroup acts.
     """
-    lam = eigenvalues(n_modes).eigenvalues
+    lam = eigenvalues(n_modes)
     return lam * dirichlet_map_coeffs(a, n_modes)
 
 
@@ -112,7 +111,7 @@ def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:
 
 def projection_matrix(cfg: HeatConfig) -> np.ndarray:
     """N x n_modes matrix V of projection-vector coefficients <v_i, e_k>."""
-    lam = eigenvalues(cfg.n_modes).eigenvalues
+    lam = eigenvalues(cfg.n_modes)
     k = np.arange(1, cfg.n_modes + 1, dtype=float)
     if cfg.projection == "identity":
         return np.eye(cfg.n_modes)
@@ -150,7 +149,7 @@ def decay_fit(v_matrix: np.ndarray) -> float:
     fitted on binned maxima over the upper half of the truncated range.
     """
     n_modes = v_matrix.shape[1]
-    lam = eigenvalues(n_modes).eigenvalues
+    lam = eigenvalues(n_modes)
     env = np.abs(v_matrix).max(axis=0)
     lo = n_modes // 4
     bins = np.array_split(np.arange(lo, n_modes), 12)
@@ -171,8 +170,7 @@ class HeatProjectedModel(ProjectedModel):
 
     def __init__(self, cfg: HeatConfig):
         self.cfg = cfg
-        self.basis = eigenvalues(cfg.n_modes)
-        self._lam = self.basis.eigenvalues
+        self._lam = eigenvalues(cfg.n_modes)
         self._v = projection_matrix(cfg)
         self._v.setflags(write=False)
         self._dmat = np.stack(

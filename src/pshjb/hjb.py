@@ -35,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .errors import (
     DimensionMismatch,
@@ -46,7 +45,7 @@ from .errors import (
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import fit_blowup, lambda_operator
-from .spectral import default_rule_for_dim, psd_pinv_sqrt, psd_sqrt
+from .spectral import default_rule_for_dim, gauss_jacobi, psd_pinv_sqrt, psd_sqrt
 
 ETA_CANDIDATES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
 
@@ -468,6 +467,7 @@ class UpsilonOperator:
         self.trivial_ham = self.ham.lipschitz == 0.0
         self.h_const = float(self.ham.running_cost.min())
 
+        jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
         self.s_f = np.empty((n_t, npts))
         self.s_grad = np.empty((n_t, npts, m))
         self.conv: list[_Convolution | None] = []
@@ -480,18 +480,19 @@ class UpsilonOperator:
             lam = lambda_operator(self.model, t).matrix
             wk = self.rule.nodes @ lam                       # (nq, m)
             self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, wk)
-            self.conv.append(None if self.trivial_ham else self._time_quadrature(t, t_pos))
+            self.conv.append(None if self.trivial_ham else self._time_quadrature(t, t_pos, jacobi))
         self.clamped_mass = max(
             (clamped_share(cv.stencil, cv.fweights, self.space_shape)
              for cv in self.conv if cv is not None),
             default=0.0,
         )
 
-    def _time_quadrature(self, t: float, t_pos: np.ndarray) -> _Convolution:
-        """Two-sided Gauss-Jacobi quadrature of int_0^t . ds, see the module doc."""
+    def _time_quadrature(self, t: float, t_pos: np.ndarray, jacobi) -> _Convolution:
+        """Two-sided Gauss-Jacobi quadrature of int_0^t . ds, see the module doc;
+        ``jacobi`` holds the nodes and weights for (1 + x)^p on [-1, 1]."""
         gamma = self.gamma
         p = gamma / (1.0 - gamma)
-        x, w = roots_jacobi(self.cfg.time_quad_order, 0.0, p)
+        x, w = jacobi
         c = 0.5 ** (1.0 - gamma)                 # sigma value mapping to s = t/2
         scale = (c / 2.0) ** (p + 1.0) * t / (1.0 - gamma)
         frac = (c * 0.5 * (1.0 + x)) ** (1.0 / (1.0 - gamma))

@@ -5,7 +5,8 @@ quantity the solver needs factors through a finite-rank projection P, and the
 :class:`ProjectedModel` contract below collects exactly those projected
 quantities.  On top of the contract this module provides the transition
 semigroup acting on projected terminal costs, the Cameron-Martin density
-between shifted Gaussians, and joint sampling of the projected noise.
+between shifted Gaussians, and the block covariance of the projected noise
+at several times.
 
 Covariance calls always require t > 0; at t = 0 the projected dynamics are
 only defined on the original state space and callers evaluate the terminal
@@ -25,7 +26,6 @@ from .spectral import (
     gauss_expectation,
     psd_image_projector,
     psd_pinv_sqrt,
-    psd_sqrt,
 )
 
 
@@ -155,44 +155,3 @@ def assemble_block_cov(cov_fn, k: int, n: int) -> np.ndarray:
             big[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
             big[j * n : (j + 1) * n, i * n : (i + 1) * n] = block.T
     return big
-
-
-def sample_block_gaussian(
-    cov_fn, k: int, n: int, rng: np.random.Generator, size: int = 1
-) -> np.ndarray:
-    """Joint zero-mean Gaussian samples for a block covariance kernel.
-
-    One global symmetric square root of the stacked covariance is used
-    instead of sequential conditioning: the projected process is not Markov
-    and the exact joint law avoids bias.  Returns shape (size, k, n).
-    """
-    big = assemble_block_cov(cov_fn, k, n)
-    root = psd_sqrt(big)
-    z = rng.standard_normal((size, k * n))
-    return (z @ root.T).reshape(size, k, n)
-
-
-def sample_noise_path(
-    model: ProjectedModel,
-    times,
-    rule_seed: int,
-    size: int = 1,
-) -> np.ndarray:
-    """Joint sample of the projected stochastic convolution (P W_A(t_i))_i.
-
-    ``times`` must be strictly increasing and positive.  Returns an array of
-    shape (size, len(times), N); fixed seeds reproduce paths bitwise.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise DimensionMismatch("times must be a nonempty 1-D array")
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing and positive")
-    rng = np.random.default_rng(rule_seed)
-    return sample_block_gaussian(
-        lambda i, j: model.noise_cov(times[i], times[j]),
-        len(times),
-        model.proj_dim,
-        rng,
-        size=size,
-    )

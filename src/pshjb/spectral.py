@@ -1,4 +1,4 @@
-"""Dense PSD matrix functions and Gaussian expectation engines.
+"""Dense PSD matrix functions, Gaussian expectation engines and quadrature rules.
 
 Everything here works on small dense symmetric matrices (dimensions up to a
 few hundred).  Matrix functions go through a symmetric eigendecomposition so
@@ -18,24 +18,6 @@ from .errors import DimensionMismatch, DimensionTooLarge, NotPSD
 # raise NotPSD, eigenvalues below RANK_TOL * lam_max count as kernel.
 TOL_PSD = 1e-10
 RANK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SpectralBasis:
-    """Truncated diagonal basis with positive, nondecreasing eigenvalues."""
-
-    n_modes: int
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        lam = np.asarray(self.eigenvalues, dtype=float)
-        object.__setattr__(self, "eigenvalues", lam)
-        if self.n_modes < 1 or lam.shape != (self.n_modes,):
-            raise DimensionMismatch("eigenvalue list must have n_modes entries")
-        if np.any(lam <= 0):
-            raise ValueError("eigenvalues must be strictly positive")
-        if np.any(np.diff(lam) < 0):
-            raise ValueError("eigenvalues must be nondecreasing")
 
 
 @dataclass(frozen=True)
@@ -187,6 +169,23 @@ def default_rule_for_dim(
     if dim <= 3:
         return build_quadrature(dim, "tensor-hermite", order)
     return build_quadrature(dim, "monte-carlo", mc_samples, seed=seed)
+
+
+def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Jacobi rule (n >= 1) for the weight (1 + x)^beta on
+    [-1, 1], beta > -1.
+
+    Golub-Welsch: the nodes are the eigenvalues of the symmetric tridiagonal
+    Jacobi matrix of the orthonormal Jacobi polynomials (alpha = 0), the
+    weights the squared first eigenvector components times the total mass
+    2^(beta+1) / (beta+1).  Exact for degree <= 2n - 1; nodes ascending.
+    """
+    k = np.arange(1, n, dtype=float)
+    s = 2.0 * k + beta
+    diag = np.concatenate(([beta / (beta + 2.0)], beta**2 / (s * (s + 2.0))))
+    off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
+    x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
 
 
 def gauss_expectation(

@@ -3,6 +3,8 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from pshjb import costs, delay, heat, hjb
+from pshjb.ou import assemble_block_cov
+from pshjb.spectral import psd_sqrt
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +66,36 @@ def nearest_multilinear(axes, values, pts):
     one field, clamped at the box, points of shape (B, N)."""
     coords = [(pts[:, d] - ax[0]) / (ax[1] - ax[0]) for d, ax in enumerate(axes)]
     return map_coordinates(values, coords, order=1, mode="nearest")
+
+
+def sample_block_gaussian(cov_fn, k, n, rng, size=1):
+    """Joint zero-mean Gaussian samples for a block covariance kernel.
+
+    One global symmetric square root of the stacked covariance, no
+    sequential conditioning: the projected process is not Markov.  Returns
+    shape (size, k, n).
+    """
+    root = psd_sqrt(assemble_block_cov(cov_fn, k, n))
+    z = rng.standard_normal((size, k * n))
+    return (z @ root.T).reshape(size, k, n)
+
+
+def sample_noise_path(model, times, rule_seed, size=1):
+    """Joint sample of the projected stochastic convolution (P W_A(t_i))_i
+    at strictly increasing positive ``times``; shape (size, len(times), N),
+    bitwise reproducible for a fixed seed."""
+    times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("times must be a nonempty 1-D array")
+    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing and positive")
+    return sample_block_gaussian(
+        lambda i, j: model.noise_cov(times[i], times[j]),
+        len(times),
+        model.proj_dim,
+        np.random.default_rng(rule_seed),
+        size=size,
+    )
 
 
 MINI_CFG = dict(

@@ -320,7 +320,7 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
                     expm(-tau * model.cfg.a0) @ y_node, model.cfg.delay
                 )
             else:
-                lam = model.basis.eigenvalues[:2]
+                lam = heat.eigenvalues(2)
                 block = model.v_matrix[:, :2] * np.exp(-tau * lam)
                 x = np.linalg.solve(block, y_node)
             ref = semigroup_apply(model, phi, tau, y_node, rule) + c * tau

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -275,3 +277,37 @@ class TestShippedConfigs:
                                "values": [0.0, 2.0]}
         run = load_config(write_config(tmp_path, cfg))
         assert abs(run.cost.ell0_integral(0.0, 1.0) - 1.0) <= 1e-9
+
+
+class TestImportGraph:
+    """Heat runs load no scipy; the delay model loads scipy.linalg while the
+    config is read, so no import cost moves into a solve."""
+
+    SCRIPT = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import pshjb.cli\n"
+        "from pshjb.config import load_config\n"
+        "after_import = scipy_modules()\n"
+        "load_config(sys.argv[1])\n"
+        "print(json.dumps([after_import, scipy_modules()]))\n"
+    )
+
+    def scipy_modules(self, name):
+        root = os.path.join(os.path.dirname(__file__), "..")
+        path = [os.path.join(root, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, os.path.join(root, "configs", name)],
+            capture_output=True, text=True, env=env, timeout=120, check=True,
+        )
+        return json.loads(proc.stdout)
+
+    def test_heat_config_imports_no_scipy(self):
+        assert self.scipy_modules("heat.yaml") == [[], []]
+
+    def test_delay_config_imports_scipy_linalg_at_load(self):
+        after_import, after_load = self.scipy_modules("delay.yaml")
+        assert after_import == []
+        assert "scipy.linalg" in after_load

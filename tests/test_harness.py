@@ -21,9 +21,7 @@ from pshjb.hjb import (
     h_min_batch,
     picard_solve,
 )
-from pshjb.ou import sample_block_gaussian
-
-from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham
+from conftest import MINI_CFG, nearest_multilinear, sample_block_gaussian, shipped_delay_ham
 
 
 X0 = DelayState.zero_past([0.3, -0.2], 0.2)

@@ -9,15 +9,14 @@ from pshjb.smoothing import fit_blowup, inclusion_residual
 
 class TestSpectrum:
     def test_squares(self):
-        basis = heat.eigenvalues(3)
-        np.testing.assert_allclose(basis.eigenvalues, [1.0, 4.0, 9.0])
+        np.testing.assert_allclose(heat.eigenvalues(3), [1.0, 4.0, 9.0])
 
     def test_monotone(self):
-        lam = heat.eigenvalues(50).eigenvalues
+        lam = heat.eigenvalues(50)
         assert np.all(np.diff(lam) > 0)
 
     def test_asymptotics(self):
-        lam = heat.eigenvalues(200).eigenvalues
+        lam = heat.eigenvalues(200)
         n = np.arange(1, 201)
         np.testing.assert_allclose(lam / n**2, 1.0)
 
@@ -45,7 +44,7 @@ class TestDirichletMap:
         a = (1.0, 0.0)
         c = heat.control_coeffs(a, 6)
         d = heat.dirichlet_map_coeffs(a, 6)
-        lam = heat.eigenvalues(6).eigenvalues
+        lam = heat.eigenvalues(6)
         np.testing.assert_allclose(c, lam * d)
         assert abs(c[1] - 2.0 * np.sqrt(2.0)) <= 1e-12   # k=2 closed form
 
@@ -58,14 +57,14 @@ class TestDirichletMap:
 class TestProjectedModel:
     def test_stationary_limit(self, heat_model):
         v = heat_model.v_matrix
-        lam = heat_model.basis.eigenvalues
+        lam = heat.eigenvalues(heat_model.cfg.n_modes)
         target = (v * lam ** (-1.0)) @ v.T       # beta = 0
         np.testing.assert_allclose(heat_model.proj_cov(50.0), target, atol=1e-12)
 
     def test_small_time_slope(self, heat_model):
         # q_k(t) = lam^{-1-2b}(1 - e^{-2t lam}) ~ 2 t lam^{-2b}; Taylor oracle
         v = heat_model.v_matrix
-        lam = heat_model.basis.eigenvalues
+        lam = heat.eigenvalues(heat_model.cfg.n_modes)
         t = 1e-9
         slope = heat_model.proj_cov(t) / t
         target = 2.0 * (v * lam**0.0) @ v.T
@@ -79,7 +78,7 @@ class TestProjectedModel:
     def test_noise_cov_shift_structure(self, heat_model):
         s, s2 = 0.3, 0.8
         v = heat_model.v_matrix
-        lam = heat_model.basis.eigenvalues
+        lam = heat.eigenvalues(heat_model.cfg.n_modes)
         q = lam ** (-1.0) * (1.0 - np.exp(-2.0 * s * lam))
         target = (v * (np.exp(-(s2 - s) * lam) * q)) @ v.T
         np.testing.assert_allclose(heat_model.noise_cov(s, s2), target, atol=1e-14)
@@ -87,7 +86,7 @@ class TestProjectedModel:
     def test_pushforward_and_cross(self, heat_model):
         s, t = 0.2, 0.7
         v = heat_model.v_matrix
-        lam = heat_model.basis.eigenvalues
+        lam = heat.eigenvalues(heat_model.cfg.n_modes)
         q = lam ** (-1.0) * (1.0 - np.exp(-2.0 * (t - s) * lam))
         np.testing.assert_allclose(
             heat_model.pushforward_cov(s, t),
@@ -98,7 +97,7 @@ class TestProjectedModel:
     def test_semigroup_handles_growing_coefficients(self, heat_model):
         # states from the extrapolation space: coefficients growing like
         # lam^{3/4 + eps} must still produce finite projections for t > 0
-        lam = heat_model.basis.eigenvalues
+        lam = heat.eigenvalues(heat_model.cfg.n_modes)
         x = lam ** (0.75 + 0.01)
         y = heat_model.proj_semigroup_apply(1e-3, x)
         assert np.all(np.isfinite(y))
@@ -112,7 +111,7 @@ class TestProjectedModel:
         beta = 0.5
         m = heat.build_projected_model(heat.HeatConfig(beta=beta))
         v = m.v_matrix
-        lam = m.basis.eigenvalues
+        lam = heat.eigenvalues(m.cfg.n_modes)
         target = (v * lam ** (-1.0 - 2.0 * beta)) @ v.T
         np.testing.assert_allclose(m.proj_cov(60.0), target, atol=1e-14)
         for s in (0.1, 0.7):

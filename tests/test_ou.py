@@ -6,10 +6,11 @@ from pshjb.errors import NotInCameronMartin
 from pshjb.ou import (
     ProjectedTerminalCost,
     cameron_martin_density,
-    sample_noise_path,
     semigroup_apply,
 )
 from pshjb.spectral import GaussianMeasureN, build_quadrature, gauss_expectation
+
+from conftest import sample_noise_path
 
 
 RULE1 = build_quadrature(1, "tensor-hermite", 12)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from pshjb.errors import DimensionMismatch, DimensionTooLarge, NotPSD
 from pshjb.spectral import (
     GaussianMeasureN,
     QuadratureRule,
-    SpectralBasis,
     build_quadrature,
     gauss_expectation,
+    gauss_jacobi,
     psd_image_projector,
     psd_pinv_sqrt,
     psd_sqrt,
@@ -151,14 +152,43 @@ class TestGaussExpectation:
             gauss_expectation(lambda z: z[:, 0], mu, rule)
 
 
-class TestContainers:
-    def test_spectral_basis_validation(self):
-        SpectralBasis(3, np.array([1.0, 4.0, 9.0]))
-        with pytest.raises(ValueError):
-            SpectralBasis(2, np.array([4.0, 1.0]))
-        with pytest.raises(ValueError):
-            SpectralBasis(2, np.array([0.0, 1.0]))
+# the time rule of the Picard map uses beta = gamma / (1 - gamma), gamma in (0, 1)
+JACOBI_BETAS = [g / (1.0 - g) for g in np.linspace(0.05, 0.95, 19)]
 
+
+class TestGaussJacobi:
+    @pytest.mark.parametrize("n", range(1, 29))
+    def test_matches_scipy(self, n):
+        for beta in JACOBI_BETAS:
+            x, w = gauss_jacobi(n, beta)
+            xs, ws = roots_jacobi(n, 0.0, beta)
+            assert np.all(np.diff(x) > 0)
+            assert np.abs(x - xs).max() <= 1e-14
+            assert np.abs(w - ws).max() <= 1e-13 * ws.sum()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7, 12, 21, 28])
+    def test_polynomial_exactness(self, n):
+        # I_k = int_{-1}^{1} (1+x)^beta x^k dx from integration by parts,
+        # (beta + 1 + k) I_k = 2^(beta+1) - k I_{k-1}, a contracting recursion;
+        # the error is relative to sum_i w_i |x_i|^k, the rounding scale of
+        # the quadrature sum (odd moments cancel)
+        for beta in JACOBI_BETAS:
+            x, w = gauss_jacobi(n, beta)
+            exact = 2.0 ** (beta + 1.0) / (beta + 1.0)
+            for k in range(2 * n):
+                if k:
+                    exact = (2.0 ** (beta + 1.0) - k * exact) / (beta + 1.0 + k)
+                scale = w @ np.abs(x) ** k
+                assert abs(w @ x**k - exact) <= 1e-13 * scale
+
+    def test_legendre_limit(self):
+        x, w = gauss_jacobi(5, 0.0)
+        xl, wl = np.polynomial.legendre.leggauss(5)
+        np.testing.assert_allclose(x, xl, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(w, wl, rtol=0, atol=1e-15)
+
+
+class TestContainers:
     def test_gaussian_measure_dims(self):
         with pytest.raises(DimensionMismatch):
             GaussianMeasureN(np.zeros(2), np.eye(3))

@@ -2,8 +2,8 @@
 
 Subpackages by responsibility:
 
-- :mod:`pshjb.spectral`: PSD matrix functions, Gaussian quadrature and the
-  Gauss-Jacobi time rule;
+- :mod:`pshjb.spectral`: PSD matrix functions, the matrix exponential,
+  Gaussian quadrature and the Gauss-Jacobi time rule;
 - :mod:`pshjb.ou`: the projected model contract, transition semigroup and
   Cameron-Martin machinery;
 - :mod:`pshjb.smoothing`: smoothing operators and blow-up exponent fits;
@@ -12,12 +12,9 @@ Subpackages by responsibility:
 - :mod:`pshjb.hjb`: the Picard fixed-point solver and solution evaluation;
 - :mod:`pshjb.harness`: policy simulation and dominance checks;
 - :mod:`pshjb.cli`: the batch command-line entry point.
-
-:mod:`pshjb.delay` needs ``scipy.linalg`` and is imported on demand
-(``from pshjb import delay``, or a delay config), so heat runs load no scipy.
 """
 
-from . import costs, errors, harness, heat, hjb, ou, smoothing, spectral
+from . import costs, delay, errors, harness, heat, hjb, ou, smoothing, spectral
 from .errors import PshjbError
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import RunConfig
+from .delay import gramian, kalman_rank
 from .errors import PshjbError
 from .smoothing import fit_blowup, inclusion_residual, lambda_operator
 from .spectral import psd_sqrt
@@ -57,8 +58,6 @@ def _check_lambda_norm_continuity(run: RunConfig):
 def _check_gramian_monotone(run: RunConfig):
     if run.model_kind != "delay":
         return True, "not a delay model (skipped)"
-    from .delay import gramian
-
     cfg = run.model.cfg
     prev = gramian(cfg, 0.05)
     for t in (0.1, 0.3, 0.7):
@@ -72,8 +71,6 @@ def _check_gramian_monotone(run: RunConfig):
 def _check_kalman_vs_gramian(run: RunConfig):
     if run.model_kind != "delay":
         return True, "not a delay model (skipped)"
-    from .delay import gramian, kalman_rank
-
     cfg = run.model.cfg
     rank = kalman_rank(cfg)
     sv = np.linalg.svd(gramian(cfg, 1.0), compute_uv=False)

@@ -14,6 +14,7 @@ import numpy as np
 import yaml
 
 from . import costs as costs_mod
+from .delay import DelayConfig, DelayState, build_projected_model as build_delay
 from .errors import ConfigError
 from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
@@ -61,9 +62,6 @@ def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, st
         x0 = _heat_state(x0_spec, cfg.n_modes)
         return model, kind, x0
     if kind == "delay":
-        # imported here: the delay model needs scipy.linalg, heat runs do not
-        from .delay import DelayConfig, DelayState, build_projected_model as build_delay
-
         d = section.get("delay", {})
         atoms = tuple(
             (float(a["location"]), np.asarray(a["weight"], dtype=float))

@@ -22,12 +22,13 @@ blow-up fits exclude neighborhoods of those times.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import ConfigError, DimensionMismatch, RankDeficient
 from .ou import ProjectedModel
+from .spectral import expm
 
 MIN_PAST_POINTS = 64
 
@@ -92,6 +93,12 @@ class DelayConfig:
     def k(self) -> int:
         return self.sigma.shape[1]
 
+    @cached_property
+    def van_loan(self) -> np.ndarray:
+        """Van Loan's generator [[-a0, sigma sigma*], [0, a0*]] of the Gramian."""
+        a0 = self.a0
+        return np.block([[-a0, self.sigma @ self.sigma.T], [np.zeros_like(a0), a0.T]])
+
 
 @dataclass(frozen=True)
 class DelayState:
@@ -125,14 +132,14 @@ def gramian(cfg: DelayConfig, t: float) -> np.ndarray:
     """Controllability Gramian integral of e^{s a0} sigma sigma* e^{s a0*} over [0, t].
 
     Van Loan's closed form (IEEE TAC 1978): with
-    F = expm(t [[-a0, sigma sigma*], [0, a0*]]), the Gramian is F22* F12.
+    F = expm(t * cfg.van_loan), the Gramian is F22* F12.
     The exponential carries e^{|a0| t} in its blocks, so that factor must be
     representable in floating point.
     """
     if not t > 0:
         raise ValueError("t must be > 0")
-    n, a0 = cfg.n, cfg.a0
-    f = expm(t * np.block([[-a0, cfg.sigma @ cfg.sigma.T], [np.zeros_like(a0), a0.T]]))
+    n = cfg.n
+    f = expm(t * cfg.van_loan)
     q = f[n:, n:].T @ f[:n, n:]
     return 0.5 * (q + q.T)
 

@@ -23,6 +23,7 @@ gathered by the argmin index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -113,6 +114,23 @@ def _control_integrals(
     return out
 
 
+@lru_cache(maxsize=8)
+def _step_control_integrals(
+    model: ProjectedModel, t0: float, horizon: float, time_steps: int
+) -> np.ndarray:
+    """Read-only ``_control_integrals`` table on the uniform simulation grid.
+
+    Every policy of a round shares it, so it is built once per (model, t0,
+    horizon, time_steps); models are immutable, so identity keys are sound.
+    The cache keeps its last 8 models alive.
+    """
+    out = _control_integrals(
+        model, t0, horizon, np.linspace(t0, horizon, time_steps + 1)
+    )
+    out.flags.writeable = False
+    return out
+
+
 def simulate_cost(
     model: ProjectedModel,
     cost: CostSpec,
@@ -131,7 +149,7 @@ def simulate_cost(
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
     ell0_int = cost.ell0_integral(t0, T)
-    b_ints = _control_integrals(model, t0, T, steps)
+    b_ints = _step_control_integrals(model, t0, T, time_steps)
     u_grid = cost.ham.control_points
     ell1 = cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)

@@ -1,9 +1,9 @@
-"""Dense PSD matrix functions, Gaussian expectation engines and quadrature rules.
+"""Dense matrix functions, Gaussian expectation engines and quadrature rules.
 
-Everything here works on small dense symmetric matrices (dimensions up to a
-few hundred).  Matrix functions go through a symmetric eigendecomposition so
+Everything here works on small dense matrices (dimensions up to a few
+hundred).  PSD matrix functions go through a symmetric eigendecomposition so
 that pseudo-inverses annihilate the kernel exactly instead of amplifying
-noise; speed is a non-issue at these sizes.
+noise; the exponential of a general square matrix uses scaling and squaring.
 """
 
 from __future__ import annotations
@@ -186,6 +186,75 @@ def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     off = 2.0 * k * (k + beta) / (s * np.sqrt((s - 1.0) * (s + 1.0)))
     x, v = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     return x, 2.0 ** (beta + 1.0) / (beta + 1.0) * v[0] ** 2
+
+
+# Higham, "The scaling and squaring method for the matrix exponential
+# revisited" (SIAM J. Matrix Anal. Appl. 26, 2005): theta_m is the largest
+# 1-norm at which the [m/m] Pade approximant of exp is accurate to double
+# precision, b_0..b_m are the approximant's coefficients.
+_PADE_THETA = {
+    3: 1.495585217958292e-2,
+    5: 2.539398330063230e-1,
+    7: 9.504178996162932e-1,
+    9: 2.097847961257068e0,
+    13: 5.371920351148152e0,
+}
+_PADE_COEFFS = {
+    3: np.array([120.0, 60.0, 12.0, 1.0]),
+    5: np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0]),
+    7: np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
+                 1512.0, 56.0, 1.0]),
+    9: np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
+                 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0]),
+    13: np.array([64764752532480000.0, 32382376266240000.0,
+                  7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                  10559470521600.0, 670442572800.0, 33522128640.0,
+                  1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0]),
+}
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of a square matrix by scaling and squaring.
+
+    Higham's 2005 algorithm: the [m/m] Pade approximant with the lowest
+    degree m in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm; above
+    theta_13, the matrix is scaled by 2^-s into range and the degree-13
+    approximant squared s times.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch("expected a square matrix")
+    norm = np.abs(a).sum(axis=0).max(initial=0.0)
+    s = 0
+    for m, theta in _PADE_THETA.items():
+        if norm <= theta:
+            break
+    else:
+        s = int(np.ceil(np.log2(norm / theta)))
+        a = a * 2.0**-s
+    # u and v are the odd and even parts of the approximant's numerator,
+    # sums of b_k a^k; the even powers a^0, a^2, ... fill one array, so that
+    # each sum is one matrix-vector product with the coefficients.
+    b, n = _PADE_COEFFS[m], a.shape[0]
+    k = 4 if m == 13 else m // 2 + 1
+    p = np.empty((k, n, n))
+    p[0] = np.eye(n)
+    np.matmul(a, a, out=p[1])
+    for i in range(2, k):
+        np.matmul(p[i - 1], p[1], out=p[i])
+    p = p.reshape(k, n * n)
+    if m == 13:
+        # a^8 .. a^12 enter as a^6 times a^2, a^4, a^6
+        a6 = p[3].reshape(n, n)
+        u = a @ (a6 @ (b[9::2] @ p[1:]).reshape(n, n) + (b[1:9:2] @ p).reshape(n, n))
+        v = a6 @ (b[8::2] @ p[1:]).reshape(n, n) + (b[0:8:2] @ p).reshape(n, n)
+    else:
+        u = a @ (b[1::2] @ p).reshape(n, n)
+        v = (b[0::2] @ p).reshape(n, n)
+    x = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        x = x @ x
+    return x
 
 
 def gauss_expectation(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pshjb import costs
+from pshjb import costs, harness
 from pshjb.delay import DelayState
 from pshjb.errors import DominanceViolated
 from pshjb.harness import (
@@ -214,6 +214,55 @@ class TestSimulateCost:
             for j in range(ham.control_points.shape[0])
         )
         assert res.mean <= best_const + 0.05
+
+
+class TestControlIntegralTable:
+    """The policies of a round share one control-integral table."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_cache(self):
+        harness._step_control_integrals.cache_clear()
+        yield
+        harness._step_control_integrals.cache_clear()
+
+    def test_built_once_per_round(self, delay_model, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args[1:3])
+            return _control_integrals(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "_control_integrals", counted)
+        cost = make_cost(shipped_delay_ham(), costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+        for idx in (0, 4):
+            simulate_cost(delay_model, cost, Policy.constant(idx), 0.0, X0,
+                          50, 20, seed=1)
+        assert built == [(0.0, 1.0)]
+        simulate_cost(delay_model, cost, Policy.constant(0), 0.0, X0, 50, 10,
+                      seed=1)
+        assert len(built) == 2
+
+    def test_table_is_read_only(self, delay_model):
+        table = harness._step_control_integrals(delay_model, 0.0, 1.0, 20)
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+
+    def test_costs_match_a_table_per_call(self, mini_delay_solution, delay_model,
+                                          monkeypatch):
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        policies = random_open_loop_policies(ham, 20, 2, seed=3)
+        policies.append(Policy.greedy(sol))
+
+        def round_costs():
+            return [simulate_cost(delay_model, cost, pol, 0.0, X0, 500, 20,
+                                  seed=9).sample_costs for pol in policies]
+
+        shared = round_costs()
+        monkeypatch.setattr(harness, "_step_control_integrals",
+                            harness._step_control_integrals.__wrapped__)
+        for a, b in zip(shared, round_costs()):
+            assert np.array_equal(a, b)
 
 
 class TestDominance:

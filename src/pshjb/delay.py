@@ -53,13 +53,16 @@ class DelayConfig:
         a0 = np.atleast_2d(np.asarray(self.a0, dtype=float))
         b0 = np.atleast_2d(np.asarray(self.b0, dtype=float))
         sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
+        for name, arr in (("a0", a0), ("b0", b0), ("sigma", sigma)):
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"{name} must be finite")
         if a0.shape[0] != a0.shape[1]:
             raise ConfigError("a0 must be square")
         n = a0.shape[0]
         if b0.shape[0] != n or sigma.shape[0] != n:
             raise ConfigError("b0 and sigma must have n rows")
-        if not self.delay > 0:
-            raise ConfigError("delay must be > 0")
+        if not 0 < self.delay < np.inf:
+            raise ConfigError(f"delay must be finite and > 0, got {self.delay}")
         atoms = []
         for loc, w in self.b1_atoms:
             w = np.atleast_2d(np.asarray(w, dtype=float))
@@ -67,6 +70,8 @@ class DelayConfig:
                 raise ConfigError(f"atom location {loc} outside [-d, 0]")
             if w.shape != b0.shape:
                 raise ConfigError("atom weights must be n x m")
+            if not np.isfinite(w).all():
+                raise ConfigError("atom weights must be finite")
             atoms.append((float(loc), w))
         dens = self.b1_density
         if dens is not None:
@@ -75,6 +80,8 @@ class DelayConfig:
                 raise ConfigError("density table must be (n_points, n, m)")
             if dens.shape[0] < 2:
                 raise ConfigError("density table needs >= 2 points")
+            if not np.isfinite(dens).all():
+                raise ConfigError("density table must be finite")
         object.__setattr__(self, "a0", a0)
         object.__setattr__(self, "b0", b0)
         object.__setattr__(self, "sigma", sigma)

@@ -177,9 +177,10 @@ def simulate_cost(
 
     # Joint noise of Z_j = P e^{(T-s_j)A} X(s_j): the stochastic parts are
     # integrals of a common kernel, so Cov(Y_i, Y_j) depends on min(i, j)
-    # only; one global factorization gives the exact joint law.
-    def block(i, j):
-        s = steps[min(i, j) + 1]
+    # only; one global factorization gives the exact joint law.  Each of
+    # the time_steps distinct blocks is built once.
+    def block(i):
+        s = steps[i + 1]
         if s >= T:
             return model.proj_cov(T - t0)
         return model.pushforward_cov(T - s, T - t0)
@@ -187,7 +188,10 @@ def simulate_cost(
     # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for draws of
     # shape (B, steps*N); the draws are freed once the product exists.
     n_dim = model.proj_dim
-    root = psd_sqrt(assemble_block_cov(block, time_steps, n_dim))
+    blocks = [block(i) for i in range(time_steps)]
+    root = psd_sqrt(
+        assemble_block_cov(lambda i, j: blocks[min(i, j)], time_steps, n_dim)
+    )
     noise = root @ rng.standard_normal((n_samples, time_steps * n_dim)).T
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]

@@ -63,6 +63,8 @@ class Hamiltonian:
 
     control_points: np.ndarray   # (n_u, m)
     running_cost: np.ndarray     # (n_u,)
+    # per control, its nonzero coordinates as (k, u_jk) pairs in k order
+    terms: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.control_points, dtype=float))
@@ -73,6 +75,9 @@ class Hamiltonian:
             raise DimensionMismatch("running_cost must match control grid length")
         object.__setattr__(self, "control_points", u)
         object.__setattr__(self, "running_cost", c)
+        object.__setattr__(self, "terms", tuple(
+            tuple((k, float(uk)) for k, uk in enumerate(row) if uk != 0.0) for row in u
+        ))
 
     @property
     def control_dim(self) -> int:
@@ -89,11 +94,12 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     ``p`` has shape (m, ...): gradient components along the first axis.  One
     pass per control point keeps a running minimum in one reused scratch
     row, so no array of all (point, control) values is formed.  Each
-    control's values are ell1(u_j) + sum of u_jk p_k over its nonzero u_jk,
-    summed in that order.  ``out``, if given, is a C-contiguous array of
-    p.shape[1:] values that receives the minimum.  With ``argmin`` the
-    index of the minimizer is returned as well; ties break to the lowest
-    index (determinism).
+    control's values are ell1(u_j) + sum of u_jk p_k over its nonzero u_jk
+    (``ham.terms``), summed in that order; a first u_jk of +-1 adds or
+    subtracts p_k without the multiply, which is exact.  ``out``, if given,
+    is a C-contiguous array of p.shape[1:] values that receives the
+    minimum.  With ``argmin`` the index of the minimizer is returned as
+    well; ties break to the lowest index (determinism).
     """
     p2 = p.reshape(ham.control_dim, -1)
     if out is None:
@@ -104,16 +110,19 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         raise ValueError("out must be C-contiguous with one value per gradient")
     vals = np.empty_like(best)
     idx = np.zeros(best.shape, dtype=np.intp) if argmin else None
-    for j, (u, cost) in enumerate(zip(ham.control_points, ham.running_cost)):
-        # axis-aligned control grids skip most terms
-        terms = [(uk, pk) for uk, pk in zip(u, p2) if uk != 0.0]
+    for j, (terms, cost) in enumerate(zip(ham.terms, ham.running_cost)):
         row = best if j == 0 else vals      # the first control starts the minimum
         if terms:
-            (uk, pk), *rest = terms
-            np.multiply(pk, uk, out=row)
-            row += cost
-            for uk, pk in rest:
-                row += uk * pk
+            (k, uk), *rest = terms
+            if uk == 1.0:
+                np.add(p2[k], cost, out=row)
+            elif uk == -1.0:
+                np.subtract(cost, p2[k], out=row)
+            else:
+                np.multiply(p2[k], uk, out=row)
+                row += cost
+            for k, uk in rest:
+                row += uk * p2[k]
         elif j == 0:
             best.fill(cost)
         else:
@@ -293,17 +302,27 @@ def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarra
     return tuple(out)
 
 
-def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int) -> np.ndarray:
+def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = False) -> np.ndarray:
     """(*B, n, n) matrices W with (W F)[j] = (1 - a) F[lo] + a F[hi],
-    lo = clip(j + k), hi = clip(j + k + 1): clamped linear interpolation."""
+    lo = clip(j + k), hi = clip(j + k + 1): clamped linear interpolation.
+
+    With ``transpose`` the result holds W.T, written in C order by the same
+    two scatters with the row and column roles swapped; its entries equal
+    those of ``np.swapaxes(W, -1, -2)`` exactly."""
     lo = k[..., None] + np.arange(n)
+    # flat index of entry (j, c) of matrix b: rows[b, j] + step * c, with
+    # rows = (b n + j) n, step = 1, or for the transposes b n^2 + j, step = n
     rows = np.arange(0, lo.size * n, n).reshape(lo.shape)
+    step = 1
+    if transpose:
+        rows -= (n - 1) * np.arange(n)
+        step = n
     w = np.zeros(lo.shape + (n,))
     flat = w.reshape(-1)
     # ufuncs, not np.clip: its wrapper costs more than the work on a block
-    flat[rows + np.minimum(np.maximum(lo, 0), n - 1)] = (1.0 - a)[..., None]
+    flat[rows + step * np.minimum(np.maximum(lo, 0), n - 1)] = (1.0 - a)[..., None]
     lo += 1
-    flat[rows + np.minimum(np.maximum(lo, 0), n - 1)] += a[..., None]
+    flat[rows + step * np.minimum(np.maximum(lo, 0), n - 1)] += a[..., None]
     return w
 
 
@@ -316,15 +335,22 @@ def interp_shifted(values: np.ndarray, stencil) -> np.ndarray:
     is separable: an N-mode product with one clamped 1-D interpolation
     matrix per axis (``Wx @ F @ Wy.T`` in 2-D), which reproduces
     :func:`interp_space` (``mode="nearest"``) at mesh + shift.
+
+    Operand layout: every product hands matmul C-contiguous matrices, the
+    layout in which it calls BLAS gemm directly.  The last axis's matrices
+    are built transposed in C order rather than taken as a swapped view,
+    on which matmul runs about 2x slower for the same result.  ``values``
+    should be C-contiguous in its last N axes for the same reason.
     """
     n_dim = len(stencil)
     grid = values.shape[values.ndim - n_dim:]
     batch = np.broadcast_shapes(values.shape[:-n_dim], stencil[0][0].shape)
     for d, (k, a) in enumerate(stencil):
-        w = _shift_matrices(k, a, grid[d])
+        last = d == n_dim - 1
+        w = _shift_matrices(k, a, grid[d], transpose=last)
         lead = values.shape[:-n_dim] + (math.prod(grid[:d]), grid[d])
-        if d == n_dim - 1:
-            values = values.reshape(lead) @ np.swapaxes(w, -1, -2)
+        if last:
+            values = values.reshape(lead) @ w
         else:
             post = math.prod(grid[d + 1:])
             values = w[..., None, :, :] @ values.reshape(lead + (post,))
@@ -375,7 +401,7 @@ class _Convolution:
     i0: np.ndarray         # (S,) bracketing gradient-slice indices
     i1: np.ndarray
     w0: np.ndarray         # (S, 1, ...) s^{-gamma} times the time-interpolation
-    w1: np.ndarray         # weights, shaped to broadcast over a gradient slice
+    w1: np.ndarray         # weights, shaped to broadcast over (S, *grid)
     stencil: tuple         # shift_stencil of the (S, n_q, N) quadrature offsets
     fweights: np.ndarray   # (S * n_q,) time-quadrature times expectation weights
     gweights: np.ndarray   # (S * n_q, m) the same times the gradient weights
@@ -417,6 +443,13 @@ class UpsilonOperator:
     array.  Blocking changes no arithmetic, and the transient memory per
     time node is a small multiple of APPLY_BLOCK_BYTES plus S * n_q * P * 8
     bytes.
+
+    Operand layout: ``apply`` writes each time node's blended gradient
+    slice components first into a C-contiguous (m, S, *grid) array, so
+    every interpolation product gets contiguous matrices (see
+    :func:`interp_shifted`).  A view of the iterate's components-last
+    slice would be strided per component, and matmul then leaves the BLAS
+    fast path on heat (m = 2).  The layout changes no arithmetic.
     """
 
     def __init__(
@@ -507,7 +540,7 @@ class UpsilonOperator:
             gvecs.append(self.rule.nodes @ (pinv @ b_t))
         brackets = [_time_bracket(t_pos, s) for s in s_nodes]
         i0, i1, theta = (np.array(v) for v in zip(*brackets))
-        s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * (len(self.space_axes) + 1))
+        s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * len(self.space_axes))
         theta = theta.reshape(s_pow.shape)
         qw = np.outer(s_weights, self.rule.weights)
         return _Convolution(
@@ -571,9 +604,13 @@ class UpsilonOperator:
             cv = self.conv[i]
             # interpolation is linear in the array: blend the two bracketing
             # time slices (times s^{-gamma}) first, then shift-interpolate
-            # once per (s-node, Gauss node)
-            sl = cv.w0 * fbar[cv.i0] + cv.w1 * fbar[cv.i1]
-            src = np.moveaxis(sl, -1, 0)[:, :, None]     # (m, S, 1, *grid)
+            # once per (s-node, Gauss node); the blend is written components
+            # first, one component at a time, so no second copy is made
+            sl = np.empty((m, n_s) + self.space_shape)
+            for k in range(m):
+                np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
+                sl[k] += cv.w1 * fbar[cv.i1, ..., k]
+            src = sl[:, :, None]                         # (m, S, 1, *grid)
             for s0, s1, q0, q1 in blocks:
                 stencil = tuple((k[s0:s1, q0:q1], a[s0:s1, q0:q1]) for k, a in cv.stencil)
                 # p: (m, s1 - s0, q1 - q0, *grid), gradient components first

@@ -126,6 +126,19 @@ class TestInvalidConfig:
         assert key.split(".")[1] in err
         assert not (out / "solve_meta.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("a0", [[float("nan"), 0.1], [0.0, -0.2]]),
+        ("delay", float("inf")),
+    ])
+    def test_non_finite_delay_model_rejected(self, tmp_path, capsys, key, value):
+        path = write_config(tmp_path, small_delay_config(**{f"model.delay.{key}": value}))
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert not (out / "solve_meta.json").exists()
+
 
 class TestLambda:
     def test_delay_slope(self, tmp_path):

@@ -247,6 +247,24 @@ class TestProjectedModel:
         with pytest.raises(ConfigError):
             DelayState(np.zeros(2), np.zeros((10, 2)), 0.2)    # too few points
 
+    @pytest.mark.parametrize("field", ["a0", "b0", "sigma", "delay", "atom", "density"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_config_rejected(self, field, bad):
+        kw = dict(a0=np.array([[-0.3, 0.1], [0.0, -0.2]]), b0=np.array([[1.0], [0.5]]),
+                  sigma=np.eye(2), delay=0.2, b1_atoms=[(-0.2, np.array([[0.4], [0.2]]))],
+                  b1_density=np.full((4, 2, 1), 0.1))
+        DelayConfig(**kw)                        # valid as given
+        if field == "delay":
+            kw["delay"] = bad
+        elif field == "atom":
+            kw["b1_atoms"][0][1][1, 0] = bad
+        elif field == "density":
+            kw["b1_density"][2, 1, 0] = bad
+        else:
+            kw[field][-1, -1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            DelayConfig(**kw)
+
 
 class TestFullHistoryConsistency:
     def test_euler_maruyama_matches_projected_law(self, delay_model):

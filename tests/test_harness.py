@@ -265,6 +265,41 @@ class TestControlIntegralTable:
             assert np.array_equal(a, b)
 
 
+class TestGreedyNoiseBlocks:
+    def test_one_block_per_step(self, mini_delay_solution, delay_model, monkeypatch):
+        # Cov(Y_i, Y_j) depends on min(i, j) only: 20 steps need 19
+        # pushforward_cov blocks and one proj_cov block, not one per pair;
+        # the costs equal those of the per-pair assembly
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        steps, T = np.linspace(0.0, 1.0, 21), cfg.horizon
+
+        def greedy_costs():
+            return simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0,
+                                 500, 20, seed=9).sample_costs
+
+        calls = {"pushforward_cov": 0, "proj_cov": 0}
+        for name in calls:
+            def counted(*args, _name=name, _fn=getattr(delay_model, name)):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(delay_model, name, counted)
+        shared = greedy_costs()
+        assert calls == {"pushforward_cov": 19, "proj_cov": 1}
+        monkeypatch.undo()
+
+        def per_pair(i, j):
+            s = steps[min(i, j) + 1]
+            if s >= T:
+                return delay_model.proj_cov(T)
+            return delay_model.pushforward_cov(T - s, T)
+
+        assemble = harness.assemble_block_cov
+        monkeypatch.setattr(harness, "assemble_block_cov",
+                            lambda fn, k, n: assemble(per_pair, k, n))
+        assert np.array_equal(shared, greedy_costs())
+
+
 class TestDominance:
     def test_trivial_control_value_matches_cost(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))

@@ -1,7 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from pshjb import costs, hjb
+from pshjb.config import load_config
 from pshjb.errors import (
     GridMismatch,
     NoContraction,
@@ -54,31 +57,37 @@ class TestHMin:
     @pytest.mark.parametrize("m", [2, 3])
     def test_matches_brute_force(self, m):
         # an all-zero control, one with two nonzero coordinates, duplicated
-        # rows (exact ties) and axis-aligned controls, against the minimum
-        # of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
+        # rows (exact ties), axis-aligned controls and coefficients +-1 (a
+        # single term, the first of two terms, a later term), against the
+        # minimum of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
         rng = np.random.default_rng(m)
-        u = np.zeros((7, m))
+        u = np.zeros((13, m))
         u[1, 0], u[2, 1] = 1.5, -0.5
         u[3, :2] = (0.75, -1.25)
         u[4] = u[3]
         u[6] = u[1]
-        cost = rng.uniform(0.0, 0.5, 7)
+        u[7, 0], u[8, m - 1] = 1.0, -1.0
+        u[9, :2], u[10, :2] = (1.0, 0.75), (-1.0, -1.0)
+        u[11, :2], u[12, :2] = (0.5, -1.0), (-0.25, 1.0)
+        cost = rng.uniform(0.0, 0.5, 13)
         cost[4], cost[6] = cost[3], cost[1]
         cost[0] = cost[5] = 0.0              # rows 0 and 5: all-zero controls
         ham = Hamiltonian(u, cost)
         p = rng.standard_normal((m, 3, 4))
         p[:, 0, 0] = 0.0                     # every control costs only ell1
-        want_v, want_i = np.empty((3, 4)), np.empty((3, 4), dtype=int)
+        want = np.empty((len(u), 3, 4))
         for pos in np.ndindex(3, 4):
-            vals = []
-            for uj, cj in zip(u, cost):
+            for j, (uj, cj) in enumerate(zip(u, cost)):
                 v = cj
                 for uk, pk in zip(uj, p[(slice(None),) + pos]):
                     if uk != 0.0:
                         v = v + uk * pk
-                vals.append(v)
-            want_v[pos] = min(vals)
-            want_i[pos] = vals.index(min(vals))
+                want[(j,) + pos] = v
+        want_v, want_i = want.min(axis=0), want.argmin(axis=0)
+        # each control's own values, bit for bit
+        for j in range(len(u)):
+            alone = Hamiltonian(u[j:j + 1], cost[j:j + 1])
+            assert np.array_equal(h_min_batch(alone, p), want[j])
         out = np.empty((3, 4))
         value, idx = h_min_batch(ham, p, argmin=True, out=out)
         assert np.array_equal(value, want_v) and np.array_equal(idx, want_i)
@@ -151,6 +160,21 @@ class TestShiftInterpolation:
                     ref = nearest_multilinear(axes, fields[k, b, 0], mesh + c)
                     err = np.abs(got[k, b, i] - ref.reshape(shape)).max()
                     assert err <= 1e-13
+
+    @pytest.mark.parametrize("n", [2, 5, 21])
+    def test_transposed_matrices_equal_swapped(self, n):
+        # the last axis's C-order transposes against the swapped view of the
+        # row-layout matrices: shifts far below the grid and beyond its end,
+        # integer shifts (a = 0) and fractional ones, in a (2, 8) batch
+        rng = np.random.default_rng(n)
+        k = np.array([[-5 * n, -n - 1, -n, -1, 0, 1, n - 2, n - 1],
+                      [n, n + 1, 4 * n, -2, 2, 0, -1, 1]])
+        a = rng.uniform(0.0, 1.0, k.shape)
+        a[:, ::3] = 0.0
+        w = hjb._shift_matrices(k, a, n)
+        wt = hjb._shift_matrices(k, a, n, transpose=True)
+        assert wt.shape == (2, 8, n, n) and wt.flags.c_contiguous
+        assert np.array_equal(wt, np.swapaxes(w, -1, -2))
 
 
 class TestClampedShare:
@@ -425,6 +449,34 @@ class TestPicard:
         cfg_hi = SolverConfig(**{**MINI_CFG, "gamma": min(sol.gamma + 0.2, 0.9)})
         sol_hi = picard_solve(delay_model, ham, phi, ell0, cfg_hi)
         assert sol_hi.residual <= cfg_hi.tol
+
+
+class TestBenchmarkReference:
+    """The benchmark's mini solves reproduce its stored references.
+
+    bench/run.py checks every timed solve against bench/reference/*.npz at
+    1e-12; this runs the same solves through picard_solve, so a kernel
+    change that moves the numbers fails here too.  It only reads bench/.
+    """
+
+    @pytest.mark.parametrize("model, iterations", [("heat", 10), ("delay", 13)])
+    def test_solve_matches_reference(self, model, iterations):
+        bench = Path(__file__).resolve().parents[1] / "bench"
+        with np.load(bench / "reference" / f"{model}.npz") as z:
+            ref = {k: z[k] for k in z.files}
+        run = load_config(str(bench / "workloads" / f"{model}.yaml"))
+        sol = picard_solve(run.model, run.cost.ham, run.cost.phi, run.cost.ell0,
+                           run.solver)
+        it = sol.iterate
+        assert sol.iterations == int(ref["iterations"]) == iterations
+        # the tolerance of the benchmark's check, for grids and values alike
+        assert np.abs(it.time_grid - ref["time_grid"]).max() <= 1e-12
+        assert np.abs(np.stack(it.space_axes) - ref["axes"]).max() <= 1e-12
+        assert np.abs(it.f_values.ravel() - ref["f"]).max() <= 1e-12
+        fbar = it.fbar_values.reshape(-1, it.control_dim)
+        assert np.abs(fbar - ref["fbar"]).max() <= 1e-12
+        value = eval_value(sol, run.model, run.t0, run.x0)
+        assert abs(value - float(ref["value"])) <= 1e-12
 
 
 class TestContractionMeasurement:

@@ -116,7 +116,7 @@ def cmd_solve(args, run: RunConfig) -> int:
     _say(
         args,
         f"solved: residual {sol.residual:.3e} after {sol.iterations} iterations "
-        f"(gamma={sol.gamma:.3f}, eta={sol.eta_weight:g})",
+        f"(gamma={sol.gamma:.3f})",
     )
     return EXIT_OK if sol.residual <= run.solver.tol else EXIT_NO_CONTRACTION
 

@@ -8,7 +8,7 @@ expression, horizon), a solver section and simulation/output settings.  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -34,13 +34,22 @@ class RunConfig:
     time_steps: int
     n_random_policies: int
     seed: int
-    raw: dict
 
 
 def _require(section: dict, key: str, where: str):
     if key not in section:
         raise ConfigError(f"missing key {key!r} in {where}")
     return section[key]
+
+
+def _check_keys(section, allowed, where: str) -> dict:
+    """``section``, a mapping of known keys (a misspelt one would be ignored)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    unknown = sorted(map(str, set(section) - set(allowed)))
+    if unknown:
+        raise ConfigError(f"unknown key {unknown[0]!r} in {where}")
+    return section
 
 
 def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, str, object]:
@@ -162,11 +171,12 @@ def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
 
 
 def _build_solver(section: dict, horizon: float, seed: int) -> SolverConfig:
+    # every SolverConfig field but horizon and seed is a key of the same name
+    _check_keys(section, {f.name for f in fields(SolverConfig)} - {"horizon", "seed"}, "solver")
     try:
         return SolverConfig(
             horizon=horizon,
             gamma=section.get("gamma"),
-            eta_weight=section.get("eta"),
             tol=float(section.get("tol", 1e-4)),
             max_iter=int(section.get("max_iter", 30)),
             n_time=int(section.get("n_time", 40)),
@@ -192,13 +202,13 @@ def load_config(
             raw = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
+    _check_keys(raw, ("seed", "model", "cost", "solver", "simulate"), "config root")
     seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _build_solver(raw.get("solver", {}), cost.horizon, seed)
-    sim = raw.get("simulate", {})
+    sim_keys = ("t0", "n_samples", "time_steps", "n_random_policies")
+    sim = _check_keys(raw.get("simulate", {}), sim_keys, "simulate")
     t0 = float(sim.get("t0", 0.0))
     n_samples = int(sim.get("n_samples", 10_000))
     time_steps = int(sim.get("time_steps", 20))
@@ -221,5 +231,4 @@ def load_config(
         time_steps=time_steps,
         n_random_policies=int(sim.get("n_random_policies", 10)),
         seed=seed,
-        raw=raw,
     )

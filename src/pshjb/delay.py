@@ -211,19 +211,6 @@ def _column_residual(basis: np.ndarray, cols: np.ndarray) -> float:
     return float(np.linalg.norm(cols - u @ (u.T @ cols)) / denom)
 
 
-def check_strong_inclusion(cfg: DelayConfig, t_grid) -> bool:
-    """Whether Im(proj_control(t)) stays inside Im(sigma) on the grid.
-
-    This stronger inclusion upgrades the blow-up rate of the smoothing
-    operator to t^{-1/2}; it holds in particular whenever sigma is
-    invertible.
-    """
-    for t in np.asarray(t_grid, dtype=float):
-        if _column_residual(cfg.sigma, proj_control_delay(cfg, t)) > 1e-8:
-            return False
-    return True
-
-
 class DelayProjectedModel(ProjectedModel):
     """Projected (present-component) face of the delayed-control SDE."""
 
@@ -257,14 +244,6 @@ class DelayProjectedModel(ProjectedModel):
             raise ValueError("need 0 < s < t")
         e = expm(s * self.cfg.a0)
         return e @ gramian(self.cfg, t - s) @ e.T
-
-    def noise_cov(self, s: float, s2: float) -> np.ndarray:
-        if not (s > 0.0 and s2 > 0.0):
-            raise ValueError("times must be > 0")
-        m = min(s, s2)
-        left = expm((s - m) * self.cfg.a0)
-        right = expm((s2 - m) * self.cfg.a0)
-        return left @ gramian(self.cfg, m) @ right.T
 
 
 def build_projected_model(

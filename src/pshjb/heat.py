@@ -9,9 +9,8 @@ span of smooth vectors v_1..v_N, where the closed forms below make every
 covariance a diagonal congruence V diag(.) V^T.
 
 Noise convention: the stationary modal variance is lambda_k^{-1-2 beta}, i.e.
-q_k(t) = lambda_k^{-1-2 beta} (1 - e^{-2 t lambda_k}); cross-time covariances
-follow from the exact OU shift identity, so noise_cov(s, s) == proj_cov(s)
-holds to machine precision.
+q_k(t) = lambda_k^{-1-2 beta} (1 - e^{-2 t lambda_k}); pushforward
+covariances follow from the exact OU shift identity.
 """
 
 from __future__ import annotations
@@ -45,16 +44,6 @@ def dirichlet_map_coeffs(a, n_modes: int) -> np.ndarray:
     k = np.arange(1, n_modes + 1, dtype=float)
     sign = np.where(np.arange(1, n_modes + 1) % 2 == 0, 1.0, -1.0)
     return np.sqrt(2.0) * (a[0] - sign * a[1]) / k
-
-
-def control_coeffs(a, n_modes: int) -> np.ndarray:
-    """Coefficients of B0 a = (-A0) D a; they grow like sqrt(2) k.
-
-    The divergence is expected: the control operator takes values outside
-    the state space and only becomes summable after the semigroup acts.
-    """
-    lam = eigenvalues(n_modes)
-    return lam * dirichlet_map_coeffs(a, n_modes)
 
 
 @dataclass(frozen=True)
@@ -141,30 +130,6 @@ def projection_matrix(cfg: HeatConfig) -> np.ndarray:
     return _orthonormal_rows(raw)
 
 
-def decay_fit(v_matrix: np.ndarray) -> float:
-    """Fitted decay exponent p of max_i |<v_i, e_k>| ~ lambda_k^{-p}.
-
-    Used to verify the smoothness hypothesis alpha > beta + 1/4 via the
-    sufficient coefficient decay lambda_k^{-alpha - 1/2}.  The envelope is
-    fitted on binned maxima over the upper half of the truncated range.
-    """
-    n_modes = v_matrix.shape[1]
-    lam = eigenvalues(n_modes)
-    env = np.abs(v_matrix).max(axis=0)
-    lo = n_modes // 4
-    bins = np.array_split(np.arange(lo, n_modes), 12)
-    xs, ys = [], []
-    for b in bins:
-        if len(b) == 0:
-            continue
-        j = b[np.argmax(env[b])]
-        if env[j] > 0:
-            xs.append(np.log(lam[j]))
-            ys.append(np.log(env[j]))
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float(-slope)
-
-
 class HeatProjectedModel(ProjectedModel):
     """Projected face of the boundary-controlled heat equation."""
 
@@ -224,12 +189,6 @@ class HeatProjectedModel(ProjectedModel):
         if not 0.0 < s < t:
             raise ValueError("need 0 < s < t")
         return self._congruence(np.exp(-2.0 * s * self._lam) * self._q(t - s))
-
-    def noise_cov(self, s: float, s2: float) -> np.ndarray:
-        if not (s > 0.0 and s2 > 0.0):
-            raise ValueError("times must be > 0")
-        m = min(s, s2)
-        return self._congruence(np.exp(-abs(s - s2) * self._lam) * self._q(m))
 
 
 def build_projected_model(cfg: HeatConfig) -> HeatProjectedModel:

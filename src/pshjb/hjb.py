@@ -47,8 +47,6 @@ from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import fit_blowup, lambda_operator
 from .spectral import default_rule_for_dim, gauss_jacobi, psd_pinv_sqrt, psd_sqrt
 
-ETA_CANDIDATES = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0)
-
 # Bytes of interpolated gradient values per block of UpsilonOperator.apply.
 # A block's arrays then stay in a core's cache between the interpolation
 # and the Hamiltonian passes.  Measured on 2 MiB-L2 cores: 384 KiB to
@@ -142,7 +140,6 @@ class SolverConfig:
 
     horizon: float = 1.0
     gamma: float | None = None        # None: take it from the blow-up fit
-    eta_weight: float | None = None   # None: 0, the sup norm
     tol: float = 1e-4
     max_iter: int = 30
     n_time: int = 40
@@ -159,8 +156,6 @@ class SolverConfig:
             raise ValueError("horizon must be > 0")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.eta_weight is not None and self.eta_weight < 0:
-            raise ValueError("eta_weight must be >= 0")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
         # two nodes per axis bracket every point (interp_space)
@@ -217,7 +212,7 @@ class HJBSolution:
     residual: float
     contraction_estimates: list[float]
     iterations: int
-    eta_weight: float
+    eta_weight: float       # always 0.0: solves stop in the sup norm
     gamma: float
     phi: ProjectedTerminalCost
     diagnostics: dict = field(default_factory=dict)
@@ -652,7 +647,7 @@ class UpsilonOperator:
 
 
 # ---------------------------------------------------------------------------
-# weighted norm, eta selection, Picard loop
+# weighted norm, Picard loop
 
 def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> float:
     """Distance sup e^{-eta t}|f1 - f2| + sup e^{-eta t}|fbar1 - fbar2|.
@@ -660,9 +655,9 @@ def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> 
     The t^gamma factor of the gradient part is already embedded in the
     stored fbar arrays.  The decaying weight e^{-eta t} (eta >= 0) is the
     equivalent (Bielecki-type) norm under which the Picard map contracts for
-    eta large enough.  The weight is at most 1, so the distance never grows
-    with eta: eta = 0, the sup norm, is the strictest, and a weighted
-    distance below tol admits a sup distance of up to e^{eta T} tol.
+    eta large enough; :func:`contraction_ratios` measures in it.  The
+    weight is at most 1, so eta = 0, the sup norm of the stopping test, is
+    the strictest.
     """
     if g1.time_grid.shape != g2.time_grid.shape or not np.allclose(
         g1.time_grid, g2.time_grid
@@ -710,31 +705,6 @@ def contraction_ratios(
     return ratios
 
 
-def auto_select_eta(
-    ups: UpsilonOperator,
-    n_pairs: int = 3,
-    target: float = 0.9,
-    rng: np.random.Generator | None = None,
-    scale: float = 1.0,
-) -> float:
-    """Smallest eta from the doubling ladder with measured ratio < target.
-
-    Each of the ``n_pairs`` random probe pairs costs two applies of the
-    Picard map.  The images do not depend on eta, so they are computed once
-    and the ladder is scanned cheaply.  ``picard_solve`` does not call
-    this; it iterates in the sup norm unless eta is configured.
-    """
-    rng = rng or np.random.default_rng(ups.cfg.seed + 1)
-    cache: list = []
-    for eta in ETA_CANDIDATES:
-        ratios = contraction_ratios(ups, eta, n_pairs, rng, scale, _cache=cache)
-        if max(ratios) < target:
-            return eta
-    raise NoContraction(
-        f"no eta in {ETA_CANDIDATES} achieves contraction ratio < {target}"
-    )
-
-
 def picard_solve(
     model: ProjectedModel,
     ham: Hamiltonian,
@@ -749,14 +719,11 @@ def picard_solve(
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
 
-    ``eta_weight`` sets the norm of the stopping test and of the growth
-    rule: :class:`NoContraction` after three consecutive residual
-    increases.  It defaults to 0, the sup norm: eta never changes the fixed
-    point, only the norm it is measured in, and the sup norm is the
-    strictest, so converged then means a sup residual below ``tol``.  No
-    eta is probed up front; :func:`auto_select_eta` stays available to
-    measure contraction.  ``diagnostics["sup_residual"]`` is the last
-    residual in the sup norm whatever eta is.
+    The stopping test and the growth rule (:class:`NoContraction` after
+    three consecutive residual increases) use the sup norm, so converged
+    means a sup residual below ``tol``.  The weighted norms of
+    :func:`weighted_distance` never change the fixed point, only the norm
+    it is measured in; they serve :func:`contraction_ratios` alone.
     """
     diagnostics: dict = {}
     gamma = cfg.gamma
@@ -781,38 +748,35 @@ def picard_solve(
 
     ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
-    eta = 0.0 if cfg.eta_weight is None else cfg.eta_weight
 
     g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
     residuals: list[float] = []
     ratios: list[float] = []
     bad_streak = 0
-    for it in range(1, cfg.max_iter + 1):
+    for _ in range(cfg.max_iter):
         g_next = ups.apply(g)
-        sup = weighted_distance(g_next, g, 0.0)
-        d = sup if eta == 0.0 else weighted_distance(g_next, g, eta)
+        d = weighted_distance(g_next, g, 0.0)
         if residuals:
             ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio > 1.0 else 0
             if bad_streak >= 3:
                 raise NoContraction(
-                    f"residual grew for 3 consecutive Picard steps "
-                    f"(eta={eta}, gamma={gamma}); residuals={residuals[-4:] + [d]}"
+                    f"residual grew in the sup norm for 3 consecutive Picard steps "
+                    f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
                 )
         residuals.append(d)
         g = g_next
         if d < cfg.tol:
             break
     diagnostics["applies"] = {"picard": ups.applies}
-    diagnostics["sup_residual"] = sup
     diagnostics["residual_history"] = residuals
     return HJBSolution(
         iterate=g,
         residual=residuals[-1],
         contraction_estimates=ratios,
         iterations=len(residuals),
-        eta_weight=eta,
+        eta_weight=0.0,
         gamma=gamma,
         phi=phi,
         diagnostics=diagnostics,

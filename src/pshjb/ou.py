@@ -5,8 +5,8 @@ quantity the solver needs factors through a finite-rank projection P, and the
 :class:`ProjectedModel` contract below collects exactly those projected
 quantities.  On top of the contract this module provides the transition
 semigroup acting on projected terminal costs, the Cameron-Martin density
-between shifted Gaussians, and the block covariance of the projected noise
-at several times.
+between shifted Gaussians, and the assembly of a block covariance (the joint
+law of the projected noise at several times) from its blocks.
 
 Covariance calls always require t > 0; at t = 0 the projected dynamics are
 only defined on the original state space and callers evaluate the terminal
@@ -41,9 +41,10 @@ class ProjectedModel:
       space (the t -> 0 limit of the above);
     - ``proj_cov(t)``: N x N matrix of P Q_t P*;
     - ``proj_control(t)``: N x m matrix of (P e^{tA}) C;
-    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t;
-    - ``noise_cov(s, s2)``: Cov(P W_A(s), P W_A(s2)) of the projected
-      stochastic convolution.
+    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t.
+
+    The library queries a model only through these; the policy simulation
+    builds the law of the projected noise from the two covariances.
 
     Implementations must be immutable after construction; all queries are
     pure so they can run concurrently.
@@ -69,9 +70,6 @@ class ProjectedModel:
         raise NotImplementedError
 
     def pushforward_cov(self, s: float, t: float) -> np.ndarray:
-        raise NotImplementedError
-
-    def noise_cov(self, s: float, s2: float) -> np.ndarray:
         raise NotImplementedError
 
 

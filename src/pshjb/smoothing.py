@@ -24,11 +24,10 @@ INCLUSION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class SmoothingOperator:
-    """Matrix of (P Q_t P*)^{-1/2} (P e^{tA}) C with bookkeeping."""
+    """Matrix of (P Q_t P*)^{-1/2} (P e^{tA}) C at time t."""
 
     t: float
     matrix: np.ndarray
-    rank: int
 
     @property
     def norm(self) -> float:
@@ -68,8 +67,8 @@ def lambda_operator(
         raise InclusionViolated(
             f"image-inclusion residual {res:.3e} > {inclusion_tol:g} at t={t:g}"
         )
-    pinv_sqrt, rank = psd_pinv_sqrt(cov, rank_tol)
-    return SmoothingOperator(t=t, matrix=pinv_sqrt @ ctrl, rank=rank)
+    pinv_sqrt, _ = psd_pinv_sqrt(cov, rank_tol)
+    return SmoothingOperator(t=t, matrix=pinv_sqrt @ ctrl)
 
 
 def c_gradient_semigroup(

@@ -80,24 +80,6 @@ def sample_block_gaussian(cov_fn, k, n, rng, size=1):
     return (z @ root.T).reshape(size, k, n)
 
 
-def sample_noise_path(model, times, rule_seed, size=1):
-    """Joint sample of the projected stochastic convolution (P W_A(t_i))_i
-    at strictly increasing positive ``times``; shape (size, len(times), N),
-    bitwise reproducible for a fixed seed."""
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a nonempty 1-D array")
-    if np.any(times <= 0) or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be strictly increasing and positive")
-    return sample_block_gaussian(
-        lambda i, j: model.noise_cov(times[i], times[j]),
-        len(times),
-        model.proj_dim,
-        np.random.default_rng(rule_seed),
-        size=size,
-    )
-
-
 MINI_CFG = dict(
     horizon=1.0, n_time=20, space_points=21, quad_order=5, time_quad_order=6,
     tol=1e-4, max_iter=30,

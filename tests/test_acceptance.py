@@ -277,10 +277,10 @@ def test_criterion_9_uniqueness(heat_problem, delay_problem, solutions):
     details = []
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
-        cfg = replace(prob["cfg"], gamma=sol.gamma, eta_weight=sol.eta_weight)
+        cfg = replace(prob["cfg"], gamma=sol.gamma)
         sol_zero = picard_solve(prob["model"], prob["ham"], prob["phi"],
                                 prob["ell0"], cfg, initial="zero")
-        d = weighted_distance(sol.iterate, sol_zero.iterate, sol.eta_weight)
+        d = weighted_distance(sol.iterate, sol_zero.iterate, 0.0)
         ok &= d <= 2.0 * cfg.tol
         details.append(f"{prob['name']}: distance {d:.2e} <= {2 * cfg.tol:.0e}")
     # (the zero start merges into the semigroup trajectory after one step,

@@ -114,6 +114,10 @@ class TestInvalidConfig:
         ("simulate.t0", -0.1),
         ("simulate.time_steps", 0),
         ("simulate.n_samples", 0),
+        # unknown keys: a misspelt or retired one would fall back to a default
+        ("solver.eta", 1.0),
+        ("solver.max_iters", 1),
+        ("check", {"psd_probe": [[1.0]]}),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -123,7 +127,7 @@ class TestInvalidConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ")
-        assert key.split(".")[1] in err
+        assert key.split(".")[-1] in err
         assert not (out / "solve_meta.json").exists()
 
     @pytest.mark.parametrize("key, value", [
@@ -213,7 +217,36 @@ class TestSimulate:
         assert (out / "simulate_policies.csv").exists()
 
 
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
+MODEL_INVARIANTS = [
+    "control_image_inclusion",
+    "blowup_exponent_in_range",
+    "lambda_norm_continuity",
+    "gramian_monotone",
+    "kalman_rank_full",
+]
+
+
 class TestCheck:
+    @pytest.mark.parametrize("name", ["heat.yaml", "delay.yaml"])
+    def test_passes_on_shipped_configs(self, tmp_path, name):
+        out = tmp_path / "out"
+        path = os.path.join(SHIPPED, name)
+        rc = main(["check", "--config", path, "--out-dir", str(out), "--quiet"])
+        report = json.loads((out / "check_report.json").read_text())
+        assert [inv["name"] for inv in report["invariants"]] == MODEL_INVARIANTS
+        assert rc == 0, report["failing"]
+
+    def test_hidden_atom_breaks_continuity(self):
+        # without its excluded window the delay atom's jump in Lambda(t)
+        # survives the bisection of large steps
+        from pshjb.checks import run_invariant_suite
+        from pshjb.config import load_config
+
+        run = load_config(os.path.join(SHIPPED, "delay.yaml"), force_model=True)
+        run.model.control_discontinuities = ()
+        assert run_invariant_suite(run)["failing"] == ["lambda_norm_continuity"]
+
     def test_passes_on_defaults(self, tmp_path):
         cfg = small_delay_config()
         path = write_config(tmp_path, cfg)
@@ -222,16 +255,6 @@ class TestCheck:
         assert rc == 0
         report = json.loads((out / "check_report.json").read_text())
         assert report["ok"]
-
-    def test_fails_on_injected_psd_violation(self, tmp_path):
-        cfg = small_delay_config()
-        cfg["check"] = {"psd_probe": [[1.0, 2.0], [2.0, 1.0]]}
-        path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        rc = main(["check", "--config", path, "--out-dir", str(out), "--quiet"])
-        assert rc == 5
-        report = json.loads((out / "check_report.json").read_text())
-        assert "psd_probe" in report["failing"]
 
     def test_fails_on_rank_deficient_delay(self, tmp_path):
         cfg = small_delay_config(

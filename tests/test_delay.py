@@ -8,7 +8,6 @@ from pshjb import costs, delay, hjb
 from pshjb.delay import (
     DelayConfig,
     DelayState,
-    check_strong_inclusion,
     gramian,
     kalman_rank,
     proj_control_delay,
@@ -148,19 +147,6 @@ class TestKalman:
 
 
 class TestStrongInclusion:
-    def test_invertible_sigma_true(self):
-        assert check_strong_inclusion(shipped_delay_config(), [0.1, 0.5, 1.0])
-
-    def test_orthogonal_drive_false(self):
-        cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[0.0], [1.0]],
-                          sigma=[[1.0], [0.0]], delay=0.1)
-        assert not check_strong_inclusion(cfg, [0.1, 0.5])
-
-    def test_zero_control_true(self):
-        cfg = DelayConfig(a0=np.zeros((2, 2)), b0=np.zeros((2, 1)),
-                          sigma=[[1.0], [0.0]], delay=0.1)
-        assert check_strong_inclusion(cfg, [0.1, 0.5])
-
     def test_rate_degrades_without_strong_inclusion(self):
         from pshjb.smoothing import fit_blowup
 
@@ -169,7 +155,9 @@ class TestStrongInclusion:
         cfg = DelayConfig(a0=[[0.0, 1.0], [0.0, 0.0]], b0=[[1.0], [0.0]],
                           sigma=[[0.0], [1.0]], delay=0.1)
         assert kalman_rank(cfg) == 2
-        assert not check_strong_inclusion(cfg, [0.01, 0.1])
+        # e^{tA} b0 = e1 for this nilpotent drift: outside Im(sigma) = span(e2)
+        np.testing.assert_allclose(proj_control_delay(cfg, 0.1), [[1.0], [0.0]],
+                                   atol=1e-14)
         model = delay.build_projected_model(cfg)
         fit = fit_blowup(model, np.geomspace(1e-4, 1e-1, 20))
         assert fit.slope < -0.6
@@ -230,18 +218,6 @@ class TestProjectedModel:
         np.testing.assert_allclose(
             delay_model.proj_semigroup_apply(t, state), exact, atol=1e-10
         )
-
-    def test_brownian_noise_cov(self, delay_scalar):
-        for s, s2 in ((0.2, 0.7), (0.5, 0.5), (0.9, 0.3)):
-            assert abs(
-                delay_scalar.noise_cov(s, s2)[0, 0] - min(s, s2)
-            ) <= 1e-10
-
-    def test_noise_consistency(self, delay_model):
-        for s in (0.1, 0.6, 1.0):
-            np.testing.assert_allclose(
-                delay_model.noise_cov(s, s), delay_model.proj_cov(s), atol=1e-12
-            )
 
     def test_state_validation(self):
         with pytest.raises(ConfigError):

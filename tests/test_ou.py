@@ -10,9 +10,6 @@ from pshjb.ou import (
 )
 from pshjb.spectral import GaussianMeasureN, build_quadrature, gauss_expectation
 
-from conftest import sample_noise_path
-
-
 RULE1 = build_quadrature(1, "tensor-hermite", 12)
 RULE2 = build_quadrature(2, "tensor-hermite", 10)
 
@@ -151,47 +148,3 @@ class TestModelContract:
         assert np.all(np.diff(traces) >= -1e-12)
         for s, t in ((0.1, 0.4), (0.3, 1.2)):
             assert np.linalg.eigvalsh(model.pushforward_cov(s, t)).min() >= -1e-12
-
-    @pytest.mark.parametrize("which", ["heat", "delay"])
-    def test_noise_cov_diagonal_consistency(self, which, heat_model, delay_model):
-        model = heat_model if which == "heat" else delay_model
-        for s in (0.05, 0.5, 1.0):
-            np.testing.assert_allclose(
-                model.noise_cov(s, s), model.proj_cov(s), atol=1e-12
-            )
-
-
-class TestNoisePath:
-    def test_single_time_marginal(self, delay_scalar):
-        s = 0.37
-        paths = sample_noise_path(delay_scalar, [s], rule_seed=9, size=40_000)
-        var = paths[:, 0, 0].var()
-        target = delay_scalar.proj_cov(s)[0, 0]
-        se = target * np.sqrt(2.0 / 40_000)
-        assert abs(var - target) <= 3 * se
-
-    def test_empirical_cross_covariance(self, delay_model):
-        times = [0.2, 0.5, 0.9]
-        n = 100_000
-        paths = sample_noise_path(delay_model, times, rule_seed=3, size=n)
-        flat = paths.reshape(n, -1)
-        emp = flat.T @ flat / n
-        exact = np.empty_like(emp)
-        for i, si in enumerate(times):
-            for j, sj in enumerate(times):
-                exact[2 * i : 2 * i + 2, 2 * j : 2 * j + 2] = delay_model.noise_cov(
-                    si, sj
-                )
-        # 3 standard errors of a Gaussian second-moment estimator
-        scale = np.sqrt(np.outer(np.diag(exact), np.diag(exact)))
-        tol = 3.0 * np.sqrt(2.0 / n) * scale
-        assert np.all(np.abs(emp - exact) <= tol + 1e-12)
-
-    def test_deterministic_for_fixed_seed(self, delay_model):
-        p1 = sample_noise_path(delay_model, [0.1, 0.4], rule_seed=11, size=3)
-        p2 = sample_noise_path(delay_model, [0.1, 0.4], rule_seed=11, size=3)
-        assert np.array_equal(p1, p2)
-
-    def test_requires_increasing_times(self, delay_model):
-        with pytest.raises(ValueError):
-            sample_noise_path(delay_model, [0.4, 0.1], rule_seed=0)

@@ -18,8 +18,14 @@ from .delay import DelayConfig, DelayState, build_projected_model as build_delay
 from .errors import ConfigError
 from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
-from .hjb import Hamiltonian, SolverConfig
+from .hjb import Hamiltonian, SolverConfig, apply_working_set_bytes
 from .ou import ProjectedModel, ProjectedTerminalCost
+
+# Largest Picard apply working set a config may ask for.  The shipped
+# configs need 7.2 MB; n_proj: 3 at the solver defaults needs 1.7 GB and
+# n_proj: 4 (Monte Carlo rule) about 1.3 TB, which would exhaust memory
+# long after the config was accepted.
+_APPLY_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -207,6 +213,15 @@ def load_config(
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _build_solver(raw.get("solver", {}), cost.horizon, seed)
+    need = apply_working_set_bytes(solver, model.proj_dim, model.control_dim)
+    if need > _APPLY_BUDGET_BYTES:
+        raise ConfigError(
+            f"the solver would need about {need / 1e9:.3g} GB per Picard apply "
+            f"(N = {model.proj_dim}, space_points = "
+            f"{solver.space_points}, quad_order = {solver.quad_order}, "
+            f"time_quad_order = {solver.time_quad_order}); the budget is "
+            f"{_APPLY_BUDGET_BYTES / 1e9:.3g} GB"
+        )
     sim_keys = ("t0", "n_samples", "time_steps", "n_random_policies")
     sim = _check_keys(raw.get("simulate", {}), sim_keys, "simulate")
     t0 = float(sim.get("t0", 0.0))

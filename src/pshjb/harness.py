@@ -13,6 +13,14 @@ pushforward_cov, so the path law is exact and the only approximation is that
 the control is held constant between steps (itself an admissible policy, so
 dominance bounds remain valid).
 
+Both branches run in blocks of at most _SIM_BLOCK samples, drawn in turn
+from one generator.  The generator yields the same stream whether rows are
+drawn in one call or in consecutive ones, and every step is elementwise per
+sample, so the costs and terminal states equal those of one whole-population
+pass bit for bit.  Transient memory is a few blocks' worth, whatever the
+number of samples: only the (n_samples,) costs and (n_samples, N) terminal
+states are whole-population arrays.
+
 The greedy loop keeps its arrays components first: the state and the
 control sum are (N, B) and the gradient (m, B) for B samples, so the
 scattered interpolation, the Hamiltonian argmin and the per-step updates
@@ -31,6 +39,14 @@ from .errors import DimensionMismatch, DominanceViolated
 from .hjb import HJBSolution, Hamiltonian, h_min_batch, interp_fbar
 from .ou import ProjectedModel, ProjectedTerminalCost, assemble_block_cov
 from .spectral import psd_sqrt
+
+# Samples per block of simulate_cost.  A greedy block keeps its per-step
+# arrays (state, control sum, gradient, argmin scratch: about 1.3 MB at
+# N = m = 2) in a core's L2 while all its steps run.  Greedy heat policy
+# at 200 000 samples and 20 steps, on 2 MiB-L2 cores: 0.44 s with blocks of
+# 16 384 to 65 536, 0.50 s with 8 192 (per-call overhead), 0.64 s in one
+# whole-population pass.
+_SIM_BLOCK = 16_384
 
 
 @dataclass(frozen=True)
@@ -162,10 +178,12 @@ def simulate_cost(
             if idx is None or idx.shape != (time_steps,):
                 raise DimensionMismatch("open-loop policy needs one index per step")
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
-        noise = rng.standard_normal((n_samples, model.proj_dim)) @ psd_sqrt(
-            model.proj_cov(T - t0)
-        ).T
-        terminals = mean_terminal[None, :] + noise
+        root_t = psd_sqrt(model.proj_cov(T - t0)).T
+        terminals = np.empty((n_samples, model.proj_dim))
+        for lo in range(0, n_samples, _SIM_BLOCK):
+            out = terminals[lo:lo + _SIM_BLOCK]
+            np.matmul(rng.standard_normal(out.shape), root_t, out=out)
+            out += mean_terminal
         costs = ell0_int + float(ell1[idx].sum() * dt) + cost.phi(terminals)
         return SimulationResult.from_costs(costs, terminals)
 
@@ -185,31 +203,38 @@ def simulate_cost(
             return model.proj_cov(T - t0)
         return model.pushforward_cov(T - s, T - t0)
 
-    # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for draws of
-    # shape (B, steps*N); the draws are freed once the product exists.
+    # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for a block's
+    # draws of shape (B, steps*N); the draws are freed once the product exists.
     n_dim = model.proj_dim
     blocks = [block(i) for i in range(time_steps)]
     root = psd_sqrt(
         assemble_block_cov(lambda i, j: blocks[min(i, j)], time_steps, n_dim)
     )
-    noise = root @ rng.standard_normal((n_samples, time_steps * n_dim)).T
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
-    ctrl_sum = np.zeros((n_dim, n_samples))
     run_cost = np.zeros(n_samples)
-    z = np.broadcast_to(z_det[:, None], (n_dim, n_samples))
-    for j in range(time_steps):
-        # gradient clamped to the first resolved node near the horizon; the
-        # resulting control is still admissible, so dominance is unaffected
-        tau = max(T - steps[j], t_min)
-        p = interp_fbar(sol.iterate, tau, z)
-        p *= tau ** (-sol.gamma)
-        _, idx = h_min_batch(cost.ham, p, argmin=True)
-        run_cost += ell1[idx] * dt
-        ctrl_sum += response[j].take(idx, axis=1)
-        z = z_det[:, None] + ctrl_sum
-        z += noise[j * n_dim:(j + 1) * n_dim]
-    terminals = z.T                             # z now equals P X(T)
+    z_end = np.empty((n_dim, n_samples))    # P X(T), components first
+    for lo in range(0, n_samples, _SIM_BLOCK):
+        z_out = z_end[:, lo:lo + _SIM_BLOCK]
+        b = z_out.shape[1]
+        noise = root @ rng.standard_normal((b, time_steps * n_dim)).T
+        blk_cost = run_cost[lo:lo + b]
+        ctrl_sum = np.zeros((n_dim, b))
+        z = np.broadcast_to(z_det[:, None], (n_dim, b))
+        for j in range(time_steps):
+            # gradient clamped to the first resolved node near the horizon;
+            # the resulting control is still admissible, so dominance is
+            # unaffected
+            tau = max(T - steps[j], t_min)
+            p = interp_fbar(sol.iterate, tau, z)
+            p *= tau ** (-sol.gamma)
+            _, idx = h_min_batch(cost.ham, p, argmin=True)
+            blk_cost += ell1[idx] * dt
+            ctrl_sum += response[j].take(idx, axis=1)
+            z = z_det[:, None] + ctrl_sum
+            z += noise[j * n_dim:(j + 1) * n_dim]
+        z_out[...] = z
+    terminals = z_end.T
     costs = ell0_int + run_cost + cost.phi(terminals)
     return SimulationResult.from_costs(costs, terminals)
 

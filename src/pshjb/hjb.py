@@ -45,7 +45,13 @@ from .errors import (
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import fit_blowup, lambda_operator
-from .spectral import default_rule_for_dim, gauss_jacobi, psd_pinv_sqrt, psd_sqrt
+from .spectral import (
+    default_rule_for_dim,
+    default_rule_size,
+    gauss_jacobi,
+    psd_pinv_sqrt,
+    psd_sqrt,
+)
 
 # Bytes of interpolated gradient values per block of UpsilonOperator.apply.
 # A block's arrays then stay in a core's cache between the interpolation
@@ -91,7 +97,8 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
 
     ``p`` has shape (m, ...): gradient components along the first axis.  One
     pass per control point keeps a running minimum in one reused scratch
-    row, so no array of all (point, control) values is formed.  Each
+    row, so no array of all (point, control) values is formed; leading
+    all-zero controls, which are constants, enter last as one scalar.  Each
     control's values are ell1(u_j) + sum of u_jk p_k over its nonzero u_jk
     (``ham.terms``), summed in that order; a first u_jk of +-1 adds or
     subtracts p_k without the multiply, which is exact.  ``out``, if given,
@@ -107,9 +114,13 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     else:
         raise ValueError("out must be C-contiguous with one value per gradient")
     vals = np.empty_like(best)
-    idx = np.zeros(best.shape, dtype=np.intp) if argmin else None
-    for j, (terms, cost) in enumerate(zip(ham.terms, ham.running_cost)):
-        row = best if j == 0 else vals      # the first control starts the minimum
+    n_u = len(ham.terms)
+    # the first control with a nonzero coordinate starts the minimum
+    lead = next((j for j, terms in enumerate(ham.terms) if terms), n_u)
+    idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
+    for j in range(lead, n_u):
+        terms, cost = ham.terms[j], ham.running_cost[j]
+        row = best if j == lead else vals
         if terms:
             (k, uk), *rest = terms
             if uk == 1.0:
@@ -121,15 +132,24 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
                 row += cost
             for k, uk in rest:
                 row += uk * p2[k]
-        elif j == 0:
-            best.fill(cost)
         else:
             row = cost              # an all-zero control: a constant
-        if j == 0:
+        if j == lead:
             continue
         if argmin:
             np.putmask(idx, row < best, j)
         np.minimum(best, row, out=best)
+    if lead:
+        # all-zero controls ahead of it (the rest control of the heat grids)
+        # are constants: the least of them, lowest index first, joins last
+        # and wins its ties, as every other control has a higher index
+        j = int(np.argmin(ham.running_cost[:lead]))
+        cost = ham.running_cost[j]
+        if lead == n_u:
+            best.fill(np.inf)       # no control has a nonzero coordinate
+        if argmin:
+            np.putmask(idx, best >= cost, j)
+        np.minimum(best, cost, out=best)
     shape = p.shape[1:]
     return (best.reshape(shape), idx.reshape(shape)) if argmin else best.reshape(shape)
 
@@ -221,6 +241,17 @@ class HJBSolution:
 # ---------------------------------------------------------------------------
 # grids and interpolation
 
+def apply_working_set_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int) -> int:
+    """Bytes of the two arrays of one time node of UpsilonOperator.apply
+    that grow with the problem: the (S * n_q, P) H_min values and the
+    (m, S, P) blended gradient slice, for S = 2 * time_quad_order s-nodes,
+    n_q quadrature nodes and P = space_points^N mesh points.  Computed
+    from the sizes alone, so it builds no array."""
+    n_s = 2 * cfg.time_quad_order
+    n_q = default_rule_size(proj_dim, cfg.quad_order, cfg.mc_samples)
+    return 8 * n_s * cfg.space_points**proj_dim * (n_q + control_dim)
+
+
 def make_time_grid(cfg: SolverConfig) -> np.ndarray:
     """{0} plus n_time geometric nodes from t_min_factor * T up to T."""
     t_min = cfg.t_min_factor * cfg.horizon
@@ -259,7 +290,9 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     stride = 1
     for d in reversed(range(n_dim)):
         ax, n = axes[d], grid[d]
-        c = np.clip((pts[d] - ax[0]) / (ax[1] - ax[0]), 0.0, n - 1.0)
+        c = (pts[d] - ax[0]) / (ax[1] - ax[0])
+        # ufuncs, not np.clip: its wrapper costs more than the work on a block
+        np.minimum(np.maximum(c, 0.0, out=c), n - 1.0, out=c)
         i = np.minimum(c.astype(np.intp), n - 2)   # c >= 0: the cast floors
         a = c - i
         base = base + i * stride

@@ -171,6 +171,12 @@ def default_rule_for_dim(
     return build_quadrature(dim, "monte-carlo", mc_samples, seed=seed)
 
 
+def default_rule_size(dim: int, order: int, mc_samples: int) -> int:
+    """Node count of ``default_rule_for_dim(dim, order, mc_samples)``,
+    without building the rule."""
+    return order**dim if dim <= 3 else mc_samples
+
+
 def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """n-point Gauss-Jacobi rule (n >= 1) for the weight (1 + x)^beta on
     [-1, 1], beta > -1.

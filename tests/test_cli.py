@@ -130,6 +130,30 @@ class TestInvalidConfig:
         assert key.split(".")[-1] in err
         assert not (out / "solve_meta.json").exists()
 
+    @pytest.mark.parametrize("n_proj, need", [(3, "1.68 GB"), (4, "1.27e+03 GB")])
+    def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
+                                        n_proj, need):
+        # solver defaults: the tensor rule at N = 3, the Monte Carlo rule at
+        # N = 4; the estimate comes from the sizes, so no operator is built
+        from pshjb import hjb
+
+        def no_operator(*args, **kwargs):
+            raise AssertionError("operator built for an oversized config")
+
+        monkeypatch.setattr(hjb.UpsilonOperator, "__init__", no_operator)
+        cfg = small_delay_config(solver={})
+        cfg["model"] = {"kind": "heat", "heat": {"n_modes": 64, "n_proj": n_proj}}
+        cfg["cost"]["controls"] = {"points_per_dim": 3}
+        cfg["cost"]["phi"] = {"kind": "tanh", "direction": [1.0] * n_proj}
+        out = tmp_path / "out"
+        path = write_config(tmp_path, cfg)
+        rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"about {need} per" in err
+        assert f"N = {n_proj}" in err
+        assert not (out / "solve_meta.json").exists()
+
     @pytest.mark.parametrize("key, value", [
         ("a0", [[float("nan"), 0.1], [0.0, -0.2]]),
         ("delay", float("inf")),

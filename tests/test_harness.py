@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,25 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
     return costs_, z
 
 
+def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
+    """Exact terminal sampling, whole population at once, mean step by step."""
+    T = cost.horizon
+    rng = np.random.default_rng(seed)
+    steps = np.linspace(t0, T, time_steps + 1)
+    dt = steps[1] - steps[0]
+    b_ints = _control_integrals(model, t0, T, steps)
+    u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
+    mean = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
+    run_cost = 0.0
+    for j in range(time_steps):
+        mean = mean + b_ints[j] @ u_grid[idx[j]]
+        run_cost += ell1[idx[j]] * dt
+    noise = sample_block_gaussian(lambda i, j: model.proj_cov(T - t0), 1,
+                                  model.proj_dim, rng, n_samples)[:, 0]
+    z = mean + noise
+    return cost.ell0_integral(t0, T) + run_cost + cost.phi(z), z
+
+
 HEAT_X0 = 0.5 * np.arange(1, 257, dtype=float) ** -2.0
 
 
@@ -100,13 +121,32 @@ def solved_case(request):
 
 
 class TestAgainstReferenceLoop:
+    # 160-sample blocks: 19 blocks of 3000 samples and 4 of 500, the last
+    # one ragged in both
+    CASES = ((0.0, 3000, 20, 11), (0.35, 500, 7, 3))
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SIM_BLOCK", 160)
+
     def test_greedy_matches_reference(self, solved_case):
         model, cost, sol, x0 = solved_case
-        for t0, n, steps, seed in ((0.0, 3000, 20, 11), (0.35, 500, 7, 3)):
+        for t0, n, steps, seed in self.CASES:
             res = simulate_cost(model, cost, Policy.greedy(sol), t0, x0, n,
                                 steps, seed=seed)
             ref_costs, ref_z = reference_greedy(model, cost, sol, t0, x0, n,
                                                 steps, seed)
+            assert res.terminal_projected_states.shape == ref_z.shape
+            assert np.abs(res.sample_costs - ref_costs).max() <= 1e-12
+            assert np.abs(res.terminal_projected_states - ref_z).max() <= 1e-12
+
+    def test_open_loop_matches_reference(self, solved_case):
+        model, cost, _, x0 = solved_case
+        for t0, n, steps, seed in self.CASES:
+            pol = random_open_loop_policies(cost.ham, steps, 1, seed=seed)[0]
+            res = simulate_cost(model, cost, pol, t0, x0, n, steps, seed=seed)
+            ref_costs, ref_z = reference_open_loop(model, cost, pol.indices, t0,
+                                                   x0, n, steps, seed)
             assert res.terminal_projected_states.shape == ref_z.shape
             assert np.abs(res.sample_costs - ref_costs).max() <= 1e-12
             assert np.abs(res.terminal_projected_states - ref_z).max() <= 1e-12
@@ -298,6 +338,48 @@ class TestGreedyNoiseBlocks:
         monkeypatch.setattr(harness, "assemble_block_cov",
                             lambda fn, k, n: assemble(per_pair, k, n))
         assert np.array_equal(shared, greedy_costs())
+
+
+class TestSampleBlocks:
+    """Blocks change no number: the generator's stream and every per-sample
+    step are the same in one block or many."""
+
+    BLOCK = 64
+
+    @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 5])
+    def test_same_as_one_block(self, solved_case, monkeypatch, n):
+        model, cost, sol, x0 = solved_case
+        policies = [Policy.constant(1), Policy.greedy(sol)]
+        policies += random_open_loop_policies(cost.ham, 10, 1, seed=2)
+
+        def results():
+            return [simulate_cost(model, cost, pol, 0.0, x0, n, 10, seed=4)
+                    for pol in policies]
+
+        whole = results()                      # n is below the default block
+        monkeypatch.setattr(harness, "_SIM_BLOCK", self.BLOCK)
+        for a, b in zip(whole, results()):
+            assert np.array_equal(a.sample_costs, b.sample_costs)
+            assert np.array_equal(a.terminal_projected_states,
+                                  b.terminal_projected_states)
+            assert (a.mean, a.std_error) == (b.mean, b.std_error)
+
+    def test_greedy_memory_is_per_block(self, mini_delay_solution, delay_model):
+        # whole-population arrays: costs, running cost and the (N, n)
+        # terminal states; everything else is a few blocks of step noise
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        n, steps, n_dim = 200_000, 20, delay_model.proj_dim
+        block_noise = 8 * harness._SIM_BLOCK * steps * n_dim
+        bound = 8 * n * (n_dim + 2) + 4 * block_noise
+        tracemalloc.start()
+        try:
+            simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0, n,
+                          steps, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 class TestDominance:

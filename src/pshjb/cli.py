@@ -175,14 +175,14 @@ def cmd_simulate(args, run: RunConfig) -> int:
         seed=run.seed,
         keep_samples=True,
     )
-    sample_rows = []
-    for i, p in enumerate(report["policies"]):
-        for j, c in enumerate(p.pop("samples")):
-            sample_rows.append([i, j, c])
+    k, n = len(report["policies"]), run.n_samples
+    sample_costs = np.array([p.pop("samples") for p in report["policies"]])
     _write_csv(
         os.path.join(args.out_dir, "simulate_samples.csv"),
         ["policy", "sample", "cost"],
-        sample_rows,
+        np.column_stack((
+            np.repeat(np.arange(k), n), np.tile(np.arange(n), k), sample_costs.ravel()
+        )),
     )
     _write_json(os.path.join(args.out_dir, "simulate_report.json"), report)
     rows = [

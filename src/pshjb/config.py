@@ -227,6 +227,7 @@ def load_config(
     t0 = float(sim.get("t0", 0.0))
     n_samples = int(sim.get("n_samples", 10_000))
     time_steps = int(sim.get("time_steps", 20))
+    n_random_policies = int(sim.get("n_random_policies", 10))
     if not 0.0 <= t0 < cost.horizon:
         raise ConfigError(
             f"simulate.t0 = {t0} must lie in [0, horizon = {cost.horizon})"
@@ -235,6 +236,10 @@ def load_config(
         raise ConfigError(f"simulate.n_samples must be >= 1, got {n_samples}")
     if time_steps < 1:
         raise ConfigError(f"simulate.time_steps must be >= 1, got {time_steps}")
+    if n_random_policies < 0:
+        raise ConfigError(
+            f"simulate.n_random_policies must be >= 0, got {n_random_policies}"
+        )
     return RunConfig(
         model=model,
         model_kind=kind,
@@ -244,6 +249,6 @@ def load_config(
         t0=t0,
         n_samples=n_samples,
         time_steps=time_steps,
-        n_random_policies=int(sim.get("n_random_policies", 10)),
+        n_random_policies=n_random_policies,
         seed=seed,
     )

@@ -16,10 +16,10 @@ dominance bounds remain valid).
 Both branches run in blocks of at most _SIM_BLOCK samples, drawn in turn
 from one generator.  The generator yields the same stream whether rows are
 drawn in one call or in consecutive ones, and every step is elementwise per
-sample, so the costs and terminal states equal those of one whole-population
-pass bit for bit.  Transient memory is a few blocks' worth, whatever the
-number of samples: only the (n_samples,) costs and (n_samples, N) terminal
-states are whole-population arrays.
+sample, so the costs equal those of one whole-population pass bit for bit.
+Each block's terminal states are priced by the terminal cost and dropped,
+so memory is a few blocks' worth, whatever the number of samples: only the
+(n_samples,) costs are a whole-population array.
 
 The greedy loop keeps its arrays components first: the state and the
 control sum are (N, B) and the gradient (m, B) for B samples, so the
@@ -96,13 +96,12 @@ class SimulationResult:
     sample_costs: np.ndarray
     mean: float
     std_error: float
-    terminal_projected_states: np.ndarray
 
     @classmethod
-    def from_costs(cls, costs: np.ndarray, terminals: np.ndarray) -> "SimulationResult":
+    def from_costs(cls, costs: np.ndarray) -> "SimulationResult":
         n = costs.size
         se = float(costs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(costs, float(costs.mean()), se, terminals)
+        return cls(costs, float(costs.mean()), se)
 
 
 def _control_integrals(
@@ -161,6 +160,8 @@ def simulate_cost(
     T = cost.horizon
     if not 0.0 <= t0 < T:
         raise ValueError("need 0 <= t0 < horizon")
+    if n_samples < 1 or time_steps < 1:
+        raise ValueError("need n_samples >= 1 and time_steps >= 1")
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
@@ -169,6 +170,7 @@ def simulate_cost(
     u_grid = cost.ham.control_points
     ell1 = cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
+    costs = np.empty(n_samples)
 
     if policy.kind in ("constant", "open_loop"):
         if policy.kind == "constant":
@@ -179,13 +181,13 @@ def simulate_cost(
                 raise DimensionMismatch("open-loop policy needs one index per step")
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
         root_t = psd_sqrt(model.proj_cov(T - t0)).T
-        terminals = np.empty((n_samples, model.proj_dim))
+        c0 = ell0_int + float(ell1[idx].sum() * dt)
         for lo in range(0, n_samples, _SIM_BLOCK):
-            out = terminals[lo:lo + _SIM_BLOCK]
-            np.matmul(rng.standard_normal(out.shape), root_t, out=out)
-            out += mean_terminal
-        costs = ell0_int + float(ell1[idx].sum() * dt) + cost.phi(terminals)
-        return SimulationResult.from_costs(costs, terminals)
+            b = min(_SIM_BLOCK, n_samples - lo)
+            z = rng.standard_normal((b, model.proj_dim)) @ root_t
+            z += mean_terminal
+            costs[lo:lo + b] = c0 + cost.phi(z)
+        return SimulationResult.from_costs(costs)
 
     if policy.kind != "greedy":
         raise ValueError(f"unknown policy kind {policy.kind!r}")
@@ -212,13 +214,10 @@ def simulate_cost(
     )
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
-    run_cost = np.zeros(n_samples)
-    z_end = np.empty((n_dim, n_samples))    # P X(T), components first
     for lo in range(0, n_samples, _SIM_BLOCK):
-        z_out = z_end[:, lo:lo + _SIM_BLOCK]
-        b = z_out.shape[1]
+        b = min(_SIM_BLOCK, n_samples - lo)
         noise = root @ rng.standard_normal((b, time_steps * n_dim)).T
-        blk_cost = run_cost[lo:lo + b]
+        blk_cost = np.zeros(b)
         ctrl_sum = np.zeros((n_dim, b))
         z = np.broadcast_to(z_det[:, None], (n_dim, b))
         for j in range(time_steps):
@@ -233,10 +232,8 @@ def simulate_cost(
             ctrl_sum += response[j].take(idx, axis=1)
             z = z_det[:, None] + ctrl_sum
             z += noise[j * n_dim:(j + 1) * n_dim]
-        z_out[...] = z
-    terminals = z_end.T
-    costs = ell0_int + run_cost + cost.phi(terminals)
-    return SimulationResult.from_costs(costs, terminals)
+        costs[lo:lo + b] = ell0_int + blk_cost + cost.phi(z.T)   # z = P X(T)
+    return SimulationResult.from_costs(costs)
 
 
 def value_dominance_check(

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import yaml
 
@@ -118,6 +119,8 @@ class TestInvalidConfig:
         ("solver.eta", 1.0),
         ("solver.max_iters", 1),
         ("check", {"psd_probe": [[1.0]]}),
+        # listed last so the generated ids of the cases above stay as they were
+        ("simulate.n_random_policies", -3),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -239,6 +242,30 @@ class TestSimulate:
         assert all(p["ok"] for p in report["policies"])
         assert report["greedy_gap"] is not None
         assert (out / "simulate_policies.csv").exists()
+
+    @pytest.mark.parametrize("policy, n_random", [("greedy", 3), ("none", 0)])
+    def test_samples_file_matches_report(self, tmp_path, policy, n_random):
+        cfg = small_delay_config(**{"simulate.n_random_policies": n_random})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out-dir", str(out), "--quiet",
+                   "--policy", policy])
+        assert rc == 0
+        report = json.loads((out / "simulate_report.json").read_text())
+        lines = (out / "simulate_samples.csv").read_text().splitlines()
+        assert lines[0] == "policy,sample,cost"
+        table = np.array([ln.split(",") for ln in lines[1:]], dtype=float)
+        table = table.reshape(-1, 3)
+        k, n = len(report["policies"]), cfg["simulate"]["n_samples"]
+        assert k == n_random + (policy != "none")
+        assert np.array_equal(table[:, 0], np.repeat(np.arange(k), n))
+        assert np.array_equal(table[:, 1], np.tile(np.arange(n), k))
+        # 17 significant digits round-trip: the report's statistics come
+        # back exactly from the file's costs
+        costs = table[:, 2].reshape(k, n).copy()
+        for c, p in zip(costs, report["policies"]):
+            assert c.mean() == p["mean"]
+            assert c.std(ddof=1) / np.sqrt(n) == p["std_error"]
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")

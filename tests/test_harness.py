@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from pshjb import costs, harness
 from pshjb.delay import DelayState
 from pshjb.errors import DominanceViolated
+from pshjb.ou import ProjectedTerminalCost
 from pshjb.harness import (
     CostSpec,
     Policy,
@@ -57,6 +59,8 @@ def reference_fbar(iterate, tau, pts):
 
 
 def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
+    """(n_samples,) time and running costs and (n_samples, N) terminal
+    states of the greedy policy."""
     T = cost.horizon
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
@@ -83,12 +87,12 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
         run_cost += ell1[idx] * dt
         ctrl_sum += u_grid[idx] @ b_ints[j].T
         z = z_det[None, :] + ctrl_sum + noise[:, j, :]
-    costs_ = cost.ell0_integral(t0, T) + run_cost + cost.phi(z)
-    return costs_, z
+    return cost.ell0_integral(t0, T) + run_cost, z
 
 
 def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
-    """Exact terminal sampling, whole population at once, mean step by step."""
+    """Exact terminal sampling, whole population at once, mean step by step;
+    returns what ``reference_greedy`` does."""
     T = cost.horizon
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
@@ -102,8 +106,7 @@ def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
         run_cost += ell1[idx[j]] * dt
     noise = sample_block_gaussian(lambda i, j: model.proj_cov(T - t0), 1,
                                   model.proj_dim, rng, n_samples)[:, 0]
-    z = mean + noise
-    return cost.ell0_integral(t0, T) + run_cost + cost.phi(z), z
+    return cost.ell0_integral(t0, T) + run_cost, mean + noise
 
 
 HEAT_X0 = 0.5 * np.arange(1, 257, dtype=float) ** -2.0
@@ -129,27 +132,37 @@ class TestAgainstReferenceLoop:
     def small_blocks(self, monkeypatch):
         monkeypatch.setattr(harness, "_SIM_BLOCK", 160)
 
+    @staticmethod
+    def assert_costs_match(model, cost, pol, t0, x0, n, steps, seed, ref):
+        """Costs under the problem's terminal cost and under each coordinate
+        of P X(T) as terminal cost: the running costs and every coordinate
+        of every terminal state agree with the reference to 1e-12."""
+        run_cost, z = ref
+        assert z.shape == (n, model.proj_dim)
+        coords = [
+            ProjectedTerminalCost(lambda y, k=k: y[..., k], float("inf"))
+            for k in range(model.proj_dim)
+        ]
+        for phi in [cost.phi] + coords:
+            res = simulate_cost(model, replace(cost, phi=phi), pol, t0, x0, n,
+                                steps, seed=seed)
+            assert res.sample_costs.shape == (n,)
+            assert np.abs(res.sample_costs - (run_cost + phi(z))).max() <= 1e-12
+
     def test_greedy_matches_reference(self, solved_case):
         model, cost, sol, x0 = solved_case
         for t0, n, steps, seed in self.CASES:
-            res = simulate_cost(model, cost, Policy.greedy(sol), t0, x0, n,
-                                steps, seed=seed)
-            ref_costs, ref_z = reference_greedy(model, cost, sol, t0, x0, n,
-                                                steps, seed)
-            assert res.terminal_projected_states.shape == ref_z.shape
-            assert np.abs(res.sample_costs - ref_costs).max() <= 1e-12
-            assert np.abs(res.terminal_projected_states - ref_z).max() <= 1e-12
+            ref = reference_greedy(model, cost, sol, t0, x0, n, steps, seed)
+            self.assert_costs_match(model, cost, Policy.greedy(sol), t0, x0, n,
+                                    steps, seed, ref)
 
     def test_open_loop_matches_reference(self, solved_case):
         model, cost, _, x0 = solved_case
         for t0, n, steps, seed in self.CASES:
             pol = random_open_loop_policies(cost.ham, steps, 1, seed=seed)[0]
-            res = simulate_cost(model, cost, pol, t0, x0, n, steps, seed=seed)
-            ref_costs, ref_z = reference_open_loop(model, cost, pol.indices, t0,
-                                                   x0, n, steps, seed)
-            assert res.terminal_projected_states.shape == ref_z.shape
-            assert np.abs(res.sample_costs - ref_costs).max() <= 1e-12
-            assert np.abs(res.terminal_projected_states - ref_z).max() <= 1e-12
+            ref = reference_open_loop(model, cost, pol.indices, t0, x0, n,
+                                      steps, seed)
+            self.assert_costs_match(model, cost, pol, t0, x0, n, steps, seed, ref)
 
     def test_eval_matches_per_slice(self, solved_case):
         model, cost, sol, x0 = solved_case
@@ -223,9 +236,16 @@ class TestSimulateCost:
         r1 = simulate_cost(delay_model, cost, pol, 0.0, X0, 200, 20, seed=42)
         r2 = simulate_cost(delay_model, cost, pol, 0.0, X0, 200, 20, seed=42)
         assert np.array_equal(r1.sample_costs, r2.sample_costs)
-        assert np.array_equal(
-            r1.terminal_projected_states, r2.terminal_projected_states
-        )
+        assert (r1.mean, r1.std_error) == (r2.mean, r2.std_error)
+
+    @pytest.mark.parametrize("kw", [{"n_samples": 0}, {"n_samples": -1},
+                                    {"time_steps": 0}])
+    def test_empty_simulation_rejected(self, mini_delay_solution, delay_model, kw):
+        sol = mini_delay_solution[0]
+        cost = make_cost(shipped_delay_ham(), costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+        for pol in (Policy.constant(0), Policy.greedy(sol)):
+            with pytest.raises(ValueError, match=">= 1"):
+                simulate_cost(delay_model, cost, pol, 0.0, X0, **kw)
 
     def test_ell0_enters_additively(self, delay_model):
         ham = shipped_delay_ham()
@@ -360,26 +380,42 @@ class TestSampleBlocks:
         monkeypatch.setattr(harness, "_SIM_BLOCK", self.BLOCK)
         for a, b in zip(whole, results()):
             assert np.array_equal(a.sample_costs, b.sample_costs)
-            assert np.array_equal(a.terminal_projected_states,
-                                  b.terminal_projected_states)
             assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
-    def test_greedy_memory_is_per_block(self, mini_delay_solution, delay_model):
-        # whole-population arrays: costs, running cost and the (N, n)
-        # terminal states; everything else is a few blocks of step noise
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        n, steps, n_dim = 200_000, 20, delay_model.proj_dim
-        block_noise = 8 * harness._SIM_BLOCK * steps * n_dim
-        bound = 8 * n * (n_dim + 2) + 4 * block_noise
+    # The only whole-population arrays are the (n,) costs and, while the
+    # standard error is taken, one temporary of their size: 16 n bytes.
+    # Terminal states or terminal-cost temporaries of the whole population
+    # would add at least another 16 n, more than the block allowance leaves
+    # free at this n.
+    N_MEM = 600_000
+
+    @staticmethod
+    def traced_peak(delay_model, cost, pol, n, steps):
         tracemalloc.start()
         try:
-            simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0, n,
-                          steps, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
+            simulate_cost(delay_model, cost, pol, 0.0, X0, n, steps, seed=1)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < bound
+
+    def test_greedy_memory_is_per_block(self, mini_delay_solution, delay_model):
+        # beyond the costs: a few blocks of step noise
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        n, steps, n_dim = self.N_MEM, 20, delay_model.proj_dim
+        block_noise = 8 * harness._SIM_BLOCK * steps * n_dim
+        peak = self.traced_peak(delay_model, cost, Policy.greedy(sol), n, steps)
+        assert peak < 16 * n + 3 * block_noise
+
+    def test_open_loop_memory_is_per_block(self, mini_delay_solution, delay_model):
+        # beyond the costs: a few blocks of terminal states and draws
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        n, steps, n_dim = self.N_MEM, 20, delay_model.proj_dim
+        block_states = 8 * harness._SIM_BLOCK * n_dim
+        pol = random_open_loop_policies(ham, steps, 1, seed=1)[0]
+        peak = self.traced_peak(delay_model, cost, pol, n, steps)
+        assert peak < 16 * n + 4 * block_states
 
 
 class TestDominance:

@@ -26,10 +26,7 @@ def _check_inclusion(run: RunConfig):
 
 
 def _check_blowup_exponent(run: RunConfig):
-    windows = tuple((0.9 * d, 1.1 * d) for d in run.model.control_discontinuities)
-    fit = fit_blowup(
-        run.model, np.geomspace(1e-4, 0.1, 15), exclude_windows=windows
-    )
+    fit = fit_blowup(run.model, np.geomspace(1e-4, 0.1, 15))
     ok = 0.0 < fit.gamma < 1.0
     return ok, f"fitted gamma {fit.gamma:.3f}"
 

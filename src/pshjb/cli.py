@@ -122,9 +122,7 @@ def cmd_solve(args, run: RunConfig) -> int:
 
 
 def cmd_lambda(args, run: RunConfig) -> int:
-    t_grid = np.geomspace(1e-4, 0.1 * run.cost.horizon, 20)
-    windows = tuple((0.9 * d, 1.1 * d) for d in run.model.control_discontinuities)
-    fit = fit_blowup(run.model, t_grid, exclude_windows=windows)
+    fit = fit_blowup(run.model, np.geomspace(1e-4, 0.1 * run.cost.horizon, 20))
     _write_csv(
         os.path.join(args.out_dir, "lambda_norms.csv"),
         ["t", "norm"],

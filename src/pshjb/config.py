@@ -18,14 +18,8 @@ from .delay import DelayConfig, DelayState, build_projected_model as build_delay
 from .errors import ConfigError
 from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
-from .hjb import Hamiltonian, SolverConfig, apply_working_set_bytes
+from .hjb import Hamiltonian, SolverConfig
 from .ou import ProjectedModel, ProjectedTerminalCost
-
-# Largest Picard apply working set a config may ask for.  The shipped
-# configs need 7.2 MB; n_proj: 3 at the solver defaults needs 1.7 GB and
-# n_proj: 4 (Monte Carlo rule) about 1.3 TB, which would exhaust memory
-# long after the config was accepted.
-_APPLY_BUDGET_BYTES = 1 << 30
 
 
 @dataclass
@@ -176,9 +170,9 @@ def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
     return CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=horizon)
 
 
-def _build_solver(section: dict, horizon: float, seed: int) -> SolverConfig:
-    # every SolverConfig field but horizon and seed is a key of the same name
-    _check_keys(section, {f.name for f in fields(SolverConfig)} - {"horizon", "seed"}, "solver")
+def _build_solver(section: dict, horizon: float) -> SolverConfig:
+    # every SolverConfig field but horizon is a key of the same name
+    _check_keys(section, {f.name for f in fields(SolverConfig)} - {"horizon"}, "solver")
     try:
         return SolverConfig(
             horizon=horizon,
@@ -191,8 +185,6 @@ def _build_solver(section: dict, horizon: float, seed: int) -> SolverConfig:
             box_halfwidth=section.get("box_halfwidth"),
             quad_order=int(section.get("quad_order", 6)),
             time_quad_order=int(section.get("time_quad_order", 7)),
-            mc_samples=int(section.get("mc_samples", 4000)),
-            seed=seed,
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -212,16 +204,7 @@ def load_config(
     seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
-    solver = _build_solver(raw.get("solver", {}), cost.horizon, seed)
-    need = apply_working_set_bytes(solver, model.proj_dim, model.control_dim)
-    if need > _APPLY_BUDGET_BYTES:
-        raise ConfigError(
-            f"the solver would need about {need / 1e9:.3g} GB per Picard apply "
-            f"(N = {model.proj_dim}, space_points = "
-            f"{solver.space_points}, quad_order = {solver.quad_order}, "
-            f"time_quad_order = {solver.time_quad_order}); the budget is "
-            f"{_APPLY_BUDGET_BYTES / 1e9:.3g} GB"
-        )
+    solver = _build_solver(raw.get("solver", {}), cost.horizon)
     sim_keys = ("t0", "n_samples", "time_steps", "n_random_policies")
     sim = _check_keys(raw.get("simulate", {}), sim_keys, "simulate")
     t0 = float(sim.get("t0", 0.0))

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionMismatch,
     GridMismatch,
     NoContraction,
@@ -46,8 +47,8 @@ from .errors import (
 from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import fit_blowup, lambda_operator
 from .spectral import (
-    default_rule_for_dim,
-    default_rule_size,
+    MAX_HERMITE_DIM,
+    build_quadrature,
     gauss_jacobi,
     psd_pinv_sqrt,
     psd_sqrt,
@@ -59,6 +60,11 @@ from .spectral import (
 # 512 KiB were fastest on both the 21- and 41-point grids; 128 KiB lost to
 # per-block overhead, one block per time node lost the cache.
 APPLY_BLOCK_BYTES = 512 * 1024
+
+# Largest Picard apply working set a solve may ask for; a larger one would
+# exhaust memory in the middle of the solve instead of failing at its start.
+# The shipped configs need 7.2 MB; n_proj: 3 at the solver defaults 1.7 GB.
+_APPLY_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -86,10 +92,6 @@ class Hamiltonian:
     @property
     def control_dim(self) -> int:
         return self.control_points.shape[1]
-
-    @property
-    def lipschitz(self) -> float:
-        return float(np.linalg.norm(self.control_points, axis=1).max())
 
 
 def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None):
@@ -168,8 +170,6 @@ class SolverConfig:
     box_halfwidth: float | None = None
     quad_order: int = 6
     time_quad_order: int = 7
-    mc_samples: int = 4000
-    seed: int = 0
 
     def __post_init__(self):
         if not self.horizon > 0:
@@ -241,15 +241,29 @@ class HJBSolution:
 # ---------------------------------------------------------------------------
 # grids and interpolation
 
-def apply_working_set_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int) -> int:
-    """Bytes of the two arrays of one time node of UpsilonOperator.apply
-    that grow with the problem: the (S * n_q, P) H_min values and the
-    (m, S, P) blended gradient slice, for S = 2 * time_quad_order s-nodes,
-    n_q quadrature nodes and P = space_points^N mesh points.  Computed
-    from the sizes alone, so it builds no array."""
-    n_s = 2 * cfg.time_quad_order
-    n_q = default_rule_size(proj_dim, cfg.quad_order, cfg.mc_samples)
-    return 8 * n_s * cfg.space_points**proj_dim * (n_q + control_dim)
+def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int):
+    """Raise :class:`ConfigError` for a problem the solver cannot take: a
+    projected dimension N above the tensor Gauss-Hermite rule's
+    MAX_HERMITE_DIM, or a Picard apply over _APPLY_BUDGET_BYTES.  The apply
+    estimate is the two arrays of one time node that grow with the problem:
+    the (S * n_q, P) H_min values and the (m, S, P) blended gradient slice,
+    for S = 2 * time_quad_order s-nodes, n_q = quad_order^N quadrature nodes
+    and P = space_points^N mesh points.  Computed from the sizes alone, so
+    it builds no array."""
+    if proj_dim > MAX_HERMITE_DIM:
+        raise ConfigError(
+            f"the projected dimension N = {proj_dim} is above "
+            f"{MAX_HERMITE_DIM}, the most the tensor Gauss-Hermite rule takes"
+        )
+    n_q = cfg.quad_order**proj_dim
+    need = 8 * 2 * cfg.time_quad_order * cfg.space_points**proj_dim * (n_q + control_dim)
+    if need > _APPLY_BUDGET_BYTES:
+        raise ConfigError(
+            f"the solver would need about {need / 1e9:.3g} GB per Picard apply "
+            f"(N = {proj_dim}, space_points = {cfg.space_points}, quad_order = "
+            f"{cfg.quad_order}, time_quad_order = {cfg.time_quad_order}); the "
+            f"budget is {_APPLY_BUDGET_BYTES / 1e9:.3g} GB"
+        )
 
 
 def make_time_grid(cfg: SolverConfig) -> np.ndarray:
@@ -502,9 +516,7 @@ class UpsilonOperator:
         mesh = np.meshgrid(*self.space_axes, indexing="ij")
         self.mesh = np.stack([g.ravel() for g in mesh], axis=-1)   # (P, N)
         self.space_shape = shape
-        self.rule = default_rule_for_dim(
-            model.proj_dim, cfg.quad_order, cfg.mc_samples, cfg.seed
-        )
+        self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute(ell0)
         self.applies = 0     # calls of apply, for the solve diagnostics
 
@@ -523,15 +535,10 @@ class UpsilonOperator:
         )
         self.ell0_cum = np.interp(t_pos, fine, cum)
 
-        # all-zero control set: H_min is the constant min ell1, the
-        # convolution is min(ell1) * t and its gradient vanishes
-        self.trivial_ham = self.ham.lipschitz == 0.0
-        self.h_const = float(self.ham.running_cost.min())
-
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
         self.s_f = np.empty((n_t, npts))
         self.s_grad = np.empty((n_t, npts, m))
-        self.conv: list[_Convolution | None] = []
+        self.conv: list[_Convolution] = []
         for i, t in enumerate(t_pos):
             sqrt_cov = psd_sqrt(self.model.proj_cov(t))
             offs = self.rule.nodes @ sqrt_cov.T
@@ -541,11 +548,9 @@ class UpsilonOperator:
             lam = lambda_operator(self.model, t).matrix
             wk = self.rule.nodes @ lam                       # (nq, m)
             self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, wk)
-            self.conv.append(None if self.trivial_ham else self._time_quadrature(t, t_pos, jacobi))
+            self.conv.append(self._time_quadrature(t, t_pos, jacobi))
         self.clamped_mass = max(
-            (clamped_share(cv.stencil, cv.fweights, self.space_shape)
-             for cv in self.conv if cv is not None),
-            default=0.0,
+            clamped_share(cv.stencil, cv.fweights, self.space_shape) for cv in self.conv
         )
 
     def _time_quadrature(self, t: float, t_pos: np.ndarray, jacobi) -> _Convolution:
@@ -625,10 +630,6 @@ class UpsilonOperator:
         hvals = np.empty((n_s * n_q, npts))     # H_min per (s-node, Gauss node)
         self.applies += 1
         for i, t in enumerate(t_pos):
-            if self.trivial_ham:
-                f_new[i + 1] = self.s_f[i] + self.ell0_cum[i] + self.h_const * t
-                fbar_new[i] = t**self.gamma * self.s_grad[i]
-                continue
             cv = self.conv[i]
             # interpolation is linear in the array: blend the two bracketing
             # time slices (times s^{-gamma}) first, then shift-interpolate
@@ -745,9 +746,11 @@ def picard_solve(
     ell0,
     cfg: SolverConfig,
     initial: str = "semigroup",
-    fit_grid=None,
 ) -> HJBSolution:
     """Iterate the Picard map to the mild-solution fixed point.
+
+    A problem the solver cannot take (see :func:`_check_problem_size`)
+    raises :class:`ConfigError` before anything else runs.
 
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
@@ -758,15 +761,11 @@ def picard_solve(
     :func:`weighted_distance` never change the fixed point, only the norm
     it is measured in; they serve :func:`contraction_ratios` alone.
     """
+    _check_problem_size(cfg, model.proj_dim, model.control_dim)
     diagnostics: dict = {}
     gamma = cfg.gamma
     if gamma is None:
-        if fit_grid is None:
-            fit_grid = np.geomspace(1e-4 * cfg.horizon, 0.1 * cfg.horizon, 20)
-        windows = tuple(
-            (0.9 * d, 1.1 * d) for d in model.control_discontinuities
-        )
-        fit = fit_blowup(model, fit_grid, exclude_windows=windows)
+        fit = fit_blowup(model, np.geomspace(1e-4 * cfg.horizon, 0.1 * cfg.horizon, 20))
         gamma = float(np.clip(fit.gamma + 0.02, 0.05, 0.95))
         diagnostics["fitted_gamma"] = fit.gamma
         diagnostics["fit_slope"] = fit.slope

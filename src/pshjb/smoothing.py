@@ -99,18 +99,16 @@ def c_gradient_norm_bound_check(
     t: float,
     y0,
     rule: QuadratureRule,
-    mc_slack: float = 0.0,
 ) -> tuple[float, float, bool]:
     """Check |grad| <= ||Lambda(t)|| * sup|phi_bar| with a small slack.
 
-    The bound is uniform over bounded projected costs; ``mc_slack`` absorbs
-    Monte Carlo noise when the rule is stochastic.
+    The bound is uniform over bounded projected costs.
     """
     grad = c_gradient_semigroup(model, phi, t, y0, rule)
     lam = lambda_operator(model, t)
     lhs = float(np.linalg.norm(grad))
     rhs = lam.norm * phi.bound
-    ok = lhs <= rhs * (1.0 + 1e-3) + mc_slack + 1e-12
+    ok = lhs <= rhs * (1.0 + 1e-3) + 1e-12
     return lhs, rhs, ok
 
 
@@ -130,18 +128,14 @@ class BlowupFit:
         return -self.slope
 
 
-def fit_blowup(
-    model: ProjectedModel,
-    t_grid,
-    exclude_windows: tuple[tuple[float, float], ...] = (),
-    drop_largest_fraction: float = 0.10,
-) -> BlowupFit:
+def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     """Fit the blow-up exponent of ||Lambda(t)|| over a time grid.
 
     The power law is asymptotic as t -> 0, so the largest 10% of the grid is
-    excluded from the regression by default; ``exclude_windows`` removes
-    neighborhoods of known jump times (delay-atom activations).  Requires at
-    least 10 logarithmically spaced points.
+    excluded from the regression, and so is every point within 10% of one
+    of the model's ``control_discontinuities`` (delay-atom activations),
+    where the norm jumps.  Requires at least 10 logarithmically spaced
+    points, and at least 5 left after the exclusions.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if t_grid.size < 10:
@@ -149,11 +143,9 @@ def fit_blowup(
     norms = np.array([lambda_operator(model, t).norm for t in t_grid])
 
     keep = np.ones(t_grid.size, dtype=bool)
-    n_drop = int(np.floor(drop_largest_fraction * t_grid.size))
-    if n_drop > 0:
-        keep[np.argsort(t_grid)[-n_drop:]] = False
-    for lo, hi in exclude_windows:
-        keep &= ~((t_grid >= lo) & (t_grid <= hi))
+    keep[-(t_grid.size // 10):] = False          # the grid is sorted
+    for d in model.control_discontinuities:
+        keep &= ~((t_grid >= 0.9 * d) & (t_grid <= 1.1 * d))
     if keep.sum() < 5:
         raise ValueError("too few points left after exclusions")
 

@@ -1,9 +1,12 @@
-"""Dense matrix functions, Gaussian expectation engines and quadrature rules.
+"""Dense matrix functions, Gaussian expectations and quadrature rules.
 
 Everything here works on small dense matrices (dimensions up to a few
 hundred).  PSD matrix functions go through a symmetric eigendecomposition so
 that pseudo-inverses annihilate the kernel exactly instead of amplifying
 noise; the exponential of a general square matrix uses scaling and squaring.
+Gaussian expectations use one rule, tensor Gauss-Hermite, whose order**dim
+nodes limit it to MAX_HERMITE_DIM dimensions; the time integrals use
+Gauss-Jacobi.
 """
 
 from __future__ import annotations
@@ -18,6 +21,9 @@ from .errors import DimensionMismatch, DimensionTooLarge, NotPSD
 # raise NotPSD, eigenvalues below RANK_TOL * lam_max count as kernel.
 TOL_PSD = 1e-10
 RANK_TOL = 1e-12
+
+# Largest dimension of the tensor Gauss-Hermite rule (order**dim nodes).
+MAX_HERMITE_DIM = 3
 
 
 @dataclass(frozen=True)
@@ -44,14 +50,11 @@ class GaussianMeasureN:
 class QuadratureRule:
     """Nodes/weights approximating expectations under N(0, I_dim).
 
-    ``kind`` is ``"tensor-hermite"`` or ``"monte-carlo"``; nodes have shape
-    (n_nodes, dim) and weights sum to one.
+    Nodes have shape (n_nodes, dim) and weights sum to one.
     """
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
-    seed: int | None = None
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -123,58 +126,28 @@ def psd_image_projector(m, rank_tol: float = RANK_TOL) -> np.ndarray:
     return (v[:, keep]) @ v[:, keep].T
 
 
-def build_quadrature(
-    dim: int,
-    kind: str = "tensor-hermite",
-    order_or_samples: int = 8,
-    seed: int | None = None,
-) -> QuadratureRule:
-    """Build a standard-normal quadrature rule in ``dim`` dimensions.
+def build_quadrature(dim: int, order: int) -> QuadratureRule:
+    """Tensor Gauss-Hermite rule for N(0, I_dim) with ``order`` nodes per axis.
 
-    Tensor Gauss-Hermite is exact for polynomials of degree <= 2*order - 1
-    per coordinate but its node count is order**dim, so it is refused above
-    four dimensions; Monte Carlo works in any dimension and is reproducible
-    for a fixed seed.
+    Exact for polynomials of degree <= 2*order - 1 per coordinate; its node
+    count is order**dim, so it is refused above MAX_HERMITE_DIM dimensions.
     """
     if dim < 1:
         raise DimensionMismatch("dim must be >= 1")
-    if kind == "tensor-hermite":
-        if dim > 4:
-            raise DimensionTooLarge(
-                f"tensor-hermite with dim={dim} > 4 (node count {order_or_samples}**{dim})"
-            )
-        x, w = np.polynomial.hermite.hermgauss(order_or_samples)
-        z = np.sqrt(2.0) * x          # physicists' -> standard normal nodes
-        w = w / np.sqrt(np.pi)
-        grids = np.meshgrid(*([z] * dim), indexing="ij")
-        nodes = np.stack([g.ravel() for g in grids], axis=-1)
-        wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-        weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
-        weights = weights / weights.sum()
-        return QuadratureRule("tensor-hermite", nodes, weights)
-    if kind == "monte-carlo":
-        if seed is None:
-            raise ValueError("monte-carlo rule requires a seed")
-        rng = np.random.default_rng(seed)
-        nodes = rng.standard_normal((order_or_samples, dim))
-        weights = np.full(order_or_samples, 1.0 / order_or_samples)
-        return QuadratureRule("monte-carlo", nodes, weights, seed=seed)
-    raise ValueError(f"unknown quadrature kind {kind!r}")
-
-
-def default_rule_for_dim(
-    dim: int, order: int = 8, mc_samples: int = 4000, seed: int = 0
-) -> QuadratureRule:
-    """Tensor-Hermite for dim <= 3, Monte Carlo beyond (node-count explosion)."""
-    if dim <= 3:
-        return build_quadrature(dim, "tensor-hermite", order)
-    return build_quadrature(dim, "monte-carlo", mc_samples, seed=seed)
-
-
-def default_rule_size(dim: int, order: int, mc_samples: int) -> int:
-    """Node count of ``default_rule_for_dim(dim, order, mc_samples)``,
-    without building the rule."""
-    return order**dim if dim <= 3 else mc_samples
+    if dim > MAX_HERMITE_DIM:
+        raise DimensionTooLarge(
+            f"tensor Gauss-Hermite with dim={dim} > {MAX_HERMITE_DIM} "
+            f"(node count {order}**{dim})"
+        )
+    x, w = np.polynomial.hermite.hermgauss(order)
+    z = np.sqrt(2.0) * x          # physicists' -> standard normal nodes
+    w = w / np.sqrt(np.pi)
+    grids = np.meshgrid(*([z] * dim), indexing="ij")
+    nodes = np.stack([g.ravel() for g in grids], axis=-1)
+    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
+    weights = np.prod(np.stack([g.ravel() for g in wgrids], axis=-1), axis=-1)
+    weights = weights / weights.sum()
+    return QuadratureRule(nodes, weights)
 
 
 def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -263,18 +236,11 @@ def expm(a) -> np.ndarray:
     return x
 
 
-def gauss_expectation(
-    f,
-    mu: GaussianMeasureN,
-    rule: QuadratureRule,
-    return_stderr: bool = False,
-):
+def gauss_expectation(f, mu: GaussianMeasureN, rule: QuadratureRule) -> float:
     """Expectation of ``f`` under ``mu`` using a standard-normal rule.
 
     ``f`` must accept an (n, dim) array and return an (n,) array.  Points are
-    ``mean + L @ node`` with ``L = psd_sqrt(covariance)``.  With
-    ``return_stderr=True`` the Monte Carlo standard error is also returned
-    (zero for deterministic rules).
+    ``mean + L @ node`` with ``L = psd_sqrt(covariance)``.
     """
     if rule.dim != mu.dim:
         raise DimensionMismatch(
@@ -285,12 +251,4 @@ def gauss_expectation(
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (rule.nodes.shape[0],):
         raise DimensionMismatch("integrand must map (n, dim) -> (n,)")
-    est = float(rule.weights @ vals)
-    if not return_stderr:
-        return est
-    if rule.kind == "monte-carlo":
-        n = vals.shape[0]
-        stderr = float(vals.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-    else:
-        stderr = 0.0
-    return est, stderr
+    return float(rule.weights @ vals)

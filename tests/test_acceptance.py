@@ -102,9 +102,8 @@ def solutions(heat_problem, delay_problem):
 def test_criterion_1_delay_blowup(delay_problem):
     t0 = time.perf_counter()
     model = delay_problem["model"]
-    d = model.cfg.delay
     grid = np.geomspace(1e-4, 1e-1, 20)
-    fit = fit_blowup(model, grid, exclude_windows=((0.9 * d, 1.1 * d),))
+    fit = fit_blowup(model, grid)
     elapsed = time.perf_counter() - t0
     ok = abs(fit.slope + 0.5) <= 0.02 and elapsed < 5.0
     report(1, ok, f"slope {fit.slope:+.4f} (target -0.50 +/- 0.02), "
@@ -147,7 +146,7 @@ def test_criterion_3_scalar_oracles():
 
 
 def test_criterion_4_c_gradient_fd(heat_problem, delay_problem):
-    rule = build_quadrature(2, "tensor-hermite", 12)
+    rule = build_quadrature(2, 12)
     worst = 0.0
     for prob in (heat_problem, delay_problem):
         model, phi = prob["model"], prob["phi"]
@@ -171,7 +170,7 @@ def test_criterion_4_c_gradient_fd(heat_problem, delay_problem):
 
 
 def test_criterion_5_gradient_bound(heat_problem, delay_problem):
-    rule = build_quadrature(2, "tensor-hermite", 12)
+    rule = build_quadrature(2, 12)
     all_ok, worst = True, 0.0
     for prob in (heat_problem, delay_problem):
         model = prob["model"]
@@ -197,7 +196,7 @@ def test_criterion_6_cameron_martin():
     a = rng.standard_normal((2, 2))
     cov = a @ a.T + 0.3 * np.eye(2)
     y = np.array([0.4, -0.6])
-    rule = build_quadrature(2, "tensor-hermite", 30)
+    rule = build_quadrature(2, 30)
     total = gauss_expectation(
         lambda z: np.array([cameron_martin_density(cov, y, zi) for zi in z]),
         GaussianMeasureN(np.zeros(2), cov),
@@ -290,7 +289,7 @@ def test_criterion_9_uniqueness(heat_problem, delay_problem, solutions):
 
 
 def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solutions):
-    rule = build_quadrature(2, "tensor-hermite", 12)
+    rule = build_quadrature(2, 12)
     ok = True
     details = []
     # terminal condition: exact on any state

@@ -94,6 +94,20 @@ class TestSolve:
         )
         assert rc == 1
 
+    def test_solve_does_not_depend_on_seed(self, tmp_path):
+        # the solve draws nothing at random: --seed reaches only simulate
+        path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads",
+                            "delay.yaml")
+        outs = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            rc = main(["solve", "--config", path, "--out-dir", str(out), "--seed", seed,
+                       "--quiet"])
+            assert rc == 0
+            outs.append([(out / name).read_bytes()
+                         for name in ("solution.csv", "solve_meta.json")])
+        assert outs[0] == outs[1]
+
     def test_tiny_max_iter_reports_residual(self, tmp_path):
         cfg = small_delay_config(**{"solver.max_iter": 1, "solver.tol": 1e-12})
         path = write_config(tmp_path, cfg)
@@ -121,6 +135,7 @@ class TestInvalidConfig:
         ("check", {"psd_probe": [[1.0]]}),
         # listed last so the generated ids of the cases above stay as they were
         ("simulate.n_random_policies", -3),
+        ("solver.mc_samples", 4000),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -133,11 +148,12 @@ class TestInvalidConfig:
         assert key.split(".")[-1] in err
         assert not (out / "solve_meta.json").exists()
 
-    @pytest.mark.parametrize("n_proj, need", [(3, "1.68 GB"), (4, "1.27e+03 GB")])
+    @pytest.mark.parametrize("n_proj, need", [(3, "1.68 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
                                         n_proj, need):
-        # solver defaults: the tensor rule at N = 3, the Monte Carlo rule at
-        # N = 4; the estimate comes from the sizes, so no operator is built
+        # solver defaults: the apply estimate at N = 3, the quadrature rule's
+        # dimension cap at N = 4; both come from the sizes, so no operator
+        # is built
         from pshjb import hjb
 
         def no_operator(*args, **kwargs):
@@ -153,9 +169,28 @@ class TestInvalidConfig:
         rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and f"about {need} per" in err
+        assert err.startswith("config error: ")
+        assert (f"about {need} per" if n_proj == 3 else need) in err
         assert f"N = {n_proj}" in err
         assert not (out / "solve_meta.json").exists()
+
+    def test_size_is_checked_only_by_a_solve(self, tmp_path):
+        # the unprojected heat model (N = 8) is too large to solve, but the
+        # blow-up diagnostic and the invariant suite never solve
+        cfg = small_delay_config()
+        cfg["model"] = {"kind": "heat",
+                        "heat": {"n_modes": 8, "projection": "identity"}}
+        cfg["cost"]["controls"] = {"points_per_dim": 3}
+        cfg["cost"]["phi"] = {"kind": "tanh", "direction": [1.0] * 8}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["lambda", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 0
+        assert (out / "lambda_fit.json").exists()
+        rc = main(["check", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc != 1
+        rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 1
 
     @pytest.mark.parametrize("key, value", [
         ("a0", [[float("nan"), 0.1], [0.0, -0.2]]),

@@ -296,7 +296,7 @@ class TestUpsilon:
         for i in (3, 10, len(t_grid) - 1):
             t = t_grid[i]
             y0 = np.array([trivial_ups.space_axes[d][mid[d]] for d in range(2)])
-            rule = build_quadrature(2, "tensor-hermite", 12)
+            rule = build_quadrature(2, 12)
             ref = semigroup_apply(
                 delay_model, trivial_ups.phi, t, y0, rule
             ) + 0.3 * t
@@ -401,15 +401,6 @@ class TestPicard:
         with pytest.raises(NoContraction):
             picard_solve(delay_model, ham, phi, costs.constant_ell0(0.0), cfg)
 
-    def test_solve_does_not_depend_on_seed(self, mini_delay_solution, delay_model):
-        # no random probe draws from the seed, so it cannot change the solve
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        other = picard_solve(delay_model, ham, phi, ell0,
-                             SolverConfig(**MINI_CFG, seed=103))
-        assert other.iterations == 13
-        assert np.array_equal(other.iterate.f_values, sol.iterate.f_values)
-        assert np.array_equal(other.iterate.fbar_values, sol.iterate.fbar_values)
-
     @staticmethod
     def _three_control_setup(control, **solver):
         ham = Hamiltonian([[-control], [0.0], [control]], [0.0, 0.0, 0.0])
@@ -498,7 +489,7 @@ class TestEvaluation:
         c = 0.25
         cfg = SolverConfig(**MINI_CFG)
         sol = picard_solve(delay_model, ham, phi, costs.constant_ell0(c), cfg)
-        rule = build_quadrature(2, "tensor-hermite", 12)
+        rule = build_quadrature(2, 12)
         axes = sol.iterate.space_axes
         for i, (j1, j2) in ((2, (10, 12)), (8, (9, 10)), (15, (11, 9))):
             tau = sol.iterate.time_grid[1:][i]
@@ -535,7 +526,7 @@ class TestEvaluation:
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         cfg = SolverConfig(**{**MINI_CFG, "quad_order": 8})
         sol = picard_solve(delay_model, ham, phi, costs.constant_ell0(0.0), cfg)
-        rule = build_quadrature(2, "tensor-hermite", 12)
+        rule = build_quadrature(2, 12)
         axes = sol.iterate.space_axes
         for i, (j1, j2) in ((5, (10, 11)), (12, (9, 10))):
             tau = sol.iterate.time_grid[1:][i]

@@ -10,8 +10,8 @@ from pshjb.ou import (
 )
 from pshjb.spectral import GaussianMeasureN, build_quadrature, gauss_expectation
 
-RULE1 = build_quadrature(1, "tensor-hermite", 12)
-RULE2 = build_quadrature(2, "tensor-hermite", 10)
+RULE1 = build_quadrature(1, 12)
+RULE2 = build_quadrature(2, 10)
 
 
 class TestSemigroupApply:
@@ -57,7 +57,7 @@ class TestSemigroupApply:
         lam = np.array([1.0, 4.0])
         x = np.zeros(64)
         x[:2] = [0.6, -0.4]
-        rule = build_quadrature(2, "tensor-hermite", 18)
+        rule = build_quadrature(2, 18)
 
         def inner(y):           # R_s[phi] as a function of projected coords
             flat = y.reshape(-1, 2)
@@ -99,7 +99,7 @@ class TestCameronMartin:
         a = rng.standard_normal((2, 2))
         cov = a @ a.T + 0.3 * np.eye(2)
         y = np.array([0.4, -0.6])
-        rule = build_quadrature(2, "tensor-hermite", 30)
+        rule = build_quadrature(2, 30)
         total = gauss_expectation(
             lambda z: np.array([cameron_martin_density(cov, y, zi) for zi in z]),
             GaussianMeasureN(np.zeros(2), cov),
@@ -111,7 +111,7 @@ class TestCameronMartin:
         # E_{N(0,C)}[d(C, y, .) g(.)] = E_{N(y,C)}[g] for deg <= 3
         cov = np.array([[1.2, -0.2], [-0.2, 0.8]])
         y = np.array([0.5, 0.3])
-        rule = build_quadrature(2, "tensor-hermite", 30)
+        rule = build_quadrature(2, 30)
         polys = [
             lambda z: z[:, 0],
             lambda z: z[:, 0] * z[:, 1],

@@ -15,8 +15,8 @@ from pshjb.spectral import build_quadrature
 
 from conftest import scalar_delay_config
 
-RULE12_1 = build_quadrature(1, "tensor-hermite", 12)
-RULE12_2 = build_quadrature(2, "tensor-hermite", 12)
+RULE12_1 = build_quadrature(1, 12)
+RULE12_2 = build_quadrature(2, 12)
 
 
 def rule_for(model):
@@ -152,9 +152,11 @@ class TestBlowupFit:
             fit_blowup(delay_scalar, np.geomspace(1e-3, 1e-1, 5))
 
     def test_exclusion_windows(self):
+        # the atom at delay d switches on at t = d: the fit leaves out the
+        # points within 10% of it, and a grid inside that window is empty
         model = delay.build_projected_model(scalar_delay_config(c=2.0, d=0.01))
-        grid = np.geomspace(1e-4, 1e-1, 30)
-        fit = fit_blowup(model, grid, exclude_windows=((0.009, 0.011),))
+        assert model.control_discontinuities == (0.01,)
+        fit = fit_blowup(model, np.geomspace(1e-4, 1e-1, 30))
         assert np.isfinite(fit.slope)
         with pytest.raises(ValueError):
-            fit_blowup(model, grid, exclude_windows=((1e-5, 1.0),))
+            fit_blowup(model, np.geomspace(0.9 * 0.01, 1.1 * 0.01, 12))

@@ -84,42 +84,34 @@ class TestPsdPinvSqrt:
 
 class TestQuadrature:
     def test_hermite_1d(self):
-        rule = build_quadrature(1, "tensor-hermite", 8)
+        rule = build_quadrature(1, 8)
         assert rule.nodes.shape == (8, 1)
         assert abs(rule.weights.sum() - 1.0) <= 1e-12
 
     def test_hermite_tensor_count(self):
-        rule = build_quadrature(2, "tensor-hermite", 8)
+        rule = build_quadrature(2, 8)
         assert rule.nodes.shape == (64, 2)
 
     def test_hermite_dim_limit(self):
-        with pytest.raises(DimensionTooLarge):
-            build_quadrature(5, "tensor-hermite", 4)
-
-    def test_mc_reproducible(self):
-        r1 = build_quadrature(6, "monte-carlo", 10_000, seed=42)
-        r2 = build_quadrature(6, "monte-carlo", 10_000, seed=42)
-        assert np.array_equal(r1.nodes, r2.nodes)
-        assert np.array_equal(r1.weights, r2.weights)
-
-    def test_mc_requires_seed(self):
-        with pytest.raises(ValueError):
-            build_quadrature(2, "monte-carlo", 100)
+        assert build_quadrature(3, 2).nodes.shape == (8, 3)
+        for dim in (4, 5):
+            with pytest.raises(DimensionTooLarge):
+                build_quadrature(dim, 4)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
-            QuadratureRule("tensor-hermite", np.zeros((2, 1)), np.array([0.5, 0.6]))
+            QuadratureRule(np.zeros((2, 1)), np.array([0.5, 0.6]))
 
 
 class TestGaussExpectation:
     def test_constant(self):
-        rule = build_quadrature(2, "tensor-hermite", 4)
+        rule = build_quadrature(2, 4)
         mu = GaussianMeasureN(np.zeros(2), np.eye(2))
         est = gauss_expectation(lambda z: np.full(len(z), 3.25), mu, rule)
         assert abs(est - 3.25) <= 1e-14
 
     def test_second_moment(self):
-        rule = build_quadrature(1, "tensor-hermite", 8)
+        rule = build_quadrature(1, 8)
         sigma2 = 0.7
         mu = GaussianMeasureN(np.zeros(1), np.array([[sigma2]]))
         est = gauss_expectation(lambda z: z[:, 0] ** 2, mu, rule)
@@ -129,31 +121,22 @@ class TestGaussExpectation:
         rng = np.random.default_rng(0)
         mean = rng.standard_normal(2)
         cov = random_spd(rng, 2)
-        rule = build_quadrature(2, "tensor-hermite", 6)
+        rule = build_quadrature(2, 6)
         est = gauss_expectation(lambda z: z[:, 0], GaussianMeasureN(mean, cov), rule)
         assert abs(est - mean[0]) <= 1e-12
 
     @pytest.mark.parametrize("order", [4, 8])
     def test_polynomial_exactness(self, order):
         # exact for degree <= 2*order - 1 per variable
-        rule = build_quadrature(1, "tensor-hermite", order)
+        rule = build_quadrature(1, order)
         mu = GaussianMeasureN(np.zeros(1), np.eye(1))
         deg = 2 * order - 2
         est = gauss_expectation(lambda z: z[:, 0] ** deg, mu, rule)
         exact = float(np.prod(np.arange(deg - 1, 0, -2)))   # (deg-1)!!
         assert abs(est - exact) <= 1e-12 * max(exact, 1.0)
 
-    def test_mc_stderr(self):
-        rule = build_quadrature(3, "monte-carlo", 20_000, seed=1)
-        mu = GaussianMeasureN(np.zeros(3), np.eye(3))
-        est, se = gauss_expectation(
-            lambda z: z[:, 0] ** 2, mu, rule, return_stderr=True
-        )
-        assert se > 0
-        assert abs(est - 1.0) <= 4 * se
-
     def test_dimension_mismatch(self):
-        rule = build_quadrature(2, "tensor-hermite", 4)
+        rule = build_quadrature(2, 4)
         mu = GaussianMeasureN(np.zeros(3), np.eye(3))
         with pytest.raises(DimensionMismatch):
             gauss_expectation(lambda z: z[:, 0], mu, rule)

@@ -3,8 +3,8 @@
 Subcommands: ``solve`` (Picard solve, CSV solution + JSON metadata),
 ``lambda`` (smoothing-norm grid + blow-up fit), ``simulate`` (policy costs
 and dominance report), ``check`` (invariant suite).  Exit codes: 0 ok,
-1 config error, 2 no contraction, 3 inclusion/rank violation, 4 dominance
-violation, 5 invariant failure.
+1 config or usage error, 2 no contraction, 3 inclusion/rank violation,
+4 dominance violation, 5 invariant failure.
 
 All numeric CSV output uses 17 significant digits so identical configs and
 seeds reproduce byte-identical files.
@@ -209,8 +209,17 @@ def cmd_check(args, run: RunConfig) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with the config-error code, not argparse's 2,
+    which is the documented no-contraction code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="pshjb",
         description="HJB mild-solution solver for boundary/delayed control models",
     )
@@ -224,13 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--out-dir", default=".")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
         if name == "simulate":
+            # the only command that draws at random
+            p.add_argument("--seed", type=int, default=None)
             p.add_argument(
                 "--policy", choices=["greedy", "constant", "none"], default="greedy"
             )
-        p.set_defaults(func=fn)
+        p.set_defaults(func=fn, seed=None)
     return ap
 
 

@@ -27,6 +27,12 @@ recovered by the linear weight <proj_control(t) k, pushforward_cov(s,t)^+ Y>.
 Gaussian integration by parts shows this reproduces exactly the derivative of
 the convolution along the projected control direction (the only weight that
 passes the finite-difference oracle; see the norm-bound tests).
+
+The equation is a Volterra equation in time-to-go: Upsilon at time node i
+reads the gradient slices 0..i only.  The Picard loop therefore computes
+its iterates in sweeps with the time nodes as the outer loop, which build
+each node's shift matrices once for several iterates and give the iterates
+of one apply at a time, bit for bit (:class:`UpsilonOperator`).
 """
 
 from __future__ import annotations
@@ -61,10 +67,11 @@ from .spectral import (
 # per-block overhead, one block per time node lost the cache.
 APPLY_BLOCK_BYTES = 512 * 1024
 
-# Largest Picard apply working set a solve may ask for; a larger one would
+# Largest Picard sweep working set a solve may ask for; a larger one would
 # exhaust memory in the middle of the solve instead of failing at its start.
-# The shipped configs need 7.2 MB; n_proj: 3 at the solver defaults 1.7 GB.
-_APPLY_BUDGET_BYTES = 1 << 30
+# The shipped configs need 45 MB (heat) and 37 MB (delay); n_proj: 3 at the
+# solver defaults 2.8 GB.
+_SWEEP_BUDGET_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -75,6 +82,10 @@ class Hamiltonian:
     running_cost: np.ndarray     # (n_u,)
     # per control, its nonzero coordinates as (k, u_jk) pairs in k order
     terms: tuple = field(init=False, repr=False, compare=False)
+    # per control, 1 for the lower and 2 for the upper index of a +- pair
+    # (u and -u with one nonzero coordinate and equal running cost, each
+    # control in at most one pair, lowest free partner first), else 0
+    pair_role: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.control_points, dtype=float))
@@ -85,9 +96,23 @@ class Hamiltonian:
             raise DimensionMismatch("running_cost must match control grid length")
         object.__setattr__(self, "control_points", u)
         object.__setattr__(self, "running_cost", c)
-        object.__setattr__(self, "terms", tuple(
+        terms = tuple(
             tuple((k, float(uk)) for k, uk in enumerate(row) if uk != 0.0) for row in u
-        ))
+        )
+        object.__setattr__(self, "terms", terms)
+        role = [0] * len(terms)
+        # a running cost of -0.0 is the one source of -0.0 values, whose
+        # minimum with +0.0 depends on the order the controls are taken in
+        if not (np.signbit(c) & (c == 0.0)).any():
+            for j, tj in enumerate(terms):
+                if len(tj) != 1 or role[j]:
+                    continue
+                (k, uk), = tj
+                for j2 in range(j + 1, len(terms)):
+                    if not role[j2] and terms[j2] == ((k, -uk),) and c[j2] == c[j]:
+                        role[j], role[j2] = 1, 2
+                        break
+        object.__setattr__(self, "pair_role", tuple(role))
 
     @property
     def control_dim(self) -> int:
@@ -103,10 +128,15 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     all-zero controls, which are constants, enter last as one scalar.  Each
     control's values are ell1(u_j) + sum of u_jk p_k over its nonzero u_jk
     (``ham.terms``), summed in that order; a first u_jk of +-1 adds or
-    subtracts p_k without the multiply, which is exact.  ``out``, if given,
-    is a C-contiguous array of p.shape[1:] values that receives the
-    minimum.  With ``argmin`` the index of the minimizer is returned as
-    well; ties break to the lowest index (determinism).
+    subtracts p_k without the multiply, which is exact.  Without
+    ``argmin`` each +- pair (``ham.pair_role``) takes one pass,
+    ell1 - |u_k| |p_k|: rounding is monotone and symmetric, so this equals
+    min(ell1 + u_k p_k, ell1 - u_k p_k) bit for bit, and with no -0.0 cost
+    (the pairing's condition) no value is -0.0 and the minimum does not
+    depend on the order.  ``out``, if given, is a C-contiguous array of
+    p.shape[1:] values that receives the minimum.  With ``argmin`` the index
+    of the minimizer is returned as well; ties break to the lowest index
+    (determinism), so every control takes its own pass.
     """
     p2 = p.reshape(ham.control_dim, -1)
     if out is None:
@@ -117,15 +147,23 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         raise ValueError("out must be C-contiguous with one value per gradient")
     vals = np.empty_like(best)
     n_u = len(ham.terms)
+    pairs = (0,) * n_u if argmin else ham.pair_role
     # the first control with a nonzero coordinate starts the minimum
     lead = next((j for j, terms in enumerate(ham.terms) if terms), n_u)
     idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
     for j in range(lead, n_u):
+        if pairs[j] == 2:
+            continue                # folded into the lower index of its pair
         terms, cost = ham.terms[j], ham.running_cost[j]
         row = best if j == lead else vals
         if terms:
             (k, uk), *rest = terms
-            if uk == 1.0:
+            if pairs[j]:
+                np.abs(p2[k], out=row)
+                if abs(uk) != 1.0:
+                    row *= abs(uk)
+                np.subtract(cost, row, out=row)
+            elif uk == 1.0:
                 np.add(p2[k], cost, out=row)
             elif uk == -1.0:
                 np.subtract(cost, p2[k], out=row)
@@ -244,25 +282,32 @@ class HJBSolution:
 def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int):
     """Raise :class:`ConfigError` for a problem the solver cannot take: a
     projected dimension N above the tensor Gauss-Hermite rule's
-    MAX_HERMITE_DIM, or a Picard apply over _APPLY_BUDGET_BYTES.  The apply
-    estimate is the two arrays of one time node that grow with the problem:
-    the (S * n_q, P) H_min values and the (m, S, P) blended gradient slice,
-    for S = 2 * time_quad_order s-nodes, n_q = quad_order^N quadrature nodes
-    and P = space_points^N mesh points.  Computed from the sizes alone, so
-    it builds no array."""
+    MAX_HERMITE_DIM, or a Picard sweep over _SWEEP_BUDGET_BYTES.  The sweep
+    estimate is what grows with the problem, for S = 2 * time_quad_order
+    s-nodes, n_q = quad_order^N quadrature nodes, n = space_points and
+    P = n^N mesh points: at one time node the (S * n_q, P) H_min values,
+    the (m, S, P) blended gradient slice and the S * n_q * N shift matrices
+    of n x n; and the sweep's iterates, (n_time + 1 + m * n_time) * P values
+    each, at the longest sweep of max(1, max_iter // 2) iterates
+    (:func:`_sweep_length`).  Computed from the sizes alone, so it builds no
+    array."""
     if proj_dim > MAX_HERMITE_DIM:
         raise ConfigError(
             f"the projected dimension N = {proj_dim} is above "
             f"{MAX_HERMITE_DIM}, the most the tensor Gauss-Hermite rule takes"
         )
-    n_q = cfg.quad_order**proj_dim
-    need = 8 * 2 * cfg.time_quad_order * cfg.space_points**proj_dim * (n_q + control_dim)
-    if need > _APPLY_BUDGET_BYTES:
+    n = cfg.space_points
+    n_q, n_pts = cfg.quad_order**proj_dim, n**proj_dim
+    node = 2 * cfg.time_quad_order * (n_pts * (n_q + control_dim) + n_q * proj_dim * n * n)
+    iterates = max(1, cfg.max_iter // 2) * n_pts * (cfg.n_time + 1 + control_dim * cfg.n_time)
+    need = 8 * (node + iterates)
+    if need > _SWEEP_BUDGET_BYTES:
         raise ConfigError(
-            f"the solver would need about {need / 1e9:.3g} GB per Picard apply "
-            f"(N = {proj_dim}, space_points = {cfg.space_points}, quad_order = "
-            f"{cfg.quad_order}, time_quad_order = {cfg.time_quad_order}); the "
-            f"budget is {_APPLY_BUDGET_BYTES / 1e9:.3g} GB"
+            f"the solver would need about {need / 1e9:.3g} GB per Picard sweep "
+            f"(N = {proj_dim}, space_points = {n}, quad_order = {cfg.quad_order}, "
+            f"time_quad_order = {cfg.time_quad_order}, n_time = {cfg.n_time}, "
+            f"max_iter = {cfg.max_iter}); the budget is "
+            f"{_SWEEP_BUDGET_BYTES / 1e9:.3g} GB"
         )
 
 
@@ -344,13 +389,15 @@ def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarra
     return tuple(out)
 
 
-def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = False) -> np.ndarray:
+def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = False,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """(*B, n, n) matrices W with (W F)[j] = (1 - a) F[lo] + a F[hi],
     lo = clip(j + k), hi = clip(j + k + 1): clamped linear interpolation.
 
     With ``transpose`` the result holds W.T, written in C order by the same
     two scatters with the row and column roles swapped; its entries equal
-    those of ``np.swapaxes(W, -1, -2)`` exactly."""
+    those of ``np.swapaxes(W, -1, -2)`` exactly.  ``out``, if given, is a
+    C-contiguous (*B, n, n) array that is zeroed and receives W."""
     lo = k[..., None] + np.arange(n)
     # flat index of entry (j, c) of matrix b: rows[b, j] + step * c, with
     # rows = (b n + j) n, step = 1, or for the transposes b n^2 + j, step = n
@@ -359,7 +406,11 @@ def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = Fals
     if transpose:
         rows -= (n - 1) * np.arange(n)
         step = n
-    w = np.zeros(lo.shape + (n,))
+    if out is None:
+        w = np.zeros(lo.shape + (n,))
+    else:
+        w = out
+        w.fill(0.0)
     flat = w.reshape(-1)
     # ufuncs, not np.clip: its wrapper costs more than the work on a block
     flat[rows + step * np.minimum(np.maximum(lo, 0), n - 1)] = (1.0 - a)[..., None]
@@ -368,15 +419,28 @@ def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = Fals
     return w
 
 
-def interp_shifted(values: np.ndarray, stencil) -> np.ndarray:
+def shift_matrices(stencil, grid: tuple[int, ...], out=None) -> tuple[np.ndarray, ...]:
+    """Per-axis interpolation matrices of a :func:`shift_stencil`, one
+    (*B, n, n) array per axis of ``grid``: :func:`_shift_matrices`, with the
+    last axis's built transposed for :func:`interp_shifted`.  They depend on
+    the stencil alone, so one set serves every array interpolated with it.
+    ``out``, if given, holds one array per axis that receives them."""
+    last = len(stencil) - 1
+    out = out or (None,) * len(stencil)
+    return tuple(_shift_matrices(k, a, n, transpose=d == last, out=w)
+                 for d, ((k, a), n, w) in enumerate(zip(stencil, grid, out)))
+
+
+def interp_shifted(values: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
     """Multilinear interpolation at every mesh point plus each stencil shift.
 
-    ``values`` has shape (*Bv, *grid_shape) with Bv broadcasting against the
-    stencil's batch shape B; the result has shape (*broadcast(Bv, B),
-    *grid_shape).  With the shift fixed across the mesh the interpolation
-    is separable: an N-mode product with one clamped 1-D interpolation
-    matrix per axis (``Wx @ F @ Wy.T`` in 2-D), which reproduces
-    :func:`interp_space` (``mode="nearest"``) at mesh + shift.
+    ``mats`` are the :func:`shift_matrices` of a stencil of batch shape B.
+    ``values`` has shape (*Bv, *grid_shape) with Bv broadcasting against B;
+    the result has shape (*broadcast(Bv, B), *grid_shape).  With the shift
+    fixed across the mesh the interpolation is separable: an N-mode product
+    with one clamped 1-D interpolation matrix per axis (``Wx @ F @ Wy.T`` in
+    2-D), which reproduces :func:`interp_space` (``mode="nearest"``) at
+    mesh + shift.
 
     Operand layout: every product hands matmul C-contiguous matrices, the
     layout in which it calls BLAS gemm directly.  The last axis's matrices
@@ -384,14 +448,12 @@ def interp_shifted(values: np.ndarray, stencil) -> np.ndarray:
     on which matmul runs about 2x slower for the same result.  ``values``
     should be C-contiguous in its last N axes for the same reason.
     """
-    n_dim = len(stencil)
+    n_dim = len(mats)
     grid = values.shape[values.ndim - n_dim:]
-    batch = np.broadcast_shapes(values.shape[:-n_dim], stencil[0][0].shape)
-    for d, (k, a) in enumerate(stencil):
-        last = d == n_dim - 1
-        w = _shift_matrices(k, a, grid[d], transpose=last)
+    batch = np.broadcast_shapes(values.shape[:-n_dim], mats[0].shape[:-2])
+    for d, w in enumerate(mats):
         lead = values.shape[:-n_dim] + (math.prod(grid[:d]), grid[d])
-        if last:
+        if d == n_dim - 1:
             values = values.reshape(lead) @ w
         else:
             post = math.prod(grid[d + 1:])
@@ -467,14 +529,22 @@ class UpsilonOperator:
 
     Everything that does not depend on the iterate (semigroup terms,
     covariance square roots, quadrature offsets and gradient weights) is
-    assembled once; ``apply`` then only interpolates, evaluates the
+    assembled once; ``sweep`` then only interpolates, evaluates the
     Hamiltonian and sums.
 
-    ``apply`` relies on three facts: the space grid is a uniform tensor
+    ``sweep`` relies on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
     mesh point, and interpolation clamps at the box edge.  Interpolating the
     gradient iterate at mesh + offset is then a separable per-axis product
-    (:func:`shift_stencil`, :func:`interp_shifted`).
+    (:func:`shift_stencil`, :func:`shift_matrices`, :func:`interp_shifted`).
+
+    Loop order: ``sweep(g, n)`` runs the time nodes in the outer loop and
+    the n iterates in the inner one.  Node i of iterate l + 1 reads only
+    slices 0..i of iterate l, which the earlier nodes and the previous pass
+    at node i have finished; each node builds its shift matrices once and
+    runs all n iterates through them.  Every iterate is computed by the
+    same operations on the same operands as in a one-iterate sweep, so it
+    is the same bit for bit; ``apply`` is ``sweep(g, 1)[0]``.
 
     At each time node the (s-node, Gauss node) pairs are taken in blocks of
     at most APPLY_BLOCK_BYTES of interpolated gradient values: whole
@@ -482,11 +552,13 @@ class UpsilonOperator:
     larger (:func:`_pair_blocks`).  Each block is interpolated and its
     H_min values are written into one (S * n_q, P) array (S s-nodes, n_q
     Gauss nodes, P mesh points); the two quadrature sums then run on that
-    array.  Blocking changes no arithmetic, and the transient memory per
-    time node is a small multiple of APPLY_BLOCK_BYTES plus S * n_q * P * 8
-    bytes.
+    array.  Blocking changes no arithmetic.  Memory: besides the n
+    iterates, a sweep holds a small multiple of APPLY_BLOCK_BYTES, the
+    S * n_q * P * 8 bytes of H_min values and one node's shift matrices,
+    S * n_q * N * n^2 * 8 bytes for n points per axis (13.6 MB on the
+    shipped 41-point grids), in buffers that every node rewrites.
 
-    Operand layout: ``apply`` writes each time node's blended gradient
+    Operand layout: ``sweep`` writes each time node's blended gradient
     slice components first into a C-contiguous (m, S, *grid) array, so
     every interpolation product gets contiguous matrices (see
     :func:`interp_shifted`).  A view of the iterate's components-last
@@ -518,7 +590,7 @@ class UpsilonOperator:
         self.space_shape = shape
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute(ell0)
-        self.applies = 0     # calls of apply, for the solve diagnostics
+        self.applies = 0     # iterates computed, for the solve diagnostics
 
     # -- assembly ----------------------------------------------------------
     def _precompute(self, ell0):
@@ -616,38 +688,53 @@ class UpsilonOperator:
 
     # -- the map -----------------------------------------------------------
     def apply(self, g: ValueIterate) -> ValueIterate:
+        """Upsilon(g)."""
+        return self.sweep(g, 1)[0]
+
+    def sweep(self, g: ValueIterate, n: int) -> list[ValueIterate]:
+        """The n iterates Upsilon(g), ..., Upsilon^n(g), time node by time
+        node (see the class docstring for the loop order)."""
+        if n < 1:
+            raise ValueError(f"a sweep computes at least one iterate, got n = {n}")
         self._check_grids(g)
         t_pos = self.time_grid[1:]
         n_t = t_pos.size
         npts = self.mesh.shape[0]
         m = self.ham.control_dim
-        fbar = g.fbar_values
-        f_new = np.empty((n_t + 1, npts))
-        f_new[0] = self.phi(self.mesh)
-        fbar_new = np.empty((n_t, npts, m))
+        f_new = np.empty((n, n_t + 1, npts))
+        f_new[:, 0] = self.phi(self.mesh)
+        fbar_new = np.empty((n, n_t, npts, m))
+        # the gradient each iterate reads: g's, then the iterate before it
+        sources = [g.fbar_values] + list(
+            fbar_new[:-1].reshape((n - 1, n_t) + self.space_shape + (m,)))
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
         blocks = _pair_blocks(n_s, n_q, 8 * m * npts)
         hvals = np.empty((n_s * n_q, npts))     # H_min per (s-node, Gauss node)
-        self.applies += 1
+        # one node's shift matrices, rewritten at every node: fresh zeroed
+        # arrays of this size would be new pages to fault in at every node
+        mat_bufs = [np.empty((n_s, n_q, k, k)) for k in self.space_shape]
+        sl = np.empty((m, n_s) + self.space_shape)
+        src = sl[:, :, None]                    # (m, S, 1, *grid)
+        self.applies += n
         for i, t in enumerate(t_pos):
             cv = self.conv[i]
-            # interpolation is linear in the array: blend the two bracketing
-            # time slices (times s^{-gamma}) first, then shift-interpolate
-            # once per (s-node, Gauss node); the blend is written components
-            # first, one component at a time, so no second copy is made
-            sl = np.empty((m, n_s) + self.space_shape)
-            for k in range(m):
-                np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
-                sl[k] += cv.w1 * fbar[cv.i1, ..., k]
-            src = sl[:, :, None]                         # (m, S, 1, *grid)
-            for s0, s1, q0, q1 in blocks:
-                stencil = tuple((k[s0:s1, q0:q1], a[s0:s1, q0:q1]) for k, a in cv.stencil)
-                # p: (m, s1 - s0, q1 - q0, *grid), gradient components first
-                p = interp_shifted(src[:, s0:s1], stencil)
-                h_min_batch(self.ham, p, out=hvals[s0 * n_q + q0:(s1 - 1) * n_q + q1])
-            f_new[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
-            fbar_new[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
-        return self._pack(f_new, fbar_new)
+            node_mats = shift_matrices(cv.stencil, self.space_shape, out=mat_bufs)
+            mats = [tuple(w[s0:s1, q0:q1] for w in node_mats) for s0, s1, q0, q1 in blocks]
+            for fbar, f_out, fbar_out in zip(sources, f_new, fbar_new):
+                # interpolation is linear in the array: blend the two
+                # bracketing time slices (times s^{-gamma}) first, then
+                # shift-interpolate once per (s-node, Gauss node); the blend
+                # is written components first, one component at a time
+                for k in range(m):
+                    np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
+                    sl[k] += cv.w1 * fbar[cv.i1, ..., k]
+                for (s0, s1, q0, q1), w in zip(blocks, mats):
+                    # p: (m, s1 - s0, q1 - q0, *grid), gradient components first
+                    p = interp_shifted(src[:, s0:s1], w)
+                    h_min_batch(self.ham, p, out=hvals[s0 * n_q + q0:(s1 - 1) * n_q + q1])
+                f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
+                fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
+        return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)]
 
     def _check_grids(self, g: ValueIterate):
         if g.time_grid.shape != self.time_grid.shape or not np.allclose(
@@ -739,6 +826,24 @@ def contraction_ratios(
     return ratios
 
 
+def _sweep_length(residuals: list[float], cfg: SolverConfig) -> int:
+    """Iterates of the next :meth:`UpsilonOperator.sweep` of a Picard solve.
+
+    One until two residuals exist and after a rise.  Else, with k iterates
+    done and the last ratio q = d_k / d_{k-1} < 1, half of the
+    r = ceil(log(tol / d_k) / log q) further steps that q predicts to the
+    stop, at most k and at most what ``max_iter`` leaves: a longer sweep
+    saves more shift-matrix builds, a shorter one computes fewer iterates
+    past the stop.
+    """
+    k = len(residuals)
+    q = residuals[-1] / residuals[-2] if k >= 2 else 1.0
+    if q >= 1.0:
+        return 1
+    r = math.ceil(math.log(cfg.tol / residuals[-1]) / math.log(q))
+    return max(1, min(-(-r // 2), k, cfg.max_iter - k))
+
+
 def picard_solve(
     model: ProjectedModel,
     ham: Hamiltonian,
@@ -760,6 +865,14 @@ def picard_solve(
     means a sup residual below ``tol``.  The weighted norms of
     :func:`weighted_distance` never change the fixed point, only the norm
     it is measured in; they serve :func:`contraction_ratios` alone.
+
+    The iterates come in :meth:`UpsilonOperator.sweep` runs whose lengths
+    :func:`_sweep_length` takes from the residual history.  Both tests run
+    on every iterate in turn, so the result, the residual history and the
+    step at which :class:`NoContraction` is raised are those of a loop of
+    single applies; ``diagnostics["applies"]["picard"]`` counts the
+    iterates computed, which exceeds ``iterations`` only when a sweep runs
+    past the stop.
     """
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
     diagnostics: dict = {}
@@ -785,22 +898,26 @@ def picard_solve(
     residuals: list[float] = []
     ratios: list[float] = []
     bad_streak = 0
-    for _ in range(cfg.max_iter):
-        g_next = ups.apply(g)
-        d = weighted_distance(g_next, g, 0.0)
-        if residuals:
-            ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
-            ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio > 1.0 else 0
-            if bad_streak >= 3:
-                raise NoContraction(
-                    f"residual grew in the sup norm for 3 consecutive Picard steps "
-                    f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
-                )
-        residuals.append(d)
-        g = g_next
-        if d < cfg.tol:
-            break
+    converged = False
+    while not converged and len(residuals) < cfg.max_iter:
+        # the stop test and the growth rule run iterate by iterate, so a
+        # sweep that runs past the stop only costs its extra iterates
+        for g_next in ups.sweep(g, _sweep_length(residuals, cfg)):
+            d = weighted_distance(g_next, g, 0.0)
+            if residuals:
+                ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
+                ratios.append(ratio)
+                bad_streak = bad_streak + 1 if ratio > 1.0 else 0
+                if bad_streak >= 3:
+                    raise NoContraction(
+                        f"residual grew in the sup norm for 3 consecutive Picard steps "
+                        f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
+                    )
+            residuals.append(d)
+            g = g_next
+            converged = d < cfg.tol
+            if converged:
+                break
     diagnostics["applies"] = {"picard": ups.applies}
     diagnostics["residual_history"] = residuals
     return HJBSolution(

@@ -95,18 +95,37 @@ class TestSolve:
         assert rc == 1
 
     def test_solve_does_not_depend_on_seed(self, tmp_path):
-        # the solve draws nothing at random: --seed reaches only simulate
+        # the solve draws nothing at random: the config seed reaches only
+        # simulate
         path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads",
                             "delay.yaml")
+        with open(path) as fh:
+            cfg = yaml.safe_load(fh)
         outs = []
-        for seed in ("1", "2"):
-            out = tmp_path / seed
-            rc = main(["solve", "--config", path, "--out-dir", str(out), "--seed", seed,
-                       "--quiet"])
+        for seed in (1, 2):
+            cfg["seed"] = seed
+            out = tmp_path / str(seed)
+            rc = main(["solve", "--config", write_config(tmp_path, cfg, f"{seed}.yaml"),
+                       "--out-dir", str(out), "--quiet"])
             assert rc == 0
             outs.append([(out / name).read_bytes()
                          for name in ("solution.csv", "solve_meta.json")])
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("argv", [
+        [],                                              # no command
+        ["solve"],                                       # no --config
+        ["solve", "--config", "run.yaml", "--seed", "1"],  # simulate-only flag
+        ["check", "--config", "run.yaml", "--bogus"],
+    ])
+    def test_usage_error_is_a_config_error(self, capsys, argv):
+        # exit 1, not argparse's 2, which would read as "no contraction"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: pshjb") and "error: " in captured.err
 
     def test_tiny_max_iter_reports_residual(self, tmp_path):
         cfg = small_delay_config(**{"solver.max_iter": 1, "solver.tol": 1e-12})
@@ -148,10 +167,10 @@ class TestInvalidConfig:
         assert key.split(".")[-1] in err
         assert not (out / "solve_meta.json").exists()
 
-    @pytest.mark.parametrize("n_proj, need", [(3, "1.68 GB"), (4, "N = 4 is above 3")])
+    @pytest.mark.parametrize("n_proj, need", [(3, "2.81 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
                                         n_proj, need):
-        # solver defaults: the apply estimate at N = 3, the quadrature rule's
+        # solver defaults: the sweep estimate at N = 3, the quadrature rule's
         # dimension cap at N = 4; both come from the sizes, so no operator
         # is built
         from pshjb import hjb

@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from pshjb.hjb import (
     interp_space,
     make_space_axes,
     picard_solve,
+    shift_matrices,
     shift_stencil,
     weighted_distance,
 )
@@ -56,10 +58,13 @@ class TestHMin:
     def test_matches_brute_force(self, m):
         # an all-zero control, one with two nonzero coordinates, duplicated
         # rows (exact ties), axis-aligned controls and coefficients +-1 (a
-        # single term, the first of two terms, a later term), against the
-        # minimum of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
+        # single term, the first of two terms, a later term), and +- pairs:
+        # adjacent and not, |u| = 0.5, 1 and 1.5, next to look-alikes that
+        # must not pair (unequal costs, two coordinates, a duplicate whose
+        # partner is taken); against the minimum of ell1(u_j) + sum_k u_jk p_k
+        # summed in the routine's order
         rng = np.random.default_rng(m)
-        u = np.zeros((13, m))
+        u = np.zeros((22, m))
         u[1, 0], u[2, 1] = 1.5, -0.5
         u[3, :2] = (0.75, -1.25)
         u[4] = u[3]
@@ -67,12 +72,29 @@ class TestHMin:
         u[7, 0], u[8, m - 1] = 1.0, -1.0
         u[9, :2], u[10, :2] = (1.0, 0.75), (-1.0, -1.0)
         u[11, :2], u[12, :2] = (0.5, -1.0), (-0.25, 1.0)
-        cost = rng.uniform(0.0, 0.5, 13)
-        cost[4], cost[6] = cost[3], cost[1]
+        u[13], u[14], u[17], u[21] = -u[7], -u[2], -u[1], -u[8]
+        u[15, 0], u[16, 0] = 0.5, -0.5
+        u[18, 0], u[19, 0] = 0.75, -0.75
+        u[20] = -u[3]
+        cost = rng.integers(1, 8, len(u)) / 16.0      # dyadic: exact sums
         cost[0] = cost[5] = 0.0              # rows 0 and 5: all-zero controls
+        cost[1] = cost[6] = cost[17] = cost[10] = 0.0
+        cost[4] = cost[20] = cost[3]
+        cost[13], cost[14], cost[16], cost[21] = cost[7], cost[2], cost[15], cost[8]
+        cost[19] = cost[18] + 1.0 / 16.0
         ham = Hamiltonian(u, cost)
+        role = np.zeros(len(u), dtype=int)
+        role[[1, 2, 7, 8, 15]], role[[17, 14, 13, 21, 16]] = 1, 2
+        assert ham.pair_role == tuple(role)
         p = rng.standard_normal((m, 3, 4))
         p[:, 0, 0] = 0.0                     # every control costs only ell1
+        p[:, 0, 1] = -0.0
+        p[:, 0, 2] = (-0.0, 0.0) + (-0.0,) * (m - 2)
+        # exact ties across groups: rows 10 and 17 (the upper index of the
+        # pair (1, 17)) at -1.5; rows 1 and 6 (a pair's lower index and its
+        # unpaired duplicate) at -1.5
+        p[:, 1, 0] = (1.0, 0.5) + (0.0,) * (m - 2)
+        p[:, 1, 1] = (-1.0,) + (0.0,) * (m - 1)
         want = np.empty((len(u), 3, 4))
         for pos in np.ndindex(3, 4):
             for j, (uj, cj) in enumerate(zip(u, cost)):
@@ -82,6 +104,7 @@ class TestHMin:
                         v = v + uk * pk
                 want[(j,) + pos] = v
         want_v, want_i = want.min(axis=0), want.argmin(axis=0)
+        assert (want_i[1, 0], want_i[1, 1]) == (10, 1)
         # each control's own values, bit for bit
         for j in range(len(u)):
             alone = Hamiltonian(u[j:j + 1], cost[j:j + 1])
@@ -90,10 +113,24 @@ class TestHMin:
         value, idx = h_min_batch(ham, p, argmin=True, out=out)
         assert np.array_equal(value, want_v) and np.array_equal(idx, want_i)
         assert np.shares_memory(value, out) and np.array_equal(out, want_v)
-        assert np.array_equal(h_min_batch(ham, p), want_v)
+        folded = h_min_batch(ham, p)
+        assert np.array_equal(folded, want_v)
+        for v in (folded, value):             # no -0.0 from the +-0.0 gradients
+            assert not (np.signbit(v) & (v == 0.0)).any()
         assert idx[0, 0] == 0                # tie of the two all-zero controls
         with pytest.raises(ValueError):
             h_min_batch(ham, p, out=np.empty((4, 3)).T)
+        # a -0.0 cost turns the folding off: min(+0.0, -0.0) depends on order
+        cost[3] = -0.0
+        assert not any(Hamiltonian(u, cost).pair_role)
+
+    @pytest.mark.parametrize("ham, roles", [
+        (shipped_heat_ham(), (0, 1, 2, 1, 2)),
+        (shipped_delay_ham(), (1, 1, 0, 2, 2)),
+    ])
+    def test_shipped_control_pairs(self, ham, roles):
+        # heat's four pushes and delay's +-0.5 and +-1 fold into pairs
+        assert ham.pair_role == roles
 
 
 class TestScatteredInterpolation:
@@ -149,7 +186,7 @@ class TestShiftInterpolation:
         ])
         fields = rng.standard_normal((m, 2, 1) + shape)
         stencil = shift_stencil(axes, np.broadcast_to(shifts, (2,) + shifts.shape))
-        got = interp_shifted(fields, stencil)
+        got = interp_shifted(fields, shift_matrices(stencil, shape))
         assert got.shape == (m, 2, len(shifts)) + shape
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
         for k in range(m):
@@ -343,6 +380,30 @@ class TestUpsilon:
             assert np.array_equal(out.fbar_values, ref.fbar_values)
 
 
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    @pytest.mark.parametrize("start", ["initial", "random"])
+    def test_sweep_equals_successive_applies(self, name, start, mini_ups):
+        # node-major sweeps: every iterate bit for bit that of one-iterate
+        # sweeps; node i reads gradient slices 0..i only
+        ups = mini_ups[name]
+        assert all(cv.i0.max() <= i and cv.i1.max() <= i
+                   for i, cv in enumerate(ups.conv))
+        g = (ups.initial_iterate() if start == "initial"
+             else ups.random_iterate(np.random.default_rng(5)))
+        chain = [g]
+        for _ in range(7):
+            chain.append(ups.sweep(chain[-1], 1)[0])
+        for n in (1, 3, 7):
+            before = ups.applies
+            got = ups.sweep(g, n)
+            assert ups.applies - before == n == len(got)
+            for a, b in zip(got, chain[1:]):
+                assert np.array_equal(a.f_values, b.f_values)
+                assert np.array_equal(a.fbar_values, b.fbar_values)
+        with pytest.raises(ValueError):
+            ups.sweep(g, 0)
+
+
 class TestPicard:
     def test_trivial_converges_in_one_iteration(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
@@ -383,14 +444,20 @@ class TestPicard:
         assert d < cfg.tol
         assert weighted_distance(g, sol.iterate, 0.0) <= 2.0 * cfg.tol
 
-    def test_diagnostics(self, mini_delay_solution, delay_model):
+    def test_diagnostics(self, mini_delay_solution, delay_model, monkeypatch):
         sol, ham, phi, ell0, cfg = mini_delay_solution
         diag = sol.diagnostics
         assert diag["applies"] == {"picard": sol.iterations}
         assert 0.0 < diag["clamped_mass"] < 0.5
+        # applies counts the iterates the sweeps computed
+        lengths = []
+        sweep = UpsilonOperator.sweep
+        monkeypatch.setattr(UpsilonOperator, "sweep",
+                            lambda self, g, n: lengths.append(n) or sweep(self, g, n))
         pinned = SolverConfig(**{**MINI_CFG, "gamma": sol.gamma})
         sol_p = picard_solve(delay_model, ham, phi, ell0, pinned)
-        assert sol_p.diagnostics["applies"] == {"picard": sol.iterations}
+        assert sol_p.diagnostics["applies"] == {"picard": sum(lengths)}
+        assert sum(lengths) == sol.iterations > len(lengths)
         assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
 
     def test_no_contraction_detected(self, delay_model):
@@ -421,10 +488,23 @@ class TestPicard:
 
     def test_growth_in_sup_norm_raises(self, delay_model):
         # the sup residual hovers near 3 and grows three times in a row at
-        # step 29; no weaker norm is tried
+        # step 29; no weaker norm is tried.  The sweeps raise at the same
+        # step, with the same message, as a loop of single applies.
         ham, phi, ell0, cfg = self._three_control_setup(3.0)
-        with pytest.raises(NoContraction, match="in the sup norm"):
-            picard_solve(delay_model, ham, phi, ell0, cfg)
+        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=cfg.gamma)
+        g, residuals, streak = ups.initial_iterate(), [], 0
+        while streak < 3:
+            g_next = ups.apply(g)
+            d = weighted_distance(g_next, g, 0.0)
+            streak = streak + 1 if residuals and d > residuals[-1] else 0
+            residuals.append(d)
+            g = g_next
+        assert len(residuals) == 29
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoContraction, match="in the sup norm") as exc:
+                picard_solve(delay_model, ham, phi, ell0, cfg)
+        assert str(exc.value).endswith(f"residuals={residuals[-5:]}")
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ import numpy as np
 from .config import RunConfig
 from .delay import gramian, kalman_rank
 from .errors import PshjbError
-from .smoothing import fit_blowup, inclusion_residual, lambda_operator
+from .smoothing import blowup_grid, fit_blowup, inclusion_residual, lambda_operator
 
 
 def _check_inclusion(run: RunConfig):
@@ -26,7 +26,7 @@ def _check_inclusion(run: RunConfig):
 
 
 def _check_blowup_exponent(run: RunConfig):
-    fit = fit_blowup(run.model, np.geomspace(1e-4, 0.1, 15))
+    fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
     ok = 0.0 < fit.gamma < 1.0
     return ok, f"fitted gamma {fit.gamma:.3f}"
 

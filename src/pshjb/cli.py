@@ -31,7 +31,7 @@ from .errors import (
 )
 from .harness import Policy, random_open_loop_policies, value_dominance_check
 from .hjb import picard_solve
-from .smoothing import fit_blowup
+from .smoothing import blowup_grid, fit_blowup
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,15 +70,11 @@ def cmd_solve(args, run: RunConfig) -> int:
             run.model, run.cost.ham, run.cost.phi, run.cost.ell0, run.solver
         )
     except NoContraction as exc:
-        _say(args, f"no contraction: {exc}")
         _write_json(
             os.path.join(args.out_dir, "solve_meta.json"),
             {"status": "no_contraction", "detail": str(exc)},
         )
-        return EXIT_NO_CONTRACTION
-    except (InclusionViolated, RankDeficient) as exc:
-        _say(args, f"smoothing hypothesis violated: {exc}")
-        return EXIT_INCLUSION
+        raise
 
     it = sol.iterate
     mesh = np.stack(
@@ -122,7 +118,7 @@ def cmd_solve(args, run: RunConfig) -> int:
 
 
 def cmd_lambda(args, run: RunConfig) -> int:
-    fit = fit_blowup(run.model, np.geomspace(1e-4, 0.1 * run.cost.horizon, 20))
+    fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
     _write_csv(
         os.path.join(args.out_dir, "lambda_norms.csv"),
         ["t", "norm"],
@@ -147,13 +143,9 @@ def cmd_lambda(args, run: RunConfig) -> int:
 
 
 def cmd_simulate(args, run: RunConfig) -> int:
-    try:
-        sol = picard_solve(
-            run.model, run.cost.ham, run.cost.phi, run.cost.ell0, run.solver
-        )
-    except NoContraction as exc:
-        _say(args, f"no contraction: {exc}")
-        return EXIT_NO_CONTRACTION
+    sol = picard_solve(
+        run.model, run.cost.ham, run.cost.phi, run.cost.ell0, run.solver
+    )
     policies = random_open_loop_policies(
         run.cost.ham, run.time_steps, run.n_random_policies, seed=run.seed
     )
@@ -253,29 +245,20 @@ def main(argv=None) -> int:
             seed_override=args.seed,
             force_model=args.command == "check",
         )
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (InclusionViolated, RankDeficient) as exc:
-        print(f"model build failed: {exc}", file=sys.stderr)
-        return EXIT_INCLUSION
-    try:
         return args.func(args, run)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoContraction as exc:
-        print(f"no contraction: {exc}", file=sys.stderr)
-        return EXIT_NO_CONTRACTION
-    except (InclusionViolated, RankDeficient) as exc:
-        print(f"smoothing hypothesis violated: {exc}", file=sys.stderr)
-        return EXIT_INCLUSION
-    except DominanceViolated as exc:
-        print(f"dominance violated: {exc}", file=sys.stderr)
-        return EXIT_DOMINANCE
     except PshjbError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        # the most derived class of the exception that has an entry
+        exits = {
+            ConfigError: (EXIT_CONFIG, "config error"),
+            NoContraction: (EXIT_NO_CONTRACTION, "no contraction"),
+            InclusionViolated: (EXIT_INCLUSION, "smoothing hypothesis violated"),
+            RankDeficient: (EXIT_INCLUSION, "smoothing hypothesis violated"),
+            DominanceViolated: (EXIT_DOMINANCE, "dominance violated"),
+            PshjbError: (EXIT_INVARIANT, "error"),
+        }
+        code, label = next(exits[c] for c in type(exc).__mro__ if c in exits)
+        print(f"{label}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

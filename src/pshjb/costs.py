@@ -14,13 +14,15 @@ from .hjb import Hamiltonian
 from .ou import ProjectedTerminalCost
 
 
-def constant_cost(value: float) -> ProjectedTerminalCost:
+def constant_cost(value: float = 0.0) -> ProjectedTerminalCost:
     return ProjectedTerminalCost(
         lambda y: np.full(np.asarray(y).shape[:-1], float(value)), abs(float(value))
     )
 
 
-def tanh_cost(direction, offset: float = 0.0, scale: float = 1.0) -> ProjectedTerminalCost:
+def tanh_cost(
+    direction: tuple[float, ...] = (1.0,), offset: float = 0.0, scale: float = 1.0
+) -> ProjectedTerminalCost:
     """scale * tanh(<direction, y> + offset); bound |scale|."""
     a = np.asarray(direction, dtype=float)
     return ProjectedTerminalCost(
@@ -28,7 +30,9 @@ def tanh_cost(direction, offset: float = 0.0, scale: float = 1.0) -> ProjectedTe
     )
 
 
-def gauss_bump_cost(center, width: float = 1.0, scale: float = 1.0) -> ProjectedTerminalCost:
+def gauss_bump_cost(
+    center: tuple[float, ...] = (0.0,), width: float = 1.0, scale: float = 1.0
+) -> ProjectedTerminalCost:
     """scale * exp(-|y - center|^2 / width^2); bound |scale|."""
     c = np.asarray(center, dtype=float)
     return ProjectedTerminalCost(
@@ -39,7 +43,8 @@ def gauss_bump_cost(center, width: float = 1.0, scale: float = 1.0) -> Projected
 
 
 def smooth_indicator_cost(
-    direction, threshold: float = 0.0, sharpness: float = 10.0, scale: float = 1.0
+    direction: tuple[float, ...] = (1.0,), threshold: float = 0.0,
+    sharpness: float = 10.0, scale: float = 1.0,
 ) -> ProjectedTerminalCost:
     """Sigmoid step scale / (1 + e^{-sharpness (<a, y> - threshold)})."""
     a = np.asarray(direction, dtype=float)
@@ -51,22 +56,24 @@ def smooth_indicator_cost(
     return ProjectedTerminalCost(fn, abs(scale))
 
 
-def constant_ell0(value: float):
+def constant_ell0(value: float = 0.0):
     return lambda s: np.full(np.shape(s), float(value))
 
 
-def table_ell0(times, values):
+def table_ell0(times: tuple[float, ...], values: tuple[float, ...]):
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
+    if t.shape != v.shape:
+        raise ValueError("an ell0 table needs one value per time")
     return lambda s: np.interp(np.asarray(s, dtype=float), t, v)
 
 
-def box_hamiltonian(dim: int, lo: float, hi: float, points_per_dim: int, ell1_fn=None) -> Hamiltonian:
-    """Tensor control grid over a box with ell1 evaluated on the grid."""
+def box_hamiltonian(
+    dim: int, lo: float = -1.0, hi: float = 1.0, points_per_dim: int = 3,
+    quadratic_weight: float = 0.0,
+) -> Hamiltonian:
+    """Tensor control grid over a box with running cost quadratic_weight |u|^2."""
     axis = np.linspace(lo, hi, points_per_dim)
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
-    ell1 = np.zeros(pts.shape[0]) if ell1_fn is None else np.asarray(
-        [float(ell1_fn(u)) for u in pts]
-    )
-    return Hamiltonian(pts, ell1)
+    return Hamiltonian(pts, quadratic_weight * np.array([u @ u for u in pts]))

@@ -15,7 +15,7 @@ covariances follow from the exact OU shift identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class HeatConfig:
     projection: str = "bumps"
     spectral_modes: tuple[int, ...] = (1,)
     slow_decay: float = 0.5
-    bump_centers: tuple[float, ...] = field(default=())
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -110,9 +109,7 @@ def projection_matrix(cfg: HeatConfig) -> np.ndarray:
             rows[i, m - 1] = 1.0
         return rows
     if cfg.projection == "bumps":
-        centers = cfg.bump_centers or tuple(
-            np.pi * (i + 1) / (cfg.n_proj + 1) for i in range(cfg.n_proj)
-        )
+        centers = [np.pi * (i + 1) / (cfg.n_proj + 1) for i in range(cfg.n_proj)]
         width = np.pi / (2 * (cfg.n_proj + 1))
         raw = np.empty((len(centers), cfg.n_modes))
         for i, c in enumerate(centers):

@@ -51,7 +51,7 @@ from .errors import (
     TooCloseToHorizon,
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
-from .smoothing import fit_blowup, lambda_operator
+from .smoothing import blowup_grid, fit_blowup, lambda_operator
 from .spectral import (
     MAX_HERMITE_DIM,
     build_quadrature,
@@ -801,29 +801,23 @@ def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> 
 
 def contraction_ratios(
     ups: UpsilonOperator,
-    eta_weight: float,
+    eta_weights,
     n_pairs: int = 10,
     rng: np.random.Generator | None = None,
     scale: float = 1.0,
-    _cache: list | None = None,
-) -> list[float]:
-    """Measured ratios ||Ups g1 - Ups g2|| / ||g1 - g2|| on random pairs."""
+) -> list[list[float]]:
+    """Measured ratios ||Ups g1 - Ups g2|| / ||g1 - g2|| on random pairs,
+    one list per weight of ``eta_weights``, all from the same pairs."""
     rng = rng or np.random.default_rng(0)
-    ratios = []
-    for _ in range(n_pairs):
-        if _cache is not None and len(_cache) > len(ratios):
-            g1, g2, h1, h2 = _cache[len(ratios)]
-        else:
-            g1 = ups.random_iterate(rng, scale)
-            g2 = ups.random_iterate(rng, scale)
-            h1 = ups.apply(g1)
-            h2 = ups.apply(g2)
-            if _cache is not None:
-                _cache.append((g1, g2, h1, h2))
-        d0 = weighted_distance(g1, g2, eta_weight)
-        d1 = weighted_distance(h1, h2, eta_weight)
-        ratios.append(d1 / d0 if d0 > 0 else 0.0)
-    return ratios
+    pairs = [(ups.random_iterate(rng, scale), ups.random_iterate(rng, scale))
+             for _ in range(n_pairs)]
+    images = [(ups.apply(g1), ups.apply(g2)) for g1, g2 in pairs]
+
+    def ratio(g, h, eta):
+        d0 = weighted_distance(*g, eta)
+        return weighted_distance(*h, eta) / d0 if d0 > 0 else 0.0
+
+    return [[ratio(g, h, eta) for g, h in zip(pairs, images)] for eta in eta_weights]
 
 
 def _sweep_length(residuals: list[float], cfg: SolverConfig) -> int:
@@ -878,7 +872,7 @@ def picard_solve(
     diagnostics: dict = {}
     gamma = cfg.gamma
     if gamma is None:
-        fit = fit_blowup(model, np.geomspace(1e-4 * cfg.horizon, 0.1 * cfg.horizon, 20))
+        fit = fit_blowup(model, blowup_grid(cfg.horizon))
         gamma = float(np.clip(fit.gamma + 0.02, 0.05, 0.95))
         diagnostics["fitted_gamma"] = fit.gamma
         diagnostics["fit_slope"] = fit.slope

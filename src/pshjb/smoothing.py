@@ -128,6 +128,12 @@ class BlowupFit:
         return -self.slope
 
 
+def blowup_grid(horizon: float) -> np.ndarray:
+    """Times of the blow-up fit behind a solve's ``gamma``, ``lambda`` and
+    ``check``: 20 log-spaced points from 1e-4 to 0.1 times the horizon."""
+    return np.geomspace(1e-4 * horizon, 0.1 * horizon, 20)
+
+
 def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     """Fit the blow-up exponent of ||Lambda(t)|| over a time grid.
 

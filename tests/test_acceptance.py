@@ -227,15 +227,13 @@ def contraction_data(heat_problem, delay_problem, solutions):
         sol, _ = solutions[prob["name"]]
         ups = UpsilonOperator(prob["model"], prob["ham"], prob["phi"],
                               prob["ell0"], prob["cfg"], gamma=sol.gamma)
-        cache: list = []
-        rng = np.random.default_rng(31)
-        chosen, ratios = None, None
-        for eta in ETA_LADDER:
-            ratios = contraction_ratios(ups, eta, n_pairs=10, rng=rng,
-                                        _cache=cache)
-            if max(ratios) < 0.9:
-                chosen = eta
-                break
+        ladder = contraction_ratios(ups, ETA_LADDER, n_pairs=10,
+                                    rng=np.random.default_rng(31))
+        # the first eta that contracts, else the last one's ratios
+        chosen, ratios = next(
+            ((eta, r) for eta, r in zip(ETA_LADDER, ladder) if max(r) < 0.9),
+            (None, ladder[-1]),
+        )
         out[prob["name"]] = (chosen, ratios, ups)
     return out
 

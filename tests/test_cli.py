@@ -137,6 +137,30 @@ class TestSolve:
         assert meta["residual"] > 1e-12
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("overrides, code, label", [
+        ({"solver.gamma": 1.5}, 1, "config error: "),
+        # enormous controls cannot contract in the sup norm
+        ({"cost.controls": {"points": [[-60.0], [60.0]], "ell1": [0.0, 0.0]},
+          "solver.gamma": 0.52}, 2, "no contraction: "),
+        ({"model.delay.sigma": [[1.0, 0.0], [0.0, 0.0]],
+          "model.delay.b0": [[0.0], [1.0]], "model.delay.atoms": []},
+         3, "smoothing hypothesis violated: "),
+    ])
+    def test_code_and_stderr_label(self, tmp_path, capsys, overrides, code, label):
+        path = write_config(tmp_path, small_delay_config(**overrides))
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.err.startswith(label) and captured.out == ""
+        if code == 2:
+            meta = json.loads((out / "solve_meta.json").read_text())
+            assert meta["status"] == "no_contraction"
+        else:
+            assert not (out / "solve_meta.json").exists()
+
+
 class TestInvalidConfig:
     @pytest.mark.parametrize("key, value", [
         ("solver.space_points", 1),
@@ -155,6 +179,20 @@ class TestInvalidConfig:
         # listed last so the generated ids of the cases above stay as they were
         ("simulate.n_random_policies", -3),
         ("solver.mc_samples", 4000),
+        # a misspelt key in each section that has no solver/simulate prefix
+        ("cost.horizn", 2.0),
+        ("model.delay.atomz", []),
+        ("model.delay.atoms", [{"location": -0.2, "wieght": [[0.4], [0.2]]}]),
+        ("model.delay.x0", {"presnt": [0.3, -0.2]}),
+        ("model.heet", {}),
+        ("cost.controls.ell", [0.05, 0.0, 0.05]),
+        ("cost.controls", {"points_per_dim": 3, "quadratic_wieght": 0.1}),
+        ("cost.phi.scael", 1.0),
+        ("cost.ell0.valu", 0.1),
+        # shapes that would fail only inside the solve
+        ("cost.phi", {"kind": "tanh"}),                      # direction [1.0], N = 2
+        ("cost.ell0", {"kind": "table", "times": [0.0, 1.0]}),
+        ("cost.ell0", {"kind": "table", "times": [0.0, 1.0], "values": [0.0]}),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -166,6 +204,37 @@ class TestInvalidConfig:
         assert err.startswith("config error: ")
         assert key.split(".")[-1] in err
         assert not (out / "solve_meta.json").exists()
+
+    @pytest.mark.parametrize("heat, misspelt", [
+        ({"n_mode": 8}, "n_mode"),
+        ({"x0": {"kind": "smooth", "amplitud": 1.0}}, "amplitud"),
+    ])
+    def test_misspelt_heat_key_rejected(self, tmp_path, capsys, heat, misspelt):
+        cfg = small_delay_config()
+        cfg["model"] = {"kind": "heat", "heat": {"n_modes": 64, **heat}}
+        cfg["cost"]["controls"] = {"points_per_dim": 3}
+        cfg["cost"]["phi"] = {"kind": "tanh", "direction": [0.8, -0.5]}
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: unknown key {misspelt!r} in model.heat")
+        assert not (out / "solve_meta.json").exists()
+
+    def test_exponent_literals_are_numbers(self, tmp_path):
+        # PyYAML reads 3e-1 and 4e0 (no dot) as strings
+        from pshjb.config import load_config
+
+        text = yaml.safe_dump(small_delay_config(
+            **{"solver.gamma": "GAMMA", "solver.box_halfwidth": "BOX"}))
+        path = tmp_path / "run.yaml"
+        path.write_text(text.replace("GAMMA", "3e-1").replace("BOX", "4e0"))
+        run = load_config(str(path))
+        assert (run.solver.gamma, run.solver.box_halfwidth) == (0.3, 4.0)
+        out = tmp_path / "out"
+        rc = main(["solve", "--config", str(path), "--out-dir", str(out), "--quiet"])
+        assert rc == 0
 
     @pytest.mark.parametrize("n_proj, need", [(3, "2.81 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
@@ -377,6 +446,9 @@ class TestCheck:
         assert "kalman_rank_full" in report["failing"]
 
 
+BENCH_GRIDS = {"n_time": 20, "space_points": 21, "quad_order": 5, "time_quad_order": 6}
+
+
 class TestShippedConfigs:
     @pytest.mark.parametrize("name", ["heat.yaml", "delay.yaml"])
     def test_shipped_configs_parse(self, name):
@@ -387,6 +459,30 @@ class TestShippedConfigs:
         assert run.cost.horizon == 1.0
         assert run.model.proj_dim == 2
         assert run.solver.space_points == 41
+
+    @pytest.mark.parametrize("path, grids", [
+        ("configs/heat.yaml", {}),
+        ("configs/delay.yaml", {}),
+        ("bench/workloads/heat.yaml", BENCH_GRIDS),
+        ("bench/workloads/delay.yaml", BENCH_GRIDS),
+    ])
+    def test_sections_build_explicit_configs(self, path, grids):
+        # every default comes from the dataclass, so the configs read as
+        # the dataclasses built with their keys
+        from pshjb.config import load_config
+        from pshjb.heat import HeatConfig
+        from pshjb.hjb import SolverConfig
+
+        run = load_config(os.path.join(os.path.dirname(__file__), "..", path))
+        assert run.solver == SolverConfig(
+            horizon=1.0, tol=1e-4, max_iter=30,
+            **{"n_time": 40, "space_points": 41, **grids},
+        )
+        if run.model_kind == "heat":
+            assert run.model.cfg == HeatConfig(
+                n_modes=256, beta=0.0, epsilon=0.01, alpha=1.0, n_proj=2,
+                projection="bumps",
+            )
 
     def test_heat_modal_state_and_phi_kinds(self, tmp_path):
         from pshjb.config import load_config

@@ -17,7 +17,7 @@ import yaml
 
 from . import costs as costs_mod
 from .delay import DelayConfig, DelayState, build_projected_model as build_delay
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatch
 from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
 from .hjb import Hamiltonian, SolverConfig
@@ -61,13 +61,16 @@ def _check_keys(section, allowed, where: str) -> dict:
 def _convert(tp, value, where: str):
     """``value`` as the declared type ``tp``: a scalar type, ``X | None`` or
     ``tuple[X, ...]``.  PyYAML reads ``3e-1`` as a string, so a float
-    parameter needs the conversion."""
+    parameter needs the conversion; an int parameter takes an integral
+    float such as ``16.0``, but ``int`` would truncate 4.7 to 4."""
     args = typing.get_args(tp)
     try:
         if type(None) in args:
             return None if value is None else _convert(args[0], value, where)
         if typing.get_origin(tp) is tuple:
             return tuple(_convert(args[0], v, where) for v in value)
+        if tp is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError(value)
         return tp(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read {where} = {value!r} as {tp.__name__}") from exc
@@ -168,7 +171,10 @@ def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
     ham_spec = _require(section, "controls", "cost")
     if "points" in _mapping(ham_spec, "cost.controls"):
         pts = _check_keys(ham_spec, ("points", "ell1"), "cost.controls")["points"]
-        ham = Hamiltonian(pts, ham_spec.get("ell1", np.zeros(len(pts))))
+        try:
+            ham = Hamiltonian(pts, ham_spec.get("ell1", np.zeros(len(pts))))
+        except DimensionMismatch as exc:
+            raise ConfigError(f"cost.controls (points, ell1): {exc}") from exc
     else:
         ham = _read(costs_mod.box_hamiltonian, ham_spec, "cost.controls",
                     dim=model.control_dim)
@@ -209,7 +215,9 @@ def load_config(
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     _check_keys(raw, ("seed", "model", "cost", "solver", "simulate"), "config root")
-    seed = int(raw.get("seed", 0)) if seed_override is None else seed_override
+    seed = seed_override
+    if seed is None:
+        seed = _convert(int, raw.get("seed", 0), "seed")
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _read(SolverConfig, raw.get("solver", {}), "solver", horizon=cost.horizon)

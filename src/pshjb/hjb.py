@@ -31,8 +31,11 @@ passes the finite-difference oracle; see the norm-bound tests).
 The equation is a Volterra equation in time-to-go: Upsilon at time node i
 reads the gradient slices 0..i only.  The Picard loop therefore computes
 its iterates in sweeps with the time nodes as the outer loop, which build
-each node's shift matrices once for several iterates and give the iterates
-of one apply at a time, bit for bit (:class:`UpsilonOperator`).
+each node's shift matrices once for several iterates.  A node whose input
+slices no longer change beyond one ulp is copied from the previous iterate
+instead of recomputed: the result stays within rounding of exact applies,
+and a sweep gives the iterates of one-iterate sweeps bit for bit
+(:class:`UpsilonOperator`).
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from .spectral import (
     MAX_HERMITE_DIM,
     build_quadrature,
     gauss_jacobi,
-    psd_pinv_sqrt,
+    psd_roots,
     psd_sqrt,
 )
 
@@ -389,15 +392,11 @@ def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarra
     return tuple(out)
 
 
-def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = False,
-                    out: np.ndarray | None = None) -> np.ndarray:
-    """(*B, n, n) matrices W with (W F)[j] = (1 - a) F[lo] + a F[hi],
-    lo = clip(j + k), hi = clip(j + k + 1): clamped linear interpolation.
-
-    With ``transpose`` the result holds W.T, written in C order by the same
-    two scatters with the row and column roles swapped; its entries equal
-    those of ``np.swapaxes(W, -1, -2)`` exactly.  ``out``, if given, is a
-    C-contiguous (*B, n, n) array that is zeroed and receives W."""
+def _scatter_index(k: np.ndarray, n: int, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into the (*B, n, n) shift matrices of shifts ``k`` of
+    the entries (j, lo) and (j, hi) of every row j, lo = clip(j + k),
+    hi = clip(j + k + 1); with ``transpose``, of the entries of the
+    transposes, (lo, j) and (hi, j)."""
     lo = k[..., None] + np.arange(n)
     # flat index of entry (j, c) of matrix b: rows[b, j] + step * c, with
     # rows = (b n + j) n, step = 1, or for the transposes b n^2 + j, step = n
@@ -406,35 +405,51 @@ def _shift_matrices(k: np.ndarray, a: np.ndarray, n: int, transpose: bool = Fals
     if transpose:
         rows -= (n - 1) * np.arange(n)
         step = n
-    if out is None:
-        w = np.zeros(lo.shape + (n,))
-    else:
-        w = out
-        w.fill(0.0)
-    flat = w.reshape(-1)
     # ufuncs, not np.clip: its wrapper costs more than the work on a block
-    flat[rows + step * np.minimum(np.maximum(lo, 0), n - 1)] = (1.0 - a)[..., None]
-    lo += 1
-    flat[rows + step * np.minimum(np.maximum(lo, 0), n - 1)] += a[..., None]
-    return w
+    hi = rows + step * np.minimum(np.maximum(lo + 1, 0), n - 1)
+    np.maximum(lo, 0, out=lo)
+    return rows + step * np.minimum(lo, n - 1, out=lo), hi
 
 
-def shift_matrices(stencil, grid: tuple[int, ...], out=None) -> tuple[np.ndarray, ...]:
-    """Per-axis interpolation matrices of a :func:`shift_stencil`, one
-    (*B, n, n) array per axis of ``grid``: :func:`_shift_matrices`, with the
-    last axis's built transposed for :func:`interp_shifted`.  They depend on
-    the stencil alone, so one set serves every array interpolated with it.
-    ``out``, if given, holds one array per axis that receives them."""
-    last = len(stencil) - 1
-    out = out or (None,) * len(stencil)
-    return tuple(_shift_matrices(k, a, n, transpose=d == last, out=w)
-                 for d, ((k, a), n, w) in enumerate(zip(stencil, grid, out)))
+class ShiftMatrices:
+    """Per-axis interpolation matrices of one :func:`shift_stencil` of batch
+    shape B at a time, in (*B, n, n) buffers that every :meth:`build`
+    rewrites.  They depend on the stencil alone, so one build serves every
+    array interpolated with it.
+
+    For shifts (k, a) on an axis of n nodes, W has (W F)[j] =
+    (1 - a) F[lo] + a F[hi], lo = clip(j + k), hi = clip(j + k + 1):
+    clamped linear interpolation.  The last axis holds W.T, written in C
+    order by the same two scatters with the row and column roles swapped
+    (its entries equal those of ``np.swapaxes(W, -1, -2)`` exactly), for
+    :func:`interp_shifted`.  Fresh zeroed arrays of this size would be new
+    pages to fault in at every build, and zeroing them whole writes n / 2
+    times the entries that a build writes, so a build zeroes only the two
+    entries per row that the one before it wrote.
+    """
+
+    def __init__(self, batch: tuple[int, ...], grid: tuple[int, ...]):
+        self.mats = tuple(np.zeros(tuple(batch) + (n, n)) for n in grid)
+        self._written: list = []        # per axis, the last build's indices
+
+    def build(self, stencil) -> tuple[np.ndarray, ...]:
+        last = len(self.mats) - 1
+        for w, index in zip(self.mats, self._written):
+            for idx in index:
+                w.reshape(-1)[idx] = 0.0
+        self._written = [_scatter_index(k, w.shape[-1], d == last)
+                         for d, ((k, _), w) in enumerate(zip(stencil, self.mats))]
+        for w, (_, a), (lo, hi) in zip(self.mats, stencil, self._written):
+            flat = w.reshape(-1)
+            flat[lo] = (1.0 - a)[..., None]
+            flat[hi] += a[..., None]
+        return self.mats
 
 
 def interp_shifted(values: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
     """Multilinear interpolation at every mesh point plus each stencil shift.
 
-    ``mats`` are the :func:`shift_matrices` of a stencil of batch shape B.
+    ``mats`` are the :class:`ShiftMatrices` of a stencil of batch shape B.
     ``values`` has shape (*Bv, *grid_shape) with Bv broadcasting against B;
     the result has shape (*broadcast(Bv, B), *grid_shape).  With the shift
     fixed across the mesh the interpolation is separable: an N-mode product
@@ -536,15 +551,30 @@ class UpsilonOperator:
     grid, each Gaussian quadrature offset is one constant shift for every
     mesh point, and interpolation clamps at the box edge.  Interpolating the
     gradient iterate at mesh + offset is then a separable per-axis product
-    (:func:`shift_stencil`, :func:`shift_matrices`, :func:`interp_shifted`).
+    (:func:`shift_stencil`, :class:`ShiftMatrices`, :func:`interp_shifted`).
 
     Loop order: ``sweep(g, n)`` runs the time nodes in the outer loop and
     the n iterates in the inner one.  Node i of iterate l + 1 reads only
     slices 0..i of iterate l, which the earlier nodes and the previous pass
     at node i have finished; each node builds its shift matrices once and
-    runs all n iterates through them.  Every iterate is computed by the
-    same operations on the same operands as in a one-iterate sweep, so it
-    is the same bit for bit; ``apply`` is ``sweep(g, 1)[0]``.
+    runs all n iterates through them.
+
+    Settled nodes: an iterate's settled count is the length of the leading
+    run of time nodes i whose gradient slice differs from that of the
+    iterate it was computed from by at most one ulp, ``np.spacing`` of its
+    largest |fbar| over slices 0..i (the slices node i reads, and all a
+    node-major sweep has of an iterate when it reaches node i).  Below its
+    source's count, the next iterate copies the source's ``f[i + 1]`` and
+    ``fbar[i]``: no blend, interpolation or Hamiltonian, and a node that
+    every iterate of a sweep copies builds no shift matrices.  Inputs
+    unchanged to one ulp give an output unchanged to rounding, so copies
+    keep the iterates within rounding of exact applies (at most 1.1e-16 on
+    the shipped and benchmark configs).  A copied slice equals its source, so a count never
+    falls from one iterate to the next.  Every iterate is computed, or
+    copied, by the same operations on the same operands and with the same
+    count as in a chain of one-iterate sweeps that carries the count, so it
+    is the same bit for bit; ``apply`` is ``sweep(g, 1)`` with nothing
+    settled, the exact map.
 
     At each time node the (s-node, Gauss node) pairs are taken in blocks of
     at most APPLY_BLOCK_BYTES of interpolated gradient values: whole
@@ -556,7 +586,8 @@ class UpsilonOperator:
     iterates, a sweep holds a small multiple of APPLY_BLOCK_BYTES, the
     S * n_q * P * 8 bytes of H_min values and one node's shift matrices,
     S * n_q * N * n^2 * 8 bytes for n points per axis (13.6 MB on the
-    shipped 41-point grids), in buffers that every node rewrites.
+    shipped 41-point grids), in buffers that every node that computes
+    rewrites (:class:`ShiftMatrices`).
 
     Operand layout: ``sweep`` writes each time node's blended gradient
     slice components first into a C-contiguous (m, S, *grid) array, so
@@ -591,6 +622,7 @@ class UpsilonOperator:
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute(ell0)
         self.applies = 0     # iterates computed, for the solve diagnostics
+        self.copied = 0      # node-iterates copied from a settled source
 
     # -- assembly ----------------------------------------------------------
     def _precompute(self, ell0):
@@ -637,12 +669,10 @@ class UpsilonOperator:
         s_nodes = np.concatenate((t * frac, t * (1.0 - frac)))
         s_weights = np.concatenate((scale * w, scale * w))
         b_t = self.model.proj_control(t)
-        offs, gvecs = [], []
-        for s in s_nodes:
-            pf = self.model.pushforward_cov(s, t)
-            offs.append(self.rule.nodes @ psd_sqrt(pf).T)
-            pinv, _ = psd_pinv_sqrt(pf)
-            gvecs.append(self.rule.nodes @ (pinv @ b_t))
+        roots, pinvs, _ = psd_roots(
+            np.stack([self.model.pushforward_cov(s, t) for s in s_nodes]))
+        offs = [self.rule.nodes @ r.T for r in roots]
+        gvecs = [self.rule.nodes @ (pinv @ b_t) for pinv in pinvs]
         brackets = [_time_bracket(t_pos, s) for s in s_nodes]
         i0, i1, theta = (np.array(v) for v in zip(*brackets))
         s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * len(self.space_axes))
@@ -688,12 +718,18 @@ class UpsilonOperator:
 
     # -- the map -----------------------------------------------------------
     def apply(self, g: ValueIterate) -> ValueIterate:
-        """Upsilon(g)."""
-        return self.sweep(g, 1)[0]
+        """Upsilon(g), exactly: a sweep of one iterate with nothing settled."""
+        return self.sweep(g, 1)[0][0]
 
-    def sweep(self, g: ValueIterate, n: int) -> list[ValueIterate]:
+    def sweep(self, g: ValueIterate, n: int,
+              settled: int = 0) -> tuple[list[ValueIterate], int]:
         """The n iterates Upsilon(g), ..., Upsilon^n(g), time node by time
-        node (see the class docstring for the loop order)."""
+        node (see the class docstring for the loop order and the settled
+        counts), and the settled count of the last of them.
+
+        ``settled`` is the settled count of ``g`` against the iterate it
+        was computed from: the count the sweep that computed ``g``
+        returned, or 0, which makes every node compute."""
         if n < 1:
             raise ValueError(f"a sweep computes at least one iterate, got n = {n}")
         self._check_grids(g)
@@ -704,37 +740,59 @@ class UpsilonOperator:
         f_new = np.empty((n, n_t + 1, npts))
         f_new[:, 0] = self.phi(self.mesh)
         fbar_new = np.empty((n, n_t, npts, m))
-        # the gradient each iterate reads: g's, then the iterate before it
-        sources = [g.fbar_values] + list(
-            fbar_new[:-1].reshape((n - 1, n_t) + self.space_shape + (m,)))
+        # each iterate's source: g, then the iterate before it
+        f_src = [g.f_values.reshape(n_t + 1, npts)] + list(f_new[:-1])
+        fbar_src = [g.fbar_values.reshape(n_t, npts, m)] + list(fbar_new[:-1])
+        grid_src = [s.reshape((n_t,) + self.space_shape + (m,)) for s in fbar_src]
+        # settled counts of the sources and of the last iterate, and the
+        # largest |fbar| of each new iterate over the slices of its count
+        counts = [settled] + [0] * n
+        tops = [0.0] * (n + 1)
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
         blocks = _pair_blocks(n_s, n_q, 8 * m * npts)
         hvals = np.empty((n_s * n_q, npts))     # H_min per (s-node, Gauss node)
-        # one node's shift matrices, rewritten at every node: fresh zeroed
-        # arrays of this size would be new pages to fault in at every node
-        mat_bufs = [np.empty((n_s, n_q, k, k)) for k in self.space_shape]
+        # one node's shift matrices, rewritten at every node that computes
+        node_mats = ShiftMatrices((n_s, n_q), self.space_shape)
         sl = np.empty((m, n_s) + self.space_shape)
         src = sl[:, :, None]                    # (m, S, 1, *grid)
         self.applies += n
         for i, t in enumerate(t_pos):
             cv = self.conv[i]
-            node_mats = shift_matrices(cv.stencil, self.space_shape, out=mat_bufs)
-            mats = [tuple(w[s0:s1, q0:q1] for w in node_mats) for s0, s1, q0, q1 in blocks]
-            for fbar, f_out, fbar_out in zip(sources, f_new, fbar_new):
-                # interpolation is linear in the array: blend the two
-                # bracketing time slices (times s^{-gamma}) first, then
-                # shift-interpolate once per (s-node, Gauss node); the blend
-                # is written components first, one component at a time
-                for k in range(m):
-                    np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
-                    sl[k] += cv.w1 * fbar[cv.i1, ..., k]
-                for (s0, s1, q0, q1), w in zip(blocks, mats):
-                    # p: (m, s1 - s0, q1 - q0, *grid), gradient components first
-                    p = interp_shifted(src[:, s0:s1], w)
-                    h_min_batch(self.ham, p, out=hvals[s0 * n_q + q0:(s1 - 1) * n_q + q1])
-                f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
-                fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
-        return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)]
+            mats = None
+            for l in range(n):
+                f_out, fbar_out, fbar = f_new[l], fbar_new[l], grid_src[l]
+                if i < counts[l]:
+                    # the source's slices 0..i have settled: its own node i
+                    # is this node's value to rounding
+                    f_out[i + 1] = f_src[l][i + 1]
+                    fbar_out[i] = fbar_src[l][i]
+                    self.copied += 1
+                else:
+                    if mats is None:
+                        built = node_mats.build(cv.stencil)
+                        mats = [tuple(w[s0:s1, q0:q1] for w in built)
+                                for s0, s1, q0, q1 in blocks]
+                    # interpolation is linear in the array: blend the two
+                    # bracketing time slices (times s^{-gamma}) first, then
+                    # shift-interpolate once per (s-node, Gauss node); the
+                    # blend is written components first, one at a time
+                    for k in range(m):
+                        np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
+                        sl[k] += cv.w1 * fbar[cv.i1, ..., k]
+                    for (s0, s1, q0, q1), w in zip(blocks, mats):
+                        # p: (m, s1 - s0, q1 - q0, *grid), components first
+                        p = interp_shifted(src[:, s0:s1], w)
+                        h_min_batch(self.ham, p,
+                                    out=hvals[s0 * n_q + q0:(s1 - 1) * n_q + q1])
+                    f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
+                    fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
+                if counts[l + 1] == i:
+                    # the new iterate's leading run of settled slices grows
+                    # while slice i moves by at most one ulp of its slices 0..i
+                    tops[l + 1] = max(tops[l + 1], float(np.abs(fbar_out[i]).max()))
+                    if np.abs(fbar_out[i] - fbar_src[l][i]).max() <= np.spacing(tops[l + 1]):
+                        counts[l + 1] = i + 1
+        return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)], counts[n]
 
     def _check_grids(self, g: ValueIterate):
         if g.time_grid.shape != self.time_grid.shape or not np.allclose(
@@ -861,12 +919,15 @@ def picard_solve(
     it is measured in; they serve :func:`contraction_ratios` alone.
 
     The iterates come in :meth:`UpsilonOperator.sweep` runs whose lengths
-    :func:`_sweep_length` takes from the residual history.  Both tests run
-    on every iterate in turn, so the result, the residual history and the
-    step at which :class:`NoContraction` is raised are those of a loop of
-    single applies; ``diagnostics["applies"]["picard"]`` counts the
-    iterates computed, which exceeds ``iterations`` only when a sweep runs
-    past the stop.
+    :func:`_sweep_length` takes from the residual history; each sweep
+    starts from the settled count the previous one returned (0 at the
+    start).  Both tests run on every iterate in turn, so the result, the
+    residual history and the step at which :class:`NoContraction` is raised
+    are those of a loop of one-iterate sweeps that carries the count;
+    ``diagnostics["applies"]["picard"]`` counts the iterates computed, which
+    exceeds ``iterations`` only when a sweep runs past the stop, and
+    ``diagnostics["copied_nodes"]`` the node-iterates copied from a settled
+    source.
     """
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
     diagnostics: dict = {}
@@ -892,11 +953,13 @@ def picard_solve(
     residuals: list[float] = []
     ratios: list[float] = []
     bad_streak = 0
+    settled = 0
     converged = False
     while not converged and len(residuals) < cfg.max_iter:
         # the stop test and the growth rule run iterate by iterate, so a
         # sweep that runs past the stop only costs its extra iterates
-        for g_next in ups.sweep(g, _sweep_length(residuals, cfg)):
+        iterates, settled = ups.sweep(g, _sweep_length(residuals, cfg), settled)
+        for g_next in iterates:
             d = weighted_distance(g_next, g, 0.0)
             if residuals:
                 ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
@@ -913,6 +976,7 @@ def picard_solve(
             if converged:
                 break
     diagnostics["applies"] = {"picard": ups.applies}
+    diagnostics["copied_nodes"] = ups.copied
     diagnostics["residual_history"] = residuals
     return HJBSolution(
         iterate=g,

@@ -71,51 +71,63 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
-def _assert_psd_spectrum(lam: np.ndarray, tol_psd: float = TOL_PSD) -> float:
-    lam_max = float(lam.max(initial=0.0))
-    cutoff = tol_psd * max(lam_max, 0.0)
-    if lam.min(initial=0.0) < -max(cutoff, 1e-300):
-        raise NotPSD(
-            f"eigenvalue {lam.min():.3e} below -{tol_psd:g} * lam_max ({lam_max:.3e})"
-        )
+def _assert_psd_spectrum(lam: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+    """Largest eigenvalue of each spectrum (last axis) of ``lam``; raises
+    :class:`NotPSD` for the first spectrum with a too negative one."""
+    lam_max = lam.max(axis=-1, initial=0.0)
+    lam_min = lam.min(axis=-1, initial=0.0)
+    bad = lam_min < -np.maximum(tol_psd * np.maximum(lam_max, 0.0), 1e-300)
+    if bad.any():
+        j = np.argmax(bad)
+        lo, hi = lam_min.flat[j], lam_max.flat[j]
+        raise NotPSD(f"eigenvalue {lo:.3e} below -{tol_psd:g} * lam_max ({hi:.3e})")
     return lam_max
 
 
 def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of the symmetric part of a matrix or a stack
+    (..., N, N) of them."""
     a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix")
-    return np.linalg.eigh(0.5 * (a + a.T))
+    return np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
 
 
-def psd_sqrt(m, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Symmetric PSD square root of ``m``.
+def psd_roots(
+    m, rank_tol: float = RANK_TOL, tol_psd: float = TOL_PSD
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | int]:
+    """Symmetric square root, pseudo-inverse square root and numerical rank
+    of a PSD matrix, or of each matrix of a stack (..., N, N), from one
+    eigendecomposition.
 
     Negative eigenvalues above ``-tol_psd * lam_max`` are clamped to zero
     (covariances assembled from exponentials accumulate rounding); anything
-    below raises :class:`NotPSD`.
+    below raises :class:`NotPSD`.  On the image of ``m`` the pseudo-inverse
+    root acts as ``m**-0.5``, on the kernel it is zero; eigenvalues above
+    ``rank_tol * lam_max`` count toward the rank (an int for one matrix).
     """
     lam, v = _eigh(m)
-    _assert_psd_spectrum(lam, tol_psd)
-    lam = np.clip(lam, 0.0, None)
-    return (v * np.sqrt(lam)) @ v.T
+    lam_max = _assert_psd_spectrum(lam, tol_psd)
+    keep = lam > rank_tol * lam_max[..., None]
+    inv = np.zeros_like(lam)
+    inv[keep] = 1.0 / np.sqrt(lam[keep])
+    vt = np.swapaxes(v, -1, -2)
+    root = (v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ vt
+    rank = np.count_nonzero(keep, axis=-1)
+    return root, (v * inv[..., None, :]) @ vt, int(rank) if rank.ndim == 0 else rank
+
+
+def psd_sqrt(m, tol_psd: float = TOL_PSD) -> np.ndarray:
+    """Symmetric PSD square root of ``m`` (:func:`psd_roots`)."""
+    return psd_roots(m, tol_psd=tol_psd)[0]
 
 
 def psd_pinv_sqrt(
     m, rank_tol: float = RANK_TOL, tol_psd: float = TOL_PSD
-) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse square root of a PSD matrix and its numerical rank.
-
-    On the image of ``m`` the result acts as ``m**-0.5``; on the kernel it is
-    zero.  Eigenvalues above ``rank_tol * lam_max`` count toward the rank.
-    """
-    lam, v = _eigh(m)
-    lam_max = _assert_psd_spectrum(lam, tol_psd)
-    keep = lam > rank_tol * lam_max
-    rank = int(np.count_nonzero(keep))
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / np.sqrt(lam[keep])
-    return (v * inv) @ v.T, rank
+) -> tuple[np.ndarray, np.ndarray | int]:
+    """Pseudo-inverse square root of a PSD matrix and its numerical rank
+    (:func:`psd_roots`)."""
+    return psd_roots(m, rank_tol, tol_psd)[1:]
 
 
 def psd_image_projector(m, rank_tol: float = RANK_TOL) -> np.ndarray:

@@ -69,6 +69,10 @@ class TestSolve:
         assert meta["residual"] <= 1e-4
         assert meta["diagnostics"]["applies"] == {"picard": meta["iterations"]}
         assert 0.0 <= meta["diagnostics"]["clamped_mass"] <= 1.0
+        # node-iterates copied from settled sources, at most all but the first
+        # iterate's
+        copied = meta["diagnostics"]["copied_nodes"]
+        assert 0 <= copied <= 16 * (meta["iterations"] - 1)
         assert (out / "solution.csv").exists()
 
     def test_solution_csv_reproducible(self, tmp_path):
@@ -193,6 +197,11 @@ class TestInvalidConfig:
         ("cost.phi", {"kind": "tanh"}),                      # direction [1.0], N = 2
         ("cost.ell0", {"kind": "table", "times": [0.0, 1.0]}),
         ("cost.ell0", {"kind": "table", "times": [0.0, 1.0], "values": [0.0]}),
+        # an int key would truncate 4.7; a points grid with two running costs
+        ("solver.n_time", 4.7),
+        ("simulate.time_steps", 2.5),
+        ("seed", 4.7),
+        ("cost.controls.ell1", [0.0, 0.1]),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -235,6 +244,15 @@ class TestInvalidConfig:
         out = tmp_path / "out"
         rc = main(["solve", "--config", str(path), "--out-dir", str(out), "--quiet"])
         assert rc == 0
+
+    def test_integral_floats_read_as_ints(self, tmp_path):
+        # only a non-integral value for an int key is an error
+        from pshjb.config import load_config
+
+        cfg = small_delay_config(**{"solver.n_time": 16.0, "simulate.time_steps": 10.0})
+        run = load_config(write_config(tmp_path, cfg))
+        assert run.solver.n_time == 16 and type(run.solver.n_time) is int
+        assert run.time_steps == 10 and type(run.time_steps) is int
 
     @pytest.mark.parametrize("n_proj, need", [(3, "2.81 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,

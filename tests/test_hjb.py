@@ -14,6 +14,7 @@ from pshjb.errors import (
 )
 from pshjb.hjb import (
     Hamiltonian,
+    ShiftMatrices,
     SolverConfig,
     UpsilonOperator,
     clamped_share,
@@ -24,7 +25,6 @@ from pshjb.hjb import (
     interp_space,
     make_space_axes,
     picard_solve,
-    shift_matrices,
     shift_stencil,
     weighted_distance,
 )
@@ -186,7 +186,7 @@ class TestShiftInterpolation:
         ])
         fields = rng.standard_normal((m, 2, 1) + shape)
         stencil = shift_stencil(axes, np.broadcast_to(shifts, (2,) + shifts.shape))
-        got = interp_shifted(fields, shift_matrices(stencil, shape))
+        got = interp_shifted(fields, ShiftMatrices((2, len(shifts)), shape).build(stencil))
         assert got.shape == (m, 2, len(shifts)) + shape
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
         for k in range(m):
@@ -206,10 +206,22 @@ class TestShiftInterpolation:
                       [n, n + 1, 4 * n, -2, 2, 0, -1, 1]])
         a = rng.uniform(0.0, 1.0, k.shape)
         a[:, ::3] = 0.0
-        w = hjb._shift_matrices(k, a, n)
-        wt = hjb._shift_matrices(k, a, n, transpose=True)
+        w, wt = ShiftMatrices(k.shape, (n, n)).build(((k, a), (k, a)))
         assert wt.shape == (2, 8, n, n) and wt.flags.c_contiguous
         assert np.array_equal(wt, np.swapaxes(w, -1, -2))
+
+    @pytest.mark.parametrize("n", [2, 5, 21])
+    def test_rebuild_over_written_matrices(self, n):
+        # a build into buffers that hold another stencil's matrices zeroes
+        # only that stencil's entries and equals a build into fresh zeros
+        rng = np.random.default_rng(n)
+        stencils = [tuple((rng.integers(-2 * n, 2 * n, (3, 4)), rng.uniform(0.0, 1.0, (3, 4)))
+                          for _ in range(2)) for _ in range(3)]
+        mats = ShiftMatrices((3, 4), (n, n))
+        for stencil in stencils:
+            fresh = ShiftMatrices((3, 4), (n, n)).build(stencil)
+            for a, b in zip(mats.build(stencil), fresh):
+                assert np.array_equal(a, b)
 
 
 class TestClampedShare:
@@ -383,23 +395,35 @@ class TestUpsilon:
     @pytest.mark.parametrize("name", ["heat", "delay"])
     @pytest.mark.parametrize("start", ["initial", "random"])
     def test_sweep_equals_successive_applies(self, name, start, mini_ups):
-        # node-major sweeps: every iterate bit for bit that of one-iterate
-        # sweeps; node i reads gradient slices 0..i only
+        # node-major sweeps: every iterate and its settled count bit for bit
+        # those of a chain of one-iterate sweeps that carries the count;
+        # node i reads gradient slices 0..i only
         ups = mini_ups[name]
         assert all(cv.i0.max() <= i and cv.i1.max() <= i
                    for i, cv in enumerate(ups.conv))
         g = (ups.initial_iterate() if start == "initial"
              else ups.random_iterate(np.random.default_rng(5)))
-        chain = [g]
-        for _ in range(7):
-            chain.append(ups.sweep(chain[-1], 1)[0])
-        for n in (1, 3, 7):
+        chain, counts = [g], [0]
+        copied = ups.copied
+        for _ in range(9):
+            (g_next,), count = ups.sweep(chain[-1], 1, counts[-1])
+            chain.append(g_next)
+            counts.append(count)
+        if start == "initial":
+            assert ups.copied > copied      # the chain copies settled nodes
+        for n in (1, 3, 9):
             before = ups.applies
-            got = ups.sweep(g, n)
+            got, count = ups.sweep(g, n)
             assert ups.applies - before == n == len(got)
+            assert count == counts[n]
             for a, b in zip(got, chain[1:]):
                 assert np.array_equal(a.f_values, b.f_values)
                 assert np.array_equal(a.fbar_values, b.fbar_values)
+        # apply is the exact map: one iterate with nothing settled
+        for h in chain[-2:]:
+            a, ((b,), _) = ups.apply(h), ups.sweep(h, 1, 0)
+            assert np.array_equal(a.f_values, b.f_values)
+            assert np.array_equal(a.fbar_values, b.fbar_values)
         with pytest.raises(ValueError):
             ups.sweep(g, 0)
 
@@ -452,13 +476,27 @@ class TestPicard:
         # applies counts the iterates the sweeps computed
         lengths = []
         sweep = UpsilonOperator.sweep
-        monkeypatch.setattr(UpsilonOperator, "sweep",
-                            lambda self, g, n: lengths.append(n) or sweep(self, g, n))
+        monkeypatch.setattr(
+            UpsilonOperator, "sweep",
+            lambda self, g, n, settled=0: lengths.append(n) or sweep(self, g, n, settled))
         pinned = SolverConfig(**{**MINI_CFG, "gamma": sol.gamma})
         sol_p = picard_solve(delay_model, ham, phi, ell0, pinned)
         assert sol_p.diagnostics["applies"] == {"picard": sum(lengths)}
         assert sum(lengths) == sol.iterations > len(lengths)
         assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
+
+    def test_settled_nodes_match_exact_applies(self, mini_delay_solution, delay_model):
+        # the solve copies the nodes whose inputs have settled; its iterate
+        # stays within rounding of a loop of exact applies
+        sol, ham, phi, ell0, cfg = mini_delay_solution
+        assert sol.diagnostics["copied_nodes"] > 0
+        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
+        g = ups.initial_iterate()
+        for _ in range(sol.iterations):
+            g = ups.apply(g)
+        assert ups.copied == 0
+        assert np.abs(g.f_values - sol.iterate.f_values).max() <= 1e-15
+        assert np.abs(g.fbar_values - sol.iterate.fbar_values).max() <= 1e-15
 
     def test_no_contraction_detected(self, delay_model):
         # enormous controls cannot contract in the sup norm
@@ -489,12 +527,13 @@ class TestPicard:
     def test_growth_in_sup_norm_raises(self, delay_model):
         # the sup residual hovers near 3 and grows three times in a row at
         # step 29; no weaker norm is tried.  The sweeps raise at the same
-        # step, with the same message, as a loop of single applies.
+        # step, with the same message, as a loop of one-iterate sweeps that
+        # carries the settled count.
         ham, phi, ell0, cfg = self._three_control_setup(3.0)
         ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=cfg.gamma)
-        g, residuals, streak = ups.initial_iterate(), [], 0
+        g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
-            g_next = ups.apply(g)
+            (g_next,), settled = ups.sweep(g, 1, settled)
             d = weighted_distance(g_next, g, 0.0)
             streak = streak + 1 if residuals and d > residuals[-1] else 0
             residuals.append(d)

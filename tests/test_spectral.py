@@ -18,6 +18,7 @@ from pshjb.spectral import (
     gauss_jacobi,
     psd_image_projector,
     psd_pinv_sqrt,
+    psd_roots,
     psd_sqrt,
 )
 
@@ -80,6 +81,31 @@ class TestPsdPinvSqrt:
             proj = pinv @ psd_sqrt(m)
             np.testing.assert_allclose(proj, psd_image_projector(m), atol=1e-8)
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-8)
+
+
+class TestPsdRoots:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_stack_equals_single_matrices(self, dim):
+        # one decomposition per matrix of a (2, 3, dim, dim) stack gives the
+        # roots and ranks of the one-matrix helpers bit for bit, a singular
+        # matrix included
+        rng = np.random.default_rng(dim)
+        mats = np.stack([random_spd(rng, dim) for _ in range(6)])
+        mats[4] = np.outer(mats[4][0], mats[4][0])        # rank 1
+        roots, pinvs, ranks = psd_roots(mats.reshape(2, 3, dim, dim))
+        assert roots.shape == pinvs.shape == (2, 3, dim, dim)
+        assert ranks.shape == (2, 3)
+        for m, r, p, k in zip(mats, roots.reshape(mats.shape),
+                              pinvs.reshape(mats.shape), ranks.ravel()):
+            assert np.array_equal(r, psd_sqrt(m))
+            pinv, rank = psd_pinv_sqrt(m)
+            assert np.array_equal(p, pinv) and k == rank
+        assert ranks.ravel()[4] == 1
+
+    def test_one_bad_matrix_in_a_stack_raises(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -0.5])])
+        with pytest.raises(NotPSD, match="-5.000e-01"):
+            psd_roots(stack)
 
 
 class TestQuadrature:

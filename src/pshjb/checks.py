@@ -13,7 +13,13 @@ import numpy as np
 from .config import RunConfig
 from .delay import gramian, kalman_rank
 from .errors import PshjbError
-from .smoothing import blowup_grid, fit_blowup, inclusion_residual, lambda_operator
+from .smoothing import (
+    INCLUSION_TOL,
+    blowup_grid,
+    fit_blowup,
+    inclusion_residual,
+    lambda_operator,
+)
 
 
 def _check_inclusion(run: RunConfig):
@@ -22,7 +28,7 @@ def _check_inclusion(run: RunConfig):
         worst = max(
             worst, inclusion_residual(run.model.proj_cov(t), run.model.proj_control(t))
         )
-    return worst <= 1e-6, f"max inclusion residual {worst:.2e}"
+    return worst <= INCLUSION_TOL, f"max inclusion residual {worst:.2e}"
 
 
 def _check_blowup_exponent(run: RunConfig):

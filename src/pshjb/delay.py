@@ -130,9 +130,9 @@ class DelayState:
         object.__setattr__(self, "x1", x1)
 
     @classmethod
-    def zero_past(cls, x0, delay: float, n_points: int = MIN_PAST_POINTS):
+    def zero_past(cls, x0, delay: float):
         x0 = np.asarray(x0, dtype=float)
-        return cls(x0, np.zeros((n_points, x0.shape[0])), delay)
+        return cls(x0, np.zeros((MIN_PAST_POINTS, x0.shape[0])), delay)
 
 
 def gramian(cfg: DelayConfig, t: float) -> np.ndarray:
@@ -192,12 +192,13 @@ def controllability_matrix(cfg: DelayConfig) -> np.ndarray:
     return np.hstack(blocks)
 
 
-def kalman_rank(cfg: DelayConfig, rel_tol: float = 1e-10) -> int:
-    """Rank of the controllability matrix via its singular values."""
+def kalman_rank(cfg: DelayConfig) -> int:
+    """Rank of the controllability matrix: its singular values above 1e-10
+    times the largest."""
     sv = np.linalg.svd(controllability_matrix(cfg), compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return int(np.count_nonzero(sv > 1e-10 * sv[0]))
 
 
 def _column_residual(basis: np.ndarray, cols: np.ndarray) -> float:
@@ -246,17 +247,13 @@ class DelayProjectedModel(ProjectedModel):
         return e @ gramian(self.cfg, t - s) @ e.T
 
 
-def build_projected_model(
-    cfg: DelayConfig,
-    probe_times=(1e-3, 1e-2, 1e-1, 0.5, 1.0),
-    force: bool = False,
-) -> DelayProjectedModel:
+def build_projected_model(cfg: DelayConfig, force: bool = False) -> DelayProjectedModel:
     """Build the projected model after the controllability precondition.
 
     The build is admissible when the Kalman rank is full or, failing that,
     when the control response stays inside the image of the controllability
-    matrix at the probe times.  ``force=True`` skips the check (negative
-    tests, diagnostics).
+    matrix at the probe times 1e-3, 1e-2, 0.1, 0.5 and 1.  ``force=True``
+    skips the check (negative tests, diagnostics).
     """
     if not force:
         rank = kalman_rank(cfg)
@@ -264,7 +261,7 @@ def build_projected_model(
             k_mat = controllability_matrix(cfg)
             worst = max(
                 _column_residual(k_mat, proj_control_delay(cfg, t))
-                for t in probe_times
+                for t in (1e-3, 1e-2, 1e-1, 0.5, 1.0)
             )
             if worst > 1e-8:
                 raise RankDeficient(

@@ -38,7 +38,7 @@ import numpy as np
 from .errors import DimensionMismatch, DominanceViolated
 from .hjb import HJBSolution, Hamiltonian, h_min_batch, interp_fbar
 from .ou import ProjectedModel, ProjectedTerminalCost, assemble_block_cov
-from .spectral import psd_sqrt
+from .spectral import psd_roots
 
 # Samples per block of simulate_cost.  A greedy block keeps its per-step
 # arrays (state, control sum, gradient, argmin scratch: about 1.3 MB at
@@ -58,8 +58,8 @@ class CostSpec:
     phi: ProjectedTerminalCost
     horizon: float
 
-    def ell0_integral(self, a: float, b: float, n: int = 2001) -> float:
-        s = np.linspace(a, b, n)
+    def ell0_integral(self, a: float, b: float) -> float:
+        s = np.linspace(a, b, 2001)
         return float(np.trapezoid(np.asarray(self.ell0(s), dtype=float), s))
 
 
@@ -79,16 +79,16 @@ class Policy:
     name: str = ""
 
     @classmethod
-    def constant(cls, index: int, name: str = "constant") -> "Policy":
-        return cls(kind="constant", index=index, name=name)
+    def constant(cls, index: int) -> "Policy":
+        return cls(kind="constant", index=index, name="constant")
 
     @classmethod
     def open_loop(cls, indices, name: str = "open_loop") -> "Policy":
         return cls(kind="open_loop", indices=np.asarray(indices, dtype=int), name=name)
 
     @classmethod
-    def greedy(cls, solution: HJBSolution, name: str = "greedy") -> "Policy":
-        return cls(kind="greedy", solution=solution, name=name)
+    def greedy(cls, solution: HJBSolution) -> "Policy":
+        return cls(kind="greedy", solution=solution, name="greedy")
 
 
 @dataclass(frozen=True)
@@ -180,7 +180,7 @@ def simulate_cost(
             if idx is None or idx.shape != (time_steps,):
                 raise DimensionMismatch("open-loop policy needs one index per step")
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
-        root_t = psd_sqrt(model.proj_cov(T - t0)).T
+        root_t = psd_roots(model.proj_cov(T - t0))[0].T
         c0 = ell0_int + float(ell1[idx].sum() * dt)
         for lo in range(0, n_samples, _SIM_BLOCK):
             b = min(_SIM_BLOCK, n_samples - lo)
@@ -209,9 +209,9 @@ def simulate_cost(
     # draws of shape (B, steps*N); the draws are freed once the product exists.
     n_dim = model.proj_dim
     blocks = [block(i) for i in range(time_steps)]
-    root = psd_sqrt(
+    root = psd_roots(
         assemble_block_cov(lambda i, j: blocks[min(i, j)], time_steps, n_dim)
-    )
+    )[0]
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
     for lo in range(0, n_samples, _SIM_BLOCK):

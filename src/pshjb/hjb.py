@@ -54,14 +54,8 @@ from .errors import (
     TooCloseToHorizon,
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
-from .smoothing import blowup_grid, fit_blowup, lambda_operator
-from .spectral import (
-    MAX_HERMITE_DIM,
-    build_quadrature,
-    gauss_jacobi,
-    psd_roots,
-    psd_sqrt,
-)
+from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
+from .spectral import MAX_HERMITE_DIM, build_quadrature, gauss_jacobi, psd_roots
 
 # Bytes of interpolated gradient values per block of UpsilonOperator.apply.
 # A block's arrays then stay in a core's cache between the interpolation
@@ -494,6 +488,17 @@ def clamped_share(stencil, weights: np.ndarray, shape: tuple[int, ...]) -> float
     return float(weights @ (1.0 - inside).ravel() / weights.sum())
 
 
+def _check_grids(a, b):
+    """Raise :class:`GridMismatch` unless the time grids and space axes of
+    ``a`` and ``b`` (iterates or an operator) agree within ``allclose``."""
+    ta, tb = a.time_grid, b.time_grid
+    if ta.shape != tb.shape or not np.allclose(ta, tb):
+        raise GridMismatch("time grids differ")
+    for x, y in zip(a.space_axes, b.space_axes):
+        if x.shape != y.shape or not np.allclose(x, y):
+            raise GridMismatch("space grids differ")
+
+
 def _time_bracket(t_axis: np.ndarray, s: float) -> tuple[int, int, float]:
     """Bracketing indices and blend weight for linear time interpolation."""
     if s <= t_axis[0]:
@@ -627,11 +632,6 @@ class UpsilonOperator:
     # -- assembly ----------------------------------------------------------
     def _precompute(self, ell0):
         t_pos = self.time_grid[1:]
-        n_t = t_pos.size
-        nq = self.rule.nodes.shape[0]
-        npts = self.mesh.shape[0]
-        m = self.ham.control_dim
-
         fine = np.linspace(0.0, self.cfg.horizon, 4001)
         ell_vals = np.asarray(ell0(fine), dtype=float)
         cum = np.concatenate(
@@ -640,27 +640,24 @@ class UpsilonOperator:
         self.ell0_cum = np.interp(t_pos, fine, cum)
 
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
-        self.s_f = np.empty((n_t, npts))
-        self.s_grad = np.empty((n_t, npts, m))
-        self.conv: list[_Convolution] = []
-        for i, t in enumerate(t_pos):
-            sqrt_cov = psd_sqrt(self.model.proj_cov(t))
-            offs = self.rule.nodes @ sqrt_cov.T
-            pts = (self.mesh[None, :, :] + offs[:, None, :]).reshape(-1, self.model.proj_dim)
-            vals = self.phi(pts).reshape(nq, npts)
-            self.s_f[i] = self.rule.weights @ vals
-            lam = lambda_operator(self.model, t).matrix
-            wk = self.rule.nodes @ lam                       # (nq, m)
-            self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, wk)
-            self.conv.append(self._time_quadrature(t, t_pos, jacobi))
+        self.s_f = np.empty((t_pos.size, self.mesh.shape[0]))
+        self.s_grad = np.empty((t_pos.size, self.mesh.shape[0], self.ham.control_dim))
+        self.conv = [self._time_quadrature(i, t_pos, jacobi) for i in range(t_pos.size)]
         self.clamped_mass = max(
             clamped_share(cv.stencil, cv.fweights, self.space_shape) for cv in self.conv
         )
 
-    def _time_quadrature(self, t: float, t_pos: np.ndarray, jacobi) -> _Convolution:
-        """Two-sided Gauss-Jacobi quadrature of int_0^t . ds, see the module doc;
-        ``jacobi`` holds the nodes and weights for (1 + x)^p on [-1, 1]."""
-        gamma = self.gamma
+    def _time_quadrature(self, i: int, t_pos: np.ndarray, jacobi) -> _Convolution:
+        """Iterate-independent data of time node i, t = t_pos[i]: the
+        semigroup terms ``s_f[i]``, ``s_grad[i]`` and the convolution's
+        two-sided Gauss-Jacobi quadrature of int_0^t . ds (see the module
+        doc); ``jacobi`` holds the nodes and weights for (1 + x)^p on [-1, 1].
+
+        The semigroup term is the s = 0 member of the node's stencil: one
+        :func:`psd_roots` call decomposes proj_cov(t) and the S pushforward
+        covariances, and the image-inclusion check (:func:`smoothing_matrix`)
+        reads the same decomposition."""
+        t, gamma, nodes = t_pos[i], self.gamma, self.rule.nodes
         p = gamma / (1.0 - gamma)
         x, w = jacobi
         c = 0.5 ** (1.0 - gamma)                 # sigma value mapping to s = t/2
@@ -669,10 +666,17 @@ class UpsilonOperator:
         s_nodes = np.concatenate((t * frac, t * (1.0 - frac)))
         s_weights = np.concatenate((scale * w, scale * w))
         b_t = self.model.proj_control(t)
-        roots, pinvs, _ = psd_roots(
-            np.stack([self.model.pushforward_cov(s, t) for s in s_nodes]))
-        offs = [self.rule.nodes @ r.T for r in roots]
-        gvecs = [self.rule.nodes @ (pinv @ b_t) for pinv in pinvs]
+        covs = [self.model.proj_cov(t)] + [self.model.pushforward_cov(s, t) for s in s_nodes]
+        roots, pinvs, _, projs = psd_roots(np.stack(covs))
+        offs = [nodes @ r.T for r in roots]
+        gvecs = [nodes @ smoothing_matrix(t, pinvs[0], projs[0], b_t)]
+        gvecs += [nodes @ (pinv @ b_t) for pinv in pinvs[1:]]
+
+        pts = (self.mesh[None, :, :] + offs[0][:, None, :]).reshape(-1, self.model.proj_dim)
+        vals = self.phi(pts).reshape(nodes.shape[0], -1)
+        self.s_f[i] = self.rule.weights @ vals
+        self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, gvecs[0])
+
         brackets = [_time_bracket(t_pos, s) for s in s_nodes]
         i0, i1, theta = (np.array(v) for v in zip(*brackets))
         s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * len(self.space_axes))
@@ -680,9 +684,9 @@ class UpsilonOperator:
         qw = np.outer(s_weights, self.rule.weights)
         return _Convolution(
             i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
-            stencil=shift_stencil(self.space_axes, np.stack(offs)),
+            stencil=shift_stencil(self.space_axes, np.stack(offs[1:])),
             fweights=qw.ravel(),
-            gweights=(qw[..., None] * np.stack(gvecs)).reshape(qw.size, -1),
+            gweights=(qw[..., None] * np.stack(gvecs[1:])).reshape(qw.size, -1),
         )
 
     # -- iterates ----------------------------------------------------------
@@ -732,7 +736,7 @@ class UpsilonOperator:
         returned, or 0, which makes every node compute."""
         if n < 1:
             raise ValueError(f"a sweep computes at least one iterate, got n = {n}")
-        self._check_grids(g)
+        _check_grids(g, self)
         t_pos = self.time_grid[1:]
         n_t = t_pos.size
         npts = self.mesh.shape[0]
@@ -794,17 +798,8 @@ class UpsilonOperator:
                         counts[l + 1] = i + 1
         return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)], counts[n]
 
-    def _check_grids(self, g: ValueIterate):
-        if g.time_grid.shape != self.time_grid.shape or not np.allclose(
-            g.time_grid, self.time_grid
-        ):
-            raise GridMismatch("iterate time grid differs from the solver grid")
-        for a, b in zip(g.space_axes, self.space_axes):
-            if a.shape != b.shape or not np.allclose(a, b):
-                raise GridMismatch("iterate space grid differs from the solver grid")
-
     # -- random bounded iterates (contraction probes) -----------------------
-    def random_iterate(self, rng: np.random.Generator, scale: float = 1.0) -> ValueIterate:
+    def random_iterate(self, rng: np.random.Generator) -> ValueIterate:
         n_t = self.time_grid.size - 1
         npts = self.mesh.shape[0]
         m = self.ham.control_dim
@@ -813,13 +808,12 @@ class UpsilonOperator:
         t_pos = self.time_grid[1:]
         a = rng.standard_normal(self.model.proj_dim)
         mod_t = 1.0 + 0.5 * np.sin(3.0 * rng.random() * t_pos)[:, None]
-        f[1:] = scale * mod_t * np.tanh(self.mesh @ a + rng.standard_normal())[None, :]
+        f[1:] = mod_t * np.tanh(self.mesh @ a + rng.standard_normal())[None, :]
         fbar = np.empty((n_t, npts, m))
         for k in range(m):
             c = rng.standard_normal(self.model.proj_dim)
             fbar[..., k] = (
-                scale
-                * (1.0 + 0.3 * np.cos(2.0 * rng.random() * t_pos))[:, None]
+                (1.0 + 0.3 * np.cos(2.0 * rng.random() * t_pos))[:, None]
                 * np.tanh(self.mesh @ c + rng.standard_normal())[None, :]
             )
         return self._pack(f, fbar)
@@ -838,13 +832,7 @@ def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> 
     weight is at most 1, so eta = 0, the sup norm of the stopping test, is
     the strictest.
     """
-    if g1.time_grid.shape != g2.time_grid.shape or not np.allclose(
-        g1.time_grid, g2.time_grid
-    ):
-        raise GridMismatch("time grids differ")
-    for a, b in zip(g1.space_axes, g2.space_axes):
-        if a.shape != b.shape or not np.allclose(a, b):
-            raise GridMismatch("space grids differ")
+    _check_grids(g1, g2)
     if g1.fbar_values.shape != g2.fbar_values.shape:
         raise GridMismatch("gradient value shapes differ")
     wt = np.exp(-eta_weight * g1.time_grid)
@@ -862,12 +850,11 @@ def contraction_ratios(
     eta_weights,
     n_pairs: int = 10,
     rng: np.random.Generator | None = None,
-    scale: float = 1.0,
 ) -> list[list[float]]:
     """Measured ratios ||Ups g1 - Ups g2|| / ||g1 - g2|| on random pairs,
     one list per weight of ``eta_weights``, all from the same pairs."""
     rng = rng or np.random.default_rng(0)
-    pairs = [(ups.random_iterate(rng, scale), ups.random_iterate(rng, scale))
+    pairs = [(ups.random_iterate(rng), ups.random_iterate(rng))
              for _ in range(n_pairs)]
     images = [(ups.apply(g1), ups.apply(g2)) for g1, g2 in pairs]
 

@@ -24,8 +24,7 @@ from .spectral import (
     GaussianMeasureN,
     QuadratureRule,
     gauss_expectation,
-    psd_image_projector,
-    psd_pinv_sqrt,
+    psd_roots,
 )
 
 
@@ -114,28 +113,21 @@ def semigroup_apply(
     return gauss_expectation(lambda z: phi(z), mu, rule)
 
 
-def cameron_martin_density(
-    cov,
-    y,
-    z,
-    rank_tol: float = 1e-12,
-    image_tol: float = 1e-8,
-) -> float:
+def cameron_martin_density(cov, y, z) -> float:
     """Radon-Nikodym density dN(y, cov)/dN(0, cov) evaluated at z.
 
     Requires y in the image of cov^{1/2} (the two measures are otherwise
-    singular): the component of y outside the image must stay below
-    ``image_tol * |y|``.
+    singular): the component of y outside the numerical image
+    (:func:`psd_roots`) must stay below ``1e-8 * |y|``.
     """
     y = np.asarray(y, dtype=float)
     z = np.asarray(z, dtype=float)
     cov = np.asarray(cov, dtype=float)
     if y.shape != z.shape or cov.shape != (y.size, y.size):
         raise DimensionMismatch("cov must be NxN with y, z of length N")
-    pinv_sqrt, _ = psd_pinv_sqrt(cov, rank_tol)
-    proj = psd_image_projector(cov, rank_tol)
+    _, pinv_sqrt, _, proj = psd_roots(cov)
     ny = np.linalg.norm(y)
-    if ny > 0 and np.linalg.norm(y - proj @ y) > image_tol * ny:
+    if ny > 0 and np.linalg.norm(y - proj @ y) > 1e-8 * ny:
         raise NotInCameronMartin(
             "shift has a component outside Im(cov^{1/2}); measures are singular"
         )

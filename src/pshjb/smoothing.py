@@ -4,8 +4,12 @@ The operator Lambda(t) = (P Q_t P*)^{-1/2} (P e^{tA}) C measures how strongly
 the transition semigroup regularizes along control directions: its operator
 norm blows up like t^{-gamma} as t -> 0, and gamma in (0, 1) is exactly what
 the fixed-point construction of the HJB solution needs.  This module builds
-Lambda, evaluates the control-directional gradient of the smoothed terminal
-cost through the Cameron-Martin weight, and fits the blow-up exponent from a
+Lambda from the pseudo-inverse root and the image projector of one
+eigendecomposition of the covariance (:func:`spectral.psd_roots`), after
+checking that the control columns lie in that image within INCLUSION_TOL
+(:func:`smoothing_matrix`, which the solver's assembly calls too).  It also
+evaluates the control-directional gradient of the smoothed terminal cost
+through the Cameron-Martin weight and fits the blow-up exponent from a
 log-log regression.
 """
 
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import InclusionViolated
 from .ou import ProjectedModel, ProjectedTerminalCost
-from .spectral import QuadratureRule, psd_image_projector, psd_pinv_sqrt, psd_sqrt
+from .spectral import QuadratureRule, psd_roots
 
 INCLUSION_TOL = 1e-6
 
@@ -35,40 +39,47 @@ class SmoothingOperator:
         return float(np.linalg.norm(self.matrix, 2))
 
 
-def inclusion_residual(cov, columns, rank_tol: float = 1e-12) -> float:
-    """Relative residual of ``columns`` outside the numerical image of ``cov``."""
+def _outside(projector: np.ndarray, columns) -> float:
+    """Relative residual of ``columns`` outside the image of ``projector``."""
     columns = np.asarray(columns, dtype=float)
     denom = np.linalg.norm(columns)
     if denom == 0.0:
         return 0.0
-    proj = psd_image_projector(cov, rank_tol)
-    return float(np.linalg.norm(columns - proj @ columns) / denom)
+    return float(np.linalg.norm(columns - projector @ columns) / denom)
 
 
-def lambda_operator(
-    model: ProjectedModel,
-    t: float,
-    rank_tol: float = 1e-12,
-    inclusion_tol: float = INCLUSION_TOL,
-) -> SmoothingOperator:
-    """Smoothing operator Lambda(t), with the image-inclusion check.
+def inclusion_residual(cov, columns) -> float:
+    """Relative residual of ``columns`` outside the numerical image of ``cov``."""
+    return _outside(psd_roots(cov)[3], columns)
+
+
+def smoothing_matrix(t: float, pinv_root: np.ndarray, projector: np.ndarray,
+                     ctrl: np.ndarray) -> np.ndarray:
+    """Matrix of Lambda(t) from the pseudo-inverse root and image projector
+    of proj_cov(t) (:func:`psd_roots`) and ``ctrl = proj_control(t)``, with
+    the image-inclusion check.
 
     Raises :class:`InclusionViolated` when the control columns leave the
-    image of the covariance square root beyond ``inclusion_tol``: for such a
+    image of the covariance square root beyond INCLUSION_TOL: for such a
     model the operator is simply not well defined, and failing loudly is the
     point of the check.
     """
+    res = _outside(projector, ctrl)
+    if res > INCLUSION_TOL:
+        raise InclusionViolated(
+            f"image-inclusion residual {res:.3e} > {INCLUSION_TOL:g} at t={t:g}"
+        )
+    return pinv_root @ ctrl
+
+
+def lambda_operator(model: ProjectedModel, t: float) -> SmoothingOperator:
+    """Smoothing operator Lambda(t) (:func:`smoothing_matrix`)."""
     if not t > 0.0:
         raise ValueError("need t > 0")
-    cov = model.proj_cov(t)
-    ctrl = model.proj_control(t)
-    res = inclusion_residual(cov, ctrl, rank_tol)
-    if res > inclusion_tol:
-        raise InclusionViolated(
-            f"image-inclusion residual {res:.3e} > {inclusion_tol:g} at t={t:g}"
-        )
-    pinv_sqrt, _ = psd_pinv_sqrt(cov, rank_tol)
-    return SmoothingOperator(t=t, matrix=pinv_sqrt @ ctrl)
+    _, pinv_root, _, projector = psd_roots(model.proj_cov(t))
+    return SmoothingOperator(
+        t=t, matrix=smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
+    )
 
 
 def c_gradient_semigroup(
@@ -86,7 +97,7 @@ def c_gradient_semigroup(
     """
     y0 = np.asarray(y0, dtype=float)
     lam = lambda_operator(model, t)
-    sqrt_cov = psd_sqrt(model.proj_cov(t))
+    sqrt_cov = psd_roots(model.proj_cov(t))[0]
     pts = y0[None, :] + rule.nodes @ sqrt_cov.T
     vals = phi(pts)
     weights = rule.nodes @ lam.matrix          # (n_nodes, m)

@@ -1,12 +1,14 @@
 """Dense matrix functions, Gaussian expectations and quadrature rules.
 
 Everything here works on small dense matrices (dimensions up to a few
-hundred).  PSD matrix functions go through a symmetric eigendecomposition so
-that pseudo-inverses annihilate the kernel exactly instead of amplifying
-noise; the exponential of a general square matrix uses scaling and squaring.
-Gaussian expectations use one rule, tensor Gauss-Hermite, whose order**dim
-nodes limit it to MAX_HERMITE_DIM dimensions; the time integrals use
-Gauss-Jacobi.
+hundred).  One routine, :func:`psd_roots`, decides everything about a PSD
+matrix (square root, pseudo-inverse square root, rank, image projector) from
+one symmetric eigendecomposition, so that pseudo-inverses annihilate the
+kernel exactly instead of amplifying noise and every caller shares one rank
+threshold.  The exponential of a general square matrix uses scaling and
+squaring.  Gaussian expectations use one rule, tensor Gauss-Hermite, whose
+order**dim nodes limit it to MAX_HERMITE_DIM dimensions; the time integrals
+use Gauss-Jacobi.
 """
 
 from __future__ import annotations
@@ -71,71 +73,45 @@ class QuadratureRule:
         return self.nodes.shape[1]
 
 
-def _assert_psd_spectrum(lam: np.ndarray, tol_psd: float = TOL_PSD) -> np.ndarray:
+def _assert_psd_spectrum(lam: np.ndarray) -> np.ndarray:
     """Largest eigenvalue of each spectrum (last axis) of ``lam``; raises
     :class:`NotPSD` for the first spectrum with a too negative one."""
     lam_max = lam.max(axis=-1, initial=0.0)
     lam_min = lam.min(axis=-1, initial=0.0)
-    bad = lam_min < -np.maximum(tol_psd * np.maximum(lam_max, 0.0), 1e-300)
+    bad = lam_min < -np.maximum(TOL_PSD * np.maximum(lam_max, 0.0), 1e-300)
     if bad.any():
         j = np.argmax(bad)
         lo, hi = lam_min.flat[j], lam_max.flat[j]
-        raise NotPSD(f"eigenvalue {lo:.3e} below -{tol_psd:g} * lam_max ({hi:.3e})")
+        raise NotPSD(f"eigenvalue {lo:.3e} below -{TOL_PSD:g} * lam_max ({hi:.3e})")
     return lam_max
 
 
-def _eigh(m) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of the symmetric part of a matrix or a stack
-    (..., N, N) of them."""
+def psd_roots(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, np.ndarray]:
+    """Symmetric square root, pseudo-inverse square root, numerical rank and
+    image projector of a PSD matrix, or of each matrix of a stack
+    (..., N, N), from one eigendecomposition of its symmetric part.
+
+    Negative eigenvalues above ``-TOL_PSD * lam_max`` are clamped to zero
+    (covariances assembled from exponentials accumulate rounding); anything
+    below raises :class:`NotPSD`.  Eigenvalues above ``RANK_TOL * lam_max``
+    span the numerical image: they count toward the rank (an int for one
+    matrix), the projector is the sum of their eigenvectors' outer products,
+    and on the image the pseudo-inverse root acts as ``m**-0.5``, on the
+    kernel as zero.
+    """
     a = np.asarray(m, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix")
-    return np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
-
-
-def psd_roots(
-    m, rank_tol: float = RANK_TOL, tol_psd: float = TOL_PSD
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | int]:
-    """Symmetric square root, pseudo-inverse square root and numerical rank
-    of a PSD matrix, or of each matrix of a stack (..., N, N), from one
-    eigendecomposition.
-
-    Negative eigenvalues above ``-tol_psd * lam_max`` are clamped to zero
-    (covariances assembled from exponentials accumulate rounding); anything
-    below raises :class:`NotPSD`.  On the image of ``m`` the pseudo-inverse
-    root acts as ``m**-0.5``, on the kernel it is zero; eigenvalues above
-    ``rank_tol * lam_max`` count toward the rank (an int for one matrix).
-    """
-    lam, v = _eigh(m)
-    lam_max = _assert_psd_spectrum(lam, tol_psd)
-    keep = lam > rank_tol * lam_max[..., None]
+    lam, v = np.linalg.eigh(0.5 * (a + np.swapaxes(a, -1, -2)))
+    lam_max = _assert_psd_spectrum(lam)
+    keep = lam > RANK_TOL * lam_max[..., None]
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / np.sqrt(lam[keep])
     vt = np.swapaxes(v, -1, -2)
     root = (v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ vt
     rank = np.count_nonzero(keep, axis=-1)
-    return root, (v * inv[..., None, :]) @ vt, int(rank) if rank.ndim == 0 else rank
-
-
-def psd_sqrt(m, tol_psd: float = TOL_PSD) -> np.ndarray:
-    """Symmetric PSD square root of ``m`` (:func:`psd_roots`)."""
-    return psd_roots(m, tol_psd=tol_psd)[0]
-
-
-def psd_pinv_sqrt(
-    m, rank_tol: float = RANK_TOL, tol_psd: float = TOL_PSD
-) -> tuple[np.ndarray, np.ndarray | int]:
-    """Pseudo-inverse square root of a PSD matrix and its numerical rank
-    (:func:`psd_roots`)."""
-    return psd_roots(m, rank_tol, tol_psd)[1:]
-
-
-def psd_image_projector(m, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthogonal projector onto the numerical image of a PSD matrix."""
-    lam, v = _eigh(m)
-    lam_max = _assert_psd_spectrum(lam)
-    keep = lam > rank_tol * lam_max
-    return (v[:, keep]) @ v[:, keep].T
+    return (root, (v * inv[..., None, :]) @ vt, int(rank) if rank.ndim == 0 else rank,
+            (v * keep[..., None, :]) @ vt)
 
 
 def build_quadrature(dim: int, order: int) -> QuadratureRule:
@@ -252,13 +228,14 @@ def gauss_expectation(f, mu: GaussianMeasureN, rule: QuadratureRule) -> float:
     """Expectation of ``f`` under ``mu`` using a standard-normal rule.
 
     ``f`` must accept an (n, dim) array and return an (n,) array.  Points are
-    ``mean + L @ node`` with ``L = psd_sqrt(covariance)``.
+    ``mean + L @ node`` with ``L`` the square root of the covariance
+    (:func:`psd_roots`).
     """
     if rule.dim != mu.dim:
         raise DimensionMismatch(
             f"rule dim {rule.dim} does not match measure dim {mu.dim}"
         )
-    sqrt_cov = psd_sqrt(mu.covariance)
+    sqrt_cov = psd_roots(mu.covariance)[0]
     pts = mu.mean[None, :] + rule.nodes @ sqrt_cov.T
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (rule.nodes.shape[0],):

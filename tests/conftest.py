@@ -4,7 +4,7 @@ from scipy.ndimage import map_coordinates
 
 from pshjb import costs, delay, heat, hjb
 from pshjb.ou import assemble_block_cov
-from pshjb.spectral import psd_sqrt
+from pshjb.spectral import psd_roots
 
 
 @pytest.fixture(scope="session")
@@ -75,7 +75,7 @@ def sample_block_gaussian(cov_fn, k, n, rng, size=1):
     sequential conditioning: the projected process is not Markov.  Returns
     shape (size, k, n).
     """
-    root = psd_sqrt(assemble_block_cov(cov_fn, k, n))
+    root = psd_roots(assemble_block_cov(cov_fn, k, n))[0]
     z = rng.standard_normal((size, k * n))
     return (z @ root.T).reshape(size, k, n)
 

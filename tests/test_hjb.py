@@ -8,6 +8,7 @@ from pshjb import costs, hjb
 from pshjb.config import load_config
 from pshjb.errors import (
     GridMismatch,
+    InclusionViolated,
     NoContraction,
     OutOfGrid,
     TooCloseToHorizon,
@@ -28,7 +29,7 @@ from pshjb.hjb import (
     shift_stencil,
     weighted_distance,
 )
-from pshjb.ou import semigroup_apply
+from pshjb.ou import ProjectedModel, semigroup_apply
 from pshjb.spectral import build_quadrature
 
 from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham, shipped_heat_ham
@@ -296,8 +297,14 @@ class TestWeightedDistance:
         sol, ham, phi, ell0, cfg = mini_delay_solution
         other_cfg = SolverConfig(**{**MINI_CFG, "n_time": 12})
         ups = UpsilonOperator(delay_model, ham, phi, ell0, other_cfg, gamma=0.52)
-        with pytest.raises(GridMismatch):
+        with pytest.raises(GridMismatch, match="time grids differ"):
             weighted_distance(sol.iterate, ups.initial_iterate(), 0.0)
+        with pytest.raises(GridMismatch, match="time grids differ"):
+            ups.apply(sol.iterate)
+        wide_cfg = SolverConfig(**{**MINI_CFG, "box_halfwidth": 10.0})
+        ups = UpsilonOperator(delay_model, ham, phi, ell0, wide_cfg, gamma=0.52)
+        with pytest.raises(GridMismatch, match="space grids differ"):
+            ups.apply(sol.iterate)
 
 
 @pytest.fixture(scope="module")
@@ -367,6 +374,36 @@ class TestUpsilon:
         expected = 0.25 * t_pos
         err = np.abs(conv - expected[:, None, None]).max()
         assert err <= 1e-10
+
+    def test_assembly_decomposes_each_covariance_once(self, delay_model, monkeypatch):
+        # per time node one proj_cov and one proj_control query, and one
+        # eigendecomposition each of proj_cov(t) and the S pushforward
+        # covariances of its stencil; the extra proj_cov query sizes the box
+        calls = {"proj_cov": 0, "proj_control": 0, "matrices": 0}
+        for query in ("proj_cov", "proj_control"):
+            def counted(t, query=query, fn=getattr(delay_model, query)):
+                calls[query] += 1
+                return fn(t)
+            monkeypatch.setattr(delay_model, query, counted)
+        n = delay_model.proj_dim
+        eigh = np.linalg.eigh
+
+        def counted_eigh(a):
+            # N x N matrices only: the Gauss-Jacobi rule decomposes one
+            # time_quad_order x time_quad_order matrix (6 != N = 2)
+            if a.shape[-2:] == (n, n):
+                calls["matrices"] += int(np.prod(a.shape[:-2]))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+        cfg = SolverConfig(**MINI_CFG)
+        assert cfg.time_quad_order != n
+        UpsilonOperator(delay_model, shipped_delay_ham(),
+                        costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
+                        costs.constant_ell0(0.1), cfg, gamma=0.52)
+        n_s = 2 * cfg.time_quad_order
+        assert calls == {"proj_cov": cfg.n_time + 1, "proj_control": cfg.n_time,
+                         "matrices": cfg.n_time * (n_s + 1)}
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     def test_blocked_apply_equals_one_block(self, name, mini_ups, monkeypatch):
@@ -544,6 +581,30 @@ class TestPicard:
             with pytest.raises(NoContraction, match="in the sup norm") as exc:
                 picard_solve(delay_model, ham, phi, ell0, cfg)
         assert str(exc.value).endswith(f"residuals={residuals[-5:]}")
+
+    def test_control_outside_covariance_image_raises(self):
+        # noise only along the first coordinate, control only along the
+        # second: Lambda(t) is undefined.  A set gamma skips the blow-up
+        # fit, so the operator assembly is what must refuse the model.
+        class Degenerate(ProjectedModel):
+            proj_dim, control_dim = 2, 1
+
+            def proj_cov(self, t):
+                return np.diag([t, 0.0])
+
+            def pushforward_cov(self, s, t):
+                return np.diag([t - s, 0.0])
+
+            def proj_control(self, t):
+                return np.array([[0.0], [1.0]])
+
+        ham = Hamiltonian([[-1.0], [1.0]], [0.0, 0.0])
+        cfg = SolverConfig(gamma=0.3, n_time=3, space_points=5, quad_order=2,
+                           time_quad_order=2)
+        with pytest.raises(InclusionViolated,
+                           match=r"image-inclusion residual 1\.000e\+00 > 1e-06"):
+            picard_solve(Degenerate(), ham, costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
+                         costs.constant_ell0(0.0), cfg)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):

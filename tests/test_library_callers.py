@@ -1,16 +1,22 @@
-"""Guard against library code that only its own unit tests call.
+"""Guards against library code and options that nothing uses.
 
 Every public top-level function or class of ``src/pshjb``, and every method
 of the ``ProjectedModel`` contract, must be referenced by name or attribute
 (or imported by name) from other library code.  Docstrings are strings, not
 references, and ``__init__.py`` only re-exports modules, so neither counts.
+
+Every defaulted parameter of a public function or method must be passed, by
+keyword or by position, by some call in ``src``, ``tests`` or ``bench``.
+Calls are matched by function name alone.
 """
 
 import ast
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "pshjb"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "pshjb"
+CALLER_DIRS = ("src", "tests", "bench")
 
 # test oracles and acceptance-criterion helpers, kept without a library caller
 ALLOWED = {
@@ -57,3 +63,61 @@ def test_every_public_name_has_a_library_caller():
         and total[node.name] - references(node)[node.name] <= 0
     ]
     assert unused == [], "public code without a library caller: " + ", ".join(unused)
+
+
+def defaulted_parameters(tree):
+    """(function name, parameter, position or None, is method) of every
+    defaulted parameter of a public top-level function or public method."""
+    owners = [(node, False) for node in tree.body]
+    owners += [(m, True) for node in tree.body if isinstance(node, ast.ClassDef)
+               and not node.name.startswith("_") for m in node.body]
+    for fn, is_method in owners:
+        if not isinstance(fn, ast.FunctionDef) or fn.name.startswith("_"):
+            continue
+        pos = fn.args.posonlyargs + fn.args.args
+        for i, arg in enumerate(pos[len(pos) - len(fn.args.defaults):],
+                                len(pos) - len(fn.args.defaults)):
+            yield fn.name, arg.arg, i, is_method
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield fn.name, arg.arg, None, is_method
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    """A default that no call overrides is a constant dressed as an option.
+    A call through ``*args`` or ``**kwargs`` may pass anything, and a
+    function referenced without a call (a builder that config fills from
+    YAML by keyword) may be called with anything."""
+    trees = [ast.parse(p.read_text()) for d in CALLER_DIRS
+             for p in sorted((ROOT / d).rglob("*.py"))]
+    passed, open_ended, referenced = set(), set(), set()
+    for tree in trees:
+        called = set()
+        for n in ast.walk(tree):
+            if not isinstance(n, ast.Call):
+                continue
+            called.add(id(n.func))
+            name = getattr(n.func, "id", getattr(n.func, "attr", None))
+            if any(k.arg is None for k in n.keywords) or any(
+                    isinstance(a, ast.Starred) for a in n.args):
+                open_ended.add(name)
+            passed.update((name, k.arg) for k in n.keywords)
+            passed.update((name, i) for i in range(len(n.args)))
+        # a name the file also binds is a variable there, not a reference
+        bound = {n.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+        bound.update(n.arg for n in ast.walk(tree) if isinstance(n, ast.arg))
+        referenced.update(n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                          and isinstance(n.ctx, ast.Load) and id(n) not in called)
+        referenced.update(n.id for n in ast.walk(tree) if isinstance(n, ast.Name)
+                          and isinstance(n.ctx, ast.Load) and id(n) not in called
+                          and n.id not in bound)
+    unused = [
+        f"{name}({param})"
+        for tree in (ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py")))
+        for name, param, pos, is_method in defaulted_parameters(tree)
+        if name not in open_ended and name not in referenced
+        and (name, param) not in passed
+        and (pos is None or (name, pos - is_method) not in passed)
+    ]
+    assert unused == [], "defaulted parameters that no call passes: " + ", ".join(unused)

@@ -16,10 +16,7 @@ from pshjb.spectral import (
     expm,
     gauss_expectation,
     gauss_jacobi,
-    psd_image_projector,
-    psd_pinv_sqrt,
     psd_roots,
-    psd_sqrt,
 )
 
 
@@ -29,46 +26,55 @@ def random_spd(rng, dim, min_eig=0.05):
 
 
 class TestPsdSqrt:
+    """The square root of :func:`psd_roots`."""
+
     def test_identity(self):
-        assert np.array_equal(psd_sqrt(np.eye(3)), np.eye(3))
+        assert np.array_equal(psd_roots(np.eye(3))[0], np.eye(3))
 
     def test_diagonal(self):
-        np.testing.assert_allclose(psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        np.testing.assert_allclose(psd_roots(np.diag([4.0, 9.0]))[0], np.diag([2.0, 3.0]))
 
     @pytest.mark.parametrize("dim", [1, 2, 5, 11, 20])
     def test_roundtrip_random_spd(self, dim):
         rng = np.random.default_rng(dim)
         for _ in range(5):
             m = random_spd(rng, dim)
-            r = psd_sqrt(m)
+            r = psd_roots(m)[0]
             err = np.linalg.norm(r @ r - m) / np.linalg.norm(m)
             assert err <= 1e-10
             np.testing.assert_allclose(r, r.T)
 
     def test_rejects_negative(self):
         with pytest.raises(NotPSD):
-            psd_sqrt(np.diag([1.0, -0.5]))
+            psd_roots(np.diag([1.0, -0.5]))
 
     def test_clamps_tiny_negative(self):
         m = np.diag([1.0, -1e-14])
-        r = psd_sqrt(m)
+        r = psd_roots(m)[0]
         assert r[1, 1] == 0.0
 
 
 class TestPsdPinvSqrt:
+    """The pseudo-inverse square root, rank and image projector of
+    :func:`psd_roots`."""
+
     def test_kernel_annihilated(self):
-        r, rank = psd_pinv_sqrt(np.diag([4.0, 0.0]))
+        _, r, rank, proj = psd_roots(np.diag([4.0, 0.0]))
         np.testing.assert_allclose(r, np.diag([0.5, 0.0]))
+        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]))
         assert rank == 1
 
     def test_identity(self):
-        r, rank = psd_pinv_sqrt(np.eye(2))
+        _, r, rank, proj = psd_roots(np.eye(2))
         np.testing.assert_allclose(r, np.eye(2))
+        np.testing.assert_allclose(proj, np.eye(2))
         assert rank == 2
 
     def test_rank_tolerance(self):
-        r, rank = psd_pinv_sqrt(np.diag([9.0, 1e-20]), rank_tol=1e-12)
+        # 1e-20 / 9 lies below RANK_TOL: the eigenvalue counts as kernel
+        _, r, rank, proj = psd_roots(np.diag([9.0, 1e-20]))
         np.testing.assert_allclose(r, np.diag([1.0 / 3.0, 0.0]))
+        np.testing.assert_allclose(proj, np.diag([1.0, 0.0]))
         assert rank == 1
 
     def test_projector_property(self):
@@ -76,10 +82,11 @@ class TestPsdPinvSqrt:
         for dim in (3, 6):
             basis = rng.standard_normal((dim, dim - 1))
             m = basis @ basis.T              # rank dim-1
-            pinv, rank = psd_pinv_sqrt(m)
+            root, pinv, rank, proj = psd_roots(m)
             assert rank == dim - 1
-            proj = pinv @ psd_sqrt(m)
-            np.testing.assert_allclose(proj, psd_image_projector(m), atol=1e-8)
+            # the orthogonal projector onto the span of the basis
+            np.testing.assert_allclose(proj, basis @ np.linalg.pinv(basis), atol=1e-8)
+            np.testing.assert_allclose(pinv @ root, proj, atol=1e-8)
             np.testing.assert_allclose(proj @ proj, proj, atol=1e-8)
 
 
@@ -87,19 +94,19 @@ class TestPsdRoots:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_stack_equals_single_matrices(self, dim):
         # one decomposition per matrix of a (2, 3, dim, dim) stack gives the
-        # roots and ranks of the one-matrix helpers bit for bit, a singular
-        # matrix included
+        # results of one-matrix calls bit for bit, a singular matrix included
         rng = np.random.default_rng(dim)
         mats = np.stack([random_spd(rng, dim) for _ in range(6)])
         mats[4] = np.outer(mats[4][0], mats[4][0])        # rank 1
-        roots, pinvs, ranks = psd_roots(mats.reshape(2, 3, dim, dim))
-        assert roots.shape == pinvs.shape == (2, 3, dim, dim)
+        roots, pinvs, ranks, projs = psd_roots(mats.reshape(2, 3, dim, dim))
+        assert roots.shape == pinvs.shape == projs.shape == (2, 3, dim, dim)
         assert ranks.shape == (2, 3)
-        for m, r, p, k in zip(mats, roots.reshape(mats.shape),
-                              pinvs.reshape(mats.shape), ranks.ravel()):
-            assert np.array_equal(r, psd_sqrt(m))
-            pinv, rank = psd_pinv_sqrt(m)
-            assert np.array_equal(p, pinv) and k == rank
+        for m, *stacked in zip(mats, roots.reshape(mats.shape),
+                               pinvs.reshape(mats.shape), ranks.ravel(),
+                               projs.reshape(mats.shape)):
+            single = psd_roots(m)
+            assert all(np.array_equal(a, b) for a, b in zip(stacked, single))
+            assert type(single[2]) is int
         assert ranks.ravel()[4] == 1
 
     def test_one_bad_matrix_in_a_stack_raises(self):

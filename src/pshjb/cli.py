@@ -43,14 +43,35 @@ EXIT_INVARIANT = 5
 FLOAT_FMT = "%.17g"
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _write_csv(path: str, header: list[str], rows, grid=None) -> None:
     """Write ``rows`` (anything numpy turns into a (rows, len(header)) float
-    array) under ``header``, every value as FLOAT_FMT."""
-    line = ",".join([FLOAT_FMT] * len(header)) + "\n"
-    values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+    array) under ``header``, every value as FLOAT_FMT.
+
+    With ``grid`` = (times, mesh), of shapes (n_t,) and (P, N), ``rows``
+    holds only the other columns, (n_t, P, k) values, and row (i, p) is
+    times[i], mesh[p], rows[i, p]: time-major rows of a time x mesh table.
+    The time and mesh columns are formatted once and each time slice's
+    values with one ``%``; the bytes are those of the full rows.
+    """
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(line % tuple(row) for row in values.tolist())
+        if grid is None:
+            line = ",".join([FLOAT_FMT] * len(header)) + "\n"
+            values = np.asarray(rows, dtype=float).reshape(-1, len(header))
+            fh.writelines(line % tuple(row) for row in values.tolist())
+            return
+        times, mesh = (np.asarray(a, dtype=float) for a in grid)
+        n_dim = mesh.shape[1]
+        cols = len(header) - 1 - n_dim
+        values = np.asarray(rows, dtype=float).reshape(times.size, -1)
+        # every row of a slice but its time: the formatted mesh point, then
+        # a FLOAT_FMT per value (a formatted number holds no "%")
+        lead = ",".join([FLOAT_FMT] * n_dim) + ","
+        tail = ",".join([FLOAT_FMT] * cols)
+        body = [lead % tuple(y) + tail for y in mesh.tolist()]
+        for t, vals in zip(times.tolist(), values.tolist()):
+            start = FLOAT_FMT % t + ","
+            fh.write(start + ("\n" + start).join(body) % tuple(vals) + "\n")
 
 
 def _write_json(path: str, obj) -> None:
@@ -84,18 +105,17 @@ def cmd_solve(args, run: RunConfig) -> int:
     n_t = it.time_grid.size
     m = it.control_dim
     # rows (t, y1..yN, f, fbar1..fbarM), time-major; fbar is zero at t = 0
-    rows = np.zeros((n_t, n_pts, n_dim + 2 + m))
-    rows[..., 0] = it.time_grid[:, None]
-    rows[..., 1 : n_dim + 1] = mesh
-    rows[..., n_dim + 1] = it.f_values.reshape(n_t, n_pts)
-    rows[1:, :, n_dim + 2 :] = it.fbar_values.reshape(n_t - 1, n_pts, m)
+    values = np.zeros((n_t, n_pts, 1 + m))
+    values[..., 0] = it.f_values.reshape(n_t, n_pts)
+    values[1:, :, 1:] = it.fbar_values.reshape(n_t - 1, n_pts, m)
     header = (
         ["t"]
         + [f"y{d + 1}" for d in range(n_dim)]
         + ["f"]
         + [f"fbar{k + 1}" for k in range(m)]
     )
-    _write_csv(os.path.join(args.out_dir, "solution.csv"), header, rows)
+    _write_csv(os.path.join(args.out_dir, "solution.csv"), header, values,
+               grid=(it.time_grid, mesh))
     meta = {
         "status": "ok",
         "gamma": sol.gamma,

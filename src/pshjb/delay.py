@@ -135,20 +135,22 @@ class DelayState:
         return cls(x0, np.zeros((MIN_PAST_POINTS, x0.shape[0])), delay)
 
 
-def gramian(cfg: DelayConfig, t: float) -> np.ndarray:
-    """Controllability Gramian integral of e^{s a0} sigma sigma* e^{s a0*} over [0, t].
+def gramian(cfg: DelayConfig, t) -> np.ndarray:
+    """Controllability Gramian integral of e^{s a0} sigma sigma* e^{s a0*} over
+    [0, t], for a time t or for each of an array of times (one stacked
+    :func:`expm`).
 
     Van Loan's closed form (IEEE TAC 1978): with
     F = expm(t * cfg.van_loan), the Gramian is F22* F12.
     The exponential carries e^{|a0| t} in its blocks, so that factor must be
     representable in floating point.
     """
-    if not t > 0:
+    if not np.all(np.asarray(t) > 0):
         raise ValueError("t must be > 0")
     n = cfg.n
-    f = expm(t * cfg.van_loan)
-    q = f[n:, n:].T @ f[:n, n:]
-    return 0.5 * (q + q.T)
+    f = expm(np.multiply.outer(t, cfg.van_loan))
+    q = np.swapaxes(f[..., n:, n:], -1, -2) @ f[..., :n, n:]
+    return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
 def proj_control_delay(cfg: DelayConfig, t: float) -> np.ndarray:
@@ -240,11 +242,12 @@ class DelayProjectedModel(ProjectedModel):
     def proj_control(self, t: float) -> np.ndarray:
         return proj_control_delay(self.cfg, t)
 
-    def pushforward_cov(self, s: float, t: float) -> np.ndarray:
-        if not 0.0 < s < t:
+    def pushforward_cov(self, s, t: float) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if not np.all((0.0 < s) & (s < t)):
             raise ValueError("need 0 < s < t")
-        e = expm(s * self.cfg.a0)
-        return e @ gramian(self.cfg, t - s) @ e.T
+        e = expm(np.multiply.outer(s, self.cfg.a0))
+        return e @ gramian(self.cfg, t - s) @ np.swapaxes(e, -1, -2)
 
 
 def build_projected_model(cfg: DelayConfig, force: bool = False) -> DelayProjectedModel:

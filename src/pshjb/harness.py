@@ -198,17 +198,15 @@ def simulate_cost(
     # Joint noise of Z_j = P e^{(T-s_j)A} X(s_j): the stochastic parts are
     # integrals of a common kernel, so Cov(Y_i, Y_j) depends on min(i, j)
     # only; one global factorization gives the exact joint law.  Each of
-    # the time_steps distinct blocks is built once.
-    def block(i):
-        s = steps[i + 1]
-        if s >= T:
-            return model.proj_cov(T - t0)
-        return model.pushforward_cov(T - s, T - t0)
+    # the time_steps distinct blocks is built once: the pushforward
+    # covariances of the steps before the horizon in one query, then the
+    # last step's, which reaches the horizon, proj_cov(T - t0).
+    blocks = np.concatenate((model.pushforward_cov(T - steps[1:-1], T - t0),
+                             [model.proj_cov(T - t0)]))
 
     # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for a block's
     # draws of shape (B, steps*N); the draws are freed once the product exists.
     n_dim = model.proj_dim
-    blocks = [block(i) for i in range(time_steps)]
     root = psd_roots(
         assemble_block_cov(lambda i, j: blocks[min(i, j)], time_steps, n_dim)
     )[0]

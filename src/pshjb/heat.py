@@ -149,12 +149,14 @@ class HeatProjectedModel(ProjectedModel):
     def v_matrix(self) -> np.ndarray:
         return self._v
 
-    def _q(self, t: float) -> np.ndarray:
+    def _q(self, t) -> np.ndarray:
         lam = self._lam
-        return lam ** (-1.0 - 2.0 * self.cfg.beta) * (-np.expm1(-2.0 * t * lam))
+        decay = np.multiply.outer(-2.0 * t, lam)
+        return lam ** (-1.0 - 2.0 * self.cfg.beta) * (-np.expm1(decay))
 
     def _congruence(self, diag: np.ndarray) -> np.ndarray:
-        return (self._v * diag) @ self._v.T
+        """V diag V^T, for each row of ``diag`` (..., n_modes)."""
+        return (self._v * diag[..., None, :]) @ self._v.T
 
     def project_state(self, x) -> np.ndarray:
         return self._v @ self._coeffs(x)
@@ -182,10 +184,12 @@ class HeatProjectedModel(ProjectedModel):
             raise ValueError("t must be > 0")
         return (self._v * (self._lam * np.exp(-t * self._lam))) @ self._dmat
 
-    def pushforward_cov(self, s: float, t: float) -> np.ndarray:
-        if not 0.0 < s < t:
+    def pushforward_cov(self, s, t: float) -> np.ndarray:
+        s = np.asarray(s, dtype=float)
+        if not np.all((0.0 < s) & (s < t)):
             raise ValueError("need 0 < s < t")
-        return self._congruence(np.exp(-2.0 * s * self._lam) * self._q(t - s))
+        shift = np.exp(np.multiply.outer(-2.0 * s, self._lam))
+        return self._congruence(shift * self._q(t - s))
 
 
 def build_projected_model(cfg: HeatConfig) -> HeatProjectedModel:

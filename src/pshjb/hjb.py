@@ -32,9 +32,9 @@ The equation is a Volterra equation in time-to-go: Upsilon at time node i
 reads the gradient slices 0..i only.  The Picard loop therefore computes
 its iterates in sweeps with the time nodes as the outer loop, which build
 each node's shift matrices once for several iterates.  A node whose input
-slices no longer change beyond one ulp is copied from the previous iterate
-instead of recomputed: the result stays within rounding of exact applies,
-and a sweep gives the iterates of one-iterate sweeps bit for bit
+slices no longer change beyond four ulps is copied from the previous
+iterate instead of recomputed: the result stays within rounding of exact
+applies, and a sweep gives the iterates of one-iterate sweeps bit for bit
 (:class:`UpsilonOperator`).
 """
 
@@ -130,7 +130,8 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     ell1 - |u_k| |p_k|: rounding is monotone and symmetric, so this equals
     min(ell1 + u_k p_k, ell1 - u_k p_k) bit for bit, and with no -0.0 cost
     (the pairing's condition) no value is -0.0 and the minimum does not
-    depend on the order.  ``out``, if given, is a C-contiguous array of
+    depend on the order.  Pairs on the same component k share one |p_k|
+    pass.  ``out``, if given, is a C-contiguous array of
     p.shape[1:] values that receives the minimum.  With ``argmin`` the index
     of the minimizer is returned as well; ties break to the lowest index
     (determinism), so every control takes its own pass.
@@ -148,6 +149,9 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     # the first control with a nonzero coordinate starts the minimum
     lead = next((j for j, terms in enumerate(ham.terms) if terms), n_u)
     idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
+    # |p_k| of each component with several pairs, taken once
+    paired = [ham.terms[j][0][0] for j in range(n_u) if pairs[j] == 1]
+    shared = {k: None for k in paired if paired.count(k) > 1}
     for j in range(lead, n_u):
         if pairs[j] == 2:
             continue                # folded into the lower index of its pair
@@ -156,10 +160,15 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         if terms:
             (k, uk), *rest = terms
             if pairs[j]:
-                np.abs(p2[k], out=row)
+                if k in shared:
+                    if shared[k] is None:
+                        shared[k] = np.abs(p2[k])
+                    mag = shared[k]
+                else:
+                    mag = np.abs(p2[k], out=row)
                 if abs(uk) != 1.0:
-                    row *= abs(uk)
-                np.subtract(cost, row, out=row)
+                    mag = np.multiply(mag, abs(uk), out=row)
+                np.subtract(cost, mag, out=row)
             elif uk == 1.0:
                 np.add(p2[k], cost, out=row)
             elif uk == -1.0:
@@ -566,15 +575,19 @@ class UpsilonOperator:
 
     Settled nodes: an iterate's settled count is the length of the leading
     run of time nodes i whose gradient slice differs from that of the
-    iterate it was computed from by at most one ulp, ``np.spacing`` of its
-    largest |fbar| over slices 0..i (the slices node i reads, and all a
+    iterate it was computed from by at most four ulps, 4 ``np.spacing`` of
+    its largest |fbar| over slices 0..i (the slices node i reads, and all a
     node-major sweep has of an iterate when it reaches node i).  Below its
     source's count, the next iterate copies the source's ``f[i + 1]`` and
     ``fbar[i]``: no blend, interpolation or Hamiltonian, and a node that
-    every iterate of a sweep copies builds no shift matrices.  Inputs
-    unchanged to one ulp give an output unchanged to rounding, so copies
-    keep the iterates within rounding of exact applies (at most 1.1e-16 on
-    the shipped and benchmark configs).  A copied slice equals its source, so a count never
+    every iterate of a sweep copies builds no shift matrices.  Four ulps,
+    not one: early slices that have reached their floating-point fixed
+    point can still cycle between a few values a couple of ulps apart
+    (rounding of the blend and the quadrature sums), and one ulp would
+    recompute such nodes at every iterate.  Inputs unchanged to four ulps
+    give an output unchanged to rounding, so copies keep the iterates
+    within rounding of exact applies (at most 1.1e-16 on the shipped and
+    benchmark configs).  A copied slice equals its source, so a count never
     falls from one iterate to the next.  Every iterate is computed, or
     copied, by the same operations on the same operands and with the same
     count as in a chain of one-iterate sweeps that carries the count, so it
@@ -654,9 +667,10 @@ class UpsilonOperator:
         doc); ``jacobi`` holds the nodes and weights for (1 + x)^p on [-1, 1].
 
         The semigroup term is the s = 0 member of the node's stencil: one
-        :func:`psd_roots` call decomposes proj_cov(t) and the S pushforward
-        covariances, and the image-inclusion check (:func:`smoothing_matrix`)
-        reads the same decomposition."""
+        ``pushforward_cov`` query returns the S pushforward covariances, one
+        :func:`psd_roots` call decomposes them with proj_cov(t), and the
+        image-inclusion check (:func:`smoothing_matrix`) reads the same
+        decomposition."""
         t, gamma, nodes = t_pos[i], self.gamma, self.rule.nodes
         p = gamma / (1.0 - gamma)
         x, w = jacobi
@@ -666,8 +680,8 @@ class UpsilonOperator:
         s_nodes = np.concatenate((t * frac, t * (1.0 - frac)))
         s_weights = np.concatenate((scale * w, scale * w))
         b_t = self.model.proj_control(t)
-        covs = [self.model.proj_cov(t)] + [self.model.pushforward_cov(s, t) for s in s_nodes]
-        roots, pinvs, _, projs = psd_roots(np.stack(covs))
+        covs = np.concatenate(([self.model.proj_cov(t)], self.model.pushforward_cov(s_nodes, t)))
+        roots, pinvs, _, projs = psd_roots(covs)
         offs = [nodes @ r.T for r in roots]
         gvecs = [nodes @ smoothing_matrix(t, pinvs[0], projs[0], b_t)]
         gvecs += [nodes @ (pinv @ b_t) for pinv in pinvs[1:]]
@@ -792,9 +806,9 @@ class UpsilonOperator:
                     fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
                 if counts[l + 1] == i:
                     # the new iterate's leading run of settled slices grows
-                    # while slice i moves by at most one ulp of its slices 0..i
+                    # while slice i moves by at most four ulps of its slices 0..i
                     tops[l + 1] = max(tops[l + 1], float(np.abs(fbar_out[i]).max()))
-                    if np.abs(fbar_out[i] - fbar_src[l][i]).max() <= np.spacing(tops[l + 1]):
+                    if np.abs(fbar_out[i] - fbar_src[l][i]).max() <= 4 * np.spacing(tops[l + 1]):
                         counts[l + 1] = i + 1
         return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)], counts[n]
 

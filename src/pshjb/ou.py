@@ -40,10 +40,14 @@ class ProjectedModel:
       space (the t -> 0 limit of the above);
     - ``proj_cov(t)``: N x N matrix of P Q_t P*;
     - ``proj_control(t)``: N x m matrix of (P e^{tA}) C;
-    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t.
+    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t; for
+      an array of s, the stack (*s.shape, N, N) of these matrices, each
+      equal bit for bit to the call with its s alone.
 
     The library queries a model only through these; the policy simulation
-    builds the law of the projected noise from the two covariances.
+    builds the law of the projected noise from the two covariances.  The
+    solver's assembly and the greedy simulation ask for all the pushforward
+    covariances of one t in one call.
 
     Implementations must be immutable after construction; all queries are
     pure so they can run concurrently.
@@ -68,7 +72,7 @@ class ProjectedModel:
     def proj_control(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def pushforward_cov(self, s: float, t: float) -> np.ndarray:
+    def pushforward_cov(self, s, t: float) -> np.ndarray:
         raise NotImplementedError
 
 

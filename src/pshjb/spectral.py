@@ -181,43 +181,68 @@ _PADE_COEFFS = {
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential of a square matrix by scaling and squaring.
+    """Matrix exponential of a square matrix, or of each matrix of a stack
+    (..., n, n), by scaling and squaring.
 
-    Higham's 2005 algorithm: the [m/m] Pade approximant with the lowest
-    degree m in {3, 5, 7, 9, 13} whose theta_m bounds the 1-norm; above
-    theta_13, the matrix is scaled by 2^-s into range and the degree-13
-    approximant squared s times.
+    Higham's 2005 algorithm, per matrix: the [m/m] Pade approximant with
+    the lowest degree m in {3, 5, 7, 9, 13} whose theta_m bounds its
+    1-norm; above theta_13, the matrix is scaled by 2^-s into range and the
+    degree-13 approximant squared s times.  The matrices of one (m, s)
+    group go through the same stacked operations, which compute each
+    matrix as a call on it alone would, bit for bit.
     """
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix")
-    norm = np.abs(a).sum(axis=0).max(initial=0.0)
-    s = 0
+    n = a.shape[-1]
+    flat = a.reshape(-1, n, n)
+    norms = np.abs(flat).sum(axis=-2).max(axis=-1, initial=0.0)
+    keys = [_pade_key(norm) for norm in norms]
+    groups = set(keys)
+    if len(groups) == 1:                        # no gather and scatter
+        return _pade_square(flat, *keys[0]).reshape(a.shape)
+    out = np.empty_like(flat)
+    for key in groups:
+        sel = [i for i, k in enumerate(keys) if k == key]
+        out[sel] = _pade_square(flat[sel], *key)
+    return out.reshape(a.shape)
+
+
+def _pade_key(norm) -> tuple[int, int]:
+    """Pade degree m and scaling s of a matrix of 1-norm ``norm``."""
     for m, theta in _PADE_THETA.items():
         if norm <= theta:
-            break
-    else:
-        s = int(np.ceil(np.log2(norm / theta)))
+            return m, 0
+    if not np.isfinite(norm):
+        raise ValueError("expm needs finite entries")
+    return m, int(np.ceil(np.log2(norm / theta)))
+
+
+def _pade_square(a: np.ndarray, m: int, s: int) -> np.ndarray:
+    """exp of each matrix of the stack (g, n, n): the degree-m Pade
+    approximant of a * 2^-s, squared s times."""
+    if s:
         a = a * 2.0**-s
     # u and v are the odd and even parts of the approximant's numerator,
     # sums of b_k a^k; the even powers a^0, a^2, ... fill one array, so that
-    # each sum is one matrix-vector product with the coefficients.
-    b, n = _PADE_COEFFS[m], a.shape[0]
+    # each sum is one vector-matrix product with the coefficients per matrix
+    b, (g, n, _) = _PADE_COEFFS[m], a.shape
     k = 4 if m == 13 else m // 2 + 1
-    p = np.empty((k, n, n))
-    p[0] = np.eye(n)
-    np.matmul(a, a, out=p[1])
+    p = np.empty((g, k, n, n))
+    p[:, 0] = np.eye(n)
+    np.matmul(a, a, out=p[:, 1])
     for i in range(2, k):
-        np.matmul(p[i - 1], p[1], out=p[i])
-    p = p.reshape(k, n * n)
+        np.matmul(p[:, i - 1], p[:, 1], out=p[:, i])
+    p = p.reshape(g, k, n * n)
+    mats = (g, n, n)
     if m == 13:
         # a^8 .. a^12 enter as a^6 times a^2, a^4, a^6
-        a6 = p[3].reshape(n, n)
-        u = a @ (a6 @ (b[9::2] @ p[1:]).reshape(n, n) + (b[1:9:2] @ p).reshape(n, n))
-        v = a6 @ (b[8::2] @ p[1:]).reshape(n, n) + (b[0:8:2] @ p).reshape(n, n)
+        a6 = p[:, 3].reshape(mats)
+        u = a @ (a6 @ (b[9::2] @ p[:, 1:]).reshape(mats) + (b[1:9:2] @ p).reshape(mats))
+        v = a6 @ (b[8::2] @ p[:, 1:]).reshape(mats) + (b[0:8:2] @ p).reshape(mats)
     else:
-        u = a @ (b[1::2] @ p).reshape(n, n)
-        v = (b[0::2] @ p).reshape(n, n)
+        u = a @ (b[1::2] @ p).reshape(mats)
+        v = (b[0::2] @ p).reshape(mats)
     x = np.linalg.solve(v - u, v + u)
     for _ in range(s):
         x = x @ x

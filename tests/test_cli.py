@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pshjb.cli import main
+from pshjb.cli import _write_csv, main
 
 
 def small_delay_config(**overrides):
@@ -84,6 +84,33 @@ class TestSolve:
             assert rc == 0
             outs.append((out / "solution.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("n_dim", [1, 2])
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n_t, n_ax", [(4, 3), (1, 1)])
+    def test_grid_writer_matches_row_writer(self, tmp_path, n_dim, m, n_t, n_ax):
+        # solution.csv's time x mesh writer gives the bytes of one FLOAT_FMT
+        # row per (time, mesh point), also for -0.0, the smallest subnormal,
+        # +-1e308 and integral floats
+        rng = np.random.default_rng(10 * n_dim + m)
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                            3.0, -17.0, 2.0**60, 0.1])
+        times = rng.permutation(np.concatenate((special, rng.random(4))))[:n_t]
+        axes = [rng.permutation(special)[:n_ax] for _ in range(n_dim)]
+        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+        values = rng.standard_normal((n_t, len(mesh), 1 + m))
+        pick = rng.random(values.shape) < 0.5
+        values[pick] = rng.choice(special, pick.sum())
+        full = np.concatenate((
+            np.broadcast_to(times[:, None, None], (n_t, len(mesh), 1)),
+            np.broadcast_to(mesh, (n_t,) + mesh.shape), values), axis=-1)
+        header = (["t"] + [f"y{d + 1}" for d in range(n_dim)] + ["f"]
+                  + [f"fbar{k + 1}" for k in range(m)])
+        rows, grid = tmp_path / "rows.csv", tmp_path / "grid.csv"
+        _write_csv(str(rows), header, full)
+        _write_csv(str(grid), header, values, grid=(times, mesh))
+        assert grid.read_bytes() == rows.read_bytes()
+        assert len(rows.read_text().splitlines()) == 1 + n_t * n_ax**n_dim
 
     def test_bad_gamma_rejected(self, tmp_path):
         cfg = small_delay_config(**{"solver.gamma": 1.5})

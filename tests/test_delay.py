@@ -61,6 +61,18 @@ class TestGramian:
                                        atol=1e-12 * np.abs(exact).max())
 
 
+    def test_array_of_times(self, delay_model):
+        # one stacked call equals the calls at each time, bit for bit
+        cfg = delay_model.cfg
+        ts = np.geomspace(1e-4, 3.0, 12)
+        got = gramian(cfg, ts)
+        assert got.shape == (12, cfg.n, cfg.n)
+        for t, g in zip(ts, got):
+            assert np.array_equal(gramian(cfg, t), g)
+        with pytest.raises(ValueError):
+            gramian(cfg, np.array([0.5, 0.0]))
+
+
 class TestControlResponse:
     def test_atom_inactive_before_delay(self):
         cfg = scalar_delay_config(c=0.5, d=0.2)
@@ -218,6 +230,23 @@ class TestProjectedModel:
         np.testing.assert_allclose(
             delay_model.proj_semigroup_apply(t, state), exact, atol=1e-10
         )
+
+    @pytest.mark.parametrize("model", ["shipped", "scalar"])
+    def test_pushforward_stack_equals_single(self, model, delay_model, delay_scalar):
+        # an array of s gives the per-s matrices bit for bit, in its shape
+        mdl = delay_model if model == "shipped" else delay_scalar
+        n = mdl.proj_dim
+        for t in (1e-3, 0.15, 0.6, 1.0):
+            s = t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 12))
+            got = mdl.pushforward_cov(s, t)
+            assert got.shape == (12, n, n)
+            for si, c in zip(s, got):
+                assert np.array_equal(mdl.pushforward_cov(si, t), c)
+            grid = mdl.pushforward_cov(s.reshape(3, 4), t)
+            assert np.array_equal(grid, got.reshape(3, 4, n, n))
+        for bad in ([0.2, 0.0], [0.2, 1.0]):
+            with pytest.raises(ValueError):
+                mdl.pushforward_cov(np.array(bad), 1.0)
 
     def test_state_validation(self):
         with pytest.raises(ConfigError):

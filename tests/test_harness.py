@@ -328,8 +328,9 @@ class TestControlIntegralTable:
 class TestGreedyNoiseBlocks:
     def test_one_block_per_step(self, mini_delay_solution, delay_model, monkeypatch):
         # Cov(Y_i, Y_j) depends on min(i, j) only: 20 steps need 19
-        # pushforward_cov blocks and one proj_cov block, not one per pair;
-        # the costs equal those of the per-pair assembly
+        # pushforward_cov blocks, from one stacked query, and one proj_cov
+        # block, not one per pair; the costs equal those of the per-pair
+        # assembly
         sol, ham, phi, ell0, cfg = mini_delay_solution
         cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
         steps, T = np.linspace(0.0, 1.0, 21), cfg.horizon
@@ -339,13 +340,17 @@ class TestGreedyNoiseBlocks:
                                  500, 20, seed=9).sample_costs
 
         calls = {"pushforward_cov": 0, "proj_cov": 0}
+        blocks = {"pushforward_cov": 0, "proj_cov": 0}
         for name in calls:
             def counted(*args, _name=name, _fn=getattr(delay_model, name)):
                 calls[_name] += 1
-                return _fn(*args)
+                out = _fn(*args)
+                blocks[_name] += out.size // delay_model.proj_dim**2
+                return out
             monkeypatch.setattr(delay_model, name, counted)
         shared = greedy_costs()
-        assert calls == {"pushforward_cov": 19, "proj_cov": 1}
+        assert calls == {"pushforward_cov": 1, "proj_cov": 1}
+        assert blocks == {"pushforward_cov": 19, "proj_cov": 1}
         monkeypatch.undo()
 
         def per_pair(i, j):

@@ -74,6 +74,21 @@ class TestProjectedModel:
             atol=1e-14,
         )
 
+    def test_pushforward_stack_equals_single(self, heat_model):
+        # an array of s gives the per-s matrices bit for bit, in its shape
+        n = heat_model.proj_dim
+        for t in (1e-3, 0.15, 0.6, 1.0):
+            s = t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 12))
+            got = heat_model.pushforward_cov(s, t)
+            assert got.shape == (12, n, n)
+            for si, c in zip(s, got):
+                assert np.array_equal(heat_model.pushforward_cov(si, t), c)
+            grid = heat_model.pushforward_cov(s.reshape(3, 4), t)
+            assert np.array_equal(grid, got.reshape(3, 4, n, n))
+        for bad in ([0.2, 0.0], [0.2, 1.0]):
+            with pytest.raises(ValueError):
+                heat_model.pushforward_cov(np.array(bad), 1.0)
+
     def test_semigroup_handles_growing_coefficients(self, heat_model):
         # states from the extrapolation space: coefficients growing like
         # lam^{3/4 + eps} must still produce finite projections for t > 0

@@ -60,7 +60,8 @@ class TestHMin:
         # an all-zero control, one with two nonzero coordinates, duplicated
         # rows (exact ties), axis-aligned controls and coefficients +-1 (a
         # single term, the first of two terms, a later term), and +- pairs:
-        # adjacent and not, |u| = 0.5, 1 and 1.5, next to look-alikes that
+        # adjacent and not, |u| = 0.5, 1 and 1.5, three on component 0 and
+        # two on component 1 at m = 2 (sharing |p_k|), next to look-alikes that
         # must not pair (unequal costs, two coordinates, a duplicate whose
         # partner is taken); against the minimum of ell1(u_j) + sum_k u_jk p_k
         # summed in the routine's order
@@ -376,14 +377,18 @@ class TestUpsilon:
         assert err <= 1e-10
 
     def test_assembly_decomposes_each_covariance_once(self, delay_model, monkeypatch):
-        # per time node one proj_cov and one proj_control query, and one
-        # eigendecomposition each of proj_cov(t) and the S pushforward
-        # covariances of its stencil; the extra proj_cov query sizes the box
-        calls = {"proj_cov": 0, "proj_control": 0, "matrices": 0}
-        for query in ("proj_cov", "proj_control"):
-            def counted(t, query=query, fn=getattr(delay_model, query)):
+        # per time node one proj_cov, one proj_control and one stacked
+        # pushforward_cov query (S matrices), and one eigendecomposition
+        # each of proj_cov(t) and the S pushforward covariances of its
+        # stencil; the extra proj_cov query sizes the box
+        calls = {"proj_cov": 0, "proj_control": 0, "pushforward_cov": 0,
+                 "pushforward_matrices": 0, "matrices": 0}
+        for query in ("proj_cov", "proj_control", "pushforward_cov"):
+            def counted(*args, query=query, fn=getattr(delay_model, query)):
                 calls[query] += 1
-                return fn(t)
+                if query == "pushforward_cov":
+                    calls["pushforward_matrices"] += np.size(args[0])
+                return fn(*args)
             monkeypatch.setattr(delay_model, query, counted)
         n = delay_model.proj_dim
         eigh = np.linalg.eigh
@@ -403,6 +408,8 @@ class TestUpsilon:
                         costs.constant_ell0(0.1), cfg, gamma=0.52)
         n_s = 2 * cfg.time_quad_order
         assert calls == {"proj_cov": cfg.n_time + 1, "proj_control": cfg.n_time,
+                         "pushforward_cov": cfg.n_time,
+                         "pushforward_matrices": cfg.n_time * n_s,
                          "matrices": cfg.n_time * (n_s + 1)}
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
@@ -522,12 +529,18 @@ class TestPicard:
         assert sum(lengths) == sol.iterations > len(lengths)
         assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
 
-    def test_settled_nodes_match_exact_applies(self, mini_delay_solution, delay_model):
+    @pytest.mark.parametrize("name, one_ulp", [("heat", 24), ("delay", 55)],
+                             ids=["heat", "delay"])
+    def test_settled_nodes_match_exact_applies(self, name, one_ulp, request):
         # the solve copies the nodes whose inputs have settled; its iterate
-        # stays within rounding of a loop of exact applies
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        assert sol.diagnostics["copied_nodes"] > 0
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
+        # stays within rounding of a loop of exact applies.  These are the
+        # solves of bench/workloads/*.yaml; one_ulp is what a one-ulp
+        # settling test copies there, as it recomputes at every iterate the
+        # early nodes whose slices cycle by a couple of ulps
+        sol, ham, phi, ell0, cfg = request.getfixturevalue(f"mini_{name}_solution")
+        model = request.getfixturevalue(f"{name}_model")
+        assert sol.diagnostics["copied_nodes"] > one_ulp
+        ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=sol.gamma)
         g = ups.initial_iterate()
         for _ in range(sol.iterations):
             g = ups.apply(g)
@@ -593,7 +606,7 @@ class TestPicard:
                 return np.diag([t, 0.0])
 
             def pushforward_cov(self, s, t):
-                return np.diag([t - s, 0.0])
+                return np.multiply.outer(t - s, np.diag([1.0, 0.0]))
 
             def proj_control(self, t):
                 return np.array([[0.0], [1.0]])

@@ -289,6 +289,35 @@ class TestExpm:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             expm(np.zeros((2, 3)))
+        with pytest.raises(ValueError):
+            expm(np.full((2, 2), np.nan))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stack_equals_single_matrices(self, n):
+        # a shuffled stack with 1-norms in every Pade band, theta_3 to
+        # theta_13, and above theta_13 (1 to 5 squarings), and a zero
+        # matrix: each matrix as a call on it alone, bit for bit
+        rng = np.random.default_rng(n)
+        thetas = list(_PADE_THETA.values())
+        norms = [0.0] + [f * th for th in thetas for f in (0.6, 0.99)]
+        norms += [f * thetas[-1] for f in (1.01, 1.9, 3.5, 9.0, 20.0)]
+        stack = []
+        for norm in norms:
+            a = rng.standard_normal((n, n))
+            stack.append(a * (norm / np.abs(a).sum(axis=0).max()))
+        stack = np.array(stack)[rng.permutation(len(norms))]
+        bands = np.searchsorted(thetas, np.abs(stack).sum(axis=-2).max(axis=-1))
+        assert set(bands) == set(range(len(thetas) + 1))
+        got = expm(stack)
+        assert got.shape == stack.shape
+        for a, x in zip(stack, got):
+            alone = expm(a)
+            assert alone.shape == (n, n)
+            assert np.array_equal(alone, x)
+        # any leading shape; an empty stack
+        nested = expm(stack[:12].reshape(3, 4, n, n))
+        assert np.array_equal(nested, got[:12].reshape(3, 4, n, n))
+        assert expm(np.zeros((0, n, n))).shape == (0, n, n)
 
 
 class TestContainers:

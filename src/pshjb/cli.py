@@ -41,34 +41,28 @@ EXIT_DOMINANCE = 4
 EXIT_INVARIANT = 5
 
 FLOAT_FMT = "%.17g"
+NO_MESH = np.empty((1, 0))      # the mesh of a table without mesh columns
 
 
-def _write_csv(path: str, header: list[str], rows, grid=None) -> None:
-    """Write ``rows`` (anything numpy turns into a (rows, len(header)) float
-    array) under ``header``, every value as FLOAT_FMT.
+def _write_csv(path: str, header: list[str], times, mesh, values) -> None:
+    """Write a time x mesh table under ``header``, every value as FLOAT_FMT.
 
-    With ``grid`` = (times, mesh), of shapes (n_t,) and (P, N), ``rows``
-    holds only the other columns, (n_t, P, k) values, and row (i, p) is
-    times[i], mesh[p], rows[i, p]: time-major rows of a time x mesh table.
+    ``times`` has shape (n_t,), ``mesh`` shape (P, N) and ``values``
+    (n_t, P, k) entries; row (i, p) is times[i], mesh[p], values[i, p], in
+    time-major order.  A table without mesh columns passes a (1, 0) mesh.
     The time and mesh columns are formatted once and each time slice's
-    values with one ``%``; the bytes are those of the full rows.
+    values with one ``%``; the bytes are those of one FLOAT_FMT per value.
     """
+    times, mesh = (np.asarray(a, dtype=float) for a in (times, mesh))
+    cols = len(header) - 1 - mesh.shape[1]
+    values = np.asarray(values, dtype=float).reshape(times.size, len(mesh) * cols)
+    # every row of a slice but its time: the formatted mesh point, then
+    # a FLOAT_FMT per value (a formatted number holds no "%")
+    lead = (FLOAT_FMT + ",") * mesh.shape[1]
+    tail = ",".join([FLOAT_FMT] * cols)
+    body = [lead % tuple(y) + tail for y in mesh.tolist()]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        if grid is None:
-            line = ",".join([FLOAT_FMT] * len(header)) + "\n"
-            values = np.asarray(rows, dtype=float).reshape(-1, len(header))
-            fh.writelines(line % tuple(row) for row in values.tolist())
-            return
-        times, mesh = (np.asarray(a, dtype=float) for a in grid)
-        n_dim = mesh.shape[1]
-        cols = len(header) - 1 - n_dim
-        values = np.asarray(rows, dtype=float).reshape(times.size, -1)
-        # every row of a slice but its time: the formatted mesh point, then
-        # a FLOAT_FMT per value (a formatted number holds no "%")
-        lead = ",".join([FLOAT_FMT] * n_dim) + ","
-        tail = ",".join([FLOAT_FMT] * cols)
-        body = [lead % tuple(y) + tail for y in mesh.tolist()]
         for t, vals in zip(times.tolist(), values.tolist()):
             start = FLOAT_FMT % t + ","
             fh.write(start + ("\n" + start).join(body) % tuple(vals) + "\n")
@@ -114,8 +108,8 @@ def cmd_solve(args, run: RunConfig) -> int:
         + ["f"]
         + [f"fbar{k + 1}" for k in range(m)]
     )
-    _write_csv(os.path.join(args.out_dir, "solution.csv"), header, values,
-               grid=(it.time_grid, mesh))
+    _write_csv(os.path.join(args.out_dir, "solution.csv"), header,
+               it.time_grid, mesh, values)
     meta = {
         "status": "ok",
         "gamma": sol.gamma,
@@ -139,11 +133,8 @@ def cmd_solve(args, run: RunConfig) -> int:
 
 def cmd_lambda(args, run: RunConfig) -> int:
     fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
-    _write_csv(
-        os.path.join(args.out_dir, "lambda_norms.csv"),
-        ["t", "norm"],
-        np.column_stack((fit.times, fit.norms)),
-    )
+    _write_csv(os.path.join(args.out_dir, "lambda_norms.csv"), ["t", "norm"],
+               fit.times, NO_MESH, fit.norms)
     gamma_ok = 0.0 < fit.gamma < 1.0
     _write_json(
         os.path.join(args.out_dir, "lambda_fit.json"),
@@ -183,27 +174,16 @@ def cmd_simulate(args, run: RunConfig) -> int:
         n_samples=run.n_samples,
         time_steps=run.time_steps,
         seed=run.seed,
-        keep_samples=True,
     )
-    k, n = len(report["policies"]), run.n_samples
+    k = len(report["policies"])
     sample_costs = np.array([p.pop("samples") for p in report["policies"]])
-    _write_csv(
-        os.path.join(args.out_dir, "simulate_samples.csv"),
-        ["policy", "sample", "cost"],
-        np.column_stack((
-            np.repeat(np.arange(k), n), np.tile(np.arange(n), k), sample_costs.ravel()
-        )),
-    )
+    _write_csv(os.path.join(args.out_dir, "simulate_samples.csv"),
+               ["policy", "sample", "cost"],
+               np.arange(k), np.arange(run.n_samples)[:, None], sample_costs)
     _write_json(os.path.join(args.out_dir, "simulate_report.json"), report)
-    rows = [
-        [i, p["mean"], p["std_error"], p["gap"]]
-        for i, p in enumerate(report["policies"])
-    ]
-    _write_csv(
-        os.path.join(args.out_dir, "simulate_policies.csv"),
-        ["policy", "mean", "std_error", "gap"],
-        rows,
-    )
+    _write_csv(os.path.join(args.out_dir, "simulate_policies.csv"),
+               ["policy", "mean", "std_error", "gap"], np.arange(k), NO_MESH,
+               [[p["mean"], p["std_error"], p["gap"]] for p in report["policies"]])
     _say(args, f"value {report['value']:.6g}; dominance holds for all policies")
     if report["greedy_gap"] is not None:
         _say(args, f"greedy gap (diagnostic): {report['greedy_gap']:.4g}")

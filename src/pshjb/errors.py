@@ -43,10 +43,6 @@ class OutOfGrid(PshjbError):
     """Evaluation point is outside the stored solution grid."""
 
 
-class TooCloseToHorizon(PshjbError):
-    """Gradient requested at a backward time below the first grid node."""
-
-
 class DominanceViolated(PshjbError):
     """A simulated policy cost fell significantly below the solved value."""
 

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, DominanceViolated
-from .hjb import HJBSolution, Hamiltonian, h_min_batch, interp_fbar
+from .hjb import HJBSolution, Hamiltonian, eval_value, h_min_batch, interp_fbar
 from .ou import ProjectedModel, ProjectedTerminalCost, assemble_block_cov
 from .spectral import psd_roots
 
@@ -244,17 +244,14 @@ def value_dominance_check(
     n_samples: int = 10_000,
     time_steps: int = 20,
     seed: int = 0,
-    keep_samples: bool = False,
 ) -> dict:
     """Check v(t0, x0) <= mean policy cost + 3 std errors for every policy.
 
     The greedy suboptimality gap is reported as a diagnostic; optimality of
     the greedy feedback is not asserted (no verification theorem backs it).
-    Raises :class:`DominanceViolated` naming the offending policy.
-    ``keep_samples`` attaches the per-sample cost arrays to the report.
+    Raises :class:`DominanceViolated` naming the offending policy.  Each
+    policy's entry carries its per-sample cost array under ``"samples"``.
     """
-    from .hjb import eval_value
-
     value = eval_value(sol, model, t0, x0)
     report = {"value": value, "policies": [], "greedy_gap": None}
     for i, pol in enumerate(policies):
@@ -270,9 +267,8 @@ def value_dominance_check(
             "std_error": res.std_error,
             "gap": gap,
             "ok": bool(ok),
+            "samples": res.sample_costs,
         }
-        if keep_samples:
-            entry["samples"] = res.sample_costs
         report["policies"].append(entry)
         if pol.kind == "greedy":
             report["greedy_gap"] = gap

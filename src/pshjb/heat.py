@@ -145,10 +145,6 @@ class HeatProjectedModel(ProjectedModel):
         self.proj_dim = self._v.shape[0]
         self.control_dim = 2
 
-    @property
-    def v_matrix(self) -> np.ndarray:
-        return self._v
-
     def _q(self, t) -> np.ndarray:
         lam = self._lam
         decay = np.multiply.outer(-2.0 * t, lam)

@@ -36,6 +36,11 @@ slices no longer change beyond four ulps is copied from the previous
 iterate instead of recomputed: the result stays within rounding of exact
 applies, and a sweep gives the iterates of one-iterate sweeps bit for bit
 (:class:`UpsilonOperator`).
+
+Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
+proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
+changes what a residual reads, not the fixed point, so the solver does not
+use it and only the test suite measures in it.
 """
 
 from __future__ import annotations
@@ -51,17 +56,17 @@ from .errors import (
     GridMismatch,
     NoContraction,
     OutOfGrid,
-    TooCloseToHorizon,
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
 from .spectral import MAX_HERMITE_DIM, build_quadrature, gauss_jacobi, psd_roots
 
-# Bytes of interpolated gradient values per block of UpsilonOperator.apply.
-# A block's arrays then stay in a core's cache between the interpolation
-# and the Hamiltonian passes.  Measured on 2 MiB-L2 cores: 384 KiB to
-# 512 KiB were fastest on both the 21- and 41-point grids; 128 KiB lost to
-# per-block overhead, one block per time node lost the cache.
+# Bytes of interpolated gradient values per block of (s-node, Gauss node)
+# pairs of one time node in UpsilonOperator.sweep.  A block's arrays then
+# stay in a core's cache between the interpolation and the Hamiltonian
+# passes.  Measured on 2 MiB-L2 cores: 384 KiB to 512 KiB were fastest on
+# both the 21- and 41-point grids; 128 KiB lost to per-block overhead, one
+# block per time node lost the cache.
 APPLY_BLOCK_BYTES = 512 * 1024
 
 # Largest Picard sweep working set a solve may ask for; a larger one would
@@ -69,6 +74,9 @@ APPLY_BLOCK_BYTES = 512 * 1024
 # The shipped configs need 45 MB (heat) and 37 MB (delay); n_proj: 3 at the
 # solver defaults 2.8 GB.
 _SWEEP_BUDGET_BYTES = 1 << 30
+
+# First positive time node as a share of the horizon (:func:`make_time_grid`).
+T_MIN_FACTOR = 1e-4
 
 
 @dataclass(frozen=True)
@@ -209,7 +217,6 @@ class SolverConfig:
     tol: float = 1e-4
     max_iter: int = 30
     n_time: int = 40
-    t_min_factor: float = 1e-4
     space_points: int = 41
     box_halfwidth: float | None = None
     quad_order: int = 6
@@ -318,8 +325,8 @@ def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int):
 
 
 def make_time_grid(cfg: SolverConfig) -> np.ndarray:
-    """{0} plus n_time geometric nodes from t_min_factor * T up to T."""
-    t_min = cfg.t_min_factor * cfg.horizon
+    """{0} plus n_time geometric nodes from T_MIN_FACTOR * T up to T."""
+    t_min = T_MIN_FACTOR * cfg.horizon
     pos = np.geomspace(t_min, cfg.horizon, cfg.n_time)
     pos[-1] = cfg.horizon
     return np.concatenate(([0.0], pos))
@@ -812,71 +819,23 @@ class UpsilonOperator:
                         counts[l + 1] = i + 1
         return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)], counts[n]
 
-    # -- random bounded iterates (contraction probes) -----------------------
-    def random_iterate(self, rng: np.random.Generator) -> ValueIterate:
-        n_t = self.time_grid.size - 1
-        npts = self.mesh.shape[0]
-        m = self.ham.control_dim
-        f = np.empty((n_t + 1, npts))
-        f[0] = self.phi(self.mesh)
-        t_pos = self.time_grid[1:]
-        a = rng.standard_normal(self.model.proj_dim)
-        mod_t = 1.0 + 0.5 * np.sin(3.0 * rng.random() * t_pos)[:, None]
-        f[1:] = mod_t * np.tanh(self.mesh @ a + rng.standard_normal())[None, :]
-        fbar = np.empty((n_t, npts, m))
-        for k in range(m):
-            c = rng.standard_normal(self.model.proj_dim)
-            fbar[..., k] = (
-                (1.0 + 0.3 * np.cos(2.0 * rng.random() * t_pos))[:, None]
-                * np.tanh(self.mesh @ c + rng.standard_normal())[None, :]
-            )
-        return self._pack(f, fbar)
-
 
 # ---------------------------------------------------------------------------
-# weighted norm, Picard loop
+# sup norm, Picard loop
 
-def weighted_distance(g1: ValueIterate, g2: ValueIterate, eta_weight: float) -> float:
-    """Distance sup e^{-eta t}|f1 - f2| + sup e^{-eta t}|fbar1 - fbar2|.
+def sup_distance(g1: ValueIterate, g2: ValueIterate) -> float:
+    """Distance sup|f1 - f2| + sup|fbar1 - fbar2| of two iterates on the
+    same grids, the norm of the Picard stopping test.
 
     The t^gamma factor of the gradient part is already embedded in the
-    stored fbar arrays.  The decaying weight e^{-eta t} (eta >= 0) is the
-    equivalent (Bielecki-type) norm under which the Picard map contracts for
-    eta large enough; :func:`contraction_ratios` measures in it.  The
-    weight is at most 1, so eta = 0, the sup norm of the stopping test, is
-    the strictest.
+    stored fbar arrays.
     """
     _check_grids(g1, g2)
     if g1.fbar_values.shape != g2.fbar_values.shape:
         raise GridMismatch("gradient value shapes differ")
-    wt = np.exp(-eta_weight * g1.time_grid)
-    df = np.abs(g1.f_values - g2.f_values).reshape(g1.time_grid.size, -1).max(axis=1)
-    dbar = (
-        np.abs(g1.fbar_values - g2.fbar_values)
-        .reshape(g1.time_grid.size - 1, -1)
-        .max(axis=1)
-    )
-    return float((wt * df).max() + (wt[1:] * dbar).max())
-
-
-def contraction_ratios(
-    ups: UpsilonOperator,
-    eta_weights,
-    n_pairs: int = 10,
-    rng: np.random.Generator | None = None,
-) -> list[list[float]]:
-    """Measured ratios ||Ups g1 - Ups g2|| / ||g1 - g2|| on random pairs,
-    one list per weight of ``eta_weights``, all from the same pairs."""
-    rng = rng or np.random.default_rng(0)
-    pairs = [(ups.random_iterate(rng), ups.random_iterate(rng))
-             for _ in range(n_pairs)]
-    images = [(ups.apply(g1), ups.apply(g2)) for g1, g2 in pairs]
-
-    def ratio(g, h, eta):
-        d0 = weighted_distance(*g, eta)
-        return weighted_distance(*h, eta) / d0 if d0 > 0 else 0.0
-
-    return [[ratio(g, h, eta) for g, h in zip(pairs, images)] for eta in eta_weights]
+    df = np.abs(g1.f_values - g2.f_values).max()
+    dbar = np.abs(g1.fbar_values - g2.fbar_values).max()
+    return float(df + dbar)
 
 
 def _sweep_length(residuals: list[float], cfg: SolverConfig) -> int:
@@ -914,10 +873,10 @@ def picard_solve(
     operator (slightly padded); any exponent at least that large also works.
 
     The stopping test and the growth rule (:class:`NoContraction` after
-    three consecutive residual increases) use the sup norm, so converged
-    means a sup residual below ``tol``.  The weighted norms of
-    :func:`weighted_distance` never change the fixed point, only the norm
-    it is measured in; they serve :func:`contraction_ratios` alone.
+    three consecutive residual increases) use the sup norm of
+    :func:`sup_distance`, so converged means a sup residual below ``tol``
+    and the solution's ``eta_weight`` is always 0 (no exp(-eta t) weight;
+    see the module docstring).
 
     The iterates come in :meth:`UpsilonOperator.sweep` runs whose lengths
     :func:`_sweep_length` takes from the residual history; each sweep
@@ -961,7 +920,7 @@ def picard_solve(
         # sweep that runs past the stop only costs its extra iterates
         iterates, settled = ups.sweep(g, _sweep_length(residuals, cfg), settled)
         for g_next in iterates:
-            d = weighted_distance(g_next, g, 0.0)
+            d = sup_distance(g_next, g)
             if residuals:
                 ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
                 ratios.append(ratio)
@@ -1042,25 +1001,3 @@ def eval_value(sol: HJBSolution, model: ProjectedModel, t: float, x) -> float:
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
     _check_in_box(sol.iterate.space_axes, y)
     return float(interp_f(sol.iterate, tau, y[:, None])[0])
-
-
-def eval_c_gradient(sol: HJBSolution, model: ProjectedModel, t: float, x) -> np.ndarray:
-    """Control-directional gradient of v at (t, x), t < T.
-
-    The stored representative is t^gamma-rescaled; the (T - t)^{-gamma}
-    blow-up toward the horizon is reconstructed here.  Below the first time
-    node the gradient is not resolved and :class:`TooCloseToHorizon` is
-    raised.
-    """
-    T = sol.iterate.horizon
-    if not 0.0 <= t <= T:
-        raise OutOfGrid(f"t={t} outside [0, {T}]")
-    tau = T - t
-    if tau < sol.iterate.time_grid[1]:
-        raise TooCloseToHorizon(
-            f"T - t = {tau:.3g} below the first gradient node "
-            f"{sol.iterate.time_grid[1]:.3g}"
-        )
-    y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
-    _check_in_box(sol.iterate.space_axes, y)
-    return tau ** (-sol.gamma) * interp_fbar(sol.iterate, tau, y[:, None])[:, 0]

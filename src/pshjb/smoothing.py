@@ -1,4 +1,4 @@
-"""Smoothing operators and the control-directional derivative of R_t.
+"""Smoothing operators Lambda(t) and the blow-up exponent of their norms.
 
 The operator Lambda(t) = (P Q_t P*)^{-1/2} (P e^{tA}) C measures how strongly
 the transition semigroup regularizes along control directions: its operator
@@ -7,10 +7,10 @@ the fixed-point construction of the HJB solution needs.  This module builds
 Lambda from the pseudo-inverse root and the image projector of one
 eigendecomposition of the covariance (:func:`spectral.psd_roots`), after
 checking that the control columns lie in that image within INCLUSION_TOL
-(:func:`smoothing_matrix`, which the solver's assembly calls too).  It also
-evaluates the control-directional gradient of the smoothed terminal cost
-through the Cameron-Martin weight and fits the blow-up exponent from a
-log-log regression.
+(:func:`smoothing_matrix`, which the solver's assembly calls too), and fits
+the blow-up exponent from a log-log regression.  The Picard assembly
+applies the matrix as the Cameron-Martin weight of the control-directional
+gradient of R_t (:mod:`pshjb.hjb`).
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InclusionViolated
-from .ou import ProjectedModel, ProjectedTerminalCost
-from .spectral import QuadratureRule, psd_roots
+from .ou import ProjectedModel
+from .spectral import psd_roots
 
 INCLUSION_TOL = 1e-6
 
@@ -80,47 +80,6 @@ def lambda_operator(model: ProjectedModel, t: float) -> SmoothingOperator:
     return SmoothingOperator(
         t=t, matrix=smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
     )
-
-
-def c_gradient_semigroup(
-    model: ProjectedModel,
-    phi: ProjectedTerminalCost,
-    t: float,
-    y0,
-    rule: QuadratureRule,
-) -> np.ndarray:
-    """Control-directional gradient of R_t[phi] at projected drift ``y0``.
-
-    Component k is the expectation, over a standardized Gaussian xi, of
-    ``phi_bar(proj_cov(t)^{1/2} xi + y0) * <Lambda(t) e_k, xi>``; the linear
-    weight is the Cameron-Martin derivative of the shifted Gaussian measure.
-    """
-    y0 = np.asarray(y0, dtype=float)
-    lam = lambda_operator(model, t)
-    sqrt_cov = psd_roots(model.proj_cov(t))[0]
-    pts = y0[None, :] + rule.nodes @ sqrt_cov.T
-    vals = phi(pts)
-    weights = rule.nodes @ lam.matrix          # (n_nodes, m)
-    return (rule.weights * vals) @ weights
-
-
-def c_gradient_norm_bound_check(
-    model: ProjectedModel,
-    phi: ProjectedTerminalCost,
-    t: float,
-    y0,
-    rule: QuadratureRule,
-) -> tuple[float, float, bool]:
-    """Check |grad| <= ||Lambda(t)|| * sup|phi_bar| with a small slack.
-
-    The bound is uniform over bounded projected costs.
-    """
-    grad = c_gradient_semigroup(model, phi, t, y0, rule)
-    lam = lambda_operator(model, t)
-    lhs = float(np.linalg.norm(grad))
-    rhs = lam.norm * phi.bound
-    ok = lhs <= rhs * (1.0 + 1e-3) + 1e-12
-    return lhs, rhs, ok
 
 
 @dataclass(frozen=True)

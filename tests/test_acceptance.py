@@ -25,24 +25,22 @@ from pshjb.hjb import (
     Hamiltonian,
     SolverConfig,
     UpsilonOperator,
-    contraction_ratios,
     eval_value,
     picard_solve,
+    sup_distance,
 )
 from pshjb.ou import (
     GaussianMeasureN,
     cameron_martin_density,
     semigroup_apply,
 )
-from pshjb.smoothing import (
-    c_gradient_norm_bound_check,
-    c_gradient_semigroup,
-    fit_blowup,
-    lambda_operator,
-)
+from pshjb.smoothing import fit_blowup, lambda_operator
 from pshjb.spectral import build_quadrature, gauss_expectation
 
 from conftest import (
+    c_gradient_norm_bound_check,
+    c_gradient_semigroup,
+    contraction_ratios,
     scalar_delay_config,
     shipped_delay_config,
     shipped_delay_ham,
@@ -268,8 +266,6 @@ def test_criterion_8_picard_convergence(solutions):
 def test_criterion_9_uniqueness(heat_problem, delay_problem, solutions):
     from dataclasses import replace
 
-    from pshjb.hjb import weighted_distance
-
     ok = True
     details = []
     for prob in (heat_problem, delay_problem):
@@ -277,7 +273,7 @@ def test_criterion_9_uniqueness(heat_problem, delay_problem, solutions):
         cfg = replace(prob["cfg"], gamma=sol.gamma)
         sol_zero = picard_solve(prob["model"], prob["ham"], prob["phi"],
                                 prob["ell0"], cfg, initial="zero")
-        d = weighted_distance(sol.iterate, sol_zero.iterate, 0.0)
+        d = sup_distance(sol.iterate, sol_zero.iterate)
         ok &= d <= 2.0 * cfg.tol
         details.append(f"{prob['name']}: distance {d:.2e} <= {2 * cfg.tol:.0e}")
     # (the zero start merges into the semigroup trajectory after one step,
@@ -318,7 +314,7 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
                 )
             else:
                 lam = heat.eigenvalues(2)
-                block = model.v_matrix[:, :2] * np.exp(-tau * lam)
+                block = heat.projection_matrix(model.cfg)[:, :2] * np.exp(-tau * lam)
                 x = np.linalg.solve(block, y_node)
             ref = semigroup_apply(model, phi, tau, y_node, rule) + c * tau
             got = eval_value(sol, model, 1.0 - tau, x)

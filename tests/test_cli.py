@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from pshjb.cli import _write_csv, main
+from pshjb.cli import FLOAT_FMT, _write_csv, main
 
 
 def small_delay_config(**overrides):
@@ -85,19 +86,20 @@ class TestSolve:
             outs.append((out / "solution.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("n_dim", [1, 2])
+    @pytest.mark.parametrize("n_dim", [0, 1, 2])
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n_t, n_ax", [(4, 3), (1, 1)])
     def test_grid_writer_matches_row_writer(self, tmp_path, n_dim, m, n_t, n_ax):
-        # solution.csv's time x mesh writer gives the bytes of one FLOAT_FMT
-        # row per (time, mesh point), also for -0.0, the smallest subnormal,
-        # +-1e308 and integral floats
+        # the time x mesh writer gives the bytes of one FLOAT_FMT per value,
+        # row by row, also for -0.0, the smallest subnormal, +-1e308 and
+        # integral floats, and for tables without mesh columns (N = 0, the
+        # (1, 0) mesh of lambda_norms.csv and simulate_policies.csv)
         rng = np.random.default_rng(10 * n_dim + m)
         special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
                             3.0, -17.0, 2.0**60, 0.1])
         times = rng.permutation(np.concatenate((special, rng.random(4))))[:n_t]
         axes = [rng.permutation(special)[:n_ax] for _ in range(n_dim)]
-        mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
+        mesh = np.array(list(itertools.product(*axes)))       # (P, N), ij order
         values = rng.standard_normal((n_t, len(mesh), 1 + m))
         pick = rng.random(values.shape) < 0.5
         values[pick] = rng.choice(special, pick.sum())
@@ -106,11 +108,13 @@ class TestSolve:
             np.broadcast_to(mesh, (n_t,) + mesh.shape), values), axis=-1)
         header = (["t"] + [f"y{d + 1}" for d in range(n_dim)] + ["f"]
                   + [f"fbar{k + 1}" for k in range(m)])
-        rows, grid = tmp_path / "rows.csv", tmp_path / "grid.csv"
-        _write_csv(str(rows), header, full)
-        _write_csv(str(grid), header, values, grid=(times, mesh))
-        assert grid.read_bytes() == rows.read_bytes()
-        assert len(rows.read_text().splitlines()) == 1 + n_t * n_ax**n_dim
+        want = ",".join(header) + "\n" + "".join(
+            ",".join(FLOAT_FMT % v for v in row) + "\n"
+            for row in full.reshape(-1, len(header)).tolist())
+        path = tmp_path / "table.csv"
+        _write_csv(str(path), header, times, mesh, values)
+        assert path.read_bytes() == want.encode()
+        assert len(want.splitlines()) == 1 + n_t * n_ax**n_dim
 
     def test_bad_gamma_rejected(self, tmp_path):
         cfg = small_delay_config(**{"solver.gamma": 1.5})
@@ -229,6 +233,8 @@ class TestInvalidConfig:
         ("simulate.time_steps", 2.5),
         ("seed", 4.7),
         ("cost.controls.ell1", [0.0, 0.1]),
+        # a retired key: the first time node is the constant hjb.T_MIN_FACTOR
+        ("solver.t_min_factor", 1e-3),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))

@@ -20,12 +20,17 @@ from pshjb.hjb import (
     Hamiltonian,
     SolverConfig,
     _time_bracket,
-    eval_c_gradient,
     eval_value,
     h_min_batch,
     picard_solve,
 )
-from conftest import MINI_CFG, nearest_multilinear, sample_block_gaussian, shipped_delay_ham
+from conftest import (
+    MINI_CFG,
+    eval_c_gradient,
+    nearest_multilinear,
+    sample_block_gaussian,
+    shipped_delay_ham,
+)
 
 
 X0 = DelayState.zero_past([0.3, -0.2], 0.2)

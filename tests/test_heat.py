@@ -49,14 +49,14 @@ class TestDirichletMap:
 
 class TestProjectedModel:
     def test_stationary_limit(self, heat_model):
-        v = heat_model.v_matrix
+        v = heat.projection_matrix(heat_model.cfg)
         lam = heat.eigenvalues(heat_model.cfg.n_modes)
         target = (v * lam ** (-1.0)) @ v.T       # beta = 0
         np.testing.assert_allclose(heat_model.proj_cov(50.0), target, atol=1e-12)
 
     def test_small_time_slope(self, heat_model):
         # q_k(t) = lam^{-1-2b}(1 - e^{-2t lam}) ~ 2 t lam^{-2b}; Taylor oracle
-        v = heat_model.v_matrix
+        v = heat.projection_matrix(heat_model.cfg)
         lam = heat.eigenvalues(heat_model.cfg.n_modes)
         t = 1e-9
         slope = heat_model.proj_cov(t) / t
@@ -65,7 +65,7 @@ class TestProjectedModel:
 
     def test_pushforward_and_cross(self, heat_model):
         s, t = 0.2, 0.7
-        v = heat_model.v_matrix
+        v = heat.projection_matrix(heat_model.cfg)
         lam = heat.eigenvalues(heat_model.cfg.n_modes)
         q = lam ** (-1.0) * (1.0 - np.exp(-2.0 * (t - s) * lam))
         np.testing.assert_allclose(
@@ -98,14 +98,14 @@ class TestProjectedModel:
         assert np.all(np.isfinite(y))
 
     def test_projection_orthonormal(self, heat_model):
-        v = heat_model.v_matrix
+        v = heat.projection_matrix(heat_model.cfg)
         np.testing.assert_allclose(v @ v.T, np.eye(v.shape[0]), atol=1e-12)
 
     def test_noise_smoothing_exponent(self):
         # beta > 0 colors the noise: stationary variance lam^{-1-2 beta}
         beta = 0.5
         m = heat.build_projected_model(heat.HeatConfig(beta=beta))
-        v = m.v_matrix
+        v = heat.projection_matrix(m.cfg)
         lam = heat.eigenvalues(m.cfg.n_modes)
         target = (v * lam ** (-1.0 - 2.0 * beta)) @ v.T
         np.testing.assert_allclose(m.proj_cov(60.0), target, atol=1e-14)

@@ -11,7 +11,6 @@ from pshjb.errors import (
     InclusionViolated,
     NoContraction,
     OutOfGrid,
-    TooCloseToHorizon,
 )
 from pshjb.hjb import (
     Hamiltonian,
@@ -19,7 +18,6 @@ from pshjb.hjb import (
     SolverConfig,
     UpsilonOperator,
     clamped_share,
-    eval_c_gradient,
     eval_value,
     h_min_batch,
     interp_shifted,
@@ -27,12 +25,22 @@ from pshjb.hjb import (
     make_space_axes,
     picard_solve,
     shift_stencil,
-    weighted_distance,
+    sup_distance,
 )
 from pshjb.ou import ProjectedModel, semigroup_apply
 from pshjb.spectral import build_quadrature
 
-from conftest import MINI_CFG, nearest_multilinear, shipped_delay_ham, shipped_heat_ham
+from conftest import (
+    MINI_CFG,
+    TooCloseToHorizon,
+    c_gradient_semigroup,
+    eval_c_gradient,
+    nearest_multilinear,
+    random_iterate,
+    shipped_delay_ham,
+    shipped_heat_ham,
+    weighted_distance,
+)
 
 
 class TestHMin:
@@ -266,6 +274,7 @@ class TestWeightedDistance:
     def test_identical_iterates(self, mini_delay_solution):
         sol, *_ = mini_delay_solution
         assert weighted_distance(sol.iterate, sol.iterate, 2.0) == 0.0
+        assert sup_distance(sol.iterate, sol.iterate) == 0.0
 
     def test_constant_difference_unweighted(self, mini_delay_solution):
         sol, *_ = mini_delay_solution
@@ -273,10 +282,11 @@ class TestWeightedDistance:
         from dataclasses import replace
 
         g2 = replace(g, f_values=g.f_values + 0.5)
-        assert abs(weighted_distance(g, g2, 0.0) - 0.5) <= 1e-14
+        assert abs(sup_distance(g, g2) - 0.5) <= 1e-14
 
     def test_weight_bounds(self, mini_delay_solution):
-        # decaying weight: d_eta <= d_0 <= e^{eta T} d_eta
+        # decaying weight: d_eta <= d_0 <= e^{eta T} d_eta, and eta = 0 is
+        # the solver's sup norm bit for bit
         sol, *_ = mini_delay_solution
         rng = np.random.default_rng(0)
         from dataclasses import replace
@@ -288,8 +298,9 @@ class TestWeightedDistance:
             fbar_values=g.fbar_values
             + 0.1 * rng.standard_normal(g.fbar_values.shape),
         )
-        d0 = weighted_distance(g, g2, 0.0)
+        d0 = sup_distance(g, g2)
         d2 = weighted_distance(g, g2, 2.0)
+        assert weighted_distance(g, g2, 0.0) == d0
         T = g.horizon
         assert d2 <= d0 + 1e-14
         assert d0 <= np.exp(2.0 * T) * d2 + 1e-14
@@ -299,7 +310,7 @@ class TestWeightedDistance:
         other_cfg = SolverConfig(**{**MINI_CFG, "n_time": 12})
         ups = UpsilonOperator(delay_model, ham, phi, ell0, other_cfg, gamma=0.52)
         with pytest.raises(GridMismatch, match="time grids differ"):
-            weighted_distance(sol.iterate, ups.initial_iterate(), 0.0)
+            sup_distance(sol.iterate, ups.initial_iterate())
         with pytest.raises(GridMismatch, match="time grids differ"):
             ups.apply(sol.iterate)
         wide_cfg = SolverConfig(**{**MINI_CFG, "box_halfwidth": 10.0})
@@ -336,10 +347,10 @@ class TestUpsilon:
     def test_trivial_hamiltonian_is_constant_map(self, trivial_ups):
         g0 = trivial_ups.initial_iterate()
         rng = np.random.default_rng(1)
-        g_rand = trivial_ups.random_iterate(rng)
+        g_rand = random_iterate(trivial_ups, rng)
         out0 = trivial_ups.apply(g0)
         out1 = trivial_ups.apply(g_rand)
-        assert weighted_distance(out0, out1, 0.0) <= 1e-13
+        assert sup_distance(out0, out1) <= 1e-13
         # with ell0 = c the value part is semigroup + c t
         np.testing.assert_allclose(
             out0.f_values, g0.f_values, atol=1e-13
@@ -415,7 +426,7 @@ class TestUpsilon:
     @pytest.mark.parametrize("name", ["heat", "delay"])
     def test_blocked_apply_equals_one_block(self, name, mini_ups, monkeypatch):
         ups = mini_ups[name]
-        g = ups.random_iterate(np.random.default_rng(7))
+        g = random_iterate(ups, np.random.default_rng(7))
         n_s, n_q = 2 * ups.cfg.time_quad_order, ups.rule.nodes.shape[0]
         pair = 8 * ups.ham.control_dim * ups.mesh.shape[0]
         monkeypatch.setattr(hjb, "APPLY_BLOCK_BYTES", 2**62)
@@ -446,7 +457,7 @@ class TestUpsilon:
         assert all(cv.i0.max() <= i and cv.i1.max() <= i
                    for i, cv in enumerate(ups.conv))
         g = (ups.initial_iterate() if start == "initial"
-             else ups.random_iterate(np.random.default_rng(5)))
+             else random_iterate(ups, np.random.default_rng(5)))
         chain, counts = [g], [0]
         copied = ups.copied
         for _ in range(9):
@@ -494,7 +505,7 @@ class TestPicard:
     def test_uniqueness_from_different_starts(self, mini_delay_solution, delay_model):
         sol, ham, phi, ell0, cfg = mini_delay_solution
         sol0 = picard_solve(delay_model, ham, phi, ell0, cfg, initial="zero")
-        d = weighted_distance(sol.iterate, sol0.iterate, 0.0)
+        d = sup_distance(sol.iterate, sol0.iterate)
         assert d <= 2.0 * cfg.tol
 
     def test_uniqueness_from_random_start(self, mini_delay_solution, delay_model):
@@ -502,15 +513,15 @@ class TestPicard:
         # semigroup trajectory after one step since its gradient vanishes)
         sol, ham, phi, ell0, cfg = mini_delay_solution
         ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
-        g = ups.random_iterate(np.random.default_rng(3))
+        g = random_iterate(ups, np.random.default_rng(3))
         for _ in range(cfg.max_iter):
             g_next = ups.apply(g)
-            d = weighted_distance(g_next, g, 0.0)
+            d = sup_distance(g_next, g)
             g = g_next
             if d < cfg.tol:
                 break
         assert d < cfg.tol
-        assert weighted_distance(g, sol.iterate, 0.0) <= 2.0 * cfg.tol
+        assert sup_distance(g, sol.iterate) <= 2.0 * cfg.tol
 
     def test_diagnostics(self, mini_delay_solution, delay_model, monkeypatch):
         sol, ham, phi, ell0, cfg = mini_delay_solution
@@ -572,7 +583,7 @@ class TestPicard:
         assert sol.residual == sol.diagnostics["residual_history"][-1] <= cfg.tol
         assert sol.diagnostics["applies"] == {"picard": sol.iterations}
         ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
-        assert weighted_distance(ups.apply(sol.iterate), sol.iterate, 0.0) <= cfg.tol
+        assert sup_distance(ups.apply(sol.iterate), sol.iterate) <= cfg.tol
 
     def test_growth_in_sup_norm_raises(self, delay_model):
         # the sup residual hovers near 3 and grows three times in a row at
@@ -584,7 +595,7 @@ class TestPicard:
         g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
             (g_next,), settled = ups.sweep(g, 1, settled)
-            d = weighted_distance(g_next, g, 0.0)
+            d = sup_distance(g_next, g)
             streak = streak + 1 if residuals and d > residuals[-1] else 0
             residuals.append(d)
             g = g_next
@@ -713,7 +724,6 @@ class TestEvaluation:
         from scipy.linalg import expm
 
         from pshjb.delay import DelayState
-        from pshjb.smoothing import c_gradient_semigroup
 
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)

@@ -4,16 +4,10 @@ import pytest
 from pshjb import costs, delay, heat
 from pshjb.errors import InclusionViolated
 from pshjb.ou import ProjectedTerminalCost, semigroup_apply
-from pshjb.smoothing import (
-    c_gradient_norm_bound_check,
-    c_gradient_semigroup,
-    fit_blowup,
-    inclusion_residual,
-    lambda_operator,
-)
+from pshjb.smoothing import fit_blowup, inclusion_residual, lambda_operator
 from pshjb.spectral import build_quadrature
 
-from conftest import scalar_delay_config
+from conftest import c_gradient_norm_bound_check, c_gradient_semigroup, scalar_delay_config
 
 RULE12_1 = build_quadrature(1, 12)
 RULE12_2 = build_quadrature(2, 12)

@@ -18,7 +18,7 @@ from .smoothing import (
     blowup_grid,
     fit_blowup,
     inclusion_residual,
-    lambda_operator,
+    lambda_norm,
 )
 
 
@@ -42,7 +42,7 @@ def _check_lambda_norm_continuity(run: RunConfig):
     is bisected in log t three times: a jump keeps its size under refinement,
     a steep continuous stretch (crossing singular values) shrinks with it."""
     def step(a, b, depth=3):
-        na, nb = (lambda_operator(run.model, t).norm for t in (a, b))
+        na, nb = (lambda_norm(run.model, t) for t in (a, b))
         rel = abs(nb - na) / na
         if rel < 0.10 or depth == 0:
             return rel

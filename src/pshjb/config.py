@@ -16,7 +16,7 @@ import numpy as np
 import yaml
 
 from . import costs as costs_mod
-from .delay import DelayConfig, DelayState, build_projected_model as build_delay
+from .delay import DelayConfig, build_projected_model as build_delay
 from .errors import ConfigError, DimensionMismatch
 from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
@@ -30,7 +30,7 @@ class RunConfig:
     model_kind: str
     cost: CostSpec
     solver: SolverConfig
-    x0: object
+    x0: np.ndarray
     t0: float
     n_samples: int
     time_steps: int
@@ -112,7 +112,7 @@ def _read_kind(builders: dict, spec, where: str, default: str | None = None):
     return _read(builders[kind], spec, where)
 
 
-def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, str, object]:
+def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, str, np.ndarray]:
     kind = _require(section, "kind", "model")
     if kind not in ("heat", "delay"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -143,9 +143,12 @@ def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, st
     )
     model = build_delay(cfg, force=force)
     x0_spec = _check_keys(d.get("x0", {}), ("present",), "model.delay.x0")
-    x0 = DelayState.zero_past(
-        np.asarray(x0_spec.get("present", [0.0] * cfg.n), dtype=float), cfg.delay
-    )
+    try:  # a start of another length fails here, not in the solve
+        x0 = model.project_state(x0_spec.get("present", [0.0] * cfg.n))
+    except (DimensionMismatch, ValueError) as exc:
+        raise ConfigError(
+            f"model.delay.x0.present needs n = {cfg.n} entries ({exc})"
+        ) from exc
     return model, kind, x0
 
 

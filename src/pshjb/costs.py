@@ -65,6 +65,8 @@ def table_ell0(times: tuple[float, ...], values: tuple[float, ...]):
     v = np.asarray(values, dtype=float)
     if t.shape != v.shape:
         raise ValueError("an ell0 table needs one value per time")
+    if np.any(np.diff(t) <= 0.0):
+        raise ValueError("ell0 table times must be strictly increasing")
     return lambda s: np.interp(np.asarray(s, dtype=float), t, v)
 
 

@@ -6,7 +6,9 @@ The n-dimensional controlled equation
             + sigma dW(s)
 
 is lifted to the product space (present state) x (past control
-contributions); the projection P keeps the present component, so the
+contributions); the projection P keeps the present component.  Every path
+starts from a zero past (no control before time 0), so a state is its
+present n-vector, as a heat state is its coefficient vector.  The
 projected covariance is just the controllability Gramian of (a0, sigma),
 computed in closed form from one block matrix exponential, and the projected
 control response is the delayed impulse response
@@ -29,8 +31,6 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch, RankDeficient
 from .ou import ProjectedModel
 from .spectral import expm
-
-MIN_PAST_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -96,43 +96,11 @@ class DelayConfig:
     def m(self) -> int:
         return self.b0.shape[1]
 
-    @property
-    def k(self) -> int:
-        return self.sigma.shape[1]
-
     @cached_property
     def van_loan(self) -> np.ndarray:
         """Van Loan's generator [[-a0, sigma sigma*], [0, a0*]] of the Gramian."""
         a0 = self.a0
         return np.block([[-a0, self.sigma @ self.sigma.T], [np.zeros_like(a0), a0.T]])
-
-
-@dataclass(frozen=True)
-class DelayState:
-    """State of the lifted system: present vector and tabulated past.
-
-    ``x1`` holds the past control contributions on a uniform grid over
-    [-d, 0] (values in R^n, at least 64 points per delay interval).
-    """
-
-    x0: np.ndarray
-    x1: np.ndarray
-    delay: float
-
-    def __post_init__(self):
-        x0 = np.asarray(self.x0, dtype=float)
-        x1 = np.asarray(self.x1, dtype=float)
-        if x1.ndim != 2 or x1.shape[1] != x0.shape[0]:
-            raise DimensionMismatch("x1 must be (n_points, n)")
-        if x1.shape[0] < MIN_PAST_POINTS:
-            raise ConfigError(f"past grid needs >= {MIN_PAST_POINTS} points")
-        object.__setattr__(self, "x0", x0)
-        object.__setattr__(self, "x1", x1)
-
-    @classmethod
-    def zero_past(cls, x0, delay: float):
-        x0 = np.asarray(x0, dtype=float)
-        return cls(x0, np.zeros((MIN_PAST_POINTS, x0.shape[0])), delay)
 
 
 def gramian(cfg: DelayConfig, t) -> np.ndarray:
@@ -162,17 +130,18 @@ def proj_control_delay(cfg: DelayConfig, t: float) -> np.ndarray:
         if loc >= -t:
             out = out + expm((t + loc) * cfg.a0) @ w
     if cfg.b1_density is not None:
-        out = out + _past_integral(cfg, t, cfg.b1_density)
+        out = out + _past_integral(cfg, t)
     return out
 
 
-def _past_integral(cfg: DelayConfig, t: float, table: np.ndarray) -> np.ndarray:
-    """Trapezoid rule for the integral of e^{(t + r) a0} table(r) over [-min(t, d), 0].
+def _past_integral(cfg: DelayConfig, t: float) -> np.ndarray:
+    """Trapezoid rule for the integral of e^{(t + r) a0} b1_density(r) over
+    [-min(t, d), 0], with one stacked :func:`expm` for its nodes.
 
-    ``table`` is tabulated on a uniform grid over [-d, 0]: the past state
-    (n_points, n) or the control density (n_points, n, m).  Its value at the
-    clipped endpoint is interpolated linearly.
+    The density is tabulated on a uniform grid over [-d, 0]; its value at
+    the clipped endpoint is interpolated linearly.
     """
+    table = cfg.b1_density
     grid = np.linspace(-cfg.delay, 0.0, table.shape[0])
     lo = -min(t, cfg.delay)
     i = int(np.clip(np.searchsorted(grid, lo) - 1, 0, grid.size - 2))
@@ -182,7 +151,7 @@ def _past_integral(cfg: DelayConfig, t: float, table: np.ndarray) -> np.ndarray:
     vals = np.concatenate(
         ([(1.0 - theta) * table[i] + theta * table[i + 1]], table[mask])
     )
-    integrand = np.array([expm((t + r) * cfg.a0) @ v for r, v in zip(nodes, vals)])
+    integrand = expm(np.multiply.outer(t + nodes, cfg.a0)) @ vals
     return np.trapezoid(integrand, nodes, axis=0)
 
 
@@ -225,16 +194,16 @@ class DelayProjectedModel(ProjectedModel):
             sorted(-loc for loc, _ in cfg.b1_atoms if loc < 0.0)
         )
 
-    def project_state(self, x: DelayState) -> np.ndarray:
-        return np.asarray(x.x0, dtype=float)
+    def project_state(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.cfg.n,):
+            raise DimensionMismatch(f"a state is a present vector of length {self.cfg.n}")
+        return x
 
-    def proj_semigroup_apply(self, t: float, x: DelayState) -> np.ndarray:
+    def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
         if not t > 0:
             raise ValueError("t must be > 0; use project_state at t = 0")
-        out = expm(t * self.cfg.a0) @ x.x0
-        if np.any(x.x1):
-            out = out + _past_integral(self.cfg, t, x.x1)
-        return out
+        return expm(t * self.cfg.a0) @ self.project_state(x)
 
     def proj_cov(self, t: float) -> np.ndarray:
         return gramian(self.cfg, t)

@@ -61,6 +61,8 @@ class HeatConfig:
       for negative tests);
     - ``"identity"``: no projection at all (P = identity on the truncated
       modes), used for the unprojected blow-up diagnostic.
+
+    ``epsilon`` is checked to lie in (0, 1/4) but enters no computation.
     """
 
     n_modes: int = 256

@@ -20,19 +20,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, NotInCameronMartin
-from .spectral import (
-    GaussianMeasureN,
-    QuadratureRule,
-    gauss_expectation,
-    psd_roots,
-)
+from .spectral import QuadratureRule, gauss_expectation, psd_roots
 
 
 class ProjectedModel:
     """Capability contract for the projected face of an OU control system.
 
-    Concrete models expose, for the projection P onto an N-dimensional
-    subspace and control space of dimension m:
+    A state x is a 1-D coefficient vector (the heat model's spectral
+    coefficients, the delay model's present n-vector).  Concrete models
+    expose, for the projection P onto an N-dimensional subspace and control
+    space of dimension m:
 
     - ``proj_semigroup_apply(t, x)``: N-vector of P e^{tA} x (extension to
       the enlarged state space included), t > 0;
@@ -113,8 +110,7 @@ def semigroup_apply(
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.proj_dim,):
         raise DimensionMismatch(f"y0 must be an N-vector, N={model.proj_dim}")
-    mu = GaussianMeasureN(y0, model.proj_cov(t))
-    return gauss_expectation(lambda z: phi(z), mu, rule)
+    return gauss_expectation(phi, y0, model.proj_cov(t), rule)
 
 
 def cameron_martin_density(cov, y, z) -> float:

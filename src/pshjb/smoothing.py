@@ -4,13 +4,14 @@ The operator Lambda(t) = (P Q_t P*)^{-1/2} (P e^{tA}) C measures how strongly
 the transition semigroup regularizes along control directions: its operator
 norm blows up like t^{-gamma} as t -> 0, and gamma in (0, 1) is exactly what
 the fixed-point construction of the HJB solution needs.  This module builds
-Lambda from the pseudo-inverse root and the image projector of one
-eigendecomposition of the covariance (:func:`spectral.psd_roots`), after
-checking that the control columns lie in that image within INCLUSION_TOL
-(:func:`smoothing_matrix`, which the solver's assembly calls too), and fits
-the blow-up exponent from a log-log regression.  The Picard assembly
-applies the matrix as the Cameron-Martin weight of the control-directional
-gradient of R_t (:mod:`pshjb.hjb`).
+Lambda(t) as its N x m matrix (:func:`lambda_operator`; its norm is
+:func:`lambda_norm`) from the pseudo-inverse root and the image projector
+of one eigendecomposition of the covariance (:func:`spectral.psd_roots`),
+after checking that the control columns lie in that image within
+INCLUSION_TOL (:func:`smoothing_matrix`, which the solver's assembly calls
+too), and fits the blow-up exponent from a log-log regression.  The Picard
+assembly applies the matrix as the Cameron-Martin weight of the
+control-directional gradient of R_t (:mod:`pshjb.hjb`).
 """
 
 from __future__ import annotations
@@ -24,19 +25,6 @@ from .ou import ProjectedModel
 from .spectral import psd_roots
 
 INCLUSION_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class SmoothingOperator:
-    """Matrix of (P Q_t P*)^{-1/2} (P e^{tA}) C at time t."""
-
-    t: float
-    matrix: np.ndarray
-
-    @property
-    def norm(self) -> float:
-        """Operator norm (largest singular value of the N x m matrix)."""
-        return float(np.linalg.norm(self.matrix, 2))
 
 
 def _outside(projector: np.ndarray, columns) -> float:
@@ -72,14 +60,18 @@ def smoothing_matrix(t: float, pinv_root: np.ndarray, projector: np.ndarray,
     return pinv_root @ ctrl
 
 
-def lambda_operator(model: ProjectedModel, t: float) -> SmoothingOperator:
-    """Smoothing operator Lambda(t) (:func:`smoothing_matrix`)."""
+def lambda_operator(model: ProjectedModel, t: float) -> np.ndarray:
+    """N x m matrix of the smoothing operator Lambda(t)
+    (:func:`smoothing_matrix`)."""
     if not t > 0.0:
         raise ValueError("need t > 0")
     _, pinv_root, _, projector = psd_roots(model.proj_cov(t))
-    return SmoothingOperator(
-        t=t, matrix=smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
-    )
+    return smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
+
+
+def lambda_norm(model: ProjectedModel, t: float) -> float:
+    """Operator norm of Lambda(t): the largest singular value of its matrix."""
+    return float(np.linalg.norm(lambda_operator(model, t), 2))
 
 
 @dataclass(frozen=True)
@@ -116,7 +108,7 @@ def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if t_grid.size < 10:
         raise ValueError("need at least 10 grid points for a blow-up fit")
-    norms = np.array([lambda_operator(model, t).norm for t in t_grid])
+    norms = np.array([lambda_norm(model, t) for t in t_grid])
 
     keep = np.ones(t_grid.size, dtype=bool)
     keep[-(t_grid.size // 10):] = False          # the grid is sorted

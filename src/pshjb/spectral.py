@@ -29,26 +29,6 @@ MAX_HERMITE_DIM = 3
 
 
 @dataclass(frozen=True)
-class GaussianMeasureN:
-    """Gaussian measure on R^N given by mean vector and covariance matrix."""
-
-    mean: np.ndarray
-    covariance: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.mean, dtype=float)
-        c = np.asarray(self.covariance, dtype=float)
-        if c.ndim != 2 or c.shape[0] != c.shape[1] or m.shape != (c.shape[0],):
-            raise DimensionMismatch("mean length must equal covariance dim")
-        object.__setattr__(self, "mean", m)
-        object.__setattr__(self, "covariance", c)
-
-    @property
-    def dim(self) -> int:
-        return self.mean.shape[0]
-
-
-@dataclass(frozen=True)
 class QuadratureRule:
     """Nodes/weights approximating expectations under N(0, I_dim).
 
@@ -249,19 +229,23 @@ def _pade_square(a: np.ndarray, m: int, s: int) -> np.ndarray:
     return x
 
 
-def gauss_expectation(f, mu: GaussianMeasureN, rule: QuadratureRule) -> float:
-    """Expectation of ``f`` under ``mu`` using a standard-normal rule.
+def gauss_expectation(f, mean, cov, rule: QuadratureRule) -> float:
+    """Expectation of ``f`` under N(mean, cov) using a standard-normal rule.
 
     ``f`` must accept an (n, dim) array and return an (n,) array.  Points are
     ``mean + L @ node`` with ``L`` the square root of the covariance
     (:func:`psd_roots`).
     """
-    if rule.dim != mu.dim:
+    mean = np.asarray(mean, dtype=float)
+    cov = np.asarray(cov, dtype=float)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or mean.shape != (cov.shape[0],):
+        raise DimensionMismatch("mean length must equal covariance dim")
+    if rule.dim != mean.size:
         raise DimensionMismatch(
-            f"rule dim {rule.dim} does not match measure dim {mu.dim}"
+            f"rule dim {rule.dim} does not match measure dim {mean.size}"
         )
-    sqrt_cov = psd_roots(mu.covariance)[0]
-    pts = mu.mean[None, :] + rule.nodes @ sqrt_cov.T
+    sqrt_cov = psd_roots(cov)[0]
+    pts = mean[None, :] + rule.nodes @ sqrt_cov.T
     vals = np.asarray(f(pts), dtype=float)
     if vals.shape != (rule.nodes.shape[0],):
         raise DimensionMismatch("integrand must map (n, dim) -> (n,)")

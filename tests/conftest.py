@@ -5,7 +5,7 @@ from scipy.ndimage import map_coordinates
 from pshjb import costs, delay, heat, hjb
 from pshjb.errors import GridMismatch, OutOfGrid, PshjbError
 from pshjb.ou import assemble_block_cov
-from pshjb.smoothing import lambda_operator
+from pshjb.smoothing import lambda_norm, lambda_operator
 from pshjb.spectral import psd_roots
 
 
@@ -173,11 +173,10 @@ def c_gradient_semigroup(model, phi, t, y0, rule):
     weight is the Cameron-Martin derivative of the shifted Gaussian measure.
     """
     y0 = np.asarray(y0, dtype=float)
-    lam = lambda_operator(model, t)
     sqrt_cov = psd_roots(model.proj_cov(t))[0]
     pts = y0[None, :] + rule.nodes @ sqrt_cov.T
     vals = phi(pts)
-    weights = rule.nodes @ lam.matrix          # (n_nodes, m)
+    weights = rule.nodes @ lambda_operator(model, t)    # (n_nodes, m)
     return (rule.weights * vals) @ weights
 
 
@@ -188,9 +187,8 @@ def c_gradient_norm_bound_check(model, phi, t, y0, rule):
     the bound, whether it holds).
     """
     grad = c_gradient_semigroup(model, phi, t, y0, rule)
-    lam = lambda_operator(model, t)
     lhs = float(np.linalg.norm(grad))
-    rhs = lam.norm * phi.bound
+    rhs = lambda_norm(model, t) * phi.bound
     ok = lhs <= rhs * (1.0 + 1e-3) + 1e-12
     return lhs, rhs, ok
 

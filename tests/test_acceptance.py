@@ -13,7 +13,7 @@ import pytest
 from scipy.linalg import expm
 
 from pshjb import costs, delay, heat
-from pshjb.delay import DelayConfig, DelayState
+from pshjb.delay import DelayConfig
 from pshjb.errors import InclusionViolated, RankDeficient
 from pshjb.harness import (
     CostSpec,
@@ -30,11 +30,10 @@ from pshjb.hjb import (
     sup_distance,
 )
 from pshjb.ou import (
-    GaussianMeasureN,
     cameron_martin_density,
     semigroup_apply,
 )
-from pshjb.smoothing import fit_blowup, lambda_operator
+from pshjb.smoothing import fit_blowup, lambda_norm, lambda_operator
 from pshjb.spectral import build_quadrature, gauss_expectation
 
 from conftest import (
@@ -79,7 +78,7 @@ def delay_problem():
     ell0 = costs.constant_ell0(0.1)
     cfg = SolverConfig(horizon=1.0, tol=1e-4, max_iter=30, n_time=40,
                        space_points=41)
-    x0 = DelayState.zero_past([0.3, -0.2], 0.2)
+    x0 = np.array([0.3, -0.2])
     return dict(model=model, ham=ham, phi=phi, ell0=ell0, cfg=cfg, x0=x0,
                 name="delay")
 
@@ -126,7 +125,7 @@ def test_criterion_3_scalar_oracles():
     for t in np.linspace(0.02, 1.0, 50):
         exact = (1.0 + c * (t >= d)) / np.sqrt(t)
         worst_delay = max(
-            worst_delay, abs(lambda_operator(model, t).norm - exact) / exact
+            worst_delay, abs(lambda_norm(model, t) - exact) / exact
         )
     hmodel = heat.build_projected_model(
         heat.HeatConfig(n_modes=64, projection="spectral", spectral_modes=(1,))
@@ -136,7 +135,7 @@ def test_criterion_3_scalar_oracles():
         col = np.exp(-t) * (1.0 - np.exp(-2.0 * t)) ** -0.5 * np.sqrt(2.0)
         exact = np.sqrt(2.0) * col
         worst_heat = max(
-            worst_heat, abs(lambda_operator(hmodel, t).norm - exact) / exact
+            worst_heat, abs(lambda_norm(hmodel, t) - exact) / exact
         )
     ok = worst_delay <= 1e-8 and worst_heat <= 1e-8
     report(3, ok, f"relative errors: delay {worst_delay:.2e}, heat "
@@ -197,7 +196,7 @@ def test_criterion_6_cameron_martin():
     rule = build_quadrature(2, 30)
     total = gauss_expectation(
         lambda z: np.array([cameron_martin_density(cov, y, zi) for zi in z]),
-        GaussianMeasureN(np.zeros(2), cov),
+        np.zeros(2), cov,
         rule,
     )
     norm_err = abs(total - 1.0)
@@ -208,10 +207,10 @@ def test_criterion_6_cameron_martin():
             lambda z: np.array(
                 [cameron_martin_density(cov, y, zi) for zi in z]
             ) * g(z),
-            GaussianMeasureN(np.zeros(2), cov),
+            np.zeros(2), cov,
             rule,
         )
-        rhs = gauss_expectation(g, GaussianMeasureN(y, cov), rule)
+        rhs = gauss_expectation(g, y, cov, rule)
         shift_err = max(shift_err, abs(lhs - rhs))
     ok = norm_err <= 1e-6 and shift_err <= 1e-6
     report(6, ok, f"normalization error {norm_err:.2e}, shift-identity error "
@@ -309,9 +308,7 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
             tau = sol.iterate.time_grid[1:][i]
             y_node = np.array([axes[0][j1], axes[1][j2]])
             if prob["name"] == "delay":
-                x = DelayState.zero_past(
-                    expm(-tau * model.cfg.a0) @ y_node, model.cfg.delay
-                )
+                x = expm(-tau * model.cfg.a0) @ y_node
             else:
                 lam = heat.eigenvalues(2)
                 block = heat.projection_matrix(model.cfg)[:, :2] * np.exp(-tau * lam)

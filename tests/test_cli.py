@@ -235,6 +235,9 @@ class TestInvalidConfig:
         ("cost.controls.ell1", [0.0, 0.1]),
         # a retired key: the first time node is the constant hjb.T_MIN_FACTOR
         ("solver.t_min_factor", 1e-3),
+        # a start of the wrong length and an ell0 table np.interp misreads
+        ("model.delay.x0.present", [0.3, -0.2, 0.1]),
+        ("cost.ell0", {"kind": "table", "times": [1.0, 0.0], "values": [0.0, 1.0]}),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))

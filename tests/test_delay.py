@@ -7,12 +7,11 @@ from scipy.linalg import expm
 from pshjb import costs, delay, hjb
 from pshjb.delay import (
     DelayConfig,
-    DelayState,
     gramian,
     kalman_rank,
     proj_control_delay,
 )
-from pshjb.errors import ConfigError, RankDeficient
+from pshjb.errors import ConfigError, DimensionMismatch, RankDeficient
 
 from conftest import (
     MINI_CFG,
@@ -102,6 +101,23 @@ class TestControlResponse:
             expected = min(t, 0.5) * c
             np.testing.assert_allclose(proj_control_delay(cfg, t), expected,
                                        atol=1e-12)
+
+    def test_density_part_trapezoid_oracle(self):
+        # general a0: the stacked exponentials against one per grid point,
+        # over the whole past (t >= d) and over a window [-t, 0] that ends
+        # on a grid point (t = 0.15 < d)
+        a0 = np.array([[-0.3, 0.1], [0.0, -0.2]])
+        grid = np.linspace(-0.2, 0.0, 257)
+        table = np.stack([np.cos(3 * grid), np.sin(2 * grid)], axis=1)[:, :, None]
+        cfg = DelayConfig(a0=a0, b0=np.zeros((2, 1)), sigma=np.eye(2), delay=0.2,
+                          b1_density=table)
+        for t in (0.35, 0.2, 0.15):
+            keep = grid >= -min(t, 0.2) - 1e-12
+            integrand = np.array([expm((t + r) * a0) @ v
+                                  for r, v in zip(grid[keep], table[keep])])
+            exact = np.trapezoid(integrand, grid[keep], axis=0)
+            np.testing.assert_allclose(proj_control_delay(cfg, t) - expm(t * a0) @ cfg.b0,
+                                       exact, atol=1e-10)
 
     def test_general_matrix_exponential_factor(self):
         a0 = np.array([[-0.2, 0.5], [0.0, -0.4]])
@@ -198,38 +214,21 @@ class TestBuild:
 
 class TestProjectedModel:
     def test_zero_past_semigroup(self, delay_model):
-        x = DelayState.zero_past([0.5, -0.3], 0.2)
+        x = np.array([0.5, -0.3])
         for t in (0.1, 0.8):
-            exact = expm(t * delay_model.cfg.a0) @ x.x0
+            exact = expm(t * delay_model.cfg.a0) @ x
             np.testing.assert_allclose(
                 delay_model.proj_semigroup_apply(t, x), exact, atol=1e-12
             )
 
-    def test_past_window(self, delay_model):
-        # past data supported before -t contributes nothing
-        n_pts = 129
-        grid = np.linspace(-0.2, 0.0, n_pts)
-        x1 = np.zeros((n_pts, 2))
-        x1[grid < -0.1] = 1.0
-        far = DelayState(np.zeros(2), x1, 0.2)
-        t = 0.05                      # window [-0.05, 0] misses the support
-        out = delay_model.proj_semigroup_apply(t, far)
-        assert np.abs(out).max() <= 1e-12
-
-    def test_past_contribution_trapezoid_oracle(self, delay_model):
-        n_pts = 257
-        grid = np.linspace(-0.2, 0.0, n_pts)
-        x1 = np.stack([np.cos(3 * grid), np.sin(2 * grid)], axis=1)
-        state = DelayState(np.zeros(2), x1, 0.2)
-        t = 0.35                      # window is the whole past interval
-        a0 = delay_model.cfg.a0
-        integrand = np.array(
-            [expm((t + s) * a0) @ x1[i] for i, s in enumerate(grid)]
-        )
-        exact = np.trapezoid(integrand, grid, axis=0)
-        np.testing.assert_allclose(
-            delay_model.proj_semigroup_apply(t, state), exact, atol=1e-10
-        )
+    def test_state_is_present_vector(self, delay_model):
+        x = [0.5, -0.3]
+        np.testing.assert_array_equal(delay_model.project_state(x), x)
+        for bad in (np.zeros(3), np.zeros((1, 2)), 0.5):
+            with pytest.raises(DimensionMismatch):
+                delay_model.project_state(bad)
+            with pytest.raises(DimensionMismatch):
+                delay_model.proj_semigroup_apply(0.1, bad)
 
     @pytest.mark.parametrize("model", ["shipped", "scalar"])
     def test_pushforward_stack_equals_single(self, model, delay_model, delay_scalar):
@@ -247,10 +246,6 @@ class TestProjectedModel:
         for bad in ([0.2, 0.0], [0.2, 1.0]):
             with pytest.raises(ValueError):
                 mdl.pushforward_cov(np.array(bad), 1.0)
-
-    def test_state_validation(self):
-        with pytest.raises(ConfigError):
-            DelayState(np.zeros(2), np.zeros((10, 2)), 0.2)    # too few points
 
     @pytest.mark.parametrize("field", ["a0", "b0", "sigma", "delay", "atom", "density"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -298,9 +293,7 @@ class TestFullHistoryConsistency:
 
         steps = np.linspace(0.0, T, 2)
         b_int = _control_integrals(delay_model, 0.0, T, steps, n_gl=24)[0]
-        mean_exact = delay_model.proj_semigroup_apply(
-            T, DelayState.zero_past(x0, cfg.delay)
-        ) + b_int @ u
+        mean_exact = delay_model.proj_semigroup_apply(T, x0) + b_int @ u
         cov_exact = delay_model.proj_cov(T)
         mean_err = np.abs(y.mean(axis=0) - mean_exact)
         se = np.sqrt(np.diag(cov_exact) / n_paths)

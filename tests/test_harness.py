@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from pshjb import costs, harness
-from pshjb.delay import DelayState
 from pshjb.errors import DominanceViolated
 from pshjb.ou import ProjectedTerminalCost
 from pshjb.harness import (
@@ -33,7 +32,7 @@ from conftest import (
 )
 
 
-X0 = DelayState.zero_past([0.3, -0.2], 0.2)
+X0 = np.array([0.3, -0.2])
 
 
 def make_cost(ham, phi, c=0.1):
@@ -194,6 +193,12 @@ class TestCostBuilders:
         cost = CostSpec(ell0=ell0, ham=shipped_delay_ham(),
                         phi=costs.constant_cost(0.0), horizon=1.0)
         assert abs(cost.ell0_integral(0.0, 1.0) - 0.5) <= 1e-9
+
+    @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 0.5, 0.5]])
+    def test_table_ell0_rejects_unsorted_times(self, times):
+        # np.interp would read [1, 0] -> [0, 1] as [0, 1, 1, 1] at 0, .25, .5, 1
+        with pytest.raises(ValueError, match="strictly increasing"):
+            costs.table_ell0(times, np.arange(len(times), dtype=float))
 
     def test_smooth_indicator_bounded_step(self):
         phi = costs.smooth_indicator_cost([1.0, 0.0], threshold=0.0,
@@ -467,7 +472,7 @@ class TestDominance:
         for x0 in ([0.0, 0.0], [0.5, 0.3], [-0.8, 0.4]):
             report = value_dominance_check(
                 delay_model, cost, sol, pols, 0.0,
-                DelayState.zero_past(x0, 0.2),
+                x0,
                 n_samples=3000, time_steps=20, seed=9,
             )
             assert all(p["ok"] for p in report["policies"])

@@ -671,12 +671,9 @@ class TestBenchmarkReference:
 
 class TestEvaluation:
     def test_terminal_value_exact(self, mini_delay_solution, delay_model):
-        from pshjb.delay import DelayState
-
         sol, ham, phi, ell0, cfg = mini_delay_solution
         for x0 in ([0.0, 0.0], [0.4, -0.2], [1.5, 0.7]):
-            x = DelayState.zero_past(x0, 0.2)
-            assert eval_value(sol, delay_model, cfg.horizon, x) == float(
+            assert eval_value(sol, delay_model, cfg.horizon, x0) == float(
                 phi(np.asarray(x0))
             )
 
@@ -685,8 +682,6 @@ class TestEvaluation:
         # backward times, so the comparison isolates the quadrature chain
         # from grid-resolution error
         from scipy.linalg import expm
-
-        from pshjb.delay import DelayState
 
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
@@ -698,14 +693,12 @@ class TestEvaluation:
         for i, (j1, j2) in ((2, (10, 12)), (8, (9, 10)), (15, (11, 9))):
             tau = sol.iterate.time_grid[1:][i]
             y_node = np.array([axes[0][j1], axes[1][j2]])
-            x = DelayState.zero_past(expm(-tau * delay_model.cfg.a0) @ y_node, 0.2)
+            x = expm(-tau * delay_model.cfg.a0) @ y_node
             ref = semigroup_apply(delay_model, phi, tau, y_node, rule) + c * tau
             got = eval_value(sol, delay_model, cfg.horizon - tau, x)
             assert abs(got - ref) <= 1e-4
 
     def test_monotone_in_terminal_cost(self, delay_model):
-        from pshjb.delay import DelayState
-
         ham = shipped_delay_ham()
         ell0 = costs.constant_ell0(0.0)
         cfg = SolverConfig(**MINI_CFG)
@@ -713,8 +706,7 @@ class TestEvaluation:
         phi_hi = costs.tanh_cost([1.0, 1.0], 2.0, 1.0)   # pointwise larger
         sol_lo = picard_solve(delay_model, ham, phi_lo, ell0, cfg)
         sol_hi = picard_solve(delay_model, ham, phi_hi, ell0, cfg)
-        for x0 in ([0.0, 0.0], [0.5, 0.2], [-0.6, 0.4]):
-            x = DelayState.zero_past(x0, 0.2)
+        for x in ([0.0, 0.0], [0.5, 0.2], [-0.6, 0.4]):
             for t in (0.0, 0.4, 0.9):
                 assert eval_value(sol_lo, delay_model, t, x) <= eval_value(
                     sol_hi, delay_model, t, x
@@ -722,8 +714,6 @@ class TestEvaluation:
 
     def test_gradient_matches_semigroup_for_trivial(self, delay_model):
         from scipy.linalg import expm
-
-        from pshjb.delay import DelayState
 
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
@@ -734,21 +724,19 @@ class TestEvaluation:
         for i, (j1, j2) in ((5, (10, 11)), (12, (9, 10))):
             tau = sol.iterate.time_grid[1:][i]
             y_node = np.array([axes[0][j1], axes[1][j2]])
-            x = DelayState.zero_past(expm(-tau * delay_model.cfg.a0) @ y_node, 0.2)
+            x = expm(-tau * delay_model.cfg.a0) @ y_node
             ref = c_gradient_semigroup(delay_model, phi, tau, y_node, rule)
             got = eval_c_gradient(sol, delay_model, cfg.horizon - tau, x)
             np.testing.assert_allclose(got, ref, atol=2e-4)
 
     def test_constant_phi_zero_gradient(self, delay_model):
-        from pshjb.delay import DelayState
-
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.constant_cost(2.0)
         sol = picard_solve(
             delay_model, ham, phi, costs.constant_ell0(0.0),
             SolverConfig(**MINI_CFG),
         )
-        g = eval_c_gradient(sol, delay_model, 0.3, DelayState.zero_past([0.1, 0.1], 0.2))
+        g = eval_c_gradient(sol, delay_model, 0.3, np.array([0.1, 0.1]))
         assert np.abs(g).max() <= 1e-12
 
     def test_solution_gradient_finite_difference(self, mini_delay_solution, delay_model):
@@ -775,13 +763,11 @@ class TestEvaluation:
             assert abs(grad_k - fd) <= 0.08 * max(1.0, abs(fd))
 
     def test_out_of_grid_and_horizon_errors(self, mini_delay_solution, delay_model):
-        from pshjb.delay import DelayState
-
         sol, *_ = mini_delay_solution
-        x = DelayState.zero_past([50.0, 50.0], 0.2)     # far outside the box
+        x = np.array([50.0, 50.0])     # far outside the box
         with pytest.raises(OutOfGrid):
             eval_value(sol, delay_model, 0.5, x)
-        near = DelayState.zero_past([0.1, 0.1], 0.2)
+        near = np.array([0.1, 0.1])
         with pytest.raises(TooCloseToHorizon):
             eval_c_gradient(sol, delay_model, sol.iterate.horizon - 1e-7, near)
         with pytest.raises(OutOfGrid):

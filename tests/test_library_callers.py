@@ -1,9 +1,11 @@
 """Guards against library code and options that nothing uses.
 
-Every public top-level function or class of ``src/pshjb``, and every public
-method or property of a public class, must be referenced by name or
-attribute (or imported by name) from other library code.  Docstrings are strings, not
-references, and ``__init__.py`` only re-exports modules, so neither counts.
+Every public top-level function or class of ``src/pshjb`` must be referenced
+by name or attribute (or imported by name) from other library code, and
+every public method or property of a public class by attribute: a method
+is reached only through an attribute, so a local variable of the same
+spelling does not count for it.  Docstrings are strings, not references,
+and ``__init__.py`` only re-exports modules, so neither counts.
 
 Every defaulted parameter of a public function or method must be passed, by
 keyword or by position, by some call in ``src``, ``tests`` or ``bench``.
@@ -28,13 +30,17 @@ ALLOWED = {
 }
 
 
-def references(node) -> Counter:
+def references(node, attributes_only=False) -> Counter:
+    """Spellings that ``node`` refers to by attribute and, unless
+    ``attributes_only``, by name or import."""
     refs = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name):
-            refs[n.id] += 1
-        elif isinstance(n, ast.Attribute):
+        if isinstance(n, ast.Attribute):
             refs[n.attr] += 1
+        elif attributes_only:
+            continue
+        elif isinstance(n, ast.Name):
+            refs[n.id] += 1
         elif isinstance(n, ast.ImportFrom):
             refs.update(alias.name for alias in n.names)
     return refs
@@ -53,8 +59,11 @@ def public_definitions(tree):
 
 def test_every_public_name_has_a_library_caller():
     trees = {p.name: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
-    total = sum((references(t) for name, t in trees.items() if name != "__init__.py"),
-                Counter())
+    total = {
+        only: sum((references(t, only) for name, t in trees.items()
+                   if name != "__init__.py"), Counter())
+        for only in (False, True)
+    }
     defined = {qual for tree in trees.values() for qual, _ in public_definitions(tree)}
     assert ALLOWED <= defined, "stale allowlist entries: " + ", ".join(ALLOWED - defined)
     unused = [
@@ -62,7 +71,7 @@ def test_every_public_name_has_a_library_caller():
         for name, tree in trees.items()
         for qual, node in public_definitions(tree)
         if qual not in ALLOWED
-        and total[node.name] - references(node)[node.name] <= 0
+        and total["." in qual][node.name] - references(node, "." in qual)[node.name] <= 0
     ]
     assert unused == [], "public code without a library caller: " + ", ".join(unused)
 

@@ -8,7 +8,7 @@ from pshjb.ou import (
     cameron_martin_density,
     semigroup_apply,
 )
-from pshjb.spectral import GaussianMeasureN, build_quadrature, gauss_expectation
+from pshjb.spectral import build_quadrature, gauss_expectation
 
 RULE1 = build_quadrature(1, 12)
 RULE2 = build_quadrature(2, 10)
@@ -66,7 +66,7 @@ class TestSemigroupApply:
                 [
                     gauss_expectation(
                         lambda z: phi(z + yy),
-                        GaussianMeasureN(np.zeros(2), cov),
+                        np.zeros(2), cov,
                         rule,
                     )
                     for yy in flat
@@ -102,7 +102,7 @@ class TestCameronMartin:
         rule = build_quadrature(2, 30)
         total = gauss_expectation(
             lambda z: np.array([cameron_martin_density(cov, y, zi) for zi in z]),
-            GaussianMeasureN(np.zeros(2), cov),
+            np.zeros(2), cov,
             rule,
         )
         assert abs(total - 1.0) <= 1e-6
@@ -123,10 +123,10 @@ class TestCameronMartin:
                 lambda z: np.array(
                     [cameron_martin_density(cov, y, zi) for zi in z]
                 ) * g(z),
-                GaussianMeasureN(np.zeros(2), cov),
+                np.zeros(2), cov,
                 rule,
             )
-            rhs = gauss_expectation(g, GaussianMeasureN(y, cov), rule)
+            rhs = gauss_expectation(g, y, cov, rule)
             assert abs(lhs - rhs) <= 1e-6
 
     def test_not_in_cameron_martin(self):

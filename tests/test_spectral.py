@@ -10,7 +10,6 @@ from pshjb.delay import DelayConfig
 from pshjb.errors import DimensionMismatch, DimensionTooLarge, NotPSD
 from pshjb.spectral import (
     _PADE_THETA,
-    GaussianMeasureN,
     QuadratureRule,
     build_quadrature,
     expm,
@@ -139,15 +138,15 @@ class TestQuadrature:
 class TestGaussExpectation:
     def test_constant(self):
         rule = build_quadrature(2, 4)
-        mu = GaussianMeasureN(np.zeros(2), np.eye(2))
-        est = gauss_expectation(lambda z: np.full(len(z), 3.25), mu, rule)
+        est = gauss_expectation(lambda z: np.full(len(z), 3.25), np.zeros(2), np.eye(2),
+                                rule)
         assert abs(est - 3.25) <= 1e-14
 
     def test_second_moment(self):
         rule = build_quadrature(1, 8)
         sigma2 = 0.7
-        mu = GaussianMeasureN(np.zeros(1), np.array([[sigma2]]))
-        est = gauss_expectation(lambda z: z[:, 0] ** 2, mu, rule)
+        est = gauss_expectation(lambda z: z[:, 0] ** 2, np.zeros(1), np.array([[sigma2]]),
+                                rule)
         assert abs(est - sigma2) <= 1e-8
 
     def test_mean_linearity(self):
@@ -155,24 +154,22 @@ class TestGaussExpectation:
         mean = rng.standard_normal(2)
         cov = random_spd(rng, 2)
         rule = build_quadrature(2, 6)
-        est = gauss_expectation(lambda z: z[:, 0], GaussianMeasureN(mean, cov), rule)
+        est = gauss_expectation(lambda z: z[:, 0], mean, cov, rule)
         assert abs(est - mean[0]) <= 1e-12
 
     @pytest.mark.parametrize("order", [4, 8])
     def test_polynomial_exactness(self, order):
         # exact for degree <= 2*order - 1 per variable
         rule = build_quadrature(1, order)
-        mu = GaussianMeasureN(np.zeros(1), np.eye(1))
         deg = 2 * order - 2
-        est = gauss_expectation(lambda z: z[:, 0] ** deg, mu, rule)
+        est = gauss_expectation(lambda z: z[:, 0] ** deg, np.zeros(1), np.eye(1), rule)
         exact = float(np.prod(np.arange(deg - 1, 0, -2)))   # (deg-1)!!
         assert abs(est - exact) <= 1e-12 * max(exact, 1.0)
 
     def test_dimension_mismatch(self):
         rule = build_quadrature(2, 4)
-        mu = GaussianMeasureN(np.zeros(3), np.eye(3))
         with pytest.raises(DimensionMismatch):
-            gauss_expectation(lambda z: z[:, 0], mu, rule)
+            gauss_expectation(lambda z: z[:, 0], np.zeros(3), np.eye(3), rule)
 
 
 # the time rule of the Picard map uses beta = gamma / (1 - gamma), gamma in (0, 1)
@@ -322,5 +319,7 @@ class TestExpm:
 
 class TestContainers:
     def test_gaussian_measure_dims(self):
-        with pytest.raises(DimensionMismatch):
-            GaussianMeasureN(np.zeros(2), np.eye(3))
+        # a mean and a covariance of different dimensions
+        with pytest.raises(DimensionMismatch, match="covariance dim"):
+            gauss_expectation(lambda z: z[:, 0], np.zeros(2), np.eye(3),
+                              build_quadrature(2, 4))

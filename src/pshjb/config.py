@@ -157,6 +157,8 @@ def _heat_state(spec: dict, n_modes: int) -> np.ndarray:
     if kind == "modes":
         _check_keys(spec, ("kind", "coefficients"), "model.heat.x0")
         coeffs = np.asarray(spec.get("coefficients", [0.0]), dtype=float)
+        if coeffs.ndim != 1:
+            raise ConfigError("model.heat.x0 coefficients must be a flat list of numbers")
         if coeffs.size > n_modes:
             raise ConfigError("more state coefficients than modes")
         return np.pad(coeffs, (0, n_modes - coeffs.size))

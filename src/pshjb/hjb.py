@@ -30,12 +30,14 @@ passes the finite-difference oracle; see the norm-bound tests).
 
 The equation is a Volterra equation in time-to-go: Upsilon at time node i
 reads the gradient slices 0..i only.  The Picard loop therefore computes
-its iterates in sweeps with the time nodes as the outer loop, which build
-each node's shift matrices once for several iterates.  A node whose input
-slices no longer change beyond four ulps is copied from the previous
-iterate instead of recomputed: the result stays within rounding of exact
-applies, and a sweep gives the iterates of one-iterate sweeps bit for bit
-(:class:`UpsilonOperator`).
+its iterates in short sweeps with the time nodes as the outer loop.  At
+each s-node of the time quadrature, the interpolation of the gradient at
+mesh + each Gaussian offset is one BLAS gemm of stored Kronecker
+coefficients against the windows of the edge-padded gradient slice.  A
+node whose input slices no longer change beyond four ulps is copied from
+the previous iterate instead of recomputed: the result stays within
+rounding of exact applies, and a sweep gives the iterates of one-iterate
+sweeps bit for bit (:class:`UpsilonOperator`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -61,19 +63,20 @@ from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
 from .spectral import MAX_HERMITE_DIM, build_quadrature, gauss_jacobi, psd_roots
 
-# Bytes of interpolated gradient values per block of (s-node, Gauss node)
-# pairs of one time node in UpsilonOperator.sweep.  A block's arrays then
-# stay in a core's cache between the interpolation and the Hamiltonian
-# passes.  Measured on 2 MiB-L2 cores: 384 KiB to 512 KiB were fastest on
-# both the 21- and 41-point grids; 128 KiB lost to per-block overhead, one
-# block per time node lost the cache.
-APPLY_BLOCK_BYTES = 512 * 1024
+# Bytes of window values per chunk of :func:`interp_windows`.  Shipped heat
+# solves (2-core x86_64) took 2.84-2.91 s from 512 KiB to 4 MiB or unchunked,
+# while peak RSS rose with the budget from 63 to 75 MB; at 1 MiB the
+# 21-point grids' windows fit one chunk.
+WINDOW_CHUNK_BYTES = 1024 * 1024
 
 # Largest Picard sweep working set a solve may ask for; a larger one would
 # exhaust memory in the middle of the solve instead of failing at its start.
-# The shipped configs need 45 MB (heat) and 37 MB (delay); n_proj: 3 at the
-# solver defaults 2.8 GB.
+# The shipped configs need 24 MB (heat) and 21 MB (delay); n_proj: 3 at the
+# solver defaults 2.19 GB from the sizes alone (1.67 GB of it H_min values).
 _SWEEP_BUDGET_BYTES = 1 << 30
+
+# Most iterates of one Picard sweep (:func:`_sweep_length`).
+_MAX_SWEEP = 4
 
 # First positive time node as a share of the horizon (:func:`make_time_grid`).
 T_MIN_FACTOR = 1e-4
@@ -292,34 +295,40 @@ class HJBSolution:
 # ---------------------------------------------------------------------------
 # grids and interpolation
 
-def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int):
-    """Raise :class:`ConfigError` for a problem the solver cannot take: a
-    projected dimension N above the tensor Gauss-Hermite rule's
-    MAX_HERMITE_DIM, or a Picard sweep over _SWEEP_BUDGET_BYTES.  The sweep
-    estimate is what grows with the problem, for S = 2 * time_quad_order
-    s-nodes, n_q = quad_order^N quadrature nodes, n = space_points and
-    P = n^N mesh points: at one time node the (S * n_q, P) H_min values,
-    the (m, S, P) blended gradient slice and the S * n_q * N shift matrices
-    of n x n; and the sweep's iterates, (n_time + 1 + m * n_time) * P values
-    each, at the longest sweep of max(1, max_iter // 2) iterates
-    (:func:`_sweep_length`).  Computed from the sizes alone, so it builds no
-    array."""
+def _sweep_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int,
+                 pad: int = 1, window: int = 0, coef: int = 0) -> int:
+    """Bytes of the Picard sweep working set: a node's H_min values, one
+    s-node's gradients, the padded slices, the largest window chunk, the
+    ``coef`` stored coefficients and the iterates of the longest sweep.
+    The defaults leave out the windows, which only the assembly knows."""
+    n, m = cfg.space_points, control_dim
+    n_s, n_q, n_pts = 2 * cfg.time_quad_order, cfg.quad_order**proj_dim, n**proj_dim
+    node = (n_s + m) * n_q * n_pts + n_s * m * (n + 2 * pad) ** proj_dim
+    chunk = _chunk_values(m * window * n ** (proj_dim - 1), n) if window else 0
+    longest = max(1, min(cfg.max_iter // 2, _MAX_SWEEP))     # _sweep_length
+    iterates = longest * n_pts * (cfg.n_time + 1 + m * cfg.n_time)
+    return 8 * (node + chunk + coef + iterates)
+
+
+def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int, *windows):
+    """Raise :class:`ConfigError` for a projected dimension N above the
+    tensor Gauss-Hermite rule's MAX_HERMITE_DIM, or for a Picard sweep over
+    _SWEEP_BUDGET_BYTES (:func:`_sweep_bytes`).  :func:`picard_solve`
+    checks the sizes alone before it builds anything; the assembly checks
+    again at every time node, with the windows so far, before it builds the
+    node's window coefficients."""
     if proj_dim > MAX_HERMITE_DIM:
         raise ConfigError(
             f"the projected dimension N = {proj_dim} is above "
             f"{MAX_HERMITE_DIM}, the most the tensor Gauss-Hermite rule takes"
         )
-    n = cfg.space_points
-    n_q, n_pts = cfg.quad_order**proj_dim, n**proj_dim
-    node = 2 * cfg.time_quad_order * (n_pts * (n_q + control_dim) + n_q * proj_dim * n * n)
-    iterates = max(1, cfg.max_iter // 2) * n_pts * (cfg.n_time + 1 + control_dim * cfg.n_time)
-    need = 8 * (node + iterates)
+    need = _sweep_bytes(cfg, proj_dim, control_dim, *windows)
     if need > _SWEEP_BUDGET_BYTES:
         raise ConfigError(
             f"the solver would need about {need / 1e9:.3g} GB per Picard sweep "
-            f"(N = {proj_dim}, space_points = {n}, quad_order = {cfg.quad_order}, "
-            f"time_quad_order = {cfg.time_quad_order}, n_time = {cfg.n_time}, "
-            f"max_iter = {cfg.max_iter}); the budget is "
+            f"(N = {proj_dim}, space_points = {cfg.space_points}, "
+            f"quad_order = {cfg.quad_order}, time_quad_order = {cfg.time_quad_order}, "
+            f"n_time = {cfg.n_time}, max_iter = {cfg.max_iter}); the budget is "
             f"{_SWEEP_BUDGET_BYTES / 1e9:.3g} GB"
         )
 
@@ -389,102 +398,96 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
 def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Per-axis index data of interpolation at "mesh + constant shift".
 
-    ``shifts`` has shape (*B, N).  On a uniform axis with step h, moving
-    every node j by the same c lands at j + k + a with k = floor(c / h) and
-    a = c / h - k in [0, 1), for all j alike.  Returns one pair (k, a) of
-    (*B,) arrays per axis.
+    ``shifts`` has shape (*B, N).  On a uniform axis of n nodes with step
+    h, moving every node j by the same c lands at j + k + a with
+    k = floor(c / h) and a = c / h - k in [0, 1), for all j alike; k is
+    clamped to [-n, n], beyond which every node lands outside the box on
+    the same side.  Returns one pair (k, a) of (*B,) arrays per axis.
     """
     out = []
     for d, ax in enumerate(axes):
         pos = shifts[..., d] / (ax[1] - ax[0])
         k = np.floor(pos)
-        out.append((k.astype(np.intp), pos - k))
+        out.append((np.clip(k, -ax.size, ax.size).astype(np.intp), pos - k))
     return tuple(out)
 
 
-def _scatter_index(k: np.ndarray, n: int, transpose: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into the (*B, n, n) shift matrices of shifts ``k`` of
-    the entries (j, lo) and (j, hi) of every row j, lo = clip(j + k),
-    hi = clip(j + k + 1); with ``transpose``, of the entries of the
-    transposes, (lo, j) and (hi, j)."""
-    lo = k[..., None] + np.arange(n)
-    # flat index of entry (j, c) of matrix b: rows[b, j] + step * c, with
-    # rows = (b n + j) n, step = 1, or for the transposes b n^2 + j, step = n
-    rows = np.arange(0, lo.size * n, n).reshape(lo.shape)
-    step = 1
-    if transpose:
-        rows -= (n - 1) * np.arange(n)
-        step = n
-    # ufuncs, not np.clip: its wrapper costs more than the work on a block
-    hi = rows + step * np.minimum(np.maximum(lo + 1, 0), n - 1)
-    np.maximum(lo, 0, out=lo)
-    return rows + step * np.minimum(lo, n - 1, out=lo), hi
+def window_bounds(stencil) -> tuple[list, list]:
+    """Per batch row s of :func:`shift_stencil` data of batch shape
+    (S, n_q), the origin lo = min_q k and the width max_q k - lo + 2 of the
+    row's window on each axis, as lists of ints: node j of shift (k, a)
+    reads nodes clip(j + k) and clip(j + k + 1), which lie in the window
+    at mesh + lo."""
+    lo = np.stack([k.min(axis=1) for k, _ in stencil], axis=1)
+    width = np.stack([k.max(axis=1) for k, _ in stencil], axis=1) - lo + 2
+    return lo.tolist(), width.tolist()
 
 
-class ShiftMatrices:
-    """Per-axis interpolation matrices of one :func:`shift_stencil` of batch
-    shape B at a time, in (*B, n, n) buffers that every :meth:`build`
-    rewrites.  They depend on the stencil alone, so one build serves every
-    array interpolated with it.
-
-    For shifts (k, a) on an axis of n nodes, W has (W F)[j] =
-    (1 - a) F[lo] + a F[hi], lo = clip(j + k), hi = clip(j + k + 1):
-    clamped linear interpolation.  The last axis holds W.T, written in C
-    order by the same two scatters with the row and column roles swapped
-    (its entries equal those of ``np.swapaxes(W, -1, -2)`` exactly), for
-    :func:`interp_shifted`.  Fresh zeroed arrays of this size would be new
-    pages to fault in at every build, and zeroing them whole writes n / 2
-    times the entries that a build writes, so a build zeroes only the two
-    entries per row that the one before it wrote.
-    """
-
-    def __init__(self, batch: tuple[int, ...], grid: tuple[int, ...]):
-        self.mats = tuple(np.zeros(tuple(batch) + (n, n)) for n in grid)
-        self._written: list = []        # per axis, the last build's indices
-
-    def build(self, stencil) -> tuple[np.ndarray, ...]:
-        last = len(self.mats) - 1
-        for w, index in zip(self.mats, self._written):
-            for idx in index:
-                w.reshape(-1)[idx] = 0.0
-        self._written = [_scatter_index(k, w.shape[-1], d == last)
-                         for d, ((k, _), w) in enumerate(zip(stencil, self.mats))]
-        for w, (_, a), (lo, hi) in zip(self.mats, stencil, self._written):
-            flat = w.reshape(-1)
-            flat[lo] = (1.0 - a)[..., None]
-            flat[hi] += a[..., None]
-        return self.mats
+def window_coefficients(stencil, lo, width) -> tuple[np.ndarray, ...]:
+    """Per batch row s of :func:`window_bounds`, the (n_q, prod(width[s]))
+    coefficients of its shifts: row q is the Kronecker product over the
+    axes, in C order of the window, of shift q's rows that hold 1 - a at
+    k - lo and a at k - lo + 1."""
+    coef = []
+    for s, (lo_s, width_s) in enumerate(zip(lo, width)):
+        c = np.ones((stencil[0][0].shape[1], 1))
+        for (k, a), o, w in zip(stencil, lo_s, width_s):
+            row = np.zeros((k.shape[1], w))
+            q, at = np.arange(k.shape[1]), k[s] - o
+            row[q, at], row[q, at + 1] = 1.0 - a[s], a[s]
+            c = (c[:, :, None] * row[:, None, :]).reshape(k.shape[1], -1)
+        coef.append(c)
+    return tuple(coef)
 
 
-def interp_shifted(values: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Multilinear interpolation at every mesh point plus each stencil shift.
+def window_view(padded: np.ndarray, pad: int, lo, width) -> np.ndarray:
+    """Strided view W[c, r, j] = padded[c, pad + lo + r + j], shape
+    (m, *width, *grid), of a C-contiguous (m, *(grid + 2 pad)) array, one
+    index per axis in r < ``width`` and j < grid; needs -pad <= lo and
+    lo + width - 1 <= pad."""
+    st = padded.strides
+    grid = tuple(size - 2 * pad for size in padded.shape[1:])
+    offset = sum((pad + o) * s for o, s in zip(lo, st[1:]))
+    return np.ndarray(padded.shape[:1] + tuple(width) + grid, padded.dtype,
+                      buffer=padded, offset=offset, strides=st + st[1:])
 
-    ``mats`` are the :class:`ShiftMatrices` of a stencil of batch shape B.
-    ``values`` has shape (*Bv, *grid_shape) with Bv broadcasting against B;
-    the result has shape (*broadcast(Bv, B), *grid_shape).  With the shift
-    fixed across the mesh the interpolation is separable: an N-mode product
-    with one clamped 1-D interpolation matrix per axis (``Wx @ F @ Wy.T`` in
-    2-D), which reproduces :func:`interp_space` (``mode="nearest"``) at
-    mesh + shift.
 
-    Operand layout: every product hands matmul C-contiguous matrices, the
-    layout in which it calls BLAS gemm directly.  The last axis's matrices
-    are built transposed in C order rather than taken as a swapped view,
-    on which matmul runs about 2x slower for the same result.  ``values``
-    should be C-contiguous in its last N axes for the same reason.
-    """
-    n_dim = len(mats)
-    grid = values.shape[values.ndim - n_dim:]
-    batch = np.broadcast_shapes(values.shape[:-n_dim], mats[0].shape[:-2])
-    for d, w in enumerate(mats):
-        lead = values.shape[:-n_dim] + (math.prod(grid[:d]), grid[d])
-        if d == n_dim - 1:
-            values = values.reshape(lead) @ w
-        else:
-            post = math.prod(grid[d + 1:])
-            values = w[..., None, :, :] @ values.reshape(lead + (post,))
-        values = values.reshape(batch + grid)
-    return values
+def pad_edges(padded: np.ndarray, pad: int, n_dim: int) -> np.ndarray:
+    """Fill the ``pad`` outer cells per side of the last ``n_dim`` axes with
+    the edge values inside them, axis by axis (so the corners too), as
+    ``np.pad(mode="edge")`` does: clamped interpolation reads the result."""
+    for d in range(padded.ndim - n_dim, padded.ndim):
+        size, at = padded.shape[d] - 2 * pad, (slice(None),) * d
+        padded[at + (slice(0, pad),)] = padded[at + (slice(pad, pad + 1),)]
+        padded[at + (slice(pad + size, None),)] = padded[at + (slice(pad + size - 1, pad + size),)]
+    return padded
+
+
+def _chunk_values(row_values: int, n_rows: int) -> int:
+    """Largest :func:`interp_windows` chunk, in values, for windows of at
+    most ``row_values`` values per mesh row."""
+    return max(row_values, min(n_rows * row_values, WINDOW_CHUNK_BYTES // 8))
+
+
+def interp_windows(windows: np.ndarray, coef: np.ndarray, out: np.ndarray,
+                   scratch: np.ndarray) -> np.ndarray:
+    """Multilinear interpolation at every mesh point plus each shift of one
+    :func:`window_bounds` row, ``out`` (m, n_q, P) = ``coef`` @ ``windows``
+    (its :func:`window_view`): chunks of mesh rows, at most
+    WINDOW_CHUNK_BYTES (at least one row), are copied into the flat
+    ``scratch`` as C-contiguous (m, prod(width), chunk) matrices, each
+    multiplied by one BLAS gemm per component."""
+    n_dim = (windows.ndim - 1) // 2
+    m, grid = windows.shape[0], windows.shape[1 + n_dim:]
+    n_win, rest = coef.shape[1], math.prod(grid[1:])
+    rows = max(1, min(grid[0], WINDOW_CHUNK_BYTES // (8 * m * n_win * rest)))
+    for r0 in range(0, grid[0], rows):
+        r1 = min(r0 + rows, grid[0])
+        part = windows[(slice(None),) * (1 + n_dim) + (slice(r0, r1),)]
+        buf = scratch[:part.size].reshape(part.shape)
+        np.copyto(buf, part)
+        np.matmul(coef, buf.reshape(m, n_win, -1), out=out[:, :, r0 * rest:r1 * rest])
+    return out
 
 
 def clamped_share(stencil, weights: np.ndarray, shape: tuple[int, ...]) -> float:
@@ -541,23 +544,12 @@ class _Convolution:
     i0: np.ndarray         # (S,) bracketing gradient-slice indices
     i1: np.ndarray
     w0: np.ndarray         # (S, 1, ...) s^{-gamma} times the time-interpolation
-    w1: np.ndarray         # weights, shaped to broadcast over (S, *grid)
-    stencil: tuple         # shift_stencil of the (S, n_q, N) quadrature offsets
+    w1: np.ndarray         # weights, shaped to broadcast over (S, m, *grid)
+    lo: list               # per s-node, the window origin per axis (window_bounds)
+    width: list            # per s-node, the window width per axis
+    coef: tuple            # per s-node, the (n_q, prod(width)) coefficients
     fweights: np.ndarray   # (S * n_q,) time-quadrature times expectation weights
     gweights: np.ndarray   # (S * n_q, m) the same times the gradient weights
-
-
-def _pair_blocks(n_s: int, n_q: int, pair_bytes: int) -> list[tuple[int, int, int, int]]:
-    """Blocks (s0, s1, q0, q1) of the (s-node, Gauss node) pairs of one
-    time node, each holding at most APPLY_BLOCK_BYTES of ``pair_bytes``
-    pairs (at least one pair): whole s-nodes where one s-node fits, else
-    runs of Gauss nodes of one s-node.  Every block is a contiguous range
-    of pairs in (s-node, Gauss node) order."""
-    per = max(1, APPLY_BLOCK_BYTES // pair_bytes)
-    if per >= n_q:
-        step = per // n_q
-        return [(s, min(s + step, n_s), 0, n_q) for s in range(0, n_s, step)]
-    return [(s, s + 1, q, min(q + per, n_q)) for s in range(n_s) for q in range(0, n_q, per)]
 
 
 class UpsilonOperator:
@@ -570,15 +562,23 @@ class UpsilonOperator:
 
     ``sweep`` relies on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
-    mesh point, and interpolation clamps at the box edge.  Interpolating the
-    gradient iterate at mesh + offset is then a separable per-axis product
-    (:func:`shift_stencil`, :class:`ShiftMatrices`, :func:`interp_shifted`).
+    mesh point, and interpolation clamps at the box edge.  The values at
+    mesh + offset of one s-node's n_q offsets are then one product: their
+    (n_q, prod(width)) Kronecker coefficients times the windows, spanning
+    all the offsets' nodes, of the gradient slice edge-padded by ``pad``
+    cells per side, the largest |k| + 1 (:func:`shift_stencil`,
+    :func:`window_bounds`, :func:`window_coefficients`, :func:`pad_edges`).
 
     Loop order: ``sweep(g, n)`` runs the time nodes in the outer loop and
     the n iterates in the inner one.  Node i of iterate l + 1 reads only
     slices 0..i of iterate l, which the earlier nodes and the previous pass
-    at node i have finished; each node builds its shift matrices once and
-    runs all n iterates through them.
+    at node i have finished.  An iterate that computes node i blends its
+    slices into one padded (S, m, *(n + 2 pad)) array, s-node first, so
+    that each s-node's slab is contiguous and its :func:`window_view` a
+    plain strided view.  Per s-node, :func:`interp_windows` gives the
+    (m, n_q, P) interpolated gradients, whose H_min values
+    :func:`h_min_batch` writes straight into that s-node's rows of one
+    (S * n_q, P) array; the two quadrature sums run on that array.
 
     Settled nodes: an iterate's settled count is the length of the leading
     run of time nodes i whose gradient slice differs from that of the
@@ -586,14 +586,13 @@ class UpsilonOperator:
     its largest |fbar| over slices 0..i (the slices node i reads, and all a
     node-major sweep has of an iterate when it reaches node i).  Below its
     source's count, the next iterate copies the source's ``f[i + 1]`` and
-    ``fbar[i]``: no blend, interpolation or Hamiltonian, and a node that
-    every iterate of a sweep copies builds no shift matrices.  Four ulps,
-    not one: early slices that have reached their floating-point fixed
+    ``fbar[i]``: no blend, interpolation or Hamiltonian.  Four ulps, not
+    one: early slices that have reached their floating-point fixed
     point can still cycle between a few values a couple of ulps apart
     (rounding of the blend and the quadrature sums), and one ulp would
     recompute such nodes at every iterate.  Inputs unchanged to four ulps
     give an output unchanged to rounding, so copies keep the iterates
-    within rounding of exact applies (at most 1.1e-16 on the shipped and
+    within rounding of exact applies (at most 2.2e-16 on the shipped and
     benchmark configs).  A copied slice equals its source, so a count never
     falls from one iterate to the next.  Every iterate is computed, or
     copied, by the same operations on the same operands and with the same
@@ -601,25 +600,10 @@ class UpsilonOperator:
     is the same bit for bit; ``apply`` is ``sweep(g, 1)`` with nothing
     settled, the exact map.
 
-    At each time node the (s-node, Gauss node) pairs are taken in blocks of
-    at most APPLY_BLOCK_BYTES of interpolated gradient values: whole
-    s-nodes, or runs of Gauss nodes of one s-node where one s-node is
-    larger (:func:`_pair_blocks`).  Each block is interpolated and its
-    H_min values are written into one (S * n_q, P) array (S s-nodes, n_q
-    Gauss nodes, P mesh points); the two quadrature sums then run on that
-    array.  Blocking changes no arithmetic.  Memory: besides the n
-    iterates, a sweep holds a small multiple of APPLY_BLOCK_BYTES, the
-    S * n_q * P * 8 bytes of H_min values and one node's shift matrices,
-    S * n_q * N * n^2 * 8 bytes for n points per axis (13.6 MB on the
-    shipped 41-point grids), in buffers that every node that computes
-    rewrites (:class:`ShiftMatrices`).
-
-    Operand layout: ``sweep`` writes each time node's blended gradient
-    slice components first into a C-contiguous (m, S, *grid) array, so
-    every interpolation product gets contiguous matrices (see
-    :func:`interp_shifted`).  A view of the iterate's components-last
-    slice would be strided per component, and matmul then leaves the BLAS
-    fast path on heat (m = 2).  The layout changes no arithmetic.
+    Memory: the operator stores the window coefficients of every node
+    (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids); a sweep
+    holds its n iterates, the arrays above and one window chunk of at most
+    WINDOW_CHUNK_BYTES or one mesh row (:func:`_sweep_bytes`).
     """
 
     def __init__(
@@ -662,10 +646,10 @@ class UpsilonOperator:
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
         self.s_f = np.empty((t_pos.size, self.mesh.shape[0]))
         self.s_grad = np.empty((t_pos.size, self.mesh.shape[0], self.ham.control_dim))
+        # pad cells per side of the sweep's padded gradient slices (the
+        # largest |k| + 1), the largest window and the coefficient count
+        self.pad, self.window, self._coef_values, self.clamped_mass = 1, 0, 0, 0.0
         self.conv = [self._time_quadrature(i, t_pos, jacobi) for i in range(t_pos.size)]
-        self.clamped_mass = max(
-            clamped_share(cv.stencil, cv.fweights, self.space_shape) for cv in self.conv
-        )
 
     def _time_quadrature(self, i: int, t_pos: np.ndarray, jacobi) -> _Convolution:
         """Iterate-independent data of time node i, t = t_pos[i]: the
@@ -700,12 +684,23 @@ class UpsilonOperator:
 
         brackets = [_time_bracket(t_pos, s) for s in s_nodes]
         i0, i1, theta = (np.array(v) for v in zip(*brackets))
-        s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * len(self.space_axes))
+        s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * (1 + len(self.space_axes)))
         theta = theta.reshape(s_pow.shape)
         qw = np.outer(s_weights, self.rule.weights)
+        stencil = shift_stencil(self.space_axes, np.stack(offs[1:]))
+        self.clamped_mass = max(self.clamped_mass,
+                                clamped_share(stencil, qw.ravel(), self.space_shape))
+        lo, width = window_bounds(stencil)
+        sizes = np.prod(width, axis=1)
+        self.pad = max(self.pad, *(int(max(-k.min(), k.max() + 1)) for k, _ in stencil))
+        self.window = max(self.window, int(sizes.max()))
+        self._coef_values += nodes.shape[0] * int(sizes.sum())
+        # the working set with this node's windows, before its coefficients
+        _check_problem_size(self.cfg, self.model.proj_dim, self.ham.control_dim,
+                            self.pad, self.window, self._coef_values)
         return _Convolution(
             i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
-            stencil=shift_stencil(self.space_axes, np.stack(offs[1:])),
+            lo=lo, width=width, coef=window_coefficients(stencil, lo, width),
             fweights=qw.ravel(),
             gweights=(qw[..., None] * np.stack(gvecs[1:])).reshape(qw.size, -1),
         )
@@ -774,16 +769,19 @@ class UpsilonOperator:
         counts = [settled] + [0] * n
         tops = [0.0] * (n + 1)
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
-        blocks = _pair_blocks(n_s, n_q, 8 * m * npts)
         hvals = np.empty((n_s * n_q, npts))     # H_min per (s-node, Gauss node)
-        # one node's shift matrices, rewritten at every node that computes
-        node_mats = ShiftMatrices((n_s, n_q), self.space_shape)
-        sl = np.empty((m, n_s) + self.space_shape)
-        src = sl[:, :, None]                    # (m, S, 1, *grid)
+        block = np.empty((m, n_q, npts))        # one s-node's interpolated gradients
+        # the blended gradient slices, per s-node components first, each
+        # edge-padded by ``pad`` cells per side so that every window lies inside
+        pad, shape = self.pad, self.space_shape
+        padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
+        inner = padded[(slice(None),) * 2 + tuple(slice(pad, pad + size) for size in shape)]
+        scratch = np.empty(_chunk_values(m * self.window * npts // shape[0], shape[0]))
         self.applies += n
         for i, t in enumerate(t_pos):
             cv = self.conv[i]
-            mats = None
+            windows = [window_view(slab, pad, lo, width)
+                       for slab, lo, width in zip(padded, cv.lo, cv.width)]
             for l in range(n):
                 f_out, fbar_out, fbar = f_new[l], fbar_new[l], grid_src[l]
                 if i < counts[l]:
@@ -793,22 +791,15 @@ class UpsilonOperator:
                     fbar_out[i] = fbar_src[l][i]
                     self.copied += 1
                 else:
-                    if mats is None:
-                        built = node_mats.build(cv.stencil)
-                        mats = [tuple(w[s0:s1, q0:q1] for w in built)
-                                for s0, s1, q0, q1 in blocks]
                     # interpolation is linear in the array: blend the two
-                    # bracketing time slices (times s^{-gamma}) first, then
-                    # shift-interpolate once per (s-node, Gauss node); the
-                    # blend is written components first, one at a time
-                    for k in range(m):
-                        np.multiply(cv.w0, fbar[cv.i0, ..., k], out=sl[k])
-                        sl[k] += cv.w1 * fbar[cv.i1, ..., k]
-                    for (s0, s1, q0, q1), w in zip(blocks, mats):
-                        # p: (m, s1 - s0, q1 - q0, *grid), components first
-                        p = interp_shifted(src[:, s0:s1], w)
-                        h_min_batch(self.ham, p,
-                                    out=hvals[s0 * n_q + q0:(s1 - 1) * n_q + q1])
+                    # bracketing time slices (times s^{-gamma}) components
+                    # first into the padded array, then interpolate per s-node
+                    np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=inner)
+                    inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
+                    pad_edges(padded, pad, len(shape))
+                    for s, (win, coef) in enumerate(zip(windows, cv.coef)):
+                        interp_windows(win, coef, block, scratch)
+                        h_min_batch(self.ham, block, out=hvals[s * n_q:(s + 1) * n_q])
                     f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
                     fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
                 if counts[l + 1] == i:
@@ -844,16 +835,17 @@ def _sweep_length(residuals: list[float], cfg: SolverConfig) -> int:
     One until two residuals exist and after a rise.  Else, with k iterates
     done and the last ratio q = d_k / d_{k-1} < 1, half of the
     r = ceil(log(tol / d_k) / log q) further steps that q predicts to the
-    stop, at most k and at most what ``max_iter`` leaves: a longer sweep
-    saves more shift-matrix builds, a shorter one computes fewer iterates
-    past the stop.
+    stop, at most k, at most what ``max_iter`` leaves and at most
+    _MAX_SWEEP: a sweep saves only per-node set-up over one-iterate sweeps,
+    and a short one computes few iterates past the stop or the growth
+    rule's raise (at most _MAX_SWEEP - 1).
     """
     k = len(residuals)
     q = residuals[-1] / residuals[-2] if k >= 2 else 1.0
     if q >= 1.0:
         return 1
     r = math.ceil(math.log(cfg.tol / residuals[-1]) / math.log(q))
-    return max(1, min(-(-r // 2), k, cfg.max_iter - k))
+    return max(1, min(-(-r // 2), k, cfg.max_iter - k, _MAX_SWEEP))
 
 
 def picard_solve(
@@ -885,7 +877,8 @@ def picard_solve(
     residual history and the step at which :class:`NoContraction` is raised
     are those of a loop of one-iterate sweeps that carries the count;
     ``diagnostics["applies"]["picard"]`` counts the iterates computed, which
-    exceeds ``iterations`` only when a sweep runs past the stop, and
+    exceeds ``iterations`` only when a sweep runs past the stop or the
+    raise, and
     ``diagnostics["copied_nodes"]`` the node-iterates copied from a settled
     source.
     """

@@ -290,7 +290,7 @@ class TestInvalidConfig:
         assert run.solver.n_time == 16 and type(run.solver.n_time) is int
         assert run.time_steps == 10 and type(run.time_steps) is int
 
-    @pytest.mark.parametrize("n_proj, need", [(3, "2.81 GB"), (4, "N = 4 is above 3")])
+    @pytest.mark.parametrize("n_proj, need", [(3, "2.19 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
                                         n_proj, need):
         # solver defaults: the sweep estimate at N = 3, the quadrature rule's
@@ -333,6 +333,22 @@ class TestInvalidConfig:
         assert rc != 1
         rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
         assert rc == 1
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_nested_heat_start_rejected(self, tmp_path, capsys, command):
+        # a list of lists of mode coefficients is no heat state; it fails at
+        # load, before a solve, not in the projection after one
+        cfg = small_delay_config()
+        cfg["model"] = {"kind": "heat", "heat": {
+            "n_modes": 16, "x0": {"kind": "modes", "coefficients": [[1.0, 0.5]]}}}
+        cfg["cost"]["controls"] = {"points_per_dim": 3}
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "model.heat.x0" in err
+        assert not (out / "solve_meta.json").exists()
 
     @pytest.mark.parametrize("key, value", [
         ("a0", [[float("nan"), 0.1], [0.0, -0.2]]),

@@ -1,3 +1,4 @@
+import itertools
 import warnings
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from pshjb import costs, hjb
 from pshjb.config import load_config
 from pshjb.errors import (
+    ConfigError,
     GridMismatch,
     InclusionViolated,
     NoContraction,
@@ -14,18 +16,21 @@ from pshjb.errors import (
 )
 from pshjb.hjb import (
     Hamiltonian,
-    ShiftMatrices,
     SolverConfig,
     UpsilonOperator,
     clamped_share,
     eval_value,
     h_min_batch,
-    interp_shifted,
     interp_space,
+    interp_windows,
     make_space_axes,
+    pad_edges,
     picard_solve,
     shift_stencil,
     sup_distance,
+    window_bounds,
+    window_coefficients,
+    window_view,
 )
 from pshjb.ou import ProjectedModel, semigroup_apply
 from pshjb.spectral import build_quadrature
@@ -179,10 +184,11 @@ class TestScatteredInterpolation:
 
 class TestShiftInterpolation:
     @pytest.mark.parametrize("name", ["heat_spectral1", "heat_model", "delay_model"])
-    def test_matches_scattered_interpolation(self, name, request):
-        # N = 1 (m = 2), N = 2 (m = 2) and N = 2 (m = 1): the separable kernel
-        # against map_coordinates at mesh + shift, for two fields broadcast
-        # against a batch of shifts as in the Picard map
+    def test_matches_scattered_interpolation(self, name, request, monkeypatch):
+        # N = 1 (m = 2), N = 2 (m = 2) and N = 2 (m = 1): the window kernel
+        # against map_coordinates at mesh + shift, for two fields (two
+        # s-nodes) with a batch of shifts each, as in the Picard map; in one
+        # chunk and in chunks of one mesh row
         model = request.getfixturevalue(name)
         axes = make_space_axes(model, SolverConfig(**MINI_CFG))
         n_dim, m = len(axes), model.control_dim
@@ -191,47 +197,61 @@ class TestShiftInterpolation:
         rng = np.random.default_rng(11)
         shifts = np.concatenate([
             0.3 * width * rng.uniform(-1.0, 1.0, (6, n_dim)),   # inside, partly clamped
-            1.5 * width * rng.uniform(-1.0, 1.0, (4, n_dim)),   # beyond the box edge
+            2.5 * width * rng.uniform(-1.0, 1.0, (4, n_dim)),   # beyond the box edge
+            np.array([[2.2], [-3.1]]) * width * np.ones(n_dim),  # > one box width out
             step * rng.integers(-4, 5, (4, n_dim)),             # onto grid nodes
         ])
-        fields = rng.standard_normal((m, 2, 1) + shape)
-        stencil = shift_stencil(axes, np.broadcast_to(shifts, (2,) + shifts.shape))
-        got = interp_shifted(fields, ShiftMatrices((2, len(shifts)), shape).build(stencil))
-        assert got.shape == (m, 2, len(shifts)) + shape
+        batch = np.stack([shifts, shifts[::-1] * 0.5])          # (S = 2, n_q, N)
+        stencil = shift_stencil(axes, batch)
+        assert all((np.abs(k) == len(axes[0])).any() for k, _ in stencil)   # clamped
+        assert any((a == 0.0).any() for _, a in stencil)
+        lo, widths = window_bounds(stencil)
+        coef = window_coefficients(stencil, lo, widths)
+        pad = max(max(-o, o + w - 1) for lo_s, w_s in zip(lo, widths)
+                  for o, w in zip(lo_s, w_s))
+        fields = rng.standard_normal((2, m) + shape)
+        padded = np.pad(fields, ((0, 0),) * 2 + ((pad, pad),) * n_dim, mode="edge")
         mesh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], -1)
-        for k in range(m):
-            for b in range(2):
-                for i, c in enumerate(shifts):
-                    ref = nearest_multilinear(axes, fields[k, b, 0], mesh + c)
-                    err = np.abs(got[k, b, i] - ref.reshape(shape)).max()
-                    assert err <= 1e-13
+        for s, budget in itertools.product(range(2), (2**62, 1)):
+            monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", budget)
+            assert coef[s].shape == (len(shifts), np.prod(widths[s]))
+            got = np.empty((m, len(shifts), mesh.shape[0]))
+            win = window_view(padded[s], pad, lo[s], widths[s])
+            interp_windows(win, coef[s], got, np.empty(win.size))
+            for k in range(m):
+                for i, c in enumerate(batch[s]):
+                    ref = nearest_multilinear(axes, fields[s, k], mesh + c)
+                    assert np.abs(got[k, i] - ref).max() <= 1e-13
 
-    @pytest.mark.parametrize("n", [2, 5, 21])
-    def test_transposed_matrices_equal_swapped(self, n):
-        # the last axis's C-order transposes against the swapped view of the
-        # row-layout matrices: shifts far below the grid and beyond its end,
-        # integer shifts (a = 0) and fractional ones, in a (2, 8) batch
-        rng = np.random.default_rng(n)
-        k = np.array([[-5 * n, -n - 1, -n, -1, 0, 1, n - 2, n - 1],
-                      [n, n + 1, 4 * n, -2, 2, 0, -1, 1]])
-        a = rng.uniform(0.0, 1.0, k.shape)
-        a[:, ::3] = 0.0
-        w, wt = ShiftMatrices(k.shape, (n, n)).build(((k, a), (k, a)))
-        assert wt.shape == (2, 8, n, n) and wt.flags.c_contiguous
-        assert np.array_equal(wt, np.swapaxes(w, -1, -2))
+    @pytest.mark.parametrize("n_dim", [1, 2, 3])
+    def test_pad_edges_matches_numpy_pad(self, n_dim):
+        # the pad cells of the last n_dim axes, corners included, take the
+        # nearest edge value; leading axes are left alone
+        rng = np.random.default_rng(n_dim)
+        shape = (2, 3) + tuple(range(2, 2 + n_dim))
+        for pad in (1, 3):
+            fields = rng.standard_normal(shape)
+            padded = np.full(shape[:2] + tuple(n + 2 * pad for n in shape[2:]), np.nan)
+            padded[(slice(None),) * 2 + tuple(slice(pad, pad + n) for n in shape[2:])] = fields
+            pad_edges(padded, pad, n_dim)
+            edge = ((0, 0),) * 2 + ((pad, pad),) * n_dim
+            assert np.array_equal(padded, np.pad(fields, edge, mode="edge"))
 
-    @pytest.mark.parametrize("n", [2, 5, 21])
-    def test_rebuild_over_written_matrices(self, n):
-        # a build into buffers that hold another stencil's matrices zeroes
-        # only that stencil's entries and equals a build into fresh zeros
-        rng = np.random.default_rng(n)
-        stencils = [tuple((rng.integers(-2 * n, 2 * n, (3, 4)), rng.uniform(0.0, 1.0, (3, 4)))
-                          for _ in range(2)) for _ in range(3)]
-        mats = ShiftMatrices((3, 4), (n, n))
-        for stencil in stencils:
-            fresh = ShiftMatrices((3, 4), (n, n)).build(stencil)
-            for a, b in zip(mats.build(stencil), fresh):
-                assert np.array_equal(a, b)
+    def test_window_bounds(self):
+        # 5 unit-spaced nodes: k is clamped to [-5, 5], which keeps every
+        # clamped value; each window spans its shifts' k plus one node, and
+        # each coefficient row holds 1 - a at k - lo and a at k - lo + 1
+        shifts = np.array([[-49.75, 3.0, 0.5, 7.5], [1.75] * 4])[..., None]
+        stencil = shift_stencil((np.arange(5.0),), shifts)
+        assert stencil[0][0].tolist() == [[-5, 3, 0, 5], [1, 1, 1, 1]]
+        lo, width = window_bounds(stencil)
+        assert lo == [[-5], [1]] and width == [[12], [2]]
+        coef = window_coefficients(stencil, lo, width)
+        want = np.zeros((4, 12))
+        want[0, :2], want[1, 8:10] = [0.75, 0.25], [1.0, 0.0]
+        want[2, 5:7], want[3, 10:] = [0.5, 0.5], [0.5, 0.5]
+        assert np.array_equal(coef[0], want)
+        assert np.array_equal(coef[1], np.tile([0.25, 0.75], (4, 1)))
 
 
 class TestClampedShare:
@@ -425,27 +445,40 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     def test_blocked_apply_equals_one_block(self, name, mini_ups, monkeypatch):
+        # the window chunks of interp_windows: one mesh row per chunk (the
+        # smallest budget) against one chunk per s-node (no budget)
         ups = mini_ups[name]
         g = random_iterate(ups, np.random.default_rng(7))
-        n_s, n_q = 2 * ups.cfg.time_quad_order, ups.rule.nodes.shape[0]
-        pair = 8 * ups.ham.control_dim * ups.mesh.shape[0]
-        monkeypatch.setattr(hjb, "APPLY_BLOCK_BYTES", 2**62)
-        assert hjb._pair_blocks(n_s, n_q, pair) == [(0, n_s, 0, n_q)]
+        n0 = ups.space_shape[0]
+        monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", 2**62)
+        assert hjb._chunk_values(8, n0) == 8 * n0
         ref = ups.apply(g)
-        # one pair per block; runs of 7 Gauss nodes (uneven last run);
-        # 5 s-nodes per block (uneven last block)
-        for budget, n_blocks in ((1, n_s * n_q), (7 * pair, n_s * -(-n_q // 7)),
-                                 (5 * n_q * pair, -(-n_s // 5))):
-            monkeypatch.setattr(hjb, "APPLY_BLOCK_BYTES", budget)
-            blocks = hjb._pair_blocks(n_s, n_q, pair)
-            assert len(blocks) == n_blocks
-            pairs = [s * n_q + q for s0, s1, q0, q1 in blocks
-                     for s in range(s0, s1) for q in range(q0, q1)]
-            assert pairs == list(range(n_s * n_q))
-            out = ups.apply(g)
-            assert np.array_equal(out.f_values, ref.f_values)
-            assert np.array_equal(out.fbar_values, ref.fbar_values)
+        monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", 1)
+        assert hjb._chunk_values(8, n0) == 8
+        out = ups.apply(g)
+        assert np.abs(out.f_values - ref.f_values).max() <= 1e-15
+        assert np.abs(out.fbar_values - ref.fbar_values).max() <= 1e-15
 
+    def test_window_coefficients_counted_before_built(self, delay_model, monkeypatch):
+        # the sizes alone pass the sweep budget, the windows do not: the
+        # assembly refuses the problem before it stores every coefficient
+        ham, ell0 = shipped_delay_ham(), costs.constant_ell0(0.1)
+        phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
+        cfg = SolverConfig(**MINI_CFG)
+        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+        values = sum(c.size for cv in ups.conv for c in cv.coef)
+        assert values == ups._coef_values
+        full = hjb._sweep_bytes(cfg, 2, 1, ups.pad, ups.window, values)
+        assert full > hjb._sweep_bytes(cfg, 2, 1)
+        monkeypatch.setattr(hjb, "_SWEEP_BUDGET_BYTES", full - 1)
+        hjb._check_problem_size(cfg, 2, 1)
+        built = []
+        coefficients = hjb.window_coefficients
+        monkeypatch.setattr(hjb, "window_coefficients",
+                            lambda *a: built.append(1) or coefficients(*a))
+        with pytest.raises(ConfigError, match="per Picard sweep"):
+            UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+        assert len(built) == cfg.n_time - 1
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     @pytest.mark.parametrize("start", ["initial", "random"])
@@ -585,7 +618,7 @@ class TestPicard:
         ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
         assert sup_distance(ups.apply(sol.iterate), sol.iterate) <= cfg.tol
 
-    def test_growth_in_sup_norm_raises(self, delay_model):
+    def test_growth_in_sup_norm_raises(self, delay_model, monkeypatch):
         # the sup residual hovers near 3 and grows three times in a row at
         # step 29; no weaker norm is tried.  The sweeps raise at the same
         # step, with the same message, as a loop of one-iterate sweeps that
@@ -600,11 +633,18 @@ class TestPicard:
             residuals.append(d)
             g = g_next
         assert len(residuals) == 29
+        solving = []
+        sweep = UpsilonOperator.sweep
+        monkeypatch.setattr(
+            UpsilonOperator, "sweep",
+            lambda self, g, n, settled=0: solving.append(self) or sweep(self, g, n, settled))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoContraction, match="in the sup norm") as exc:
                 picard_solve(delay_model, ham, phi, ell0, cfg)
         assert str(exc.value).endswith(f"residuals={residuals[-5:]}")
+        # the sweeps compute at most three iterates past the raise
+        assert len(residuals) <= solving[0].applies <= len(residuals) + 3
 
     def test_control_outside_covariance_image_raises(self):
         # noise only along the first coordinate, control only along the

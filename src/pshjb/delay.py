@@ -121,16 +121,22 @@ def gramian(cfg: DelayConfig, t) -> np.ndarray:
     return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 
-def proj_control_delay(cfg: DelayConfig, t: float) -> np.ndarray:
-    """Projected control response (e^{tA} B)_0 as an n x m matrix."""
-    if not t > 0:
+def proj_control_delay(cfg: DelayConfig, t) -> np.ndarray:
+    """Projected control response (e^{tA} B)_0 as an n x m matrix, for a
+    time t or for each of an array of times: one stacked :func:`expm` for
+    the b0 term and one for each atom over the times it is active at; the
+    density part is integrated per time."""
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise ValueError("t must be > 0")
-    out = expm(t * cfg.a0) @ cfg.b0
+    out = expm(np.multiply.outer(t, cfg.a0)) @ cfg.b0
     for loc, w in cfg.b1_atoms:
-        if loc >= -t:
-            out = out + expm((t + loc) * cfg.a0) @ w
+        on = loc >= -t
+        if on.any():
+            out[on] += expm(np.multiply.outer(t[on] + loc, cfg.a0)) @ w
     if cfg.b1_density is not None:
-        out = out + _past_integral(cfg, t)
+        for at in np.ndindex(t.shape):
+            out[at] += _past_integral(cfg, t[at])
     return out
 
 
@@ -208,7 +214,7 @@ class DelayProjectedModel(ProjectedModel):
     def proj_cov(self, t: float) -> np.ndarray:
         return gramian(self.cfg, t)
 
-    def proj_control(self, t: float) -> np.ndarray:
+    def proj_control(self, t) -> np.ndarray:
         return proj_control_delay(self.cfg, t)
 
     def pushforward_cov(self, s, t: float) -> np.ndarray:

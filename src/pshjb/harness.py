@@ -110,7 +110,8 @@ def _control_integrals(
     """B_j = int_{s_j}^{s_{j+1}} proj_control(T - r) dr for each step.
 
     Composite Gauss-Legendre split at the control-response discontinuities
-    (delay-atom activations); nodes are interior so proj_control is never
+    (delay-atom activations), one ``proj_control`` call for the ``n_gl``
+    nodes of each piece; nodes are interior so proj_control is never
     evaluated at exactly 0.
     """
     x, w = np.polynomial.legendre.leggauss(n_gl)
@@ -123,8 +124,8 @@ def _control_integrals(
             mid, half = 0.5 * (a + b), 0.5 * (b - a)
             if half <= 0:
                 continue
-            for xi, wi in zip(x, w):
-                acc += wi * half * model.proj_control(mid + half * xi)
+            for wi, pc in zip(w, model.proj_control(mid + half * x)):
+                acc += wi * half * pc
         out[j] = acc
     return out
 

@@ -177,10 +177,12 @@ class HeatProjectedModel(ProjectedModel):
             raise ValueError("t must be > 0")
         return self._congruence(self._q(t))
 
-    def proj_control(self, t: float) -> np.ndarray:
-        if not t > 0.0:
+    def proj_control(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        if not np.all(t > 0.0):
             raise ValueError("t must be > 0")
-        return (self._v * (self._lam * np.exp(-t * self._lam))) @ self._dmat
+        decay = self._lam * np.exp(np.multiply.outer(-t, self._lam))
+        return (self._v * decay[..., None, :]) @ self._dmat
 
     def pushforward_cov(self, s, t: float) -> np.ndarray:
         s = np.asarray(s, dtype=float)

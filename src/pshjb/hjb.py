@@ -33,7 +33,11 @@ reads the gradient slices 0..i only.  The Picard loop therefore computes
 its iterates in short sweeps with the time nodes as the outer loop.  At
 each s-node of the time quadrature, the interpolation of the gradient at
 mesh + each Gaussian offset is one BLAS gemm of stored Kronecker
-coefficients against the windows of the edge-padded gradient slice.  A
+coefficients against the windows of the edge-padded gradient slice, and
+H_min follows in a few array passes.  Everything of that step that does
+not depend on the iterate is built once: the window views, scratch and
+output slices of each s-node at assembly (:func:`window_chunks`), the
+passes of H_min with the Hamiltonian (:class:`Hamiltonian`).  A
 node whose input slices no longer change beyond four ulps is copied from
 the previous iterate instead of recomputed: the result stays within
 rounding of exact applies, and a sweep gives the iterates of one-iterate
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,7 +68,7 @@ from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
 from .spectral import MAX_HERMITE_DIM, build_quadrature, gauss_jacobi, psd_roots
 
-# Bytes of window values per chunk of :func:`interp_windows`.  Shipped heat
+# Bytes of window values per chunk of :func:`window_chunks`.  Shipped heat
 # solves (2-core x86_64) took 2.84-2.91 s from 512 KiB to 4 MiB or unchunked,
 # while peak RSS rose with the budget from 63 to 75 MB; at 1 MiB the
 # 21-point grids' windows fit one chunk.
@@ -82,18 +87,41 @@ _MAX_SWEEP = 4
 T_MIN_FACTOR = 1e-4
 
 
+class _Plan(NamedTuple):
+    """The passes of :func:`h_min_batch` for one value of its ``argmin``."""
+
+    lead: int       # the first control with a nonzero coordinate (n_u: none)
+    # components k0 <= k < k1 whose |p_k| the folded passes read, or None
+    span: tuple | None
+    # per pass, in order: (j, ell1(u_j), the nonzero (k, u_jk) of control j,
+    # and for a folded group (its components k - k0, |u|) or None); the
+    # first pass is control ``lead``
+    passes: tuple
+    # (j, ell1(u_j)) of the least all-zero control ahead of ``lead``, or None
+    const: tuple | None
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
-    """Finite control grid U = {u_j} with running costs ell1(u_j)."""
+    """Finite control grid U = {u_j} with running costs ell1(u_j).
+
+    ``plan`` holds what :func:`h_min_batch` executes, built here once:
+    ``plan[argmin]`` is a :class:`_Plan`.  Each control's values are
+    ell1(u_j) + sum of u_jk p_k over its nonzero u_jk, in k order.  Without
+    ``argmin``, the +- pairs (``pair_role``) with equal ell1 and equal |u|
+    fold into one pass, ell1 - |u| max_k |p_k| over their components k, at
+    the position of the group's first control; one |p_k| pass over the
+    span of the folded components serves every group, so groups on one
+    component share it.
+    """
 
     control_points: np.ndarray   # (n_u, m)
     running_cost: np.ndarray     # (n_u,)
-    # per control, its nonzero coordinates as (k, u_jk) pairs in k order
-    terms: tuple = field(init=False, repr=False, compare=False)
     # per control, 1 for the lower and 2 for the upper index of a +- pair
     # (u and -u with one nonzero coordinate and equal running cost, each
     # control in at most one pair, lowest free partner first), else 0
     pair_role: tuple = field(init=False, repr=False, compare=False)
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.control_points, dtype=float))
@@ -107,7 +135,6 @@ class Hamiltonian:
         terms = tuple(
             tuple((k, float(uk)) for k, uk in enumerate(row) if uk != 0.0) for row in u
         )
-        object.__setattr__(self, "terms", terms)
         role = [0] * len(terms)
         # a running cost of -0.0 is the one source of -0.0 values, whose
         # minimum with +0.0 depends on the order the controls are taken in
@@ -121,31 +148,68 @@ class Hamiltonian:
                         role[j], role[j2] = 1, 2
                         break
         object.__setattr__(self, "pair_role", tuple(role))
+        unpaired = [0] * len(terms)
+        object.__setattr__(self, "plan", (_plan(terms, c, role), _plan(terms, c, unpaired)))
 
     @property
     def control_dim(self) -> int:
         return self.control_points.shape[1]
 
 
+def _plan(terms: tuple, cost: np.ndarray, role) -> _Plan:
+    """The :class:`_Plan` of controls ``terms`` (their nonzero (k, u_jk)) and
+    running costs ``cost``, folding the +- pairs of ``role`` (see
+    ``Hamiltonian.pair_role``)."""
+    n_u = len(terms)
+    lead = next((j for j, tj in enumerate(terms) if tj), n_u)
+    groups = {}     # (ell1, |u|): [first control, components] of folded pairs
+    for j, tj in enumerate(terms):
+        if role[j] == 1:
+            (k, uk), = tj
+            ks = groups.setdefault((float(cost[j]), abs(uk)), [j, []])[1]
+            if k not in ks:
+                ks.append(k)
+    span = None
+    if groups:
+        used = [k for _, ks in groups.values() for k in ks]
+        span = (min(used), max(used) + 1)
+    first = {j: (c, a, tuple(k - span[0] for k in ks))
+             for (c, a), (j, ks) in groups.items()}
+    passes = []
+    for j in range(lead, n_u):
+        if j in first:
+            c, a, ks = first[j]
+            passes.append((j, c, None, (ks, a)))
+        elif not role[j]:
+            passes.append((j, float(cost[j]), terms[j], None))
+    const = None
+    if lead:
+        j = int(np.argmin(cost[:lead]))
+        const = (j, float(cost[j]))
+    return _Plan(lead, span, tuple(passes), const)
+
+
 def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None):
     """Minimized Hamiltonian min_j <p, u_j> + ell1(u_j) over a batch of gradients.
 
-    ``p`` has shape (m, ...): gradient components along the first axis.  One
-    pass per control point keeps a running minimum in one reused scratch
-    row, so no array of all (point, control) values is formed; leading
-    all-zero controls, which are constants, enter last as one scalar.  Each
-    control's values are ell1(u_j) + sum of u_jk p_k over its nonzero u_jk
-    (``ham.terms``), summed in that order; a first u_jk of +-1 adds or
-    subtracts p_k without the multiply, which is exact.  Without
-    ``argmin`` each +- pair (``ham.pair_role``) takes one pass,
-    ell1 - |u_k| |p_k|: rounding is monotone and symmetric, so this equals
-    min(ell1 + u_k p_k, ell1 - u_k p_k) bit for bit, and with no -0.0 cost
-    (the pairing's condition) no value is -0.0 and the minimum does not
-    depend on the order.  Pairs on the same component k share one |p_k|
-    pass.  ``out``, if given, is a C-contiguous array of
+    ``p`` has shape (m, ...): gradient components along the first axis.
+    The routine executes ``ham.plan[argmin]`` (see :class:`Hamiltonian`):
+    one pass per entry keeps a running minimum in one reused scratch row,
+    so no array of all (point, control) values is formed; leading all-zero
+    controls, which are constants, enter last as one scalar.  A first u_jk
+    of +-1 adds or subtracts p_k without the multiply, which is exact.
+
+    Without ``argmin`` a folded group of +- pairs with running cost c and
+    |u_k| = a takes one pass, c - a max_k |p_k|, after one |p_k| pass over
+    the plan's ``span``.  This is the minimum of its controls' values bit for
+    bit: fl(c + u p) and fl(c - u p) are fl(c -+ fl(a |p|)), and both
+    roundings are monotone, so min_k fl(c - fl(a |p_k|)) =
+    fl(c - fl(a max_k |p_k|)).  With no -0.0 cost (the pairing's
+    condition) no value is -0.0, so the minimum does not depend on the
+    order of the passes.  ``out``, if given, is a C-contiguous array of
     p.shape[1:] values that receives the minimum.  With ``argmin`` the index
     of the minimizer is returned as well; ties break to the lowest index
-    (determinism), so every control takes its own pass.
+    (determinism), so every control takes its own pass, in index order.
     """
     p2 = p.reshape(ham.control_dim, -1)
     if out is None:
@@ -154,33 +218,25 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         best = out.reshape(-1)
     else:
         raise ValueError("out must be C-contiguous with one value per gradient")
-    vals = np.empty_like(best)
-    n_u = len(ham.terms)
-    pairs = (0,) * n_u if argmin else ham.pair_role
-    # the first control with a nonzero coordinate starts the minimum
-    lead = next((j for j, terms in enumerate(ham.terms) if terms), n_u)
+    lead, span, passes, const = ham.plan[argmin]
+    rows = np.empty((1 + (span[1] - span[0] if span else 0), best.size))
+    vals = rows[0]
+    if span:
+        absp = np.abs(p2[span[0]:span[1]], out=rows[1:])
     idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
-    # |p_k| of each component with several pairs, taken once
-    paired = [ham.terms[j][0][0] for j in range(n_u) if pairs[j] == 1]
-    shared = {k: None for k in paired if paired.count(k) > 1}
-    for j in range(lead, n_u):
-        if pairs[j] == 2:
-            continue                # folded into the lower index of its pair
-        terms, cost = ham.terms[j], ham.running_cost[j]
-        row = best if j == lead else vals
-        if terms:
+    row = best                      # the first pass starts the minimum
+    for j, cost, terms, fold in passes:
+        if fold:
+            ks, a = fold
+            mag = absp[ks[0]]
+            for k in ks[1:]:
+                mag = np.maximum(mag, absp[k], out=row)
+            if a != 1.0:
+                mag = np.multiply(mag, a, out=row)
+            np.subtract(cost, mag, out=row)
+        elif terms:
             (k, uk), *rest = terms
-            if pairs[j]:
-                if k in shared:
-                    if shared[k] is None:
-                        shared[k] = np.abs(p2[k])
-                    mag = shared[k]
-                else:
-                    mag = np.abs(p2[k], out=row)
-                if abs(uk) != 1.0:
-                    mag = np.multiply(mag, abs(uk), out=row)
-                np.subtract(cost, mag, out=row)
-            elif uk == 1.0:
+            if uk == 1.0:
                 np.add(p2[k], cost, out=row)
             elif uk == -1.0:
                 np.subtract(cost, p2[k], out=row)
@@ -191,18 +247,18 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
                 row += uk * p2[k]
         else:
             row = cost              # an all-zero control: a constant
-        if j == lead:
-            continue
-        if argmin:
-            np.putmask(idx, row < best, j)
-        np.minimum(best, row, out=best)
-    if lead:
-        # all-zero controls ahead of it (the rest control of the heat grids)
-        # are constants: the least of them, lowest index first, joins last
-        # and wins its ties, as every other control has a higher index
-        j = int(np.argmin(ham.running_cost[:lead]))
-        cost = ham.running_cost[j]
-        if lead == n_u:
+        if j != lead:
+            if argmin:
+                np.putmask(idx, row < best, j)
+            np.minimum(best, row, out=best)
+        row = vals
+    if const:
+        # all-zero controls ahead of the lead (the rest control of the heat
+        # grids) are constants: the least of them, lowest index first,
+        # joins last and wins its ties, as every other control has a
+        # higher index
+        j, cost = const
+        if not passes:
             best.fill(np.inf)       # no control has a nonzero coordinate
         if argmin:
             np.putmask(idx, best >= cost, j)
@@ -297,9 +353,10 @@ class HJBSolution:
 
 def _sweep_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int,
                  pad: int = 1, window: int = 0, coef: int = 0) -> int:
-    """Bytes of the Picard sweep working set: a node's H_min values, one
-    s-node's gradients, the padded slices, the largest window chunk, the
-    ``coef`` stored coefficients and the iterates of the longest sweep.
+    """Bytes of the Picard sweep working set: the operator's buffers (a
+    node's H_min values, one s-node's gradients, the padded slices, the
+    largest window chunk), the ``coef`` stored coefficients and the
+    iterates of the longest sweep.
     The defaults leave out the windows, which only the assembly knows."""
     n, m = cfg.space_points, control_dim
     n_s, n_q, n_pts = 2 * cfg.time_quad_order, cfg.quad_order**proj_dim, n**proj_dim
@@ -469,25 +526,36 @@ def _chunk_values(row_values: int, n_rows: int) -> int:
     return max(row_values, min(n_rows * row_values, WINDOW_CHUNK_BYTES // 8))
 
 
-def interp_windows(windows: np.ndarray, coef: np.ndarray, out: np.ndarray,
-                   scratch: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation at every mesh point plus each shift of one
-    :func:`window_bounds` row, ``out`` (m, n_q, P) = ``coef`` @ ``windows``
-    (its :func:`window_view`): chunks of mesh rows, at most
-    WINDOW_CHUNK_BYTES (at least one row), are copied into the flat
-    ``scratch`` as C-contiguous (m, prod(width), chunk) matrices, each
-    multiplied by one BLAS gemm per component."""
+def window_chunks(windows: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> tuple:
+    """The chunks that :func:`interp_windows` runs for ``windows`` (a
+    :func:`window_view`, shape (m, *width, *grid)) into ``out``
+    (m, n_q, P): per chunk of mesh rows, at most WINDOW_CHUNK_BYTES (at
+    least one row), the part of ``windows``, its C-contiguous copy at the
+    start of the flat ``scratch``, that copy as (m, prod(width), chunk)
+    matrices and the chunk's columns of ``out``."""
     n_dim = (windows.ndim - 1) // 2
     m, grid = windows.shape[0], windows.shape[1 + n_dim:]
-    n_win, rest = coef.shape[1], math.prod(grid[1:])
+    n_win, rest = math.prod(windows.shape[1:1 + n_dim]), math.prod(grid[1:])
     rows = max(1, min(grid[0], WINDOW_CHUNK_BYTES // (8 * m * n_win * rest)))
+    chunks = []
     for r0 in range(0, grid[0], rows):
         r1 = min(r0 + rows, grid[0])
         part = windows[(slice(None),) * (1 + n_dim) + (slice(r0, r1),)]
         buf = scratch[:part.size].reshape(part.shape)
+        chunks.append((part, buf, buf.reshape(m, n_win, -1),
+                       out[:, :, r0 * rest:r1 * rest]))
+    return tuple(chunks)
+
+
+def interp_windows(coef: np.ndarray, chunks: tuple):
+    """Multilinear interpolation at every mesh point plus each shift of one
+    :func:`window_bounds` row: ``coef`` @ windows into the output of the
+    row's :func:`window_chunks`, each chunk copied into its C-contiguous
+    scratch and multiplied by one BLAS gemm per component.  The chunks are
+    views built once, so a call does no set-up."""
+    for part, buf, mat, out in chunks:
         np.copyto(buf, part)
-        np.matmul(coef, buf.reshape(m, n_win, -1), out=out[:, :, r0 * rest:r1 * rest])
-    return out
+        np.matmul(coef, mat, out=out)
 
 
 def clamped_share(stencil, weights: np.ndarray, shape: tuple[int, ...]) -> float:
@@ -556,9 +624,10 @@ class UpsilonOperator:
     """Precomputed Picard map on fixed grids.
 
     Everything that does not depend on the iterate (semigroup terms,
-    covariance square roots, quadrature offsets and gradient weights) is
-    assembled once; ``sweep`` then only interpolates, evaluates the
-    Hamiltonian and sums.
+    covariance square roots, quadrature offsets, gradient weights, window
+    coefficients and the views of each s-node's step) is assembled once;
+    ``sweep`` then only blends, interpolates, evaluates the Hamiltonian and
+    sums.
 
     ``sweep`` relies on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
@@ -578,7 +647,11 @@ class UpsilonOperator:
     plain strided view.  Per s-node, :func:`interp_windows` gives the
     (m, n_q, P) interpolated gradients, whose H_min values
     :func:`h_min_batch` writes straight into that s-node's rows of one
-    (S * n_q, P) array; the two quadrature sums run on that array.
+    (S * n_q, P) array; the two quadrature sums run on that array.  The
+    assembly builds, per time node and s-node, the views this step runs
+    on: the :func:`window_chunks` of the s-node's window into the padded
+    array and its rows of the H_min array.  A sweep builds no view and
+    does no chunk arithmetic; it copies, multiplies and minimizes.
 
     Settled nodes: an iterate's settled count is the length of the leading
     run of time nodes i whose gradient slice differs from that of the
@@ -601,9 +674,12 @@ class UpsilonOperator:
     settled, the exact map.
 
     Memory: the operator stores the window coefficients of every node
-    (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids); a sweep
-    holds its n iterates, the arrays above and one window chunk of at most
-    WINDOW_CHUNK_BYTES or one mesh row (:func:`_sweep_bytes`).
+    (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
+    views of every step.  It also owns the sweep's buffers: the padded
+    array, one s-node's gradients, the H_min array and one window chunk of
+    at most WINDOW_CHUNK_BYTES or one mesh row.  Sweeps on one operator
+    therefore share them and are not re-entrant: run one at a time.  A
+    sweep allocates only its n iterates (:func:`_sweep_bytes` counts all).
     """
 
     def __init__(
@@ -650,6 +726,30 @@ class UpsilonOperator:
         # largest |k| + 1), the largest window and the coefficient count
         self.pad, self.window, self._coef_values, self.clamped_mass = 1, 0, 0, 0.0
         self.conv = [self._time_quadrature(i, t_pos, jacobi) for i in range(t_pos.size)]
+
+        # the sweep buffers, sized as _sweep_bytes counts them: the blended
+        # gradient slices, per s-node components first, each edge-padded by
+        # ``pad`` cells per side so that every window lies inside; one
+        # s-node's interpolated gradients; H_min per (s-node, Gauss node);
+        # the largest window chunk
+        n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
+        m, pad, shape, npts = self.ham.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
+        self._padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
+        self._inner = self._padded[(slice(None),) * 2
+                                   + tuple(slice(pad, pad + size) for size in shape)]
+        self._block = np.empty((m, n_q, npts))
+        self._hvals = np.empty((n_s * n_q, npts))
+        scratch = np.empty(_chunk_values(m * self.window * npts // shape[0], shape[0]))
+        # per time node and s-node: its coefficients, the window_chunks of
+        # its window into its padded slab, and its rows of H_min values
+        self._steps = [
+            tuple((coef,
+                   window_chunks(window_view(slab, pad, lo, width), self._block, scratch),
+                   self._hvals[s * n_q:(s + 1) * n_q])
+                  for s, (slab, lo, width, coef)
+                  in enumerate(zip(self._padded, cv.lo, cv.width, cv.coef)))
+            for cv in self.conv
+        ]
 
     def _time_quadrature(self, i: int, t_pos: np.ndarray, jacobi) -> _Convolution:
         """Iterate-independent data of time node i, t = t_pos[i]: the
@@ -768,20 +868,10 @@ class UpsilonOperator:
         # largest |fbar| of each new iterate over the slices of its count
         counts = [settled] + [0] * n
         tops = [0.0] * (n + 1)
-        n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
-        hvals = np.empty((n_s * n_q, npts))     # H_min per (s-node, Gauss node)
-        block = np.empty((m, n_q, npts))        # one s-node's interpolated gradients
-        # the blended gradient slices, per s-node components first, each
-        # edge-padded by ``pad`` cells per side so that every window lies inside
-        pad, shape = self.pad, self.space_shape
-        padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
-        inner = padded[(slice(None),) * 2 + tuple(slice(pad, pad + size) for size in shape)]
-        scratch = np.empty(_chunk_values(m * self.window * npts // shape[0], shape[0]))
+        ham, hvals, block = self.ham, self._hvals, self._block
         self.applies += n
         for i, t in enumerate(t_pos):
-            cv = self.conv[i]
-            windows = [window_view(slab, pad, lo, width)
-                       for slab, lo, width in zip(padded, cv.lo, cv.width)]
+            cv, steps = self.conv[i], self._steps[i]
             for l in range(n):
                 f_out, fbar_out, fbar = f_new[l], fbar_new[l], grid_src[l]
                 if i < counts[l]:
@@ -794,12 +884,12 @@ class UpsilonOperator:
                     # interpolation is linear in the array: blend the two
                     # bracketing time slices (times s^{-gamma}) components
                     # first into the padded array, then interpolate per s-node
-                    np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=inner)
-                    inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
-                    pad_edges(padded, pad, len(shape))
-                    for s, (win, coef) in enumerate(zip(windows, cv.coef)):
-                        interp_windows(win, coef, block, scratch)
-                        h_min_batch(self.ham, block, out=hvals[s * n_q:(s + 1) * n_q])
+                    np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=self._inner)
+                    self._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
+                    pad_edges(self._padded, self.pad, len(self.space_shape))
+                    for coef, chunks, rows in steps:
+                        interp_windows(coef, chunks)
+                        h_min_batch(ham, block, out=rows)
                     f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
                     fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
                 if counts[l + 1] == i:

@@ -36,7 +36,9 @@ class ProjectedModel:
     - ``project_state(x)``: N-vector of P x for states x of the original
       space (the t -> 0 limit of the above);
     - ``proj_cov(t)``: N x N matrix of P Q_t P*;
-    - ``proj_control(t)``: N x m matrix of (P e^{tA}) C;
+    - ``proj_control(t)``: N x m matrix of (P e^{tA}) C, t > 0; for an
+      array of t, the stack (*t.shape, N, m) of these matrices, each equal
+      bit for bit to the call with its t alone;
     - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t; for
       an array of s, the stack (*s.shape, N, N) of these matrices, each
       equal bit for bit to the call with its s alone.
@@ -44,7 +46,8 @@ class ProjectedModel:
     The library queries a model only through these; the policy simulation
     builds the law of the projected noise from the two covariances.  The
     solver's assembly and the greedy simulation ask for all the pushforward
-    covariances of one t in one call.
+    covariances of one t in one call, and the simulation's control
+    integrals for the control responses of one Gauss-Legendre piece.
 
     Implementations must be immutable after construction; all queries are
     pure so they can run concurrently.
@@ -66,7 +69,7 @@ class ProjectedModel:
     def proj_cov(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    def proj_control(self, t: float) -> np.ndarray:
+    def proj_control(self, t) -> np.ndarray:
         raise NotImplementedError
 
     def pushforward_cov(self, s, t: float) -> np.ndarray:

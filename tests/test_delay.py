@@ -119,6 +119,29 @@ class TestControlResponse:
             np.testing.assert_allclose(proj_control_delay(cfg, t) - expm(t * a0) @ cfg.b0,
                                        exact, atol=1e-10)
 
+    def test_array_of_times(self, delay_model):
+        # one call for an array of t equals the calls at each t, bit for bit,
+        # in its shape: t on both sides of the atoms' activations (0.1 and
+        # 0.2), with and without a density part
+        w = np.array([[0.4], [0.2]])
+        a0 = np.array([[-0.3, 0.1], [0.0, -0.2]])
+        grid = np.linspace(-0.2, 0.0, 33)
+        table = np.stack([np.cos(3 * grid), np.sin(2 * grid)], axis=1)[:, :, None]
+        dens = DelayConfig(a0=a0, b0=[[1.0], [0.5]], sigma=np.eye(2), delay=0.2,
+                           b1_atoms=[(-0.2, w), (-0.1, -w)], b1_density=table)
+        ts = np.array([0.03, 0.1 - 1e-9, 0.1, 0.15, 0.2 - 1e-9, 0.2, 0.45, 1.0])
+        for cfg in (delay_model.cfg, dens):
+            got = proj_control_delay(cfg, ts)
+            assert got.shape == (ts.size, cfg.n, cfg.m)
+            for t, b in zip(ts, got):
+                assert np.array_equal(proj_control_delay(cfg, t), b)
+            grid_t = proj_control_delay(cfg, ts.reshape(2, 4))
+            assert np.array_equal(grid_t, got.reshape(2, 4, cfg.n, cfg.m))
+        assert np.array_equal(delay_model.proj_control(ts),
+                              proj_control_delay(delay_model.cfg, ts))
+        with pytest.raises(ValueError):
+            proj_control_delay(dens, np.array([0.5, 0.0]))
+
     def test_general_matrix_exponential_factor(self):
         a0 = np.array([[-0.2, 0.5], [0.0, -0.4]])
         cfg = DelayConfig(a0=a0, b0=[[1.0], [0.3]], sigma=np.eye(2), delay=0.2,

@@ -312,6 +312,23 @@ class TestControlIntegralTable:
                       seed=1)
         assert len(built) == 2
 
+    def test_table_equals_per_node_loop(self, delay_model):
+        # one proj_control call per Gauss-Legendre piece gives the table of
+        # one call per node bit for bit (20 steps, split at the atom)
+        steps = np.linspace(0.0, 1.0, 21)
+        x, w = np.polynomial.legendre.leggauss(12)
+        want = np.empty((20, delay_model.proj_dim, delay_model.control_dim))
+        for j in range(20):
+            lo, hi = 1.0 - steps[j + 1], 1.0 - steps[j]
+            cuts = [lo] + [d for d in delay_model.control_discontinuities if lo < d < hi]
+            acc = np.zeros(want.shape[1:])
+            for a, b in zip(cuts, cuts[1:] + [hi]):
+                mid, half = 0.5 * (a + b), 0.5 * (b - a)
+                for xi, wi in zip(x, w):
+                    acc += wi * half * delay_model.proj_control(mid + half * xi)
+            want[j] = acc
+        assert np.array_equal(_control_integrals(delay_model, 0.0, 1.0, steps), want)
+
     def test_table_is_read_only(self, delay_model):
         table = harness._step_control_integrals(delay_model, 0.0, 1.0, 20)
         with pytest.raises(ValueError):

@@ -89,6 +89,18 @@ class TestProjectedModel:
             with pytest.raises(ValueError):
                 heat_model.pushforward_cov(np.array(bad), 1.0)
 
+    def test_control_stack_equals_single(self, heat_model):
+        # an array of t gives the per-t matrices bit for bit, in its shape
+        ts = np.geomspace(1e-4, 1.0, 12)
+        got = heat_model.proj_control(ts)
+        assert got.shape == (12, heat_model.proj_dim, heat_model.control_dim)
+        for t, b in zip(ts, got):
+            assert np.array_equal(heat_model.proj_control(t), b)
+        assert np.array_equal(heat_model.proj_control(ts.reshape(3, 4)),
+                              got.reshape((3, 4) + got.shape[1:]))
+        with pytest.raises(ValueError):
+            heat_model.proj_control(np.array([0.5, 0.0]))
+
     def test_semigroup_handles_growing_coefficients(self, heat_model):
         # states from the extrapolation space: coefficients growing like
         # lam^{3/4 + eps} must still produce finite projections for t > 0

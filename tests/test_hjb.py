@@ -29,6 +29,7 @@ from pshjb.hjb import (
     shift_stencil,
     sup_distance,
     window_bounds,
+    window_chunks,
     window_coefficients,
     window_view,
 )
@@ -74,12 +75,14 @@ class TestHMin:
         # rows (exact ties), axis-aligned controls and coefficients +-1 (a
         # single term, the first of two terms, a later term), and +- pairs:
         # adjacent and not, |u| = 0.5, 1 and 1.5, three on component 0 and
-        # two on component 1 at m = 2 (sharing |p_k|), next to look-alikes that
+        # three on component 1 at m = 2 (sharing |p_k|), next to look-alikes that
         # must not pair (unequal costs, two coordinates, a duplicate whose
-        # partner is taken); against the minimum of ell1(u_j) + sum_k u_jk p_k
-        # summed in the routine's order
+        # partner is taken); two |u| = 1 pairs on distinct components with
+        # equal cost fold into one pass, while a |u| = 0.5 pair of that cost
+        # and a |u| = 1 pair of another cost stay out of the group; against
+        # the minimum of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
         rng = np.random.default_rng(m)
-        u = np.zeros((22, m))
+        u = np.zeros((24, m))
         u[1, 0], u[2, 1] = 1.5, -0.5
         u[3, :2] = (0.75, -1.25)
         u[4] = u[3]
@@ -91,16 +94,22 @@ class TestHMin:
         u[15, 0], u[16, 0] = 0.5, -0.5
         u[18, 0], u[19, 0] = 0.75, -0.75
         u[20] = -u[3]
+        u[22, 1], u[23, 1] = 1.0, -1.0
         cost = rng.integers(1, 8, len(u)) / 16.0      # dyadic: exact sums
         cost[0] = cost[5] = 0.0              # rows 0 and 5: all-zero controls
         cost[1] = cost[6] = cost[17] = cost[10] = 0.0
         cost[4] = cost[20] = cost[3]
+        cost[2] = cost[7] = cost[8] = 3.0 / 16.0
+        cost[15], cost[22] = 5.0 / 16.0, 4.0 / 16.0
         cost[13], cost[14], cost[16], cost[21] = cost[7], cost[2], cost[15], cost[8]
-        cost[19] = cost[18] + 1.0 / 16.0
+        cost[19], cost[23] = cost[18] + 1.0 / 16.0, cost[22]
         ham = Hamiltonian(u, cost)
         role = np.zeros(len(u), dtype=int)
-        role[[1, 2, 7, 8, 15]], role[[17, 14, 13, 21, 16]] = 1, 2
+        role[[1, 2, 7, 8, 15, 22]], role[[17, 14, 13, 21, 16, 23]] = 1, 2
         assert ham.pair_role == tuple(role)
+        assert folded_groups(ham) == [(1, (0,), 1.5), (2, (1,), 0.5), (7, (0, m - 1), 1.0),
+                                      (15, (0,), 0.5), (22, (1,), 1.0)]
+        assert folded_groups(ham, argmin=True) == []
         p = rng.standard_normal((m, 3, 4))
         p[:, 0, 0] = 0.0                     # every control costs only ell1
         p[:, 0, 1] = -0.0
@@ -124,6 +133,11 @@ class TestHMin:
         for j in range(len(u)):
             alone = Hamiltonian(u[j:j + 1], cost[j:j + 1])
             assert np.array_equal(h_min_batch(alone, p), want[j])
+        # each group's controls alone: the folded pass is their minimum
+        for group in ([7, 13, 8, 21], [2, 14], [22, 23]):
+            sub = Hamiltonian(u[group], cost[group])
+            assert len(folded_groups(sub)) == 1
+            assert np.array_equal(h_min_batch(sub, p), want[group].min(axis=0))
         out = np.empty((3, 4))
         value, idx = h_min_batch(ham, p, argmin=True, out=out)
         assert np.array_equal(value, want_v) and np.array_equal(idx, want_i)
@@ -146,6 +160,18 @@ class TestHMin:
     def test_shipped_control_pairs(self, ham, roles):
         # heat's four pushes and delay's +-0.5 and +-1 fold into pairs
         assert ham.pair_role == roles
+        assert ham.plan[False].span == (0, ham.control_dim)
+        if ham.control_dim == 2:    # heat: one group on both components
+            assert folded_groups(ham) == [(1, (0, 1), 1.0)]
+        else:                       # delay: two groups on the one |p_0| pass
+            assert folded_groups(ham) == [(0, (0,), 1.0), (1, (0,), 0.5)]
+
+
+def folded_groups(ham, argmin=False):
+    """(first control, components, |u|) of each folded pass of the plan."""
+    plan = ham.plan[argmin]
+    return [(j, tuple(plan.span[0] + k for k in fold[0]), fold[1])
+            for j, _, _, fold in plan.passes if fold]
 
 
 class TestScatteredInterpolation:
@@ -217,7 +243,9 @@ class TestShiftInterpolation:
             assert coef[s].shape == (len(shifts), np.prod(widths[s]))
             got = np.empty((m, len(shifts), mesh.shape[0]))
             win = window_view(padded[s], pad, lo[s], widths[s])
-            interp_windows(win, coef[s], got, np.empty(win.size))
+            chunks = window_chunks(win, got, np.empty(win.size))
+            assert len(chunks) == (1 if budget > 1 else shape[0])
+            interp_windows(coef[s], chunks)
             for k in range(m):
                 for i, c in enumerate(batch[s]):
                     ref = nearest_multilinear(axes, fields[s, k], mesh + c)
@@ -445,19 +473,38 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     def test_blocked_apply_equals_one_block(self, name, mini_ups, monkeypatch):
-        # the window chunks of interp_windows: one mesh row per chunk (the
-        # smallest budget) against one chunk per s-node (no budget)
+        # the window chunks, fixed at assembly: an operator built with one
+        # mesh row per chunk (the smallest budget) against one built with
+        # one chunk per s-node (no budget)
         ups = mini_ups[name]
         g = random_iterate(ups, np.random.default_rng(7))
         n0 = ups.space_shape[0]
-        monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", 2**62)
-        assert hjb._chunk_values(8, n0) == 8 * n0
-        ref = ups.apply(g)
-        monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", 1)
-        assert hjb._chunk_values(8, n0) == 8
-        out = ups.apply(g)
+        built = {}
+        for budget in (2**62, 1):
+            monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", budget)
+            assert hjb._chunk_values(8, n0) == (8 * n0 if budget > 1 else 8)
+            built[budget] = UpsilonOperator(ups.model, ups.ham, ups.phi,
+                                            costs.constant_ell0(0.1), ups.cfg, ups.gamma)
+        chunks = {budget: sum(len(ch) for steps in op._steps for _, ch, _ in steps)
+                  for budget, op in built.items()}
+        assert chunks[1] == n0 * chunks[2**62] > chunks[2**62]
+        ref, out = built[2**62].apply(g), built[1].apply(g)
         assert np.abs(out.f_values - ref.f_values).max() <= 1e-15
         assert np.abs(out.fbar_values - ref.fbar_values).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_sweep_builds_no_windows(self, name, mini_ups, monkeypatch):
+        # every window view and coefficient is built at assembly: a sweep
+        # only runs the prebuilt chunks
+        ups = mini_ups[name]
+        calls = {"window_view": 0, "window_coefficients": 0}
+        for fn in calls:
+            def counted(*args, fn=fn, orig=getattr(hjb, fn)):
+                calls[fn] += 1
+                return orig(*args)
+            monkeypatch.setattr(hjb, fn, counted)
+        ups.sweep(ups.initial_iterate(), 1)
+        assert calls == {"window_view": 0, "window_coefficients": 0}
 
     def test_window_coefficients_counted_before_built(self, delay_model, monkeypatch):
         # the sizes alone pass the sweep budget, the windows do not: the

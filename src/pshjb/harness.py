@@ -100,8 +100,25 @@ class SimulationResult:
     @classmethod
     def from_costs(cls, costs: np.ndarray) -> "SimulationResult":
         n = costs.size
-        se = float(costs.std(ddof=1) / np.sqrt(n)) if n > 1 else 0.0
-        return cls(costs, float(costs.mean()), se)
+        mean, se = costs.mean(), 0.0
+        if n > 1:
+            se = float(np.sqrt(_squared_deviations(costs, mean) / (n - 1)) / np.sqrt(n))
+        return cls(costs, float(mean), se)
+
+
+def _squared_deviations(x: np.ndarray, mean) -> float:
+    """sum (x - mean)^2 of a 1-D array as ``np.std`` sums it, bit for bit,
+    with temporaries of at most half a _SIM_BLOCK instead of one of the
+    whole array: the halves split where numpy's pairwise summation splits
+    (at a multiple of 8 below the middle), and a piece is summed whole once
+    it holds at most max(_SIM_BLOCK // 2, 128) values, 128 being the block
+    that numpy sums unrolled, without splitting."""
+    n = x.size
+    if n <= max(_SIM_BLOCK // 2, 128):
+        d = x - mean
+        return np.add.reduce(np.multiply(d, d, out=d))
+    half = n // 2 - n // 2 % 8
+    return _squared_deviations(x[:half], mean) + _squared_deviations(x[half:], mean)
 
 
 def _control_integrals(

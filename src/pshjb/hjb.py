@@ -33,15 +33,19 @@ reads the gradient slices 0..i only.  The Picard loop therefore computes
 its iterates in short sweeps with the time nodes as the outer loop.  At
 each s-node of the time quadrature, the interpolation of the gradient at
 mesh + each Gaussian offset is one BLAS gemm of stored Kronecker
-coefficients against the windows of the edge-padded gradient slice, and
-H_min follows in a few array passes.  Everything of that step that does
-not depend on the iterate is built once: the window views, scratch and
-output slices of each s-node at assembly (:func:`window_chunks`), the
-passes of H_min with the Hamiltonian (:class:`Hamiltonian`).  A
-node whose input slices no longer change beyond four ulps is copied from
-the previous iterate instead of recomputed: the result stays within
-rounding of exact applies, and a sweep gives the iterates of one-iterate
-sweeps bit for bit (:class:`UpsilonOperator`).
+coefficients against the windows of the edge-padded gradient slice.  On
+a radial control grid H_min is a concave piecewise-linear function of
+r = max_k |p_k|, alpha - sum_h beta_h max(r, rho_h), so the step writes
+the hinge sum in three (heat) or four (delay) array passes, and the
+node's f and gradient quadrature sums of it are one gemm.  Everything of
+that step that does not depend on the iterate is built once: the window
+views, scratch and output slices of each s-node at assembly
+(:func:`window_chunks`), the hinge form and the pass plan of H_min with
+the Hamiltonian (:class:`Hamiltonian`).  A node whose input slices no
+longer change beyond four ulps is copied from the previous iterate
+instead of recomputed: the result stays within rounding of exact
+applies, and a sweep gives the iterates of one-iterate sweeps bit for
+bit (:class:`UpsilonOperator`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -77,7 +81,7 @@ WINDOW_CHUNK_BYTES = 1024 * 1024
 # Largest Picard sweep working set a solve may ask for; a larger one would
 # exhaust memory in the middle of the solve instead of failing at its start.
 # The shipped configs need 24 MB (heat) and 21 MB (delay); n_proj: 3 at the
-# solver defaults 2.19 GB from the sizes alone (1.67 GB of it H_min values).
+# solver defaults 2.19 GB from the sizes alone (1.67 GB of it hinge sums).
 _SWEEP_BUDGET_BYTES = 1 << 30
 
 # Most iterates of one Picard sweep (:func:`_sweep_length`).
@@ -101,6 +105,16 @@ class _Plan(NamedTuple):
     const: tuple | None
 
 
+class _Hinge(NamedTuple):
+    """H_min = alpha - scale * :func:`hinge_batch` (see :class:`Hamiltonian`)."""
+
+    alpha: float
+    scale: float        # beta of the first hinge; -1 without a hinge form
+    span: tuple | None  # components k0 <= k < k1 whose |p_k| are read, or None
+    ks: tuple           # the components K, as k - k0
+    hinges: tuple       # (rho_h, beta_h) by increasing rho_h; () if not radial
+
+
 @dataclass(frozen=True)
 class Hamiltonian:
     """Finite control grid U = {u_j} with running costs ell1(u_j).
@@ -113,6 +127,20 @@ class Hamiltonian:
     the position of the group's first control; one |p_k| pass over the
     span of the folded components serves every group, so groups on one
     component share it.
+
+    ``hinge`` is the form the Picard sweep takes H_min in, built here once.
+    The grid is *radial* when every control is all-zero or in a +- pair,
+    there is a pair, and every folded group has the same components K.
+    Then H_min(p) = phi(r), r = max_{k in K} |p_k|, and
+    phi(r) = min(c_0, min_g(c_g - a_g r)) (c_0 the least all-zero cost, if
+    any; group g of cost c_g and |u| = a_g) is concave and piecewise linear
+    on r >= 0: phi(r) = alpha - sum_h beta_h max(r, rho_h), with the
+    breakpoints rho_h of its lower envelope, the slope drops beta_h > 0 (a
+    first hinge at rho = 0 when phi falls from r = 0) and alpha the cost of
+    its steepest line.  Heat's grid gives alpha = 0.05 and one hinge
+    (0.05, 1); delay's gives alpha = 0.05 and (0.025, 1/2), (0.075, 1/2).
+    A grid that is not radial has no hinges, alpha = 0 and scale = -1, so
+    that H_min = alpha - scale * :func:`hinge_batch` holds for every grid.
     """
 
     control_points: np.ndarray   # (n_u, m)
@@ -122,6 +150,7 @@ class Hamiltonian:
     # control in at most one pair, lowest free partner first), else 0
     pair_role: tuple = field(init=False, repr=False, compare=False)
     plan: tuple = field(init=False, repr=False, compare=False)
+    hinge: _Hinge = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.atleast_2d(np.asarray(self.control_points, dtype=float))
@@ -150,10 +179,51 @@ class Hamiltonian:
         object.__setattr__(self, "pair_role", tuple(role))
         unpaired = [0] * len(terms)
         object.__setattr__(self, "plan", (_plan(terms, c, role), _plan(terms, c, unpaired)))
+        object.__setattr__(self, "hinge", _hinge(terms, c, role))
 
     @property
     def control_dim(self) -> int:
         return self.control_points.shape[1]
+
+
+def _groups(terms: tuple, cost: np.ndarray, role) -> dict:
+    """(ell1, |u|): [first control, components] of the groups of +- pairs
+    of ``role`` (see ``Hamiltonian.pair_role``) that fold into one pass."""
+    groups = {}
+    for j, tj in enumerate(terms):
+        if role[j] == 1:
+            (k, uk), = tj
+            ks = groups.setdefault((float(cost[j]), abs(uk)), [j, []])[1]
+            if k not in ks:
+                ks.append(k)
+    return groups
+
+
+def _hinge(terms: tuple, cost: np.ndarray, role) -> _Hinge:
+    """The :class:`_Hinge` of controls ``terms`` (their nonzero (k, u_jk))
+    and running costs ``cost`` with the +- pairs of ``role``: the lower
+    envelope of the lines c - a r, walked from r = 0 on."""
+    groups = _groups(terms, cost, role)
+    comps = {tuple(sorted(ks)) for _, ks in groups.values()}
+    if len(comps) != 1 or any(tj and not r for tj, r in zip(terms, role)):
+        return _Hinge(0.0, -1.0, None, (), ())
+    ks, = comps
+    lines = list(groups)
+    zero = [float(cj) for tj, cj in zip(terms, cost) if not tj]
+    if zero:
+        lines.append((min(zero), 0.0))
+    # at r = 0 the least cost, of those the steepest line, is the minimum;
+    # each next line is the steeper one that crosses it first (the steepest
+    # of a tie), each crossing no earlier than the last
+    c, a = min(lines, key=lambda line: (line[0], -line[1]))
+    hinges = [(0.0, a)] if a > 0.0 else []
+    while steeper := [(cj, aj) for cj, aj in lines if aj > a]:
+        cj, aj = min(steeper, key=lambda line: ((line[0] - c) / (line[1] - a), -line[1]))
+        rho = max((cj - c) / (aj - a), hinges[-1][0] if hinges else 0.0)
+        hinges.append((rho, aj - a))
+        c, a = cj, aj
+    return _Hinge(c, hinges[0][1], (ks[0], ks[-1] + 1),
+                  tuple(k - ks[0] for k in ks), tuple(hinges))
 
 
 def _plan(terms: tuple, cost: np.ndarray, role) -> _Plan:
@@ -162,13 +232,7 @@ def _plan(terms: tuple, cost: np.ndarray, role) -> _Plan:
     ``Hamiltonian.pair_role``)."""
     n_u = len(terms)
     lead = next((j for j, tj in enumerate(terms) if tj), n_u)
-    groups = {}     # (ell1, |u|): [first control, components] of folded pairs
-    for j, tj in enumerate(terms):
-        if role[j] == 1:
-            (k, uk), = tj
-            ks = groups.setdefault((float(cost[j]), abs(uk)), [j, []])[1]
-            if k not in ks:
-                ks.append(k)
+    groups = _groups(terms, cost, role)
     span = None
     if groups:
         used = [k for _, ks in groups.values() for k in ks]
@@ -267,6 +331,37 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
     return (best.reshape(shape), idx.reshape(shape)) if argmin else best.reshape(shape)
 
 
+def hinge_batch(ham: Hamiltonian, p: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The hinge sum X = sum_h beta_h max(r, rho_h) over a batch of
+    gradients, divided by ``scale``: H_min = alpha - scale * result
+    (``ham.hinge``, see :class:`Hamiltonian`).  On a grid without hinges
+    the result is :func:`h_min_batch`'s.
+
+    ``p`` has shape (m, *B) and ``out`` shape B, C-contiguous.  The rows of
+    ``p`` in the hinge's span are overwritten with |p_k|, so that no scratch
+    is needed: r = max_k |p_k| is formed in the first row of K, and as
+    rho_h increases, max(r, rho_h) replaces r in place.  Heat's grid takes
+    three passes (|p| over both rows, the max over K, the max with rho) and
+    delay's four (|p|, two maxima with rho, one sum).
+    """
+    _, scale, span, ks, hinges = ham.hinge
+    if not hinges:
+        return h_min_batch(ham, p, out=out)
+    absp = p[span[0]:span[1]]
+    np.abs(absp, out=absp)
+    r = absp[ks[0]]
+    for k in ks[1:]:
+        np.maximum(r, absp[k], out=r)
+    np.maximum(r, hinges[0][0], out=out)
+    for rho, beta in hinges[1:]:
+        np.maximum(r, rho, out=r)
+        if beta == scale:
+            out += r
+        else:
+            out += (beta / scale) * r
+    return out
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Grids, tolerances and quadrature settings of the Picard solver."""
@@ -354,7 +449,7 @@ class HJBSolution:
 def _sweep_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int,
                  pad: int = 1, window: int = 0, coef: int = 0) -> int:
     """Bytes of the Picard sweep working set: the operator's buffers (a
-    node's H_min values, one s-node's gradients, the padded slices, the
+    node's hinge sums, one s-node's gradients, the padded slices, the
     largest window chunk), the ``coef`` stored coefficients and the
     iterates of the longest sweep.
     The defaults leave out the windows, which only the assembly knows."""
@@ -606,7 +701,10 @@ class _Convolution:
     """Iterate-independent data of the convolution integral at one time node.
 
     The batch axes are (s-node, Gauss node): S = 2 * time_quad_order
-    s-nodes times n_q expectation nodes.
+    s-nodes times n_q expectation nodes.  With H_min = alpha - scale * X
+    (``Hamiltonian.hinge``), a sum w . H_min is alpha sum(w) - scale w . X:
+    ``offset`` holds the first part, so that the sweep's one gemm of X
+    against ``weights`` gives both sums.
     """
 
     i0: np.ndarray         # (S,) bracketing gradient-slice indices
@@ -616,8 +714,12 @@ class _Convolution:
     lo: list               # per s-node, the window origin per axis (window_bounds)
     width: list            # per s-node, the window width per axis
     coef: tuple            # per s-node, the (n_q, prod(width)) coefficients
-    fweights: np.ndarray   # (S * n_q,) time-quadrature times expectation weights
-    gweights: np.ndarray   # (S * n_q, m) the same times the gradient weights
+    # (S * n_q, 1 + m): time-quadrature times expectation weights, then the
+    # same times the gradient weights
+    weights: np.ndarray
+    # (1 + m,): ell0's integral plus alpha times the column sums of
+    # ``weights`` for f, alpha times them for the gradient
+    offset: np.ndarray
 
 
 class UpsilonOperator:
@@ -626,8 +728,8 @@ class UpsilonOperator:
     Everything that does not depend on the iterate (semigroup terms,
     covariance square roots, quadrature offsets, gradient weights, window
     coefficients and the views of each s-node's step) is assembled once;
-    ``sweep`` then only blends, interpolates, evaluates the Hamiltonian and
-    sums.
+    ``sweep`` then only blends, interpolates, evaluates the Hamiltonian's
+    hinge sum and sums.
 
     ``sweep`` relies on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
@@ -645,13 +747,15 @@ class UpsilonOperator:
     slices into one padded (S, m, *(n + 2 pad)) array, s-node first, so
     that each s-node's slab is contiguous and its :func:`window_view` a
     plain strided view.  Per s-node, :func:`interp_windows` gives the
-    (m, n_q, P) interpolated gradients, whose H_min values
-    :func:`h_min_batch` writes straight into that s-node's rows of one
-    (S * n_q, P) array; the two quadrature sums run on that array.  The
-    assembly builds, per time node and s-node, the views this step runs
-    on: the :func:`window_chunks` of the s-node's window into the padded
-    array and its rows of the H_min array.  A sweep builds no view and
-    does no chunk arithmetic; it copies, multiplies and minimizes.
+    (m, n_q, P) interpolated gradients, whose hinge sums X / scale
+    (:func:`hinge_batch`; :func:`h_min_batch` values on a grid that is not
+    radial) go straight into that s-node's rows of one (S * n_q, P) array.
+    One gemm of that array against the node's (S * n_q, 1 + m) weights
+    gives the f and gradient sums; the node's ``offset`` adds alpha's
+    share.  The assembly builds, per time node and s-node, the views this
+    step runs on: the :func:`window_chunks` of the s-node's window into the
+    padded array and its rows of the hinge array.  A sweep builds no view
+    and does no chunk arithmetic; it copies, multiplies and takes maxima.
 
     Settled nodes: an iterate's settled count is the length of the leading
     run of time nodes i whose gradient slice differs from that of the
@@ -676,7 +780,7 @@ class UpsilonOperator:
     Memory: the operator stores the window coefficients of every node
     (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
     views of every step.  It also owns the sweep's buffers: the padded
-    array, one s-node's gradients, the H_min array and one window chunk of
+    array, one s-node's gradients, the hinge array and one window chunk of
     at most WINDOW_CHUNK_BYTES or one mesh row.  Sweeps on one operator
     therefore share them and are not re-entrant: run one at a time.  A
     sweep allocates only its n iterates (:func:`_sweep_bytes` counts all).
@@ -730,8 +834,8 @@ class UpsilonOperator:
         # the sweep buffers, sized as _sweep_bytes counts them: the blended
         # gradient slices, per s-node components first, each edge-padded by
         # ``pad`` cells per side so that every window lies inside; one
-        # s-node's interpolated gradients; H_min per (s-node, Gauss node);
-        # the largest window chunk
+        # s-node's interpolated gradients (hinge_batch's scratch too); the
+        # hinge sums per (s-node, Gauss node); the largest window chunk
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
         m, pad, shape, npts = self.ham.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
         self._padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
@@ -741,7 +845,7 @@ class UpsilonOperator:
         self._hvals = np.empty((n_s * n_q, npts))
         scratch = np.empty(_chunk_values(m * self.window * npts // shape[0], shape[0]))
         # per time node and s-node: its coefficients, the window_chunks of
-        # its window into its padded slab, and its rows of H_min values
+        # its window into its padded slab, and its rows of hinge sums
         self._steps = [
             tuple((coef,
                    window_chunks(window_view(slab, pad, lo, width), self._block, scratch),
@@ -798,11 +902,14 @@ class UpsilonOperator:
         # the working set with this node's windows, before its coefficients
         _check_problem_size(self.cfg, self.model.proj_dim, self.ham.control_dim,
                             self.pad, self.window, self._coef_values)
+        weights = np.concatenate((qw[..., None], qw[..., None] * np.stack(gvecs[1:])),
+                                 axis=-1).reshape(qw.size, -1)
+        offset = self.ham.hinge.alpha * weights.sum(axis=0)
+        offset[0] += self.ell0_cum[i]
         return _Convolution(
             i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
             lo=lo, width=width, coef=window_coefficients(stencil, lo, width),
-            fweights=qw.ravel(),
-            gweights=(qw[..., None] * np.stack(gvecs[1:])).reshape(qw.size, -1),
+            weights=weights, offset=offset,
         )
 
     # -- iterates ----------------------------------------------------------
@@ -869,6 +976,7 @@ class UpsilonOperator:
         counts = [settled] + [0] * n
         tops = [0.0] * (n + 1)
         ham, hvals, block = self.ham, self._hvals, self._block
+        scale = ham.hinge.scale
         self.applies += n
         for i, t in enumerate(t_pos):
             cv, steps = self.conv[i], self._steps[i]
@@ -889,9 +997,13 @@ class UpsilonOperator:
                     pad_edges(self._padded, self.pad, len(self.space_shape))
                     for coef, chunks, rows in steps:
                         interp_windows(coef, chunks)
-                        h_min_batch(ham, block, out=rows)
-                    f_out[i + 1] = self.s_f[i] + self.ell0_cum[i] + cv.fweights @ hvals
-                    fbar_out[i] = t**self.gamma * (self.s_grad[i] + hvals.T @ cv.gweights)
+                        hinge_batch(ham, block, rows)
+                    # both quadrature sums of H_min = alpha - scale * hvals
+                    # in one gemm; alpha's share is the node's offset
+                    sums = hvals.T @ cv.weights
+                    sums *= scale
+                    f_out[i + 1] = self.s_f[i] + cv.offset[0] - sums[:, 0]
+                    fbar_out[i] = t**self.gamma * (self.s_grad[i] + cv.offset[1:] - sums[:, 1:])
                 if counts[l + 1] == i:
                     # the new iterate's leading run of settled slices grows
                     # while slice i moves by at most four ulps of its slices 0..i

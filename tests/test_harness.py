@@ -10,6 +10,7 @@ from pshjb.ou import ProjectedTerminalCost
 from pshjb.harness import (
     CostSpec,
     Policy,
+    SimulationResult,
     _control_integrals,
     random_open_loop_policies,
     simulate_cost,
@@ -414,11 +415,10 @@ class TestSampleBlocks:
             assert np.array_equal(a.sample_costs, b.sample_costs)
             assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
-    # The only whole-population arrays are the (n,) costs and, while the
-    # standard error is taken, one temporary of their size: 16 n bytes.
-    # Terminal states or terminal-cost temporaries of the whole population
-    # would add at least another 16 n, more than the block allowance leaves
-    # free at this n.
+    # The only whole-population array is the (n,) costs, 8 n bytes: the
+    # standard error takes its deviations in pieces.  Terminal states or
+    # terminal-cost temporaries of the whole population would add at least
+    # another 16 n, more than the block allowance leaves free at this n.
     N_MEM = 600_000
 
     @staticmethod
@@ -439,6 +439,21 @@ class TestSampleBlocks:
         peak = self.traced_peak(delay_model, cost, Policy.greedy(sol), n, steps)
         assert peak < 16 * n + 3 * block_noise
 
+    @pytest.mark.parametrize("n", [2, 129, 1_000_000])
+    def test_standard_error_memory_is_per_block(self, n):
+        # the standard error of a population takes temporaries smaller
+        # than one simulation block, and equals np.std's bit for bit
+        costs = np.random.default_rng(n).standard_normal(n) - 0.43
+        tracemalloc.start()
+        try:
+            res = SimulationResult.from_costs(costs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * harness._SIM_BLOCK
+        assert res.mean == costs.mean()
+        assert res.std_error == costs.std(ddof=1) / np.sqrt(n)
+
     def test_open_loop_memory_is_per_block(self, mini_delay_solution, delay_model):
         # beyond the costs: a few blocks of terminal states and draws
         sol, ham, phi, ell0, cfg = mini_delay_solution
@@ -447,7 +462,7 @@ class TestSampleBlocks:
         block_states = 8 * harness._SIM_BLOCK * n_dim
         pol = random_open_loop_policies(ham, steps, 1, seed=1)[0]
         peak = self.traced_peak(delay_model, cost, pol, n, steps)
-        assert peak < 16 * n + 4 * block_states
+        assert peak < 8 * n + 4 * block_states
 
 
 class TestDominance:

@@ -21,6 +21,7 @@ from pshjb.hjb import (
     clamped_share,
     eval_value,
     h_min_batch,
+    hinge_batch,
     interp_space,
     interp_windows,
     make_space_axes,
@@ -152,19 +153,103 @@ class TestHMin:
         # a -0.0 cost turns the folding off: min(+0.0, -0.0) depends on order
         cost[3] = -0.0
         assert not any(Hamiltonian(u, cost).pair_role)
+        # controls outside the pairs: no hinge form, hinge_batch is h_min_batch
+        assert ham.hinge == (0.0, -1.0, None, (), ())
+        assert np.array_equal(hinge_batch(ham, p, np.empty((3, 4))), want_v)
 
     @pytest.mark.parametrize("ham, roles", [
         (shipped_heat_ham(), (0, 1, 2, 1, 2)),
         (shipped_delay_ham(), (1, 1, 0, 2, 2)),
     ])
     def test_shipped_control_pairs(self, ham, roles):
-        # heat's four pushes and delay's +-0.5 and +-1 fold into pairs
+        # heat's four pushes and delay's +-0.5 and +-1 fold into pairs, and
+        # both grids are radial: H_min = alpha - sum_h beta_h max(r, rho_h)
         assert ham.pair_role == roles
         assert ham.plan[False].span == (0, ham.control_dim)
+        alpha, scale, span, ks, hinges = ham.hinge
+        assert alpha == 0.05 and span == (0, ham.control_dim)
         if ham.control_dim == 2:    # heat: one group on both components
             assert folded_groups(ham) == [(1, (0, 1), 1.0)]
+            assert (scale, ks, hinges) == (1.0, (0, 1), ((0.05, 1.0),))
         else:                       # delay: two groups on the one |p_0| pass
             assert folded_groups(ham) == [(0, (0,), 1.0), (1, (0,), 0.5)]
+            assert (scale, ks) == (0.5, (0,))
+            assert [beta for _, beta in hinges] == [0.5, 0.5]
+            np.testing.assert_allclose([rho for rho, _ in hinges], [0.025, 0.075],
+                                       rtol=1e-15)
+
+    @staticmethod
+    def radial_grid(lines, zero_costs, ks, m):
+        # per (c, a) of lines a +- pair on each component of ks, in an
+        # interleaved order, and one all-zero control per zero cost
+        rows, cost = [], []
+        for c, a in lines:
+            for k in ks:
+                for sign in (1.0, -1.0):
+                    u = np.zeros(m)
+                    u[k] = sign * a
+                    rows.append(u)
+                    cost.append(c)
+        order = np.random.default_rng(len(rows)).permutation(len(rows))
+        rows, cost = [rows[j] for j in order], [cost[j] for j in order]
+        for c in zero_costs:
+            rows.insert(len(rows) // 2, np.zeros(m))
+            cost.insert(len(cost) // 2, c)
+        return Hamiltonian(np.array(rows), np.array(cost))
+
+    @pytest.mark.parametrize("name", ["heat", "delay", "three groups", "no constant"])
+    def test_hinge_form_matches_h_min(self, name):
+        # alpha - scale * hinge_batch within 4 ulps of the largest term
+        # max(|c|, a r) of h_min_batch, at random gradients, at r exactly
+        # on each breakpoint and at +-0.0
+        if name == "heat":
+            ham = shipped_heat_ham()
+        elif name == "delay":
+            ham = shipped_delay_ham()
+        elif name == "three groups":
+            # |u| = 0.5, 1, 2 on both components, a dominated (0.9, 1)
+            # group and a dominated all-zero cost 0.2 behind 0.05
+            ham = self.radial_grid([(0.1, 0.5), (0.3, 1.0), (1.2, 2.0), (0.9, 1.0)],
+                                   [0.2, 0.05], (0, 1), 2)
+            assert ham.hinge.alpha == 1.2 and ham.hinge.scale == 0.5
+            np.testing.assert_allclose(ham.hinge.hinges,
+                                       [(0.1, 0.5), (0.4, 0.5), (0.9, 1.0)], rtol=1e-15)
+        else:
+            # pairs on component 1 of 2 only, no all-zero control: phi
+            # falls from r = 0, a first hinge at rho = 0
+            ham = self.radial_grid([(0.2, 1.0), (0.0, 0.5)], [], (1,), 2)
+            assert ham.hinge.span == (1, 2) and ham.hinge.alpha == 0.2
+            np.testing.assert_allclose(ham.hinge.hinges, [(0.0, 0.5), (0.4, 0.5)],
+                                       rtol=1e-15)
+        alpha, scale, (k0, k1), ks, hinges = ham.hinge
+        m = ham.control_dim
+        rng = np.random.default_rng(11)
+        p = rng.standard_normal((m, 6, 50)) * rng.choice([0.01, 0.1, 1.0], (6, 50))
+        for h, (rho, _) in enumerate(hinges):
+            p[:, h, :4] = rng.uniform(-rho, rho, (m, 4))
+            p[k0 + ks[-1], h, :4] = rho, -rho, rho, -rho
+        p[:, -1, :3] = 0.0
+        p[:, -1, 1] = -0.0
+        p[:, -1, 2] = np.where(np.arange(m) % 2, -0.0, 0.0)
+        work = p.copy()
+        x = hinge_batch(ham, work, np.empty(p.shape[1:]))
+        assert np.array_equal(np.delete(work, range(k0, k1), axis=0),
+                              np.delete(p, range(k0, k1), axis=0))
+        r = np.abs(p[k0:k1][list(ks)]).max(axis=0)
+        c, a = np.abs(ham.running_cost).max(), np.abs(ham.control_points).max()
+        err = np.abs(alpha - scale * x - h_min_batch(ham, p))
+        assert (err <= 4 * np.spacing(np.maximum(c, a * r))).all()
+
+    @pytest.mark.parametrize("u, cost", [
+        ([[0.0], [1.0], [-1.0], [0.5]], [0.0, 0.1, 0.1, 0.1]),          # unpaired
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], [0.1] * 4),  # two K
+        ([[0.0, 0.0], [0.0, 0.0]], [0.3, 0.1]),                          # no pair
+    ])
+    def test_grids_without_hinge_form(self, u, cost):
+        ham = Hamiltonian(u, cost)
+        assert ham.hinge == (0.0, -1.0, None, (), ())
+        p = np.random.default_rng(2).standard_normal((ham.control_dim, 7))
+        assert np.array_equal(hinge_batch(ham, p, np.empty(7)), h_min_batch(ham, p))
 
 
 def folded_groups(ham, argmin=False):
@@ -505,6 +590,43 @@ class TestUpsilon:
             monkeypatch.setattr(hjb, fn, counted)
         ups.sweep(ups.initial_iterate(), 1)
         assert calls == {"window_view": 0, "window_coefficients": 0}
+
+    @pytest.mark.parametrize("name", ["heat", "delay", "trivial"])
+    def test_sweep_takes_hinge_form(self, name, mini_ups, trivial_ups, monkeypatch):
+        # the shipped grids are radial: a sweep takes H_min in hinge form
+        # and calls no h_min_batch; a grid that is not radial (one all-zero
+        # control) takes one h_min_batch call per s-node
+        ups = trivial_ups if name == "trivial" else mini_ups[name]
+        calls = []
+        minimum = hjb.h_min_batch
+        monkeypatch.setattr(hjb, "h_min_batch",
+                            lambda *a, **k: calls.append(1) or minimum(*a, **k))
+        ups.sweep(ups.initial_iterate(), 1)
+        steps = sum(len(steps) for steps in ups._steps)
+        assert len(calls) == (steps if name == "trivial" else 0)
+
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_apply_matches_separate_sums(self, name, mini_ups):
+        # the one-gemm sums of the hinge form against h_min_batch rows and
+        # the two quadrature sums, f and gradient, taken separately
+        ups = mini_ups[name]
+        g = random_iterate(ups, np.random.default_rng(3))
+        out = ups.apply(g)
+        m, shape = ups.ham.control_dim, ups.space_shape
+        fbar = g.fbar_values.reshape((-1,) + shape + (m,))
+        for i, t in enumerate(ups.time_grid[1:]):
+            cv = ups.conv[i]
+            np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=ups._inner)
+            ups._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
+            pad_edges(ups._padded, ups.pad, len(shape))
+            for coef, chunks, rows in ups._steps[i]:
+                interp_windows(coef, chunks)
+                h_min_batch(ups.ham, ups._block, out=rows)
+            hvals = ups._hvals
+            f = ups.s_f[i] + ups.ell0_cum[i] + cv.weights[:, 0] @ hvals
+            grad = t**ups.gamma * (ups.s_grad[i] + hvals.T @ cv.weights[:, 1:])
+            assert np.abs(out.f_values[i + 1].ravel() - f).max() <= 1e-14
+            assert np.abs(out.fbar_values[i].reshape(grad.shape) - grad).max() <= 1e-14
 
     def test_window_coefficients_counted_before_built(self, delay_model, monkeypatch):
         # the sizes alone pass the sweep budget, the windows do not: the

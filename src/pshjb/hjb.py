@@ -29,23 +29,22 @@ the convolution along the projected control direction (the only weight that
 passes the finite-difference oracle; see the norm-bound tests).
 
 The equation is a Volterra equation in time-to-go: Upsilon at time node i
-reads the gradient slices 0..i only.  The Picard loop therefore computes
-its iterates in short sweeps with the time nodes as the outer loop.  At
-each s-node of the time quadrature, the interpolation of the gradient at
-mesh + each Gaussian offset is one BLAS gemm of stored Kronecker
-coefficients against the windows of the edge-padded gradient slice.  On
-a radial control grid H_min is a concave piecewise-linear function of
-r = max_k |p_k|, alpha - sum_h beta_h max(r, rho_h), so the step writes
-the hinge sum in three (heat) or four (delay) array passes, and the
-node's f and gradient quadrature sums of it are one gemm.  Everything of
-that step that does not depend on the iterate is built once: the window
-views, scratch and output slices of each s-node at assembly
-(:func:`window_chunks`), the hinge form and the pass plan of H_min with
-the Hamiltonian (:class:`Hamiltonian`).  A node whose input slices no
-longer change beyond four ulps is copied from the previous iterate
-instead of recomputed: the result stays within rounding of exact
-applies, and a sweep gives the iterates of one-iterate sweeps bit for
-bit (:class:`UpsilonOperator`).
+reads the gradient slices 0..i only.  Each Picard iterate is one sweep
+over the time nodes.  At each s-node of the time quadrature, the
+interpolation of the gradient at mesh + each Gaussian offset is one BLAS
+gemm of stored Kronecker coefficients against the windows of the
+edge-padded gradient slice.  On a radial control grid H_min is a concave
+piecewise-linear function of r = max_k |p_k|,
+alpha - sum_h beta_h max(r, rho_h), so the step writes the hinge sum in
+three (heat) or four (delay) array passes, and the node's f and gradient
+quadrature sums of it are one gemm.  Everything of that step that does
+not depend on the iterate is built once: the window views, scratch and
+output slices of each s-node at assembly (:func:`window_chunks`), the
+hinge form and the pass plan of H_min with the Hamiltonian
+(:class:`Hamiltonian`).  A node whose input slices no longer change
+beyond four ulps is copied from the previous iterate instead of
+recomputed; the result stays within rounding of exact applies
+(:class:`UpsilonOperator`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -80,26 +79,20 @@ WINDOW_CHUNK_BYTES = 1024 * 1024
 
 # Largest Picard sweep working set a solve may ask for; a larger one would
 # exhaust memory in the middle of the solve instead of failing at its start.
-# The shipped configs need 24 MB (heat) and 21 MB (delay); n_proj: 3 at the
-# solver defaults 2.19 GB from the sizes alone (1.67 GB of it hinge sums).
+# The shipped configs need 19 MB (heat) and 18 MB (delay); n_proj: 3 at the
+# solver defaults 1.99 GB from the sizes alone (1.67 GB of it hinge sums).
 _SWEEP_BUDGET_BYTES = 1 << 30
-
-# Most iterates of one Picard sweep (:func:`_sweep_length`).
-_MAX_SWEEP = 4
 
 # First positive time node as a share of the horizon (:func:`make_time_grid`).
 T_MIN_FACTOR = 1e-4
 
 
 class _Plan(NamedTuple):
-    """The passes of :func:`h_min_batch` for one value of its ``argmin``."""
+    """The passes of :func:`h_min_batch`."""
 
     lead: int       # the first control with a nonzero coordinate (n_u: none)
-    # components k0 <= k < k1 whose |p_k| the folded passes read, or None
-    span: tuple | None
-    # per pass, in order: (j, ell1(u_j), the nonzero (k, u_jk) of control j,
-    # and for a folded group (its components k - k0, |u|) or None); the
-    # first pass is control ``lead``
+    # per control j from ``lead`` on, in index order: (j, ell1(u_j), the
+    # nonzero (k, u_jk) of control j)
     passes: tuple
     # (j, ell1(u_j)) of the least all-zero control ahead of ``lead``, or None
     const: tuple | None
@@ -119,18 +112,14 @@ class _Hinge(NamedTuple):
 class Hamiltonian:
     """Finite control grid U = {u_j} with running costs ell1(u_j).
 
-    ``plan`` holds what :func:`h_min_batch` executes, built here once:
-    ``plan[argmin]`` is a :class:`_Plan`.  Each control's values are
-    ell1(u_j) + sum of u_jk p_k over its nonzero u_jk, in k order.  Without
-    ``argmin``, the +- pairs (``pair_role``) with equal ell1 and equal |u|
-    fold into one pass, ell1 - |u| max_k |p_k| over their components k, at
-    the position of the group's first control; one |p_k| pass over the
-    span of the folded components serves every group, so groups on one
-    component share it.
+    ``plan`` holds what :func:`h_min_batch` executes, built here once (a
+    :class:`_Plan`): each control's values are ell1(u_j) + sum of u_jk p_k
+    over its nonzero u_jk, in k order.
 
     ``hinge`` is the form the Picard sweep takes H_min in, built here once.
-    The grid is *radial* when every control is all-zero or in a +- pair,
-    there is a pair, and every folded group has the same components K.
+    The +- pairs (``pair_role``) with equal ell1 and equal |u| form a
+    group.  The grid is *radial* when every control is all-zero or in a +-
+    pair, there is a pair, and every group has the same components K.
     Then H_min(p) = phi(r), r = max_{k in K} |p_k|, and
     phi(r) = min(c_0, min_g(c_g - a_g r)) (c_0 the least all-zero cost, if
     any; group g of cost c_g and |u| = a_g) is concave and piecewise linear
@@ -177,8 +166,11 @@ class Hamiltonian:
                         role[j], role[j2] = 1, 2
                         break
         object.__setattr__(self, "pair_role", tuple(role))
-        unpaired = [0] * len(terms)
-        object.__setattr__(self, "plan", (_plan(terms, c, role), _plan(terms, c, unpaired)))
+        lead = next((j for j, tj in enumerate(terms) if tj), len(terms))
+        least = int(np.argmin(c[:lead])) if lead else None
+        object.__setattr__(self, "plan", _Plan(
+            lead, tuple((j, float(c[j]), terms[j]) for j in range(lead, len(terms))),
+            None if least is None else (least, float(c[least]))))
         object.__setattr__(self, "hinge", _hinge(terms, c, role))
 
     @property
@@ -187,13 +179,13 @@ class Hamiltonian:
 
 
 def _groups(terms: tuple, cost: np.ndarray, role) -> dict:
-    """(ell1, |u|): [first control, components] of the groups of +- pairs
-    of ``role`` (see ``Hamiltonian.pair_role``) that fold into one pass."""
+    """(ell1, |u|): components of the groups of +- pairs of ``role`` (see
+    ``Hamiltonian.pair_role``)."""
     groups = {}
     for j, tj in enumerate(terms):
         if role[j] == 1:
             (k, uk), = tj
-            ks = groups.setdefault((float(cost[j]), abs(uk)), [j, []])[1]
+            ks = groups.setdefault((float(cost[j]), abs(uk)), [])
             if k not in ks:
                 ks.append(k)
     return groups
@@ -204,7 +196,7 @@ def _hinge(terms: tuple, cost: np.ndarray, role) -> _Hinge:
     and running costs ``cost`` with the +- pairs of ``role``: the lower
     envelope of the lines c - a r, walked from r = 0 on."""
     groups = _groups(terms, cost, role)
-    comps = {tuple(sorted(ks)) for _, ks in groups.values()}
+    comps = {tuple(sorted(ks)) for ks in groups.values()}
     if len(comps) != 1 or any(tj and not r for tj, r in zip(terms, role)):
         return _Hinge(0.0, -1.0, None, (), ())
     ks, = comps
@@ -226,54 +218,19 @@ def _hinge(terms: tuple, cost: np.ndarray, role) -> _Hinge:
                   tuple(k - ks[0] for k in ks), tuple(hinges))
 
 
-def _plan(terms: tuple, cost: np.ndarray, role) -> _Plan:
-    """The :class:`_Plan` of controls ``terms`` (their nonzero (k, u_jk)) and
-    running costs ``cost``, folding the +- pairs of ``role`` (see
-    ``Hamiltonian.pair_role``)."""
-    n_u = len(terms)
-    lead = next((j for j, tj in enumerate(terms) if tj), n_u)
-    groups = _groups(terms, cost, role)
-    span = None
-    if groups:
-        used = [k for _, ks in groups.values() for k in ks]
-        span = (min(used), max(used) + 1)
-    first = {j: (c, a, tuple(k - span[0] for k in ks))
-             for (c, a), (j, ks) in groups.items()}
-    passes = []
-    for j in range(lead, n_u):
-        if j in first:
-            c, a, ks = first[j]
-            passes.append((j, c, None, (ks, a)))
-        elif not role[j]:
-            passes.append((j, float(cost[j]), terms[j], None))
-    const = None
-    if lead:
-        j = int(np.argmin(cost[:lead]))
-        const = (j, float(cost[j]))
-    return _Plan(lead, span, tuple(passes), const)
-
-
 def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None):
     """Minimized Hamiltonian min_j <p, u_j> + ell1(u_j) over a batch of gradients.
 
     ``p`` has shape (m, ...): gradient components along the first axis.
-    The routine executes ``ham.plan[argmin]`` (see :class:`Hamiltonian`):
-    one pass per entry keeps a running minimum in one reused scratch row,
-    so no array of all (point, control) values is formed; leading all-zero
-    controls, which are constants, enter last as one scalar.  A first u_jk
-    of +-1 adds or subtracts p_k without the multiply, which is exact.
-
-    Without ``argmin`` a folded group of +- pairs with running cost c and
-    |u_k| = a takes one pass, c - a max_k |p_k|, after one |p_k| pass over
-    the plan's ``span``.  This is the minimum of its controls' values bit for
-    bit: fl(c + u p) and fl(c - u p) are fl(c -+ fl(a |p|)), and both
-    roundings are monotone, so min_k fl(c - fl(a |p_k|)) =
-    fl(c - fl(a max_k |p_k|)).  With no -0.0 cost (the pairing's
-    condition) no value is -0.0, so the minimum does not depend on the
-    order of the passes.  ``out``, if given, is a C-contiguous array of
-    p.shape[1:] values that receives the minimum.  With ``argmin`` the index
-    of the minimizer is returned as well; ties break to the lowest index
-    (determinism), so every control takes its own pass, in index order.
+    The routine executes ``ham.plan`` (see :class:`Hamiltonian`): every
+    control takes its own pass, in index order, and the passes keep a
+    running minimum in one reused scratch row, so no array of all (point,
+    control) values is formed; leading all-zero controls, which are
+    constants, enter last as one scalar.  A first u_jk of +-1 adds or
+    subtracts p_k without the multiply, which is exact.  ``out``, if
+    given, is a C-contiguous array of p.shape[1:] values that receives the
+    minimum.  With ``argmin`` the index of the minimizer is returned as
+    well; ties break to the lowest index (determinism).
     """
     p2 = p.reshape(ham.control_dim, -1)
     if out is None:
@@ -282,23 +239,12 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         best = out.reshape(-1)
     else:
         raise ValueError("out must be C-contiguous with one value per gradient")
-    lead, span, passes, const = ham.plan[argmin]
-    rows = np.empty((1 + (span[1] - span[0] if span else 0), best.size))
-    vals = rows[0]
-    if span:
-        absp = np.abs(p2[span[0]:span[1]], out=rows[1:])
+    lead, passes, const = ham.plan
+    vals = np.empty(best.size)
     idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
     row = best                      # the first pass starts the minimum
-    for j, cost, terms, fold in passes:
-        if fold:
-            ks, a = fold
-            mag = absp[ks[0]]
-            for k in ks[1:]:
-                mag = np.maximum(mag, absp[k], out=row)
-            if a != 1.0:
-                mag = np.multiply(mag, a, out=row)
-            np.subtract(cost, mag, out=row)
-        elif terms:
+    for j, cost, terms in passes:
+        if terms:
             (k, uk), *rest = terms
             if uk == 1.0:
                 np.add(p2[k], cost, out=row)
@@ -377,8 +323,11 @@ class SolverConfig:
     time_quad_order: int = 7
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be > 0")
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        if self.box_halfwidth is not None and not 0 < self.box_halfwidth < math.inf:
+            raise ValueError(
+                f"box_halfwidth must be finite and > 0, got {self.box_halfwidth}")
         if self.gamma is not None and not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not self.tol > 0:
@@ -451,15 +400,14 @@ def _sweep_bytes(cfg: SolverConfig, proj_dim: int, control_dim: int,
     """Bytes of the Picard sweep working set: the operator's buffers (a
     node's hinge sums, one s-node's gradients, the padded slices, the
     largest window chunk), the ``coef`` stored coefficients and the
-    iterates of the longest sweep.
+    iterate a sweep computes.
     The defaults leave out the windows, which only the assembly knows."""
     n, m = cfg.space_points, control_dim
     n_s, n_q, n_pts = 2 * cfg.time_quad_order, cfg.quad_order**proj_dim, n**proj_dim
     node = (n_s + m) * n_q * n_pts + n_s * m * (n + 2 * pad) ** proj_dim
     chunk = _chunk_values(m * window * n ** (proj_dim - 1), n) if window else 0
-    longest = max(1, min(cfg.max_iter // 2, _MAX_SWEEP))     # _sweep_length
-    iterates = longest * n_pts * (cfg.n_time + 1 + m * cfg.n_time)
-    return 8 * (node + chunk + coef + iterates)
+    iterate = n_pts * (cfg.n_time + 1 + m * cfg.n_time)
+    return 8 * (node + chunk + coef + iterate)
 
 
 def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int, *windows):
@@ -480,7 +428,7 @@ def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int, *win
             f"the solver would need about {need / 1e9:.3g} GB per Picard sweep "
             f"(N = {proj_dim}, space_points = {cfg.space_points}, "
             f"quad_order = {cfg.quad_order}, time_quad_order = {cfg.time_quad_order}, "
-            f"n_time = {cfg.n_time}, max_iter = {cfg.max_iter}); the budget is "
+            f"n_time = {cfg.n_time}); the budget is "
             f"{_SWEEP_BUDGET_BYTES / 1e9:.3g} GB"
         )
 
@@ -740,12 +688,9 @@ class UpsilonOperator:
     cells per side, the largest |k| + 1 (:func:`shift_stencil`,
     :func:`window_bounds`, :func:`window_coefficients`, :func:`pad_edges`).
 
-    Loop order: ``sweep(g, n)`` runs the time nodes in the outer loop and
-    the n iterates in the inner one.  Node i of iterate l + 1 reads only
-    slices 0..i of iterate l, which the earlier nodes and the previous pass
-    at node i have finished.  An iterate that computes node i blends its
-    slices into one padded (S, m, *(n + 2 pad)) array, s-node first, so
-    that each s-node's slab is contiguous and its :func:`window_view` a
+    A sweep runs the time nodes in order.  A node that it computes blends
+    its slices into one padded (S, m, *(n + 2 pad)) array, s-node first,
+    so that each s-node's slab is contiguous and its :func:`window_view` a
     plain strided view.  Per s-node, :func:`interp_windows` gives the
     (m, n_q, P) interpolated gradients, whose hinge sums X / scale
     (:func:`hinge_batch`; :func:`h_min_batch` values on a grid that is not
@@ -754,28 +699,24 @@ class UpsilonOperator:
     gives the f and gradient sums; the node's ``offset`` adds alpha's
     share.  The assembly builds, per time node and s-node, the views this
     step runs on: the :func:`window_chunks` of the s-node's window into the
-    padded array and its rows of the hinge array.  A sweep builds no view
-    and does no chunk arithmetic; it copies, multiplies and takes maxima.
+    padded array and its rows of hinge sums.  A sweep builds no view and
+    does no chunk arithmetic; it copies, multiplies and takes maxima.
 
     Settled nodes: an iterate's settled count is the length of the leading
     run of time nodes i whose gradient slice differs from that of the
     iterate it was computed from by at most four ulps, 4 ``np.spacing`` of
-    its largest |fbar| over slices 0..i (the slices node i reads, and all a
-    node-major sweep has of an iterate when it reaches node i).  Below its
-    source's count, the next iterate copies the source's ``f[i + 1]`` and
+    its largest |fbar| over slices 0..i (the slices node i reads).  Below
+    the count of its input, a sweep copies the input's ``f[i + 1]`` and
     ``fbar[i]``: no blend, interpolation or Hamiltonian.  Four ulps, not
-    one: early slices that have reached their floating-point fixed
-    point can still cycle between a few values a couple of ulps apart
-    (rounding of the blend and the quadrature sums), and one ulp would
-    recompute such nodes at every iterate.  Inputs unchanged to four ulps
-    give an output unchanged to rounding, so copies keep the iterates
-    within rounding of exact applies (at most 2.2e-16 on the shipped and
-    benchmark configs).  A copied slice equals its source, so a count never
-    falls from one iterate to the next.  Every iterate is computed, or
-    copied, by the same operations on the same operands and with the same
-    count as in a chain of one-iterate sweeps that carries the count, so it
-    is the same bit for bit; ``apply`` is ``sweep(g, 1)`` with nothing
-    settled, the exact map.
+    one: early slices that have reached their floating-point fixed point
+    can still cycle between a few values a couple of ulps apart (rounding
+    of the blend and the quadrature sums), and one ulp would recompute
+    such nodes at every iterate.  Inputs unchanged to four ulps give an
+    output unchanged to rounding, so copies keep the iterates within
+    rounding of exact applies (at most 2.2e-16 on the shipped and
+    benchmark configs).  A copied slice equals its source, so a count
+    never falls from one iterate to the next.  ``apply`` is a sweep with
+    nothing settled, the exact map.
 
     Memory: the operator stores the window coefficients of every node
     (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
@@ -783,7 +724,7 @@ class UpsilonOperator:
     array, one s-node's gradients, the hinge array and one window chunk of
     at most WINDOW_CHUNK_BYTES or one mesh row.  Sweeps on one operator
     therefore share them and are not re-entrant: run one at a time.  A
-    sweep allocates only its n iterates (:func:`_sweep_bytes` counts all).
+    sweep allocates only its iterate (:func:`_sweep_bytes` counts all).
     """
 
     def __init__(
@@ -810,7 +751,6 @@ class UpsilonOperator:
         self.space_shape = shape
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute(ell0)
-        self.applies = 0     # iterates computed, for the solve diagnostics
         self.copied = 0      # node-iterates copied from a settled source
 
     # -- assembly ----------------------------------------------------------
@@ -945,72 +885,64 @@ class UpsilonOperator:
 
     # -- the map -----------------------------------------------------------
     def apply(self, g: ValueIterate) -> ValueIterate:
-        """Upsilon(g), exactly: a sweep of one iterate with nothing settled."""
-        return self.sweep(g, 1)[0][0]
+        """Upsilon(g), exactly: a sweep with nothing settled."""
+        return self.sweep(g, 0)[0]
 
-    def sweep(self, g: ValueIterate, n: int,
-              settled: int = 0) -> tuple[list[ValueIterate], int]:
-        """The n iterates Upsilon(g), ..., Upsilon^n(g), time node by time
-        node (see the class docstring for the loop order and the settled
-        counts), and the settled count of the last of them.
+    def sweep(self, g: ValueIterate, settled: int) -> tuple[ValueIterate, int]:
+        """Upsilon(g), time node by time node, copying the first
+        ``settled`` nodes from ``g`` (see the class docstring), and the
+        settled count of the result.
 
         ``settled`` is the settled count of ``g`` against the iterate it
         was computed from: the count the sweep that computed ``g``
         returned, or 0, which makes every node compute."""
-        if n < 1:
-            raise ValueError(f"a sweep computes at least one iterate, got n = {n}")
         _check_grids(g, self)
         t_pos = self.time_grid[1:]
         n_t = t_pos.size
         npts = self.mesh.shape[0]
         m = self.ham.control_dim
-        f_new = np.empty((n, n_t + 1, npts))
-        f_new[:, 0] = self.phi(self.mesh)
-        fbar_new = np.empty((n, n_t, npts, m))
-        # each iterate's source: g, then the iterate before it
-        f_src = [g.f_values.reshape(n_t + 1, npts)] + list(f_new[:-1])
-        fbar_src = [g.fbar_values.reshape(n_t, npts, m)] + list(fbar_new[:-1])
-        grid_src = [s.reshape((n_t,) + self.space_shape + (m,)) for s in fbar_src]
-        # settled counts of the sources and of the last iterate, and the
-        # largest |fbar| of each new iterate over the slices of its count
-        counts = [settled] + [0] * n
-        tops = [0.0] * (n + 1)
+        f_new = np.empty((n_t + 1, npts))
+        f_new[0] = self.phi(self.mesh)
+        fbar_new = np.empty((n_t, npts, m))
+        f_src = g.f_values.reshape(n_t + 1, npts)
+        fbar_src = g.fbar_values.reshape(n_t, npts, m)
+        fbar = g.fbar_values
+        # the settled count of the new iterate, and its largest |fbar|
+        # over the slices of that count
+        count, top = 0, 0.0
         ham, hvals, block = self.ham, self._hvals, self._block
         scale = ham.hinge.scale
-        self.applies += n
         for i, t in enumerate(t_pos):
-            cv, steps = self.conv[i], self._steps[i]
-            for l in range(n):
-                f_out, fbar_out, fbar = f_new[l], fbar_new[l], grid_src[l]
-                if i < counts[l]:
-                    # the source's slices 0..i have settled: its own node i
-                    # is this node's value to rounding
-                    f_out[i + 1] = f_src[l][i + 1]
-                    fbar_out[i] = fbar_src[l][i]
-                    self.copied += 1
-                else:
-                    # interpolation is linear in the array: blend the two
-                    # bracketing time slices (times s^{-gamma}) components
-                    # first into the padded array, then interpolate per s-node
-                    np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=self._inner)
-                    self._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
-                    pad_edges(self._padded, self.pad, len(self.space_shape))
-                    for coef, chunks, rows in steps:
-                        interp_windows(coef, chunks)
-                        hinge_batch(ham, block, rows)
-                    # both quadrature sums of H_min = alpha - scale * hvals
-                    # in one gemm; alpha's share is the node's offset
-                    sums = hvals.T @ cv.weights
-                    sums *= scale
-                    f_out[i + 1] = self.s_f[i] + cv.offset[0] - sums[:, 0]
-                    fbar_out[i] = t**self.gamma * (self.s_grad[i] + cv.offset[1:] - sums[:, 1:])
-                if counts[l + 1] == i:
-                    # the new iterate's leading run of settled slices grows
-                    # while slice i moves by at most four ulps of its slices 0..i
-                    tops[l + 1] = max(tops[l + 1], float(np.abs(fbar_out[i]).max()))
-                    if np.abs(fbar_out[i] - fbar_src[l][i]).max() <= 4 * np.spacing(tops[l + 1]):
-                        counts[l + 1] = i + 1
-        return [self._pack(f, fbar) for f, fbar in zip(f_new, fbar_new)], counts[n]
+            cv = self.conv[i]
+            if i < settled:
+                # the input's slices 0..i have settled: its own node i is
+                # this node's value to rounding
+                f_new[i + 1] = f_src[i + 1]
+                fbar_new[i] = fbar_src[i]
+                self.copied += 1
+            else:
+                # interpolation is linear in the array: blend the two
+                # bracketing time slices (times s^{-gamma}) components
+                # first into the padded array, then interpolate per s-node
+                np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=self._inner)
+                self._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
+                pad_edges(self._padded, self.pad, len(self.space_shape))
+                for coef, chunks, rows in self._steps[i]:
+                    interp_windows(coef, chunks)
+                    hinge_batch(ham, block, rows)
+                # both quadrature sums of H_min = alpha - scale * hvals
+                # in one gemm; alpha's share is the node's offset
+                sums = hvals.T @ cv.weights
+                sums *= scale
+                f_new[i + 1] = self.s_f[i] + cv.offset[0] - sums[:, 0]
+                fbar_new[i] = t**self.gamma * (self.s_grad[i] + cv.offset[1:] - sums[:, 1:])
+            if count == i:
+                # the leading run of settled slices grows while slice i
+                # moves by at most four ulps of its slices 0..i
+                top = max(top, float(np.abs(fbar_new[i]).max()))
+                if np.abs(fbar_new[i] - fbar_src[i]).max() <= 4 * np.spacing(top):
+                    count = i + 1
+        return self._pack(f_new, fbar_new), count
 
 
 # ---------------------------------------------------------------------------
@@ -1031,25 +963,6 @@ def sup_distance(g1: ValueIterate, g2: ValueIterate) -> float:
     return float(df + dbar)
 
 
-def _sweep_length(residuals: list[float], cfg: SolverConfig) -> int:
-    """Iterates of the next :meth:`UpsilonOperator.sweep` of a Picard solve.
-
-    One until two residuals exist and after a rise.  Else, with k iterates
-    done and the last ratio q = d_k / d_{k-1} < 1, half of the
-    r = ceil(log(tol / d_k) / log q) further steps that q predicts to the
-    stop, at most k, at most what ``max_iter`` leaves and at most
-    _MAX_SWEEP: a sweep saves only per-node set-up over one-iterate sweeps,
-    and a short one computes few iterates past the stop or the growth
-    rule's raise (at most _MAX_SWEEP - 1).
-    """
-    k = len(residuals)
-    q = residuals[-1] / residuals[-2] if k >= 2 else 1.0
-    if q >= 1.0:
-        return 1
-    r = math.ceil(math.log(cfg.tol / residuals[-1]) / math.log(q))
-    return max(1, min(-(-r // 2), k, cfg.max_iter - k, _MAX_SWEEP))
-
-
 def picard_solve(
     model: ProjectedModel,
     ham: Hamiltonian,
@@ -1061,7 +974,7 @@ def picard_solve(
     """Iterate the Picard map to the mild-solution fixed point.
 
     A problem the solver cannot take (see :func:`_check_problem_size`)
-    raises :class:`ConfigError` before anything else runs.
+    raises :class:`ConfigError` before anything is built.
 
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
@@ -1072,18 +985,18 @@ def picard_solve(
     and the solution's ``eta_weight`` is always 0 (no exp(-eta t) weight;
     see the module docstring).
 
-    The iterates come in :meth:`UpsilonOperator.sweep` runs whose lengths
-    :func:`_sweep_length` takes from the residual history; each sweep
-    starts from the settled count the previous one returned (0 at the
-    start).  Both tests run on every iterate in turn, so the result, the
-    residual history and the step at which :class:`NoContraction` is raised
-    are those of a loop of one-iterate sweeps that carries the count;
-    ``diagnostics["applies"]["picard"]`` counts the iterates computed, which
-    exceeds ``iterations`` only when a sweep runs past the stop or the
-    raise, and
-    ``diagnostics["copied_nodes"]`` the node-iterates copied from a settled
-    source.
+    ``initial`` names the start: ``"semigroup"``
+    (:meth:`UpsilonOperator.initial_iterate`) or ``"zero"``
+    (:meth:`UpsilonOperator.zero_iterate`).
+
+    Each iterate is one :meth:`UpsilonOperator.sweep` that starts from the
+    settled count the previous one returned (0 at the start), so
+    ``diagnostics["applies"]["picard"]`` equals ``iterations``;
+    ``diagnostics["copied_nodes"]`` counts the node-iterates copied from a
+    settled source.
     """
+    if initial not in ("semigroup", "zero"):
+        raise ValueError(f"initial must be 'semigroup' or 'zero', got {initial!r}")
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
     diagnostics: dict = {}
     gamma = cfg.gamma
@@ -1109,28 +1022,23 @@ def picard_solve(
     ratios: list[float] = []
     bad_streak = 0
     settled = 0
-    converged = False
-    while not converged and len(residuals) < cfg.max_iter:
-        # the stop test and the growth rule run iterate by iterate, so a
-        # sweep that runs past the stop only costs its extra iterates
-        iterates, settled = ups.sweep(g, _sweep_length(residuals, cfg), settled)
-        for g_next in iterates:
-            d = sup_distance(g_next, g)
-            if residuals:
-                ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
-                ratios.append(ratio)
-                bad_streak = bad_streak + 1 if ratio > 1.0 else 0
-                if bad_streak >= 3:
-                    raise NoContraction(
-                        f"residual grew in the sup norm for 3 consecutive Picard steps "
-                        f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
-                    )
-            residuals.append(d)
-            g = g_next
-            converged = d < cfg.tol
-            if converged:
-                break
-    diagnostics["applies"] = {"picard": ups.applies}
+    while len(residuals) < cfg.max_iter:
+        g_next, settled = ups.sweep(g, settled)
+        d = sup_distance(g_next, g)
+        if residuals:
+            ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
+            ratios.append(ratio)
+            bad_streak = bad_streak + 1 if ratio > 1.0 else 0
+            if bad_streak >= 3:
+                raise NoContraction(
+                    f"residual grew in the sup norm for 3 consecutive Picard steps "
+                    f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
+                )
+        residuals.append(d)
+        g = g_next
+        if d < cfg.tol:
+            break
+    diagnostics["applies"] = {"picard": len(residuals)}
     diagnostics["copied_nodes"] = ups.copied
     diagnostics["residual_history"] = residuals
     return HJBSolution(

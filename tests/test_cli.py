@@ -238,6 +238,12 @@ class TestInvalidConfig:
         # a start of the wrong length and an ell0 table np.interp misreads
         ("model.delay.x0.present", [0.3, -0.2, 0.1]),
         ("cost.ell0", {"kind": "table", "times": [1.0, 0.0], "values": [0.0, 1.0]}),
+        # an empty, reversed or unbounded space box and an unbounded horizon
+        ("solver.box_halfwidth", 0.0),
+        ("solver.box_halfwidth", -2.0),
+        ("solver.box_halfwidth", float("nan")),
+        ("solver.box_halfwidth", float("inf")),
+        ("cost.horizon", float("inf")),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         path = write_config(tmp_path, small_delay_config(**{key: value}))
@@ -290,7 +296,7 @@ class TestInvalidConfig:
         assert run.solver.n_time == 16 and type(run.solver.n_time) is int
         assert run.time_steps == 10 and type(run.time_steps) is int
 
-    @pytest.mark.parametrize("n_proj, need", [(3, "2.19 GB"), (4, "N = 4 is above 3")])
+    @pytest.mark.parametrize("n_proj, need", [(3, "1.99 GB"), (4, "N = 4 is above 3")])
     def test_oversized_problem_rejected(self, tmp_path, capsys, monkeypatch,
                                         n_proj, need):
         # solver defaults: the sweep estimate at N = 3, the quadrature rule's

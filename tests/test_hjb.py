@@ -78,10 +78,8 @@ class TestHMin:
         # adjacent and not, |u| = 0.5, 1 and 1.5, three on component 0 and
         # three on component 1 at m = 2 (sharing |p_k|), next to look-alikes that
         # must not pair (unequal costs, two coordinates, a duplicate whose
-        # partner is taken); two |u| = 1 pairs on distinct components with
-        # equal cost fold into one pass, while a |u| = 0.5 pair of that cost
-        # and a |u| = 1 pair of another cost stay out of the group; against
-        # the minimum of ell1(u_j) + sum_k u_jk p_k summed in the routine's order
+        # partner is taken); against the minimum of ell1(u_j) + sum_k u_jk p_k
+        # summed in the routine's order
         rng = np.random.default_rng(m)
         u = np.zeros((24, m))
         u[1, 0], u[2, 1] = 1.5, -0.5
@@ -108,9 +106,6 @@ class TestHMin:
         role = np.zeros(len(u), dtype=int)
         role[[1, 2, 7, 8, 15, 22]], role[[17, 14, 13, 21, 16, 23]] = 1, 2
         assert ham.pair_role == tuple(role)
-        assert folded_groups(ham) == [(1, (0,), 1.5), (2, (1,), 0.5), (7, (0, m - 1), 1.0),
-                                      (15, (0,), 0.5), (22, (1,), 1.0)]
-        assert folded_groups(ham, argmin=True) == []
         p = rng.standard_normal((m, 3, 4))
         p[:, 0, 0] = 0.0                     # every control costs only ell1
         p[:, 0, 1] = -0.0
@@ -134,23 +129,18 @@ class TestHMin:
         for j in range(len(u)):
             alone = Hamiltonian(u[j:j + 1], cost[j:j + 1])
             assert np.array_equal(h_min_batch(alone, p), want[j])
-        # each group's controls alone: the folded pass is their minimum
-        for group in ([7, 13, 8, 21], [2, 14], [22, 23]):
-            sub = Hamiltonian(u[group], cost[group])
-            assert len(folded_groups(sub)) == 1
-            assert np.array_equal(h_min_batch(sub, p), want[group].min(axis=0))
         out = np.empty((3, 4))
         value, idx = h_min_batch(ham, p, argmin=True, out=out)
         assert np.array_equal(value, want_v) and np.array_equal(idx, want_i)
         assert np.shares_memory(value, out) and np.array_equal(out, want_v)
-        folded = h_min_batch(ham, p)
-        assert np.array_equal(folded, want_v)
-        for v in (folded, value):             # no -0.0 from the +-0.0 gradients
+        plain = h_min_batch(ham, p)
+        assert np.array_equal(plain, want_v)
+        for v in (plain, value):              # no -0.0 from the +-0.0 gradients
             assert not (np.signbit(v) & (v == 0.0)).any()
         assert idx[0, 0] == 0                # tie of the two all-zero controls
         with pytest.raises(ValueError):
             h_min_batch(ham, p, out=np.empty((4, 3)).T)
-        # a -0.0 cost turns the folding off: min(+0.0, -0.0) depends on order
+        # a -0.0 cost turns the pairing off: min(+0.0, -0.0) depends on order
         cost[3] = -0.0
         assert not any(Hamiltonian(u, cost).pair_role)
         # controls outside the pairs: no hinge form, hinge_batch is h_min_batch
@@ -162,17 +152,14 @@ class TestHMin:
         (shipped_delay_ham(), (1, 1, 0, 2, 2)),
     ])
     def test_shipped_control_pairs(self, ham, roles):
-        # heat's four pushes and delay's +-0.5 and +-1 fold into pairs, and
+        # heat's four pushes and delay's +-0.5 and +-1 form +- pairs, and
         # both grids are radial: H_min = alpha - sum_h beta_h max(r, rho_h)
         assert ham.pair_role == roles
-        assert ham.plan[False].span == (0, ham.control_dim)
         alpha, scale, span, ks, hinges = ham.hinge
         assert alpha == 0.05 and span == (0, ham.control_dim)
         if ham.control_dim == 2:    # heat: one group on both components
-            assert folded_groups(ham) == [(1, (0, 1), 1.0)]
             assert (scale, ks, hinges) == (1.0, (0, 1), ((0.05, 1.0),))
-        else:                       # delay: two groups on the one |p_0| pass
-            assert folded_groups(ham) == [(0, (0,), 1.0), (1, (0,), 0.5)]
+        else:                       # delay: two groups on the one component
             assert (scale, ks) == (0.5, (0,))
             assert [beta for _, beta in hinges] == [0.5, 0.5]
             np.testing.assert_allclose([rho for rho, _ in hinges], [0.025, 0.075],
@@ -250,13 +237,6 @@ class TestHMin:
         assert ham.hinge == (0.0, -1.0, None, (), ())
         p = np.random.default_rng(2).standard_normal((ham.control_dim, 7))
         assert np.array_equal(hinge_batch(ham, p, np.empty(7)), h_min_batch(ham, p))
-
-
-def folded_groups(ham, argmin=False):
-    """(first control, components, |u|) of each folded pass of the plan."""
-    plan = ham.plan[argmin]
-    return [(j, tuple(plan.span[0] + k for k in fold[0]), fold[1])
-            for j, _, _, fold in plan.passes if fold]
 
 
 class TestScatteredInterpolation:
@@ -588,7 +568,7 @@ class TestUpsilon:
                 calls[fn] += 1
                 return orig(*args)
             monkeypatch.setattr(hjb, fn, counted)
-        ups.sweep(ups.initial_iterate(), 1)
+        ups.sweep(ups.initial_iterate(), 0)
         assert calls == {"window_view": 0, "window_coefficients": 0}
 
     @pytest.mark.parametrize("name", ["heat", "delay", "trivial"])
@@ -601,7 +581,7 @@ class TestUpsilon:
         minimum = hjb.h_min_batch
         monkeypatch.setattr(hjb, "h_min_batch",
                             lambda *a, **k: calls.append(1) or minimum(*a, **k))
-        ups.sweep(ups.initial_iterate(), 1)
+        ups.sweep(ups.initial_iterate(), 0)
         steps = sum(len(steps) for steps in ups._steps)
         assert len(calls) == (steps if name == "trivial" else 0)
 
@@ -652,9 +632,10 @@ class TestUpsilon:
     @pytest.mark.parametrize("name", ["heat", "delay"])
     @pytest.mark.parametrize("start", ["initial", "random"])
     def test_sweep_equals_successive_applies(self, name, start, mini_ups):
-        # node-major sweeps: every iterate and its settled count bit for bit
-        # those of a chain of one-iterate sweeps that carries the count;
-        # node i reads gradient slices 0..i only
+        # node i reads gradient slices 0..i only; a chain of sweeps that
+        # carries the settled count copies the nodes below each count, and
+        # a count never falls; apply is the exact map, a sweep with
+        # nothing settled
         ups = mini_ups[name]
         assert all(cv.i0.max() <= i and cv.i1.max() <= i
                    for i, cv in enumerate(ups.conv))
@@ -663,26 +644,17 @@ class TestUpsilon:
         chain, counts = [g], [0]
         copied = ups.copied
         for _ in range(9):
-            (g_next,), count = ups.sweep(chain[-1], 1, counts[-1])
+            g_next, count = ups.sweep(chain[-1], counts[-1])
             chain.append(g_next)
             counts.append(count)
+        assert ups.copied - copied == sum(counts[:-1])
+        assert counts == sorted(counts)
         if start == "initial":
             assert ups.copied > copied      # the chain copies settled nodes
-        for n in (1, 3, 9):
-            before = ups.applies
-            got, count = ups.sweep(g, n)
-            assert ups.applies - before == n == len(got)
-            assert count == counts[n]
-            for a, b in zip(got, chain[1:]):
-                assert np.array_equal(a.f_values, b.f_values)
-                assert np.array_equal(a.fbar_values, b.fbar_values)
-        # apply is the exact map: one iterate with nothing settled
         for h in chain[-2:]:
-            a, ((b,), _) = ups.apply(h), ups.sweep(h, 1, 0)
+            a, (b, _) = ups.apply(h), ups.sweep(h, 0)
             assert np.array_equal(a.f_values, b.f_values)
             assert np.array_equal(a.fbar_values, b.fbar_values)
-        with pytest.raises(ValueError):
-            ups.sweep(g, 0)
 
 
 class TestPicard:
@@ -709,6 +681,9 @@ class TestPicard:
         sol0 = picard_solve(delay_model, ham, phi, ell0, cfg, initial="zero")
         d = sup_distance(sol.iterate, sol0.iterate)
         assert d <= 2.0 * cfg.tol
+        # a misspelt start is an error, not the zero start
+        with pytest.raises(ValueError, match="initial"):
+            picard_solve(delay_model, ham, phi, ell0, cfg, initial="semigroupp")
 
     def test_uniqueness_from_random_start(self, mini_delay_solution, delay_model):
         # a genuinely different start (the zero start merges into the
@@ -725,21 +700,14 @@ class TestPicard:
         assert d < cfg.tol
         assert sup_distance(g, sol.iterate) <= 2.0 * cfg.tol
 
-    def test_diagnostics(self, mini_delay_solution, delay_model, monkeypatch):
+    def test_diagnostics(self, mini_delay_solution, delay_model):
         sol, ham, phi, ell0, cfg = mini_delay_solution
         diag = sol.diagnostics
         assert diag["applies"] == {"picard": sol.iterations}
         assert 0.0 < diag["clamped_mass"] < 0.5
-        # applies counts the iterates the sweeps computed
-        lengths = []
-        sweep = UpsilonOperator.sweep
-        monkeypatch.setattr(
-            UpsilonOperator, "sweep",
-            lambda self, g, n, settled=0: lengths.append(n) or sweep(self, g, n, settled))
         pinned = SolverConfig(**{**MINI_CFG, "gamma": sol.gamma})
         sol_p = picard_solve(delay_model, ham, phi, ell0, pinned)
-        assert sol_p.diagnostics["applies"] == {"picard": sum(lengths)}
-        assert sum(lengths) == sol.iterations > len(lengths)
+        assert sol_p.diagnostics["applies"] == {"picard": sol.iterations}
         assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
 
     @pytest.mark.parametrize("name, one_ulp", [("heat", 24), ("delay", 55)],
@@ -789,14 +757,14 @@ class TestPicard:
 
     def test_growth_in_sup_norm_raises(self, delay_model, monkeypatch):
         # the sup residual hovers near 3 and grows three times in a row at
-        # step 29; no weaker norm is tried.  The sweeps raise at the same
-        # step, with the same message, as a loop of one-iterate sweeps that
-        # carries the settled count.
+        # step 29; no weaker norm is tried.  The solve raises at the same
+        # step, with the same message, as a loop of sweeps that carries the
+        # settled count, and computes no iterate past it.
         ham, phi, ell0, cfg = self._three_control_setup(3.0)
         ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=cfg.gamma)
         g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
-            (g_next,), settled = ups.sweep(g, 1, settled)
+            g_next, settled = ups.sweep(g, settled)
             d = sup_distance(g_next, g)
             streak = streak + 1 if residuals and d > residuals[-1] else 0
             residuals.append(d)
@@ -806,14 +774,13 @@ class TestPicard:
         sweep = UpsilonOperator.sweep
         monkeypatch.setattr(
             UpsilonOperator, "sweep",
-            lambda self, g, n, settled=0: solving.append(self) or sweep(self, g, n, settled))
+            lambda self, g, settled: solving.append(self) or sweep(self, g, settled))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoContraction, match="in the sup norm") as exc:
                 picard_solve(delay_model, ham, phi, ell0, cfg)
         assert str(exc.value).endswith(f"residuals={residuals[-5:]}")
-        # the sweeps compute at most three iterates past the raise
-        assert len(residuals) <= solving[0].applies <= len(residuals) + 3
+        assert len(solving) == len(residuals)
 
     def test_control_outside_covariance_image_raises(self):
         # noise only along the first coordinate, control only along the

@@ -22,7 +22,7 @@ CALLER_DIRS = ("src", "tests", "bench")
 
 # test oracles, kept without a library caller: the transition semigroup and
 # Cameron-Martin density by quadrature, and the exact Picard map that the
-# tests hold its node-major sweeps to
+# tests hold the solve's sweeps, which copy settled nodes, to
 ALLOWED = {
     "semigroup_apply",
     "cameron_martin_density",

@@ -9,6 +9,7 @@ expression, horizon), a solver section and simulation/output settings.  See
 from __future__ import annotations
 
 import inspect
+import math
 import typing
 from dataclasses import dataclass
 
@@ -62,7 +63,8 @@ def _convert(tp, value, where: str):
     """``value`` as the declared type ``tp``: a scalar type, ``X | None`` or
     ``tuple[X, ...]``.  PyYAML reads ``3e-1`` as a string, so a float
     parameter needs the conversion; an int parameter takes an integral
-    float such as ``16.0``, but ``int`` would truncate 4.7 to 4."""
+    float such as ``16.0``, but ``int`` would truncate 4.7 to 4.  A float
+    must be finite: YAML's ``.nan`` and ``.inf`` would fail mid-solve."""
     args = typing.get_args(tp)
     try:
         if type(None) in args:
@@ -71,9 +73,12 @@ def _convert(tp, value, where: str):
             return tuple(_convert(args[0], v, where) for v in value)
         if tp is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
-        return tp(value)
+        result = tp(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"cannot read {where} = {value!r} as {tp.__name__}") from exc
+    if tp is float and not math.isfinite(result):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return result
 
 
 def _read(target, section, where: str, **given):
@@ -149,6 +154,8 @@ def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, st
         raise ConfigError(
             f"model.delay.x0.present needs n = {cfg.n} entries ({exc})"
         ) from exc
+    if not np.isfinite(x0).all():
+        raise ConfigError(f"model.delay.x0.present must be finite, got {x0.tolist()}")
     return model, kind, x0
 
 
@@ -159,13 +166,16 @@ def _heat_state(spec: dict, n_modes: int) -> np.ndarray:
         coeffs = np.asarray(spec.get("coefficients", [0.0]), dtype=float)
         if coeffs.ndim != 1:
             raise ConfigError("model.heat.x0 coefficients must be a flat list of numbers")
+        if not np.isfinite(coeffs).all():
+            raise ConfigError(
+                f"model.heat.x0.coefficients must be finite, got {coeffs.tolist()}")
         if coeffs.size > n_modes:
             raise ConfigError("more state coefficients than modes")
         return np.pad(coeffs, (0, n_modes - coeffs.size))
     if kind == "smooth":
         _check_keys(spec, ("kind", "amplitude", "decay"), "model.heat.x0")
-        amp = float(spec.get("amplitude", 1.0))
-        p = float(spec.get("decay", 2.0))
+        amp = _convert(float, spec.get("amplitude", 1.0), "model.heat.x0.amplitude")
+        p = _convert(float, spec.get("decay", 2.0), "model.heat.x0.decay")
         k = np.arange(1, n_modes + 1, dtype=float)
         return amp * k ** (-p)
     raise ConfigError(f"unknown heat state kind {kind!r}")
@@ -173,16 +183,18 @@ def _heat_state(spec: dict, n_modes: int) -> np.ndarray:
 
 def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
     _check_keys(section, ("horizon", "ell0", "controls", "phi"), "cost")
-    ham_spec = _require(section, "controls", "cost")
-    if "points" in _mapping(ham_spec, "cost.controls"):
-        pts = _check_keys(ham_spec, ("points", "ell1"), "cost.controls")["points"]
-        try:
+    ham_spec = _mapping(_require(section, "controls", "cost"), "cost.controls")
+    points = "points" in ham_spec
+    where = "cost.controls (points, ell1)" if points else "cost.controls"
+    try:  # a grid that cannot be built fails here, not in the solve
+        if points:
+            pts = _check_keys(ham_spec, ("points", "ell1"), "cost.controls")["points"]
             ham = Hamiltonian(pts, ham_spec.get("ell1", np.zeros(len(pts))))
-        except DimensionMismatch as exc:
-            raise ConfigError(f"cost.controls (points, ell1): {exc}") from exc
-    else:
-        ham = _read(costs_mod.box_hamiltonian, ham_spec, "cost.controls",
-                    dim=model.control_dim)
+        else:
+            ham = _read(costs_mod.box_hamiltonian, ham_spec, "cost.controls",
+                        dim=model.control_dim)
+    except (DimensionMismatch, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
     if ham.control_dim != model.control_dim:
         raise ConfigError(
             f"control grid dim {ham.control_dim} != model control dim "

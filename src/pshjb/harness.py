@@ -122,7 +122,7 @@ def _squared_deviations(x: np.ndarray, mean) -> float:
 
 
 def _control_integrals(
-    model: ProjectedModel, t0: float, horizon: float, steps: np.ndarray, n_gl: int = 12
+    model: ProjectedModel, horizon: float, steps: np.ndarray, n_gl: int = 12
 ) -> np.ndarray:
     """B_j = int_{s_j}^{s_{j+1}} proj_control(T - r) dr for each step.
 
@@ -157,9 +157,7 @@ def _step_control_integrals(
     horizon, time_steps); models are immutable, so identity keys are sound.
     The cache keeps its last 8 models alive.
     """
-    out = _control_integrals(
-        model, t0, horizon, np.linspace(t0, horizon, time_steps + 1)
-    )
+    out = _control_integrals(model, horizon, np.linspace(t0, horizon, time_steps + 1))
     out.flags.writeable = False
     return out
 

@@ -40,11 +40,10 @@ three (heat) or four (delay) array passes, and the node's f and gradient
 quadrature sums of it are one gemm.  Everything of that step that does
 not depend on the iterate is built once: the window views, scratch and
 output slices of each s-node at assembly (:func:`window_chunks`), the
-hinge form and the pass plan of H_min with the Hamiltonian
-(:class:`Hamiltonian`).  A node whose input slices no longer change
-beyond four ulps is copied from the previous iterate instead of
-recomputed; the result stays within rounding of exact applies
-(:class:`UpsilonOperator`).
+hinge form of H_min with the Hamiltonian (:class:`Hamiltonian`).  A
+node whose input slices no longer change beyond four ulps is copied
+from the previous iterate instead of recomputed; the result stays
+within rounding of exact applies (:class:`UpsilonOperator`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -54,6 +53,7 @@ use it and only the test suite measures in it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -87,24 +87,12 @@ _SWEEP_BUDGET_BYTES = 1 << 30
 T_MIN_FACTOR = 1e-4
 
 
-class _Plan(NamedTuple):
-    """The passes of :func:`h_min_batch`."""
-
-    lead: int       # the first control with a nonzero coordinate (n_u: none)
-    # per control j from ``lead`` on, in index order: (j, ell1(u_j), the
-    # nonzero (k, u_jk) of control j)
-    passes: tuple
-    # (j, ell1(u_j)) of the least all-zero control ahead of ``lead``, or None
-    const: tuple | None
-
-
 class _Hinge(NamedTuple):
     """H_min = alpha - scale * :func:`hinge_batch` (see :class:`Hamiltonian`)."""
 
     alpha: float
     scale: float        # beta of the first hinge; -1 without a hinge form
-    span: tuple | None  # components k0 <= k < k1 whose |p_k| are read, or None
-    ks: tuple           # the components K, as k - k0
+    ks: tuple           # the components K whose |p_k| are read
     hinges: tuple       # (rho_h, beta_h) by increasing rho_h; () if not radial
 
 
@@ -112,14 +100,14 @@ class _Hinge(NamedTuple):
 class Hamiltonian:
     """Finite control grid U = {u_j} with running costs ell1(u_j).
 
-    ``plan`` holds what :func:`h_min_batch` executes, built here once (a
-    :class:`_Plan`): each control's values are ell1(u_j) + sum of u_jk p_k
-    over its nonzero u_jk, in k order.
+    ``terms`` holds each control's nonzero (k, u_jk) in k order, the
+    values that :func:`h_min_batch` sums.
 
     ``hinge`` is the form the Picard sweep takes H_min in, built here once.
-    The +- pairs (``pair_role``) with equal ell1 and equal |u| form a
-    group.  The grid is *radial* when every control is all-zero or in a +-
-    pair, there is a pair, and every group has the same components K.
+    The controls with one nonzero coordinate u_jk form groups of equal ell1
+    and equal |u_jk|, each a set of (k, sign of u_jk).  The grid is
+    *radial* when every control is all-zero or in a group, there is a
+    group, and every group is the set K x {+, -} of the same components K.
     Then H_min(p) = phi(r), r = max_{k in K} |p_k|, and
     phi(r) = min(c_0, min_g(c_g - a_g r)) (c_0 the least all-zero cost, if
     any; group g of cost c_g and |u| = a_g) is concave and piecewise linear
@@ -134,11 +122,7 @@ class Hamiltonian:
 
     control_points: np.ndarray   # (n_u, m)
     running_cost: np.ndarray     # (n_u,)
-    # per control, 1 for the lower and 2 for the upper index of a +- pair
-    # (u and -u with one nonzero coordinate and equal running cost, each
-    # control in at most one pair, lowest free partner first), else 0
-    pair_role: tuple = field(init=False, repr=False, compare=False)
-    plan: tuple = field(init=False, repr=False, compare=False)
+    terms: tuple = field(init=False, repr=False, compare=False)
     hinge: _Hinge = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -148,60 +132,39 @@ class Hamiltonian:
             raise DimensionMismatch("control grid must be nonempty")
         if c.shape != (u.shape[0],):
             raise DimensionMismatch("running_cost must match control grid length")
+        if not (np.isfinite(u).all() and np.isfinite(c).all()):
+            raise ValueError("control points and running costs must be finite")
         object.__setattr__(self, "control_points", u)
         object.__setattr__(self, "running_cost", c)
         terms = tuple(
             tuple((k, float(uk)) for k, uk in enumerate(row) if uk != 0.0) for row in u
         )
-        role = [0] * len(terms)
-        # a running cost of -0.0 is the one source of -0.0 values, whose
-        # minimum with +0.0 depends on the order the controls are taken in
-        if not (np.signbit(c) & (c == 0.0)).any():
-            for j, tj in enumerate(terms):
-                if len(tj) != 1 or role[j]:
-                    continue
-                (k, uk), = tj
-                for j2 in range(j + 1, len(terms)):
-                    if not role[j2] and terms[j2] == ((k, -uk),) and c[j2] == c[j]:
-                        role[j], role[j2] = 1, 2
-                        break
-        object.__setattr__(self, "pair_role", tuple(role))
-        lead = next((j for j, tj in enumerate(terms) if tj), len(terms))
-        least = int(np.argmin(c[:lead])) if lead else None
-        object.__setattr__(self, "plan", _Plan(
-            lead, tuple((j, float(c[j]), terms[j]) for j in range(lead, len(terms))),
-            None if least is None else (least, float(c[least]))))
-        object.__setattr__(self, "hinge", _hinge(terms, c, role))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "hinge", _hinge(terms, c.tolist()))
 
     @property
     def control_dim(self) -> int:
         return self.control_points.shape[1]
 
 
-def _groups(terms: tuple, cost: np.ndarray, role) -> dict:
-    """(ell1, |u|): components of the groups of +- pairs of ``role`` (see
-    ``Hamiltonian.pair_role``)."""
-    groups = {}
-    for j, tj in enumerate(terms):
-        if role[j] == 1:
-            (k, uk), = tj
-            ks = groups.setdefault((float(cost[j]), abs(uk)), [])
-            if k not in ks:
-                ks.append(k)
-    return groups
-
-
-def _hinge(terms: tuple, cost: np.ndarray, role) -> _Hinge:
+def _hinge(terms: tuple, cost: list) -> _Hinge:
     """The :class:`_Hinge` of controls ``terms`` (their nonzero (k, u_jk))
-    and running costs ``cost`` with the +- pairs of ``role``: the lower
-    envelope of the lines c - a r, walked from r = 0 on."""
-    groups = _groups(terms, cost, role)
-    comps = {tuple(sorted(ks)) for ks in groups.values()}
-    if len(comps) != 1 or any(tj and not r for tj, r in zip(terms, role)):
-        return _Hinge(0.0, -1.0, None, (), ())
-    ks, = comps
+    and running costs ``cost``: the lower envelope of the lines c - a r,
+    walked from r = 0 on."""
+    groups = {}
+    for tj, cj in zip(terms, cost):
+        if len(tj) > 1:
+            return _Hinge(0.0, -1.0, (), ())
+        if tj:
+            (k, uk), = tj
+            groups.setdefault((cj, abs(uk)), set()).add((k, uk > 0.0))
+    # radial: the groups are one set K x {+, -}, K nonempty
+    sets = {frozenset(g) for g in groups.values()}
+    ks = sorted({k for g in sets for k, _ in g})
+    if sets != {frozenset(itertools.product(ks, (False, True)))}:
+        return _Hinge(0.0, -1.0, (), ())
     lines = list(groups)
-    zero = [float(cj) for tj, cj in zip(terms, cost) if not tj]
+    zero = [cj for tj, cj in zip(terms, cost) if not tj]
     if zero:
         lines.append((min(zero), 0.0))
     # at r = 0 the least cost, of those the steepest line, is the minimum;
@@ -214,23 +177,22 @@ def _hinge(terms: tuple, cost: np.ndarray, role) -> _Hinge:
         rho = max((cj - c) / (aj - a), hinges[-1][0] if hinges else 0.0)
         hinges.append((rho, aj - a))
         c, a = cj, aj
-    return _Hinge(c, hinges[0][1], (ks[0], ks[-1] + 1),
-                  tuple(k - ks[0] for k in ks), tuple(hinges))
+    return _Hinge(c, hinges[0][1], tuple(ks), tuple(hinges))
 
 
 def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None):
     """Minimized Hamiltonian min_j <p, u_j> + ell1(u_j) over a batch of gradients.
 
     ``p`` has shape (m, ...): gradient components along the first axis.
-    The routine executes ``ham.plan`` (see :class:`Hamiltonian`): every
-    control takes its own pass, in index order, and the passes keep a
-    running minimum in one reused scratch row, so no array of all (point,
-    control) values is formed; leading all-zero controls, which are
-    constants, enter last as one scalar.  A first u_jk of +-1 adds or
-    subtracts p_k without the multiply, which is exact.  ``out``, if
-    given, is a C-contiguous array of p.shape[1:] values that receives the
-    minimum.  With ``argmin`` the index of the minimizer is returned as
-    well; ties break to the lowest index (determinism).
+    Every control takes its own pass, in index order: ell1(u_j) plus its
+    ``ham.terms`` in k order, into one reused scratch row that joins a
+    running minimum, so no array of all (point, control) values is formed.
+    An all-zero control is a constant: control 0 fills the minimum and a
+    later one joins it as a scalar.  A first u_jk of +-1 adds or subtracts
+    p_k without the multiply, which is exact.  ``out``, if given, is a
+    C-contiguous array of p.shape[1:] values that receives the minimum.
+    With ``argmin`` the index of the minimizer is returned as well; ties
+    break to the lowest index (determinism).
     """
     p2 = p.reshape(ham.control_dim, -1)
     if out is None:
@@ -239,12 +201,15 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
         best = out.reshape(-1)
     else:
         raise ValueError("out must be C-contiguous with one value per gradient")
-    lead, passes, const = ham.plan
     vals = np.empty(best.size)
-    idx = np.full(best.shape, lead, dtype=np.intp) if argmin else None
-    row = best                      # the first pass starts the minimum
-    for j, cost, terms in passes:
-        if terms:
+    idx = np.zeros(best.shape, dtype=np.intp) if argmin else None
+    row = best                      # control 0 starts the minimum
+    for j, (cost, terms) in enumerate(zip(ham.running_cost.tolist(), ham.terms)):
+        if not terms:
+            row = cost              # an all-zero control: a constant
+            if not j:
+                best.fill(cost)
+        else:
             (k, uk), *rest = terms
             if uk == 1.0:
                 np.add(p2[k], cost, out=row)
@@ -255,24 +220,11 @@ def h_min_batch(ham: Hamiltonian, p: np.ndarray, argmin: bool = False, out=None)
                 row += cost
             for k, uk in rest:
                 row += uk * p2[k]
-        else:
-            row = cost              # an all-zero control: a constant
-        if j != lead:
+        if j:
             if argmin:
                 np.putmask(idx, row < best, j)
             np.minimum(best, row, out=best)
         row = vals
-    if const:
-        # all-zero controls ahead of the lead (the rest control of the heat
-        # grids) are constants: the least of them, lowest index first,
-        # joins last and wins its ties, as every other control has a
-        # higher index
-        j, cost = const
-        if not passes:
-            best.fill(np.inf)       # no control has a nonzero coordinate
-        if argmin:
-            np.putmask(idx, best >= cost, j)
-        np.minimum(best, cost, out=best)
     shape = p.shape[1:]
     return (best.reshape(shape), idx.reshape(shape)) if argmin else best.reshape(shape)
 
@@ -283,21 +235,20 @@ def hinge_batch(ham: Hamiltonian, p: np.ndarray, out: np.ndarray) -> np.ndarray:
     (``ham.hinge``, see :class:`Hamiltonian`).  On a grid without hinges
     the result is :func:`h_min_batch`'s.
 
-    ``p`` has shape (m, *B) and ``out`` shape B, C-contiguous.  The rows of
-    ``p`` in the hinge's span are overwritten with |p_k|, so that no scratch
-    is needed: r = max_k |p_k| is formed in the first row of K, and as
-    rho_h increases, max(r, rho_h) replaces r in place.  Heat's grid takes
-    three passes (|p| over both rows, the max over K, the max with rho) and
-    delay's four (|p|, two maxima with rho, one sum).
+    ``p`` has shape (m, *B) and ``out`` shape B, C-contiguous.  ``p`` is
+    overwritten with |p|, so that no scratch is needed: r = max_k |p_k| is
+    formed in the row of the first component of K, and as rho_h increases,
+    max(r, rho_h) replaces r in place.  Heat's grid takes three passes (|p|
+    over both rows, the max over K, the max with rho) and delay's four
+    (|p|, two maxima with rho, one sum).
     """
-    _, scale, span, ks, hinges = ham.hinge
+    _, scale, ks, hinges = ham.hinge
     if not hinges:
         return h_min_batch(ham, p, out=out)
-    absp = p[span[0]:span[1]]
-    np.abs(absp, out=absp)
-    r = absp[ks[0]]
+    np.abs(p, out=p)
+    r = p[ks[0]]
     for k in ks[1:]:
-        np.maximum(r, absp[k], out=r)
+        np.maximum(r, p[k], out=r)
     np.maximum(r, hinges[0][0], out=out)
     for rho, beta in hinges[1:]:
         np.maximum(r, rho, out=r)

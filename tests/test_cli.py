@@ -44,6 +44,21 @@ def small_delay_config(**overrides):
         },
         "simulate": {"n_samples": 400, "time_steps": 10, "n_random_policies": 3},
     }
+    return override(cfg, overrides)
+
+
+def small_heat_config(**overrides):
+    """:func:`small_delay_config` on a small heat model (m = 2, N = 2)."""
+    cfg = small_delay_config()
+    cfg["model"] = {"kind": "heat", "heat": {
+        "n_modes": 64, "x0": {"kind": "smooth", "amplitude": 0.5, "decay": 2.0}}}
+    cfg["cost"]["controls"] = {"points_per_dim": 3}
+    cfg["cost"]["phi"] = {"kind": "tanh", "direction": [0.8, -0.5]}
+    return override(cfg, overrides)
+
+
+def override(cfg, overrides):
+    """``cfg`` with each dotted key of ``overrides`` set to its value."""
     for key, val in overrides.items():
         node = cfg
         parts = key.split(".")
@@ -244,9 +259,30 @@ class TestInvalidConfig:
         ("solver.box_halfwidth", float("nan")),
         ("solver.box_halfwidth", float("inf")),
         ("cost.horizon", float("inf")),
+        # control grids that would fail mid-solve or in numpy
+        ("cost.controls.ell1", [0.05, float("nan"), 0.05]),
+        ("cost.controls.points", [[float("nan")], [0.0], [1.0]]),
+        ("cost.controls.points", [[-1.0], [0.0], [float("inf")]]),
+        ("cost.controls.points", [[-1.0], [0.0, 1.0], [1.0]]),      # ragged
+        ("cost.controls", {"points_per_dim": 0}),
+        # a non-finite float for a float key, in a tuple and in a start
+        ("solver.tol", float("inf")),
+        ("model.heat.beta", float("nan")),
+        ("model.heat.alpha", float("nan")),
+        ("cost.ell0.value", float("nan")),
+        ("cost.phi.scale", float("nan")),
+        ("cost.phi", {"kind": "smooth_indicator", "direction": [1.0, 1.0],
+                      "sharpness": float("nan")}),
+        ("cost.ell0", {"kind": "table", "times": [0.0, 1.0],
+                       "values": [0.0, float("nan")]}),
+        ("cost.controls", {"points_per_dim": 3, "hi": float("nan")}),
+        ("model.delay.x0.present", [float("nan"), 0.0]),
+        ("model.heat.x0.amplitude", float("nan")),
+        ("model.heat.x0", {"coefficients": [float("nan")]}),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
-        path = write_config(tmp_path, small_delay_config(**{key: value}))
+        build = small_heat_config if key.startswith("model.heat.") else small_delay_config
+        path = write_config(tmp_path, build(**{key: value}))
         out = tmp_path / "out"
         command = "solve" if key.startswith("solver.") else "simulate"
         rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
@@ -261,10 +297,8 @@ class TestInvalidConfig:
         ({"x0": {"kind": "smooth", "amplitud": 1.0}}, "amplitud"),
     ])
     def test_misspelt_heat_key_rejected(self, tmp_path, capsys, heat, misspelt):
-        cfg = small_delay_config()
-        cfg["model"] = {"kind": "heat", "heat": {"n_modes": 64, **heat}}
-        cfg["cost"]["controls"] = {"points_per_dim": 3}
-        cfg["cost"]["phi"] = {"kind": "tanh", "direction": [0.8, -0.5]}
+        cfg = small_heat_config()
+        cfg["model"]["heat"].update(heat)
         out = tmp_path / "out"
         rc = main(["solve", "--config", write_config(tmp_path, cfg),
                    "--out-dir", str(out), "--quiet"])

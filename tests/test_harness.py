@@ -70,7 +70,7 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
-    b_ints = _control_integrals(model, t0, T, steps)
+    b_ints = _control_integrals(model, T, steps)
     u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
 
@@ -102,7 +102,7 @@ def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
-    b_ints = _control_integrals(model, t0, T, steps)
+    b_ints = _control_integrals(model, T, steps)
     u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
     mean = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
     run_cost = 0.0
@@ -233,7 +233,7 @@ class TestSimulateCost:
         res = simulate_cost(delay_model, cost, Policy.constant(idx), 0.0, X0,
                             n_samples=40_000, time_steps=20, seed=5)
         steps = np.linspace(0.0, 1.0, 21)
-        b_ints = _control_integrals(delay_model, 0.0, 1.0, steps)
+        b_ints = _control_integrals(delay_model, 1.0, steps)
         mean_terminal = delay_model.proj_semigroup_apply(1.0, X0) + np.einsum(
             "jnk,k->n", b_ints, ham.control_points[idx]
         )
@@ -300,7 +300,7 @@ class TestControlIntegralTable:
         built = []
 
         def counted(*args, **kwargs):
-            built.append(args[1:3])
+            built.append((args[2][0], args[1]))      # (t0, horizon)
             return _control_integrals(*args, **kwargs)
 
         monkeypatch.setattr(harness, "_control_integrals", counted)
@@ -328,7 +328,7 @@ class TestControlIntegralTable:
                 for xi, wi in zip(x, w):
                     acc += wi * half * delay_model.proj_control(mid + half * xi)
             want[j] = acc
-        assert np.array_equal(_control_integrals(delay_model, 0.0, 1.0, steps), want)
+        assert np.array_equal(_control_integrals(delay_model, 1.0, steps), want)
 
     def test_table_is_read_only(self, delay_model):
         table = harness._step_control_integrals(delay_model, 0.0, 1.0, 20)

@@ -76,10 +76,9 @@ class TestHMin:
         # rows (exact ties), axis-aligned controls and coefficients +-1 (a
         # single term, the first of two terms, a later term), and +- pairs:
         # adjacent and not, |u| = 0.5, 1 and 1.5, three on component 0 and
-        # three on component 1 at m = 2 (sharing |p_k|), next to look-alikes that
-        # must not pair (unequal costs, two coordinates, a duplicate whose
-        # partner is taken); against the minimum of ell1(u_j) + sum_k u_jk p_k
-        # summed in the routine's order
+        # three on component 1 at m = 2, next to look-alikes (unequal costs,
+        # two coordinates, a duplicate); against the minimum of
+        # ell1(u_j) + sum_k u_jk p_k summed in the routine's order
         rng = np.random.default_rng(m)
         u = np.zeros((24, m))
         u[1, 0], u[2, 1] = 1.5, -0.5
@@ -103,16 +102,12 @@ class TestHMin:
         cost[13], cost[14], cost[16], cost[21] = cost[7], cost[2], cost[15], cost[8]
         cost[19], cost[23] = cost[18] + 1.0 / 16.0, cost[22]
         ham = Hamiltonian(u, cost)
-        role = np.zeros(len(u), dtype=int)
-        role[[1, 2, 7, 8, 15, 22]], role[[17, 14, 13, 21, 16, 23]] = 1, 2
-        assert ham.pair_role == tuple(role)
         p = rng.standard_normal((m, 3, 4))
         p[:, 0, 0] = 0.0                     # every control costs only ell1
         p[:, 0, 1] = -0.0
         p[:, 0, 2] = (-0.0, 0.0) + (-0.0,) * (m - 2)
-        # exact ties across groups: rows 10 and 17 (the upper index of the
-        # pair (1, 17)) at -1.5; rows 1 and 6 (a pair's lower index and its
-        # unpaired duplicate) at -1.5
+        # exact ties: rows 10 and 17 (-u_1) at -1.5; rows 1 and 6
+        # (duplicates) at -1.5
         p[:, 1, 0] = (1.0, 0.5) + (0.0,) * (m - 2)
         p[:, 1, 1] = (-1.0,) + (0.0,) * (m - 1)
         want = np.empty((len(u), 3, 4))
@@ -140,23 +135,18 @@ class TestHMin:
         assert idx[0, 0] == 0                # tie of the two all-zero controls
         with pytest.raises(ValueError):
             h_min_batch(ham, p, out=np.empty((4, 3)).T)
-        # a -0.0 cost turns the pairing off: min(+0.0, -0.0) depends on order
-        cost[3] = -0.0
-        assert not any(Hamiltonian(u, cost).pair_role)
-        # controls outside the pairs: no hinge form, hinge_batch is h_min_batch
-        assert ham.hinge == (0.0, -1.0, None, (), ())
+        # controls with two coordinates: no hinge form, hinge_batch is h_min_batch
+        assert ham.hinge == (0.0, -1.0, (), ())
         assert np.array_equal(hinge_batch(ham, p, np.empty((3, 4))), want_v)
 
-    @pytest.mark.parametrize("ham, roles", [
-        (shipped_heat_ham(), (0, 1, 2, 1, 2)),
-        (shipped_delay_ham(), (1, 1, 0, 2, 2)),
-    ])
-    def test_shipped_control_pairs(self, ham, roles):
-        # heat's four pushes and delay's +-0.5 and +-1 form +- pairs, and
-        # both grids are radial: H_min = alpha - sum_h beta_h max(r, rho_h)
-        assert ham.pair_role == roles
-        alpha, scale, span, ks, hinges = ham.hinge
-        assert alpha == 0.05 and span == (0, ham.control_dim)
+    @pytest.mark.parametrize("ham", [shipped_heat_ham(), shipped_delay_ham()],
+                             ids=["heat", "delay"])
+    def test_shipped_control_pairs(self, ham):
+        # heat's four pushes and delay's +-0.5 and +-1 form groups of +-
+        # controls, and both grids are radial:
+        # H_min = alpha - sum_h beta_h max(r, rho_h)
+        alpha, scale, ks, hinges = ham.hinge
+        assert alpha == 0.05
         if ham.control_dim == 2:    # heat: one group on both components
             assert (scale, ks, hinges) == (1.0, (0, 1), ((0.05, 1.0),))
         else:                       # delay: two groups on the one component
@@ -184,7 +174,8 @@ class TestHMin:
             cost.insert(len(cost) // 2, c)
         return Hamiltonian(np.array(rows), np.array(cost))
 
-    @pytest.mark.parametrize("name", ["heat", "delay", "three groups", "no constant"])
+    @pytest.mark.parametrize("name", ["heat", "delay", "three groups", "no constant",
+                                      "-0.0 rest", "duplicate push"])
     def test_hinge_form_matches_h_min(self, name):
         # alpha - scale * hinge_batch within 4 ulps of the largest term
         # max(|c|, a r) of h_min_batch, at random gradients, at r exactly
@@ -201,28 +192,39 @@ class TestHMin:
             assert ham.hinge.alpha == 1.2 and ham.hinge.scale == 0.5
             np.testing.assert_allclose(ham.hinge.hinges,
                                        [(0.1, 0.5), (0.4, 0.5), (0.9, 1.0)], rtol=1e-15)
-        else:
+        elif name == "no constant":
             # pairs on component 1 of 2 only, no all-zero control: phi
             # falls from r = 0, a first hinge at rho = 0
             ham = self.radial_grid([(0.2, 1.0), (0.0, 0.5)], [], (1,), 2)
-            assert ham.hinge.span == (1, 2) and ham.hinge.alpha == 0.2
+            assert ham.hinge.ks == (1,) and ham.hinge.alpha == 0.2
             np.testing.assert_allclose(ham.hinge.hinges, [(0.0, 0.5), (0.4, 0.5)],
                                        rtol=1e-15)
-        alpha, scale, (k0, k1), ks, hinges = ham.hinge
+        elif name == "-0.0 rest":
+            # a -0.0 running cost groups and orders like +0.0
+            ham = Hamiltonian([[1.0], [-1.0], [0.0]], [0.1, 0.1, -0.0])
+            assert ham.hinge == (0.1, 1.0, (0,), ((0.1, 1.0),))
+        else:
+            # a push listed twice joins its group once
+            heat = shipped_heat_ham()
+            ham = Hamiltonian(np.vstack((heat.control_points, [1.0, 0.0])),
+                              np.append(heat.running_cost, heat.running_cost[1]))
+            assert ham.hinge == heat.hinge
+        alpha, scale, ks, hinges = ham.hinge
         m = ham.control_dim
         rng = np.random.default_rng(11)
         p = rng.standard_normal((m, 6, 50)) * rng.choice([0.01, 0.1, 1.0], (6, 50))
         for h, (rho, _) in enumerate(hinges):
             p[:, h, :4] = rng.uniform(-rho, rho, (m, 4))
-            p[k0 + ks[-1], h, :4] = rho, -rho, rho, -rho
+            p[ks[-1], h, :4] = rho, -rho, rho, -rho
         p[:, -1, :3] = 0.0
         p[:, -1, 1] = -0.0
         p[:, -1, 2] = np.where(np.arange(m) % 2, -0.0, 0.0)
         work = p.copy()
         x = hinge_batch(ham, work, np.empty(p.shape[1:]))
-        assert np.array_equal(np.delete(work, range(k0, k1), axis=0),
-                              np.delete(p, range(k0, k1), axis=0))
-        r = np.abs(p[k0:k1][list(ks)]).max(axis=0)
+        # every row but r's holds |p_k|
+        assert np.array_equal(np.delete(work, ks[0], axis=0),
+                              np.abs(np.delete(p, ks[0], axis=0)))
+        r = np.abs(p[list(ks)]).max(axis=0)
         c, a = np.abs(ham.running_cost).max(), np.abs(ham.control_points).max()
         err = np.abs(alpha - scale * x - h_min_batch(ham, p))
         assert (err <= 4 * np.spacing(np.maximum(c, a * r))).all()
@@ -231,10 +233,11 @@ class TestHMin:
         ([[0.0], [1.0], [-1.0], [0.5]], [0.0, 0.1, 0.1, 0.1]),          # unpaired
         ([[1.0, 0.0], [-1.0, 0.0], [0.0, 2.0], [0.0, -2.0]], [0.1] * 4),  # two K
         ([[0.0, 0.0], [0.0, 0.0]], [0.3, 0.1]),                          # no pair
+        ([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]], [0.1] * 3),              # no -e_1
     ])
     def test_grids_without_hinge_form(self, u, cost):
         ham = Hamiltonian(u, cost)
-        assert ham.hinge == (0.0, -1.0, None, (), ())
+        assert ham.hinge == (0.0, -1.0, (), ())
         p = np.random.default_rng(2).standard_normal((ham.control_dim, 7))
         assert np.array_equal(hinge_batch(ham, p, np.empty(7)), h_min_batch(ham, p))
 

@@ -10,6 +10,9 @@ and ``__init__.py`` only re-exports modules, so neither counts.
 Every defaulted parameter of a public function or method must be passed, by
 keyword or by position, by some call in ``src``, ``tests`` or ``bench``.
 Calls are matched by function name alone.
+
+Every parameter of every function or lambda of ``src/pshjb`` must be read
+in its body.
 """
 
 import ast
@@ -132,3 +135,32 @@ def test_every_defaulted_parameter_is_passed_somewhere():
         and (pos is None or (name, pos - is_method) not in passed)
     ]
     assert unused == [], "defaulted parameters that no call passes: " + ", ".join(unused)
+
+
+def unread_parameters(tree):
+    """(function name, parameter) of every parameter, but ``self`` and
+    ``cls``, that its function's body never reads; a stub whose body raises
+    NotImplementedError reads none by design."""
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.Lambda)):
+            continue
+        body = fn.body if isinstance(fn, ast.FunctionDef) else [fn.body]
+        if any(isinstance(n, ast.Raise) and "NotImplementedError" in ast.unparse(n)
+               for n in body):
+            continue
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs + [
+            a for a in (args.vararg, args.kwarg) if a is not None]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(fn, "name", "<lambda>")
+        yield from ((name, a.arg) for a in params
+                    if a.arg not in ("self", "cls") and a.arg not in read)
+
+
+def test_every_parameter_is_read():
+    """A parameter that its function never reads is an input that changes
+    nothing, and every caller passes it for nothing."""
+    unread = [f"{path.name}:{name}({param})" for path in sorted(SRC.glob("*.py"))
+              for name, param in unread_parameters(ast.parse(path.read_text()))]
+    assert unread == [], "parameters that their function never reads: " + ", ".join(unread)

@@ -4,12 +4,15 @@ A run config has exactly one model section (``heat`` or ``delay``), a cost
 section (ell0 spec, control grid with running costs, terminal cost
 expression, horizon), a solver section and simulation/output settings.  See
 ``configs/`` for shipped examples.
+
+Every section is read by :func:`_read` against the signature of the one
+dataclass or builder it feeds, so each YAML value becomes a typed value in
+:func:`_convert` and nowhere else.
 """
 
 from __future__ import annotations
 
 import inspect
-import math
 import typing
 from dataclasses import dataclass
 
@@ -60,23 +63,31 @@ def _check_keys(section, allowed, where: str) -> dict:
 
 
 def _convert(tp, value, where: str):
-    """``value`` as the declared type ``tp``: a scalar type, ``X | None`` or
-    ``tuple[X, ...]``.  PyYAML reads ``3e-1`` as a string, so a float
-    parameter needs the conversion; an int parameter takes an integral
-    float such as ``16.0``, but ``int`` would truncate 4.7 to 4.  A float
-    must be finite: YAML's ``.nan`` and ``.inf`` would fail mid-solve."""
+    """``value`` as the declared type ``tp``: a scalar type, ``X | None``,
+    ``tuple[X, ...]``, ``np.ndarray`` (an array of floats) or a NamedTuple
+    (a mapping of its fields, read by :func:`_read`).  PyYAML reads ``3e-1``
+    as a string, so a float parameter needs the conversion; an int
+    parameter takes an integral float such as ``16.0``, but ``int`` would
+    truncate 4.7 to 4.  A float and every entry of an array must be finite:
+    YAML's ``.nan`` and ``.inf`` would fail mid-solve."""
+    if hasattr(tp, "_fields"):
+        return _read(tp, value, where)
     args = typing.get_args(tp)
     try:
         if type(None) in args:
             return None if value is None else _convert(args[0], value, where)
         if typing.get_origin(tp) is tuple:
+            if isinstance(value, str):      # not a sequence of its letters
+                raise TypeError(value)
             return tuple(_convert(args[0], v, where) for v in value)
+        if isinstance(value, bool):     # YAML's yes, no, on and off are no numbers
+            raise TypeError(value)
         if tp is int and isinstance(value, float) and not value.is_integer():
             raise ValueError(value)
-        result = tp(value)
-    except (TypeError, ValueError) as exc:
+        result = np.asarray(value, dtype=float) if tp is np.ndarray else tp(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"cannot read {where} = {value!r} as {tp.__name__}") from exc
-    if tp is float and not math.isfinite(result):
+    if tp in (float, np.ndarray) and not np.isfinite(result).all():
         raise ConfigError(f"{where} must be finite, got {value!r}")
     return result
 
@@ -89,8 +100,8 @@ def _read(target, section, where: str, **given):
     builder, so its keys, their types and their defaults are those of the
     target's signature: a key that ``target`` does not take is a config
     error, each value is converted to the type its parameter declares, a
-    parameter without a key takes its default, and a ValueError from
-    ``target`` is a config error.
+    parameter without a key takes its default, and a ValueError or
+    DimensionMismatch from ``target`` is a config error.
     """
     params = inspect.signature(target).parameters
     hints = typing.get_type_hints(target)
@@ -102,99 +113,74 @@ def _read(target, section, where: str, **given):
             raise ConfigError(f"missing key {name!r} in {where}")
     try:
         return target(**given)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    except (DimensionMismatch, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _read_kind(builders: dict, spec, where: str, default: str | None = None):
+def _read_kind(builders: dict, spec, where: str, default: str | None = None, **given):
     """:func:`_read` of the builder that the ``kind`` key of ``spec`` names."""
     spec = dict(_mapping(spec, where))
     kind = spec.pop("kind", default)
     if kind is None:
         raise ConfigError(f"missing key 'kind' in {where}")
-    if kind not in builders:
+    if not isinstance(kind, str) or kind not in builders:
         raise ConfigError(f"unknown kind {kind!r} in {where}")
-    return _read(builders[kind], spec, where)
+    return _read(builders[kind], spec, where, **given)
 
 
-def _build_model(section: dict, force: bool = False) -> tuple[ProjectedModel, str, np.ndarray]:
-    kind = _require(section, "kind", "model")
+def _modes_start(n_modes: int, coefficients: np.ndarray = np.zeros(0)) -> np.ndarray:
+    """The heat start with leading mode coefficients ``coefficients``."""
+    if coefficients.ndim != 1 or coefficients.size > n_modes:
+        raise ValueError(
+            f"coefficients must be a flat list of at most n_modes = {n_modes} numbers")
+    return np.pad(coefficients, (0, n_modes - coefficients.size))
+
+
+def _smooth_start(n_modes: int, amplitude: float = 1.0, decay: float = 2.0) -> np.ndarray:
+    """The heat start amplitude * k^-decay in mode k."""
+    return amplitude * np.arange(1, n_modes + 1, dtype=float) ** (-decay)
+
+
+def _delay_start(model: ProjectedModel, present: np.ndarray | None = None) -> np.ndarray:
+    """The delay start: the present state, zero if not given."""
+    return model.project_state(np.zeros(model.proj_dim) if present is None else present)
+
+
+def _build_model(section, force: bool = False) -> tuple[ProjectedModel, str, np.ndarray]:
+    kind = _require(_mapping(section, "model"), "kind", "model")
     if kind not in ("heat", "delay"):
         raise ConfigError(f"unknown model kind {kind!r}")
     _check_keys(section, ("kind", kind), "model")
+    where = f"model.{kind}"
+    spec = dict(_mapping(section.get(kind, {}), where))
     if kind == "heat":
-        h = dict(_mapping(section.get("heat", {}), "model.heat"))
-        x0_spec = h.pop("x0", {"kind": "modes", "coefficients": [1.0]})
-        cfg = _read(HeatConfig, h, "model.heat")
-        return build_heat(cfg), kind, _heat_state(x0_spec, cfg.n_modes)
-    d = _check_keys(
-        section.get("delay", {}),
-        ("a0", "b0", "sigma", "delay", "atoms", "density", "x0"),
-        "model.delay",
-    )
-    # DelayConfig converts the matrices and checks their shapes
-    atoms = []
-    for atom in d.get("atoms", []):
-        _check_keys(atom, ("location", "weight"), "model.delay.atoms")
-        atoms.append((float(_require(atom, "location", "model.delay.atoms")),
-                      _require(atom, "weight", "model.delay.atoms")))
-    cfg = DelayConfig(
-        a0=_require(d, "a0", "model.delay"),
-        b0=_require(d, "b0", "model.delay"),
-        sigma=_require(d, "sigma", "model.delay"),
-        delay=float(_require(d, "delay", "model.delay")),
-        b1_atoms=tuple(atoms),
-        b1_density=d.get("density"),
-    )
-    model = build_delay(cfg, force=force)
-    x0_spec = _check_keys(d.get("x0", {}), ("present",), "model.delay.x0")
-    try:  # a start of another length fails here, not in the solve
-        x0 = model.project_state(x0_spec.get("present", [0.0] * cfg.n))
-    except (DimensionMismatch, ValueError) as exc:
-        raise ConfigError(
-            f"model.delay.x0.present needs n = {cfg.n} entries ({exc})"
-        ) from exc
-    if not np.isfinite(x0).all():
-        raise ConfigError(f"model.delay.x0.present must be finite, got {x0.tolist()}")
-    return model, kind, x0
+        x0 = spec.pop("x0", {"coefficients": [1.0]})
+        cfg = _read(HeatConfig, spec, where)
+        return build_heat(cfg), kind, _read_kind(
+            {"modes": _modes_start, "smooth": _smooth_start}, x0, f"{where}.x0",
+            default="modes", n_modes=cfg.n_modes)
+    x0 = spec.pop("x0", {})
+    model = build_delay(_read(DelayConfig, spec, where), force=force)
+    return model, kind, _read(_delay_start, x0, f"{where}.x0", model=model)
 
 
-def _heat_state(spec: dict, n_modes: int) -> np.ndarray:
-    kind = _mapping(spec, "model.heat.x0").get("kind", "modes")
-    if kind == "modes":
-        _check_keys(spec, ("kind", "coefficients"), "model.heat.x0")
-        coeffs = np.asarray(spec.get("coefficients", [0.0]), dtype=float)
-        if coeffs.ndim != 1:
-            raise ConfigError("model.heat.x0 coefficients must be a flat list of numbers")
-        if not np.isfinite(coeffs).all():
-            raise ConfigError(
-                f"model.heat.x0.coefficients must be finite, got {coeffs.tolist()}")
-        if coeffs.size > n_modes:
-            raise ConfigError("more state coefficients than modes")
-        return np.pad(coeffs, (0, n_modes - coeffs.size))
-    if kind == "smooth":
-        _check_keys(spec, ("kind", "amplitude", "decay"), "model.heat.x0")
-        amp = _convert(float, spec.get("amplitude", 1.0), "model.heat.x0.amplitude")
-        p = _convert(float, spec.get("decay", 2.0), "model.heat.x0.decay")
-        k = np.arange(1, n_modes + 1, dtype=float)
-        return amp * k ** (-p)
-    raise ConfigError(f"unknown heat state kind {kind!r}")
+def _points_grid(points: np.ndarray, ell1: np.ndarray | None = None) -> Hamiltonian:
+    """The control grid ``points`` with running costs ``ell1``, zero if not given."""
+    if ell1 is None:
+        ell1 = np.zeros(points.shape[:1])
+    elif ell1.shape != points.shape[:1]:
+        raise ValueError("ell1 needs one running cost per point")
+    return Hamiltonian(points, ell1)
 
 
-def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
+def _build_cost(section, model: ProjectedModel) -> CostSpec:
     _check_keys(section, ("horizon", "ell0", "controls", "phi"), "cost")
-    ham_spec = _mapping(_require(section, "controls", "cost"), "cost.controls")
-    points = "points" in ham_spec
-    where = "cost.controls (points, ell1)" if points else "cost.controls"
-    try:  # a grid that cannot be built fails here, not in the solve
-        if points:
-            pts = _check_keys(ham_spec, ("points", "ell1"), "cost.controls")["points"]
-            ham = Hamiltonian(pts, ham_spec.get("ell1", np.zeros(len(pts))))
-        else:
-            ham = _read(costs_mod.box_hamiltonian, ham_spec, "cost.controls",
-                        dim=model.control_dim)
-    except (DimensionMismatch, TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    controls = _mapping(_require(section, "controls", "cost"), "cost.controls")
+    if "points" in controls:
+        ham = _read(_points_grid, controls, "cost.controls")
+    else:
+        ham = _read(costs_mod.box_hamiltonian, controls, "cost.controls",
+                    dim=model.control_dim)
     if ham.control_dim != model.control_dim:
         raise ConfigError(
             f"control grid dim {ham.control_dim} != model control dim "
@@ -221,6 +207,21 @@ def _build_cost(section: dict, model: ProjectedModel) -> CostSpec:
     return CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=horizon)
 
 
+def _simulate(horizon: float, t0: float = 0.0, n_samples: int = 10_000,
+              time_steps: int = 20, n_random_policies: int = 10) -> dict:
+    """The settings of the ``simulate`` section, as :class:`RunConfig` fields."""
+    if not 0.0 <= t0 < horizon:
+        raise ValueError(f"t0 = {t0} must lie in [0, horizon = {horizon})")
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if time_steps < 1:
+        raise ValueError(f"time_steps must be >= 1, got {time_steps}")
+    if n_random_policies < 0:
+        raise ValueError(f"n_random_policies must be >= 0, got {n_random_policies}")
+    return {"t0": t0, "n_samples": n_samples, "time_steps": time_steps,
+            "n_random_policies": n_random_policies}
+
+
 def load_config(
     path: str, seed_override: int | None = None, force_model: bool = False
 ) -> RunConfig:
@@ -238,35 +239,6 @@ def load_config(
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _read(SolverConfig, raw.get("solver", {}), "solver", horizon=cost.horizon)
-    sim_keys = ("t0", "n_samples", "time_steps", "n_random_policies")
-    sim = _check_keys(raw.get("simulate", {}), sim_keys, "simulate")
-    t0 = _convert(float, sim.get("t0", 0.0), "simulate.t0")
-    n_samples = _convert(int, sim.get("n_samples", 10_000), "simulate.n_samples")
-    time_steps = _convert(int, sim.get("time_steps", 20), "simulate.time_steps")
-    n_random_policies = _convert(
-        int, sim.get("n_random_policies", 10), "simulate.n_random_policies"
-    )
-    if not 0.0 <= t0 < cost.horizon:
-        raise ConfigError(
-            f"simulate.t0 = {t0} must lie in [0, horizon = {cost.horizon})"
-        )
-    if n_samples < 1:
-        raise ConfigError(f"simulate.n_samples must be >= 1, got {n_samples}")
-    if time_steps < 1:
-        raise ConfigError(f"simulate.time_steps must be >= 1, got {time_steps}")
-    if n_random_policies < 0:
-        raise ConfigError(
-            f"simulate.n_random_policies must be >= 0, got {n_random_policies}"
-        )
-    return RunConfig(
-        model=model,
-        model_kind=kind,
-        cost=cost,
-        solver=solver,
-        x0=x0,
-        t0=t0,
-        n_samples=n_samples,
-        time_steps=time_steps,
-        n_random_policies=n_random_policies,
-        seed=seed,
-    )
+    sim = _read(_simulate, raw.get("simulate", {}), "simulate", horizon=cost.horizon)
+    return RunConfig(model=model, model_kind=kind, cost=cost, solver=solver, x0=x0,
+                     seed=seed, **sim)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,27 +34,39 @@ from .ou import ProjectedModel
 from .spectral import expm
 
 
+class Atom(NamedTuple):
+    """A point mass of b1: an n x m weight at a location in [-d, 0]."""
+
+    location: float
+    weight: np.ndarray
+
+
 @dataclass(frozen=True)
 class DelayConfig:
     """Dimensions, matrices and delay structure of the controlled SDE.
 
-    ``b1_atoms`` is a list of (location, weight-matrix) pairs with locations
-    in [-d, 0]; ``b1_density`` optionally tabulates an absolutely continuous
-    part on a uniform grid over [-d, 0] (shape (n_points, n, m)).
+    ``atoms`` are the point masses of b1; ``density`` optionally tabulates
+    an absolutely continuous part on a uniform grid over [-d, 0] (shape
+    (n_points, n, m)).
     """
 
     a0: np.ndarray
     b0: np.ndarray
     sigma: np.ndarray
     delay: float
-    b1_atoms: tuple[tuple[float, np.ndarray], ...] = ()
-    b1_density: np.ndarray | None = None
+    atoms: tuple[Atom, ...] = ()
+    density: np.ndarray | None = None
 
     def __post_init__(self):
-        a0 = np.atleast_2d(np.asarray(self.a0, dtype=float))
-        b0 = np.atleast_2d(np.asarray(self.b0, dtype=float))
-        sigma = np.atleast_2d(np.asarray(self.sigma, dtype=float))
-        for name, arr in (("a0", a0), ("b0", b0), ("sigma", sigma)):
+        a0, b0, sigma = (np.atleast_2d(np.asarray(x, dtype=float))
+                         for x in (self.a0, self.b0, self.sigma))
+        atoms = tuple(Atom(float(loc), np.atleast_2d(np.asarray(w, dtype=float)))
+                      for loc, w in self.atoms)
+        dens = None if self.density is None else np.asarray(self.density, dtype=float)
+        arrays = [("a0", a0), ("b0", b0), ("sigma", sigma)]
+        arrays += [("atom weights", w) for _, w in atoms]
+        arrays += [("density table", dens)] if dens is not None else []
+        for name, arr in arrays:
             if not np.isfinite(arr).all():
                 raise ConfigError(f"{name} must be finite")
         if a0.shape[0] != a0.shape[1]:
@@ -63,30 +76,19 @@ class DelayConfig:
             raise ConfigError("b0 and sigma must have n rows")
         if not 0 < self.delay < np.inf:
             raise ConfigError(f"delay must be finite and > 0, got {self.delay}")
-        atoms = []
-        for loc, w in self.b1_atoms:
-            w = np.atleast_2d(np.asarray(w, dtype=float))
+        for loc, w in atoms:
             if not -self.delay <= loc <= 0.0:
                 raise ConfigError(f"atom location {loc} outside [-d, 0]")
             if w.shape != b0.shape:
                 raise ConfigError("atom weights must be n x m")
-            if not np.isfinite(w).all():
-                raise ConfigError("atom weights must be finite")
-            atoms.append((float(loc), w))
-        dens = self.b1_density
         if dens is not None:
-            dens = np.asarray(dens, dtype=float)
             if dens.ndim != 3 or dens.shape[1:] != b0.shape:
                 raise ConfigError("density table must be (n_points, n, m)")
             if dens.shape[0] < 2:
                 raise ConfigError("density table needs >= 2 points")
-            if not np.isfinite(dens).all():
-                raise ConfigError("density table must be finite")
-        object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "b0", b0)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b1_atoms", tuple(atoms))
-        object.__setattr__(self, "b1_density", dens)
+        for name, value in (("a0", a0), ("b0", b0), ("sigma", sigma),
+                            ("atoms", atoms), ("density", dens)):
+            object.__setattr__(self, name, value)
 
     @property
     def n(self) -> int:
@@ -130,24 +132,24 @@ def proj_control_delay(cfg: DelayConfig, t) -> np.ndarray:
     if not np.all(t > 0):
         raise ValueError("t must be > 0")
     out = expm(np.multiply.outer(t, cfg.a0)) @ cfg.b0
-    for loc, w in cfg.b1_atoms:
+    for loc, w in cfg.atoms:
         on = loc >= -t
         if on.any():
             out[on] += expm(np.multiply.outer(t[on] + loc, cfg.a0)) @ w
-    if cfg.b1_density is not None:
+    if cfg.density is not None:
         for at in np.ndindex(t.shape):
             out[at] += _past_integral(cfg, t[at])
     return out
 
 
 def _past_integral(cfg: DelayConfig, t: float) -> np.ndarray:
-    """Trapezoid rule for the integral of e^{(t + r) a0} b1_density(r) over
+    """Trapezoid rule for the integral of e^{(t + r) a0} density(r) over
     [-min(t, d), 0], with one stacked :func:`expm` for its nodes.
 
     The density is tabulated on a uniform grid over [-d, 0]; its value at
     the clipped endpoint is interpolated linearly.
     """
-    table = cfg.b1_density
+    table = cfg.density
     grid = np.linspace(-cfg.delay, 0.0, table.shape[0])
     lo = -min(t, cfg.delay)
     i = int(np.clip(np.searchsorted(grid, lo) - 1, 0, grid.size - 2))
@@ -197,7 +199,7 @@ class DelayProjectedModel(ProjectedModel):
         self.proj_dim = cfg.n
         self.control_dim = cfg.m
         self.control_discontinuities = tuple(
-            sorted(-loc for loc, _ in cfg.b1_atoms if loc < 0.0)
+            sorted(-loc for loc, _ in cfg.atoms if loc < 0.0)
         )
 
     def project_state(self, x) -> np.ndarray:

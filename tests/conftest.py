@@ -32,13 +32,13 @@ def shipped_delay_config():
         b0=[[1.0], [0.5]],
         sigma=[[1.0, 0.0], [0.0, 1.0]],
         delay=0.2,
-        b1_atoms=[(-0.2, [[0.4], [0.2]])],
+        atoms=[(-0.2, [[0.4], [0.2]])],
     )
 
 
 def scalar_delay_config(c=0.5, d=0.2):
     return delay.DelayConfig(
-        a0=[[0.0]], b0=[[1.0]], sigma=[[1.0]], delay=d, b1_atoms=[(-d, [[c]])]
+        a0=[[0.0]], b0=[[1.0]], sigma=[[1.0]], delay=d, atoms=[(-d, [[c]])]
     )
 
 

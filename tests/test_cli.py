@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import os
@@ -279,6 +280,20 @@ class TestInvalidConfig:
         ("model.delay.x0.present", [float("nan"), 0.0]),
         ("model.heat.x0.amplitude", float("nan")),
         ("model.heat.x0", {"coefficients": [float("nan")]}),
+        # a non-number, a text entry or a ragged matrix in the delay section,
+        # a kind that is no string and a model section that is no mapping
+        ("model.delay.delay", "abc"),
+        ("model.delay.atoms", [{"location": "x", "weight": [[0.4], [0.2]]}]),
+        ("model.delay.a0", [[-0.3, "x"], [0.0, -0.2]]),
+        ("model.delay.a0", [[-0.3, 0.1], [0.0]]),
+        ("cost.phi.kind", [1, 2]),
+        ("cost.ell0.kind", {"z": 1}),
+        ("model", 7),
+        # a string is no list of its digits, an integer too large for a
+        # float and a YAML boolean are no numbers
+        ("cost.phi.direction", "12"),
+        pytest.param("cost.horizon", 10**400, id="cost.horizon-10**400"),
+        ("simulate.n_random_policies", False),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
@@ -615,6 +630,46 @@ class TestShippedConfigs:
         assert run.x0[0] == 0.5 and run.x0[2] == 0.0
         assert run.cost.ham.control_points.shape == (9, 2)
         assert run.cost.phi.bound == 1.5
+
+    def test_every_bad_value_is_a_config_error(self, monkeypatch):
+        # each node of both shipped configs in turn replaced by a value of
+        # another type, a non-number, a non-finite value or null: the load
+        # either returns or raises ConfigError, never a raw numpy or Python
+        # error; the dicts go to load_config in place of yaml.safe_load
+        from pshjb import config
+        from pshjb.errors import ConfigError
+
+        def nodes(tree, at=()):
+            items = tree.items() if isinstance(tree, dict) else (
+                enumerate(tree) if isinstance(tree, list) else ())
+            for key, sub in items:
+                yield at + (key,)
+                yield from nodes(sub, at + (key,))
+
+        bases = {}
+        for name in ("heat.yaml", "delay.yaml"):
+            with open(os.path.join(SHIPPED, name)) as fh:
+                bases[name] = yaml.safe_load(fh)
+        escaped, loads = [], 0
+        for name, base in bases.items():
+            path = os.path.join(SHIPPED, name)
+            for at in nodes(base):
+                for bad in ("abc", [1.0, 2.0], {"z": 1}, float("nan"), None, 7):
+                    raw = copy.deepcopy(base)
+                    node = raw
+                    for key in at[:-1]:
+                        node = node[key]
+                    node[at[-1]] = bad
+                    monkeypatch.setattr(config.yaml, "safe_load", lambda fh, raw=raw: raw)
+                    loads += 1
+                    try:
+                        config.load_config(path)
+                    except ConfigError:
+                        pass
+                    except Exception as exc:   # noqa: BLE001 - the escape is the failure
+                        escaped.append(f"{name} {at} = {bad!r}: {exc!r}")
+        assert loads == 810
+        assert escaped == [], f"{len(escaped)} escaped: " + "; ".join(escaped[:5])
 
     def test_table_ell0_config(self, tmp_path):
         from pshjb.config import load_config

@@ -86,7 +86,7 @@ class TestControlResponse:
     def test_jump_magnitude_at_activation(self):
         w = np.array([[0.4], [0.2]])
         cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
-                          sigma=np.eye(2), delay=0.3, b1_atoms=[(-0.3, w)])
+                          sigma=np.eye(2), delay=0.3, atoms=[(-0.3, w)])
         left = proj_control_delay(cfg, 0.3 - 1e-12)
         right = proj_control_delay(cfg, 0.3)
         np.testing.assert_allclose(right - left, w, atol=1e-9)
@@ -96,7 +96,7 @@ class TestControlResponse:
         c = np.array([[0.3], [-0.1]])
         table = np.broadcast_to(c, (65, 2, 1)).copy()
         cfg = DelayConfig(a0=np.zeros((2, 2)), b0=np.zeros((2, 1)),
-                          sigma=np.eye(2), delay=0.5, b1_density=table)
+                          sigma=np.eye(2), delay=0.5, density=table)
         for t in (0.2, 0.5, 1.1):
             expected = min(t, 0.5) * c
             np.testing.assert_allclose(proj_control_delay(cfg, t), expected,
@@ -110,7 +110,7 @@ class TestControlResponse:
         grid = np.linspace(-0.2, 0.0, 257)
         table = np.stack([np.cos(3 * grid), np.sin(2 * grid)], axis=1)[:, :, None]
         cfg = DelayConfig(a0=a0, b0=np.zeros((2, 1)), sigma=np.eye(2), delay=0.2,
-                          b1_density=table)
+                          density=table)
         for t in (0.35, 0.2, 0.15):
             keep = grid >= -min(t, 0.2) - 1e-12
             integrand = np.array([expm((t + r) * a0) @ v
@@ -128,7 +128,7 @@ class TestControlResponse:
         grid = np.linspace(-0.2, 0.0, 33)
         table = np.stack([np.cos(3 * grid), np.sin(2 * grid)], axis=1)[:, :, None]
         dens = DelayConfig(a0=a0, b0=[[1.0], [0.5]], sigma=np.eye(2), delay=0.2,
-                           b1_atoms=[(-0.2, w), (-0.1, -w)], b1_density=table)
+                           atoms=[(-0.2, w), (-0.1, -w)], density=table)
         ts = np.array([0.03, 0.1 - 1e-9, 0.1, 0.15, 0.2 - 1e-9, 0.2, 0.45, 1.0])
         for cfg in (delay_model.cfg, dens):
             got = proj_control_delay(cfg, ts)
@@ -145,9 +145,9 @@ class TestControlResponse:
     def test_general_matrix_exponential_factor(self):
         a0 = np.array([[-0.2, 0.5], [0.0, -0.4]])
         cfg = DelayConfig(a0=a0, b0=[[1.0], [0.3]], sigma=np.eye(2), delay=0.2,
-                          b1_atoms=[(-0.2, [[0.1], [0.2]])])
+                          atoms=[(-0.2, [[0.1], [0.2]])])
         t = 0.6
-        exact = expm(t * a0) @ cfg.b0 + expm((t - 0.2) * a0) @ cfg.b1_atoms[0][1]
+        exact = expm(t * a0) @ cfg.b0 + expm((t - 0.2) * a0) @ cfg.atoms[0][1]
         np.testing.assert_allclose(proj_control_delay(cfg, t), exact, atol=1e-12)
 
 
@@ -274,15 +274,15 @@ class TestProjectedModel:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_config_rejected(self, field, bad):
         kw = dict(a0=np.array([[-0.3, 0.1], [0.0, -0.2]]), b0=np.array([[1.0], [0.5]]),
-                  sigma=np.eye(2), delay=0.2, b1_atoms=[(-0.2, np.array([[0.4], [0.2]]))],
-                  b1_density=np.full((4, 2, 1), 0.1))
+                  sigma=np.eye(2), delay=0.2, atoms=[(-0.2, np.array([[0.4], [0.2]]))],
+                  density=np.full((4, 2, 1), 0.1))
         DelayConfig(**kw)                        # valid as given
         if field == "delay":
             kw["delay"] = bad
         elif field == "atom":
-            kw["b1_atoms"][0][1][1, 0] = bad
+            kw["atoms"][0][1][1, 0] = bad
         elif field == "density":
-            kw["b1_density"][2, 1, 0] = bad
+            kw["density"][2, 1, 0] = bad
         else:
             kw[field][-1, -1] = bad
         with pytest.raises(ConfigError, match="finite"):
@@ -300,7 +300,7 @@ class TestFullHistoryConsistency:
         n_paths = 20_000
         u = np.array([0.8])
         x0 = np.array([0.3, -0.2])
-        w_atom = cfg.b1_atoms[0][1]
+        w_atom = cfg.atoms[0][1]
         y = np.tile(x0, (n_paths, 1))
         drift_const = (cfg.b0 @ u)
         atom_term = (w_atom @ u)

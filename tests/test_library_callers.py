@@ -13,6 +13,9 @@ Calls are matched by function name alone.
 
 Every parameter of every function or lambda of ``src/pshjb`` must be read
 in its body.
+
+In ``config.py`` only ``_convert`` turns a YAML value into a number or an
+array.
 """
 
 import ast
@@ -164,3 +167,18 @@ def test_every_parameter_is_read():
     unread = [f"{path.name}:{name}({param})" for path in sorted(SRC.glob("*.py"))
               for name, param in unread_parameters(ast.parse(path.read_text()))]
     assert unread == [], "parameters that their function never reads: " + ", ".join(unread)
+
+
+def test_config_converts_in_one_place():
+    """Every section is read against a signature, so a ``float``, ``int``,
+    ``np.asarray`` or ``np.array`` call in config.py outside ``_convert``
+    is a second, hand-written reader that skips its checks."""
+    tree = ast.parse((SRC / "config.py").read_text())
+    inside = {id(n) for fn in ast.walk(tree)
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_convert"
+              for n in ast.walk(fn)}
+    assert inside, "config._convert is gone"
+    calls = [f"line {n.lineno}: {ast.unparse(n)}" for n in ast.walk(tree)
+             if isinstance(n, ast.Call) and id(n) not in inside
+             and ast.unparse(n.func) in ("float", "int", "np.asarray", "np.array")]
+    assert calls == [], "conversions outside config._convert: " + ", ".join(calls)

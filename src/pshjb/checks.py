@@ -33,8 +33,7 @@ def _check_inclusion(run: RunConfig):
 
 def _check_blowup_exponent(run: RunConfig):
     fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
-    ok = 0.0 < fit.gamma < 1.0
-    return ok, f"fitted gamma {fit.gamma:.3f}"
+    return fit.in_range, f"fitted gamma {fit.gamma:.3f}"
 
 
 def _check_lambda_norm_continuity(run: RunConfig):

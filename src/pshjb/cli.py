@@ -3,8 +3,8 @@
 Subcommands: ``solve`` (Picard solve, CSV solution + JSON metadata),
 ``lambda`` (smoothing-norm grid + blow-up fit), ``simulate`` (policy costs
 and dominance report), ``check`` (invariant suite).  Exit codes: 0 ok,
-1 config or usage error, 2 no contraction, 3 inclusion/rank violation,
-4 dominance violation, 5 invariant failure.
+1 config or usage error, 2 no contraction, 3 smoothing hypothesis
+violated, 4 dominance violation, 5 invariant failure.
 
 All numeric CSV output uses 17 significant digits so identical configs and
 seeds reproduce byte-identical files.
@@ -24,10 +24,9 @@ from .checks import run_invariant_suite
 from .errors import (
     ConfigError,
     DominanceViolated,
-    InclusionViolated,
     NoContraction,
     PshjbError,
-    RankDeficient,
+    SmoothingViolated,
 )
 from .harness import Policy, random_open_loop_policies, value_dominance_check
 from .hjb import picard_solve
@@ -81,9 +80,7 @@ def _say(args, msg: str) -> None:
 
 def cmd_solve(args, run: RunConfig) -> int:
     try:
-        sol = picard_solve(
-            run.model, run.cost.ham, run.cost.phi, run.cost.ell0, run.solver
-        )
+        sol = picard_solve(run.model, run.cost, run.solver)
     except NoContraction as exc:
         _write_json(
             os.path.join(args.out_dir, "solve_meta.json"),
@@ -135,7 +132,6 @@ def cmd_lambda(args, run: RunConfig) -> int:
     fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
     _write_csv(os.path.join(args.out_dir, "lambda_norms.csv"), ["t", "norm"],
                fit.times, NO_MESH, fit.norms)
-    gamma_ok = 0.0 < fit.gamma < 1.0
     _write_json(
         os.path.join(args.out_dir, "lambda_fit.json"),
         {
@@ -143,20 +139,18 @@ def cmd_lambda(args, run: RunConfig) -> int:
             "intercept": fit.intercept,
             "residual": fit.residual,
             "gamma": fit.gamma,
-            "gamma_in_range": gamma_ok,
+            "gamma_in_range": fit.in_range,
         },
     )
     _say(args, f"fitted slope {fit.slope:.4f} (gamma {fit.gamma:.4f})")
-    if not gamma_ok:
+    if not fit.in_range:
         _say(args, "fitted exponent outside (0, 1): smoothing hypothesis fails")
         return EXIT_INCLUSION
     return EXIT_OK
 
 
 def cmd_simulate(args, run: RunConfig) -> int:
-    sol = picard_solve(
-        run.model, run.cost.ham, run.cost.phi, run.cost.ell0, run.solver
-    )
+    sol = picard_solve(run.model, run.cost, run.solver)
     policies = random_open_loop_policies(
         run.cost.ham, run.time_steps, run.n_random_policies, seed=run.seed
     )
@@ -251,8 +245,7 @@ def main(argv=None) -> int:
         exits = {
             ConfigError: (EXIT_CONFIG, "config error"),
             NoContraction: (EXIT_NO_CONTRACTION, "no contraction"),
-            InclusionViolated: (EXIT_INCLUSION, "smoothing hypothesis violated"),
-            RankDeficient: (EXIT_INCLUSION, "smoothing hypothesis violated"),
+            SmoothingViolated: (EXIT_INCLUSION, "smoothing hypothesis violated"),
             DominanceViolated: (EXIT_DOMINANCE, "dominance violated"),
             PshjbError: (EXIT_INVARIANT, "error"),
         }

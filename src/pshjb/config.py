@@ -12,6 +12,7 @@ dataclass or builder it feeds, so each YAML value becomes a typed value in
 
 from __future__ import annotations
 
+import functools
 import inspect
 import typing
 from dataclasses import dataclass
@@ -22,9 +23,8 @@ import yaml
 from . import costs as costs_mod
 from .delay import DelayConfig, build_projected_model as build_delay
 from .errors import ConfigError, DimensionMismatch
-from .harness import CostSpec
 from .heat import HeatConfig, build_projected_model as build_heat
-from .hjb import Hamiltonian, SolverConfig
+from .hjb import CostSpec, Hamiltonian, SolverConfig
 from .ou import ProjectedModel
 
 
@@ -92,6 +92,12 @@ def _convert(tp, value, where: str):
     return result
 
 
+@functools.cache
+def _signature(target) -> tuple:
+    """The parameters and type hints of ``target``, evaluated once per target."""
+    return inspect.signature(target).parameters, typing.get_type_hints(target)
+
+
 def _read(target, section, where: str, **given):
     """``target`` called with the keys of ``section`` and the ``given``
     arguments, which are not keys.
@@ -103,8 +109,7 @@ def _read(target, section, where: str, **given):
     parameter without a key takes its default, and a ValueError or
     DimensionMismatch from ``target`` is a config error.
     """
-    params = inspect.signature(target).parameters
-    hints = typing.get_type_hints(target)
+    params, hints = _signature(target)
     _check_keys(section, params.keys() - given.keys(), where)
     for name, param in params.items():
         if name in section:
@@ -174,7 +179,7 @@ def _points_grid(points: np.ndarray, ell1: np.ndarray | None = None) -> Hamilton
 
 
 def _build_cost(section, model: ProjectedModel) -> CostSpec:
-    _check_keys(section, ("horizon", "ell0", "controls", "phi"), "cost")
+    section = dict(_mapping(section, "cost"))
     controls = _mapping(_require(section, "controls", "cost"), "cost.controls")
     if "points" in controls:
         ham = _read(_points_grid, controls, "cost.controls")
@@ -201,10 +206,10 @@ def _build_cost(section, model: ProjectedModel) -> CostSpec:
         ) from exc
     ell0 = _read_kind(
         {"constant": costs_mod.constant_ell0, "table": costs_mod.table_ell0},
-        section.get("ell0", {}), "cost.ell0", default="constant",
+        section.pop("ell0", {}), "cost.ell0", default="constant",
     )
-    horizon = _convert(float, section.get("horizon", SolverConfig.horizon), "cost.horizon")
-    return CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=horizon)
+    del section["controls"], section["phi"]      # the rest is read against CostSpec
+    return _read(CostSpec, section, "cost", ell0=ell0, ham=ham, phi=phi)
 
 
 def _simulate(horizon: float, t0: float = 0.0, n_samples: int = 10_000,
@@ -238,7 +243,7 @@ def load_config(
         seed = _convert(int, raw.get("seed", 0), "seed")
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
-    solver = _read(SolverConfig, raw.get("solver", {}), "solver", horizon=cost.horizon)
+    solver = _read(SolverConfig, raw.get("solver", {}), "solver")
     sim = _read(_simulate, raw.get("simulate", {}), "simulate", horizon=cost.horizon)
     return RunConfig(model=model, model_kind=kind, cost=cost, solver=solver, x0=x0,
                      seed=seed, **sim)

@@ -111,15 +111,25 @@ def gramian(cfg: DelayConfig, t) -> np.ndarray:
     :func:`expm`).
 
     Van Loan's closed form (IEEE TAC 1978): with
-    F = expm(t * cfg.van_loan), the Gramian is F22* F12.
-    The exponential carries e^{|a0| t} in its blocks, so that factor must be
-    representable in floating point.
+    F = expm(h * cfg.van_loan), the Gramian over [0, h] is G = F22* F12.
+    The exponential carries e^{-h a0} in its upper left block, which
+    overflows for a stiff drift (a0 = -800 at h = 1), so it is taken at
+    h = t / 2^s with ||h a0||_1 <= 1, and G is doubled s times:
+    G(2h) = G(h) + E G(h) E* with E = e^{h a0} = F22*, and E <- E E.  When
+    ||t a0||_1 <= 1, s = 0 and G is Van Loan's form alone.
     """
-    if not np.all(np.asarray(t) > 0):
+    t = np.asarray(t, dtype=float)
+    if not np.all(t > 0):
         raise ValueError("t must be > 0")
     n = cfg.n
-    f = expm(np.multiply.outer(t, cfg.van_loan))
-    q = np.swapaxes(f[..., n:, n:], -1, -2) @ f[..., :n, n:]
+    s = np.ceil(np.log2(np.maximum(t * np.linalg.norm(cfg.a0, 1), 1.0))).astype(int)
+    f = expm(np.multiply.outer(t / 2.0**s, cfg.van_loan))
+    e = np.swapaxes(f[..., n:, n:], -1, -2)
+    q = e @ f[..., :n, n:]
+    for k in range(int(s.max())):
+        on = s > k
+        q[on] += e[on] @ q[on] @ np.swapaxes(e[on], -1, -2)
+        e[on] = e[on] @ e[on]
     return 0.5 * (q + np.swapaxes(q, -1, -2))
 
 

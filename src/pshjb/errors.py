@@ -22,12 +22,17 @@ class NotInCameronMartin(PshjbError):
     """Shift vector is not in the image of the covariance square root."""
 
 
-class InclusionViolated(PshjbError):
+class SmoothingViolated(PshjbError):
+    """The supplied model breaks a hypothesis of the smoothing estimates:
+    image inclusion, controllability or a blow-up exponent in (0, 1)."""
+
+
+class InclusionViolated(SmoothingViolated):
     """Control columns leave the image of the covariance square root, so the
     smoothing operator is not well defined for the supplied model."""
 
 
-class RankDeficient(PshjbError):
+class RankDeficient(SmoothingViolated):
     """Controllability precondition of a model build failed."""
 
 

@@ -36,8 +36,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionMismatch, DominanceViolated
-from .hjb import HJBSolution, Hamiltonian, eval_value, h_min_batch, interp_fbar
-from .ou import ProjectedModel, ProjectedTerminalCost, assemble_block_cov
+from .hjb import CostSpec, HJBSolution, Hamiltonian, eval_value, h_min_batch, interp_fbar
+from .ou import ProjectedModel, assemble_block_cov
 from .spectral import psd_roots
 
 # Samples per block of simulate_cost.  A greedy block keeps its per-step
@@ -47,20 +47,6 @@ from .spectral import psd_roots
 # 16 384 to 65 536, 0.50 s with 8 192 (per-call overhead), 0.64 s in one
 # whole-population pass.
 _SIM_BLOCK = 16_384
-
-
-@dataclass(frozen=True)
-class CostSpec:
-    """Finite-horizon objective: time cost, control cost grid, terminal cost."""
-
-    ell0: object                  # vectorized callable of time
-    ham: Hamiltonian
-    phi: ProjectedTerminalCost
-    horizon: float
-
-    def ell0_integral(self, a: float, b: float) -> float:
-        s = np.linspace(a, b, 2001)
-        return float(np.trapezoid(np.asarray(self.ell0(s), dtype=float), s))
 
 
 @dataclass(frozen=True)

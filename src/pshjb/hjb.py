@@ -3,10 +3,12 @@
 The backward HJB equation is rewritten forward (w(t, x) = v(T - t, x)) as the
 integral identity
 
-    w(t, x) = R_t[phi](x) + int_0^t ell0(s) ds
+    w(t, x) = R_t[phi](x) + int_0^t ell0(T - s) ds
               + int_0^t R_{t-s}[H_min(grad_C w(s, .))](x) ds,
 
-whose right-hand side is the map Upsilon below.  Every iterate is stored in
+whose right-hand side is the map Upsilon below.  ell0 is a function of
+calendar time: its term is int_{T-t}^T ell0(s) ds, what the simulation
+charges from T - t (:meth:`CostSpec.ell0_integral`).  Every iterate is stored in
 factored form: a bounded array f(t, y) on a time x space grid with
 w(t, x) = f(t, P e^{tA} x), plus the bounded gradient representative
 fbar(t, y) = t^gamma * grad_C-coordinates.  Storing t^gamma times the
@@ -66,6 +68,7 @@ from .errors import (
     GridMismatch,
     NoContraction,
     OutOfGrid,
+    SmoothingViolated,
 )
 from .ou import ProjectedModel, ProjectedTerminalCost
 from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
@@ -260,10 +263,31 @@ def hinge_batch(ham: Hamiltonian, p: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class CostSpec:
+    """The cost J(t, x; u) = E[int_t^T (ell0(s) + ell1(u(s))) ds + phi(X(T))],
+    the one record of the problem that the solver and the simulation read:
+    time cost, control grid with running costs ell1, terminal cost, horizon."""
+
+    ell0: object                  # vectorized callable of calendar time
+    ham: Hamiltonian
+    phi: ProjectedTerminalCost
+    horizon: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+
+    def ell0_integral(self, a, b: float):
+        """int_a^b ell0(s) ds by the 2001-point trapezoid rule, for a
+        number ``a`` or each entry of an array of them (one ell0 call)."""
+        s = np.linspace(a, b, 2001, axis=-1)
+        return np.trapezoid(np.asarray(self.ell0(s), dtype=float), s)
+
+
+@dataclass(frozen=True)
 class SolverConfig:
     """Grids, tolerances and quadrature settings of the Picard solver."""
 
-    horizon: float = 1.0
     gamma: float | None = None        # None: take it from the blow-up fit
     tol: float = 1e-4
     max_iter: int = 30
@@ -274,8 +298,6 @@ class SolverConfig:
     time_quad_order: int = 7
 
     def __post_init__(self):
-        if not 0 < self.horizon < math.inf:
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
         if self.box_halfwidth is not None and not 0 < self.box_halfwidth < math.inf:
             raise ValueError(
                 f"box_halfwidth must be finite and > 0, got {self.box_halfwidth}")
@@ -384,19 +406,19 @@ def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int, *win
         )
 
 
-def make_time_grid(cfg: SolverConfig) -> np.ndarray:
+def make_time_grid(cfg: SolverConfig, horizon: float) -> np.ndarray:
     """{0} plus n_time geometric nodes from T_MIN_FACTOR * T up to T."""
-    t_min = T_MIN_FACTOR * cfg.horizon
-    pos = np.geomspace(t_min, cfg.horizon, cfg.n_time)
-    pos[-1] = cfg.horizon
+    pos = np.geomspace(T_MIN_FACTOR * horizon, horizon, cfg.n_time)
+    pos[-1] = horizon
     return np.concatenate(([0.0], pos))
 
 
-def make_space_axes(model: ProjectedModel, cfg: SolverConfig) -> tuple[np.ndarray, ...]:
+def make_space_axes(model: ProjectedModel, cfg: SolverConfig,
+                    horizon: float) -> tuple[np.ndarray, ...]:
     if cfg.box_halfwidth is not None:
         w = cfg.box_halfwidth
     else:
-        w = 6.0 * np.sqrt(np.diag(model.proj_cov(cfg.horizon)).max())
+        w = 6.0 * np.sqrt(np.diag(model.proj_cov(horizon)).max())
     ax = np.linspace(-w, w, cfg.space_points)
     return tuple(ax.copy() for _ in range(model.proj_dim))
 
@@ -616,8 +638,8 @@ class _Convolution:
     # (S * n_q, 1 + m): time-quadrature times expectation weights, then the
     # same times the gradient weights
     weights: np.ndarray
-    # (1 + m,): ell0's integral plus alpha times the column sums of
-    # ``weights`` for f, alpha times them for the gradient
+    # (1 + m,): alpha times the column sums of ``weights``, for f and for
+    # the gradient
     offset: np.ndarray
 
 
@@ -678,49 +700,36 @@ class UpsilonOperator:
     sweep allocates only its iterate (:func:`_sweep_bytes` counts all).
     """
 
-    def __init__(
-        self,
-        model: ProjectedModel,
-        ham: Hamiltonian,
-        phi: ProjectedTerminalCost,
-        ell0,
-        cfg: SolverConfig,
-        gamma: float,
-    ):
-        if ham.control_dim != model.control_dim:
+    def __init__(self, model: ProjectedModel, cost: CostSpec, cfg: SolverConfig,
+                 gamma: float):
+        if cost.ham.control_dim != model.control_dim:
             raise DimensionMismatch("Hamiltonian control dim must match the model")
         self.model = model
-        self.ham = ham
-        self.phi = phi
+        self.cost = cost
         self.cfg = cfg
         self.gamma = float(gamma)
-        self.time_grid = make_time_grid(cfg)
-        self.space_axes = make_space_axes(model, cfg)
+        self.time_grid = make_time_grid(cfg, cost.horizon)
+        self.space_axes = make_space_axes(model, cfg, cost.horizon)
         shape = tuple(len(a) for a in self.space_axes)
         mesh = np.meshgrid(*self.space_axes, indexing="ij")
         self.mesh = np.stack([g.ravel() for g in mesh], axis=-1)   # (P, N)
         self.space_shape = shape
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
-        self._precompute(ell0)
+        self._precompute()
         self.copied = 0      # node-iterates copied from a settled source
 
     # -- assembly ----------------------------------------------------------
-    def _precompute(self, ell0):
-        t_pos = self.time_grid[1:]
-        fine = np.linspace(0.0, self.cfg.horizon, 4001)
-        ell_vals = np.asarray(ell0(fine), dtype=float)
-        cum = np.concatenate(
-            ([0.0], np.cumsum(0.5 * (ell_vals[1:] + ell_vals[:-1]) * np.diff(fine)))
-        )
-        self.ell0_cum = np.interp(t_pos, fine, cum)
-
+    def _precompute(self):
+        t_pos, T = self.time_grid[1:], self.cost.horizon
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
         self.s_f = np.empty((t_pos.size, self.mesh.shape[0]))
-        self.s_grad = np.empty((t_pos.size, self.mesh.shape[0], self.ham.control_dim))
+        self.s_grad = np.empty((t_pos.size, self.mesh.shape[0], self.model.control_dim))
         # pad cells per side of the sweep's padded gradient slices (the
         # largest |k| + 1), the largest window and the coefficient count
         self.pad, self.window, self._coef_values, self.clamped_mass = 1, 0, 0, 0.0
         self.conv = [self._time_quadrature(i, t_pos, jacobi) for i in range(t_pos.size)]
+        # the f term that no iterate changes: R_t[phi] plus ell0's integral
+        self.s_f += self.cost.ell0_integral(T - t_pos, T)[:, None]
 
         # the sweep buffers, sized as _sweep_bytes counts them: the blended
         # gradient slices, per s-node components first, each edge-padded by
@@ -728,7 +737,7 @@ class UpsilonOperator:
         # s-node's interpolated gradients (hinge_batch's scratch too); the
         # hinge sums per (s-node, Gauss node); the largest window chunk
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
-        m, pad, shape, npts = self.ham.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
+        m, pad, shape, npts = self.model.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
         self._padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
         self._inner = self._padded[(slice(None),) * 2
                                    + tuple(slice(pad, pad + size) for size in shape)]
@@ -773,7 +782,7 @@ class UpsilonOperator:
         gvecs += [nodes @ (pinv @ b_t) for pinv in pinvs[1:]]
 
         pts = (self.mesh[None, :, :] + offs[0][:, None, :]).reshape(-1, self.model.proj_dim)
-        vals = self.phi(pts).reshape(nodes.shape[0], -1)
+        vals = self.cost.phi(pts).reshape(nodes.shape[0], -1)
         self.s_f[i] = self.rule.weights @ vals
         self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, gvecs[0])
 
@@ -791,16 +800,14 @@ class UpsilonOperator:
         self.window = max(self.window, int(sizes.max()))
         self._coef_values += nodes.shape[0] * int(sizes.sum())
         # the working set with this node's windows, before its coefficients
-        _check_problem_size(self.cfg, self.model.proj_dim, self.ham.control_dim,
+        _check_problem_size(self.cfg, self.model.proj_dim, self.model.control_dim,
                             self.pad, self.window, self._coef_values)
         weights = np.concatenate((qw[..., None], qw[..., None] * np.stack(gvecs[1:])),
                                  axis=-1).reshape(qw.size, -1)
-        offset = self.ham.hinge.alpha * weights.sum(axis=0)
-        offset[0] += self.ell0_cum[i]
         return _Convolution(
             i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
             lo=lo, width=width, coef=window_coefficients(stencil, lo, width),
-            weights=weights, offset=offset,
+            weights=weights, offset=self.cost.ham.hinge.alpha * weights.sum(axis=0),
         )
 
     # -- iterates ----------------------------------------------------------
@@ -809,8 +816,8 @@ class UpsilonOperator:
         n_t = self.time_grid.size - 1
         npts = self.mesh.shape[0]
         f = np.zeros((n_t + 1, npts))
-        f[0] = self.phi(self.mesh)
-        fbar = np.zeros((n_t, npts, self.ham.control_dim))
+        f[0] = self.cost.phi(self.mesh)
+        fbar = np.zeros((n_t, npts, self.model.control_dim))
         return self._pack(f, fbar)
 
     def initial_iterate(self) -> ValueIterate:
@@ -818,8 +825,8 @@ class UpsilonOperator:
         n_t = self.time_grid.size - 1
         npts = self.mesh.shape[0]
         f = np.empty((n_t + 1, npts))
-        f[0] = self.phi(self.mesh)
-        f[1:] = self.s_f + self.ell0_cum[:, None]
+        f[0] = self.cost.phi(self.mesh)
+        f[1:] = self.s_f
         t_pos = self.time_grid[1:]
         fbar = (t_pos**self.gamma)[:, None, None] * self.s_grad
         return self._pack(f, fbar)
@@ -830,7 +837,7 @@ class UpsilonOperator:
             time_grid=self.time_grid,
             space_axes=self.space_axes,
             f_values=f_flat.reshape((-1,) + shape),
-            fbar_values=fbar_flat.reshape((-1,) + shape + (self.ham.control_dim,)),
+            fbar_values=fbar_flat.reshape((-1,) + shape + (self.model.control_dim,)),
             gamma=self.gamma,
         )
 
@@ -851,9 +858,9 @@ class UpsilonOperator:
         t_pos = self.time_grid[1:]
         n_t = t_pos.size
         npts = self.mesh.shape[0]
-        m = self.ham.control_dim
+        m = self.model.control_dim
         f_new = np.empty((n_t + 1, npts))
-        f_new[0] = self.phi(self.mesh)
+        f_new[0] = self.cost.phi(self.mesh)
         fbar_new = np.empty((n_t, npts, m))
         f_src = g.f_values.reshape(n_t + 1, npts)
         fbar_src = g.fbar_values.reshape(n_t, npts, m)
@@ -861,7 +868,7 @@ class UpsilonOperator:
         # the settled count of the new iterate, and its largest |fbar|
         # over the slices of that count
         count, top = 0, 0.0
-        ham, hvals, block = self.ham, self._hvals, self._block
+        ham, hvals, block = self.cost.ham, self._hvals, self._block
         scale = ham.hinge.scale
         for i, t in enumerate(t_pos):
             cv = self.conv[i]
@@ -916,19 +923,20 @@ def sup_distance(g1: ValueIterate, g2: ValueIterate) -> float:
 
 def picard_solve(
     model: ProjectedModel,
-    ham: Hamiltonian,
-    phi: ProjectedTerminalCost,
-    ell0,
+    cost: CostSpec,
     cfg: SolverConfig,
     initial: str = "semigroup",
 ) -> HJBSolution:
-    """Iterate the Picard map to the mild-solution fixed point.
+    """Iterate the Picard map of ``cost`` on ``model`` to the mild-solution
+    fixed point on [0, ``cost.horizon``].
 
     A problem the solver cannot take (see :func:`_check_problem_size`)
     raises :class:`ConfigError` before anything is built.
 
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
+    A fitted exponent outside (0, 1) (:attr:`BlowupFit.in_range`) raises
+    :class:`SmoothingViolated`.
 
     The stopping test and the growth rule (:class:`NoContraction` after
     three consecutive residual increases) use the sup norm of
@@ -952,12 +960,12 @@ def picard_solve(
     diagnostics: dict = {}
     gamma = cfg.gamma
     if gamma is None:
-        fit = fit_blowup(model, blowup_grid(cfg.horizon))
+        fit = fit_blowup(model, blowup_grid(cost.horizon))
         gamma = float(np.clip(fit.gamma + 0.02, 0.05, 0.95))
         diagnostics["fitted_gamma"] = fit.gamma
         diagnostics["fit_slope"] = fit.slope
-        if not 0.0 < fit.gamma < 1.0:
-            raise NoContraction(
+        if not fit.in_range:
+            raise SmoothingViolated(
                 f"fitted blow-up exponent {fit.gamma:.3f} outside (0, 1); "
                 "the contraction machinery does not apply to this model"
             )
@@ -965,7 +973,7 @@ def picard_solve(
         # supported, but the time-integral bounds degrade; record it
         diagnostics["gamma_above_half"] = True
 
-    ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=gamma)
+    ups = UpsilonOperator(model, cost, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
 
     g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
@@ -999,7 +1007,7 @@ def picard_solve(
         iterations=len(residuals),
         eta_weight=0.0,
         gamma=gamma,
-        phi=phi,
+        phi=cost.phi,
         diagnostics=diagnostics,
     )
 

@@ -89,6 +89,13 @@ class BlowupFit:
         """Blow-up exponent: ||Lambda(t)|| ~ t^slope means gamma = -slope."""
         return -self.slope
 
+    @property
+    def in_range(self) -> bool:
+        """gamma in (0, 1), the blow-up hypothesis that the fixed-point
+        construction needs: ``solve``, ``simulate`` and ``lambda`` exit 3
+        and ``check`` fails without it."""
+        return 0.0 < self.gamma < 1.0
+
 
 def blowup_grid(horizon: float) -> np.ndarray:
     """Times of the blow-up fit behind a solve's ``gamma``, ``lambda`` and

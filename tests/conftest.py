@@ -91,9 +91,9 @@ def random_iterate(ups, rng):
     probe of the contraction measurements."""
     n_t = ups.time_grid.size - 1
     npts = ups.mesh.shape[0]
-    m = ups.ham.control_dim
+    m = ups.model.control_dim
     f = np.empty((n_t + 1, npts))
-    f[0] = ups.phi(ups.mesh)
+    f[0] = ups.cost.phi(ups.mesh)
     t_pos = ups.time_grid[1:]
     a = rng.standard_normal(ups.model.proj_dim)
     mod_t = 1.0 + 0.5 * np.sin(3.0 * rng.random() * t_pos)[:, None]
@@ -194,28 +194,26 @@ def c_gradient_norm_bound_check(model, phi, t, y0, rule):
 
 
 MINI_CFG = dict(
-    horizon=1.0, n_time=20, space_points=21, quad_order=5, time_quad_order=6,
+    n_time=20, space_points=21, quad_order=5, time_quad_order=6,
     tol=1e-4, max_iter=30,
 )
 
 
 @pytest.fixture(scope="session")
 def mini_delay_solution(delay_model):
-    """Small-grid delay solve shared by solver and harness tests."""
-    ham = shipped_delay_ham()
-    phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-    ell0 = costs.constant_ell0(0.1)
+    """Small-grid delay solve shared by solver and harness tests:
+    (solution, cost, solver config), horizon 1."""
+    cost = hjb.CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
+                        costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
     cfg = hjb.SolverConfig(**MINI_CFG)
-    sol = hjb.picard_solve(delay_model, ham, phi, ell0, cfg)
-    return sol, ham, phi, ell0, cfg
+    return hjb.picard_solve(delay_model, cost, cfg), cost, cfg
 
 
 @pytest.fixture(scope="session")
 def mini_heat_solution(heat_model):
-    """Small-grid heat solve for harness coverage of the m = 2 control path."""
-    ham = shipped_heat_ham()
-    phi = costs.tanh_cost([0.8, -0.5], 0.0, 1.0)
-    ell0 = costs.constant_ell0(0.1)
+    """Small-grid heat solve for harness coverage of the m = 2 control path:
+    (solution, cost, solver config), horizon 1."""
+    cost = hjb.CostSpec(costs.constant_ell0(0.1), shipped_heat_ham(),
+                        costs.tanh_cost([0.8, -0.5], 0.0, 1.0))
     cfg = hjb.SolverConfig(**MINI_CFG)
-    sol = hjb.picard_solve(heat_model, ham, phi, ell0, cfg)
-    return sol, ham, phi, ell0, cfg
+    return hjb.picard_solve(heat_model, cost, cfg), cost, cfg

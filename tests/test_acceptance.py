@@ -60,27 +60,21 @@ def report(n, ok, detail):
 @pytest.fixture(scope="module")
 def heat_problem():
     model = heat.build_projected_model(heat.HeatConfig())
-    ham = shipped_heat_ham()
-    phi = costs.tanh_cost([0.8, -0.5], 0.0, 1.0)
-    ell0 = costs.constant_ell0(0.1)
-    cfg = SolverConfig(horizon=1.0, tol=1e-4, max_iter=30, n_time=40,
-                       space_points=41)
+    cost = CostSpec(costs.constant_ell0(0.1), shipped_heat_ham(),
+                    costs.tanh_cost([0.8, -0.5], 0.0, 1.0))
+    cfg = SolverConfig(tol=1e-4, max_iter=30, n_time=40, space_points=41)
     x0 = 0.5 * np.arange(1, 257, dtype=float) ** -2.0
-    return dict(model=model, ham=ham, phi=phi, ell0=ell0, cfg=cfg, x0=x0,
-                name="heat")
+    return dict(model=model, cost=cost, cfg=cfg, x0=x0, name="heat")
 
 
 @pytest.fixture(scope="module")
 def delay_problem():
     model = delay.build_projected_model(shipped_delay_config())
-    ham = shipped_delay_ham()
-    phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-    ell0 = costs.constant_ell0(0.1)
-    cfg = SolverConfig(horizon=1.0, tol=1e-4, max_iter=30, n_time=40,
-                       space_points=41)
+    cost = CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
+                    costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+    cfg = SolverConfig(tol=1e-4, max_iter=30, n_time=40, space_points=41)
     x0 = np.array([0.3, -0.2])
-    return dict(model=model, ham=ham, phi=phi, ell0=ell0, cfg=cfg, x0=x0,
-                name="delay")
+    return dict(model=model, cost=cost, cfg=cfg, x0=x0, name="delay")
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +82,7 @@ def solutions(heat_problem, delay_problem):
     out = {}
     for prob in (heat_problem, delay_problem):
         t0 = time.perf_counter()
-        sol = picard_solve(prob["model"], prob["ham"], prob["phi"],
-                           prob["ell0"], prob["cfg"])
+        sol = picard_solve(prob["model"], prob["cost"], prob["cfg"])
         out[prob["name"]] = (sol, time.perf_counter() - t0)
     return out
 
@@ -146,7 +139,7 @@ def test_criterion_4_c_gradient_fd(heat_problem, delay_problem):
     rule = build_quadrature(2, 12)
     worst = 0.0
     for prob in (heat_problem, delay_problem):
-        model, phi = prob["model"], prob["phi"]
+        model, phi = prob["model"], prob["cost"].phi
         rng = np.random.default_rng(101)
         for _ in range(5):
             t = float(10 ** rng.uniform(-1.3, 0.0))
@@ -222,8 +215,7 @@ def contraction_data(heat_problem, delay_problem, solutions):
     out = {}
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
-        ups = UpsilonOperator(prob["model"], prob["ham"], prob["phi"],
-                              prob["ell0"], prob["cfg"], gamma=sol.gamma)
+        ups = UpsilonOperator(prob["model"], prob["cost"], prob["cfg"], gamma=sol.gamma)
         ladder = contraction_ratios(ups, ETA_LADDER, n_pairs=10,
                                     rng=np.random.default_rng(31))
         # the first eta that contracts, else the last one's ratios
@@ -270,8 +262,7 @@ def test_criterion_9_uniqueness(heat_problem, delay_problem, solutions):
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
         cfg = replace(prob["cfg"], gamma=sol.gamma)
-        sol_zero = picard_solve(prob["model"], prob["ham"], prob["phi"],
-                                prob["ell0"], cfg, initial="zero")
+        sol_zero = picard_solve(prob["model"], prob["cost"], cfg, initial="zero")
         d = sup_distance(sol.iterate, sol_zero.iterate)
         ok &= d <= 2.0 * cfg.tol
         details.append(f"{prob['name']}: distance {d:.2e} <= {2 * cfg.tol:.0e}")
@@ -288,7 +279,7 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
     # terminal condition: exact on any state
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
-        model, phi = prob["model"], prob["phi"]
+        model, phi = prob["model"], prob["cost"].phi
         x = prob["x0"]
         got = eval_value(sol, model, 1.0, x)
         exact = float(phi(model.project_state(x)))
@@ -299,9 +290,9 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
     c = 0.25
     worst = 0.0
     for prob in (heat_problem, delay_problem):
-        model, phi = prob["model"], prob["phi"]
+        model, phi = prob["model"], prob["cost"].phi
         ham = Hamiltonian(np.zeros((1, model.control_dim)), np.zeros(1))
-        sol = picard_solve(model, ham, phi, costs.constant_ell0(c),
+        sol = picard_solve(model, CostSpec(costs.constant_ell0(c), ham, phi),
                            prob["cfg"])
         axes = sol.iterate.space_axes
         for i, (j1, j2) in ((4, (20, 22)), (17, (19, 21)), (33, (21, 20))):
@@ -326,9 +317,8 @@ def test_criterion_11_value_dominance(heat_problem, delay_problem, solutions):
     details = []
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
-        cost = CostSpec(ell0=prob["ell0"], ham=prob["ham"], phi=prob["phi"],
-                        horizon=1.0)
-        pols = random_open_loop_policies(prob["ham"], 20, 10, seed=77)
+        cost = prob["cost"]
+        pols = random_open_loop_policies(cost.ham, 20, 10, seed=77)
         pols.append(Policy.greedy(sol))
         rep = value_dominance_check(
             prob["model"], cost, sol, pols, 0.0, prob["x0"],
@@ -347,7 +337,7 @@ def test_criterion_12_solution_bound(heat_problem, delay_problem, solutions):
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
         sup_f = np.abs(sol.iterate.f_values).max()
-        denom = prob["phi"].bound + 0.1          # sup|ell0| = 0.1 shipped
+        denom = prob["cost"].phi.bound + 0.1          # sup|ell0| = 0.1 shipped
         kappa = max(kappa, sup_f / denom)
     ok = kappa <= 10.0
     report(12, ok, f"reported kappa_1 = {kappa:.3f} <= 10 across shipped configs")

@@ -294,6 +294,9 @@ class TestInvalidConfig:
         ("cost.phi.direction", "12"),
         pytest.param("cost.horizon", 10**400, id="cost.horizon-10**400"),
         ("simulate.n_random_policies", False),
+        # an empty or reversed horizon
+        ("cost.horizon", 0.0),
+        ("cost.horizon", -1.0),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
@@ -449,7 +452,7 @@ class TestLambda:
         fit = json.loads((out / "lambda_fit.json").read_text())
         assert -1.0 < fit["slope"] < 0.0
 
-    def test_violating_config_exits_3(self, tmp_path):
+    def test_violating_config_exits_3(self, tmp_path, capsys):
         cfg = small_delay_config()
         cfg["model"] = {
             "kind": "heat",
@@ -463,6 +466,15 @@ class TestLambda:
         path = write_config(tmp_path, cfg)
         rc = main(["lambda", "--config", path, "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 3
+        # the fitted blow-up exponent (1.25) is outside (0, 1): the solve
+        # refuses the model under the same label, and writes no status
+        for command in ("solve", "simulate"):
+            out = tmp_path / command
+            rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
+            assert rc == 3
+            assert capsys.readouterr().err.startswith(
+                "smoothing hypothesis violated: fitted blow-up exponent 1.250")
+            assert not (out / "solve_meta.json").exists()
 
     def test_rank_deficient_delay_exits_3(self, tmp_path):
         cfg = small_delay_config(
@@ -599,8 +611,9 @@ class TestShippedConfigs:
         from pshjb.hjb import SolverConfig
 
         run = load_config(os.path.join(os.path.dirname(__file__), "..", path))
+        assert run.cost.horizon == 1.0
         assert run.solver == SolverConfig(
-            horizon=1.0, tol=1e-4, max_iter=30,
+            tol=1e-4, max_iter=30,
             **{"n_time": 40, "space_points": 41, **grids},
         )
         if run.model_kind == "heat":

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -58,6 +59,24 @@ class TestGramian:
             exact = np.diag((1.0 - np.exp(2 * d * t)) / (-2 * d))
             np.testing.assert_allclose(gramian(cfg, t), exact, rtol=1e-12,
                                        atol=1e-12 * np.abs(exact).max())
+
+    @pytest.mark.parametrize("lam", [-800.0, -5000.0])
+    def test_very_stiff_coupled_drift(self, lam):
+        # e^{-t a0} overflows at t = 1 (Van Loan's exponential alone gives
+        # NaN); the closed form through the eigenvectors a0 = V diag(d) V^-1:
+        # G = V [M_ij (e^{(d_i + d_j) t} - 1) / (d_i + d_j)] V*, with
+        # M = V^-1 sigma sigma* V^-*
+        a0 = np.array([[lam, 0.1], [0.0, -0.2]])
+        cfg = DelayConfig(a0=a0, b0=np.zeros((2, 1)), sigma=np.eye(2), delay=0.1)
+        d, v = np.linalg.eig(a0)
+        vinv = np.linalg.inv(v)
+        ts = np.array([1e-4, 0.3, 1.0, 2.0])
+        got = gramian(cfg, ts)
+        for t, g in zip(ts, got):
+            rate = d[:, None] + d[None, :]
+            exact = v @ (vinv @ vinv.T * np.expm1(rate * t) / rate) @ v.T
+            np.testing.assert_allclose(g, exact, rtol=1e-9, atol=1e-12 * abs(exact).max())
+            assert np.array_equal(gramian(cfg, t), g)
 
 
     def test_array_of_times(self, delay_model):
@@ -331,8 +350,19 @@ class TestStiffDrift:
         cfg = replace(shipped_delay_config(), a0=[[-50.0, 0.1], [0.0, -0.2]])
         model = delay.build_projected_model(cfg)
         solver = hjb.SolverConfig(**MINI_CFG)
-        sol = hjb.picard_solve(
-            model, shipped_delay_ham(), costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
-            costs.constant_ell0(0.1), solver,
-        )
+        cost = hjb.CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
+                            costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+        sol = hjb.picard_solve(model, cost, solver)
         assert sol.residual <= solver.tol
+
+    def test_very_stiff_mini_solve_converges(self, tmp_path):
+        # e^{-t a0} of Van Loan's exponential overflows from t = 0.89 on;
+        # the Gramian halves t until ||t a0||_1 <= 1 and doubles back
+        from pshjb.cli import main
+
+        text = (Path(__file__).resolve().parents[1] / "bench" / "workloads"
+                / "delay.yaml").read_text()
+        path = tmp_path / "stiff.yaml"
+        path.write_text(text.replace("a0: [[-0.3, 0.1]", "a0: [[-800, 0.1]"))
+        assert main(["solve", "--config", str(path), "--out-dir", str(tmp_path),
+                     "--quiet"]) == 0

@@ -37,7 +37,7 @@ X0 = np.array([0.3, -0.2])
 
 
 def make_cost(ham, phi, c=0.1):
-    return CostSpec(ell0=costs.constant_ell0(c), ham=ham, phi=phi, horizon=1.0)
+    return CostSpec(ell0=costs.constant_ell0(c), ham=ham, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +123,7 @@ def solved_case(request):
     (m = 1) solutions."""
     name = request.param
     model = request.getfixturevalue(f"{name}_model")
-    sol, ham, phi, ell0, cfg = request.getfixturevalue(f"mini_{name}_solution")
-    cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+    sol, cost, _ = request.getfixturevalue(f"mini_{name}_solution")
     return model, cost, sol, HEAT_X0 if name == "heat" else X0
 
 
@@ -192,7 +191,7 @@ class TestCostBuilders:
         ell0 = costs.table_ell0([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
         np.testing.assert_allclose(ell0([0.25, 0.5, 0.75]), [0.5, 1.0, 0.5])
         cost = CostSpec(ell0=ell0, ham=shipped_delay_ham(),
-                        phi=costs.constant_cost(0.0), horizon=1.0)
+                        phi=costs.constant_cost(0.0))
         assert abs(cost.ell0_integral(0.0, 1.0) - 0.5) <= 1e-9
 
     @pytest.mark.parametrize("times", [[1.0, 0.0], [0.0, 0.5, 0.5]])
@@ -273,8 +272,7 @@ class TestSimulateCost:
         )
 
     def test_greedy_runs_and_is_sane(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        sol, cost, _ = mini_delay_solution
         res = simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0,
                             n_samples=2000, time_steps=20, seed=6)
         assert np.isfinite(res.mean)
@@ -282,7 +280,7 @@ class TestSimulateCost:
         best_const = min(
             simulate_cost(delay_model, cost, Policy.constant(j), 0.0, X0,
                           2000, 20, seed=7 + j).mean
-            for j in range(ham.control_points.shape[0])
+            for j in range(cost.ham.control_points.shape[0])
         )
         assert res.mean <= best_const + 0.05
 
@@ -337,9 +335,8 @@ class TestControlIntegralTable:
 
     def test_costs_match_a_table_per_call(self, mini_delay_solution, delay_model,
                                           monkeypatch):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        policies = random_open_loop_policies(ham, 20, 2, seed=3)
+        sol, cost, _ = mini_delay_solution
+        policies = random_open_loop_policies(cost.ham, 20, 2, seed=3)
         policies.append(Policy.greedy(sol))
 
         def round_costs():
@@ -359,9 +356,8 @@ class TestGreedyNoiseBlocks:
         # pushforward_cov blocks, from one stacked query, and one proj_cov
         # block, not one per pair; the costs equal those of the per-pair
         # assembly
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        steps, T = np.linspace(0.0, 1.0, 21), cfg.horizon
+        sol, cost, _ = mini_delay_solution
+        steps, T = np.linspace(0.0, 1.0, 21), cost.horizon
 
         def greedy_costs():
             return simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0,
@@ -432,8 +428,7 @@ class TestSampleBlocks:
 
     def test_greedy_memory_is_per_block(self, mini_delay_solution, delay_model):
         # beyond the costs: a few blocks of step noise
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        sol, cost, _ = mini_delay_solution
         n, steps, n_dim = self.N_MEM, 20, delay_model.proj_dim
         block_noise = 8 * harness._SIM_BLOCK * steps * n_dim
         peak = self.traced_peak(delay_model, cost, Policy.greedy(sol), n, steps)
@@ -456,11 +451,10 @@ class TestSampleBlocks:
 
     def test_open_loop_memory_is_per_block(self, mini_delay_solution, delay_model):
         # beyond the costs: a few blocks of terminal states and draws
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        sol, cost, _ = mini_delay_solution
         n, steps, n_dim = self.N_MEM, 20, delay_model.proj_dim
         block_states = 8 * harness._SIM_BLOCK * n_dim
-        pol = random_open_loop_policies(ham, steps, 1, seed=1)[0]
+        pol = random_open_loop_policies(cost.ham, steps, 1, seed=1)[0]
         peak = self.traced_peak(delay_model, cost, pol, n, steps)
         assert peak < 8 * n + 4 * block_states
 
@@ -469,9 +463,8 @@ class TestDominance:
     def test_trivial_control_value_matches_cost(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-        ell0 = costs.constant_ell0(0.1)
-        sol = picard_solve(delay_model, ham, phi, ell0, SolverConfig(**MINI_CFG))
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=1.0)
+        cost = make_cost(ham, phi)
+        sol = picard_solve(delay_model, cost, SolverConfig(**MINI_CFG))
         res = simulate_cost(delay_model, cost, Policy.constant(0), 0.0, X0,
                             20_000, 20, seed=8)
         v = eval_value(sol, delay_model, 0.0, X0)
@@ -480,9 +473,8 @@ class TestDominance:
         assert abs(v - res.mean) <= 5e-3 + 3.0 * res.std_error
 
     def test_dominance_report(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        pols = random_open_loop_policies(ham, 20, 4, seed=1)
+        sol, cost, _ = mini_delay_solution
+        pols = random_open_loop_policies(cost.ham, 20, 4, seed=1)
         pols.append(Policy.greedy(sol))
         report = value_dominance_check(
             delay_model, cost, sol, pols, 0.0, X0,
@@ -497,9 +489,8 @@ class TestDominance:
     def test_dominance_three_initial_conditions_delay(
         self, mini_delay_solution, delay_model
     ):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        pols = random_open_loop_policies(ham, 20, 3, seed=5)
+        sol, cost, _ = mini_delay_solution
+        pols = random_open_loop_policies(cost.ham, 20, 3, seed=5)
         pols.append(Policy.greedy(sol))
         for x0 in ([0.0, 0.0], [0.5, 0.3], [-0.8, 0.4]):
             report = value_dominance_check(
@@ -512,9 +503,8 @@ class TestDominance:
     def test_dominance_three_initial_conditions_heat(
         self, mini_heat_solution, heat_model
     ):
-        sol, ham, phi, ell0, cfg = mini_heat_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
-        pols = random_open_loop_policies(ham, 20, 3, seed=6)
+        sol, cost, _ = mini_heat_solution
+        pols = random_open_loop_policies(cost.ham, 20, 3, seed=6)
         pols.append(Policy.greedy(sol))
         k = np.arange(1, 257, dtype=float)
         for amp in (0.0, 0.5, -0.8):
@@ -526,8 +516,7 @@ class TestDominance:
             assert all(p["ok"] for p in report["policies"])
 
     def test_dominance_violation_detected(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        cost = CostSpec(ell0=ell0, ham=ham, phi=phi, horizon=cfg.horizon)
+        sol, cost, _ = mini_delay_solution
         # inflate the solved values: the reported value then exceeds costs
         from dataclasses import replace
 

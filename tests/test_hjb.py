@@ -1,5 +1,6 @@
 import itertools
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ from pshjb.errors import (
     OutOfGrid,
 )
 from pshjb.hjb import (
+    CostSpec,
     Hamiltonian,
     SolverConfig,
     UpsilonOperator,
@@ -284,7 +286,7 @@ class TestShiftInterpolation:
         # s-nodes) with a batch of shifts each, as in the Picard map; in one
         # chunk and in chunks of one mesh row
         model = request.getfixturevalue(name)
-        axes = make_space_axes(model, SolverConfig(**MINI_CFG))
+        axes = make_space_axes(model, SolverConfig(**MINI_CFG), 1.0)
         n_dim, m = len(axes), model.control_dim
         shape = tuple(a.size for a in axes)
         step, width = axes[0][1] - axes[0][0], axes[0][-1] - axes[0][0]
@@ -422,26 +424,24 @@ class TestWeightedDistance:
         assert d0 <= np.exp(2.0 * T) * d2 + 1e-14
 
     def test_grid_mismatch(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
+        sol, cost, _ = mini_delay_solution
         other_cfg = SolverConfig(**{**MINI_CFG, "n_time": 12})
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, other_cfg, gamma=0.52)
+        ups = UpsilonOperator(delay_model, cost, other_cfg, gamma=0.52)
         with pytest.raises(GridMismatch, match="time grids differ"):
             sup_distance(sol.iterate, ups.initial_iterate())
         with pytest.raises(GridMismatch, match="time grids differ"):
             ups.apply(sol.iterate)
         wide_cfg = SolverConfig(**{**MINI_CFG, "box_halfwidth": 10.0})
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, wide_cfg, gamma=0.52)
+        ups = UpsilonOperator(delay_model, cost, wide_cfg, gamma=0.52)
         with pytest.raises(GridMismatch, match="space grids differ"):
             ups.apply(sol.iterate)
 
 
 @pytest.fixture(scope="module")
 def trivial_ups(delay_model):
-    ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
-    phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-    ell0 = costs.constant_ell0(0.3)
-    cfg = SolverConfig(**MINI_CFG)
-    return UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+    cost = CostSpec(costs.constant_ell0(0.3), Hamiltonian(np.zeros((1, 1)), np.zeros(1)),
+                    costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+    return UpsilonOperator(delay_model, cost, SolverConfig(**MINI_CFG), gamma=0.52)
 
 
 @pytest.fixture(scope="module")
@@ -450,12 +450,12 @@ def mini_ups(heat_model, delay_model):
     problems."""
     cfg = SolverConfig(**MINI_CFG)
     return {
-        "heat": UpsilonOperator(heat_model, shipped_heat_ham(),
-                                costs.tanh_cost([0.8, -0.5], 0.0, 1.0),
-                                costs.constant_ell0(0.1), cfg, gamma=0.52),
-        "delay": UpsilonOperator(delay_model, shipped_delay_ham(),
-                                 costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
-                                 costs.constant_ell0(0.1), cfg, gamma=0.52),
+        "heat": UpsilonOperator(heat_model, CostSpec(
+            costs.constant_ell0(0.1), shipped_heat_ham(),
+            costs.tanh_cost([0.8, -0.5], 0.0, 1.0)), cfg, gamma=0.52),
+        "delay": UpsilonOperator(delay_model, CostSpec(
+            costs.constant_ell0(0.1), shipped_delay_ham(),
+            costs.tanh_cost([1.0, 1.0], 0.0, 1.0)), cfg, gamma=0.52),
     }
 
 
@@ -482,7 +482,7 @@ class TestUpsilon:
             y0 = np.array([trivial_ups.space_axes[d][mid[d]] for d in range(2)])
             rule = build_quadrature(2, 12)
             ref = semigroup_apply(
-                delay_model, trivial_ups.phi, t, y0, rule
+                delay_model, trivial_ups.cost.phi, t, y0, rule
             ) + 0.3 * t
             assert abs(g.f_values[(i,) + mid] - ref) <= 2e-5
 
@@ -490,9 +490,8 @@ class TestUpsilon:
         # fbar == 0 makes the convolution integrand the constant min(ell1)
         ham = Hamiltonian(np.array([[0.5], [-0.5]]), np.array([0.25, 0.75]))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-        ell0 = costs.constant_ell0(0.0)
-        cfg = SolverConfig(**MINI_CFG)
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+        cost = CostSpec(costs.constant_ell0(0.0), ham, phi)
+        ups = UpsilonOperator(delay_model, cost, SolverConfig(**MINI_CFG), gamma=0.52)
         g = ups.zero_iterate()
         out = ups.apply(g)
         t_pos = out.time_grid[1:]
@@ -530,9 +529,9 @@ class TestUpsilon:
         monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
         cfg = SolverConfig(**MINI_CFG)
         assert cfg.time_quad_order != n
-        UpsilonOperator(delay_model, shipped_delay_ham(),
-                        costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
-                        costs.constant_ell0(0.1), cfg, gamma=0.52)
+        UpsilonOperator(delay_model, CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
+                                              costs.tanh_cost([1.0, 1.0], 0.0, 1.0)),
+                        cfg, gamma=0.52)
         n_s = 2 * cfg.time_quad_order
         assert calls == {"proj_cov": cfg.n_time + 1, "proj_control": cfg.n_time,
                          "pushforward_cov": cfg.n_time,
@@ -551,8 +550,7 @@ class TestUpsilon:
         for budget in (2**62, 1):
             monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", budget)
             assert hjb._chunk_values(8, n0) == (8 * n0 if budget > 1 else 8)
-            built[budget] = UpsilonOperator(ups.model, ups.ham, ups.phi,
-                                            costs.constant_ell0(0.1), ups.cfg, ups.gamma)
+            built[budget] = UpsilonOperator(ups.model, ups.cost, ups.cfg, ups.gamma)
         chunks = {budget: sum(len(ch) for steps in op._steps for _, ch, _ in steps)
                   for budget, op in built.items()}
         assert chunks[1] == n0 * chunks[2**62] > chunks[2**62]
@@ -595,7 +593,7 @@ class TestUpsilon:
         ups = mini_ups[name]
         g = random_iterate(ups, np.random.default_rng(3))
         out = ups.apply(g)
-        m, shape = ups.ham.control_dim, ups.space_shape
+        m, shape = ups.model.control_dim, ups.space_shape
         fbar = g.fbar_values.reshape((-1,) + shape + (m,))
         for i, t in enumerate(ups.time_grid[1:]):
             cv = ups.conv[i]
@@ -604,9 +602,9 @@ class TestUpsilon:
             pad_edges(ups._padded, ups.pad, len(shape))
             for coef, chunks, rows in ups._steps[i]:
                 interp_windows(coef, chunks)
-                h_min_batch(ups.ham, ups._block, out=rows)
+                h_min_batch(ups.cost.ham, ups._block, out=rows)
             hvals = ups._hvals
-            f = ups.s_f[i] + ups.ell0_cum[i] + cv.weights[:, 0] @ hvals
+            f = ups.s_f[i] + cv.weights[:, 0] @ hvals
             grad = t**ups.gamma * (ups.s_grad[i] + hvals.T @ cv.weights[:, 1:])
             assert np.abs(out.f_values[i + 1].ravel() - f).max() <= 1e-14
             assert np.abs(out.fbar_values[i].reshape(grad.shape) - grad).max() <= 1e-14
@@ -614,10 +612,10 @@ class TestUpsilon:
     def test_window_coefficients_counted_before_built(self, delay_model, monkeypatch):
         # the sizes alone pass the sweep budget, the windows do not: the
         # assembly refuses the problem before it stores every coefficient
-        ham, ell0 = shipped_delay_ham(), costs.constant_ell0(0.1)
-        phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
+        cost = CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
+                        costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
         cfg = SolverConfig(**MINI_CFG)
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+        ups = UpsilonOperator(delay_model, cost, cfg, gamma=0.52)
         values = sum(c.size for cv in ups.conv for c in cv.coef)
         assert values == ups._coef_values
         full = hjb._sweep_bytes(cfg, 2, 1, ups.pad, ups.window, values)
@@ -629,7 +627,7 @@ class TestUpsilon:
         monkeypatch.setattr(hjb, "window_coefficients",
                             lambda *a: built.append(1) or coefficients(*a))
         with pytest.raises(ConfigError, match="per Picard sweep"):
-            UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=0.52)
+            UpsilonOperator(delay_model, cost, cfg, gamma=0.52)
         assert len(built) == cfg.n_time - 1
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
@@ -664,10 +662,8 @@ class TestPicard:
     def test_trivial_converges_in_one_iteration(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-        sol = picard_solve(
-            delay_model, ham, phi, costs.constant_ell0(0.0),
-            SolverConfig(**MINI_CFG),
-        )
+        sol = picard_solve(delay_model, CostSpec(costs.constant_ell0(0.0), ham, phi),
+                           SolverConfig(**MINI_CFG))
         assert sol.iterations == 1
         assert sol.residual <= 1e-12
 
@@ -680,19 +676,19 @@ class TestPicard:
         assert all(r < 1.0 for r in ratios[2:])
 
     def test_uniqueness_from_different_starts(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        sol0 = picard_solve(delay_model, ham, phi, ell0, cfg, initial="zero")
+        sol, cost, cfg = mini_delay_solution
+        sol0 = picard_solve(delay_model, cost, cfg, initial="zero")
         d = sup_distance(sol.iterate, sol0.iterate)
         assert d <= 2.0 * cfg.tol
         # a misspelt start is an error, not the zero start
         with pytest.raises(ValueError, match="initial"):
-            picard_solve(delay_model, ham, phi, ell0, cfg, initial="semigroupp")
+            picard_solve(delay_model, cost, cfg, initial="semigroupp")
 
     def test_uniqueness_from_random_start(self, mini_delay_solution, delay_model):
         # a genuinely different start (the zero start merges into the
         # semigroup trajectory after one step since its gradient vanishes)
-        sol, ham, phi, ell0, cfg = mini_delay_solution
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
+        sol, cost, cfg = mini_delay_solution
+        ups = UpsilonOperator(delay_model, cost, cfg, gamma=sol.gamma)
         g = random_iterate(ups, np.random.default_rng(3))
         for _ in range(cfg.max_iter):
             g_next = ups.apply(g)
@@ -704,12 +700,12 @@ class TestPicard:
         assert sup_distance(g, sol.iterate) <= 2.0 * cfg.tol
 
     def test_diagnostics(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
+        sol, cost, _ = mini_delay_solution
         diag = sol.diagnostics
         assert diag["applies"] == {"picard": sol.iterations}
         assert 0.0 < diag["clamped_mass"] < 0.5
         pinned = SolverConfig(**{**MINI_CFG, "gamma": sol.gamma})
-        sol_p = picard_solve(delay_model, ham, phi, ell0, pinned)
+        sol_p = picard_solve(delay_model, cost, pinned)
         assert sol_p.diagnostics["applies"] == {"picard": sol.iterations}
         assert sol_p.diagnostics["clamped_mass"] == diag["clamped_mass"]
 
@@ -721,10 +717,10 @@ class TestPicard:
         # solves of bench/workloads/*.yaml; one_ulp is what a one-ulp
         # settling test copies there, as it recomputes at every iterate the
         # early nodes whose slices cycle by a couple of ulps
-        sol, ham, phi, ell0, cfg = request.getfixturevalue(f"mini_{name}_solution")
+        sol, cost, cfg = request.getfixturevalue(f"mini_{name}_solution")
         model = request.getfixturevalue(f"{name}_model")
         assert sol.diagnostics["copied_nodes"] > one_ulp
-        ups = UpsilonOperator(model, ham, phi, ell0, cfg, gamma=sol.gamma)
+        ups = UpsilonOperator(model, cost, cfg, gamma=sol.gamma)
         g = ups.initial_iterate()
         for _ in range(sol.iterations):
             g = ups.apply(g)
@@ -738,24 +734,25 @@ class TestPicard:
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         cfg = SolverConfig(**{**MINI_CFG, "gamma": 0.52})
         with pytest.raises(NoContraction):
-            picard_solve(delay_model, ham, phi, costs.constant_ell0(0.0), cfg)
+            picard_solve(delay_model, CostSpec(costs.constant_ell0(0.0), ham, phi), cfg)
 
     @staticmethod
     def _three_control_setup(control, **solver):
         ham = Hamiltonian([[-control], [0.0], [control]], [0.0, 0.0, 0.0])
         cfg = SolverConfig(**{**MINI_CFG, "n_time": 8, "space_points": 9,
                               "gamma": 0.52, "max_iter": 60, **solver})
-        return ham, costs.tanh_cost([1.0, 1.0], 0.0, 1.0), costs.constant_ell0(0.0), cfg
+        return CostSpec(costs.constant_ell0(0.0), ham,
+                        costs.tanh_cost([1.0, 1.0], 0.0, 1.0)), cfg
 
     def test_converged_means_sup_residual_below_tol(self, delay_model):
         # a slowly contracting solve: one more Picard step moves the
         # converged iterate by less than tol in the sup norm
-        ham, phi, ell0, cfg = self._three_control_setup(1.5)
-        sol = picard_solve(delay_model, ham, phi, ell0, cfg)
+        cost, cfg = self._three_control_setup(1.5)
+        sol = picard_solve(delay_model, cost, cfg)
         assert sol.eta_weight == 0.0
         assert sol.residual == sol.diagnostics["residual_history"][-1] <= cfg.tol
         assert sol.diagnostics["applies"] == {"picard": sol.iterations}
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=sol.gamma)
+        ups = UpsilonOperator(delay_model, cost, cfg, gamma=sol.gamma)
         assert sup_distance(ups.apply(sol.iterate), sol.iterate) <= cfg.tol
 
     def test_growth_in_sup_norm_raises(self, delay_model, monkeypatch):
@@ -763,8 +760,8 @@ class TestPicard:
         # step 29; no weaker norm is tried.  The solve raises at the same
         # step, with the same message, as a loop of sweeps that carries the
         # settled count, and computes no iterate past it.
-        ham, phi, ell0, cfg = self._three_control_setup(3.0)
-        ups = UpsilonOperator(delay_model, ham, phi, ell0, cfg, gamma=cfg.gamma)
+        cost, cfg = self._three_control_setup(3.0)
+        ups = UpsilonOperator(delay_model, cost, cfg, gamma=cfg.gamma)
         g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
             g_next, settled = ups.sweep(g, settled)
@@ -781,7 +778,7 @@ class TestPicard:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NoContraction, match="in the sup norm") as exc:
-                picard_solve(delay_model, ham, phi, ell0, cfg)
+                picard_solve(delay_model, cost, cfg)
         assert str(exc.value).endswith(f"residuals={residuals[-5:]}")
         assert len(solving) == len(residuals)
 
@@ -806,18 +803,48 @@ class TestPicard:
                            time_quad_order=2)
         with pytest.raises(InclusionViolated,
                            match=r"image-inclusion residual 1\.000e\+00 > 1e-06"):
-            picard_solve(Degenerate(), ham, costs.tanh_cost([1.0, 1.0], 0.0, 1.0),
-                         costs.constant_ell0(0.0), cfg)
+            picard_solve(Degenerate(), CostSpec(costs.constant_ell0(0.0), ham,
+                                                costs.tanh_cost([1.0, 1.0], 0.0, 1.0)), cfg)
 
     def test_gamma_validation(self):
         with pytest.raises(ValueError):
-            SolverConfig(horizon=1.0, gamma=1.5)
+            SolverConfig(gamma=1.5)
 
     def test_larger_gamma_also_solves(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
+        sol, cost, _ = mini_delay_solution
         cfg_hi = SolverConfig(**{**MINI_CFG, "gamma": min(sol.gamma + 0.2, 0.9)})
-        sol_hi = picard_solve(delay_model, ham, phi, ell0, cfg_hi)
+        sol_hi = picard_solve(delay_model, cost, cfg_hi)
         assert sol_hi.residual <= cfg_hi.tol
+
+
+class TestTimeCost:
+    """ell0 is a function of calendar time: at time-to-go t the solve
+    charges int_{T-t}^T ell0(s) ds, as the simulation does from a start at
+    T - t."""
+
+    def test_initial_iterate_integrates_calendar_time(self, trivial_ups, delay_model):
+        # ell0(s) = 2 s and T = 1: int_{1-t}^1 2 s ds = 2 t - t^2, where
+        # int_0^t would give t^2; trivial_ups charges the constant 0.3
+        ramp = replace(trivial_ups.cost, ell0=costs.table_ell0([0.0, 1.0], [0.0, 2.0]))
+        ups = UpsilonOperator(delay_model, ramp, trivial_ups.cfg, trivial_ups.gamma)
+        t = ups.time_grid[1:]
+        part = (ups.initial_iterate().f_values[1:]
+                - trivial_ups.initial_iterate().f_values[1:]).reshape(t.size, -1)
+        assert np.abs(part - (2 * t - t**2 - 0.3 * t)[:, None]).max() <= 1e-13
+
+    def test_value_difference_at_a_node(self, mini_delay_solution, delay_model):
+        # ell0(s) = 2 - 2 s against the constant 0.1 of the same problem:
+        # from t0 = T - t_k the values differ by int_{t0}^1 (1.9 - 2 s) ds
+        sol, cost, cfg = mini_delay_solution
+        table = replace(cost, ell0=costs.table_ell0([0.0, 1.0], [2.0, 0.0]))
+        sol_table = picard_solve(delay_model, table, cfg)
+        x = np.array([0.3, -0.2])
+        for k in (3, 12, 20):
+            t0 = cost.horizon - sol.iterate.time_grid[k]
+            exact = (1.0 - t0) ** 2 - 0.1 * (1.0 - t0)
+            diff = (eval_value(sol_table, delay_model, t0, x)
+                    - eval_value(sol, delay_model, t0, x))
+            assert abs(diff - exact) <= 1e-9
 
 
 class TestBenchmarkReference:
@@ -834,8 +861,7 @@ class TestBenchmarkReference:
         with np.load(bench / "reference" / f"{model}.npz") as z:
             ref = {k: z[k] for k in z.files}
         run = load_config(str(bench / "workloads" / f"{model}.yaml"))
-        sol = picard_solve(run.model, run.cost.ham, run.cost.phi, run.cost.ell0,
-                           run.solver)
+        sol = picard_solve(run.model, run.cost, run.solver)
         it = sol.iterate
         assert sol.iterations == int(ref["iterations"]) == iterations
         # the tolerance of the benchmark's check, for grids and values alike
@@ -850,10 +876,10 @@ class TestBenchmarkReference:
 
 class TestEvaluation:
     def test_terminal_value_exact(self, mini_delay_solution, delay_model):
-        sol, ham, phi, ell0, cfg = mini_delay_solution
+        sol, cost, _ = mini_delay_solution
         for x0 in ([0.0, 0.0], [0.4, -0.2], [1.5, 0.7]):
-            assert eval_value(sol, delay_model, cfg.horizon, x0) == float(
-                phi(np.asarray(x0))
+            assert eval_value(sol, delay_model, cost.horizon, x0) == float(
+                cost.phi(np.asarray(x0))
             )
 
     def test_trivial_solution_matches_semigroup(self, delay_model):
@@ -866,7 +892,7 @@ class TestEvaluation:
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         c = 0.25
         cfg = SolverConfig(**MINI_CFG)
-        sol = picard_solve(delay_model, ham, phi, costs.constant_ell0(c), cfg)
+        sol = picard_solve(delay_model, CostSpec(costs.constant_ell0(c), ham, phi), cfg)
         rule = build_quadrature(2, 12)
         axes = sol.iterate.space_axes
         for i, (j1, j2) in ((2, (10, 12)), (8, (9, 10)), (15, (11, 9))):
@@ -874,7 +900,7 @@ class TestEvaluation:
             y_node = np.array([axes[0][j1], axes[1][j2]])
             x = expm(-tau * delay_model.cfg.a0) @ y_node
             ref = semigroup_apply(delay_model, phi, tau, y_node, rule) + c * tau
-            got = eval_value(sol, delay_model, cfg.horizon - tau, x)
+            got = eval_value(sol, delay_model, 1.0 - tau, x)
             assert abs(got - ref) <= 1e-4
 
     def test_monotone_in_terminal_cost(self, delay_model):
@@ -883,8 +909,8 @@ class TestEvaluation:
         cfg = SolverConfig(**MINI_CFG)
         phi_lo = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         phi_hi = costs.tanh_cost([1.0, 1.0], 2.0, 1.0)   # pointwise larger
-        sol_lo = picard_solve(delay_model, ham, phi_lo, ell0, cfg)
-        sol_hi = picard_solve(delay_model, ham, phi_hi, ell0, cfg)
+        sol_lo = picard_solve(delay_model, CostSpec(ell0, ham, phi_lo), cfg)
+        sol_hi = picard_solve(delay_model, CostSpec(ell0, ham, phi_hi), cfg)
         for x in ([0.0, 0.0], [0.5, 0.2], [-0.6, 0.4]):
             for t in (0.0, 0.4, 0.9):
                 assert eval_value(sol_lo, delay_model, t, x) <= eval_value(
@@ -897,7 +923,7 @@ class TestEvaluation:
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         cfg = SolverConfig(**{**MINI_CFG, "quad_order": 8})
-        sol = picard_solve(delay_model, ham, phi, costs.constant_ell0(0.0), cfg)
+        sol = picard_solve(delay_model, CostSpec(costs.constant_ell0(0.0), ham, phi), cfg)
         rule = build_quadrature(2, 12)
         axes = sol.iterate.space_axes
         for i, (j1, j2) in ((5, (10, 11)), (12, (9, 10))):
@@ -905,16 +931,14 @@ class TestEvaluation:
             y_node = np.array([axes[0][j1], axes[1][j2]])
             x = expm(-tau * delay_model.cfg.a0) @ y_node
             ref = c_gradient_semigroup(delay_model, phi, tau, y_node, rule)
-            got = eval_c_gradient(sol, delay_model, cfg.horizon - tau, x)
+            got = eval_c_gradient(sol, delay_model, 1.0 - tau, x)
             np.testing.assert_allclose(got, ref, atol=2e-4)
 
     def test_constant_phi_zero_gradient(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         phi = costs.constant_cost(2.0)
-        sol = picard_solve(
-            delay_model, ham, phi, costs.constant_ell0(0.0),
-            SolverConfig(**MINI_CFG),
-        )
+        sol = picard_solve(delay_model, CostSpec(costs.constant_ell0(0.0), ham, phi),
+                           SolverConfig(**MINI_CFG))
         g = eval_c_gradient(sol, delay_model, 0.3, np.array([0.1, 0.1]))
         assert np.abs(g).max() <= 1e-12
 

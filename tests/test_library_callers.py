@@ -16,6 +16,10 @@ in its body.
 
 In ``config.py`` only ``_convert`` turns a YAML value into a number or an
 array.
+
+The control problem is one record, ``hjb.CostSpec``: only its
+``ell0_integral`` calls ``ell0``, and ``SolverConfig`` keeps no horizon of
+its own.
 """
 
 import ast
@@ -182,3 +186,24 @@ def test_config_converts_in_one_place():
              if isinstance(n, ast.Call) and id(n) not in inside
              and ast.unparse(n.func) in ("float", "int", "np.asarray", "np.array")]
     assert calls == [], "conversions outside config._convert: " + ", ".join(calls)
+
+
+def test_one_record_of_the_problem():
+    """The solver and the simulation read the horizon and integrate ell0
+    through ``CostSpec``: a second integration rule or a second horizon
+    lets the two disagree (a table ell0 from t0 > 0 once read 0.5 apart)."""
+    callers = [
+        f"{path.name}:{fn.name}"
+        for path in sorted(SRC.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, ast.FunctionDef)
+        and any(isinstance(n, ast.Call)
+                and getattr(n.func, "id", getattr(n.func, "attr", None)) == "ell0"
+                for n in ast.walk(fn))
+    ]
+    assert callers == ["hjb.py:ell0_integral"], "calls of ell0: " + ", ".join(callers)
+    tree = ast.parse((SRC / "hjb.py").read_text())
+    fields = [n.target.id for c in tree.body
+              if isinstance(c, ast.ClassDef) and c.name == "SolverConfig"
+              for n in c.body if isinstance(n, ast.AnnAssign)]
+    assert fields and "horizon" not in fields

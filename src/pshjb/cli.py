@@ -78,6 +78,11 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
+def _converged(sol, run: RunConfig) -> bool:
+    """The one success rule of a solve: a sup residual within ``tol``."""
+    return sol.residual <= run.solver.tol
+
+
 def cmd_solve(args, run: RunConfig) -> int:
     try:
         sol = picard_solve(run.model, run.cost, run.solver)
@@ -125,7 +130,7 @@ def cmd_solve(args, run: RunConfig) -> int:
         f"solved: residual {sol.residual:.3e} after {sol.iterations} iterations "
         f"(gamma={sol.gamma:.3f})",
     )
-    return EXIT_OK if sol.residual <= run.solver.tol else EXIT_NO_CONTRACTION
+    return EXIT_OK if _converged(sol, run) else EXIT_NO_CONTRACTION
 
 
 def cmd_lambda(args, run: RunConfig) -> int:
@@ -151,6 +156,12 @@ def cmd_lambda(args, run: RunConfig) -> int:
 
 def cmd_simulate(args, run: RunConfig) -> int:
     sol = picard_solve(run.model, run.cost, run.solver)
+    if not _converged(sol, run):
+        # dominance against an unconverged iterate would check nothing
+        raise NoContraction(
+            f"residual {sol.residual:.3e} above tol {run.solver.tol:.3e} after "
+            f"{sol.iterations} iterations; nothing simulated"
+        )
     policies = random_open_loop_policies(
         run.cost.ham, run.time_steps, run.n_random_policies, seed=run.seed
     )

@@ -217,8 +217,10 @@ def _simulate(horizon: float, t0: float = 0.0, n_samples: int = 10_000,
     """The settings of the ``simulate`` section, as :class:`RunConfig` fields."""
     if not 0.0 <= t0 < horizon:
         raise ValueError(f"t0 = {t0} must lie in [0, horizon = {horizon})")
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be >= 1, got {n_samples}")
+    if n_samples < 2:
+        # one sample has standard error 0: the dominance check would compare
+        # the value with a single draw
+        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if time_steps < 1:
         raise ValueError(f"time_steps must be >= 1, got {time_steps}")
     if n_random_policies < 0:

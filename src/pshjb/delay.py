@@ -116,7 +116,8 @@ def gramian(cfg: DelayConfig, t) -> np.ndarray:
     overflows for a stiff drift (a0 = -800 at h = 1), so it is taken at
     h = t / 2^s with ||h a0||_1 <= 1, and G is doubled s times:
     G(2h) = G(h) + E G(h) E* with E = e^{h a0} = F22*, and E <- E E.  When
-    ||t a0||_1 <= 1, s = 0 and G is Van Loan's form alone.
+    ||t a0||_1 <= 1, s = 0 and G is Van Loan's form alone.  An empty array
+    of times gives an empty (0, n, n) stack.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(t > 0):
@@ -126,7 +127,7 @@ def gramian(cfg: DelayConfig, t) -> np.ndarray:
     f = expm(np.multiply.outer(t / 2.0**s, cfg.van_loan))
     e = np.swapaxes(f[..., n:, n:], -1, -2)
     q = e @ f[..., :n, n:]
-    for k in range(int(s.max())):
+    for k in range(int(s.max(initial=0))):
         on = s > k
         q[on] += e[on] @ q[on] @ np.swapaxes(e[on], -1, -2)
         e[on] = e[on] @ e[on]
@@ -229,7 +230,7 @@ class DelayProjectedModel(ProjectedModel):
     def proj_control(self, t) -> np.ndarray:
         return proj_control_delay(self.cfg, t)
 
-    def pushforward_cov(self, s, t: float) -> np.ndarray:
+    def pushforward_cov(self, s, t) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if not np.all((0.0 < s) & (s < t)):
             raise ValueError("need 0 < s < t")

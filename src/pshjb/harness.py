@@ -7,11 +7,15 @@ their simulated costs are unbiased up to the control-response quadrature.
 
 Greedy (feedback) policies are simulated on a step grid.  The tracked
 quantity is Z(s) = P e^{(T-s)A} X(s), which is exactly what the solved
-gradient consumes and which reaches P X(T) at the horizon; its noise
-increments are independent Gaussians with covariances assembled from
-pushforward_cov, so the path law is exact and the only approximation is that
-the control is held constant between steps (itself an admissible policy, so
-dominance bounds remain valid).
+gradient consumes and which reaches P X(T) at the horizon.  Its noise is
+the Gaussian martingale int_{t0}^{s} P e^{(T-r)A} G dW(r), whose integrand
+is deterministic, so its increments over the steps are independent: over
+[s_j, s_{j+1}] the increment has covariance pushforward_cov(T - s_{j+1},
+T - s_j), and proj_cov(T - s_j) on the last step, which ends at the
+horizon.  Each step adds its increment through that covariance's own
+N x N root (the random-walk construction), so the path law is exact and
+the only approximation is that the control is held constant between steps
+(itself an admissible policy, so dominance bounds remain valid).
 
 Both branches run in blocks of at most _SIM_BLOCK samples, drawn in turn
 from one generator.  The generator yields the same stream whether rows are
@@ -21,11 +25,10 @@ Each block's terminal states are priced by the terminal cost and dropped,
 so memory is a few blocks' worth, whatever the number of samples: only the
 (n_samples,) costs are a whole-population array.
 
-The greedy loop keeps its arrays components first: the state and the
-control sum are (N, B) and the gradient (m, B) for B samples, so the
-scattered interpolation, the Hamiltonian argmin and the per-step updates
-read contiguous rows.  Each step's control response is an (N, n_u) table
-gathered by the argmin index.
+The greedy loop keeps its arrays components first: the state is (N, B)
+and the gradient (m, B) for B samples, so the scattered interpolation, the
+Hamiltonian argmin and the per-step updates read contiguous rows.  Each
+step's control response is an (N, n_u) table gathered by the argmin index.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ import numpy as np
 
 from .errors import DimensionMismatch, DominanceViolated
 from .hjb import CostSpec, HJBSolution, Hamiltonian, eval_value, h_min_batch, interp_fbar
-from .ou import ProjectedModel, assemble_block_cov
+from .ou import ProjectedModel
 from .spectral import psd_roots
 
 # Samples per block of simulate_cost.  A greedy block keeps its per-step
-# arrays (state, control sum, gradient, argmin scratch: about 1.3 MB at
+# arrays (state, gradient, argmin scratch: about 1.3 MB at
 # N = m = 2) in a core's L2 while all its steps run.  Greedy heat policy
 # at 200 000 samples and 20 steps, on 2 MiB-L2 cores: 0.44 s with blocks of
 # 16 384 to 65 536, 0.50 s with 8 192 (per-call overhead), 0.64 s in one
@@ -197,41 +200,30 @@ def simulate_cost(
     if sol is None:
         raise ValueError("greedy policy needs an HJB solution")
 
-    # Joint noise of Z_j = P e^{(T-s_j)A} X(s_j): the stochastic parts are
-    # integrals of a common kernel, so Cov(Y_i, Y_j) depends on min(i, j)
-    # only; one global factorization gives the exact joint law.  Each of
-    # the time_steps distinct blocks is built once: the pushforward
-    # covariances of the steps before the horizon in one query, then the
-    # last step's, which reaches the horizon, proj_cov(T - t0).
-    blocks = np.concatenate((model.pushforward_cov(T - steps[1:-1], T - t0),
-                             [model.proj_cov(T - t0)]))
-
-    # Step j's noise is rows j*N:(j+1)*N of root @ draws.T, for a block's
-    # draws of shape (B, steps*N); the draws are freed once the product exists.
-    n_dim = model.proj_dim
-    root = psd_roots(
-        assemble_block_cov(lambda i, j: blocks[min(i, j)], time_steps, n_dim)
-    )[0]
+    # Covariances of the steps' noise increments (see the module docstring):
+    # one query for the steps before the horizon, proj_cov for the last one;
+    # one stacked root for them all.
+    to_go = T - steps
+    roots = psd_roots(np.concatenate((model.pushforward_cov(to_go[1:-1], to_go[:-2]),
+                                      [model.proj_cov(to_go[-2])])))[0]
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
     for lo in range(0, n_samples, _SIM_BLOCK):
         b = min(_SIM_BLOCK, n_samples - lo)
-        noise = root @ rng.standard_normal((b, time_steps * n_dim)).T
+        draws = rng.standard_normal((b, time_steps, model.proj_dim))
         blk_cost = np.zeros(b)
-        ctrl_sum = np.zeros((n_dim, b))
-        z = np.broadcast_to(z_det[:, None], (n_dim, b))
+        z = np.repeat(z_det[:, None], b, axis=1)
         for j in range(time_steps):
             # gradient clamped to the first resolved node near the horizon;
             # the resulting control is still admissible, so dominance is
             # unaffected
-            tau = max(T - steps[j], t_min)
+            tau = max(to_go[j], t_min)
             p = interp_fbar(sol.iterate, tau, z)
             p *= tau ** (-sol.gamma)
             _, idx = h_min_batch(cost.ham, p, argmin=True)
             blk_cost += ell1[idx] * dt
-            ctrl_sum += response[j].take(idx, axis=1)
-            z = z_det[:, None] + ctrl_sum
-            z += noise[j * n_dim:(j + 1) * n_dim]
+            z += response[j].take(idx, axis=1)
+            z += roots[j] @ draws[:, j].T
         costs[lo:lo + b] = ell0_int + blk_cost + cost.phi(z.T)   # z = P X(T)
     return SimulationResult.from_costs(costs)
 

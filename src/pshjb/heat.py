@@ -184,7 +184,7 @@ class HeatProjectedModel(ProjectedModel):
         decay = self._lam * np.exp(np.multiply.outer(-t, self._lam))
         return (self._v * decay[..., None, :]) @ self._dmat
 
-    def pushforward_cov(self, s, t: float) -> np.ndarray:
+    def pushforward_cov(self, s, t) -> np.ndarray:
         s = np.asarray(s, dtype=float)
         if not np.all((0.0 < s) & (s < t)):
             raise ValueError("need 0 < s < t")

@@ -949,8 +949,7 @@ def picard_solve(
     (:meth:`UpsilonOperator.zero_iterate`).
 
     Each iterate is one :meth:`UpsilonOperator.sweep` that starts from the
-    settled count the previous one returned (0 at the start), so
-    ``diagnostics["applies"]["picard"]`` equals ``iterations``;
+    settled count the previous one returned (0 at the start);
     ``diagnostics["copied_nodes"]`` counts the node-iterates copied from a
     settled source.
     """
@@ -997,7 +996,6 @@ def picard_solve(
         g = g_next
         if d < cfg.tol:
             break
-    diagnostics["applies"] = {"picard": len(residuals)}
     diagnostics["copied_nodes"] = ups.copied
     diagnostics["residual_history"] = residuals
     return HJBSolution(

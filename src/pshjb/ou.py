@@ -4,9 +4,8 @@ The infinite-dimensional uncontrolled state never appears explicitly: every
 quantity the solver needs factors through a finite-rank projection P, and the
 :class:`ProjectedModel` contract below collects exactly those projected
 quantities.  On top of the contract this module provides the transition
-semigroup acting on projected terminal costs, the Cameron-Martin density
-between shifted Gaussians, and the assembly of a block covariance (the joint
-law of the projected noise at several times) from its blocks.
+semigroup acting on projected terminal costs and the Cameron-Martin density
+between shifted Gaussians.
 
 Covariance calls always require t > 0; at t = 0 the projected dynamics are
 only defined on the original state space and callers evaluate the terminal
@@ -40,14 +39,16 @@ class ProjectedModel:
       array of t, the stack (*t.shape, N, m) of these matrices, each equal
       bit for bit to the call with its t alone;
     - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t; for
-      an array of s, the stack (*s.shape, N, N) of these matrices, each
-      equal bit for bit to the call with its s alone.
+      arrays of s and t, which broadcast, the stack (*shape, N, N) of these
+      matrices, each equal bit for bit to the call with its s and t alone.
 
     The library queries a model only through these; the policy simulation
     builds the law of the projected noise from the two covariances.  The
-    solver's assembly and the greedy simulation ask for all the pushforward
-    covariances of one t in one call, and the simulation's control
-    integrals for the control responses of one Gauss-Legendre piece.
+    solver's assembly asks for all the pushforward covariances of one t in
+    one call, the greedy simulation for the noise increments of all its
+    steps before the horizon (an array of s and one of t), and the
+    simulation's control integrals for the control responses of one
+    Gauss-Legendre piece.
 
     Implementations must be immutable after construction; all queries are
     pure so they can run concurrently.
@@ -72,7 +73,7 @@ class ProjectedModel:
     def proj_control(self, t) -> np.ndarray:
         raise NotImplementedError
 
-    def pushforward_cov(self, s, t: float) -> np.ndarray:
+    def pushforward_cov(self, s, t) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -137,14 +138,3 @@ def cameron_martin_density(cov, y, z) -> float:
     u = pinv_sqrt @ y
     v = pinv_sqrt @ z
     return float(np.exp(u @ v - 0.5 * (u @ u)))
-
-
-def assemble_block_cov(cov_fn, k: int, n: int) -> np.ndarray:
-    """Stack an k*n x k*n covariance from the block kernel cov_fn(i, j)."""
-    big = np.empty((k * n, k * n))
-    for i in range(k):
-        for j in range(i, k):
-            block = np.asarray(cov_fn(i, j), dtype=float)
-            big[i * n : (i + 1) * n, j * n : (j + 1) * n] = block
-            big[j * n : (j + 1) * n, i * n : (i + 1) * n] = block.T
-    return big

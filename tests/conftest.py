@@ -4,7 +4,6 @@ from scipy.ndimage import map_coordinates
 
 from pshjb import costs, delay, heat, hjb
 from pshjb.errors import GridMismatch, OutOfGrid, PshjbError
-from pshjb.ou import assemble_block_cov
 from pshjb.smoothing import lambda_norm, lambda_operator
 from pshjb.spectral import psd_roots
 
@@ -70,11 +69,24 @@ def nearest_multilinear(axes, values, pts):
     return map_coordinates(values, coords, order=1, mode="nearest")
 
 
+def assemble_block_cov(cov_fn, k, n):
+    """Stack a k*n x k*n covariance from the block kernel cov_fn(i, j)."""
+    big = np.empty((k * n, k * n))
+    for i in range(k):
+        for j in range(i, k):
+            block = np.asarray(cov_fn(i, j), dtype=float)
+            big[i * n:(i + 1) * n, j * n:(j + 1) * n] = block
+            big[j * n:(j + 1) * n, i * n:(i + 1) * n] = block.T
+    return big
+
+
 def sample_block_gaussian(cov_fn, k, n, rng, size=1):
     """Joint zero-mean Gaussian samples for a block covariance kernel.
 
-    One global symmetric square root of the stacked covariance, no
-    sequential conditioning: the projected process is not Markov.  Returns
+    One global symmetric square root of the stacked covariance, which
+    needs no structure of the kernel: an oracle independent of the
+    simulation's per-step increments, which rest on the independence of
+    the increments of the noise of Z(s) = P e^{(T-s)A} X(s).  Returns
     shape (size, k, n).
     """
     root = psd_roots(assemble_block_cov(cov_fn, k, n))[0]

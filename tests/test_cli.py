@@ -84,7 +84,6 @@ class TestSolve:
         meta = json.loads((out / "solve_meta.json").read_text())
         assert meta["status"] == "ok"
         assert meta["residual"] <= 1e-4
-        assert meta["diagnostics"]["applies"] == {"picard": meta["iterations"]}
         assert 0.0 <= meta["diagnostics"]["clamped_mass"] <= 1.0
         # node-iterates copied from settled sources, at most all but the first
         # iterate's
@@ -186,6 +185,16 @@ class TestSolve:
         assert rc == 2
         meta = json.loads((out / "solve_meta.json").read_text())
         assert meta["residual"] > 1e-12
+
+    def test_unconverged_solve_is_not_simulated(self, tmp_path, capsys):
+        # the rule of solve's exit 2: a residual above tol at the cap
+        cfg = small_delay_config(**{"solver.max_iter": 1, "solver.tol": 1e-12})
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("no contraction: ")
+        assert os.listdir(out) == []
 
 
 class TestExitCodes:
@@ -297,6 +306,8 @@ class TestInvalidConfig:
         # an empty or reversed horizon
         ("cost.horizon", 0.0),
         ("cost.horizon", -1.0),
+        # one sample has standard error 0
+        ("simulate.n_samples", 1),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
@@ -502,6 +513,15 @@ class TestSimulate:
         assert all(p["ok"] for p in report["policies"])
         assert report["greedy_gap"] is not None
         assert (out / "simulate_policies.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["delay", "heat"])
+    def test_one_time_step(self, tmp_path, kind):
+        # a single step has no increment before the horizon
+        build = small_heat_config if kind == "heat" else small_delay_config
+        path = write_config(tmp_path, build(**{"simulate.time_steps": 1}))
+        rc = main(["simulate", "--config", path, "--out-dir", str(tmp_path / "out"),
+                   "--quiet"])
+        assert rc == 0
 
     @pytest.mark.parametrize("policy, n_random", [("greedy", 3), ("none", 0)])
     def test_samples_file_matches_report(self, tmp_path, policy, n_random):

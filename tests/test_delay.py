@@ -90,6 +90,13 @@ class TestGramian:
         with pytest.raises(ValueError):
             gramian(cfg, np.array([0.5, 0.0]))
 
+    def test_empty_array_of_times(self, delay_model):
+        # a one-step simulation has no noise increment before the horizon
+        cfg = delay_model.cfg
+        assert gramian(cfg, np.empty(0)).shape == (0, cfg.n, cfg.n)
+        assert delay_model.pushforward_cov(np.empty(0), np.empty(0)).shape == (
+            0, cfg.n, cfg.n)
+
 
 class TestControlResponse:
     def test_atom_inactive_before_delay(self):
@@ -285,6 +292,11 @@ class TestProjectedModel:
                 assert np.array_equal(mdl.pushforward_cov(si, t), c)
             grid = mdl.pushforward_cov(s.reshape(3, 4), t)
             assert np.array_equal(grid, got.reshape(3, 4, n, n))
+        # arrays of s and t pair up: the increments of a step grid
+        ends = np.linspace(1.0, 0.0, 9)[:-1]
+        got = mdl.pushforward_cov(ends[1:], ends[:-1])
+        for si, ti, c in zip(ends[1:], ends[:-1], got):
+            assert np.array_equal(mdl.pushforward_cov(si, ti), c)
         for bad in ([0.2, 0.0], [0.2, 1.0]):
             with pytest.raises(ValueError):
                 mdl.pushforward_cov(np.array(bad), 1.0)

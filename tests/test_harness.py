@@ -7,6 +7,7 @@ import pytest
 from pshjb import costs, harness
 from pshjb.errors import DominanceViolated
 from pshjb.ou import ProjectedTerminalCost
+from pshjb.spectral import psd_roots
 from pshjb.harness import (
     CostSpec,
     Policy,
@@ -42,7 +43,8 @@ def make_cost(ham, phi, c=0.1):
 
 # ---------------------------------------------------------------------------
 # reference greedy simulation: one map_coordinates call per component and
-# time slice, samples-first arrays, noise from sample_block_gaussian
+# time slice, samples-first arrays, noise increments each from its own
+# scalar covariance query and root
 
 def per_slice_interp(axes, slices, t_axis, tau, pts):
     """Linear-in-time, multilinear-in-space interpolation of one field,
@@ -73,16 +75,8 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
     b_ints = _control_integrals(model, T, steps)
     u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
-
-    def block(i, j):
-        s = steps[min(i, j) + 1]
-        if s >= T:
-            return model.proj_cov(T - t0)
-        return model.pushforward_cov(T - s, T - t0)
-
-    noise = sample_block_gaussian(block, time_steps, model.proj_dim, rng, n_samples)
+    draws = rng.standard_normal((n_samples, time_steps, model.proj_dim))
     t_min = sol.iterate.time_grid[1]
-    ctrl_sum = np.zeros((n_samples, model.proj_dim))
     run_cost = np.zeros(n_samples)
     z = np.tile(z_det, (n_samples, 1))
     for j in range(time_steps):
@@ -90,9 +84,16 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
         p = tau ** (-sol.gamma) * reference_fbar(sol.iterate, tau, z)
         _, idx = h_min_batch(cost.ham, p.T, argmin=True)
         run_cost += ell1[idx] * dt
-        ctrl_sum += u_grid[idx] @ b_ints[j].T
-        z = z_det[None, :] + ctrl_sum + noise[:, j, :]
+        z = z + u_grid[idx] @ b_ints[j].T
+        z = z + draws[:, j] @ psd_roots(increment_cov(model, T, steps, j))[0].T
     return cost.ell0_integral(t0, T) + run_cost, z
+
+
+def increment_cov(model, T, steps, j):
+    """Covariance of the noise of Z over step j, from one scalar query."""
+    if j == steps.size - 2:
+        return model.proj_cov(T - steps[j])
+    return model.pushforward_cov(T - steps[j + 1], T - steps[j])
 
 
 def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
@@ -352,41 +353,70 @@ class TestControlIntegralTable:
 
 class TestGreedyNoiseBlocks:
     def test_one_block_per_step(self, mini_delay_solution, delay_model, monkeypatch):
-        # Cov(Y_i, Y_j) depends on min(i, j) only: 20 steps need 19
-        # pushforward_cov blocks, from one stacked query, and one proj_cov
-        # block, not one per pair; the costs equal those of the per-pair
-        # assembly
+        # 20 steps need 19 pushforward_cov increments, from one stacked
+        # query, one proj_cov increment and one stacked root; the costs
+        # equal those of one scalar query per increment
         sol, cost, _ = mini_delay_solution
-        steps, T = np.linspace(0.0, 1.0, 21), cost.horizon
+        steps = np.linspace(0.0, 1.0, 21)
 
         def greedy_costs():
             return simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0,
                                  500, 20, seed=9).sample_costs
 
-        calls = {"pushforward_cov": 0, "proj_cov": 0}
-        blocks = {"pushforward_cov": 0, "proj_cov": 0}
-        for name in calls:
-            def counted(*args, _name=name, _fn=getattr(delay_model, name)):
-                calls[_name] += 1
-                out = _fn(*args)
-                blocks[_name] += out.size // delay_model.proj_dim**2
+        calls = {"pushforward_cov": 0, "proj_cov": 0, "psd_roots": 0}
+        blocks = {"pushforward_cov": 0, "proj_cov": 0, "psd_roots": 0}
+
+        def counter(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                out = fn(*args)
+                mats = out[0] if name == "psd_roots" else out
+                blocks[name] += mats.size // delay_model.proj_dim**2
                 return out
-            monkeypatch.setattr(delay_model, name, counted)
+            return counted
+
+        for name in ("pushforward_cov", "proj_cov"):
+            monkeypatch.setattr(delay_model, name,
+                                counter(name, getattr(delay_model, name)))
+        monkeypatch.setattr(harness, "psd_roots", counter("psd_roots", psd_roots))
         shared = greedy_costs()
-        assert calls == {"pushforward_cov": 1, "proj_cov": 1}
-        assert blocks == {"pushforward_cov": 19, "proj_cov": 1}
+        assert calls == {"pushforward_cov": 1, "proj_cov": 1, "psd_roots": 1}
+        assert blocks == {"pushforward_cov": 19, "proj_cov": 1, "psd_roots": 20}
         monkeypatch.undo()
 
-        def per_pair(i, j):
-            s = steps[min(i, j) + 1]
-            if s >= T:
-                return delay_model.proj_cov(T)
-            return delay_model.pushforward_cov(T - s, T)
+        scalar = delay_model.pushforward_cov
 
-        assemble = harness.assemble_block_cov
-        monkeypatch.setattr(harness, "assemble_block_cov",
-                            lambda fn, k, n: assemble(per_pair, k, n))
+        def per_step(s, t):
+            assert s.shape == t.shape == (19,)
+            return np.stack([scalar(1.0 - steps[j + 1], 1.0 - steps[j])
+                             for j in range(19)])
+
+        monkeypatch.setattr(delay_model, "pushforward_cov", per_step)
         assert np.array_equal(shared, greedy_costs())
+
+    @pytest.mark.parametrize("t0, time_steps", [(0.0, 20), (0.35, 7)])
+    def test_increments_sum_to_the_joint_law(self, solved_case, monkeypatch,
+                                             t0, time_steps):
+        # Cov(Z(s_j) - Z(t0)) = pushforward_cov(T - s_j, T - t0) before the
+        # horizon and proj_cov(T - t0) at it: the increments of the steps up
+        # to s_j add up to it
+        model, cost, sol, x0 = solved_case
+        T = cost.horizon
+        steps = np.linspace(t0, T, time_steps + 1)
+        rooted = []
+
+        def keep(m):
+            rooted.append(m)
+            return psd_roots(m)
+
+        monkeypatch.setattr(harness, "psd_roots", keep)
+        simulate_cost(model, cost, Policy.greedy(sol), t0, x0, 10, time_steps, seed=1)
+        (incs,) = rooted
+        want = np.concatenate((model.pushforward_cov(T - steps[1:-1], T - t0),
+                               [model.proj_cov(T - t0)]))
+        got = np.cumsum(incs, axis=0)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-14 * scale)
 
 
 class TestSampleBlocks:

@@ -85,6 +85,11 @@ class TestProjectedModel:
                 assert np.array_equal(heat_model.pushforward_cov(si, t), c)
             grid = heat_model.pushforward_cov(s.reshape(3, 4), t)
             assert np.array_equal(grid, got.reshape(3, 4, n, n))
+        # arrays of s and t pair up: the increments of a step grid
+        ends = np.linspace(1.0, 0.0, 9)[:-1]
+        got = heat_model.pushforward_cov(ends[1:], ends[:-1])
+        for si, ti, c in zip(ends[1:], ends[:-1], got):
+            assert np.array_equal(heat_model.pushforward_cov(si, ti), c)
         for bad in ([0.2, 0.0], [0.2, 1.0]):
             with pytest.raises(ValueError):
                 heat_model.pushforward_cov(np.array(bad), 1.0)

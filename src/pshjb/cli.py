@@ -25,11 +25,12 @@ from .errors import (
     ConfigError,
     DominanceViolated,
     NoContraction,
+    OutOfGrid,
     PshjbError,
     SmoothingViolated,
 )
 from .harness import Policy, random_open_loop_policies, value_dominance_check
-from .hjb import picard_solve
+from .hjb import check_in_box, make_space_axes, picard_solve
 from .smoothing import blowup_grid, fit_blowup
 
 EXIT_OK = 0
@@ -83,6 +84,13 @@ def _converged(sol, run: RunConfig) -> bool:
     return sol.residual <= run.solver.tol
 
 
+def _not_converged(sol, run: RunConfig, outcome: str) -> NoContraction:
+    return NoContraction(
+        f"residual {sol.residual:.3e} above tol {run.solver.tol:.3e} after "
+        f"{sol.iterations} iterations; {outcome}"
+    )
+
+
 def cmd_solve(args, run: RunConfig) -> int:
     try:
         sol = picard_solve(run.model, run.cost, run.solver)
@@ -112,8 +120,9 @@ def cmd_solve(args, run: RunConfig) -> int:
     )
     _write_csv(os.path.join(args.out_dir, "solution.csv"), header,
                it.time_grid, mesh, values)
+    converged = _converged(sol, run)
     meta = {
-        "status": "ok",
+        "status": "ok" if converged else "no_contraction",
         "gamma": sol.gamma,
         "eta_weight": sol.eta_weight,
         "residual": sol.residual,
@@ -125,12 +134,14 @@ def cmd_solve(args, run: RunConfig) -> int:
         "residual_history": sol.diagnostics.get("residual_history", []),
     }
     _write_json(os.path.join(args.out_dir, "solve_meta.json"), meta)
+    if not converged:
+        raise _not_converged(sol, run, "the solve did not converge")
     _say(
         args,
         f"solved: residual {sol.residual:.3e} after {sol.iterations} iterations "
         f"(gamma={sol.gamma:.3f})",
     )
-    return EXIT_OK if _converged(sol, run) else EXIT_NO_CONTRACTION
+    return EXIT_OK
 
 
 def cmd_lambda(args, run: RunConfig) -> int:
@@ -154,14 +165,30 @@ def cmd_lambda(args, run: RunConfig) -> int:
     return EXIT_OK
 
 
+def _check_start(run: RunConfig) -> None:
+    """Raise :class:`ConfigError` unless the projected start, where the
+    simulation reads the solved value, lies in the solver's space box."""
+    T = run.cost.horizon
+    y = np.asarray(run.model.proj_semigroup_apply(T - run.t0, run.x0), dtype=float)
+    try:
+        check_in_box(make_space_axes(run.model, run.solver, T), y)
+    except OutOfGrid as exc:
+        raise ConfigError(
+            f"the simulated start lies outside the solver box: {exc}; "
+            "widen solver.box_halfwidth"
+        ) from None
+
+
 def cmd_simulate(args, run: RunConfig) -> int:
+    if args.policy == "none" and run.n_random_policies == 0:
+        raise ConfigError(
+            "simulate.n_random_policies is 0 and --policy is none: no policy to check"
+        )
+    _check_start(run)
     sol = picard_solve(run.model, run.cost, run.solver)
     if not _converged(sol, run):
         # dominance against an unconverged iterate would check nothing
-        raise NoContraction(
-            f"residual {sol.residual:.3e} above tol {run.solver.tol:.3e} after "
-            f"{sol.iterations} iterations; nothing simulated"
-        )
+        raise _not_converged(sol, run, "nothing simulated")
     policies = random_open_loop_policies(
         run.cost.ham, run.time_steps, run.n_random_policies, seed=run.seed
     )

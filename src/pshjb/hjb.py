@@ -45,7 +45,7 @@ output slices of each s-node at assembly (:func:`window_chunks`), the
 hinge form of H_min with the Hamiltonian (:class:`Hamiltonian`).  A
 node whose input slices no longer change beyond four ulps is copied
 from the previous iterate instead of recomputed; the result stays
-within rounding of exact applies (:class:`UpsilonOperator`).
+within rounding of exact applies (:func:`settled_count`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -388,8 +388,8 @@ def _check_problem_size(cfg: SolverConfig, proj_dim: int, control_dim: int, *win
     tensor Gauss-Hermite rule's MAX_HERMITE_DIM, or for a Picard sweep over
     _SWEEP_BUDGET_BYTES (:func:`_sweep_bytes`).  :func:`picard_solve`
     checks the sizes alone before it builds anything; the assembly checks
-    again at every time node, with the windows so far, before it builds the
-    node's window coefficients."""
+    once more with every node's windows, before it builds any window
+    coefficient."""
     if proj_dim > MAX_HERMITE_DIM:
         raise ConfigError(
             f"the projected dimension N = {proj_dim} is above "
@@ -617,42 +617,45 @@ def _time_bracket(t_axis: np.ndarray, s: float) -> tuple[int, int, float]:
 # ---------------------------------------------------------------------------
 # the Picard map
 
-@dataclass(frozen=True)
-class _Convolution:
-    """Iterate-independent data of the convolution integral at one time node.
+class _Node(NamedTuple):
+    """Iterate-independent data of Upsilon at one time node t.
 
     The batch axes are (s-node, Gauss node): S = 2 * time_quad_order
     s-nodes times n_q expectation nodes.  With H_min = alpha - scale * X
     (``Hamiltonian.hinge``), a sum w . H_min is alpha sum(w) - scale w . X:
-    ``offset`` holds the first part, so that the sweep's one gemm of X
+    ``offset`` holds the first part, so that the node's one gemm of X
     against ``weights`` gives both sums.
     """
 
+    t: float
+    s_f: np.ndarray        # (P,) R_t[phi] plus ell0's integral
+    s_grad: np.ndarray     # (P, m) control gradient of R_t[phi]
     i0: np.ndarray         # (S,) bracketing gradient-slice indices
     i1: np.ndarray
     w0: np.ndarray         # (S, 1, ...) s^{-gamma} times the time-interpolation
     w1: np.ndarray         # weights, shaped to broadcast over (S, m, *grid)
-    lo: list               # per s-node, the window origin per axis (window_bounds)
-    width: list            # per s-node, the window width per axis
-    coef: tuple            # per s-node, the (n_q, prod(width)) coefficients
     # (S * n_q, 1 + m): time-quadrature times expectation weights, then the
     # same times the gradient weights
     weights: np.ndarray
     # (1 + m,): alpha times the column sums of ``weights``, for f and for
     # the gradient
     offset: np.ndarray
+    # per s-node: its (n_q, prod(width)) window coefficients, the
+    # window_chunks of its window into its padded slab and its rows of
+    # hinge sums
+    steps: tuple = ()
 
 
 class UpsilonOperator:
     """Precomputed Picard map on fixed grids.
 
-    Everything that does not depend on the iterate (semigroup terms,
-    covariance square roots, quadrature offsets, gradient weights, window
-    coefficients and the views of each s-node's step) is assembled once;
-    ``sweep`` then only blends, interpolates, evaluates the Hamiltonian's
-    hinge sum and sums.
+    Everything that does not depend on the iterate is assembled once, into
+    one :class:`_Node` record per time node (``nodes``): semigroup terms,
+    quadrature brackets and weights, window coefficients and the views of
+    each s-node's step.  A node then only blends, interpolates, evaluates
+    the Hamiltonian's hinge sum and sums.
 
-    ``sweep`` relies on three facts: the space grid is a uniform tensor
+    The nodes rely on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
     mesh point, and interpolation clamps at the box edge.  The values at
     mesh + offset of one s-node's n_q offsets are then one product: their
@@ -660,36 +663,24 @@ class UpsilonOperator:
     all the offsets' nodes, of the gradient slice edge-padded by ``pad``
     cells per side, the largest |k| + 1 (:func:`shift_stencil`,
     :func:`window_bounds`, :func:`window_coefficients`, :func:`pad_edges`).
+    The assembly checks the working set with every node's windows
+    (:func:`_check_problem_size`) before it builds any coefficient.
 
-    A sweep runs the time nodes in order.  A node that it computes blends
-    its slices into one padded (S, m, *(n + 2 pad)) array, s-node first,
-    so that each s-node's slab is contiguous and its :func:`window_view` a
-    plain strided view.  Per s-node, :func:`interp_windows` gives the
-    (m, n_q, P) interpolated gradients, whose hinge sums X / scale
-    (:func:`hinge_batch`; :func:`h_min_batch` values on a grid that is not
-    radial) go straight into that s-node's rows of one (S * n_q, P) array.
-    One gemm of that array against the node's (S * n_q, 1 + m) weights
-    gives the f and gradient sums; the node's ``offset`` adds alpha's
-    share.  The assembly builds, per time node and s-node, the views this
-    step runs on: the :func:`window_chunks` of the s-node's window into the
-    padded array and its rows of hinge sums.  A sweep builds no view and
+    ``_node`` computes one time node.  It blends the node's slices into one
+    padded (S, m, *(n + 2 pad)) array, s-node first, so that each s-node's
+    slab is contiguous and its :func:`window_view` a plain strided view.
+    Per s-node, :func:`interp_windows` gives the (m, n_q, P) interpolated
+    gradients, whose hinge sums X / scale (:func:`hinge_batch`;
+    :func:`h_min_batch` values on a grid that is not radial) go straight
+    into that s-node's rows of one (S * n_q, P) array.  One gemm of that
+    array against the node's (S * n_q, 1 + m) weights gives the f and
+    gradient sums; the node's ``offset`` adds alpha's share.  A node runs
+    on the views of its steps, built at assembly: it builds no view and
     does no chunk arithmetic; it copies, multiplies and takes maxima.
 
-    Settled nodes: an iterate's settled count is the length of the leading
-    run of time nodes i whose gradient slice differs from that of the
-    iterate it was computed from by at most four ulps, 4 ``np.spacing`` of
-    its largest |fbar| over slices 0..i (the slices node i reads).  Below
-    the count of its input, a sweep copies the input's ``f[i + 1]`` and
-    ``fbar[i]``: no blend, interpolation or Hamiltonian.  Four ulps, not
-    one: early slices that have reached their floating-point fixed point
-    can still cycle between a few values a couple of ulps apart (rounding
-    of the blend and the quadrature sums), and one ulp would recompute
-    such nodes at every iterate.  Inputs unchanged to four ulps give an
-    output unchanged to rounding, so copies keep the iterates within
-    rounding of exact applies (at most 2.2e-16 on the shipped and
-    benchmark configs).  A copied slice equals its source, so a count
-    never falls from one iterate to the next.  ``apply`` is a sweep with
-    nothing settled, the exact map.
+    ``sweep`` runs the time nodes in order and copies those below the
+    settled count of its input (:func:`settled_count`); ``apply`` is a
+    sweep with nothing settled, the exact map.
 
     Memory: the operator stores the window coefficients of every node
     (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
@@ -710,63 +701,66 @@ class UpsilonOperator:
         self.gamma = float(gamma)
         self.time_grid = make_time_grid(cfg, cost.horizon)
         self.space_axes = make_space_axes(model, cfg, cost.horizon)
-        shape = tuple(len(a) for a in self.space_axes)
+        self.space_shape = tuple(len(a) for a in self.space_axes)
         mesh = np.meshgrid(*self.space_axes, indexing="ij")
         self.mesh = np.stack([g.ravel() for g in mesh], axis=-1)   # (P, N)
-        self.space_shape = shape
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute()
-        self.copied = 0      # node-iterates copied from a settled source
 
     # -- assembly ----------------------------------------------------------
     def _precompute(self):
         t_pos, T = self.time_grid[1:], self.cost.horizon
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
-        self.s_f = np.empty((t_pos.size, self.mesh.shape[0]))
-        self.s_grad = np.empty((t_pos.size, self.mesh.shape[0], self.model.control_dim))
-        # pad cells per side of the sweep's padded gradient slices (the
-        # largest |k| + 1), the largest window and the coefficient count
-        self.pad, self.window, self._coef_values, self.clamped_mass = 1, 0, 0, 0.0
-        self.conv = [self._time_quadrature(i, t_pos, jacobi) for i in range(t_pos.size)]
-        # the f term that no iterate changes: R_t[phi] plus ell0's integral
-        self.s_f += self.cost.ell0_integral(T - t_pos, T)[:, None]
+        ell0 = self.cost.ell0_integral(T - t_pos, T)
+        nodes, stencils, shares = zip(*(self._time_quadrature(t, t_pos, jacobi, e)
+                                        for t, e in zip(t_pos, ell0)))
+        self.clamped_mass = max(shares)
+        # pad cells per side of the padded gradient slices (the largest
+        # |k| + 1); the working set with every window, before any coefficient
+        self.pad = max(1, *(int(max(-k.min(), k.max() + 1)) for st in stencils for k, _ in st))
+        bounds = [window_bounds(st) for st in stencils]
+        sizes = np.concatenate([np.prod(width, axis=1) for _, width in bounds])
+        n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
+        m, pad, shape, npts = self.model.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
+        _check_problem_size(self.cfg, self.model.proj_dim, m, pad,
+                            int(sizes.max()), n_q * int(sizes.sum()))
 
         # the sweep buffers, sized as _sweep_bytes counts them: the blended
         # gradient slices, per s-node components first, each edge-padded by
         # ``pad`` cells per side so that every window lies inside; one
         # s-node's interpolated gradients (hinge_batch's scratch too); the
         # hinge sums per (s-node, Gauss node); the largest window chunk
-        n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
-        m, pad, shape, npts = self.model.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
         self._padded = np.empty((n_s, m) + tuple(size + 2 * pad for size in shape))
         self._inner = self._padded[(slice(None),) * 2
                                    + tuple(slice(pad, pad + size) for size in shape)]
         self._block = np.empty((m, n_q, npts))
         self._hvals = np.empty((n_s * n_q, npts))
-        scratch = np.empty(_chunk_values(m * self.window * npts // shape[0], shape[0]))
-        # per time node and s-node: its coefficients, the window_chunks of
-        # its window into its padded slab, and its rows of hinge sums
-        self._steps = [
-            tuple((coef,
-                   window_chunks(window_view(slab, pad, lo, width), self._block, scratch),
-                   self._hvals[s * n_q:(s + 1) * n_q])
-                  for s, (slab, lo, width, coef)
-                  in enumerate(zip(self._padded, cv.lo, cv.width, cv.coef)))
-            for cv in self.conv
+        scratch = np.empty(_chunk_values(m * int(sizes.max()) * npts // shape[0], shape[0]))
+        self.nodes = [
+            node._replace(steps=tuple(
+                (coef,
+                 window_chunks(window_view(slab, pad, lo_s, width_s), self._block, scratch),
+                 self._hvals[s * n_q:(s + 1) * n_q])
+                for s, (slab, lo_s, width_s, coef)
+                in enumerate(zip(self._padded, lo, width, window_coefficients(st, lo, width)))))
+            for node, st, (lo, width) in zip(nodes, stencils, bounds)
         ]
 
-    def _time_quadrature(self, i: int, t_pos: np.ndarray, jacobi) -> _Convolution:
-        """Iterate-independent data of time node i, t = t_pos[i]: the
-        semigroup terms ``s_f[i]``, ``s_grad[i]`` and the convolution's
-        two-sided Gauss-Jacobi quadrature of int_0^t . ds (see the module
-        doc); ``jacobi`` holds the nodes and weights for (1 + x)^p on [-1, 1].
+    def _time_quadrature(self, t: float, t_pos: np.ndarray, jacobi, ell0: float) -> tuple:
+        """Iterate-independent data of the time node t of ``t_pos``, and
+        ``ell0``, ell0's integral up to it: the node's semigroup terms and
+        the convolution's two-sided Gauss-Jacobi quadrature of int_0^t . ds
+        (see the module doc); ``jacobi`` holds the nodes and weights for
+        (1 + x)^p on [-1, 1].  Returns the :class:`_Node` without steps,
+        the :func:`shift_stencil` of its quadrature offsets and their
+        :func:`clamped_share`.
 
         The semigroup term is the s = 0 member of the node's stencil: one
         ``pushforward_cov`` query returns the S pushforward covariances, one
         :func:`psd_roots` call decomposes them with proj_cov(t), and the
         image-inclusion check (:func:`smoothing_matrix`) reads the same
         decomposition."""
-        t, gamma, nodes = t_pos[i], self.gamma, self.rule.nodes
+        gamma, gauss = self.gamma, self.rule.nodes
         p = gamma / (1.0 - gamma)
         x, w = jacobi
         c = 0.5 ** (1.0 - gamma)                 # sigma value mapping to s = t/2
@@ -777,58 +771,39 @@ class UpsilonOperator:
         b_t = self.model.proj_control(t)
         covs = np.concatenate(([self.model.proj_cov(t)], self.model.pushforward_cov(s_nodes, t)))
         roots, pinvs, _, projs = psd_roots(covs)
-        offs = [nodes @ r.T for r in roots]
-        gvecs = [nodes @ smoothing_matrix(t, pinvs[0], projs[0], b_t)]
-        gvecs += [nodes @ (pinv @ b_t) for pinv in pinvs[1:]]
+        offs = [gauss @ r.T for r in roots]
+        gvecs = [gauss @ smoothing_matrix(t, pinvs[0], projs[0], b_t)]
+        gvecs += [gauss @ (pinv @ b_t) for pinv in pinvs[1:]]
 
         pts = (self.mesh[None, :, :] + offs[0][:, None, :]).reshape(-1, self.model.proj_dim)
-        vals = self.cost.phi(pts).reshape(nodes.shape[0], -1)
-        self.s_f[i] = self.rule.weights @ vals
-        self.s_grad[i] = np.einsum("q,qp,qk->pk", self.rule.weights, vals, gvecs[0])
-
-        brackets = [_time_bracket(t_pos, s) for s in s_nodes]
-        i0, i1, theta = (np.array(v) for v in zip(*brackets))
+        vals = self.cost.phi(pts).reshape(gauss.shape[0], -1)
+        i0, i1, theta = (np.array(v) for v in zip(*(_time_bracket(t_pos, s) for s in s_nodes)))
         s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * (1 + len(self.space_axes)))
         theta = theta.reshape(s_pow.shape)
         qw = np.outer(s_weights, self.rule.weights)
         stencil = shift_stencil(self.space_axes, np.stack(offs[1:]))
-        self.clamped_mass = max(self.clamped_mass,
-                                clamped_share(stencil, qw.ravel(), self.space_shape))
-        lo, width = window_bounds(stencil)
-        sizes = np.prod(width, axis=1)
-        self.pad = max(self.pad, *(int(max(-k.min(), k.max() + 1)) for k, _ in stencil))
-        self.window = max(self.window, int(sizes.max()))
-        self._coef_values += nodes.shape[0] * int(sizes.sum())
-        # the working set with this node's windows, before its coefficients
-        _check_problem_size(self.cfg, self.model.proj_dim, self.model.control_dim,
-                            self.pad, self.window, self._coef_values)
         weights = np.concatenate((qw[..., None], qw[..., None] * np.stack(gvecs[1:])),
                                  axis=-1).reshape(qw.size, -1)
-        return _Convolution(
+        node = _Node(
+            t=t, s_f=self.rule.weights @ vals + ell0,
+            s_grad=np.einsum("q,qp,qk->pk", self.rule.weights, vals, gvecs[0]),
             i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
-            lo=lo, width=width, coef=window_coefficients(stencil, lo, width),
             weights=weights, offset=self.cost.ham.hinge.alpha * weights.sum(axis=0),
         )
+        return node, stencil, clamped_share(stencil, qw.ravel(), self.space_shape)
 
     # -- iterates ----------------------------------------------------------
     def zero_iterate(self) -> ValueIterate:
         """f = 0 for t > 0 (terminal slice kept), zero gradient."""
-        n_t = self.time_grid.size - 1
-        npts = self.mesh.shape[0]
-        f = np.zeros((n_t + 1, npts))
+        f = np.zeros((self.time_grid.size, self.mesh.shape[0]))
         f[0] = self.cost.phi(self.mesh)
-        fbar = np.zeros((n_t, npts, self.model.control_dim))
-        return self._pack(f, fbar)
+        return self._pack(f, np.zeros(f[1:].shape + (self.model.control_dim,)))
 
     def initial_iterate(self) -> ValueIterate:
         """Semigroup-only iterate: the fixed point of the trivial Hamiltonian."""
-        n_t = self.time_grid.size - 1
-        npts = self.mesh.shape[0]
-        f = np.empty((n_t + 1, npts))
-        f[0] = self.cost.phi(self.mesh)
-        f[1:] = self.s_f
-        t_pos = self.time_grid[1:]
-        fbar = (t_pos**self.gamma)[:, None, None] * self.s_grad
+        f = np.stack([self.cost.phi(self.mesh), *(node.s_f for node in self.nodes)])
+        fbar = (self.time_grid[1:]**self.gamma)[:, None, None] * np.stack(
+            [node.s_grad for node in self.nodes])
         return self._pack(f, fbar)
 
     def _pack(self, f_flat: np.ndarray, fbar_flat: np.ndarray) -> ValueIterate:
@@ -844,63 +819,43 @@ class UpsilonOperator:
     # -- the map -----------------------------------------------------------
     def apply(self, g: ValueIterate) -> ValueIterate:
         """Upsilon(g), exactly: a sweep with nothing settled."""
-        return self.sweep(g, 0)[0]
+        return self.sweep(g, 0)
 
-    def sweep(self, g: ValueIterate, settled: int) -> tuple[ValueIterate, int]:
-        """Upsilon(g), time node by time node, copying the first
-        ``settled`` nodes from ``g`` (see the class docstring), and the
-        settled count of the result.
-
-        ``settled`` is the settled count of ``g`` against the iterate it
-        was computed from: the count the sweep that computed ``g``
-        returned, or 0, which makes every node compute."""
+    def sweep(self, g: ValueIterate, settled: int) -> ValueIterate:
+        """Upsilon(g), time node by time node, with the first ``settled``
+        nodes copied from ``g``: the :func:`settled_count` of ``g`` against
+        the iterate it was computed from, or 0, which computes every node."""
         _check_grids(g, self)
-        t_pos = self.time_grid[1:]
-        n_t = t_pos.size
-        npts = self.mesh.shape[0]
-        m = self.model.control_dim
-        f_new = np.empty((n_t + 1, npts))
-        f_new[0] = self.cost.phi(self.mesh)
-        fbar_new = np.empty((n_t, npts, m))
-        f_src = g.f_values.reshape(n_t + 1, npts)
-        fbar_src = g.fbar_values.reshape(n_t, npts, m)
-        fbar = g.fbar_values
-        # the settled count of the new iterate, and its largest |fbar|
-        # over the slices of that count
-        count, top = 0, 0.0
-        ham, hvals, block = self.cost.ham, self._hvals, self._block
-        scale = ham.hinge.scale
-        for i, t in enumerate(t_pos):
-            cv = self.conv[i]
-            if i < settled:
-                # the input's slices 0..i have settled: its own node i is
-                # this node's value to rounding
-                f_new[i + 1] = f_src[i + 1]
-                fbar_new[i] = fbar_src[i]
-                self.copied += 1
-            else:
-                # interpolation is linear in the array: blend the two
-                # bracketing time slices (times s^{-gamma}) components
-                # first into the padded array, then interpolate per s-node
-                np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=self._inner)
-                self._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
-                pad_edges(self._padded, self.pad, len(self.space_shape))
-                for coef, chunks, rows in self._steps[i]:
-                    interp_windows(coef, chunks)
-                    hinge_batch(ham, block, rows)
-                # both quadrature sums of H_min = alpha - scale * hvals
-                # in one gemm; alpha's share is the node's offset
-                sums = hvals.T @ cv.weights
-                sums *= scale
-                f_new[i + 1] = self.s_f[i] + cv.offset[0] - sums[:, 0]
-                fbar_new[i] = t**self.gamma * (self.s_grad[i] + cv.offset[1:] - sums[:, 1:])
-            if count == i:
-                # the leading run of settled slices grows while slice i
-                # moves by at most four ulps of its slices 0..i
-                top = max(top, float(np.abs(fbar_new[i]).max()))
-                if np.abs(fbar_new[i] - fbar_src[i]).max() <= 4 * np.spacing(top):
-                    count = i + 1
-        return self._pack(f_new, fbar_new), count
+        n_t, npts, m = self.time_grid.size - 1, self.mesh.shape[0], self.model.control_dim
+        f = np.empty((n_t + 1, npts))
+        f[0] = self.cost.phi(self.mesh)
+        fbar = np.empty((n_t, npts, m))
+        f[1:settled + 1] = g.f_values.reshape(n_t + 1, npts)[1:settled + 1]
+        fbar[:settled] = g.fbar_values.reshape(n_t, npts, m)[:settled]
+        for i in range(settled, n_t):
+            f[i + 1], fbar[i] = self._node(i, g.fbar_values)
+        return self._pack(f, fbar)
+
+    def _node(self, i: int, fbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f, shape (P,), and fbar, shape (P, m), of Upsilon at time node i
+        from the gradient slices ``fbar`` (n_t, *grid, m); it reads slices
+        0..i only."""
+        node = self.nodes[i]
+        # interpolation is linear in the array: blend the two bracketing
+        # time slices (times s^{-gamma}) components first into the padded
+        # array, then interpolate per s-node
+        np.multiply(node.w0, np.moveaxis(fbar[node.i0], -1, 1), out=self._inner)
+        self._inner += node.w1 * np.moveaxis(fbar[node.i1], -1, 1)
+        pad_edges(self._padded, self.pad, len(self.space_shape))
+        for coef, chunks, rows in node.steps:
+            interp_windows(coef, chunks)
+            hinge_batch(self.cost.ham, self._block, rows)
+        # both quadrature sums of H_min = alpha - scale * hvals in one
+        # gemm; alpha's share is the node's offset
+        sums = self._hvals.T @ node.weights
+        sums *= self.cost.ham.hinge.scale
+        return (node.s_f + node.offset[0] - sums[:, 0],
+                node.t**self.gamma * (node.s_grad + node.offset[1:] - sums[:, 1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -919,6 +874,29 @@ def sup_distance(g1: ValueIterate, g2: ValueIterate) -> float:
     df = np.abs(g1.f_values - g2.f_values).max()
     dbar = np.abs(g1.fbar_values - g2.fbar_values).max()
     return float(df + dbar)
+
+
+def settled_count(g_next: ValueIterate, g: ValueIterate) -> int:
+    """The settled count of ``g_next``, computed from ``g``: the length of
+    the leading run of time nodes i whose gradient slice differs from
+    ``g``'s by at most four ulps, 4 ``np.spacing`` of its largest |fbar|
+    over slices 0..i (the slices node i reads).
+
+    Below the count of its input, :meth:`UpsilonOperator.sweep` copies the
+    input's nodes.  Four ulps, not one: early slices that have reached their
+    floating-point fixed point can still cycle between a few values a
+    couple of ulps apart (rounding of the blend and the quadrature sums),
+    and one ulp would recompute such nodes at every iterate.  Inputs
+    unchanged to four ulps give an output unchanged to rounding, so copies
+    keep the iterates within rounding of exact applies (at most 2.2e-16 on
+    the shipped and benchmark configs).  A copied slice equals its source,
+    so a count never falls from one iterate to the next."""
+    n_t = g.fbar_values.shape[0]
+    new = g_next.fbar_values.reshape(n_t, -1)
+    top = np.maximum.accumulate(np.abs(new).max(axis=1))
+    moved = np.abs(new - g.fbar_values.reshape(n_t, -1)).max(axis=1)
+    # the first node that moved more, or n_t
+    return int(np.append(moved <= 4 * np.spacing(top), False).argmin())
 
 
 def picard_solve(
@@ -948,10 +926,9 @@ def picard_solve(
     (:meth:`UpsilonOperator.initial_iterate`) or ``"zero"``
     (:meth:`UpsilonOperator.zero_iterate`).
 
-    Each iterate is one :meth:`UpsilonOperator.sweep` that starts from the
-    settled count the previous one returned (0 at the start);
-    ``diagnostics["copied_nodes"]`` counts the node-iterates copied from a
-    settled source.
+    Each iterate is one :meth:`UpsilonOperator.sweep` that copies the
+    nodes below the :func:`settled_count` of the previous one (none at the
+    start); ``diagnostics["copied_nodes"]`` sums the counts so copied.
     """
     if initial not in ("semigroup", "zero"):
         raise ValueError(f"initial must be 'semigroup' or 'zero', got {initial!r}")
@@ -978,10 +955,11 @@ def picard_solve(
     g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
     residuals: list[float] = []
     ratios: list[float] = []
-    bad_streak = 0
-    settled = 0
+    bad_streak = settled = copied = 0
     while len(residuals) < cfg.max_iter:
-        g_next, settled = ups.sweep(g, settled)
+        g_next = ups.sweep(g, settled)
+        copied += settled
+        settled = settled_count(g_next, g)
         d = sup_distance(g_next, g)
         if residuals:
             ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
@@ -996,7 +974,7 @@ def picard_solve(
         g = g_next
         if d < cfg.tol:
             break
-    diagnostics["copied_nodes"] = ups.copied
+    diagnostics["copied_nodes"] = copied
     diagnostics["residual_history"] = residuals
     return HJBSolution(
         iterate=g,
@@ -1013,7 +991,8 @@ def picard_solve(
 # ---------------------------------------------------------------------------
 # evaluation of the solved backward value function
 
-def _check_in_box(axes, y: np.ndarray):
+def check_in_box(axes, y: np.ndarray):
+    """Raise :class:`OutOfGrid` unless the point ``y`` lies in the box of ``axes``."""
     for d, a in enumerate(axes):
         pad = 1e-9 * (a[-1] - a[0])
         if y[d] < a[0] - pad or y[d] > a[-1] + pad:
@@ -1059,5 +1038,5 @@ def eval_value(sol: HJBSolution, model: ProjectedModel, t: float, x) -> float:
     if tau == 0.0:
         return float(sol.phi(model.project_state(x)))
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
-    _check_in_box(sol.iterate.space_axes, y)
+    check_in_box(sol.iterate.space_axes, y)
     return float(interp_f(sol.iterate, tau, y[:, None])[0])

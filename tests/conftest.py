@@ -173,7 +173,7 @@ def eval_c_gradient(sol, model, t, x):
             f"{sol.iterate.time_grid[1]:.3g}"
         )
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
-    hjb._check_in_box(sol.iterate.space_axes, y)
+    hjb.check_in_box(sol.iterate.space_axes, y)
     return tau ** (-sol.gamma) * hjb.interp_fbar(sol.iterate, tau, y[:, None])[:, 0]
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from pshjb import cli
 from pshjb.cli import FLOAT_FMT, _write_csv, main
 
 
@@ -177,14 +178,20 @@ class TestSolve:
         assert captured.out == ""
         assert captured.err.startswith("usage: pshjb") and "error: " in captured.err
 
-    def test_tiny_max_iter_reports_residual(self, tmp_path):
+    def test_tiny_max_iter_reports_residual(self, tmp_path, capsys):
+        # the files are written, with the status of exit 2
         cfg = small_delay_config(**{"solver.max_iter": 1, "solver.tol": 1e-12})
         path = write_config(tmp_path, cfg)
         out = tmp_path / "out"
-        rc = main(["solve", "--config", path, "--out-dir", str(out), "--quiet"])
+        rc = main(["solve", "--config", path, "--out-dir", str(out)])
         assert rc == 2
         meta = json.loads((out / "solve_meta.json").read_text())
         assert meta["residual"] > 1e-12
+        assert meta["status"] == "no_contraction"
+        assert (out / "solution.csv").exists()
+        captured = capsys.readouterr()
+        assert captured.err.startswith("no contraction: ")
+        assert "did not converge" in captured.err and captured.out == ""
 
     def test_unconverged_solve_is_not_simulated(self, tmp_path, capsys):
         # the rule of solve's exit 2: a residual above tol at the cap
@@ -523,7 +530,7 @@ class TestSimulate:
                    "--quiet"])
         assert rc == 0
 
-    @pytest.mark.parametrize("policy, n_random", [("greedy", 3), ("none", 0)])
+    @pytest.mark.parametrize("policy, n_random", [("greedy", 3), ("none", 2)])
     def test_samples_file_matches_report(self, tmp_path, policy, n_random):
         cfg = small_delay_config(**{"simulate.n_random_policies": n_random})
         path = write_config(tmp_path, cfg)
@@ -546,6 +553,26 @@ class TestSimulate:
         for c, p in zip(costs, report["policies"]):
             assert c.mean() == p["mean"]
             assert c.std(ddof=1) / np.sqrt(n) == p["std_error"]
+
+    @pytest.mark.parametrize("overrides, policy, key", [
+        # no policy to check
+        ({"simulate.n_random_policies": 0}, "none", "n_random_policies"),
+        # a start outside a set box, and outside the automatic box of a
+        # tiny horizon (+-6e-4 against the start (0.3, -0.2))
+        ({"solver.box_halfwidth": 1e-6}, "greedy", "box_halfwidth"),
+        ({"cost.horizon": 1e-8}, "greedy", "box_halfwidth"),
+    ], ids=["no-policy", "box", "horizon"])
+    def test_rejected_before_solve(self, tmp_path, capsys, monkeypatch,
+                                   overrides, policy, key):
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *a: solves.append(a))
+        path = write_config(tmp_path, small_delay_config(**overrides))
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", path, "--out-dir", str(out), "--quiet",
+                   "--policy", policy])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: ") and key in err
+        assert solves == [] and os.listdir(out) == []
 
 
 SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")

@@ -29,6 +29,7 @@ from pshjb.hjb import (
     make_space_axes,
     pad_edges,
     picard_solve,
+    settled_count,
     shift_stencil,
     sup_distance,
     window_bounds,
@@ -497,7 +498,8 @@ class TestUpsilon:
         t_pos = out.time_grid[1:]
         # H_min(s^{-gamma} * 0) = min over u of ell1 = 0.25... only when the
         # linear term vanishes; with fbar = 0, H_min(0) = min(ell1)
-        conv = out.f_values[1:] - ups.s_f.reshape(out.f_values[1:].shape)
+        s_f = np.stack([node.s_f for node in ups.nodes])
+        conv = out.f_values[1:] - s_f.reshape(out.f_values[1:].shape)
         expected = 0.25 * t_pos
         err = np.abs(conv - expected[:, None, None]).max()
         assert err <= 1e-10
@@ -551,7 +553,7 @@ class TestUpsilon:
             monkeypatch.setattr(hjb, "WINDOW_CHUNK_BYTES", budget)
             assert hjb._chunk_values(8, n0) == (8 * n0 if budget > 1 else 8)
             built[budget] = UpsilonOperator(ups.model, ups.cost, ups.cfg, ups.gamma)
-        chunks = {budget: sum(len(ch) for steps in op._steps for _, ch, _ in steps)
+        chunks = {budget: sum(len(ch) for node in op.nodes for _, ch, _ in node.steps)
                   for budget, op in built.items()}
         assert chunks[1] == n0 * chunks[2**62] > chunks[2**62]
         ref, out = built[2**62].apply(g), built[1].apply(g)
@@ -583,7 +585,7 @@ class TestUpsilon:
         monkeypatch.setattr(hjb, "h_min_batch",
                             lambda *a, **k: calls.append(1) or minimum(*a, **k))
         ups.sweep(ups.initial_iterate(), 0)
-        steps = sum(len(steps) for steps in ups._steps)
+        steps = sum(len(node.steps) for node in ups.nodes)
         assert len(calls) == (steps if name == "trivial" else 0)
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
@@ -593,42 +595,44 @@ class TestUpsilon:
         ups = mini_ups[name]
         g = random_iterate(ups, np.random.default_rng(3))
         out = ups.apply(g)
-        m, shape = ups.model.control_dim, ups.space_shape
-        fbar = g.fbar_values.reshape((-1,) + shape + (m,))
-        for i, t in enumerate(ups.time_grid[1:]):
-            cv = ups.conv[i]
-            np.multiply(cv.w0, np.moveaxis(fbar[cv.i0], -1, 1), out=ups._inner)
-            ups._inner += cv.w1 * np.moveaxis(fbar[cv.i1], -1, 1)
-            pad_edges(ups._padded, ups.pad, len(shape))
-            for coef, chunks, rows in ups._steps[i]:
-                interp_windows(coef, chunks)
-                h_min_batch(ups.cost.ham, ups._block, out=rows)
-            hvals = ups._hvals
-            f = ups.s_f[i] + cv.weights[:, 0] @ hvals
-            grad = t**ups.gamma * (ups.s_grad[i] + hvals.T @ cv.weights[:, 1:])
+        ham = ups.cost.ham
+        for i, node in enumerate(ups.nodes):
+            ups._node(i, g.fbar_values)
+            # H_min per (s-node, Gauss node) from the node's hinge sums
+            hvals = ham.hinge.alpha - ham.hinge.scale * ups._hvals
+            for (coef, chunks, _), rows in zip(node.steps, np.split(hvals, len(node.steps))):
+                interp_windows(coef, chunks)     # the s-node's gradients again
+                assert np.abs(h_min_batch(ham, ups._block) - rows).max() <= 1e-14
+            f = node.s_f + node.weights[:, 0] @ hvals
+            grad = node.t**ups.gamma * (node.s_grad + hvals.T @ node.weights[:, 1:])
             assert np.abs(out.f_values[i + 1].ravel() - f).max() <= 1e-14
             assert np.abs(out.fbar_values[i].reshape(grad.shape) - grad).max() <= 1e-14
 
     def test_window_coefficients_counted_before_built(self, delay_model, monkeypatch):
         # the sizes alone pass the sweep budget, the windows do not: the
-        # assembly refuses the problem before it stores every coefficient
+        # assembly checks every node's windows once and refuses the problem
+        # before it builds any coefficient
         cost = CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
                         costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
         cfg = SolverConfig(**MINI_CFG)
+        calls = []
+        for fn in ("_check_problem_size", "window_coefficients"):
+            def logged(*args, fn=fn, orig=getattr(hjb, fn)):
+                calls.append(fn)
+                return orig(*args)
+            monkeypatch.setattr(hjb, fn, logged)
         ups = UpsilonOperator(delay_model, cost, cfg, gamma=0.52)
-        values = sum(c.size for cv in ups.conv for c in cv.coef)
-        assert values == ups._coef_values
-        full = hjb._sweep_bytes(cfg, 2, 1, ups.pad, ups.window, values)
+        assert calls == ["_check_problem_size"] + ["window_coefficients"] * cfg.n_time
+        coef = [c for node in ups.nodes for c, _, _ in node.steps]
+        full = hjb._sweep_bytes(cfg, 2, 1, ups.pad, max(c.shape[1] for c in coef),
+                                sum(c.size for c in coef))
         assert full > hjb._sweep_bytes(cfg, 2, 1)
         monkeypatch.setattr(hjb, "_SWEEP_BUDGET_BYTES", full - 1)
         hjb._check_problem_size(cfg, 2, 1)
-        built = []
-        coefficients = hjb.window_coefficients
-        monkeypatch.setattr(hjb, "window_coefficients",
-                            lambda *a: built.append(1) or coefficients(*a))
+        calls.clear()
         with pytest.raises(ConfigError, match="per Picard sweep"):
             UpsilonOperator(delay_model, cost, cfg, gamma=0.52)
-        assert len(built) == cfg.n_time - 1
+        assert calls == ["_check_problem_size"]
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     @pytest.mark.parametrize("start", ["initial", "random"])
@@ -638,22 +642,22 @@ class TestUpsilon:
         # a count never falls; apply is the exact map, a sweep with
         # nothing settled
         ups = mini_ups[name]
-        assert all(cv.i0.max() <= i and cv.i1.max() <= i
-                   for i, cv in enumerate(ups.conv))
+        assert all(node.i0.max() <= i and node.i1.max() <= i
+                   for i, node in enumerate(ups.nodes))
         g = (ups.initial_iterate() if start == "initial"
              else random_iterate(ups, np.random.default_rng(5)))
         chain, counts = [g], [0]
-        copied = ups.copied
         for _ in range(9):
-            g_next, count = ups.sweep(chain[-1], counts[-1])
-            chain.append(g_next)
-            counts.append(count)
-        assert ups.copied - copied == sum(counts[:-1])
+            chain.append(ups.sweep(chain[-1], counts[-1]))
+            counts.append(settled_count(chain[-1], chain[-2]))
+        for src, out, count in zip(chain, chain[1:], counts):
+            assert np.array_equal(out.f_values[:count + 1], src.f_values[:count + 1])
+            assert np.array_equal(out.fbar_values[:count], src.fbar_values[:count])
         assert counts == sorted(counts)
         if start == "initial":
-            assert ups.copied > copied      # the chain copies settled nodes
+            assert sum(counts[:-1]) > 0     # the chain copies settled nodes
         for h in chain[-2:]:
-            a, (b, _) = ups.apply(h), ups.sweep(h, 0)
+            a, b = ups.apply(h), ups.sweep(h, 0)
             assert np.array_equal(a.f_values, b.f_values)
             assert np.array_equal(a.fbar_values, b.fbar_values)
 
@@ -719,12 +723,62 @@ class TestPicard:
         model = request.getfixturevalue(f"{name}_model")
         assert sol.diagnostics["copied_nodes"] > one_ulp
         ups = UpsilonOperator(model, cost, cfg, gamma=sol.gamma)
-        g = ups.initial_iterate()
+        # the solve's count is the sum of the settled counts its sweeps
+        # were given
+        g = h = ups.initial_iterate()
+        settled = copied = 0
         for _ in range(sol.iterations):
             g = ups.apply(g)
-        assert ups.copied == 0
+            h_next = ups.sweep(h, settled)
+            copied, settled, h = copied + settled, settled_count(h_next, h), h_next
+        assert copied == sol.diagnostics["copied_nodes"]
+        assert np.array_equal(h.f_values, sol.iterate.f_values)
+        assert np.array_equal(h.fbar_values, sol.iterate.fbar_values)
         assert np.abs(g.f_values - sol.iterate.f_values).max() <= 1e-15
         assert np.abs(g.fbar_values - sol.iterate.fbar_values).max() <= 1e-15
+
+    @staticmethod
+    def _settled_loop(g_next, g):
+        """The settled count, node by node: the leading run of slices that
+        moved by at most four ulps of the largest |fbar| so far."""
+        count, top = 0, 0.0
+        for new, old in zip(g_next.fbar_values, g.fbar_values):
+            top = max(top, float(np.abs(new).max()))
+            if np.abs(new - old).max() > 4 * np.spacing(top):
+                break
+            count += 1
+        return count
+
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_settled_count_matches_node_loop(self, name, mini_ups):
+        ups = mini_ups[name]
+        g = random_iterate(ups, np.random.default_rng(11))
+        n_t = g.fbar_values.shape[0]
+        # slice 2 scaled far below slice 0, so that ulps of the largest
+        # |fbar| over slices 0..2 are not ulps of slice 2's own
+        flat = g.fbar_values.reshape(n_t, -1).copy()
+        flat[2] *= 2.0**-6
+        g = replace(g, fbar_values=flat.reshape(g.fbar_values.shape))
+        top = np.maximum.accumulate(np.abs(flat).max(axis=1))
+        assert np.spacing(np.abs(flat[2]).max()) < np.spacing(top[2]) / 2
+        # bump the smallest |fbar| of a slice by whole ulps of its top, an
+        # exact move that leaves every slice's max as it is: 3 ulps at nodes
+        # 2 and 9 and 4 ulps at node 4 pass, 5 ulps at node 6 stop the count
+        bumped = flat.copy()
+        for i, ulps in ((2, 3), (4, 4), (6, 5), (9, 3)):
+            j = np.abs(flat[i]).argmin()
+            bumped[i, j] += ulps * np.spacing(top[i])
+            assert abs(bumped[i, j] - flat[i, j]) == ulps * np.spacing(top[i])
+        g_next = replace(g, fbar_values=bumped.reshape(g.fbar_values.shape))
+        assert settled_count(g_next, g) == self._settled_loop(g_next, g) == 6
+        assert settled_count(g, g) == self._settled_loop(g, g) == n_t
+        # and along a chain of sweeps from the semigroup start
+        chain, settled = [ups.initial_iterate()], 0
+        for _ in range(6):
+            chain.append(ups.sweep(chain[-1], settled))
+            settled = settled_count(chain[-1], chain[-2])
+            assert settled == self._settled_loop(chain[-1], chain[-2])
+        assert 0 < settled < n_t
 
     def test_no_contraction_detected(self, delay_model):
         # enormous controls cannot contract in the sup norm
@@ -761,7 +815,8 @@ class TestPicard:
         ups = UpsilonOperator(delay_model, cost, cfg, gamma=cfg.gamma)
         g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
-            g_next, settled = ups.sweep(g, settled)
+            g_next = ups.sweep(g, settled)
+            settled = settled_count(g_next, g)
             d = sup_distance(g_next, g)
             streak = streak + 1 if residuals and d > residuals[-1] else 0
             residuals.append(d)

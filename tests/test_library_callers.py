@@ -31,8 +31,8 @@ SRC = ROOT / "src" / "pshjb"
 CALLER_DIRS = ("src", "tests", "bench")
 
 # test oracles, kept without a library caller: the transition semigroup and
-# Cameron-Martin density by quadrature, and the exact Picard map that the
-# tests hold the solve's sweeps, which copy settled nodes, to
+# Cameron-Martin density by quadrature, and the exact Picard map, a sweep
+# with nothing settled, that the tests hold the solve's sweeps to
 ALLOWED = {
     "semigroup_apply",
     "cameron_martin_density",

@@ -243,6 +243,8 @@ def load_config(
     seed = seed_override
     if seed is None:
         seed = _convert(int, raw.get("seed", 0), "seed")
+    if seed < 0:        # numpy's generators take no negative seed
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _read(SolverConfig, raw.get("solver", {}), "solver")

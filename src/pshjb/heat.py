@@ -62,6 +62,9 @@ class HeatConfig:
     - ``"identity"``: no projection at all (P = identity on the truncated
       modes), used for the unprojected blow-up diagnostic.
 
+    ``"bumps"`` and ``"slow"`` build ``n_proj`` vectors, at least 1 and at
+    most ``n_modes`` (more cannot be orthonormal in n_modes coefficients).
+
     ``epsilon`` is checked to lie in (0, 1/4) but enters no computation.
     """
 
@@ -83,8 +86,9 @@ class HeatConfig:
             raise ConfigError("beta must be >= 0")
         if self.projection not in ("bumps", "spectral", "slow", "identity"):
             raise ConfigError(f"unknown projection kind {self.projection!r}")
-        if self.projection == "bumps" and not self.n_proj >= 1:
-            raise ConfigError("n_proj must be >= 1")
+        if self.projection in ("bumps", "slow") and not 1 <= self.n_proj <= self.n_modes:
+            raise ConfigError(
+                f"n_proj must lie in [1, n_modes = {self.n_modes}], got {self.n_proj}")
         if self.projection == "spectral":
             if any(not 1 <= m <= self.n_modes for m in self.spectral_modes):
                 raise ConfigError("spectral modes out of range")

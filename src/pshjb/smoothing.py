@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InclusionViolated
+from .errors import InclusionViolated, SmoothingViolated
 from .ou import ProjectedModel
 from .spectral import psd_roots
 
@@ -110,7 +110,8 @@ def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     excluded from the regression, and so is every point within 10% of one
     of the model's ``control_discontinuities`` (delay-atom activations),
     where the norm jumps.  Requires at least 10 logarithmically spaced
-    points, and at least 5 left after the exclusions.
+    points; fewer than 5 left after the exclusions (many atoms among the
+    fit times) raise :class:`SmoothingViolated`.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if t_grid.size < 10:
@@ -122,7 +123,11 @@ def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     for d in model.control_discontinuities:
         keep &= ~((t_grid >= 0.9 * d) & (t_grid <= 1.1 * d))
     if keep.sum() < 5:
-        raise ValueError("too few points left after exclusions")
+        raise SmoothingViolated(
+            f"{keep.sum()} fit times left after excluding the control "
+            "discontinuities, 5 needed to fit the blow-up exponent; "
+            "pin solver.gamma to solve without a fit"
+        )
 
     x = np.log(t_grid[keep])
     y = np.log(norms[keep])

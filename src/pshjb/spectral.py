@@ -5,10 +5,11 @@ hundred).  One routine, :func:`psd_roots`, decides everything about a PSD
 matrix (square root, pseudo-inverse square root, rank, image projector) from
 one symmetric eigendecomposition, so that pseudo-inverses annihilate the
 kernel exactly instead of amplifying noise and every caller shares one rank
-threshold.  The exponential of a general square matrix uses scaling and
-squaring.  Gaussian expectations use one rule, tensor Gauss-Hermite, whose
-order**dim nodes limit it to MAX_HERMITE_DIM dimensions; the time integrals
-use Gauss-Jacobi.
+threshold.  The exponential of a general square matrix, or of a stack of
+them, uses scaling and squaring around the one [13/13] Pade approximant.
+Gaussian expectations use one rule, tensor Gauss-Hermite, whose order**dim
+nodes limit it to MAX_HERMITE_DIM dimensions; the time integrals use
+Gauss-Jacobi.
 """
 
 from __future__ import annotations
@@ -136,97 +137,56 @@ def gauss_jacobi(n: int, beta: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Higham, "The scaling and squaring method for the matrix exponential
-# revisited" (SIAM J. Matrix Anal. Appl. 26, 2005): theta_m is the largest
-# 1-norm at which the [m/m] Pade approximant of exp is accurate to double
-# precision, b_0..b_m are the approximant's coefficients.
-_PADE_THETA = {
-    3: 1.495585217958292e-2,
-    5: 2.539398330063230e-1,
-    7: 9.504178996162932e-1,
-    9: 2.097847961257068e0,
-    13: 5.371920351148152e0,
-}
-_PADE_COEFFS = {
-    3: np.array([120.0, 60.0, 12.0, 1.0]),
-    5: np.array([30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0]),
-    7: np.array([17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0,
-                 1512.0, 56.0, 1.0]),
-    9: np.array([17643225600.0, 8821612800.0, 2075673600.0, 302702400.0,
-                 30270240.0, 2162160.0, 110880.0, 3960.0, 90.0, 1.0]),
-    13: np.array([64764752532480000.0, 32382376266240000.0,
-                  7771770303897600.0, 1187353796428800.0, 129060195264000.0,
-                  10559470521600.0, 670442572800.0, 33522128640.0,
-                  1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0]),
-}
+# revisited" (SIAM J. Matrix Anal. Appl. 26, 2005): _THETA_13 is the largest
+# 1-norm at which the [13/13] Pade approximant of exp is accurate to double
+# precision, _PADE_13 its coefficients b_0..b_13 divided by b_0 (with the raw
+# b_0 = 6.5e16 the solve rounds exp(0) to 1 - ulp on the diagonal).
+_THETA_13 = 5.371920351148152e0
+_PADE_13 = np.array([64764752532480000.0, 32382376266240000.0,
+                     7771770303897600.0, 1187353796428800.0, 129060195264000.0,
+                     10559470521600.0, 670442572800.0, 33522128640.0,
+                     1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0,
+                     1.0]) / 64764752532480000.0
 
 
 def expm(a) -> np.ndarray:
     """Matrix exponential of a square matrix, or of each matrix of a stack
     (..., n, n), by scaling and squaring.
 
-    Higham's 2005 algorithm, per matrix: the [m/m] Pade approximant with
-    the lowest degree m in {3, 5, 7, 9, 13} whose theta_m bounds its
-    1-norm; above theta_13, the matrix is scaled by 2^-s into range and the
-    degree-13 approximant squared s times.  The matrices of one (m, s)
-    group go through the same stacked operations, which compute each
-    matrix as a call on it alone would, bit for bit.
+    Higham's 2005 algorithm with the one Pade degree 13: each matrix is
+    scaled by 2^-s, with s the least integer >= 0 that brings its 1-norm to
+    theta_13 or below, the [13/13] approximant is evaluated once over the
+    whole stack, and each matrix is squared its own s times.  Every step
+    works per matrix, so each matrix of a stack comes out as a call on it
+    alone would give it, bit for bit.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix")
     n = a.shape[-1]
-    flat = a.reshape(-1, n, n)
-    norms = np.abs(flat).sum(axis=-2).max(axis=-1, initial=0.0)
-    keys = [_pade_key(norm) for norm in norms]
-    groups = set(keys)
-    if len(groups) == 1:                        # no gather and scatter
-        return _pade_square(flat, *keys[0]).reshape(a.shape)
-    out = np.empty_like(flat)
-    for key in groups:
-        sel = [i for i, k in enumerate(keys) if k == key]
-        out[sel] = _pade_square(flat[sel], *key)
-    return out.reshape(a.shape)
-
-
-def _pade_key(norm) -> tuple[int, int]:
-    """Pade degree m and scaling s of a matrix of 1-norm ``norm``."""
-    for m, theta in _PADE_THETA.items():
-        if norm <= theta:
-            return m, 0
-    if not np.isfinite(norm):
+    x = a.reshape(-1, n, n)
+    norms = np.abs(x).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.isfinite(norms).all():
         raise ValueError("expm needs finite entries")
-    return m, int(np.ceil(np.log2(norm / theta)))
-
-
-def _pade_square(a: np.ndarray, m: int, s: int) -> np.ndarray:
-    """exp of each matrix of the stack (g, n, n): the degree-m Pade
-    approximant of a * 2^-s, squared s times."""
-    if s:
-        a = a * 2.0**-s
-    # u and v are the odd and even parts of the approximant's numerator,
-    # sums of b_k a^k; the even powers a^0, a^2, ... fill one array, so that
-    # each sum is one vector-matrix product with the coefficients per matrix
-    b, (g, n, _) = _PADE_COEFFS[m], a.shape
-    k = 4 if m == 13 else m // 2 + 1
-    p = np.empty((g, k, n, n))
+    s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
+    x = np.ldexp(x, -s[:, None, None])          # exact: a power of two
+    # u and v are the odd and even parts of the numerator, sums of b_k x^k:
+    # x^0, x^2, x^4, x^6 fill one array, so each sum is one vector-matrix
+    # product per matrix, and x^8 .. x^12 enter as x^6 times x^2, x^4, x^6
+    b, g, mats = _PADE_13, len(x), x.shape
+    p = np.empty((g, 4, n, n))
     p[:, 0] = np.eye(n)
-    np.matmul(a, a, out=p[:, 1])
-    for i in range(2, k):
-        np.matmul(p[:, i - 1], p[:, 1], out=p[:, i])
-    p = p.reshape(g, k, n * n)
-    mats = (g, n, n)
-    if m == 13:
-        # a^8 .. a^12 enter as a^6 times a^2, a^4, a^6
-        a6 = p[:, 3].reshape(mats)
-        u = a @ (a6 @ (b[9::2] @ p[:, 1:]).reshape(mats) + (b[1:9:2] @ p).reshape(mats))
-        v = a6 @ (b[8::2] @ p[:, 1:]).reshape(mats) + (b[0:8:2] @ p).reshape(mats)
-    else:
-        u = a @ (b[1::2] @ p).reshape(mats)
-        v = (b[0::2] @ p).reshape(mats)
+    np.matmul(x, x, out=p[:, 1])
+    np.matmul(p[:, 1], p[:, 1], out=p[:, 2])
+    np.matmul(p[:, 2], p[:, 1], out=p[:, 3])
+    x6, p = p[:, 3], p.reshape(g, 4, n * n)
+    u = x @ (x6 @ (b[9::2] @ p[:, 1:]).reshape(mats) + (b[1:9:2] @ p).reshape(mats))
+    v = x6 @ (b[8::2] @ p[:, 1:]).reshape(mats) + (b[0:8:2] @ p).reshape(mats)
     x = np.linalg.solve(v - u, v + u)
-    for _ in range(s):
-        x = x @ x
-    return x
+    for k in range(int(s.max(initial=0))):
+        on = s > k
+        x[on] = x[on] @ x[on]
+    return x.reshape(a.shape)
 
 
 def gauss_expectation(f, mean, cov, rule: QuadratureRule) -> float:

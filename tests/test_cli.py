@@ -315,6 +315,8 @@ class TestInvalidConfig:
         ("cost.horizon", -1.0),
         # one sample has standard error 0
         ("simulate.n_samples", 1),
+        # more projection vectors than modes: at most n_modes are orthonormal
+        ("model.heat.n_proj", 65),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
@@ -494,6 +496,32 @@ class TestLambda:
                 "smoothing hypothesis violated: fitted blow-up exponent 1.250")
             assert not (out / "solve_meta.json").exists()
 
+    def test_unfittable_exponent(self, tmp_path, capsys):
+        # an atom at each of the first 18 fit times leaves none of them to
+        # the fit: each fitting command refuses the model in one line, check
+        # reports the failing invariant, and a pinned gamma needs no fit
+        times = np.geomspace(1e-4, 0.1, 20)[:-2]
+        cfg = small_delay_config(**{"model.delay.atoms": [
+            {"location": float(-t), "weight": [[0.01], [0.01]]} for t in times]})
+        path = write_config(tmp_path, cfg)
+        for command in ("lambda", "solve", "simulate"):
+            out = tmp_path / command
+            rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert rc == 3 and err.count("\n") == 1
+            assert err.startswith("smoothing hypothesis violated: 0 fit times left")
+            assert "5 needed" in err and "solver.gamma" in err
+            assert os.listdir(out) == []
+        out = tmp_path / "check"
+        rc = main(["check", "--config", path, "--out-dir", str(out), "--quiet"])
+        assert rc == 5
+        report = json.loads((out / "check_report.json").read_text())
+        assert report["failing"] == ["blowup_exponent_in_range"]
+        pinned = write_config(tmp_path, override(cfg, {"solver.gamma": 0.5}), "pinned.yaml")
+        out = tmp_path / "pinned"
+        rc = main(["solve", "--config", pinned, "--out-dir", str(out), "--quiet"])
+        assert rc == 0 and (out / "solution.csv").exists()
+
     def test_rank_deficient_delay_exits_3(self, tmp_path):
         cfg = small_delay_config(
             **{
@@ -572,6 +600,20 @@ class TestSimulate:
                    "--policy", policy])
         err = capsys.readouterr().err
         assert rc == 1 and err.startswith("config error: ") and key in err
+        assert solves == [] and os.listdir(out) == []
+
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_negative_seed_rejected(self, tmp_path, capsys, monkeypatch, source):
+        # numpy's generators take no negative seed; refused before the solve
+        solves = []
+        monkeypatch.setattr(cli, "picard_solve", lambda *a: solves.append(a))
+        cfg = small_delay_config(**({"seed": -1} if source == "config" else {}))
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", write_config(tmp_path, cfg),
+                "--out-dir", str(out), "--quiet"]
+        rc = main(argv + (["--seed", "-1"] if source == "flag" else []))
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("config error: ") and "seed" in err
         assert solves == [] and os.listdir(out) == []
 
 

@@ -154,6 +154,17 @@ class TestConfigAndDecay:
         with pytest.raises(ConfigError):
             heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=(9,))
 
+    @pytest.mark.parametrize("projection", ["bumps", "slow"])
+    def test_n_proj_range(self, projection):
+        # more vectors than modes would orthonormalize to only n_modes rows,
+        # a smaller projected dimension than asked for
+        for n_proj in (0, 3):
+            with pytest.raises(ConfigError, match=r"n_proj must lie in \[1, n_modes = 2\]"):
+                heat.HeatConfig(n_modes=2, n_proj=n_proj, projection=projection)
+        m = heat.build_projected_model(
+            heat.HeatConfig(n_modes=2, n_proj=2, projection=projection))
+        assert m.proj_dim == 2
+
 class TestBlowup:
     def test_default_slope_range(self, heat_model):
         fit = fit_blowup(heat_model, np.geomspace(1e-4, 1e-1, 20))

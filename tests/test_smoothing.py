@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pshjb import costs, delay, heat
-from pshjb.errors import InclusionViolated
+from pshjb.errors import InclusionViolated, SmoothingViolated
 from pshjb.ou import ProjectedTerminalCost, semigroup_apply
 from pshjb.smoothing import fit_blowup, inclusion_residual, lambda_norm, lambda_operator
 from pshjb.spectral import build_quadrature
@@ -145,10 +145,11 @@ class TestBlowupFit:
 
     def test_exclusion_windows(self):
         # the atom at delay d switches on at t = d: the fit leaves out the
-        # points within 10% of it, and a grid inside that window is empty
+        # points within 10% of it, and a grid inside that window leaves no
+        # point: the model is refused as unfittable, not as a bad argument
         model = delay.build_projected_model(scalar_delay_config(c=2.0, d=0.01))
         assert model.control_discontinuities == (0.01,)
         fit = fit_blowup(model, np.geomspace(1e-4, 1e-1, 30))
         assert np.isfinite(fit.slope)
-        with pytest.raises(ValueError):
+        with pytest.raises(SmoothingViolated, match="0 fit times left.*5 needed"):
             fit_blowup(model, np.geomspace(0.9 * 0.01, 1.1 * 0.01, 12))

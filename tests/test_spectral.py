@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pshjb.config import load_config
 from pshjb.delay import DelayConfig
 from pshjb.errors import DimensionMismatch, DimensionTooLarge, NotPSD
 from pshjb.spectral import (
-    _PADE_THETA,
+    _THETA_13,
     QuadratureRule,
     build_quadrature,
     expm,
@@ -210,6 +211,11 @@ class TestGaussJacobi:
 
 ROOT = os.path.join(os.path.dirname(__file__), "..")
 EXPM_TIMES = np.linspace(1e-4, 1.0, 40)
+# 1-norms at 0.95 times Higham's band edges theta_3, theta_5, theta_7,
+# theta_9 and theta_13 (up to which his algorithm takes the [m/m] Pade
+# approximant of degree m = 3, 5, 7, 9, 13), and at 3 theta_13
+EXPM_NORMS = [0.014208059570603773, 0.24124284135600685, 0.9028970046354785,
+              1.9929555631942144, 5.103324333590744, 16.115761053444455]
 STIFF = DelayConfig(a0=np.diag([-50.0, -0.2]), b0=np.zeros((2, 1)),
                     sigma=np.eye(2), delay=0.1)
 
@@ -268,43 +274,44 @@ class TestExpm:
         np.testing.assert_allclose(f, [[1.0, t], [0.0, 1.0]], rtol=0,
                                    atol=np.finfo(float).eps * max(1.0, t))
 
-    @pytest.mark.parametrize("degree, norm", [
-        (3, 0.95 * _PADE_THETA[3]), (5, 0.95 * _PADE_THETA[5]),
-        (7, 0.95 * _PADE_THETA[7]), (9, 0.95 * _PADE_THETA[9]),
-        (13, 0.95 * _PADE_THETA[13]), (13, 3.0 * _PADE_THETA[13]),
-    ])
+    @pytest.mark.parametrize("degree, norm", zip([3, 5, 7, 9, 13, 13], EXPM_NORMS))
     def test_each_pade_degree(self, degree, norm):
-        # a symmetric argument with known eigenvectors: e^a = q e^lam q*
+        # the one degree-13 approximant at the norms where Higham's degree
+        # selection would take degree ``degree``; a symmetric argument with
+        # known eigenvectors: e^a = q e^lam q*
         q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((4, 4)))
         lam = np.array([-1.0, -0.3, 0.4, 1.0])
         lam *= norm / np.abs((q * lam) @ q.T).sum(axis=0).max()
         a = (q * lam) @ q.T
-        lower = max([th for m, th in _PADE_THETA.items() if m < degree], default=0.0)
-        assert lower < np.abs(a).sum(axis=0).max() <= max(norm, _PADE_THETA[degree])
-        assert max_rel_error(expm(a), (q * np.exp(lam)) @ q.T) <= 1e-14
+        assert np.isclose(np.abs(a).sum(axis=0).max(), norm, rtol=1e-14, atol=0)
+        err = max_rel_error(expm(a), (q * np.exp(lam)) @ q.T)
+        assert err <= 1e-14, f"1-norm {norm} (Higham's degree {degree})"
 
     def test_rejects_non_square(self):
         with pytest.raises(DimensionMismatch):
             expm(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             expm(np.full((2, 2), np.nan))
+        with warnings.catch_warnings():     # raised before any log2 of inf
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                expm(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stack_equals_single_matrices(self, n):
-        # a shuffled stack with 1-norms in every Pade band, theta_3 to
-        # theta_13, and above theta_13 (1 to 5 squarings), and a zero
-        # matrix: each matrix as a call on it alone, bit for bit
+        # a shuffled stack with the 1-norms of EXPM_NORMS, norms that take
+        # 1 to 5 squarings, and a zero matrix: each matrix as a call on it
+        # alone, bit for bit
         rng = np.random.default_rng(n)
-        thetas = list(_PADE_THETA.values())
-        norms = [0.0] + [f * th for th in thetas for f in (0.6, 0.99)]
-        norms += [f * thetas[-1] for f in (1.01, 1.9, 3.5, 9.0, 20.0)]
+        norms = [0.0] + EXPM_NORMS + [1.1 * 2**k * EXPM_NORMS[4] for k in range(5)]
         stack = []
         for norm in norms:
             a = rng.standard_normal((n, n))
             stack.append(a * (norm / np.abs(a).sum(axis=0).max()))
         stack = np.array(stack)[rng.permutation(len(norms))]
-        bands = np.searchsorted(thetas, np.abs(stack).sum(axis=-2).max(axis=-1))
-        assert set(bands) == set(range(len(thetas) + 1))
+        scaled = np.abs(stack).sum(axis=-2).max(axis=-1) / _THETA_13
+        squarings = np.ceil(np.log2(np.maximum(scaled, 1.0)))
+        assert set(squarings) == {0, 1, 2, 3, 4, 5}
         got = expm(stack)
         assert got.shape == stack.shape
         for a, x in zip(stack, got):

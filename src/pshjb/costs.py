@@ -1,9 +1,10 @@
 """Builders for the small set of bounded cost primitives.
 
-Terminal costs must be bounded with a declared sup bound (the smoothing
-estimates use it), so the builtin family consists of saturating shapes:
-constants, tanh of affine functionals, Gaussian bumps, and smoothed
-indicators.  All returned callables are vectorized over (..., N) inputs.
+The paper's estimates need a bounded terminal cost, so the builtin family
+consists of saturating shapes: constants, tanh of affine functionals,
+Gaussian bumps, and smoothed indicators.  Each terminal-cost builder
+returns a vectorized function mapping (..., N) float arrays to (...)
+float arrays, bounded by |value| or |scale|.
 """
 
 from __future__ import annotations
@@ -11,41 +12,32 @@ from __future__ import annotations
 import numpy as np
 
 from .hjb import Hamiltonian
-from .ou import ProjectedTerminalCost
 
 
-def constant_cost(value: float = 0.0) -> ProjectedTerminalCost:
-    return ProjectedTerminalCost(
-        lambda y: np.full(np.asarray(y).shape[:-1], float(value)), abs(float(value))
-    )
+def constant_cost(value: float = 0.0):
+    return lambda y: np.full(np.asarray(y).shape[:-1], float(value))
 
 
 def tanh_cost(
     direction: tuple[float, ...] = (1.0,), offset: float = 0.0, scale: float = 1.0
-) -> ProjectedTerminalCost:
-    """scale * tanh(<direction, y> + offset); bound |scale|."""
+):
+    """scale * tanh(<direction, y> + offset)."""
     a = np.asarray(direction, dtype=float)
-    return ProjectedTerminalCost(
-        lambda y: scale * np.tanh(np.asarray(y) @ a + offset), abs(scale)
-    )
+    return lambda y: scale * np.tanh(np.asarray(y) @ a + offset)
 
 
 def gauss_bump_cost(
     center: tuple[float, ...] = (0.0,), width: float = 1.0, scale: float = 1.0
-) -> ProjectedTerminalCost:
-    """scale * exp(-|y - center|^2 / width^2); bound |scale|."""
+):
+    """scale * exp(-|y - center|^2 / width^2)."""
     c = np.asarray(center, dtype=float)
-    return ProjectedTerminalCost(
-        lambda y: scale
-        * np.exp(-np.sum((np.asarray(y) - c) ** 2, axis=-1) / width**2),
-        abs(scale),
-    )
+    return lambda y: scale * np.exp(-np.sum((np.asarray(y) - c) ** 2, axis=-1) / width**2)
 
 
 def smooth_indicator_cost(
     direction: tuple[float, ...] = (1.0,), threshold: float = 0.0,
     sharpness: float = 10.0, scale: float = 1.0,
-) -> ProjectedTerminalCost:
+):
     """Sigmoid step scale / (1 + e^{-sharpness (<a, y> - threshold)})."""
     a = np.asarray(direction, dtype=float)
 
@@ -53,7 +45,7 @@ def smooth_indicator_cost(
         z = sharpness * (np.asarray(y) @ a - threshold)
         return scale / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
-    return ProjectedTerminalCost(fn, abs(scale))
+    return fn
 
 
 def constant_ell0(value: float = 0.0):

@@ -111,16 +111,16 @@ def _squared_deviations(x: np.ndarray, mean) -> float:
 
 
 def _control_integrals(
-    model: ProjectedModel, horizon: float, steps: np.ndarray, n_gl: int = 12
+    model: ProjectedModel, horizon: float, steps: np.ndarray
 ) -> np.ndarray:
     """B_j = int_{s_j}^{s_{j+1}} proj_control(T - r) dr for each step.
 
-    Composite Gauss-Legendre split at the control-response discontinuities
-    (delay-atom activations), one ``proj_control`` call for the ``n_gl``
-    nodes of each piece; nodes are interior so proj_control is never
+    Composite 12-point Gauss-Legendre split at the control-response
+    discontinuities (delay-atom activations), one ``proj_control`` call for
+    the nodes of each piece; nodes are interior so proj_control is never
     evaluated at exactly 0.
     """
-    x, w = np.polynomial.legendre.leggauss(n_gl)
+    x, w = np.polynomial.legendre.leggauss(12)
     out = np.empty((steps.size - 1, model.proj_dim, model.control_dim))
     for j in range(steps.size - 1):
         lo, hi = horizon - steps[j + 1], horizon - steps[j]

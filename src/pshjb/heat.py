@@ -54,8 +54,9 @@ class HeatConfig:
 
     - ``"bumps"``: indicator profiles smoothed by (-A0)^{-alpha}, then
       orthonormalized (default; coefficient decay lambda_k^{-alpha - 1/2});
-    - ``"spectral"``: eigenvectors e_k for k in ``spectral_modes`` (the case
-      with scalar closed forms);
+    - ``"spectral"``: eigenvectors e_k for k in ``spectral_modes``, one or
+      more distinct modes in [1, n_modes] (the case with scalar closed
+      forms);
     - ``"slow"``: deliberately under-smoothed vectors with coefficient decay
       k^{-slow_decay} (a configuration violating alpha > beta + 1/4, kept
       for negative tests);
@@ -89,9 +90,14 @@ class HeatConfig:
         if self.projection in ("bumps", "slow") and not 1 <= self.n_proj <= self.n_modes:
             raise ConfigError(
                 f"n_proj must lie in [1, n_modes = {self.n_modes}], got {self.n_proj}")
-        if self.projection == "spectral":
-            if any(not 1 <= m <= self.n_modes for m in self.spectral_modes):
-                raise ConfigError("spectral modes out of range")
+        modes = self.spectral_modes
+        if self.projection == "spectral" and not (
+                modes and len(set(modes)) == len(modes)
+                and all(1 <= m <= self.n_modes for m in modes)):
+            # no mode, or one mode twice (two equal rows), is no orthonormal P
+            raise ConfigError(
+                f"spectral_modes must be one or more distinct modes in "
+                f"[1, n_modes = {self.n_modes}], got {list(modes)}")
 
 
 def _orthonormal_rows(raw: np.ndarray) -> np.ndarray:

@@ -70,7 +70,7 @@ from .errors import (
     OutOfGrid,
     SmoothingViolated,
 )
-from .ou import ProjectedModel, ProjectedTerminalCost
+from .ou import ProjectedModel
 from .smoothing import blowup_grid, fit_blowup, smoothing_matrix
 from .spectral import MAX_HERMITE_DIM, build_quadrature, gauss_jacobi, psd_roots
 
@@ -266,11 +266,15 @@ def hinge_batch(ham: Hamiltonian, p: np.ndarray, out: np.ndarray) -> np.ndarray:
 class CostSpec:
     """The cost J(t, x; u) = E[int_t^T (ell0(s) + ell1(u(s))) ds + phi(X(T))],
     the one record of the problem that the solver and the simulation read:
-    time cost, control grid with running costs ell1, terminal cost, horizon."""
+    time cost, control grid with running costs ell1, terminal cost, horizon.
+
+    ``phi`` is any callable that maps an (..., N) float array of projected
+    points to the (...) float array of their costs; the :mod:`costs`
+    builders return such functions."""
 
     ell0: object                  # vectorized callable of calendar time
     ham: Hamiltonian
-    phi: ProjectedTerminalCost
+    phi: object                   # vectorized callable, (..., N) -> (...)
     horizon: float = 1.0
 
     def __post_init__(self):
@@ -361,7 +365,7 @@ class HJBSolution:
     iterations: int
     eta_weight: float       # always 0.0: solves stop in the sup norm
     gamma: float
-    phi: ProjectedTerminalCost
+    phi: object             # the terminal cost, read by eval_value at t = T
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -793,12 +797,6 @@ class UpsilonOperator:
         return node, stencil, clamped_share(stencil, qw.ravel(), self.space_shape)
 
     # -- iterates ----------------------------------------------------------
-    def zero_iterate(self) -> ValueIterate:
-        """f = 0 for t > 0 (terminal slice kept), zero gradient."""
-        f = np.zeros((self.time_grid.size, self.mesh.shape[0]))
-        f[0] = self.cost.phi(self.mesh)
-        return self._pack(f, np.zeros(f[1:].shape + (self.model.control_dim,)))
-
     def initial_iterate(self) -> ValueIterate:
         """Semigroup-only iterate: the fixed point of the trivial Hamiltonian."""
         f = np.stack([self.cost.phi(self.mesh), *(node.s_f for node in self.nodes)])
@@ -899,12 +897,7 @@ def settled_count(g_next: ValueIterate, g: ValueIterate) -> int:
     return int(np.append(moved <= 4 * np.spacing(top), False).argmin())
 
 
-def picard_solve(
-    model: ProjectedModel,
-    cost: CostSpec,
-    cfg: SolverConfig,
-    initial: str = "semigroup",
-) -> HJBSolution:
+def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJBSolution:
     """Iterate the Picard map of ``cost`` on ``model`` to the mild-solution
     fixed point on [0, ``cost.horizon``].
 
@@ -918,20 +911,17 @@ def picard_solve(
 
     The stopping test and the growth rule (:class:`NoContraction` after
     three consecutive residual increases) use the sup norm of
-    :func:`sup_distance`, so converged means a sup residual below ``tol``
-    and the solution's ``eta_weight`` is always 0 (no exp(-eta t) weight;
-    see the module docstring).
+    :func:`sup_distance`, so converged means a sup residual of at most
+    ``tol``, the rule ``pshjb solve`` and ``simulate`` read a solve by, and
+    the solution's ``eta_weight`` is always 0 (no exp(-eta t) weight; see
+    the module docstring).
 
-    ``initial`` names the start: ``"semigroup"``
-    (:meth:`UpsilonOperator.initial_iterate`) or ``"zero"``
-    (:meth:`UpsilonOperator.zero_iterate`).
-
-    Each iterate is one :meth:`UpsilonOperator.sweep` that copies the
-    nodes below the :func:`settled_count` of the previous one (none at the
-    start); ``diagnostics["copied_nodes"]`` sums the counts so copied.
+    The solve starts from :meth:`UpsilonOperator.initial_iterate`, the
+    semigroup-only iterate.  Each iterate is one
+    :meth:`UpsilonOperator.sweep` that copies the nodes below the
+    :func:`settled_count` of the previous one (none at the start);
+    ``diagnostics["copied_nodes"]`` sums the counts so copied.
     """
-    if initial not in ("semigroup", "zero"):
-        raise ValueError(f"initial must be 'semigroup' or 'zero', got {initial!r}")
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
     diagnostics: dict = {}
     gamma = cfg.gamma
@@ -952,7 +942,7 @@ def picard_solve(
     ups = UpsilonOperator(model, cost, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
 
-    g = ups.initial_iterate() if initial == "semigroup" else ups.zero_iterate()
+    g = ups.initial_iterate()
     residuals: list[float] = []
     ratios: list[float] = []
     bad_streak = settled = copied = 0
@@ -972,7 +962,7 @@ def picard_solve(
                 )
         residuals.append(d)
         g = g_next
-        if d < cfg.tol:
+        if d <= cfg.tol:
             break
     diagnostics["copied_nodes"] = copied
     diagnostics["residual_history"] = residuals

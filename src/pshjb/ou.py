@@ -4,8 +4,9 @@ The infinite-dimensional uncontrolled state never appears explicitly: every
 quantity the solver needs factors through a finite-rank projection P, and the
 :class:`ProjectedModel` contract below collects exactly those projected
 quantities.  On top of the contract this module provides the transition
-semigroup acting on projected terminal costs and the Cameron-Martin density
-between shifted Gaussians.
+semigroup acting on a projected terminal cost (any callable mapping (..., N)
+float arrays to float arrays) and the Cameron-Martin density between
+shifted Gaussians.
 
 Covariance calls always require t > 0; at t = 0 the projected dynamics are
 only defined on the original state space and callers evaluate the terminal
@@ -13,8 +14,6 @@ cost directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,21 +76,6 @@ class ProjectedModel:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
-class ProjectedTerminalCost:
-    """Bounded terminal cost evaluated on projected coordinates.
-
-    ``phi_bar`` must be vectorized: it maps (..., N) arrays to (...) arrays.
-    ``bound`` is a declared sup bound used in smoothing estimates.
-    """
-
-    phi_bar: object
-    bound: float
-
-    def __call__(self, y) -> np.ndarray:
-        return np.asarray(self.phi_bar(np.asarray(y, dtype=float)), dtype=float)
-
-
 def _check_time(t: float):
     if not t > 0.0:
         raise ValueError(f"covariance calls require t > 0, got t={t!r}")
@@ -99,7 +83,7 @@ def _check_time(t: float):
 
 def semigroup_apply(
     model: ProjectedModel,
-    phi: ProjectedTerminalCost,
+    phi,
     t: float,
     y0: np.ndarray,
     rule: QuadratureRule,
@@ -107,7 +91,7 @@ def semigroup_apply(
     """Transition semigroup acting on a projected cost: R_t[phi](x).
 
     ``y0`` is the precomputed projected drift ``proj_semigroup_apply(t, x)``;
-    the result is the expectation of ``phi_bar(z + y0)`` over
+    the result is the expectation of ``phi(z + y0)`` over
     z ~ N(0, proj_cov(t)).
     """
     _check_time(t)

@@ -158,16 +158,20 @@ def expm(a) -> np.ndarray:
     theta_13 or below, the [13/13] approximant is evaluated once over the
     whole stack, and each matrix is squared its own s times.  Every step
     works per matrix, so each matrix of a stack comes out as a call on it
-    alone would give it, bit for bit.
+    alone would give it, bit for bit.  A non-finite entry, or finite
+    entries whose 1-norm overflows, raise ValueError.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch("expected a square matrix")
     n = a.shape[-1]
     x = a.reshape(-1, n, n)
-    norms = np.abs(x).sum(axis=-2).max(axis=-1, initial=0.0)
+    with np.errstate(over="ignore"):        # finite entries may sum to inf
+        norms = np.abs(x).sum(axis=-2).max(axis=-1, initial=0.0)
     if not np.isfinite(norms).all():
-        raise ValueError("expm needs finite entries")
+        if not np.isfinite(x).all():
+            raise ValueError("expm needs finite entries")
+        raise ValueError("the 1-norm of a matrix overflows; expm cannot scale it")
     s = np.ceil(np.log2(np.maximum(norms, _THETA_13) / _THETA_13)).astype(int)
     x = np.ldexp(x, -s[:, None, None])          # exact: a power of two
     # u and v are the odd and even parts of the numerator, sums of b_k x^k:

@@ -120,6 +120,28 @@ def random_iterate(ups, rng):
     return ups._pack(f, fbar)
 
 
+def zero_iterate(ups):
+    """Iterate on the grids of the Picard map ``ups`` with f = 0 for t > 0,
+    the terminal slice kept, and a zero gradient: a start other than the
+    solve's."""
+    f = np.zeros((ups.time_grid.size, ups.mesh.shape[0]))
+    f[0] = ups.cost.phi(ups.mesh)
+    return ups._pack(f, np.zeros(f[1:].shape + (ups.model.control_dim,)))
+
+
+def iterate_to_tol(ups, g, cfg):
+    """Exact applies of the Picard map ``ups`` from the iterate ``g`` until
+    a sup residual of at most ``cfg.tol``, or ``cfg.max_iter`` applies;
+    returns the last iterate and its residual."""
+    for _ in range(cfg.max_iter):
+        g_next = ups.apply(g)
+        d = hjb.sup_distance(g_next, g)
+        g = g_next
+        if d <= cfg.tol:
+            break
+    return g, d
+
+
 def weighted_distance(g1, g2, eta_weight):
     """Distance sup e^{-eta t}|f1 - f2| + sup e^{-eta t}|fbar1 - fbar2|.
 
@@ -192,15 +214,16 @@ def c_gradient_semigroup(model, phi, t, y0, rule):
     return (rule.weights * vals) @ weights
 
 
-def c_gradient_norm_bound_check(model, phi, t, y0, rule):
-    """Check |grad| <= ||Lambda(t)|| * sup|phi_bar| with a small slack.
+def c_gradient_norm_bound_check(model, phi, sup_phi, t, y0, rule):
+    """Check |grad| <= ||Lambda(t)|| * sup|phi| with a small slack, for a
+    cost ``phi`` bounded by ``sup_phi``.
 
     The bound is uniform over bounded projected costs.  Returns (|grad|,
     the bound, whether it holds).
     """
     grad = c_gradient_semigroup(model, phi, t, y0, rule)
     lhs = float(np.linalg.norm(grad))
-    rhs = lambda_norm(model, t) * phi.bound
+    rhs = lambda_norm(model, t) * sup_phi
     ok = lhs <= rhs * (1.0 + 1e-3) + 1e-12
     return lhs, rhs, ok
 

@@ -193,6 +193,23 @@ class TestSolve:
         assert captured.err.startswith("no contraction: ")
         assert "did not converge" in captured.err and captured.out == ""
 
+    def test_residual_equal_to_tol_stops_the_solve(self, tmp_path):
+        # one convergence rule, residual <= tol, for the Picard loop and for
+        # the status the commands report: a tol set to the residual of
+        # iterate k stops the solve at k, with status ok
+        k = 4
+        out = tmp_path / "capped"
+        cfg = small_delay_config(**{"solver.max_iter": k, "solver.tol": 1e-12})
+        assert main(["solve", "--config", write_config(tmp_path, cfg),
+                     "--out-dir", str(out), "--quiet"]) == 2
+        residual = json.loads((out / "solve_meta.json").read_text())["residual"]
+        out = tmp_path / "at_tol"
+        cfg = small_delay_config(**{"solver.tol": residual})
+        assert main(["solve", "--config", write_config(tmp_path, cfg, "at_tol.yaml"),
+                     "--out-dir", str(out), "--quiet"]) == 0
+        meta = json.loads((out / "solve_meta.json").read_text())
+        assert (meta["iterations"], meta["residual"], meta["status"]) == (k, residual, "ok")
+
     def test_unconverged_solve_is_not_simulated(self, tmp_path, capsys):
         # the rule of solve's exit 2: a residual above tol at the cap
         cfg = small_delay_config(**{"solver.max_iter": 1, "solver.tol": 1e-12})
@@ -317,10 +334,17 @@ class TestInvalidConfig:
         ("simulate.n_samples", 1),
         # more projection vectors than modes: at most n_modes are orthonormal
         ("model.heat.n_proj", 65),
+        # a spectral projection on no mode, or on one mode twice (two equal
+        # rows are not orthonormal); the test sets projection: spectral
+        ("model.heat.spectral_modes", []),
+        ("model.heat.spectral_modes", [1, 1]),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
-        path = write_config(tmp_path, build(**{key: value}))
+        overrides = {key: value}
+        if key == "model.heat.spectral_modes":
+            overrides["model.heat.projection"] = "spectral"
+        path = write_config(tmp_path, build(**overrides))
         out = tmp_path / "out"
         command = "solve" if key.startswith("solver.") else "simulate"
         rc = main([command, "--config", path, "--out-dir", str(out), "--quiet"])
@@ -731,7 +755,7 @@ class TestShippedConfigs:
         assert run.x0.shape == (64,)
         assert run.x0[0] == 0.5 and run.x0[2] == 0.0
         assert run.cost.ham.control_points.shape == (9, 2)
-        assert run.cost.phi.bound == 1.5
+        assert run.cost.phi(np.zeros(2)) == 1.5      # the scale, at the center
 
     def test_every_bad_value_is_a_config_error(self, monkeypatch):
         # each node of both shipped configs in turn replaced by a value of

@@ -6,7 +6,6 @@ import pytest
 
 from pshjb import costs, harness
 from pshjb.errors import DominanceViolated
-from pshjb.ou import ProjectedTerminalCost
 from pshjb.spectral import psd_roots
 from pshjb.harness import (
     CostSpec,
@@ -144,10 +143,7 @@ class TestAgainstReferenceLoop:
         of every terminal state agree with the reference to 1e-12."""
         run_cost, z = ref
         assert z.shape == (n, model.proj_dim)
-        coords = [
-            ProjectedTerminalCost(lambda y, k=k: y[..., k], float("inf"))
-            for k in range(model.proj_dim)
-        ]
+        coords = [lambda y, k=k: y[..., k] for k in range(model.proj_dim)]
         for phi in [cost.phi] + coords:
             res = simulate_cost(model, replace(cost, phi=phi), pol, t0, x0, n,
                                 steps, seed=seed)
@@ -209,7 +205,6 @@ class TestCostBuilders:
         assert vals[0] <= 1e-8
         assert abs(vals[1] - 1.0) <= 1e-12
         assert abs(vals[2] - 2.0) <= 1e-8
-        assert phi.bound == 2.0
 
 
 class TestSimulateCost:
@@ -223,11 +218,10 @@ class TestSimulateCost:
 
     def test_constant_control_linear_phi_mean(self, delay_model):
         from pshjb.harness import _control_integrals
-        from pshjb.ou import ProjectedTerminalCost
 
         ham = shipped_delay_ham()
         a = np.array([1.0, -0.7])
-        phi = ProjectedTerminalCost(lambda y: y @ a, bound=100.0)
+        phi = lambda y: y @ a
         cost = make_cost(ham, phi, c=0.0)
         idx = 3                                     # u = +0.5
         res = simulate_cost(delay_model, cost, Policy.constant(idx), 0.0, X0,

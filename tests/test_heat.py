@@ -151,8 +151,14 @@ class TestConfigAndDecay:
             heat.HeatConfig(beta=-0.1)
 
     def test_spectral_modes_range(self):
-        with pytest.raises(ConfigError):
-            heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=(9,))
+        # each mode in range, at least one, none twice: P must be an
+        # orthonormal projection
+        for modes in [(9,), (0, 1), (), (1, 1), (2, 1, 2)]:
+            with pytest.raises(ConfigError, match=r"spectral_modes must .* \[1, n_modes = 8\]"):
+                heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=modes)
+        m = heat.build_projected_model(
+            heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=(3, 1)))
+        assert m.proj_dim == 2
 
     @pytest.mark.parametrize("projection", ["bumps", "slow"])
     def test_n_proj_range(self, projection):

@@ -45,11 +45,13 @@ from conftest import (
     TooCloseToHorizon,
     c_gradient_semigroup,
     eval_c_gradient,
+    iterate_to_tol,
     nearest_multilinear,
     random_iterate,
     shipped_delay_ham,
     shipped_heat_ham,
     weighted_distance,
+    zero_iterate,
 )
 
 
@@ -493,8 +495,7 @@ class TestUpsilon:
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         cost = CostSpec(costs.constant_ell0(0.0), ham, phi)
         ups = UpsilonOperator(delay_model, cost, SolverConfig(**MINI_CFG), gamma=0.52)
-        g = ups.zero_iterate()
-        out = ups.apply(g)
+        out = ups.apply(zero_iterate(ups))
         t_pos = out.time_grid[1:]
         # H_min(s^{-gamma} * 0) = min over u of ell1 = 0.25... only when the
         # linear term vanishes; with fbar = 0, H_min(0) = min(ell1)
@@ -681,12 +682,10 @@ class TestPicard:
 
     def test_uniqueness_from_different_starts(self, mini_delay_solution, delay_model):
         sol, cost, cfg = mini_delay_solution
-        sol0 = picard_solve(delay_model, cost, cfg, initial="zero")
-        d = sup_distance(sol.iterate, sol0.iterate)
-        assert d <= 2.0 * cfg.tol
-        # a misspelt start is an error, not the zero start
-        with pytest.raises(ValueError, match="initial"):
-            picard_solve(delay_model, cost, cfg, initial="semigroupp")
+        ups = UpsilonOperator(delay_model, cost, cfg, gamma=sol.gamma)
+        g, d = iterate_to_tol(ups, zero_iterate(ups), cfg)
+        assert d <= cfg.tol
+        assert sup_distance(sol.iterate, g) <= 2.0 * cfg.tol
 
     def test_uniqueness_from_random_start(self, mini_delay_solution, delay_model):
         # a genuinely different start (the zero start merges into the

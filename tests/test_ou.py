@@ -3,11 +3,7 @@ import pytest
 
 from pshjb import costs
 from pshjb.errors import NotInCameronMartin
-from pshjb.ou import (
-    ProjectedTerminalCost,
-    cameron_martin_density,
-    semigroup_apply,
-)
+from pshjb.ou import cameron_martin_density, semigroup_apply
 from pshjb.spectral import build_quadrature, gauss_expectation
 
 RULE1 = build_quadrature(1, 12)
@@ -22,13 +18,13 @@ class TestSemigroupApply:
             assert abs(val - 5.0) <= 1e-13
 
     def test_linear_terminal_cost(self, heat_spectral1):
-        phi = ProjectedTerminalCost(lambda y: y[..., 0], bound=10.0)
+        phi = lambda y: y[..., 0]
         y0 = np.array([-0.7])
         val = semigroup_apply(heat_spectral1, phi, 0.3, y0, RULE1)
         assert abs(val - y0[0]) <= 1e-12
 
     def test_quadratic_second_moment(self, heat_spectral1):
-        phi = ProjectedTerminalCost(lambda y: y[..., 0] ** 2, bound=100.0)
+        phi = lambda y: y[..., 0] ** 2
         t, y0 = 0.4, np.array([0.5])
         q = heat_spectral1.proj_cov(t)[0, 0]
         val = semigroup_apply(heat_spectral1, phi, t, y0, RULE1)
@@ -38,11 +34,11 @@ class TestSemigroupApply:
         phi = costs.tanh_cost([1.0, -2.0], 0.3, 1.7)
         for t in (0.05, 1.0):
             val = semigroup_apply(heat_model, phi, t, np.array([0.2, -0.1]), RULE2)
-            assert abs(val) <= phi.bound + 1e-12
+            assert abs(val) <= 1.7 + 1e-12             # sup|phi|, the scale
 
     def test_monotone(self, heat_model):
         lo = costs.tanh_cost([1.0, 0.5], 0.0, 1.0)
-        hi = ProjectedTerminalCost(lambda y: lo(y) + 0.25, bound=1.25)
+        hi = lambda y: lo(y) + 0.25
         y0 = np.array([0.4, 0.1])
         v_lo = semigroup_apply(heat_model, lo, 0.3, y0, RULE2)
         v_hi = semigroup_apply(heat_model, hi, 0.3, y0, RULE2)
@@ -74,9 +70,7 @@ class TestSemigroupApply:
             )
             return vals.reshape(y.shape[:-1])
 
-        phi_inner = ProjectedTerminalCost(
-            lambda y: inner(y * np.exp(-s * lam)), bound=phi.bound
-        )
+        phi_inner = lambda y: inner(y * np.exp(-s * lam))
         y0_t = model.proj_semigroup_apply(t, x)
         lhs = semigroup_apply(model, phi_inner, t, y0_t, rule)
         y0_ts = model.proj_semigroup_apply(t + s, x)

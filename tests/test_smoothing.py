@@ -3,7 +3,7 @@ import pytest
 
 from pshjb import costs, delay, heat
 from pshjb.errors import InclusionViolated, SmoothingViolated
-from pshjb.ou import ProjectedTerminalCost, semigroup_apply
+from pshjb.ou import semigroup_apply
 from pshjb.smoothing import fit_blowup, inclusion_residual, lambda_norm, lambda_operator
 from pshjb.spectral import build_quadrature
 
@@ -80,7 +80,7 @@ class TestCGradient:
 
     def test_linear_phi_closed_form(self, heat_model):
         a = np.array([0.7, -0.4])
-        phi = ProjectedTerminalCost(lambda y: y @ a, bound=50.0)
+        phi = lambda y: y @ a
         for t in (0.05, 0.4):
             g = c_gradient_semigroup(heat_model, phi, t, np.array([0.2, 0.1]), RULE12_2)
             exact = heat_model.proj_control(t).T @ a
@@ -109,22 +109,22 @@ class TestCGradient:
 class TestNormBound:
     def test_zero_phi(self, delay_model):
         lhs, rhs, ok = c_gradient_norm_bound_check(
-            delay_model, costs.constant_cost(0.0), 0.3, np.zeros(2), RULE12_2
+            delay_model, costs.constant_cost(0.0), 0.0, 0.3, np.zeros(2), RULE12_2
         )
         assert (lhs, rhs, ok) == (0.0, 0.0, True)
 
     @pytest.mark.parametrize("which", ["heat", "delay"])
     def test_bound_over_time_grid(self, which, heat_model, delay_model):
         model = heat_model if which == "heat" else delay_model
-        phis = [
-            costs.tanh_cost(np.ones(model.proj_dim), 0.0, 1.0),
-            costs.gauss_bump_cost(np.zeros(model.proj_dim), 0.7, 2.0),
-            costs.tanh_cost(np.full(model.proj_dim, 50.0), 0.0, 1.0),  # ~sign
+        phis = [                    # (phi, sup|phi|: its scale)
+            (costs.tanh_cost(np.ones(model.proj_dim), 0.0, 1.0), 1.0),
+            (costs.gauss_bump_cost(np.zeros(model.proj_dim), 0.7, 2.0), 2.0),
+            (costs.tanh_cost(np.full(model.proj_dim, 50.0), 0.0, 1.0), 1.0),  # ~sign
         ]
-        for phi in phis:
+        for phi, sup_phi in phis:
             for t in np.geomspace(1e-3, 1.0, 10):
                 lhs, rhs, ok = c_gradient_norm_bound_check(
-                    model, phi, t, 0.1 * np.ones(model.proj_dim), rule_for(model)
+                    model, phi, sup_phi, t, 0.1 * np.ones(model.proj_dim), rule_for(model)
                 )
                 assert ok, f"t={t}: lhs={lhs} rhs={rhs}"
 

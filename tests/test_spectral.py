@@ -297,6 +297,15 @@ class TestExpm:
             with pytest.raises(ValueError, match="finite"):
                 expm(np.array([[0.0, np.inf], [1.0, 0.0]]))
 
+    def test_rejects_overflowing_norm(self):
+        # finite entries whose column sums overflow: the 1-norm is inf, which
+        # no scaling brings into range; a ValueError, not numpy's overflow
+        # warning (an error under the suite's RuntimeWarning filter)
+        big = np.full((2, 2), 1e308)
+        for a in (big, np.stack([np.eye(2), big])):
+            with pytest.raises(ValueError, match="1-norm .* overflows"):
+                expm(a)
+
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stack_equals_single_matrices(self, n):
         # a shuffled stack with the 1-norms of EXPM_NORMS, norms that take

@@ -30,7 +30,7 @@ from .errors import (
     SmoothingViolated,
 )
 from .harness import Policy, random_open_loop_policies, value_dominance_check
-from .hjb import check_in_box, make_space_axes, picard_solve
+from .hjb import check_horizon_cov, check_in_box, make_space_axes, picard_solve
 from .smoothing import blowup_grid, fit_blowup
 
 EXIT_OK = 0
@@ -166,9 +166,11 @@ def cmd_lambda(args, run: RunConfig) -> int:
 
 
 def _check_start(run: RunConfig) -> None:
-    """Raise :class:`ConfigError` unless the projected start, where the
-    simulation reads the solved value, lies in the solver's space box."""
+    """Raise :class:`ConfigError` when the model's covariance overflows
+    (:func:`check_horizon_cov`) or when the projected start, where the
+    simulation reads the solved value, lies outside the solver's space box."""
     T = run.cost.horizon
+    check_horizon_cov(run.model, T)
     y = np.asarray(run.model.proj_semigroup_apply(T - run.t0, run.x0), dtype=float)
     try:
         check_in_box(make_space_axes(run.model, run.solver, T), y)

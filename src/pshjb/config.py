@@ -148,7 +148,11 @@ def _smooth_start(n_modes: int, amplitude: float = 1.0, decay: float = 2.0) -> n
 
 def _delay_start(model: ProjectedModel, present: np.ndarray | None = None) -> np.ndarray:
     """The delay start: the present state, zero if not given."""
-    return model.project_state(np.zeros(model.proj_dim) if present is None else present)
+    if present is None:
+        return np.zeros(model.proj_dim)
+    if present.shape != (model.proj_dim,):
+        raise ValueError(f"present must be a vector of length n = {model.proj_dim}")
+    return present
 
 
 def _build_model(section, force: bool = False) -> tuple[ProjectedModel, str, np.ndarray]:

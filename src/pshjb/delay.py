@@ -213,27 +213,21 @@ class DelayProjectedModel(ProjectedModel):
             sorted(-loc for loc, _ in cfg.atoms if loc < 0.0)
         )
 
-    def project_state(self, x) -> np.ndarray:
+    def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
+        if not t >= 0:
+            raise ValueError(f"t must be >= 0, got {t}")
         x = np.asarray(x, dtype=float)
         if x.shape != (self.cfg.n,):
             raise DimensionMismatch(f"a state is a present vector of length {self.cfg.n}")
-        return x
-
-    def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
-        if not t > 0:
-            raise ValueError("t must be > 0; use project_state at t = 0")
-        return expm(t * self.cfg.a0) @ self.project_state(x)
-
-    def proj_cov(self, t: float) -> np.ndarray:
-        return gramian(self.cfg, t)
+        return expm(t * self.cfg.a0) @ x
 
     def proj_control(self, t) -> np.ndarray:
         return proj_control_delay(self.cfg, t)
 
     def pushforward_cov(self, s, t) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if not np.all((0.0 < s) & (s < t)):
-            raise ValueError("need 0 < s < t")
+        if not np.all((0.0 <= s) & (s < t)):
+            raise ValueError("need 0 <= s < t")
         e = expm(np.multiply.outer(s, self.cfg.a0))
         return e @ gramian(self.cfg, t - s) @ np.swapaxes(e, -1, -2)
 

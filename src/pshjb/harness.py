@@ -11,11 +11,12 @@ gradient consumes and which reaches P X(T) at the horizon.  Its noise is
 the Gaussian martingale int_{t0}^{s} P e^{(T-r)A} G dW(r), whose integrand
 is deterministic, so its increments over the steps are independent: over
 [s_j, s_{j+1}] the increment has covariance pushforward_cov(T - s_{j+1},
-T - s_j), and proj_cov(T - s_j) on the last step, which ends at the
-horizon.  Each step adds its increment through that covariance's own
-N x N root (the random-walk construction), so the path law is exact and
-the only approximation is that the control is held constant between steps
-(itself an admissible policy, so dominance bounds remain valid).
+T - s_j), which on the last step, ending at the horizon, is its s = 0
+member proj_cov(T - s_j).  Each step adds its increment through that
+covariance's own N x N root (the random-walk construction), so the path
+law is exact and the only approximation is that the control is held
+constant between steps (itself an admissible policy, so dominance bounds
+remain valid).
 
 Both branches run in blocks of at most _SIM_BLOCK samples, drawn in turn
 from one generator.  The generator yields the same stream whether rows are
@@ -201,11 +202,9 @@ def simulate_cost(
         raise ValueError("greedy policy needs an HJB solution")
 
     # Covariances of the steps' noise increments (see the module docstring):
-    # one query for the steps before the horizon, proj_cov for the last one;
-    # one stacked root for them all.
+    # one query for all steps (to_go[-1] is 0) and one stacked root.
     to_go = T - steps
-    roots = psd_roots(np.concatenate((model.pushforward_cov(to_go[1:-1], to_go[:-2]),
-                                      [model.proj_cov(to_go[-2])])))[0]
+    roots = psd_roots(model.pushforward_cov(to_go[1:], to_go[:-1]))[0]
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
     for lo in range(0, n_samples, _SIM_BLOCK):

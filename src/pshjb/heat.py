@@ -22,6 +22,9 @@ import numpy as np
 from .errors import ConfigError, DimensionMismatch
 from .ou import ProjectedModel
 
+# coefficient decay k^{-SLOW_DECAY} of the under-smoothed "slow" projection
+SLOW_DECAY = 0.5
+
 
 def eigenvalues(n_modes: int) -> np.ndarray:
     """Dirichlet Laplacian spectrum on (0, pi): lambda_k = k^2, k = 1..n."""
@@ -58,8 +61,8 @@ class HeatConfig:
       more distinct modes in [1, n_modes] (the case with scalar closed
       forms);
     - ``"slow"``: deliberately under-smoothed vectors with coefficient decay
-      k^{-slow_decay} (a configuration violating alpha > beta + 1/4, kept
-      for negative tests);
+      k^{-SLOW_DECAY} = k^{-1/2} (a configuration violating
+      alpha > beta + 1/4, kept for negative tests);
     - ``"identity"``: no projection at all (P = identity on the truncated
       modes), used for the unprojected blow-up diagnostic.
 
@@ -76,7 +79,6 @@ class HeatConfig:
     n_proj: int = 2
     projection: str = "bumps"
     spectral_modes: tuple[int, ...] = (1,)
-    slow_decay: float = 0.5
 
     def __post_init__(self):
         if self.n_modes < 1:
@@ -128,13 +130,13 @@ def projection_matrix(cfg: HeatConfig) -> np.ndarray:
             a, b = max(c - width, 0.0), min(c + width, np.pi)
             ind_coeff = np.sqrt(2.0) * (np.cos(k * a) - np.cos(k * b)) / k
             raw[i] = lam ** (-cfg.alpha) * ind_coeff
-    else:  # slow: under-smoothed, decay k^{-slow_decay}
+    else:  # slow: under-smoothed, decay k^{-SLOW_DECAY}
         # positive envelopes with distinct shapes: sign-aligned with the
         # Dirichlet-map coefficients so no oscillatory cancellation masks
         # the divergence this configuration is meant to exhibit
         raw = np.empty((cfg.n_proj, cfg.n_modes))
         for i in range(cfg.n_proj):
-            raw[i] = k ** (-cfg.slow_decay) * k / (k + 5.0 * (i + 1))
+            raw[i] = k ** (-SLOW_DECAY) * k / (k + 5.0 * (i + 1))
     raw /= np.linalg.norm(raw, axis=1, keepdims=True)
     return _orthonormal_rows(raw)
 
@@ -157,35 +159,14 @@ class HeatProjectedModel(ProjectedModel):
         self.proj_dim = self._v.shape[0]
         self.control_dim = 2
 
-    def _q(self, t) -> np.ndarray:
-        lam = self._lam
-        decay = np.multiply.outer(-2.0 * t, lam)
-        return lam ** (-1.0 - 2.0 * self.cfg.beta) * (-np.expm1(decay))
-
-    def _congruence(self, diag: np.ndarray) -> np.ndarray:
-        """V diag V^T, for each row of ``diag`` (..., n_modes)."""
-        return (self._v * diag[..., None, :]) @ self._v.T
-
-    def project_state(self, x) -> np.ndarray:
-        return self._v @ self._coeffs(x)
-
-    def _coeffs(self, x) -> np.ndarray:
+    def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
+        if not t >= 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size > self.cfg.n_modes:
             raise DimensionMismatch("state must be a coefficient vector of length <= n_modes")
-        if x.size < self.cfg.n_modes:
-            x = np.pad(x, (0, self.cfg.n_modes - x.size))
-        return x
-
-    def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
-        if not t > 0.0:
-            raise ValueError("t must be > 0; use project_state at t = 0")
-        return self._v @ (np.exp(-t * self._lam) * self._coeffs(x))
-
-    def proj_cov(self, t: float) -> np.ndarray:
-        if not t > 0.0:
-            raise ValueError("t must be > 0")
-        return self._congruence(self._q(t))
+        x = np.pad(x, (0, self.cfg.n_modes - x.size))
+        return self._v @ (np.exp(-t * self._lam) * x)
 
     def proj_control(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)
@@ -196,10 +177,14 @@ class HeatProjectedModel(ProjectedModel):
 
     def pushforward_cov(self, s, t) -> np.ndarray:
         s = np.asarray(s, dtype=float)
-        if not np.all((0.0 < s) & (s < t)):
-            raise ValueError("need 0 < s < t")
-        shift = np.exp(np.multiply.outer(-2.0 * s, self._lam))
-        return self._congruence(shift * self._q(t - s))
+        if not np.all((0.0 <= s) & (s < t)):
+            raise ValueError("need 0 <= s < t")
+        # V diag(e^{-2 s lam} q(t - s)) V^T for each s (module docstring)
+        lam = self._lam
+        shift = np.exp(np.multiply.outer(-2.0 * s, lam))
+        decay = np.multiply.outer(-2.0 * (t - s), lam)
+        q = lam ** (-1.0 - 2.0 * self.cfg.beta) * (-np.expm1(decay))
+        return (self._v * (shift * q)[..., None, :]) @ self._v.T
 
 
 def build_projected_model(cfg: HeatConfig) -> HeatProjectedModel:

@@ -309,13 +309,14 @@ class SolverConfig:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if not self.tol > 0:
             raise ValueError("tol must be > 0")
-        # two nodes per axis bracket every point (interp_space)
-        for name, least in (("space_points", 2), ("n_time", 1), ("max_iter", 1),
-                            ("quad_order", 1), ("time_quad_order", 1)):
+        for name, least, why in (
+                ("space_points", 2, " (two nodes per axis bracket every point)"),
+                ("n_time", 1, ""), ("max_iter", 1, ""),
+                ("quad_order", 2, " (one Gauss-Hermite node sits at the mean, "
+                                  "where every gradient weight is zero)"),
+                ("time_quad_order", 1, "")):
             if getattr(self, name) < least:
-                raise ValueError(
-                    f"{name} must be >= {least}, got {getattr(self, name)}"
-                )
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}{why}")
 
 
 @dataclass(frozen=True)
@@ -415,6 +416,18 @@ def make_time_grid(cfg: SolverConfig, horizon: float) -> np.ndarray:
     pos = np.geomspace(T_MIN_FACTOR * horizon, horizon, cfg.n_time)
     pos[-1] = horizon
     return np.concatenate(([0.0], pos))
+
+
+def check_horizon_cov(model: ProjectedModel, horizon: float) -> None:
+    """Raise :class:`ConfigError` unless proj_cov(horizon), which bounds
+    every covariance a solve or a simulation reads, is finite; numpy's
+    overflow warnings are off for the query."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = model.proj_cov(horizon)
+    if not np.isfinite(cov).all():
+        raise ConfigError(
+            f"the projected covariance proj_cov(T) at the horizon T = {horizon:g} "
+            "is not finite: the model's exponential leaves the float range")
 
 
 def make_space_axes(model: ProjectedModel, cfg: SolverConfig,
@@ -760,8 +773,8 @@ class UpsilonOperator:
         :func:`clamped_share`.
 
         The semigroup term is the s = 0 member of the node's stencil: one
-        ``pushforward_cov`` query returns the S pushforward covariances, one
-        :func:`psd_roots` call decomposes them with proj_cov(t), and the
+        ``pushforward_cov`` query returns proj_cov(t) and the S pushforward
+        covariances, one :func:`psd_roots` call decomposes them, and the
         image-inclusion check (:func:`smoothing_matrix`) reads the same
         decomposition."""
         gamma, gauss = self.gamma, self.rule.nodes
@@ -773,8 +786,8 @@ class UpsilonOperator:
         s_nodes = np.concatenate((t * frac, t * (1.0 - frac)))
         s_weights = np.concatenate((scale * w, scale * w))
         b_t = self.model.proj_control(t)
-        covs = np.concatenate(([self.model.proj_cov(t)], self.model.pushforward_cov(s_nodes, t)))
-        roots, pinvs, _, projs = psd_roots(covs)
+        covs = self.model.pushforward_cov(np.concatenate(([0.0], s_nodes)), t)
+        roots, pinvs, projs = psd_roots(covs)
         offs = [gauss @ r.T for r in roots]
         gvecs = [gauss @ smoothing_matrix(t, pinvs[0], projs[0], b_t)]
         gvecs += [gauss @ (pinv @ b_t) for pinv in pinvs[1:]]
@@ -901,8 +914,9 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     """Iterate the Picard map of ``cost`` on ``model`` to the mild-solution
     fixed point on [0, ``cost.horizon``].
 
-    A problem the solver cannot take (see :func:`_check_problem_size`)
-    raises :class:`ConfigError` before anything is built.
+    A problem the solver cannot take (see :func:`_check_problem_size`) or
+    a model whose covariance overflows (:func:`check_horizon_cov`) raises
+    :class:`ConfigError` before anything is built.
 
     ``gamma`` defaults to the fitted blow-up exponent of the smoothing
     operator (slightly padded); any exponent at least that large also works.
@@ -923,6 +937,7 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     ``diagnostics["copied_nodes"]`` sums the counts so copied.
     """
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
+    check_horizon_cov(model, cost.horizon)
     diagnostics: dict = {}
     gamma = cfg.gamma
     if gamma is None:
@@ -1025,8 +1040,8 @@ def eval_value(sol: HJBSolution, model: ProjectedModel, t: float, x) -> float:
     if not 0.0 <= t <= T:
         raise OutOfGrid(f"t={t} outside [0, {T}]")
     tau = T - t
-    if tau == 0.0:
-        return float(sol.phi(model.project_state(x)))
     y = np.asarray(model.proj_semigroup_apply(tau, x), dtype=float)
+    if tau == 0.0:
+        return float(sol.phi(y))
     check_in_box(sol.iterate.space_axes, y)
     return float(interp_f(sol.iterate, tau, y[:, None])[0])

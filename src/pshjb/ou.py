@@ -8,9 +8,8 @@ semigroup acting on a projected terminal cost (any callable mapping (..., N)
 float arrays to float arrays) and the Cameron-Martin density between
 shifted Gaussians.
 
-Covariance calls always require t > 0; at t = 0 the projected dynamics are
-only defined on the original state space and callers evaluate the terminal
-cost directly.
+Covariance calls always require t > 0: the law at t = 0 is a point mass,
+and the semigroup there is the terminal cost at the projected state.
 """
 
 from __future__ import annotations
@@ -26,28 +25,27 @@ class ProjectedModel:
 
     A state x is a 1-D coefficient vector (the heat model's spectral
     coefficients, the delay model's present n-vector).  Concrete models
-    expose, for the projection P onto an N-dimensional subspace and control
-    space of dimension m:
+    implement three queries, for the projection P onto an N-dimensional
+    subspace and control space of dimension m:
 
     - ``proj_semigroup_apply(t, x)``: N-vector of P e^{tA} x (extension to
-      the enlarged state space included), t > 0;
-    - ``project_state(x)``: N-vector of P x for states x of the original
-      space (the t -> 0 limit of the above);
-    - ``proj_cov(t)``: N x N matrix of P Q_t P*;
+      the enlarged state space included), t >= 0; at t = 0 it is P x;
     - ``proj_control(t)``: N x m matrix of (P e^{tA}) C, t > 0; for an
       array of t, the stack (*t.shape, N, m) of these matrices, each equal
       bit for bit to the call with its t alone;
-    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 < s < t; for
-      arrays of s and t, which broadcast, the stack (*shape, N, N) of these
-      matrices, each equal bit for bit to the call with its s and t alone.
+    - ``pushforward_cov(s, t)``: P e^{sA} Q_{t-s} e^{sA*} P*, 0 <= s < t;
+      at s = 0 it is P Q_t P*; for arrays of s and t, which broadcast, the
+      stack (*shape, N, N) of these matrices, each equal bit for bit to the
+      call with its s and t alone.
 
-    The library queries a model only through these; the policy simulation
-    builds the law of the projected noise from the two covariances.  The
-    solver's assembly asks for all the pushforward covariances of one t in
-    one call, the greedy simulation for the noise increments of all its
-    steps before the horizon (an array of s and one of t), and the
-    simulation's control integrals for the control responses of one
-    Gauss-Legendre piece.
+    ``proj_cov(t)``, the N x N matrix of P Q_t P*, is defined here once as
+    the s = 0 pushforward covariance.  The library queries a model only
+    through these; the policy simulation builds the law of the projected
+    noise from the pushforward covariances.  The solver's assembly asks for
+    the s = 0 member and the pushforward covariances of one t in one call,
+    the greedy simulation for the noise increments of all its steps (an
+    array of s and one of t), and the simulation's control integrals for
+    the control responses of one Gauss-Legendre piece.
 
     Implementations must be immutable after construction; all queries are
     pure so they can run concurrently.
@@ -63,22 +61,14 @@ class ProjectedModel:
     def proj_semigroup_apply(self, t: float, x) -> np.ndarray:
         raise NotImplementedError
 
-    def project_state(self, x) -> np.ndarray:
-        raise NotImplementedError
-
-    def proj_cov(self, t: float) -> np.ndarray:
-        raise NotImplementedError
-
     def proj_control(self, t) -> np.ndarray:
         raise NotImplementedError
 
     def pushforward_cov(self, s, t) -> np.ndarray:
         raise NotImplementedError
 
-
-def _check_time(t: float):
-    if not t > 0.0:
-        raise ValueError(f"covariance calls require t > 0, got t={t!r}")
+    def proj_cov(self, t: float) -> np.ndarray:
+        return self.pushforward_cov(0.0, t)
 
 
 def semigroup_apply(
@@ -94,7 +84,6 @@ def semigroup_apply(
     the result is the expectation of ``phi(z + y0)`` over
     z ~ N(0, proj_cov(t)).
     """
-    _check_time(t)
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (model.proj_dim,):
         raise DimensionMismatch(f"y0 must be an N-vector, N={model.proj_dim}")
@@ -113,7 +102,7 @@ def cameron_martin_density(cov, y, z) -> float:
     cov = np.asarray(cov, dtype=float)
     if y.shape != z.shape or cov.shape != (y.size, y.size):
         raise DimensionMismatch("cov must be NxN with y, z of length N")
-    _, pinv_sqrt, _, proj = psd_roots(cov)
+    _, pinv_sqrt, proj = psd_roots(cov)
     ny = np.linalg.norm(y)
     if ny > 0 and np.linalg.norm(y - proj @ y) > 1e-8 * ny:
         raise NotInCameronMartin(

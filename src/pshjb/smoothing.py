@@ -38,7 +38,7 @@ def _outside(projector: np.ndarray, columns) -> float:
 
 def inclusion_residual(cov, columns) -> float:
     """Relative residual of ``columns`` outside the numerical image of ``cov``."""
-    return _outside(psd_roots(cov)[3], columns)
+    return _outside(psd_roots(cov)[2], columns)
 
 
 def smoothing_matrix(t: float, pinv_root: np.ndarray, projector: np.ndarray,
@@ -65,7 +65,7 @@ def lambda_operator(model: ProjectedModel, t: float) -> np.ndarray:
     (:func:`smoothing_matrix`)."""
     if not t > 0.0:
         raise ValueError("need t > 0")
-    _, pinv_root, _, projector = psd_roots(model.proj_cov(t))
+    _, pinv_root, projector = psd_roots(model.proj_cov(t))
     return smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
 
 

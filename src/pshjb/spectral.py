@@ -2,7 +2,7 @@
 
 Everything here works on small dense matrices (dimensions up to a few
 hundred).  One routine, :func:`psd_roots`, decides everything about a PSD
-matrix (square root, pseudo-inverse square root, rank, image projector) from
+matrix (square root, pseudo-inverse square root, image projector) from
 one symmetric eigendecomposition, so that pseudo-inverses annihilate the
 kernel exactly instead of amplifying noise and every caller shares one rank
 threshold.  The exponential of a general square matrix, or of a stack of
@@ -67,16 +67,16 @@ def _assert_psd_spectrum(lam: np.ndarray) -> np.ndarray:
     return lam_max
 
 
-def psd_roots(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, np.ndarray]:
-    """Symmetric square root, pseudo-inverse square root, numerical rank and
-    image projector of a PSD matrix, or of each matrix of a stack
+def psd_roots(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Symmetric square root, pseudo-inverse square root and image
+    projector of a PSD matrix, or of each matrix of a stack
     (..., N, N), from one eigendecomposition of its symmetric part.
 
     Negative eigenvalues above ``-TOL_PSD * lam_max`` are clamped to zero
     (covariances assembled from exponentials accumulate rounding); anything
     below raises :class:`NotPSD`.  Eigenvalues above ``RANK_TOL * lam_max``
-    span the numerical image: they count toward the rank (an int for one
-    matrix), the projector is the sum of their eigenvectors' outer products,
+    span the numerical image: the projector is the sum of their
+    eigenvectors' outer products (its trace is the numerical rank),
     and on the image the pseudo-inverse root acts as ``m**-0.5``, on the
     kernel as zero.
     """
@@ -90,9 +90,7 @@ def psd_roots(m) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, np.ndarray]:
     inv[keep] = 1.0 / np.sqrt(lam[keep])
     vt = np.swapaxes(v, -1, -2)
     root = (v * np.sqrt(np.clip(lam, 0.0, None))[..., None, :]) @ vt
-    rank = np.count_nonzero(keep, axis=-1)
-    return (root, (v * inv[..., None, :]) @ vt, int(rank) if rank.ndim == 0 else rank,
-            (v * keep[..., None, :]) @ vt)
+    return root, (v * inv[..., None, :]) @ vt, (v * keep[..., None, :]) @ vt
 
 
 def build_quadrature(dim: int, order: int) -> QuadratureRule:

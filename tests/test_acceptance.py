@@ -277,13 +277,15 @@ def test_criterion_10_terminal_and_trivial(heat_problem, delay_problem, solution
     rule = build_quadrature(2, 12)
     ok = True
     details = []
-    # terminal condition: exact on any state
+    # terminal condition: exact on any state; P x is V x for the heat start
+    # (all n_modes coefficients) and the present vector for the delay start
+    v = heat.projection_matrix(heat_problem["model"].cfg)
+    projected = {"heat": v @ heat_problem["x0"], "delay": delay_problem["x0"]}
     for prob in (heat_problem, delay_problem):
         sol, _ = solutions[prob["name"]]
         model, phi = prob["model"], prob["cost"].phi
-        x = prob["x0"]
-        got = eval_value(sol, model, 1.0, x)
-        exact = float(phi(model.project_state(x)))
+        got = eval_value(sol, model, 1.0, prob["x0"])
+        exact = float(phi(projected[prob["name"]]))
         ok &= got == exact
         details.append(f"{prob['name']} terminal exact: {got == exact}")
     # trivial Hamiltonian: v = R_{T-t}[phi] + c (T-t), checked at states

@@ -338,6 +338,8 @@ class TestInvalidConfig:
         # rows are not orthonormal); the test sets projection: spectral
         ("model.heat.spectral_modes", []),
         ("model.heat.spectral_modes", [1, 1]),
+        # one Gauss-Hermite node at the mean gives every gradient weight 0
+        ("solver.quad_order", 1),
     ])
     def test_rejected_before_solve(self, tmp_path, capsys, key, value):
         build = small_heat_config if key.startswith("model.heat.") else small_delay_config
@@ -463,6 +465,31 @@ class TestInvalidConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
+        assert not (out / "solve_meta.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("box", [None, 3.0])
+    def test_overflowing_delay_covariance_rejected(self, tmp_path, capsys, monkeypatch,
+                                                   command, box):
+        # e^{2 t a0} leaves the float range before t = 1: the Gramian at the
+        # horizon is not finite, which is refused before the blow-up fit or
+        # any operator, without a numpy warning (the suite makes those errors)
+        from pshjb import hjb
+
+        def built(*args, **kwargs):
+            raise AssertionError("built for a model whose covariance overflows")
+
+        monkeypatch.setattr(hjb, "fit_blowup", built)
+        monkeypatch.setattr(hjb.UpsilonOperator, "__init__", built)
+        cfg = small_delay_config(**{"model.delay.a0": [[400.0, 0.0], [0.0, -0.2]],
+                                    "solver.box_halfwidth": box})
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out), "--quiet"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the projected covariance proj_cov(T)")
+        assert "not finite" in err and err.count("\n") == 1
         assert not (out / "solve_meta.json").exists()
 
 

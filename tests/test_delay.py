@@ -271,33 +271,41 @@ class TestProjectedModel:
             )
 
     def test_state_is_present_vector(self, delay_model):
+        # at t = 0 the drift is the present vector itself
         x = [0.5, -0.3]
-        np.testing.assert_array_equal(delay_model.project_state(x), x)
+        assert np.array_equal(delay_model.proj_semigroup_apply(0.0, x), x)
         for bad in (np.zeros(3), np.zeros((1, 2)), 0.5):
-            with pytest.raises(DimensionMismatch):
-                delay_model.project_state(bad)
-            with pytest.raises(DimensionMismatch):
-                delay_model.proj_semigroup_apply(0.1, bad)
+            for t in (0.0, 0.1):
+                with pytest.raises(DimensionMismatch):
+                    delay_model.proj_semigroup_apply(t, bad)
+        for bad in (-1e-12, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                delay_model.proj_semigroup_apply(bad, x)
 
     @pytest.mark.parametrize("model", ["shipped", "scalar"])
     def test_pushforward_stack_equals_single(self, model, delay_model, delay_scalar):
         # an array of s gives the per-s matrices bit for bit, in its shape
+        # and its s = 0 member is proj_cov(t)
         mdl = delay_model if model == "shipped" else delay_scalar
         n = mdl.proj_dim
         for t in (1e-3, 0.15, 0.6, 1.0):
-            s = t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 12))
+            s = np.concatenate(
+                ([0.0], t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 11))))
             got = mdl.pushforward_cov(s, t)
             assert got.shape == (12, n, n)
+            assert np.array_equal(got[0], mdl.proj_cov(t))
             for si, c in zip(s, got):
                 assert np.array_equal(mdl.pushforward_cov(si, t), c)
             grid = mdl.pushforward_cov(s.reshape(3, 4), t)
             assert np.array_equal(grid, got.reshape(3, 4, n, n))
-        # arrays of s and t pair up: the increments of a step grid
-        ends = np.linspace(1.0, 0.0, 9)[:-1]
+        # arrays of s and t pair up: the increments of a step grid, the
+        # last of which ends at s = 0
+        ends = np.linspace(1.0, 0.0, 9)
         got = mdl.pushforward_cov(ends[1:], ends[:-1])
         for si, ti, c in zip(ends[1:], ends[:-1], got):
             assert np.array_equal(mdl.pushforward_cov(si, ti), c)
-        for bad in ([0.2, 0.0], [0.2, 1.0]):
+        assert np.array_equal(got[-1], mdl.proj_cov(ends[-2]))
+        for bad in ([0.2, -0.1], [0.2, 1.0], [0.2, 1.5]):
             with pytest.raises(ValueError):
                 mdl.pushforward_cov(np.array(bad), 1.0)
 

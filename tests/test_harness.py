@@ -347,9 +347,9 @@ class TestControlIntegralTable:
 
 class TestGreedyNoiseBlocks:
     def test_one_block_per_step(self, mini_delay_solution, delay_model, monkeypatch):
-        # 20 steps need 19 pushforward_cov increments, from one stacked
-        # query, one proj_cov increment and one stacked root; the costs
-        # equal those of one scalar query per increment
+        # 20 steps need 20 pushforward_cov increments, the last at s = 0,
+        # from one stacked query (no proj_cov) and one stacked root; the
+        # costs equal those of one scalar query per increment
         sol, cost, _ = mini_delay_solution
         steps = np.linspace(0.0, 1.0, 21)
 
@@ -374,16 +374,16 @@ class TestGreedyNoiseBlocks:
                                 counter(name, getattr(delay_model, name)))
         monkeypatch.setattr(harness, "psd_roots", counter("psd_roots", psd_roots))
         shared = greedy_costs()
-        assert calls == {"pushforward_cov": 1, "proj_cov": 1, "psd_roots": 1}
-        assert blocks == {"pushforward_cov": 19, "proj_cov": 1, "psd_roots": 20}
+        assert calls == {"pushforward_cov": 1, "proj_cov": 0, "psd_roots": 1}
+        assert blocks == {"pushforward_cov": 20, "proj_cov": 0, "psd_roots": 20}
         monkeypatch.undo()
 
         scalar = delay_model.pushforward_cov
 
         def per_step(s, t):
-            assert s.shape == t.shape == (19,)
+            assert s.shape == t.shape == (20,) and s[-1] == 0.0
             return np.stack([scalar(1.0 - steps[j + 1], 1.0 - steps[j])
-                             for j in range(19)])
+                             for j in range(20)])
 
         monkeypatch.setattr(delay_model, "pushforward_cov", per_step)
         assert np.array_equal(shared, greedy_costs())

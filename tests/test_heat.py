@@ -75,24 +75,39 @@ class TestProjectedModel:
         )
 
     def test_pushforward_stack_equals_single(self, heat_model):
-        # an array of s gives the per-s matrices bit for bit, in its shape
+        # an array of s gives the per-s matrices bit for bit, in its shape;
+        # its s = 0 member is proj_cov(t)
         n = heat_model.proj_dim
         for t in (1e-3, 0.15, 0.6, 1.0):
-            s = t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 12))
+            s = np.concatenate(
+                ([0.0], t * np.sort(np.random.default_rng(2).uniform(0.01, 0.99, 11))))
             got = heat_model.pushforward_cov(s, t)
             assert got.shape == (12, n, n)
+            assert np.array_equal(got[0], heat_model.proj_cov(t))
             for si, c in zip(s, got):
                 assert np.array_equal(heat_model.pushforward_cov(si, t), c)
             grid = heat_model.pushforward_cov(s.reshape(3, 4), t)
             assert np.array_equal(grid, got.reshape(3, 4, n, n))
-        # arrays of s and t pair up: the increments of a step grid
-        ends = np.linspace(1.0, 0.0, 9)[:-1]
+        # arrays of s and t pair up: the increments of a step grid, the
+        # last of which ends at s = 0
+        ends = np.linspace(1.0, 0.0, 9)
         got = heat_model.pushforward_cov(ends[1:], ends[:-1])
         for si, ti, c in zip(ends[1:], ends[:-1], got):
             assert np.array_equal(heat_model.pushforward_cov(si, ti), c)
-        for bad in ([0.2, 0.0], [0.2, 1.0]):
+        assert np.array_equal(got[-1], heat_model.proj_cov(ends[-2]))
+        for bad in ([0.2, -0.1], [0.2, 1.0], [0.2, 1.5]):
             with pytest.raises(ValueError):
                 heat_model.pushforward_cov(np.array(bad), 1.0)
+
+    def test_state_at_time_zero(self, heat_model):
+        # at t = 0 the drift is P x: V times the zero-padded coefficients
+        v = heat.projection_matrix(heat_model.cfg)
+        x = np.array([0.7, -0.2, 0.05])
+        padded = np.pad(x, (0, heat_model.cfg.n_modes - x.size))
+        assert np.array_equal(heat_model.proj_semigroup_apply(0.0, x), v @ padded)
+        for bad in (-1e-12, -1.0, np.nan):
+            with pytest.raises(ValueError):
+                heat_model.proj_semigroup_apply(bad, x)
 
     def test_control_stack_equals_single(self, heat_model):
         # an array of t gives the per-t matrices bit for bit, in its shape

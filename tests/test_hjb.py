@@ -506,10 +506,11 @@ class TestUpsilon:
         assert err <= 1e-10
 
     def test_assembly_decomposes_each_covariance_once(self, delay_model, monkeypatch):
-        # per time node one proj_cov, one proj_control and one stacked
-        # pushforward_cov query (S matrices), and one eigendecomposition
-        # each of proj_cov(t) and the S pushforward covariances of its
-        # stencil; the extra proj_cov query sizes the box
+        # per time node one proj_control and one stacked pushforward_cov
+        # query (proj_cov(t), its s = 0 member, and the S pushforward
+        # covariances of its stencil), and one eigendecomposition of each
+        # of those S + 1 matrices; the one proj_cov query sizes the box and
+        # asks pushforward_cov for its s = 0 matrix
         calls = {"proj_cov": 0, "proj_control": 0, "pushforward_cov": 0,
                  "pushforward_matrices": 0, "matrices": 0}
         for query in ("proj_cov", "proj_control", "pushforward_cov"):
@@ -536,9 +537,9 @@ class TestUpsilon:
                                               costs.tanh_cost([1.0, 1.0], 0.0, 1.0)),
                         cfg, gamma=0.52)
         n_s = 2 * cfg.time_quad_order
-        assert calls == {"proj_cov": cfg.n_time + 1, "proj_control": cfg.n_time,
-                         "pushforward_cov": cfg.n_time,
-                         "pushforward_matrices": cfg.n_time * n_s,
+        assert calls == {"proj_cov": 1, "proj_control": cfg.n_time,
+                         "pushforward_cov": cfg.n_time + 1,
+                         "pushforward_matrices": cfg.n_time * (n_s + 1) + 1,
                          "matrices": cfg.n_time * (n_s + 1)}
 
     @pytest.mark.parametrize("name", ["heat", "delay"])

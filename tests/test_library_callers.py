@@ -21,6 +21,9 @@ in its body.
 In ``config.py`` only ``_convert`` turns a YAML value into a number or an
 array.
 
+Each ``ProjectedModel`` subclass defines exactly the three contract
+queries as public methods, and ``proj_cov`` lives only on the base class.
+
 The control problem is one record, ``hjb.CostSpec``: only its
 ``ell0_integral`` calls ``ell0``, and ``SolverConfig`` keeps no horizon of
 its own.
@@ -259,3 +262,27 @@ def test_one_record_of_the_problem():
               if isinstance(c, ast.ClassDef) and c.name == "SolverConfig"
               for n in c.body if isinstance(n, ast.AnnAssign)]
     assert fields and "horizon" not in fields
+
+
+CONTRACT = {"proj_semigroup_apply", "proj_control", "pushforward_cov"}
+
+
+def test_models_implement_the_three_queries():
+    """A model answers three queries; ``proj_cov(t)`` is their s = 0
+    pushforward covariance and P x their t = 0 drift, so a model that
+    writes either out again keeps a second copy of the same numbers."""
+    models, proj_cov = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            methods = {m.name for m in cls.body if isinstance(m, ast.FunctionDef)}
+            if "proj_cov" in methods:
+                proj_cov.append(f"{path.stem}.{cls.name}")
+            if any(ast.unparse(b).split(".")[-1] == "ProjectedModel" for b in cls.bases):
+                models[cls.name] = {m for m in methods if not m.startswith("_")}
+    assert {"HeatProjectedModel", "DelayProjectedModel"} <= models.keys()
+    wrong = [f"{name}: {sorted(found ^ CONTRACT)}" for name, found in sorted(models.items())
+             if found != CONTRACT]
+    assert wrong == [], "models whose public methods are not the contract: " + "; ".join(wrong)
+    assert proj_cov == ["ou.ProjectedModel"], "proj_cov defined in " + ", ".join(proj_cov)

@@ -2,8 +2,8 @@
 
 Each invariant is a named callable of the configured run returning
 (ok, detail); library internals are left to the unit tests.  The suite runs
-everything, collects a machine-readable report, and the CLI exits nonzero
-naming the first failing invariant.
+everything, collects a machine-readable report, and the CLI writes it,
+then exits nonzero naming every failing invariant.
 """
 
 from __future__ import annotations

@@ -6,6 +6,11 @@ and dominance report), ``check`` (invariant suite).  Exit codes: 0 ok,
 1 config or usage error, 2 no contraction, 3 smoothing hypothesis
 violated, 4 dominance violation, 5 invariant failure.
 
+One failure protocol: the library raises on input it refuses and returns
+computed outcomes as records; a command writes its files, then raises the
+:class:`PshjbError` its outcome maps to, and only :func:`main` turns an
+error into an exit code and one labelled stderr line, also under --quiet.
+
 All numeric CSV output uses 17 significant digits so identical configs and
 seeds reproduce byte-identical files.
 """
@@ -79,28 +84,17 @@ def _say(args, msg: str) -> None:
         print(msg)
 
 
-def _converged(sol, run: RunConfig) -> bool:
-    """The one success rule of a solve: a sup residual within ``tol``."""
-    return sol.residual <= run.solver.tol
-
-
 def _not_converged(sol, run: RunConfig, outcome: str) -> NoContraction:
+    why = {"max_iter": "the iteration cap was reached",
+           "growth": "the residual grew in the sup norm for 3 consecutive steps"}
     return NoContraction(
         f"residual {sol.residual:.3e} above tol {run.solver.tol:.3e} after "
-        f"{sol.iterations} iterations; {outcome}"
+        f"{sol.iterations} iterations ({why[sol.diagnostics['stop']]}); {outcome}"
     )
 
 
-def cmd_solve(args, run: RunConfig) -> int:
-    try:
-        sol = picard_solve(run.model, run.cost, run.solver)
-    except NoContraction as exc:
-        _write_json(
-            os.path.join(args.out_dir, "solve_meta.json"),
-            {"status": "no_contraction", "detail": str(exc)},
-        )
-        raise
-
+def cmd_solve(args, run: RunConfig) -> None:
+    sol = picard_solve(run.model, run.cost, run.solver)
     it = sol.iterate
     mesh = np.stack(
         [g.ravel() for g in np.meshgrid(*it.space_axes, indexing="ij")], axis=-1
@@ -120,7 +114,7 @@ def cmd_solve(args, run: RunConfig) -> int:
     )
     _write_csv(os.path.join(args.out_dir, "solution.csv"), header,
                it.time_grid, mesh, values)
-    converged = _converged(sol, run)
+    converged = sol.diagnostics["stop"] == "tol"
     meta = {
         "status": "ok" if converged else "no_contraction",
         "gamma": sol.gamma,
@@ -141,10 +135,9 @@ def cmd_solve(args, run: RunConfig) -> int:
         f"solved: residual {sol.residual:.3e} after {sol.iterations} iterations "
         f"(gamma={sol.gamma:.3f})",
     )
-    return EXIT_OK
 
 
-def cmd_lambda(args, run: RunConfig) -> int:
+def cmd_lambda(args, run: RunConfig) -> None:
     fit = fit_blowup(run.model, blowup_grid(run.cost.horizon))
     _write_csv(os.path.join(args.out_dir, "lambda_norms.csv"), ["t", "norm"],
                fit.times, NO_MESH, fit.norms)
@@ -160,9 +153,7 @@ def cmd_lambda(args, run: RunConfig) -> int:
     )
     _say(args, f"fitted slope {fit.slope:.4f} (gamma {fit.gamma:.4f})")
     if not fit.in_range:
-        _say(args, "fitted exponent outside (0, 1): smoothing hypothesis fails")
-        return EXIT_INCLUSION
-    return EXIT_OK
+        raise SmoothingViolated(f"fitted blow-up exponent {fit.gamma:.3f} outside (0, 1)")
 
 
 def _check_start(run: RunConfig) -> None:
@@ -181,14 +172,14 @@ def _check_start(run: RunConfig) -> None:
         ) from None
 
 
-def cmd_simulate(args, run: RunConfig) -> int:
+def cmd_simulate(args, run: RunConfig) -> None:
     if args.policy == "none" and run.n_random_policies == 0:
         raise ConfigError(
             "simulate.n_random_policies is 0 and --policy is none: no policy to check"
         )
     _check_start(run)
     sol = picard_solve(run.model, run.cost, run.solver)
-    if not _converged(sol, run):
+    if sol.diagnostics["stop"] != "tol":
         # dominance against an unconverged iterate would check nothing
         raise _not_converged(sol, run, "nothing simulated")
     policies = random_open_loop_policies(
@@ -218,21 +209,25 @@ def cmd_simulate(args, run: RunConfig) -> int:
     _write_csv(os.path.join(args.out_dir, "simulate_policies.csv"),
                ["policy", "mean", "std_error", "gap"], np.arange(k), NO_MESH,
                [[p["mean"], p["std_error"], p["gap"]] for p in report["policies"]])
+    failing = [p for p in report["policies"] if not p["ok"]]
+    if failing:
+        raise DominanceViolated("; ".join(
+            f"policy {p['name']!r}: value {report['value']:.6g} exceeds mean cost "
+            f"{p['mean']:.6g} + 3 se ({3 * p['std_error']:.3g})" for p in failing))
     _say(args, f"value {report['value']:.6g}; dominance holds for all policies")
     if report["greedy_gap"] is not None:
         _say(args, f"greedy gap (diagnostic): {report['greedy_gap']:.4g}")
-    return EXIT_OK
 
 
-def cmd_check(args, run: RunConfig) -> int:
+def cmd_check(args, run: RunConfig) -> None:
+    # refused, as by solve and simulate, before any invariant reads it
+    check_horizon_cov(run.model, run.cost.horizon)
     report = run_invariant_suite(run)
     _write_json(os.path.join(args.out_dir, "check_report.json"), report)
     for inv in report["invariants"]:
         _say(args, f"[{'ok' if inv['ok'] else 'FAIL'}] {inv['name']}: {inv['detail']}")
     if not report["ok"]:
-        _say(args, f"failing invariants: {', '.join(report['failing'])}")
-        return EXIT_INVARIANT
-    return EXIT_OK
+        raise PshjbError(f"failing invariants: {', '.join(report['failing'])}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,7 +274,8 @@ def main(argv=None) -> int:
             seed_override=args.seed,
             force_model=args.command == "check",
         )
-        return args.func(args, run)
+        args.func(args, run)
+        return EXIT_OK
     except PshjbError as exc:
         # the most derived class of the exception that has an entry
         exits = {

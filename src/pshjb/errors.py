@@ -41,7 +41,8 @@ class GridMismatch(PshjbError):
 
 
 class NoContraction(PshjbError):
-    """Picard iteration residuals grew for several consecutive steps."""
+    """A returned solve stopped above tol (``diagnostics["stop"]`` growth or
+    max_iter); a command raises this after writing what it computed."""
 
 
 class OutOfGrid(PshjbError):
@@ -49,7 +50,8 @@ class OutOfGrid(PshjbError):
 
 
 class DominanceViolated(PshjbError):
-    """A simulated policy cost fell significantly below the solved value."""
+    """Simulated policy costs fell significantly below the solved value;
+    ``simulate`` writes its tables, then raises this naming each failing one."""
 
 
 class ConfigError(PshjbError):

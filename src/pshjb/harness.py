@@ -39,7 +39,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionMismatch, DominanceViolated
+from .errors import DimensionMismatch
 from .hjb import CostSpec, HJBSolution, Hamiltonian, eval_value, h_min_batch, interp_fbar
 from .ou import ProjectedModel
 from .spectral import psd_roots
@@ -238,12 +238,13 @@ def value_dominance_check(
     time_steps: int = 20,
     seed: int = 0,
 ) -> dict:
-    """Check v(t0, x0) <= mean policy cost + 3 std errors for every policy.
+    """Test v(t0, x0) <= mean policy cost + 3 std errors for every policy.
 
-    The greedy suboptimality gap is reported as a diagnostic; optimality of
-    the greedy feedback is not asserted (no verification theorem backs it).
-    Raises :class:`DominanceViolated` naming the offending policy.  Each
-    policy's entry carries its per-sample cost array under ``"samples"``.
+    Every policy is simulated; its entry records the test as ``"ok"`` (a
+    failure is reported, not raised) and its per-sample costs as
+    ``"samples"``.  The greedy suboptimality gap is reported as a
+    diagnostic; optimality of the greedy feedback is not asserted (no
+    verification theorem backs it).
     """
     value = eval_value(sol, model, t0, x0)
     report = {"value": value, "policies": [], "greedy_gap": None}
@@ -252,24 +253,17 @@ def value_dominance_check(
             model, cost, pol, t0, x0, n_samples, time_steps, seed=seed + 17 * i
         )
         gap = res.mean - value
-        ok = value <= res.mean + 3.0 * res.std_error
-        entry = {
+        report["policies"].append({
             "name": pol.name or pol.kind,
             "kind": pol.kind,
             "mean": res.mean,
             "std_error": res.std_error,
             "gap": gap,
-            "ok": bool(ok),
+            "ok": bool(value <= res.mean + 3.0 * res.std_error),
             "samples": res.sample_costs,
-        }
-        report["policies"].append(entry)
+        })
         if pol.kind == "greedy":
             report["greedy_gap"] = gap
-        if not ok:
-            raise DominanceViolated(
-                f"policy {pol.name or pol.kind!r}: value {value:.6g} exceeds "
-                f"mean cost {res.mean:.6g} + 3 se ({3 * res.std_error:.3g})"
-            )
     return report
 
 

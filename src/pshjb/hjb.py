@@ -66,7 +66,6 @@ from .errors import (
     ConfigError,
     DimensionMismatch,
     GridMismatch,
-    NoContraction,
     OutOfGrid,
     SmoothingViolated,
 )
@@ -358,7 +357,8 @@ class ValueIterate:
 
 @dataclass
 class HJBSolution:
-    """Converged iterate plus convergence diagnostics."""
+    """The last iterate of a solve, converged or not, plus its diagnostics;
+    ``diagnostics["stop"]`` says why the solve stopped."""
 
     iterate: ValueIterate
     residual: float
@@ -923,12 +923,13 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     A fitted exponent outside (0, 1) (:attr:`BlowupFit.in_range`) raises
     :class:`SmoothingViolated`.
 
-    The stopping test and the growth rule (:class:`NoContraction` after
-    three consecutive residual increases) use the sup norm of
-    :func:`sup_distance`, so converged means a sup residual of at most
-    ``tol``, the rule ``pshjb solve`` and ``simulate`` read a solve by, and
-    the solution's ``eta_weight`` is always 0 (no exp(-eta t) weight; see
-    the module docstring).
+    The solve returns its last iterate, with no iterate past the stop, and
+    ``diagnostics["stop"]``: ``"tol"`` (a residual of at most ``tol``),
+    ``"growth"`` (three consecutive residual increases) or ``"max_iter"``.
+    Both tests use the sup norm of :func:`sup_distance`, so converged means
+    a sup residual of at most ``tol``, the rule ``pshjb solve`` and
+    ``simulate`` read a solve by, and the solution's ``eta_weight`` is
+    always 0 (no exp(-eta t) weight; see the module docstring).
 
     The solve starts from :meth:`UpsilonOperator.initial_iterate`, the
     semigroup-only iterate.  Each iterate is one
@@ -944,15 +945,11 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
         fit = fit_blowup(model, blowup_grid(cost.horizon))
         gamma = float(np.clip(fit.gamma + 0.02, 0.05, 0.95))
         diagnostics["fitted_gamma"] = fit.gamma
-        diagnostics["fit_slope"] = fit.slope
         if not fit.in_range:
             raise SmoothingViolated(
                 f"fitted blow-up exponent {fit.gamma:.3f} outside (0, 1); "
                 "the contraction machinery does not apply to this model"
             )
-    if gamma > 0.5:
-        # supported, but the time-integral bounds degrade; record it
-        diagnostics["gamma_above_half"] = True
 
     ups = UpsilonOperator(model, cost, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
@@ -970,15 +967,12 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
             ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
             ratios.append(ratio)
             bad_streak = bad_streak + 1 if ratio > 1.0 else 0
-            if bad_streak >= 3:
-                raise NoContraction(
-                    f"residual grew in the sup norm for 3 consecutive Picard steps "
-                    f"(gamma={gamma}); residuals={residuals[-4:] + [d]}"
-                )
         residuals.append(d)
         g = g_next
-        if d <= cfg.tol:
+        if d <= cfg.tol or bad_streak >= 3:
             break
+    diagnostics["stop"] = ("tol" if d <= cfg.tol else
+                           "growth" if bad_streak >= 3 else "max_iter")
     diagnostics["copied_nodes"] = copied
     diagnostics["residual_history"] = residuals
     return HJBSolution(

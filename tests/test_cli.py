@@ -59,6 +59,30 @@ def small_heat_config(**overrides):
     return override(cfg, overrides)
 
 
+def slow_heat_config():
+    """A heat model whose fitted blow-up exponent, 1.25, lies outside (0, 1)."""
+    cfg = small_delay_config()
+    cfg["model"] = {
+        "kind": "heat",
+        "heat": {"n_modes": 128, "n_proj": 2, "projection": "slow"},
+    }
+    cfg["cost"]["controls"] = {
+        "points": [[0.0, 0.0], [1.0, 0.0]],
+        "ell1": [0.0, 0.05],
+    }
+    cfg["cost"]["phi"]["direction"] = [0.8, -0.5]
+    return cfg
+
+
+BENCH = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads")
+
+
+def bench_config(name, **overrides):
+    """The benchmark workload ``name`` with :func:`override` applied."""
+    with open(os.path.join(BENCH, name)) as fh:
+        return override(yaml.safe_load(fh), overrides)
+
+
 def override(cfg, overrides):
     """``cfg`` with each dotted key of ``overrides`` set to its value."""
     for key, val in overrides.items():
@@ -148,10 +172,7 @@ class TestSolve:
     def test_solve_does_not_depend_on_seed(self, tmp_path):
         # the solve draws nothing at random: the config seed reaches only
         # simulate
-        path = os.path.join(os.path.dirname(__file__), "..", "bench", "workloads",
-                            "delay.yaml")
-        with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+        cfg = bench_config("delay.yaml")
         outs = []
         for seed in (1, 2):
             cfg["seed"] = seed
@@ -467,13 +488,14 @@ class TestInvalidConfig:
         assert err.startswith("config error: ") and key in err
         assert not (out / "solve_meta.json").exists()
 
-    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    @pytest.mark.parametrize("command", ["solve", "simulate", "check"])
     @pytest.mark.parametrize("box", [None, 3.0])
     def test_overflowing_delay_covariance_rejected(self, tmp_path, capsys, monkeypatch,
                                                    command, box):
         # e^{2 t a0} leaves the float range before t = 1: the Gramian at the
-        # horizon is not finite, which is refused before the blow-up fit or
-        # any operator, without a numpy warning (the suite makes those errors)
+        # horizon is not finite, which is refused before the blow-up fit,
+        # any operator or any invariant, without a numpy warning (the suite
+        # makes those errors) and without a file
         from pshjb import hjb
 
         def built(*args, **kwargs):
@@ -481,6 +503,7 @@ class TestInvalidConfig:
 
         monkeypatch.setattr(hjb, "fit_blowup", built)
         monkeypatch.setattr(hjb.UpsilonOperator, "__init__", built)
+        monkeypatch.setattr(cli, "run_invariant_suite", built)
         cfg = small_delay_config(**{"model.delay.a0": [[400.0, 0.0], [0.0, -0.2]],
                                     "solver.box_halfwidth": box})
         out = tmp_path / "out"
@@ -490,7 +513,99 @@ class TestInvalidConfig:
         err = capsys.readouterr().err
         assert err.startswith("config error: the projected covariance proj_cov(T)")
         assert "not finite" in err and err.count("\n") == 1
-        assert not (out / "solve_meta.json").exists()
+        assert os.listdir(out) == []
+
+
+def inflate_value(monkeypatch):
+    """Read every solved value 1.0 too high, so that no policy dominates it
+    whatever the solver's accuracy."""
+    from pshjb import harness
+
+    value = harness.eval_value
+    monkeypatch.setattr(harness, "eval_value", lambda *a: value(*a) + 1.0)
+
+
+SOLVE_FILES = {"solution.csv", "solve_meta.json"}
+SIMULATE_FILES = {"simulate_samples.csv", "simulate_report.json", "simulate_policies.csv"}
+GROWING = {"cost.controls": {"points": [[-60.0], [60.0]], "ell1": [0.0, 0.0]},
+           "solver.gamma": 0.52}
+
+
+class TestFailureProtocol:
+    """A failing command writes the files of what it computed, then exits
+    with its code and exactly one labelled stderr line, also under
+    ``--quiet``; an unconverged solve is simulated by nothing, so simulate
+    then writes nothing."""
+
+    @pytest.mark.parametrize("command, make_cfg, patch, code, line, files", [
+        ("lambda", slow_heat_config, None, 3,
+         "smoothing hypothesis violated: fitted blow-up exponent 1.250 outside (0, 1)",
+         {"lambda_fit.json", "lambda_norms.csv"}),
+        ("check", slow_heat_config, None, 5,
+         "error: failing invariants: blowup_exponent_in_range", {"check_report.json"}),
+        ("solve", lambda: bench_config("delay.yaml", **GROWING), None, 2,
+         "no contraction: ", SOLVE_FILES),
+        ("simulate", lambda: bench_config("heat.yaml"), inflate_value, 4,
+         "dominance violated: policy '", SIMULATE_FILES),
+        ("simulate", lambda: small_delay_config(**{"solver.max_iter": 1,
+                                                   "solver.tol": 1e-12}), None, 2,
+         "no contraction: ", set()),
+    ], ids=["lambda", "check", "solve-growth", "simulate-dominance",
+            "simulate-unconverged"])
+    def test_files_then_one_labelled_line(self, tmp_path, capsys, monkeypatch,
+                                          command, make_cfg, patch, code, line, files):
+        if patch is not None:
+            patch(monkeypatch)
+        out = tmp_path / "out"
+        rc = main([command, "--config", write_config(tmp_path, make_cfg()),
+                   "--out-dir", str(out), "--quiet"])
+        captured = capsys.readouterr()
+        assert rc == code
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith(line)
+        assert set(os.listdir(out)) == files
+
+    def test_dominance_names_every_failing_policy(self, tmp_path, capsys, monkeypatch):
+        # every policy is simulated and reported, then the one error names
+        # each failing one (a random open-loop policy can cost more than
+        # the inflated value)
+        inflate_value(monkeypatch)
+        out = tmp_path / "out"
+        cfg = small_delay_config(**{"simulate.n_random_policies": 2})
+        rc = main(["simulate", "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 4
+        report = json.loads((out / "simulate_report.json").read_text())
+        names = [p["name"] for p in report["policies"]]
+        assert names == ["open_loop_0", "open_loop_1", "greedy"]
+        failing = [p["name"] for p in report["policies"] if not p["ok"]]
+        assert len(failing) >= 2 and err.count("; policy ") == len(failing) - 1
+        assert [n for n in names if f"policy {n!r}: value" in err] == failing
+
+    @pytest.mark.parametrize("overrides, stop, why", [
+        (GROWING, "growth", "the residual grew"),
+        ({"solver.max_iter": 1, "solver.tol": 1e-12}, "max_iter",
+         "the iteration cap was reached"),
+    ], ids=["growth", "max_iter"])
+    def test_no_contraction_has_one_shape(self, tmp_path, capsys, overrides, stop, why):
+        # an unconverged solve writes the files and keys of a converged one
+        # at the same pinned gamma, and says why it stopped
+        pinned = {"solver.gamma": 0.52}
+        metas = {}
+        for name, cfg in (("ok", small_delay_config(**pinned)),
+                          (stop, small_delay_config(**{**pinned, **overrides}))):
+            out = tmp_path / name
+            main(["solve", "--config", write_config(tmp_path, cfg, f"{name}.yaml"),
+                  "--out-dir", str(out), "--quiet"])
+            assert set(os.listdir(out)) == SOLVE_FILES
+            metas[name] = json.loads((out / "solve_meta.json").read_text())
+        ok, bad = metas["ok"], metas[stop]
+        assert (ok["status"], ok["diagnostics"]["stop"]) == ("ok", "tol")
+        assert (bad["status"], bad["diagnostics"]["stop"]) == ("no_contraction", stop)
+        assert bad.keys() == ok.keys() and bad["diagnostics"].keys() == ok["diagnostics"].keys()
+        err = capsys.readouterr().err
+        assert err.startswith("no contraction: ") and f"({why}" in err
 
 
 class TestLambda:
@@ -524,17 +639,7 @@ class TestLambda:
         assert -1.0 < fit["slope"] < 0.0
 
     def test_violating_config_exits_3(self, tmp_path, capsys):
-        cfg = small_delay_config()
-        cfg["model"] = {
-            "kind": "heat",
-            "heat": {"n_modes": 128, "n_proj": 2, "projection": "slow"},
-        }
-        cfg["cost"]["controls"] = {
-            "points": [[0.0, 0.0], [1.0, 0.0]],
-            "ell1": [0.0, 0.05],
-        }
-        cfg["cost"]["phi"]["direction"] = [0.8, -0.5]
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, slow_heat_config())
         rc = main(["lambda", "--config", path, "--out-dir", str(tmp_path), "--quiet"])
         assert rc == 3
         # the fitted blow-up exponent (1.25) is outside (0, 1): the solve

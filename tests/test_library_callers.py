@@ -27,6 +27,10 @@ queries as public methods, and ``proj_cov`` lives only on the base class.
 The control problem is one record, ``hjb.CostSpec``: only its
 ``ell0_integral`` calls ``ell0``, and ``SolverConfig`` keeps no horizon of
 its own.
+
+One failure protocol: only ``cli.py`` builds the errors of an outcome
+(``NoContraction``, ``DominanceViolated``), and there only ``main`` and
+``_Parser.error`` read an ``EXIT_*`` code.
 """
 
 import ast
@@ -286,3 +290,32 @@ def test_models_implement_the_three_queries():
              if found != CONTRACT]
     assert wrong == [], "models whose public methods are not the contract: " + "; ".join(wrong)
     assert proj_cov == ["ou.ProjectedModel"], "proj_cov defined in " + ", ".join(proj_cov)
+
+
+OUTCOME_ERRORS = {"NoContraction", "DominanceViolated"}
+EXIT_READERS = {"main", "error"}
+
+
+def test_one_failure_protocol():
+    """A solve that does not contract and a policy that beats the solved
+    value are outcomes that the library returns as records; a command
+    writes them, then raises the error, and ``main`` alone maps errors to
+    exit codes.  A library raise would skip the command's files, and an
+    exit code returned by a command would skip the stderr line."""
+    built = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.name != "cli.py"
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Call) and ast.unparse(n.func).split(".")[-1] in OUTCOME_ERRORS
+    ]
+    assert built == [], "outcome errors built outside cli.py: " + ", ".join(built)
+    tree = ast.parse((SRC / "cli.py").read_text())
+    read = [
+        f"{fn.name}:{n.lineno}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name not in EXIT_READERS
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+        and n.id.startswith("EXIT_")
+    ]
+    assert read == [], "exit codes read outside main: " + ", ".join(read)

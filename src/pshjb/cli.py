@@ -269,11 +269,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     os.makedirs(args.out_dir, exist_ok=True)
     try:
-        run = load_config(
-            args.config,
-            seed_override=args.seed,
-            force_model=args.command == "check",
-        )
+        run = load_config(args.config, seed_override=args.seed)
         args.func(args, run)
         return EXIT_OK
     except PshjbError as exc:

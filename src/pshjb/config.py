@@ -31,7 +31,6 @@ from .ou import ProjectedModel
 @dataclass
 class RunConfig:
     model: ProjectedModel
-    model_kind: str
     cost: CostSpec
     solver: SolverConfig
     x0: np.ndarray
@@ -155,7 +154,7 @@ def _delay_start(model: ProjectedModel, present: np.ndarray | None = None) -> np
     return present
 
 
-def _build_model(section, force: bool = False) -> tuple[ProjectedModel, str, np.ndarray]:
+def _build_model(section) -> tuple[ProjectedModel, np.ndarray]:
     kind = _require(_mapping(section, "model"), "kind", "model")
     if kind not in ("heat", "delay"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -165,12 +164,12 @@ def _build_model(section, force: bool = False) -> tuple[ProjectedModel, str, np.
     if kind == "heat":
         x0 = spec.pop("x0", {"coefficients": [1.0]})
         cfg = _read(HeatConfig, spec, where)
-        return build_heat(cfg), kind, _read_kind(
+        return build_heat(cfg), _read_kind(
             {"modes": _modes_start, "smooth": _smooth_start}, x0, f"{where}.x0",
             default="modes", n_modes=cfg.n_modes)
     x0 = spec.pop("x0", {})
-    model = build_delay(_read(DelayConfig, spec, where), force=force)
-    return model, kind, _read(_delay_start, x0, f"{where}.x0", model=model)
+    model = build_delay(_read(DelayConfig, spec, where))
+    return model, _read(_delay_start, x0, f"{where}.x0", model=model)
 
 
 def _points_grid(points: np.ndarray, ell1: np.ndarray | None = None) -> Hamiltonian:
@@ -233,11 +232,9 @@ def _simulate(horizon: float, t0: float = 0.0, n_samples: int = 10_000,
             "n_random_policies": n_random_policies}
 
 
-def load_config(
-    path: str, seed_override: int | None = None, force_model: bool = False
-) -> RunConfig:
-    """Parse a YAML run config; ``force_model`` skips model-build
-    preconditions so diagnostic commands can inspect violating models."""
+def load_config(path: str, seed_override: int | None = None) -> RunConfig:
+    """Parse a YAML run config and build its model, one build for every
+    command (a delay build may raise :class:`RankDeficient`)."""
     try:
         with open(path) as fh:
             raw = yaml.safe_load(fh)
@@ -249,9 +246,8 @@ def load_config(
         seed = _convert(int, raw.get("seed", 0), "seed")
     if seed < 0:        # numpy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    model, kind, x0 = _build_model(_require(raw, "model", "config"), force=force_model)
+    model, x0 = _build_model(_require(raw, "model", "config"))
     cost = _build_cost(_require(raw, "cost", "config"), model)
     solver = _read(SolverConfig, raw.get("solver", {}), "solver")
     sim = _read(_simulate, raw.get("simulate", {}), "simulate", horizon=cost.horizon)
-    return RunConfig(model=model, model_kind=kind, cost=cost, solver=solver, x0=x0,
-                     seed=seed, **sim)
+    return RunConfig(model=model, cost=cost, solver=solver, x0=x0, seed=seed, **sim)

@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, RankDeficient
 from .ou import ProjectedModel
+from .smoothing import INCLUSION_TOL, inclusion_residual
 from .spectral import expm
 
 
@@ -191,17 +192,6 @@ def kalman_rank(cfg: DelayConfig) -> int:
     return int(np.count_nonzero(sv > 1e-10 * sv[0]))
 
 
-def _column_residual(basis: np.ndarray, cols: np.ndarray) -> float:
-    """Relative least-squares residual of cols against the span of basis."""
-    denom = np.linalg.norm(cols)
-    if denom == 0.0:
-        return 0.0
-    u, sv, _ = np.linalg.svd(basis, full_matrices=False)
-    keep = sv > 1e-12 * (sv[0] if sv.size else 1.0)
-    u = u[:, keep]
-    return float(np.linalg.norm(cols - u @ (u.T @ cols)) / denom)
-
-
 class DelayProjectedModel(ProjectedModel):
     """Projected (present-component) face of the delayed-control SDE."""
 
@@ -232,25 +222,21 @@ class DelayProjectedModel(ProjectedModel):
         return e @ gramian(self.cfg, t - s) @ np.swapaxes(e, -1, -2)
 
 
-def build_projected_model(cfg: DelayConfig, force: bool = False) -> DelayProjectedModel:
-    """Build the projected model after the controllability precondition.
-
-    The build is admissible when the Kalman rank is full or, failing that,
-    when the control response stays inside the image of the controllability
-    matrix at the probe times 1e-3, 1e-2, 0.1, 0.5 and 1.  ``force=True``
-    skips the check (negative tests, diagnostics).
-    """
-    if not force:
-        rank = kalman_rank(cfg)
-        if rank < cfg.n:
-            k_mat = controllability_matrix(cfg)
-            worst = max(
-                _column_residual(k_mat, proj_control_delay(cfg, t))
-                for t in (1e-3, 1e-2, 1e-1, 0.5, 1.0)
+def build_projected_model(cfg: DelayConfig) -> DelayProjectedModel:
+    """Build the projected model after the controllability precondition:
+    full Kalman rank or, failing that, a control response inside the
+    covariance image within ``INCLUSION_TOL`` (:func:`inclusion_residual`,
+    the solver's rule) at the probe times 1e-3, 1e-2, 0.1, 0.5 and 1;
+    otherwise :class:`RankDeficient`."""
+    rank = kalman_rank(cfg)
+    if rank < cfg.n:
+        worst = max(
+            inclusion_residual(gramian(cfg, t), proj_control_delay(cfg, t))
+            for t in (1e-3, 1e-2, 1e-1, 0.5, 1.0)
+        )
+        if worst > INCLUSION_TOL:
+            raise RankDeficient(
+                f"kalman rank {rank} < n={cfg.n} and control response leaves "
+                f"the covariance image (residual {worst:.3e})"
             )
-            if worst > 1e-8:
-                raise RankDeficient(
-                    f"kalman rank {rank} < n={cfg.n} and control response leaves "
-                    f"the controllability image (residual {worst:.3e})"
-                )
     return DelayProjectedModel(cfg)

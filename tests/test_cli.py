@@ -778,8 +778,6 @@ MODEL_INVARIANTS = [
     "control_image_inclusion",
     "blowup_exponent_in_range",
     "lambda_norm_continuity",
-    "gramian_monotone",
-    "kalman_rank_full",
 ]
 
 
@@ -799,7 +797,7 @@ class TestCheck:
         from pshjb.checks import run_invariant_suite
         from pshjb.config import load_config
 
-        run = load_config(os.path.join(SHIPPED, "delay.yaml"), force_model=True)
+        run = load_config(os.path.join(SHIPPED, "delay.yaml"))
         run.model.control_discontinuities = ()
         assert run_invariant_suite(run)["failing"] == ["lambda_norm_continuity"]
 
@@ -812,20 +810,29 @@ class TestCheck:
         report = json.loads((out / "check_report.json").read_text())
         assert report["ok"]
 
-    def test_fails_on_rank_deficient_delay(self, tmp_path):
-        cfg = small_delay_config(
-            **{
-                "model.delay.sigma": [[1.0, 0.0], [0.0, 0.0]],
-                "model.delay.b0": [[0.0], [1.0]],
-                "model.delay.atoms": [],
-            }
-        )
+    @pytest.mark.parametrize("b0, code", [
+        ([[1.0], [0.0]], 0),
+        ([[0.0], [1.0]], 3),
+    ], ids=["inside", "outside"])
+    def test_rank_deficient_delay(self, tmp_path, capsys, b0, code):
+        # Kalman rank 1 < n = 2; the control response b0 stays in the
+        # covariance image span(e1) or leaves it, and every command, check
+        # too, reads the one build that accepts or refuses it
+        cfg = small_delay_config(**{
+            "model.delay.a0": [[0.0, 0.0], [0.0, 0.0]],
+            "model.delay.sigma": [[1.0], [0.0]],
+            "model.delay.b0": b0,
+            "model.delay.atoms": [],
+        })
         path = write_config(tmp_path, cfg)
-        out = tmp_path / "out"
-        rc = main(["check", "--config", path, "--out-dir", str(out), "--quiet"])
-        assert rc == 5
-        report = json.loads((out / "check_report.json").read_text())
-        assert "kalman_rank_full" in report["failing"]
+        for cmd in ("solve", "lambda", "check"):
+            out = tmp_path / cmd
+            rc = main([cmd, "--config", path, "--out-dir", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert rc == code, (cmd, err)
+            if code:
+                assert err.startswith("smoothing hypothesis violated: ")
+                assert err.count("\n") == 1 and os.listdir(out) == []
 
 
 BENCH_GRIDS = {"n_time": 20, "space_points": 21, "quad_order": 5, "time_quad_order": 6}
@@ -852,7 +859,7 @@ class TestShippedConfigs:
         # every default comes from the dataclass, so the configs read as
         # the dataclasses built with their keys
         from pshjb.config import load_config
-        from pshjb.heat import HeatConfig
+        from pshjb.heat import HeatConfig, HeatProjectedModel
         from pshjb.hjb import SolverConfig
 
         run = load_config(os.path.join(os.path.dirname(__file__), "..", path))
@@ -861,7 +868,7 @@ class TestShippedConfigs:
             tol=1e-4, max_iter=30,
             **{"n_time": 40, "space_points": 41, **grids},
         )
-        if run.model_kind == "heat":
+        if isinstance(run.model, HeatProjectedModel):
             assert run.model.cfg == HeatConfig(
                 n_modes=256, beta=0.0, epsilon=0.01, alpha=1.0, n_proj=2,
                 projection="bumps",

@@ -254,11 +254,15 @@ class TestBuild:
         model = delay.build_projected_model(cfg)
         assert model.proj_dim == 2
 
-    def test_force_build(self):
-        cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[0.0], [1.0]],
-                          sigma=[[1.0], [0.0]], delay=0.1)
-        model = delay.build_projected_model(cfg, force=True)
-        assert model.proj_dim == 2
+    def test_atom_leaving_the_image_raises(self):
+        # inside span(e1) until the atom at -0.05 activates, then the
+        # response e1 + e2 leaves it: the later probe times refuse the build
+        cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
+                          sigma=[[1.0], [0.0]], delay=0.1,
+                          atoms=[(-0.05, [[0.0], [1.0]])])
+        assert kalman_rank(cfg) == 1
+        with pytest.raises(RankDeficient):
+            delay.build_projected_model(cfg)
 
 
 class TestProjectedModel:

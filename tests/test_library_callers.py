@@ -31,6 +31,9 @@ its own.
 One failure protocol: only ``cli.py`` builds the errors of an outcome
 (``NoContraction``, ``DominanceViolated``), and there only ``main`` and
 ``_Parser.error`` read an ``EXIT_*`` code.
+
+``checks.py`` imports no model module (``heat``, ``delay``) and reads no
+``.cfg`` attribute: an invariant reads the model through the contract.
 """
 
 import ast
@@ -319,3 +322,22 @@ def test_one_failure_protocol():
         and n.id.startswith("EXIT_")
     ]
     assert read == [], "exit codes read outside main: " + ", ".join(read)
+
+
+MODEL_MODULES = {"heat", "delay"}
+
+
+def test_check_reads_the_model_contract():
+    """``check`` examines the model that every command builds, through the
+    ``ProjectedModel`` queries and ``smoothing``; an invariant that imports
+    a model module or reads a model's ``cfg`` tests one model class's
+    internals (a Gramian, a Kalman rank), not the configured model."""
+    found = []
+    for n in ast.walk(ast.parse((SRC / "checks.py").read_text())):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [getattr(n, "module", None) or ""] + [a.name for a in n.names]
+            if any(name.split(".")[-1] in MODEL_MODULES for name in names):
+                found.append(f"line {n.lineno}: {ast.unparse(n)}")
+        elif isinstance(n, ast.Attribute) and n.attr == "cfg":
+            found.append(f"line {n.lineno}: {ast.unparse(n)}")
+    assert found == [], "checks.py reads model internals: " + ", ".join(found)

@@ -86,7 +86,8 @@ def _say(args, msg: str) -> None:
 
 def _not_converged(sol, run: RunConfig, outcome: str) -> NoContraction:
     why = {"max_iter": "the iteration cap was reached",
-           "growth": "the residual grew in the sup norm for 3 consecutive steps"}
+           "growth": "the residual grew in the sup norm for 3 consecutive steps",
+           "overflow": "the next iterate overflowed the float range"}
     return NoContraction(
         f"residual {sol.residual:.3e} above tol {run.solver.tol:.3e} after "
         f"{sol.iterations} iterations ({why[sol.diagnostics['stop']]}); {outcome}"
@@ -119,7 +120,7 @@ def cmd_solve(args, run: RunConfig) -> None:
         "status": "ok" if converged else "no_contraction",
         "gamma": sol.gamma,
         "eta_weight": sol.eta_weight,
-        "residual": sol.residual,
+        "residual": sol.residual if sol.iterations else None,   # JSON has no inf
         "iterations": sol.iterations,
         "contraction_ratios": sol.contraction_estimates,
         "diagnostics": {
@@ -188,7 +189,8 @@ def cmd_simulate(args, run: RunConfig) -> None:
     if args.policy == "greedy":
         policies.append(Policy.greedy(sol))
     elif args.policy == "constant":
-        policies.append(Policy.constant(0))
+        policies.append(Policy.open_loop(np.zeros(run.time_steps, dtype=int),
+                                         name="constant"))
     report = value_dominance_check(
         run.model,
         run.cost,

@@ -23,7 +23,7 @@ import yaml
 from . import costs as costs_mod
 from .delay import DelayConfig, build_projected_model as build_delay
 from .errors import ConfigError, DimensionMismatch
-from .heat import HeatConfig, build_projected_model as build_heat
+from .heat import HeatConfig, HeatProjectedModel
 from .hjb import CostSpec, Hamiltonian, SolverConfig
 from .ou import ProjectedModel
 
@@ -164,7 +164,7 @@ def _build_model(section) -> tuple[ProjectedModel, np.ndarray]:
     if kind == "heat":
         x0 = spec.pop("x0", {"coefficients": [1.0]})
         cfg = _read(HeatConfig, spec, where)
-        return build_heat(cfg), _read_kind(
+        return HeatProjectedModel(cfg), _read_kind(
             {"modes": _modes_start, "smooth": _smooth_start}, x0, f"{where}.x0",
             default="modes", n_modes=cfg.n_modes)
     x0 = spec.pop("x0", {})

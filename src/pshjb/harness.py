@@ -1,9 +1,11 @@
 """Policy simulation and value-dominance cross checks.
 
-Because the running cost never touches the state, open-loop policies admit
-exact terminal sampling: the projected terminal state is Gaussian around the
-deterministic drift-plus-control mean, so no path discretization enters and
-their simulated costs are unbiased up to the control-response quadrature.
+Policies are open-loop (a control index per step; a constant policy holds
+one) or greedy.  Because the running cost never touches the state,
+open-loop policies admit exact terminal sampling: the projected terminal
+state is Gaussian around the deterministic drift-plus-control mean, so no
+path discretization enters and their simulated costs are unbiased up to
+the control-response quadrature.
 
 Greedy (feedback) policies are simulated on a step grid.  The tracked
 quantity is Z(s) = P e^{(T-s)A} X(s), which is exactly what the solved
@@ -18,10 +20,12 @@ law is exact and the only approximation is that the control is held
 constant between steps (itself an admissible policy, so dominance bounds
 remain valid).
 
-Both branches run in blocks of at most _SIM_BLOCK samples, drawn in turn
-from one generator.  The generator yields the same stream whether rows are
-drawn in one call or in consecutive ones, and every step is elementwise per
-sample, so the costs equal those of one whole-population pass bit for bit.
+Both branches read the steps' control integrals from one table per
+(model, t0, horizon, time_steps), cached on the function that builds it,
+and run in blocks of at most _SIM_BLOCK samples, drawn in turn from one
+generator.  The generator yields the same stream whether rows are drawn in
+one call or in consecutive ones, and every step is elementwise per sample,
+so the costs equal those of one whole-population pass bit for bit.
 Each block's terminal states are priced by the terminal cost and dropped,
 so memory is a few blocks' worth, whatever the number of samples: only the
 (n_samples,) costs are a whole-population array.
@@ -57,20 +61,14 @@ _SIM_BLOCK = 16_384
 class Policy:
     """Admissible control policy emitting indices into the control grid.
 
-    ``constant``: one index for all steps; ``open_loop``: an index per step
-    of the simulation grid; ``greedy``: the Hamiltonian argmin at the
-    current control-gradient of a solved value function.
+    ``open_loop``: an index per step of the simulation grid; ``greedy``: the
+    Hamiltonian argmin at the current control-gradient of a solved value.
     """
 
     kind: str
-    index: int = 0
     indices: np.ndarray | None = None
     solution: HJBSolution | None = None
     name: str = ""
-
-    @classmethod
-    def constant(cls, index: int) -> "Policy":
-        return cls(kind="constant", index=index, name="constant")
 
     @classmethod
     def open_loop(cls, indices, name: str = "open_loop") -> "Policy":
@@ -111,19 +109,24 @@ def _squared_deviations(x: np.ndarray, mean) -> float:
     return _squared_deviations(x[:half], mean) + _squared_deviations(x[half:], mean)
 
 
+@lru_cache(maxsize=8)
 def _control_integrals(
-    model: ProjectedModel, horizon: float, steps: np.ndarray
+    model: ProjectedModel, t0: float, horizon: float, time_steps: int
 ) -> np.ndarray:
-    """B_j = int_{s_j}^{s_{j+1}} proj_control(T - r) dr for each step.
+    """Read-only table of B_j = int_{s_j}^{s_{j+1}} proj_control(T - r) dr
+    on the uniform simulation grid s = linspace(t0, horizon, time_steps + 1).
 
     Composite 12-point Gauss-Legendre split at the control-response
     discontinuities (delay-atom activations), one ``proj_control`` call for
     the nodes of each piece; nodes are interior so proj_control is never
-    evaluated at exactly 0.
+    evaluated at exactly 0.  Every policy of a round shares the table, built
+    once per argument tuple (models are immutable, so identity keys are
+    sound); the cache keeps its last 8 models alive.
     """
+    steps = np.linspace(t0, horizon, time_steps + 1)
     x, w = np.polynomial.legendre.leggauss(12)
-    out = np.empty((steps.size - 1, model.proj_dim, model.control_dim))
-    for j in range(steps.size - 1):
+    out = np.empty((time_steps, model.proj_dim, model.control_dim))
+    for j in range(time_steps):
         lo, hi = horizon - steps[j + 1], horizon - steps[j]
         cuts = [lo] + [d for d in model.control_discontinuities if lo < d < hi] + [hi]
         acc = np.zeros((model.proj_dim, model.control_dim))
@@ -134,20 +137,6 @@ def _control_integrals(
             for wi, pc in zip(w, model.proj_control(mid + half * x)):
                 acc += wi * half * pc
         out[j] = acc
-    return out
-
-
-@lru_cache(maxsize=8)
-def _step_control_integrals(
-    model: ProjectedModel, t0: float, horizon: float, time_steps: int
-) -> np.ndarray:
-    """Read-only ``_control_integrals`` table on the uniform simulation grid.
-
-    Every policy of a round shares it, so it is built once per (model, t0,
-    horizon, time_steps); models are immutable, so identity keys are sound.
-    The cache keeps its last 8 models alive.
-    """
-    out = _control_integrals(model, horizon, np.linspace(t0, horizon, time_steps + 1))
     out.flags.writeable = False
     return out
 
@@ -172,19 +161,16 @@ def simulate_cost(
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
     ell0_int = cost.ell0_integral(t0, T)
-    b_ints = _step_control_integrals(model, t0, T, time_steps)
+    b_ints = _control_integrals(model, t0, T, time_steps)
     u_grid = cost.ham.control_points
     ell1 = cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
     costs = np.empty(n_samples)
 
-    if policy.kind in ("constant", "open_loop"):
-        if policy.kind == "constant":
-            idx = np.full(time_steps, policy.index, dtype=int)
-        else:
-            idx = policy.indices
-            if idx is None or idx.shape != (time_steps,):
-                raise DimensionMismatch("open-loop policy needs one index per step")
+    if policy.kind == "open_loop":
+        idx = policy.indices
+        if idx is None or idx.shape != (time_steps,):
+            raise DimensionMismatch("open-loop policy needs one index per step")
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
         root_t = psd_roots(model.proj_cov(T - t0))[0].T
         c0 = ell0_int + float(ell1[idx].sum() * dt)

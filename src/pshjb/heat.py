@@ -185,8 +185,3 @@ class HeatProjectedModel(ProjectedModel):
         decay = np.multiply.outer(-2.0 * (t - s), lam)
         q = lam ** (-1.0 - 2.0 * self.cfg.beta) * (-np.expm1(decay))
         return (self._v * (shift * q)[..., None, :]) @ self._v.T
-
-
-def build_projected_model(cfg: HeatConfig) -> HeatProjectedModel:
-    """Assemble the projected heat model from its configuration."""
-    return HeatProjectedModel(cfg)

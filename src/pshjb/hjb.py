@@ -31,11 +31,11 @@ the convolution along the projected control direction (the only weight that
 passes the finite-difference oracle; see the norm-bound tests).
 
 The equation is a Volterra equation in time-to-go: Upsilon at time node i
-reads the gradient slices 0..i only.  Each Picard iterate is one sweep
-over the time nodes.  At each s-node of the time quadrature, the
-interpolation of the gradient at mesh + each Gaussian offset is one BLAS
-gemm of stored Kronecker coefficients against the windows of the
-edge-padded gradient slice.  On a radial control grid H_min is a concave
+reads the gradient slices 0..i only.  Each Picard iterate is one
+:meth:`UpsilonOperator.apply`, a sweep over the time nodes.  At each
+s-node of the time quadrature, the interpolation of the gradient at mesh +
+each Gaussian offset is one BLAS gemm of stored Kronecker coefficients
+against the windows of the edge-padded gradient slice.  On a radial control grid H_min is a concave
 piecewise-linear function of r = max_k |p_k|,
 alpha - sum_h beta_h max(r, rho_h), so the step writes the hinge sum in
 three (heat) or four (delay) array passes, and the node's f and gradient
@@ -695,9 +695,9 @@ class UpsilonOperator:
     on the views of its steps, built at assembly: it builds no view and
     does no chunk arithmetic; it copies, multiplies and takes maxima.
 
-    ``sweep`` runs the time nodes in order and copies those below the
-    settled count of its input (:func:`settled_count`); ``apply`` is a
-    sweep with nothing settled, the exact map.
+    ``apply`` runs the time nodes in order and copies those below the
+    settled count it is given (:func:`settled_count`); with nothing
+    settled it is the exact map.  The solve and the tests call it alike.
 
     Memory: the operator stores the window coefficients of every node
     (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
@@ -828,14 +828,11 @@ class UpsilonOperator:
         )
 
     # -- the map -----------------------------------------------------------
-    def apply(self, g: ValueIterate) -> ValueIterate:
-        """Upsilon(g), exactly: a sweep with nothing settled."""
-        return self.sweep(g, 0)
-
-    def sweep(self, g: ValueIterate, settled: int) -> ValueIterate:
+    def apply(self, g: ValueIterate, settled: int = 0) -> ValueIterate:
         """Upsilon(g), time node by time node, with the first ``settled``
         nodes copied from ``g``: the :func:`settled_count` of ``g`` against
-        the iterate it was computed from, or 0, which computes every node."""
+        the iterate it was computed from, or 0, the exact map.  A value
+        beyond the float range raises FloatingPointError, not a warning."""
         _check_grids(g, self)
         n_t, npts, m = self.time_grid.size - 1, self.mesh.shape[0], self.model.control_dim
         f = np.empty((n_t + 1, npts))
@@ -843,8 +840,11 @@ class UpsilonOperator:
         fbar = np.empty((n_t, npts, m))
         f[1:settled + 1] = g.f_values.reshape(n_t + 1, npts)[1:settled + 1]
         fbar[:settled] = g.fbar_values.reshape(n_t, npts, m)[:settled]
-        for i in range(settled, n_t):
-            f[i + 1], fbar[i] = self._node(i, g.fbar_values)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(settled, n_t):
+                f[i + 1], fbar[i] = self._node(i, g.fbar_values)
+        if not (np.isfinite(f).all() and np.isfinite(fbar).all()):
+            raise FloatingPointError("Upsilon(g) leaves the float range")
         return self._pack(f, fbar)
 
     def _node(self, i: int, fbar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -877,14 +877,16 @@ def sup_distance(g1: ValueIterate, g2: ValueIterate) -> float:
     same grids, the norm of the Picard stopping test.
 
     The t^gamma factor of the gradient part is already embedded in the
-    stored fbar arrays.
+    stored fbar arrays.  A distance beyond the float range raises
+    FloatingPointError.
     """
     _check_grids(g1, g2)
     if g1.fbar_values.shape != g2.fbar_values.shape:
         raise GridMismatch("gradient value shapes differ")
-    df = np.abs(g1.f_values - g2.f_values).max()
-    dbar = np.abs(g1.fbar_values - g2.fbar_values).max()
-    return float(df + dbar)
+    with np.errstate(over="raise"):
+        df = np.abs(g1.f_values - g2.f_values).max()
+        dbar = np.abs(g1.fbar_values - g2.fbar_values).max()
+        return float(df + dbar)
 
 
 def settled_count(g_next: ValueIterate, g: ValueIterate) -> int:
@@ -893,7 +895,7 @@ def settled_count(g_next: ValueIterate, g: ValueIterate) -> int:
     ``g``'s by at most four ulps, 4 ``np.spacing`` of its largest |fbar|
     over slices 0..i (the slices node i reads).
 
-    Below the count of its input, :meth:`UpsilonOperator.sweep` copies the
+    Below the count of its input, :meth:`UpsilonOperator.apply` copies the
     input's nodes.  Four ulps, not one: early slices that have reached their
     floating-point fixed point can still cycle between a few values a
     couple of ulps apart (rounding of the blend and the quadrature sums),
@@ -923,17 +925,20 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     A fitted exponent outside (0, 1) (:attr:`BlowupFit.in_range`) raises
     :class:`SmoothingViolated`.
 
-    The solve returns its last iterate, with no iterate past the stop, and
-    ``diagnostics["stop"]``: ``"tol"`` (a residual of at most ``tol``),
-    ``"growth"`` (three consecutive residual increases) or ``"max_iter"``.
-    Both tests use the sup norm of :func:`sup_distance`, so converged means
-    a sup residual of at most ``tol``, the rule ``pshjb solve`` and
-    ``simulate`` read a solve by, and the solution's ``eta_weight`` is
-    always 0 (no exp(-eta t) weight; see the module docstring).
+    The solve returns its last finite iterate, with no iterate past the
+    stop, and ``diagnostics["stop"]``: ``"tol"`` (a residual of at most
+    ``tol``), ``"growth"`` (three consecutive residual increases),
+    ``"overflow"`` (the next iterate or its residual left the float range;
+    it is not counted, and with none counted the residual is inf) or
+    ``"max_iter"``.  Residuals are sup norms (:func:`sup_distance`), so
+    converged means a sup residual of at most ``tol``, the rule ``pshjb
+    solve`` and ``simulate`` read a solve by, and the solution's
+    ``eta_weight`` is always 0 (no exp(-eta t) weight; see the module
+    docstring).
 
     The solve starts from :meth:`UpsilonOperator.initial_iterate`, the
     semigroup-only iterate.  Each iterate is one
-    :meth:`UpsilonOperator.sweep` that copies the nodes below the
+    :meth:`UpsilonOperator.apply` that copies the nodes below the
     :func:`settled_count` of the previous one (none at the start);
     ``diagnostics["copied_nodes"]`` sums the counts so copied.
     """
@@ -955,14 +960,18 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     diagnostics["clamped_mass"] = ups.clamped_mass
 
     g = ups.initial_iterate()
-    residuals: list[float] = []
-    ratios: list[float] = []
+    residuals, ratios = [], []
     bad_streak = settled = copied = 0
+    stop = "max_iter"
     while len(residuals) < cfg.max_iter:
-        g_next = ups.sweep(g, settled)
+        try:
+            g_next = ups.apply(g, settled)
+            d = sup_distance(g_next, g)
+        except FloatingPointError:
+            stop = "overflow"
+            break
         copied += settled
         settled = settled_count(g_next, g)
-        d = sup_distance(g_next, g)
         if residuals:
             ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
             ratios.append(ratio)
@@ -970,14 +979,12 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
         residuals.append(d)
         g = g_next
         if d <= cfg.tol or bad_streak >= 3:
+            stop = "tol" if d <= cfg.tol else "growth"
             break
-    diagnostics["stop"] = ("tol" if d <= cfg.tol else
-                           "growth" if bad_streak >= 3 else "max_iter")
-    diagnostics["copied_nodes"] = copied
-    diagnostics["residual_history"] = residuals
+    diagnostics.update(stop=stop, copied_nodes=copied, residual_history=residuals)
     return HJBSolution(
         iterate=g,
-        residual=residuals[-1],
+        residual=residuals[-1] if residuals else math.inf,
         contraction_estimates=ratios,
         iterations=len(residuals),
         eta_weight=0.0,

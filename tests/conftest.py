@@ -10,19 +10,19 @@ from pshjb.spectral import psd_roots
 
 @pytest.fixture(scope="session")
 def heat_model():
-    return heat.build_projected_model(heat.HeatConfig())
+    return heat.HeatProjectedModel(heat.HeatConfig())
 
 
 @pytest.fixture(scope="session")
 def heat_spectral1():
     cfg = heat.HeatConfig(n_modes=64, projection="spectral", spectral_modes=(1,))
-    return heat.build_projected_model(cfg)
+    return heat.HeatProjectedModel(cfg)
 
 
 @pytest.fixture(scope="session")
 def heat_spectral12():
     cfg = heat.HeatConfig(n_modes=64, projection="spectral", spectral_modes=(1, 2))
-    return heat.build_projected_model(cfg)
+    return heat.HeatProjectedModel(cfg)
 
 
 def shipped_delay_config():

@@ -61,7 +61,7 @@ def report(n, ok, detail):
 
 @pytest.fixture(scope="module")
 def heat_problem():
-    model = heat.build_projected_model(heat.HeatConfig())
+    model = heat.HeatProjectedModel(heat.HeatConfig())
     cost = CostSpec(costs.constant_ell0(0.1), shipped_heat_ham(),
                     costs.tanh_cost([0.8, -0.5], 0.0, 1.0))
     cfg = SolverConfig(tol=1e-4, max_iter=30, n_time=40, space_points=41)
@@ -105,7 +105,7 @@ def test_criterion_1_delay_blowup(delay_problem):
 def test_criterion_2_heat_blowup(heat_problem):
     t0 = time.perf_counter()
     fit = fit_blowup(heat_problem["model"], np.geomspace(1e-4, 1e-1, 20))
-    unproj = heat.build_projected_model(heat.HeatConfig(projection="identity"))
+    unproj = heat.HeatProjectedModel(heat.HeatConfig(projection="identity"))
     fit_full = fit_blowup(unproj, np.geomspace(1e-4, 1e-1, 20))
     elapsed = time.perf_counter() - t0
     ok = (-1.05 <= fit.slope <= -0.40) and fit_full.slope <= -1.2 and elapsed < 30.0
@@ -122,7 +122,7 @@ def test_criterion_3_scalar_oracles():
         worst_delay = max(
             worst_delay, abs(lambda_norm(model, t) - exact) / exact
         )
-    hmodel = heat.build_projected_model(
+    hmodel = heat.HeatProjectedModel(
         heat.HeatConfig(n_modes=64, projection="spectral", spectral_modes=(1,))
     )
     worst_heat = 0.0
@@ -393,7 +393,7 @@ def test_criterion_13_rank_and_inclusion_logic():
         neg_ok = False
     except InclusionViolated:
         pass
-    slow = heat.build_projected_model(heat.HeatConfig(projection="slow"))
+    slow = heat.HeatProjectedModel(heat.HeatConfig(projection="slow"))
     fit = fit_blowup(slow, np.geomspace(1e-4, 1e-1, 20))
     neg_ok &= not 0.0 < fit.gamma < 1.0
     ok = agree == 20 and neg_ok

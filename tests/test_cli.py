@@ -531,6 +531,12 @@ GROWING = {"cost.controls": {"points": [[-60.0], [60.0]], "ell1": [0.0, 0.0]},
            "solver.gamma": 0.52}
 
 
+def huge_controls(size):
+    """Controls -size, 0, +size on the benchmark's delay workload."""
+    return {"cost.controls": {"points": [[-size], [0.0], [size]],
+                              "ell1": [0.05, 0.0, 0.05]}}
+
+
 class TestFailureProtocol:
     """A failing command writes the files of what it computed, then exits
     with its code and exactly one labelled stderr line, also under
@@ -564,6 +570,36 @@ class TestFailureProtocol:
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith(line)
         assert set(os.listdir(out)) == files
+
+    @pytest.mark.parametrize("size, stop, iterations, why", [
+        (1e80, "overflow", 3, "the next iterate overflowed"),
+        # the first iterate's distance from the start overflows
+        (1.7e308, "overflow", 0, "the next iterate overflowed"),
+        (1e60, "growth", 4, "the residual grew"),
+    ], ids=["overflow", "overflow-first", "growth"])
+    @pytest.mark.parametrize("command", ["solve", "simulate"])
+    def test_iterate_leaving_the_float_range(self, tmp_path, capsys, command,
+                                             size, stop, iterations, why):
+        # a sweep that overflows ends the solve on its last finite iterate:
+        # solve writes it with finite JSON, simulate writes nothing, and
+        # both exit 2 with one line that names the stop, no traceback and
+        # no numpy warning (RuntimeWarning is an error in this suite)
+        out = tmp_path / "out"
+        cfg = bench_config("delay.yaml", **huge_controls(size))
+        rc = main([command, "--config", write_config(tmp_path, cfg),
+                   "--out-dir", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.count("\n") == 1 and err.startswith("no contraction: ")
+        assert f"after {iterations} iterations ({why}" in err
+        assert set(os.listdir(out)) == (SOLVE_FILES if command == "solve" else set())
+        if command == "solve":
+            text = (out / "solve_meta.json").read_text()
+            assert "Infinity" not in text and "NaN" not in text
+            meta = json.loads(text)
+            assert (meta["status"], meta["diagnostics"]["stop"]) == ("no_contraction", stop)
+            assert meta["iterations"] == iterations
+            assert (meta["residual"] is None) == (iterations == 0)
 
     def test_dominance_names_every_failing_policy(self, tmp_path, capsys, monkeypatch):
         # every policy is simulated and reported, then the one error names

@@ -39,6 +39,11 @@ def make_cost(ham, phi, c=0.1):
     return CostSpec(ell0=costs.constant_ell0(c), ham=ham, phi=phi)
 
 
+def constant(index, time_steps=20):
+    """The open-loop policy that holds control ``index`` on every step."""
+    return Policy.open_loop(np.full(time_steps, index), name="constant")
+
+
 # ---------------------------------------------------------------------------
 # reference greedy simulation: one map_coordinates call per component and
 # time slice, samples-first arrays, noise increments each from its own
@@ -70,7 +75,7 @@ def reference_greedy(model, cost, sol, t0, x0, n_samples, time_steps, seed):
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
-    b_ints = _control_integrals(model, T, steps)
+    b_ints = _control_integrals(model, t0, T, time_steps)
     u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
     draws = rng.standard_normal((n_samples, time_steps, model.proj_dim))
@@ -101,7 +106,7 @@ def reference_open_loop(model, cost, idx, t0, x0, n_samples, time_steps, seed):
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
-    b_ints = _control_integrals(model, T, steps)
+    b_ints = _control_integrals(model, t0, T, time_steps)
     u_grid, ell1 = cost.ham.control_points, cost.ham.running_cost
     mean = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
     run_cost = 0.0
@@ -210,23 +215,20 @@ class TestSimulateCost:
     def test_all_costs_equal_for_trivial_problem(self, delay_model):
         ham = Hamiltonian(np.zeros((1, 1)), np.zeros(1))
         cost = make_cost(ham, costs.constant_cost(2.5), c=0.0)
-        res = simulate_cost(delay_model, cost, Policy.constant(0), 0.0, X0,
+        res = simulate_cost(delay_model, cost, constant(0), 0.0, X0,
                             n_samples=500, seed=4)
         assert np.all(res.sample_costs == 2.5)
         assert res.std_error == 0.0
 
     def test_constant_control_linear_phi_mean(self, delay_model):
-        from pshjb.harness import _control_integrals
-
         ham = shipped_delay_ham()
         a = np.array([1.0, -0.7])
         phi = lambda y: y @ a
         cost = make_cost(ham, phi, c=0.0)
         idx = 3                                     # u = +0.5
-        res = simulate_cost(delay_model, cost, Policy.constant(idx), 0.0, X0,
+        res = simulate_cost(delay_model, cost, constant(idx), 0.0, X0,
                             n_samples=40_000, time_steps=20, seed=5)
-        steps = np.linspace(0.0, 1.0, 21)
-        b_ints = _control_integrals(delay_model, 1.0, steps)
+        b_ints = _control_integrals(delay_model, 0.0, 1.0, 20)
         mean_terminal = delay_model.proj_semigroup_apply(1.0, X0) + np.einsum(
             "jnk,k->n", b_ints, ham.control_points[idx]
         )
@@ -247,14 +249,14 @@ class TestSimulateCost:
     def test_empty_simulation_rejected(self, mini_delay_solution, delay_model, kw):
         sol = mini_delay_solution[0]
         cost = make_cost(shipped_delay_ham(), costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
-        for pol in (Policy.constant(0), Policy.greedy(sol)):
+        for pol in (constant(0), Policy.greedy(sol)):
             with pytest.raises(ValueError, match=">= 1"):
                 simulate_cost(delay_model, cost, pol, 0.0, X0, **kw)
 
     def test_ell0_enters_additively(self, delay_model):
         ham = shipped_delay_ham()
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
-        pol = Policy.constant(2)
+        pol = constant(2)
         res0 = simulate_cost(
             delay_model, make_cost(ham, phi, c=0.0), pol, 0.0, X0, 300, 20, seed=3
         )
@@ -272,7 +274,7 @@ class TestSimulateCost:
         assert np.isfinite(res.mean)
         # greedy can at most match the best constant policy up to noise
         best_const = min(
-            simulate_cost(delay_model, cost, Policy.constant(j), 0.0, X0,
+            simulate_cost(delay_model, cost, constant(j), 0.0, X0,
                           2000, 20, seed=7 + j).mean
             for j in range(cost.ham.control_points.shape[0])
         )
@@ -284,26 +286,28 @@ class TestControlIntegralTable:
 
     @pytest.fixture(autouse=True)
     def fresh_cache(self):
-        harness._step_control_integrals.cache_clear()
+        _control_integrals.cache_clear()
         yield
-        harness._step_control_integrals.cache_clear()
+        _control_integrals.cache_clear()
 
-    def test_built_once_per_round(self, delay_model, monkeypatch):
-        built = []
-
-        def counted(*args, **kwargs):
-            built.append((args[2][0], args[1]))      # (t0, horizon)
-            return _control_integrals(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "_control_integrals", counted)
+    def test_built_once_per_round(self, delay_model):
         cost = make_cost(shipped_delay_ham(), costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
         for idx in (0, 4):
-            simulate_cost(delay_model, cost, Policy.constant(idx), 0.0, X0,
-                          50, 20, seed=1)
-        assert built == [(0.0, 1.0)]
-        simulate_cost(delay_model, cost, Policy.constant(0), 0.0, X0, 50, 10,
-                      seed=1)
-        assert len(built) == 2
+            simulate_cost(delay_model, cost, constant(idx), 0.0, X0, 50, 20, seed=1)
+        assert _control_integrals.cache_info().misses == 1
+        simulate_cost(delay_model, cost, constant(0, 10), 0.0, X0, 50, 10, seed=1)
+        assert _control_integrals.cache_info().misses == 2
+
+    def test_dominance_round_builds_one_table(self, mini_delay_solution, delay_model):
+        # a round of random open-loop, constant and greedy policies reads
+        # one table from the cache on the function that builds it
+        sol, cost, _ = mini_delay_solution
+        policies = random_open_loop_policies(cost.ham, 10, 3, seed=2)
+        policies += [constant(0, 10), Policy.greedy(sol)]
+        value_dominance_check(delay_model, cost, sol, policies, 0.0, X0,
+                              n_samples=50, time_steps=10, seed=1)
+        info = _control_integrals.cache_info()
+        assert (info.misses, info.hits) == (1, len(policies) - 1)
 
     def test_table_equals_per_node_loop(self, delay_model):
         # one proj_control call per Gauss-Legendre piece gives the table of
@@ -320,10 +324,11 @@ class TestControlIntegralTable:
                 for xi, wi in zip(x, w):
                     acc += wi * half * delay_model.proj_control(mid + half * xi)
             want[j] = acc
-        assert np.array_equal(_control_integrals(delay_model, 1.0, steps), want)
+        assert np.array_equal(_control_integrals.__wrapped__(delay_model, 0.0, 1.0, 20),
+                              want)
 
     def test_table_is_read_only(self, delay_model):
-        table = harness._step_control_integrals(delay_model, 0.0, 1.0, 20)
+        table = _control_integrals(delay_model, 0.0, 1.0, 20)
         with pytest.raises(ValueError):
             table[0] = 0.0
 
@@ -338,8 +343,8 @@ class TestControlIntegralTable:
                                   seed=9).sample_costs for pol in policies]
 
         shared = round_costs()
-        monkeypatch.setattr(harness, "_step_control_integrals",
-                            harness._step_control_integrals.__wrapped__)
+        monkeypatch.setattr(harness, "_control_integrals",
+                            _control_integrals.__wrapped__)
         for a, b in zip(shared, round_costs()):
             assert np.array_equal(a, b)
 
@@ -421,7 +426,7 @@ class TestSampleBlocks:
     @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 5])
     def test_same_as_one_block(self, solved_case, monkeypatch, n):
         model, cost, sol, x0 = solved_case
-        policies = [Policy.constant(1), Policy.greedy(sol)]
+        policies = [constant(1, 10), Policy.greedy(sol)]
         policies += random_open_loop_policies(cost.ham, 10, 1, seed=2)
 
         def results():
@@ -488,7 +493,7 @@ class TestDominance:
         phi = costs.tanh_cost([1.0, 1.0], 0.0, 1.0)
         cost = make_cost(ham, phi)
         sol = picard_solve(delay_model, cost, SolverConfig(**MINI_CFG))
-        res = simulate_cost(delay_model, cost, Policy.constant(0), 0.0, X0,
+        res = simulate_cost(delay_model, cost, constant(0), 0.0, X0,
                             20_000, 20, seed=8)
         v = eval_value(sol, delay_model, 0.0, X0)
         # single admissible control: value equals the policy cost up to
@@ -548,11 +553,12 @@ class TestDominance:
         bad_iter = replace(sol.iterate, f_values=sol.iterate.f_values + 5.0)
         bad = replace(sol, iterate=bad_iter)
         report = value_dominance_check(
-            delay_model, cost, bad, [Policy.constant(2), Policy.constant(0)], 0.0, X0,
+            delay_model, cost, bad, [constant(2, 10), constant(0, 10)], 0.0, X0,
             n_samples=500, time_steps=10, seed=3,
         )
         entries = report["policies"]
-        assert [p["kind"] for p in entries] == ["constant", "constant"]
+        assert [p["kind"] for p in entries] == ["open_loop", "open_loop"]
+        assert [p["name"] for p in entries] == ["constant", "constant"]
         assert [p["ok"] for p in entries] == [False, False]
         assert all(report["value"] > p["mean"] + 3 * p["std_error"] for p in entries)
         assert all(p["samples"].shape == (500,) for p in entries)

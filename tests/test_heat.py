@@ -136,7 +136,7 @@ class TestProjectedModel:
     def test_noise_smoothing_exponent(self):
         # beta > 0 colors the noise: stationary variance lam^{-1-2 beta}
         beta = 0.5
-        m = heat.build_projected_model(heat.HeatConfig(beta=beta))
+        m = heat.HeatProjectedModel(heat.HeatConfig(beta=beta))
         v = heat.projection_matrix(m.cfg)
         lam = heat.eigenvalues(m.cfg.n_modes)
         target = (v * lam ** (-1.0 - 2.0 * beta)) @ v.T
@@ -145,8 +145,8 @@ class TestProjectedModel:
         assert 0.0 < fit.gamma < 1.0
 
     def test_truncation_stability(self):
-        m256 = heat.build_projected_model(heat.HeatConfig(n_modes=256))
-        m512 = heat.build_projected_model(heat.HeatConfig(n_modes=512))
+        m256 = heat.HeatProjectedModel(heat.HeatConfig(n_modes=256))
+        m512 = heat.HeatProjectedModel(heat.HeatConfig(n_modes=512))
         for t in (1e-3, 1e-1, 1.0):
             c1, c2 = m256.proj_cov(t), m512.proj_cov(t)
             assert np.abs(c1 - c2).max() / np.abs(c2).max() < 1e-6
@@ -171,7 +171,7 @@ class TestConfigAndDecay:
         for modes in [(9,), (0, 1), (), (1, 1), (2, 1, 2)]:
             with pytest.raises(ConfigError, match=r"spectral_modes must .* \[1, n_modes = 8\]"):
                 heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=modes)
-        m = heat.build_projected_model(
+        m = heat.HeatProjectedModel(
             heat.HeatConfig(n_modes=8, projection="spectral", spectral_modes=(3, 1)))
         assert m.proj_dim == 2
 
@@ -182,7 +182,7 @@ class TestConfigAndDecay:
         for n_proj in (0, 3):
             with pytest.raises(ConfigError, match=r"n_proj must lie in \[1, n_modes = 2\]"):
                 heat.HeatConfig(n_modes=2, n_proj=n_proj, projection=projection)
-        m = heat.build_projected_model(
+        m = heat.HeatProjectedModel(
             heat.HeatConfig(n_modes=2, n_proj=2, projection=projection))
         assert m.proj_dim == 2
 
@@ -192,7 +192,7 @@ class TestBlowup:
         assert -1.05 <= fit.slope <= -0.40
 
     def test_violating_config_exits_unit_interval(self):
-        m = heat.build_projected_model(heat.HeatConfig(projection="slow"))
+        m = heat.HeatProjectedModel(heat.HeatConfig(projection="slow"))
         # inclusion does not trip at finite truncation, so the documented
         # failure mode is the fitted exponent leaving (0, 1)
         for t in np.geomspace(1e-3, 0.5, 6):
@@ -201,6 +201,6 @@ class TestBlowup:
         assert not 0.0 < fit.gamma < 1.0
 
     def test_unprojected_diagnostic(self):
-        m = heat.build_projected_model(heat.HeatConfig(projection="identity"))
+        m = heat.HeatProjectedModel(heat.HeatConfig(projection="identity"))
         fit = fit_blowup(m, np.geomspace(1e-4, 1e-1, 12))
         assert fit.slope <= -1.2

@@ -563,7 +563,7 @@ class TestUpsilon:
 
     @pytest.mark.parametrize("name", ["heat", "delay"])
     def test_sweep_builds_no_windows(self, name, mini_ups, monkeypatch):
-        # every window view and coefficient is built at assembly: a sweep
+        # every window view and coefficient is built at assembly: an apply
         # only runs the prebuilt chunks
         ups = mini_ups[name]
         calls = {"window_view": 0, "window_coefficients": 0}
@@ -572,12 +572,12 @@ class TestUpsilon:
                 calls[fn] += 1
                 return orig(*args)
             monkeypatch.setattr(hjb, fn, counted)
-        ups.sweep(ups.initial_iterate(), 0)
+        ups.apply(ups.initial_iterate())
         assert calls == {"window_view": 0, "window_coefficients": 0}
 
     @pytest.mark.parametrize("name", ["heat", "delay", "trivial"])
     def test_sweep_takes_hinge_form(self, name, mini_ups, trivial_ups, monkeypatch):
-        # the shipped grids are radial: a sweep takes H_min in hinge form
+        # the shipped grids are radial: an apply takes H_min in hinge form
         # and calls no h_min_batch; a grid that is not radial (one all-zero
         # control) takes one h_min_batch call per s-node
         ups = trivial_ups if name == "trivial" else mini_ups[name]
@@ -585,7 +585,7 @@ class TestUpsilon:
         minimum = hjb.h_min_batch
         monkeypatch.setattr(hjb, "h_min_batch",
                             lambda *a, **k: calls.append(1) or minimum(*a, **k))
-        ups.sweep(ups.initial_iterate(), 0)
+        ups.apply(ups.initial_iterate())
         steps = sum(len(node.steps) for node in ups.nodes)
         assert len(calls) == (steps if name == "trivial" else 0)
 
@@ -638,10 +638,10 @@ class TestUpsilon:
     @pytest.mark.parametrize("name", ["heat", "delay"])
     @pytest.mark.parametrize("start", ["initial", "random"])
     def test_sweep_equals_successive_applies(self, name, start, mini_ups):
-        # node i reads gradient slices 0..i only; a chain of sweeps that
-        # carries the settled count copies the nodes below each count, and
-        # a count never falls; apply is the exact map, a sweep with
-        # nothing settled
+        # node i reads gradient slices 0..i only; a chain of applies that
+        # carries the settled count copies the nodes below each count, a
+        # count never falls, and the nodes from the count on are those of
+        # the exact map, apply with nothing settled
         ups = mini_ups[name]
         assert all(node.i0.max() <= i and node.i1.max() <= i
                    for i, node in enumerate(ups.nodes))
@@ -649,18 +649,17 @@ class TestUpsilon:
              else random_iterate(ups, np.random.default_rng(5)))
         chain, counts = [g], [0]
         for _ in range(9):
-            chain.append(ups.sweep(chain[-1], counts[-1]))
+            chain.append(ups.apply(chain[-1], counts[-1]))
             counts.append(settled_count(chain[-1], chain[-2]))
         for src, out, count in zip(chain, chain[1:], counts):
             assert np.array_equal(out.f_values[:count + 1], src.f_values[:count + 1])
             assert np.array_equal(out.fbar_values[:count], src.fbar_values[:count])
+            exact = ups.apply(src)
+            assert np.array_equal(out.f_values[count + 1:], exact.f_values[count + 1:])
+            assert np.array_equal(out.fbar_values[count:], exact.fbar_values[count:])
         assert counts == sorted(counts)
         if start == "initial":
             assert sum(counts[:-1]) > 0     # the chain copies settled nodes
-        for h in chain[-2:]:
-            a, b = ups.apply(h), ups.sweep(h, 0)
-            assert np.array_equal(a.f_values, b.f_values)
-            assert np.array_equal(a.fbar_values, b.fbar_values)
 
 
 class TestPicard:
@@ -722,19 +721,33 @@ class TestPicard:
         model = request.getfixturevalue(f"{name}_model")
         assert sol.diagnostics["copied_nodes"] > one_ulp
         ups = UpsilonOperator(model, cost, cfg, gamma=sol.gamma)
-        # the solve's count is the sum of the settled counts its sweeps
+        # the solve's count is the sum of the settled counts its applies
         # were given
         g = h = ups.initial_iterate()
         settled = copied = 0
         for _ in range(sol.iterations):
             g = ups.apply(g)
-            h_next = ups.sweep(h, settled)
+            h_next = ups.apply(h, settled)
             copied, settled, h = copied + settled, settled_count(h_next, h), h_next
         assert copied == sol.diagnostics["copied_nodes"]
         assert np.array_equal(h.f_values, sol.iterate.f_values)
         assert np.array_equal(h.fbar_values, sol.iterate.fbar_values)
         assert np.abs(g.f_values - sol.iterate.f_values).max() <= 1e-15
         assert np.abs(g.fbar_values - sol.iterate.fbar_values).max() <= 1e-15
+
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_solve_calls_apply_once_per_iteration(self, name, request, monkeypatch):
+        # each iterate of the solve is one UpsilonOperator.apply, the map
+        # the tests hold it to; counted on the class, as the benchmark's
+        # tracer counts it
+        _, cost, cfg = request.getfixturevalue(f"mini_{name}_solution")
+        model = request.getfixturevalue(f"{name}_model")
+        calls = []
+        apply = UpsilonOperator.apply
+        monkeypatch.setattr(UpsilonOperator, "apply",
+                            lambda self, *args: calls.append(1) or apply(self, *args))
+        sol = picard_solve(model, cost, cfg)
+        assert len(calls) == sol.iterations > 1
 
     @staticmethod
     def _settled_loop(g_next, g):
@@ -771,10 +784,10 @@ class TestPicard:
         g_next = replace(g, fbar_values=bumped.reshape(g.fbar_values.shape))
         assert settled_count(g_next, g) == self._settled_loop(g_next, g) == 6
         assert settled_count(g, g) == self._settled_loop(g, g) == n_t
-        # and along a chain of sweeps from the semigroup start
+        # and along a chain of applies from the semigroup start
         chain, settled = [ups.initial_iterate()], 0
         for _ in range(6):
-            chain.append(ups.sweep(chain[-1], settled))
+            chain.append(ups.apply(chain[-1], settled))
             settled = settled_count(chain[-1], chain[-2])
             assert settled == self._settled_loop(chain[-1], chain[-2])
         assert 0 < settled < n_t
@@ -811,13 +824,13 @@ class TestPicard:
         # the sup residual hovers near 3 and grows three times in a row at
         # step 29; no weaker norm is tried.  The solve stops at the same
         # step, with the same residuals and last iterate, as a loop of
-        # sweeps that carries the settled count, and computes no iterate
+        # applies that carries the settled count, and computes no iterate
         # past it.
         cost, cfg = self._three_control_setup(3.0)
         ups = UpsilonOperator(delay_model, cost, cfg, gamma=cfg.gamma)
         g, residuals, streak, settled = ups.initial_iterate(), [], 0, 0
         while streak < 3:
-            g_next = ups.sweep(g, settled)
+            g_next = ups.apply(g, settled)
             settled = settled_count(g_next, g)
             d = sup_distance(g_next, g)
             streak = streak + 1 if residuals and d > residuals[-1] else 0
@@ -825,10 +838,10 @@ class TestPicard:
             g = g_next
         assert len(residuals) == 29
         solving = []
-        sweep = UpsilonOperator.sweep
+        apply = UpsilonOperator.apply
         monkeypatch.setattr(
-            UpsilonOperator, "sweep",
-            lambda self, g, settled: solving.append(self) or sweep(self, g, settled))
+            UpsilonOperator, "apply",
+            lambda self, g, settled=0: solving.append(self) or apply(self, g, settled))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = picard_solve(delay_model, cost, cfg)

@@ -34,6 +34,11 @@ One failure protocol: only ``cli.py`` builds the errors of an outcome
 
 ``checks.py`` imports no model module (``heat``, ``delay``) and reads no
 ``.cfg`` attribute: an invariant reads the model through the contract.
+
+No public function or method of ``src/pshjb`` is a pure forward: a body
+that, docstring aside, returns one call of a function, method or class
+of ``src/pshjb`` with only its own parameters, ``self`` attributes and
+constants as arguments.
 """
 
 import ast
@@ -45,12 +50,10 @@ SRC = ROOT / "src" / "pshjb"
 CALLER_DIRS = ("src", "bench")
 
 # test oracles, kept without a library caller: the transition semigroup and
-# Cameron-Martin density by quadrature, and the exact Picard map, a sweep
-# with nothing settled, that the tests hold the solve's sweeps to
+# Cameron-Martin density by quadrature
 ALLOWED = {
     "semigroup_apply",
     "cameron_martin_density",
-    "UpsilonOperator.apply",
 }
 
 
@@ -341,3 +344,58 @@ def test_check_reads_the_model_contract():
         elif isinstance(n, ast.Attribute) and n.attr == "cfg":
             found.append(f"line {n.lineno}: {ast.unparse(n)}")
     assert found == [], "checks.py reads model internals: " + ", ".join(found)
+
+
+# forwards kept on purpose: bench/run.py's Checker calls proj_cov, the s = 0
+# pushforward covariance, on every model
+FORWARDS = {"ProjectedModel.proj_cov"}
+
+
+def pure_forward(fn, defined) -> bool:
+    """Whether ``fn``'s body, docstring aside, is one ``return`` of one call
+    of a name in ``defined`` whose arguments are parameters of ``fn``,
+    ``self`` attributes or constants."""
+    body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    if not isinstance(call, ast.Call):
+        return False
+    if getattr(call.func, "id", getattr(call.func, "attr", None)) not in defined:
+        return False
+    params = {a.arg for a in fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs}
+
+    def plain(arg):
+        arg = arg.value if isinstance(arg, ast.Starred) else arg
+        return (isinstance(arg, ast.Constant)
+                or isinstance(arg, ast.Name) and arg.id in params
+                or isinstance(arg, ast.Attribute) and isinstance(arg.value, ast.Name)
+                and arg.value.id == "self")
+
+    return all(plain(a) for a in call.args) and all(plain(k.value) for k in call.keywords)
+
+
+def test_no_public_pure_forward():
+    """A public routine that only passes its arguments on is a second name
+    for one operation: callers split between the two, and a tracer that
+    wraps one sees half the calls (the solve once reached the Picard map
+    through ``sweep`` while the tests and the benchmark read ``apply``).
+    A model's contract queries are the interface the solver reads, so
+    they may forward to the model's own routines."""
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    defined = {n.name for tree in trees.values() for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+    contract = {
+        f"{cls.name}.{query}" for tree in trees.values() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        and any(ast.unparse(b).split(".")[-1] == "ProjectedModel" for b in cls.bases)
+        for query in CONTRACT
+    }
+    found = {f"{name}.{qual}" if "." not in qual else qual
+             for name, tree in trees.items()
+             for qual, node in public_definitions(tree)
+             if isinstance(node, ast.FunctionDef) and qual not in contract
+             and pure_forward(node, defined)}
+    assert FORWARDS <= found, "stale allowlist entries: " + ", ".join(FORWARDS - found)
+    assert found - FORWARDS == set(), "public pure forwards: " + ", ".join(
+        sorted(found - FORWARDS))

@@ -32,20 +32,13 @@ passes the finite-difference oracle; see the norm-bound tests).
 
 The equation is a Volterra equation in time-to-go: Upsilon at time node i
 reads the gradient slices 0..i only.  Each Picard iterate is one
-:meth:`UpsilonOperator.apply`, a sweep over the time nodes.  At each
-s-node of the time quadrature, the interpolation of the gradient at mesh +
-each Gaussian offset is one BLAS gemm of stored Kronecker coefficients
-against the windows of the edge-padded gradient slice.  On a radial control grid H_min is a concave
-piecewise-linear function of r = max_k |p_k|,
-alpha - sum_h beta_h max(r, rho_h), so the step writes the hinge sum in
-three (heat) or four (delay) array passes, and the node's f and gradient
-quadrature sums of it are one gemm.  Everything of that step that does
-not depend on the iterate is built once: the window views, scratch and
-output slices of each s-node at assembly (:func:`window_chunks`), the
-hinge form of H_min with the Hamiltonian (:class:`Hamiltonian`).  A
-node whose input slices no longer change beyond four ulps is copied
-from the previous iterate instead of recomputed; the result stays
-within rounding of exact applies (:func:`settled_count`).
+:meth:`UpsilonOperator.apply`, a sweep over the time nodes, which copies
+the nodes whose inputs have settled (:func:`settled_count`).  Every read
+of an iterate between its nodes, in time and in space, at scattered points
+or at mesh + each Gaussian offset, takes the taps of one kernel,
+:func:`linear_taps`.  On a radial control grid H_min is a concave
+piecewise-linear function of r = max_k |p_k|, alpha - sum_h beta_h
+max(r, rho_h), built once with the Hamiltonian (:class:`Hamiltonian`).
 
 Residuals are measured in the sup norm (:func:`sup_distance`).  The paper
 proves contraction in the equivalent exp(-eta t)-weighted norm; a weight
@@ -440,8 +433,15 @@ def make_space_axes(model: ProjectedModel, cfg: SolverConfig,
     return tuple(ax.copy() for _ in range(model.proj_dim))
 
 
+def linear_taps(a):
+    """The interpolation kernel of every lookup in space and time, at the
+    fraction ``a`` (a number or an array) of a cell: its taps' node offsets
+    from the cell's first node, increasing, and their weights."""
+    return (0, 1), (1.0 - a, a)
+
+
 def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear interpolation at scattered points, clamped at the boundary.
+    """Interpolation by :func:`linear_taps` at scattered points, clamped at the box.
 
     ``values`` has shape (*lead, *grid_shape) and ``pts`` shape (N, B), one
     row per coordinate; the result has shape (*lead, B).  A point outside
@@ -456,7 +456,7 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     grid = values.shape[values.ndim - n_dim:]
     lead = values.shape[:values.ndim - n_dim]
     table = values.reshape((-1, int(np.prod(grid))))
-    base = 0                      # flat mesh index of each point's cell
+    base = 0                      # flat mesh index of each point's first tap
     corners = [(0, None)]         # (flat offset from base, weight) per corner
     stride = 1
     for d in reversed(range(n_dim)):
@@ -465,16 +465,19 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
         # ufuncs, not np.clip: its wrapper costs more than the work on a block
         np.minimum(np.maximum(c, 0.0, out=c), n - 1.0, out=c)
         i = np.minimum(c.astype(np.intp), n - 2)   # c >= 0: the cast floors
-        a = c - i
+        offsets, w = linear_taps(c - i)
+        i += offsets[0]
         base = base + i * stride
         corners = [
-            (off + o, w if wt is None else wt * w)
+            (off + (o - offsets[0]) * stride, wo if wt is None else wt * wo)
             for off, wt in corners
-            for o, w in ((0, 1.0 - a), (stride, a))
+            for o, wo in zip(offsets, w)
         ]
+        del w   # freed before the gather: kept alive, a block's 128 KiB weights slow it
         stride *= n
-    # base + offset stays inside the mesh (the n - 2 clamp), so mode="clip"
-    # never clips; unlike the default mode it lets take write into buf
+    # one base index for all taps: the linear taps stay inside the mesh
+    # (the n - 2 clamp), so mode="clip" never clips (a wider kernel's outer
+    # taps at an edge cell would); unlike the default it lets take fill buf
     out = np.empty((table.shape[0], pts.shape[1]))
     buf = np.empty(pts.shape[1])
     for row, field in zip(out, table):
@@ -504,27 +507,29 @@ def shift_stencil(axes, shifts: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarra
 
 def window_bounds(stencil) -> tuple[list, list]:
     """Per batch row s of :func:`shift_stencil` data of batch shape
-    (S, n_q), the origin lo = min_q k and the width max_q k - lo + 2 of the
-    row's window on each axis, as lists of ints: node j of shift (k, a)
-    reads nodes clip(j + k) and clip(j + k + 1), which lie in the window
-    at mesh + lo."""
-    lo = np.stack([k.min(axis=1) for k, _ in stencil], axis=1)
-    width = np.stack([k.max(axis=1) for k, _ in stencil], axis=1) - lo + 2
+    (S, n_q), the origin lo and the width of the row's window on each axis,
+    as lists of ints: node j of shift (k, a) reads nodes clip(j + k + o)
+    at the :func:`linear_taps` offsets o, so the window at mesh + lo spans
+    lo = min_q k + the first offset to max_q k + the last."""
+    first, *_, last = linear_taps(0.0)[0]
+    lo = np.stack([k.min(axis=1) for k, _ in stencil], axis=1) + first
+    width = np.stack([k.max(axis=1) for k, _ in stencil], axis=1) + last - lo + 1
     return lo.tolist(), width.tolist()
 
 
 def window_coefficients(stencil, lo, width) -> tuple[np.ndarray, ...]:
     """Per batch row s of :func:`window_bounds`, the (n_q, prod(width[s]))
     coefficients of its shifts: row q is the Kronecker product over the
-    axes, in C order of the window, of shift q's rows that hold 1 - a at
-    k - lo and a at k - lo + 1."""
+    axes, in C order of the window, of shift q's rows that hold the
+    :func:`linear_taps` weights at k - lo plus their offsets."""
     coef = []
     for s, (lo_s, width_s) in enumerate(zip(lo, width)):
         c = np.ones((stencil[0][0].shape[1], 1))
         for (k, a), o, w in zip(stencil, lo_s, width_s):
             row = np.zeros((k.shape[1], w))
             q, at = np.arange(k.shape[1]), k[s] - o
-            row[q, at], row[q, at + 1] = 1.0 - a[s], a[s]
+            for off, weight in zip(*linear_taps(a[s])):
+                row[q, at + off] = weight
             c = (c[:, :, None] * row[:, None, :]).reshape(k.shape[1], -1)
         coef.append(c)
     return tuple(coef)
@@ -619,16 +624,27 @@ def _check_grids(a, b):
             raise GridMismatch("space grids differ")
 
 
-def _time_bracket(t_axis: np.ndarray, s: float) -> tuple[int, int, float]:
-    """Bracketing indices and blend weight for linear time interpolation."""
-    if s <= t_axis[0]:
-        return 0, 0, 0.0
-    if s >= t_axis[-1]:
-        n = t_axis.size - 1
-        return n, n, 0.0
-    i = int(np.searchsorted(t_axis, s) - 1)
-    theta = (s - t_axis[i]) / (t_axis[i + 1] - t_axis[i])
-    return i, i + 1, float(theta)
+def time_taps(t_axis: np.ndarray, s) -> tuple:
+    """Interpolation at the times ``s`` (a number or an array) on the
+    increasing axis ``t_axis``: each :func:`linear_taps` tap's slice indices
+    and weights, of the shape of ``s``.  Times and indices are clamped to
+    the axis: the last cell serves its end, one node takes total weight 1."""
+    n = t_axis.size
+    s = np.minimum(np.maximum(s, t_axis[0]), t_axis[-1])
+    i = np.maximum(np.searchsorted(t_axis, s) - 1, 0)
+    h = t_axis[np.minimum(i + 1, n - 1)] - t_axis[i]    # 0 on a one-node axis
+    offsets, w = linear_taps(np.divide(s - t_axis[i], h, out=np.zeros(np.shape(s)), where=h > 0))
+    return tuple((np.minimum(np.maximum(i + o, 0), n - 1), wo) for o, wo in zip(offsets, w))
+
+
+def blend(taps, slices: np.ndarray, out=None) -> np.ndarray:
+    """sum_k w_k slices[i_k] over the (i_k, w_k) ``taps``, into ``out`` if
+    given: the first tap's product fills it and each next one is added."""
+    (i, w), *rest = taps
+    out = np.multiply(w, slices[i], out=out)
+    for i, w in rest:
+        out += w * slices[i]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +663,9 @@ class _Node(NamedTuple):
     t: float
     s_f: np.ndarray        # (P,) R_t[phi] plus ell0's integral
     s_grad: np.ndarray     # (P, m) control gradient of R_t[phi]
-    i0: np.ndarray         # (S,) bracketing gradient-slice indices
-    i1: np.ndarray
-    w0: np.ndarray         # (S, 1, ...) s^{-gamma} times the time-interpolation
-    w1: np.ndarray         # weights, shaped to broadcast over (S, m, *grid)
+    # per :func:`time_taps` tap: (S,) gradient-slice indices, all in 0..i,
+    # and s^{-gamma} times its weights, (S, 1, ...) to broadcast over (S, m, *grid)
+    taps: tuple
     # (S * n_q, 1 + m): time-quadrature times expectation weights, then the
     # same times the gradient weights
     weights: np.ndarray
@@ -668,36 +683,30 @@ class UpsilonOperator:
 
     Everything that does not depend on the iterate is assembled once, into
     one :class:`_Node` record per time node (``nodes``): semigroup terms,
-    quadrature brackets and weights, window coefficients and the views of
+    time taps and quadrature weights, window coefficients and the views of
     each s-node's step.  A node then only blends, interpolates, evaluates
     the Hamiltonian's hinge sum and sums.
 
     The nodes rely on three facts: the space grid is a uniform tensor
     grid, each Gaussian quadrature offset is one constant shift for every
     mesh point, and interpolation clamps at the box edge.  The values at
-    mesh + offset of one s-node's n_q offsets are then one product: their
-    (n_q, prod(width)) Kronecker coefficients times the windows, spanning
-    all the offsets' nodes, of the gradient slice edge-padded by ``pad``
-    cells per side, the largest |k| + 1 (:func:`shift_stencil`,
+    mesh + offset of one s-node's n_q offsets are then one BLAS gemm: their
+    (n_q, prod(width)) coefficients, Kronecker products of :func:`linear_taps`
+    rows, times the windows, spanning all the offsets' taps, of the
+    gradient slice edge-padded by ``pad`` cells per side, as far as the
+    windows reach past the mesh (:func:`shift_stencil`,
     :func:`window_bounds`, :func:`window_coefficients`, :func:`pad_edges`).
-    The assembly checks the working set with every node's windows
-    (:func:`_check_problem_size`) before it builds any coefficient.
 
-    ``_node`` computes one time node.  It blends the node's slices into one
-    padded (S, m, *(n + 2 pad)) array, s-node first, so that each s-node's
-    slab is contiguous and its :func:`window_view` a plain strided view.
+    ``_node`` computes one time node.  It blends the node's time taps
+    (:func:`blend`) into one padded (S, m, *(n + 2 pad)) array, s-node
+    first, so that each s-node's slab is contiguous and its
+    :func:`window_view` a plain strided view.
     Per s-node, :func:`interp_windows` gives the (m, n_q, P) interpolated
     gradients, whose hinge sums X / scale (:func:`hinge_batch`;
     :func:`h_min_batch` values on a grid that is not radial) go straight
     into that s-node's rows of one (S * n_q, P) array.  One gemm of that
     array against the node's (S * n_q, 1 + m) weights gives the f and
-    gradient sums; the node's ``offset`` adds alpha's share.  A node runs
-    on the views of its steps, built at assembly: it builds no view and
-    does no chunk arithmetic; it copies, multiplies and takes maxima.
-
-    ``apply`` runs the time nodes in order and copies those below the
-    settled count it is given (:func:`settled_count`); with nothing
-    settled it is the exact map.  The solve and the tests call it alike.
+    gradient sums; the node's ``offset`` adds alpha's share.
 
     Memory: the operator stores the window coefficients of every node
     (7.7 MB heat, 8.0 MB delay on the shipped 41-point grids) and the
@@ -729,13 +738,14 @@ class UpsilonOperator:
         t_pos, T = self.time_grid[1:], self.cost.horizon
         jacobi = gauss_jacobi(self.cfg.time_quad_order, self.gamma / (1.0 - self.gamma))
         ell0 = self.cost.ell0_integral(T - t_pos, T)
-        nodes, stencils, shares = zip(*(self._time_quadrature(t, t_pos, jacobi, e)
-                                        for t, e in zip(t_pos, ell0)))
+        nodes, stencils, shares = zip(*(self._time_quadrature(t_pos[:i + 1], jacobi, e)
+                                        for i, e in enumerate(ell0)))
         self.clamped_mass = max(shares)
-        # pad cells per side of the padded gradient slices (the largest
-        # |k| + 1); the working set with every window, before any coefficient
-        self.pad = max(1, *(int(max(-k.min(), k.max() + 1)) for st in stencils for k, _ in st))
+        # the pad of the gradient slices, as far as the windows reach past
+        # the mesh; the working set with every window, before any coefficient
         bounds = [window_bounds(st) for st in stencils]
+        self.pad = max(max(-o, o + w - 1) for lo, width in bounds
+                       for lo_s, width_s in zip(lo, width) for o, w in zip(lo_s, width_s))
         sizes = np.concatenate([np.prod(width, axis=1) for _, width in bounds])
         n_s, n_q = 2 * self.cfg.time_quad_order, self.rule.nodes.shape[0]
         m, pad, shape, npts = self.model.control_dim, self.pad, self.space_shape, self.mesh.shape[0]
@@ -763,13 +773,14 @@ class UpsilonOperator:
             for node, st, (lo, width) in zip(nodes, stencils, bounds)
         ]
 
-    def _time_quadrature(self, t: float, t_pos: np.ndarray, jacobi, ell0: float) -> tuple:
-        """Iterate-independent data of the time node t of ``t_pos``, and
-        ``ell0``, ell0's integral up to it: the node's semigroup terms and
-        the convolution's two-sided Gauss-Jacobi quadrature of int_0^t . ds
-        (see the module doc); ``jacobi`` holds the nodes and weights for
-        (1 + x)^p on [-1, 1].  Returns the :class:`_Node` without steps,
-        the :func:`shift_stencil` of its quadrature offsets and their
+    def _time_quadrature(self, t_axis: np.ndarray, jacobi, ell0: float) -> tuple:
+        """Iterate-independent data of the time node t = ``t_axis[-1]``, of
+        ``t_axis`` the positive nodes whose gradient slices it reads, and
+        ``ell0``, ell0's integral up to t: its semigroup terms and the
+        convolution's two-sided Gauss-Jacobi quadrature of int_0^t . ds (see
+        the module doc); ``jacobi`` holds the nodes and weights for
+        (1 + x)^p on [-1, 1].  Returns the :class:`_Node` without steps, the
+        :func:`shift_stencil` of its quadrature offsets and their
         :func:`clamped_share`.
 
         The semigroup term is the s = 0 member of the node's stencil: one
@@ -777,7 +788,7 @@ class UpsilonOperator:
         covariances, one :func:`psd_roots` call decomposes them, and the
         image-inclusion check (:func:`smoothing_matrix`) reads the same
         decomposition."""
-        gamma, gauss = self.gamma, self.rule.nodes
+        gamma, gauss, t = self.gamma, self.rule.nodes, t_axis[-1]
         p = gamma / (1.0 - gamma)
         x, w = jacobi
         c = 0.5 ** (1.0 - gamma)                 # sigma value mapping to s = t/2
@@ -794,9 +805,7 @@ class UpsilonOperator:
 
         pts = (self.mesh[None, :, :] + offs[0][:, None, :]).reshape(-1, self.model.proj_dim)
         vals = self.cost.phi(pts).reshape(gauss.shape[0], -1)
-        i0, i1, theta = (np.array(v) for v in zip(*(_time_bracket(t_pos, s) for s in s_nodes)))
         s_pow = (s_nodes ** (-gamma)).reshape((-1,) + (1,) * (1 + len(self.space_axes)))
-        theta = theta.reshape(s_pow.shape)
         qw = np.outer(s_weights, self.rule.weights)
         stencil = shift_stencil(self.space_axes, np.stack(offs[1:]))
         weights = np.concatenate((qw[..., None], qw[..., None] * np.stack(gvecs[1:])),
@@ -804,7 +813,7 @@ class UpsilonOperator:
         node = _Node(
             t=t, s_f=self.rule.weights @ vals + ell0,
             s_grad=np.einsum("q,qp,qk->pk", self.rule.weights, vals, gvecs[0]),
-            i0=i0, i1=i1, w0=s_pow * (1.0 - theta), w1=s_pow * theta,
+            taps=tuple((i, s_pow * w.reshape(s_pow.shape)) for i, w in time_taps(t_axis, s_nodes)),
             weights=weights, offset=self.cost.ham.hinge.alpha * weights.sum(axis=0),
         )
         return node, stencil, clamped_share(stencil, qw.ravel(), self.space_shape)
@@ -852,11 +861,10 @@ class UpsilonOperator:
         from the gradient slices ``fbar`` (n_t, *grid, m); it reads slices
         0..i only."""
         node = self.nodes[i]
-        # interpolation is linear in the array: blend the two bracketing
-        # time slices (times s^{-gamma}) components first into the padded
-        # array, then interpolate per s-node
-        np.multiply(node.w0, np.moveaxis(fbar[node.i0], -1, 1), out=self._inner)
-        self._inner += node.w1 * np.moveaxis(fbar[node.i1], -1, 1)
+        # interpolation is linear in the array: blend the time slices (times
+        # s^{-gamma}) components first into the padded array, then
+        # interpolate per s-node
+        blend(node.taps, np.moveaxis(fbar, -1, 1), out=self._inner)
         pad_edges(self._padded, self.pad, len(self.space_shape))
         for coef, chunks, rows in node.steps:
             interp_windows(coef, chunks)
@@ -1008,27 +1016,18 @@ def check_in_box(axes, y: np.ndarray):
             )
 
 
-def _time_blend(values: np.ndarray, t_axis: np.ndarray, tau: float) -> np.ndarray:
-    """Slice of ``values`` (time along the first axis) linearly interpolated
-    at time ``tau`` on the grid; scattered interpolation is linear in the
-    values, so blending before it gives the same result."""
-    i0, i1, theta = _time_bracket(t_axis, tau)
-    if i1 != i0 and theta > 0:
-        return (1.0 - theta) * values[i0] + theta * values[i1]
-    return values[i0]
-
-
 def interp_f(iterate: ValueIterate, tau: float, pts: np.ndarray) -> np.ndarray:
     """Interpolate f at backward time tau over projected points ``pts``
-    of shape (N, B); returns shape (B,)."""
-    f = _time_blend(iterate.f_values, iterate.time_grid, tau)
+    of shape (N, B); returns shape (B,).  Interpolation is linear in the
+    values, so the time slices are blended before the space lookup."""
+    f = blend(time_taps(iterate.time_grid, tau), iterate.f_values)
     return interp_space(iterate.space_axes, f, pts)
 
 
 def interp_fbar(iterate: ValueIterate, tau: float, pts: np.ndarray) -> np.ndarray:
     """Interpolate the stored gradient representative at backward time tau
     over projected points ``pts`` of shape (N, B); returns shape (m, B)."""
-    fbar = _time_blend(iterate.fbar_values, iterate.time_grid[1:], tau)
+    fbar = blend(time_taps(iterate.time_grid[1:], tau), iterate.fbar_values)
     return interp_space(iterate.space_axes, np.moveaxis(fbar, -1, 0), pts)
 
 

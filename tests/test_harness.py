@@ -18,7 +18,6 @@ from pshjb.harness import (
 from pshjb.hjb import (
     Hamiltonian,
     SolverConfig,
-    _time_bracket,
     eval_value,
     h_min_batch,
     picard_solve,
@@ -51,12 +50,14 @@ def constant(index, time_steps=20):
 
 def per_slice_interp(axes, slices, t_axis, tau, pts):
     """Linear-in-time, multilinear-in-space interpolation of one field,
-    each bracketing slice separately; ``pts`` has shape (B, N)."""
-    i0, i1, theta = _time_bracket(t_axis, tau)
-    v0 = nearest_multilinear(axes, slices[i0], pts)
-    if i1 != i0 and theta > 0:
-        return (1.0 - theta) * v0 + theta * nearest_multilinear(axes, slices[i1], pts)
-    return v0
+    each bracketing slice separately; ``pts`` has shape (B, N).  A time
+    outside the axis takes the slice at its nearest end."""
+    if tau <= t_axis[0] or tau >= t_axis[-1]:
+        return nearest_multilinear(axes, slices[0 if tau <= t_axis[0] else -1], pts)
+    i = int(np.searchsorted(t_axis, tau)) - 1
+    theta = (tau - t_axis[i]) / (t_axis[i + 1] - t_axis[i])
+    return ((1.0 - theta) * nearest_multilinear(axes, slices[i], pts)
+            + theta * nearest_multilinear(axes, slices[i + 1], pts))
 
 
 def reference_fbar(iterate, tau, pts):

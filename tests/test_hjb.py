@@ -23,14 +23,17 @@ from pshjb.hjb import (
     eval_value,
     h_min_batch,
     hinge_batch,
+    interp_fbar,
     interp_space,
     interp_windows,
+    linear_taps,
     make_space_axes,
     pad_edges,
     picard_solve,
     settled_count,
     shift_stencil,
     sup_distance,
+    time_taps,
     window_bounds,
     window_chunks,
     window_coefficients,
@@ -278,6 +281,17 @@ class TestScatteredInterpolation:
         # a single field without a component axis
         ref = nearest_multilinear(axes, fields[0], pts)
         assert np.abs(interp_space(axes, fields[0], pts.T) - ref).max() <= 1e-13
+
+
+class TestTimeTaps:
+    def test_one_node_axis(self):
+        # fbar's time axis with n_time = 1: every time, below, on and beyond
+        # the node, reads slice 0 with total weight 1
+        s = np.array([0.0, 0.05, 0.1, 0.7, 2.0])
+        for times in (s, *s):
+            taps = time_taps(np.array([0.1]), times)
+            assert all(np.array_equal(i, np.zeros_like(i)) for i, _ in taps)
+            assert np.array_equal(sum(w for _, w in taps), np.ones(np.shape(times)))
 
 
 class TestShiftInterpolation:
@@ -643,8 +657,8 @@ class TestUpsilon:
         # count never falls, and the nodes from the count on are those of
         # the exact map, apply with nothing settled
         ups = mini_ups[name]
-        assert all(node.i0.max() <= i and node.i1.max() <= i
-                   for i, node in enumerate(ups.nodes))
+        assert all(0 <= idx.min() and idx.max() <= i
+                   for i, node in enumerate(ups.nodes) for idx, _ in node.taps)
         g = (ups.initial_iterate() if start == "initial"
              else random_iterate(ups, np.random.default_rng(5)))
         chain, counts = [g], [0]
@@ -661,6 +675,61 @@ class TestUpsilon:
         if start == "initial":
             assert sum(counts[:-1]) > 0     # the chain copies settled nodes
 
+    @pytest.mark.parametrize("name", ["heat", "delay"])
+    def test_kernel_has_one_source(self, name, mini_ups, monkeypatch):
+        # linear_taps with a zero-weight tap on either side computes the
+        # same numbers: the windows, the pad, the time taps and the
+        # scattered lookup all follow it, so none writes its own kernel
+        lin, bounds, calls = mini_ups[name], {}, []
+
+        def wide_taps(a):
+            calls.append(np.shape(a))
+            return (-1, 0, 1, 2), (0.0 * a, 1.0 - a, a, 0.0 * a)
+
+        def build(key):
+            bounds[key] = []
+            monkeypatch.setattr(hjb, "window_bounds",
+                                lambda st: bounds[key].append(window_bounds(st)) or bounds[key][-1])
+            return UpsilonOperator(lin.model, lin.cost, lin.cfg, lin.gamma)
+
+        ref = build("linear")
+        monkeypatch.setattr(hjb, "linear_taps", wide_taps)
+        wide = build("wide")
+        # read by window_bounds (offsets only), window_coefficients (the
+        # n_q shifts of a row) and time_taps (the S s-nodes)
+        n_s, n_q = 2 * ref.cfg.time_quad_order, ref.rule.nodes.shape[0]
+        assert set(calls) == {(), (n_q,), (n_s,)}
+        for (lo, width), (lo_w, width_w) in zip(bounds["linear"], bounds["wide"]):
+            assert np.array_equal(np.array(lo_w), np.array(lo) - 1)
+            assert np.array_equal(np.array(width_w), np.array(width) + 2)
+        assert wide.pad == ref.pad + 1
+        assert all(len(node.taps) == 4 and 0 <= idx.min() and idx.max() <= i
+                   for i, node in enumerate(wide.nodes) for idx, _ in node.taps)
+        g = random_iterate(ref, np.random.default_rng(8))
+        out, out_w = ref.apply(g), wide.apply(g)
+        assert np.abs(out_w.f_values - out.f_values).max() <= 1e-13
+        assert np.abs(out_w.fbar_values - out.fbar_values).max() <= 1e-13
+        # points in cells whose stand-in taps all lie in the mesh: at an
+        # edge cell the scattered lookup reads a wider kernel's outer taps
+        # at clipped flat indices, which only zero weights make harmless
+        axes = ref.space_axes
+        rng = np.random.default_rng(9)
+        pts = np.stack([rng.uniform(ax[1], ax[-2], 500) for ax in axes])
+        for tau in (0.0, 0.5 * ref.time_grid[1], ref.time_grid[5], 0.37, 1.0, 2.0):
+            calls.clear()
+            got = interp_fbar(out, tau, pts)
+            assert len(calls) == 1 + len(axes)      # time, then every axis
+            monkeypatch.setattr(hjb, "linear_taps", linear_taps)
+            assert np.abs(got - interp_fbar(out, tau, pts)).max() <= 1e-13
+            monkeypatch.setattr(hjb, "linear_taps", wide_taps)
+        # weight on every tap, affine values still reproduced: each tap is
+        # read at its own node
+        monkeypatch.setattr(hjb, "linear_taps", lambda a: (
+            (-1, 0, 1, 2), (0.25 + 0.0 * a, 0.75 - a, a - 0.25, 0.25 + 0.0 * a)))
+        slope = np.array([1.7, -0.9])
+        values = 0.3 + sum(c * g for c, g in zip(slope, np.meshgrid(*axes, indexing="ij")))
+        assert np.abs(interp_space(axes, values, pts) - 0.3 - slope @ pts).max() <= 1e-12
+
 
 class TestPicard:
     def test_trivial_converges_in_one_iteration(self, delay_model):
@@ -670,6 +739,17 @@ class TestPicard:
                            SolverConfig(**MINI_CFG))
         assert sol.iterations == 1
         assert sol.residual <= 1e-12
+
+    @pytest.mark.parametrize("name, stop, iterations",
+                             [("heat", "max_iter", 30), ("delay", "growth", 12)])
+    def test_one_time_node(self, name, stop, iterations, mini_ups):
+        # n_time = 1: every s-node and every time lookup reads the one
+        # gradient slice (a lookup that divided by the width of a missing
+        # cell would overflow at once); neither solve converges on so
+        # coarse a grid, heat runs to max_iter and delay's residual grows
+        ups = mini_ups[name]
+        sol = picard_solve(ups.model, ups.cost, replace(ups.cfg, n_time=1))
+        assert (sol.diagnostics["stop"], sol.iterations) == (stop, iterations)
 
     def test_mini_solve_converges_geometrically(self, mini_delay_solution):
         sol, *_ = mini_delay_solution

@@ -56,7 +56,7 @@ def _write_csv(path: str, header: list[str], times, mesh, values) -> None:
     (n_t, P, k) entries; row (i, p) is times[i], mesh[p], values[i, p], in
     time-major order.  A table without mesh columns passes a (1, 0) mesh.
     The time and mesh columns are formatted once and each time slice's
-    values with one ``%``; the bytes are those of one FLOAT_FMT per value.
+    values on their own with one ``%``; the bytes are one FLOAT_FMT per value.
     """
     times, mesh = (np.asarray(a, dtype=float) for a in (times, mesh))
     cols = len(header) - 1 - mesh.shape[1]
@@ -68,9 +68,9 @@ def _write_csv(path: str, header: list[str], times, mesh, values) -> None:
     body = [lead % tuple(y) + tail for y in mesh.tolist()]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for t, vals in zip(times.tolist(), values.tolist()):
+        for t, vals in zip(times.tolist(), values):
             start = FLOAT_FMT % t + ","
-            fh.write(start + ("\n" + start).join(body) % tuple(vals) + "\n")
+            fh.write(start + ("\n" + start).join(body) % tuple(vals.tolist()) + "\n")
 
 
 def _write_json(path: str, obj) -> None:

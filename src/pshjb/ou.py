@@ -67,7 +67,7 @@ class ProjectedModel:
     def pushforward_cov(self, s, t) -> np.ndarray:
         raise NotImplementedError
 
-    def proj_cov(self, t: float) -> np.ndarray:
+    def proj_cov(self, t) -> np.ndarray:
         return self.pushforward_cov(0.0, t)
 
 

@@ -9,9 +9,10 @@ Lambda(t) as its N x m matrix (:func:`lambda_operator`; its norm is
 of one eigendecomposition of the covariance (:func:`spectral.psd_roots`),
 after checking that the control columns lie in that image within
 INCLUSION_TOL (:func:`smoothing_matrix`, which the solver's assembly calls
-too), and fits the blow-up exponent from a log-log regression.  The Picard
-assembly applies the matrix as the Cameron-Martin weight of the
-control-directional gradient of R_t (:mod:`pshjb.hjb`).
+too), and fits the blow-up exponent from a log-log regression; each takes
+a time or an array of times, as the model queries do.  The Picard assembly
+applies the matrix as the Cameron-Martin weight of the control-directional
+gradient of R_t (:mod:`pshjb.hjb`).
 """
 
 from __future__ import annotations
@@ -27,51 +28,53 @@ from .spectral import psd_roots
 INCLUSION_TOL = 1e-6
 
 
-def _outside(projector: np.ndarray, columns) -> float:
-    """Relative residual of ``columns`` outside the image of ``projector``."""
+def _outside(projector: np.ndarray, columns) -> np.ndarray:
+    """Relative residual of ``columns`` outside the image of ``projector``,
+    one per matrix (norms over the last two axes); zero columns give 0."""
     columns = np.asarray(columns, dtype=float)
-    denom = np.linalg.norm(columns)
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(columns - projector @ columns) / denom)
+    denom = np.linalg.norm(columns, axis=(-2, -1))
+    res = np.linalg.norm(columns - projector @ columns, axis=(-2, -1))
+    return res / np.where(denom == 0.0, 1.0, denom)
 
 
-def inclusion_residual(cov, columns) -> float:
-    """Relative residual of ``columns`` outside the numerical image of ``cov``."""
+def inclusion_residual(cov, columns) -> np.ndarray:
+    """Relative residual of ``columns`` outside the numerical image of
+    ``cov``, one per matrix of stacks of both."""
     return _outside(psd_roots(cov)[2], columns)
 
 
-def smoothing_matrix(t: float, pinv_root: np.ndarray, projector: np.ndarray,
+def smoothing_matrix(t, pinv_root: np.ndarray, projector: np.ndarray,
                      ctrl: np.ndarray) -> np.ndarray:
-    """Matrix of Lambda(t) from the pseudo-inverse root and image projector
-    of proj_cov(t) (:func:`psd_roots`) and ``ctrl = proj_control(t)``, with
+    """Matrix of Lambda(t), or the (*t.shape, N, m) stack for an array of
+    times t, from the pseudo-inverse root and image projector of
+    proj_cov(t) (:func:`psd_roots`) and ``ctrl = proj_control(t)``, with
     the image-inclusion check.
 
-    Raises :class:`InclusionViolated` when the control columns leave the
-    image of the covariance square root beyond INCLUSION_TOL: for such a
-    model the operator is simply not well defined, and failing loudly is the
-    point of the check.
+    Raises :class:`InclusionViolated` at the first time, in the order
+    given, whose control columns leave the image of the covariance square
+    root beyond INCLUSION_TOL: for such a model the operator is simply not
+    well defined, and failing loudly is the point of the check.
     """
-    res = _outside(projector, ctrl)
-    if res > INCLUSION_TOL:
-        raise InclusionViolated(
-            f"image-inclusion residual {res:.3e} > {INCLUSION_TOL:g} at t={t:g}"
-        )
+    res = np.ravel(_outside(projector, ctrl))
+    if (res > INCLUSION_TOL).any():
+        j = np.argmax(res > INCLUSION_TOL)
+        raise InclusionViolated(f"image-inclusion residual {res[j]:.3e} > "
+                                f"{INCLUSION_TOL:g} at t={np.ravel(t)[j]:g}")
     return pinv_root @ ctrl
 
 
-def lambda_operator(model: ProjectedModel, t: float) -> np.ndarray:
-    """N x m matrix of the smoothing operator Lambda(t)
-    (:func:`smoothing_matrix`)."""
-    if not t > 0.0:
+def lambda_operator(model: ProjectedModel, t) -> np.ndarray:
+    """Matrix of the smoothing operator Lambda(t) (:func:`smoothing_matrix`)
+    from one ``proj_cov``, one ``proj_control`` and one :func:`psd_roots`."""
+    if not np.all(np.asarray(t) > 0.0):
         raise ValueError("need t > 0")
     _, pinv_root, projector = psd_roots(model.proj_cov(t))
     return smoothing_matrix(t, pinv_root, projector, model.proj_control(t))
 
 
-def lambda_norm(model: ProjectedModel, t: float) -> float:
+def lambda_norm(model: ProjectedModel, t):
     """Operator norm of Lambda(t): the largest singular value of its matrix."""
-    return float(np.linalg.norm(lambda_operator(model, t), 2))
+    return np.linalg.norm(lambda_operator(model, t), 2, axis=(-2, -1))
 
 
 @dataclass(frozen=True)
@@ -116,7 +119,7 @@ def fit_blowup(model: ProjectedModel, t_grid) -> BlowupFit:
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if t_grid.size < 10:
         raise ValueError("need at least 10 grid points for a blow-up fit")
-    norms = np.array([lambda_norm(model, t) for t in t_grid])
+    norms = lambda_norm(model, t_grid)
 
     keep = np.ones(t_grid.size, dtype=bool)
     keep[-(t_grid.size // 10):] = False          # the grid is sorted

@@ -156,6 +156,22 @@ class TestSolve:
         assert path.read_bytes() == want.encode()
         assert len(want.splitlines()) == 1 + n_t * n_ax**n_dim
 
+    def test_write_csv_memory_is_one_slice(self, tmp_path):
+        # values become Python floats one time slice at a time: the peak
+        # of a 20-slice table stays that of a 2-slice one
+        import tracemalloc
+
+        mesh = np.linspace(-1.0, 1.0, 4000)[:, None]
+        peaks = []
+        for n_t in (2, 20):
+            values = np.random.default_rng(n_t).standard_normal((n_t, len(mesh), 1))
+            times = np.linspace(0.0, 1.0, n_t)
+            tracemalloc.start()
+            _write_csv(str(tmp_path / f"{n_t}.csv"), ["t", "x", "v"], times, mesh, values)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
     def test_bad_gamma_rejected(self, tmp_path):
         cfg = small_delay_config(**{"solver.gamma": 1.5})
         path = write_config(tmp_path, cfg)
@@ -836,6 +852,26 @@ class TestCheck:
         run = load_config(os.path.join(SHIPPED, "delay.yaml"))
         run.model.control_discontinuities = ()
         assert run_invariant_suite(run)["failing"] == ["lambda_norm_continuity"]
+
+    @pytest.mark.parametrize("horizon, lag, ok", [
+        (5.0, 2.0, False),      # the jump at t = 2 lies inside the horizon
+        (0.1, 0.3, True),       # the jump at t = 0.3 lies past it
+    ], ids=["jump-inside", "jump-past"])
+    def test_continuity_grid_scales_with_horizon(self, tmp_path, horizon, lag, ok):
+        # the shipped delay model with its atom moved to -lag and no
+        # excluded window: the probe grid runs from 1e-3 T to T / 2
+        from pshjb.checks import run_invariant_suite
+        from pshjb.config import load_config
+
+        with open(os.path.join(SHIPPED, "delay.yaml")) as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["cost"]["horizon"] = horizon
+        cfg["model"]["delay"]["delay"] = lag
+        cfg["model"]["delay"]["atoms"][0]["location"] = -lag
+        run = load_config(write_config(tmp_path, cfg))
+        run.model.control_discontinuities = ()
+        report = run_invariant_suite(run)["invariants"]
+        assert {inv["name"]: inv["ok"] for inv in report}["lambda_norm_continuity"] is ok
 
     def test_passes_on_defaults(self, tmp_path):
         cfg = small_delay_config()

@@ -1,14 +1,24 @@
+import os
+
 import numpy as np
 import pytest
 
-from pshjb import costs, delay, heat
+from pshjb import checks, costs, delay, heat
+from pshjb.config import load_config
 from pshjb.errors import InclusionViolated, SmoothingViolated
 from pshjb.ou import semigroup_apply
-from pshjb.smoothing import fit_blowup, inclusion_residual, lambda_norm, lambda_operator
+from pshjb.smoothing import (
+    blowup_grid,
+    fit_blowup,
+    inclusion_residual,
+    lambda_norm,
+    lambda_operator,
+)
 from pshjb.spectral import build_quadrature
 
 from conftest import c_gradient_norm_bound_check, c_gradient_semigroup, scalar_delay_config
 
+SHIPPED = os.path.join(os.path.dirname(__file__), "..", "configs")
 RULE12_1 = build_quadrature(1, 12)
 RULE12_2 = build_quadrature(2, 12)
 
@@ -53,6 +63,40 @@ class TestLambdaOperator:
 
         with pytest.raises(InclusionViolated):
             lambda_operator(Stub(), 0.5)
+
+        class StackStub(Stub):
+            # covariance diag(t, 0) with image span(e1); the control column
+            # is e1 before t = 0.4 and e2 from then on
+            def proj_cov(self, t):
+                return np.multiply.outer(np.asarray(t), np.diag([1.0, 0.0]))
+
+            def proj_control(self, t):
+                late = np.asarray(t)[..., None, None] >= 0.4
+                return np.where(late, [[0.0], [1.0]], [[1.0], [0.0]])
+
+        assert lambda_operator(StackStub(), np.array([0.1, 0.2])).shape == (2, 2, 1)
+        for times, first in (([0.1, 0.5, 0.2, 0.7], "0.5"), ([0.7, 0.1, 0.5], "0.7")):
+            with pytest.raises(InclusionViolated, match=f"at t={first}$"):
+                lambda_operator(StackStub(), np.array(times))
+
+    @pytest.mark.parametrize(
+        "name", ["heat_model", "heat_spectral12", "slow", "delay_model", "delay_scalar"])
+    def test_stack_equals_single_calls(self, request, name):
+        # one stacked query for an array of times gives, bit for bit, the
+        # operators, norms and residuals of the calls with each t alone
+        model = (heat.HeatProjectedModel(heat.HeatConfig(projection="slow"))
+                 if name == "slow" else request.getfixturevalue(name))
+        times = np.geomspace(1e-4, 1.0, 24).reshape(2, 12)
+        ops = lambda_operator(model, times)
+        assert ops.shape == (2, 12, model.proj_dim, model.control_dim)
+        norms = lambda_norm(model, times)
+        res = inclusion_residual(model.proj_cov(times), model.proj_control(times))
+        for at in np.ndindex(times.shape):
+            t = times[at]
+            assert np.array_equal(ops[at], lambda_operator(model, t))
+            assert norms[at] == lambda_norm(model, t)
+            assert res[at] == inclusion_residual(model.proj_cov(t), model.proj_control(t))
+        assert isinstance(lambda_norm(model, 0.3), np.floating)
 
     def test_inclusion_residual_on_models(self, heat_model, delay_model):
         for model in (heat_model, delay_model):
@@ -127,6 +171,51 @@ class TestNormBound:
                     model, phi, sup_phi, t, 0.1 * np.ones(model.proj_dim), rule_for(model)
                 )
                 assert ok, f"t={t}: lhs={lhs} rhs={rhs}"
+
+
+def count_queries(monkeypatch, model):
+    """Record (query, shape of its time argument) for each stacked or
+    single ``pushforward_cov`` and ``proj_control`` call of ``model``."""
+    calls = []
+    for name in ("pushforward_cov", "proj_control"):
+        def counted(*args, _name=name, _query=getattr(model, name)):
+            calls.append((_name, np.shape(args[-1])))
+            return _query(*args)
+        monkeypatch.setattr(model, name, counted)
+    return calls
+
+
+class TestOneQueryPerGrid:
+    """Each probe grid of Lambda(t) asks the model once, with its times
+    as one array."""
+
+    @pytest.mark.parametrize("config", ["heat.yaml", "delay.yaml"])
+    def test_fit_and_check_grids(self, monkeypatch, config):
+        run = load_config(os.path.join(SHIPPED, config))
+        calls = count_queries(monkeypatch, run.model)
+        fit_blowup(run.model, blowup_grid(run.cost.horizon))
+        assert calls == [("pushforward_cov", (20,)), ("proj_control", (20,))]
+        calls.clear()
+        assert checks._check_inclusion(run)[0]
+        assert calls == [("pushforward_cov", (8,)), ("proj_control", (8,))]
+        calls.clear()
+        assert checks._check_lambda_norm_continuity(run)[0]
+        # the grid, then one scalar query per bisection midpoint
+        assert calls[:2] == [("pushforward_cov", (40,)), ("proj_control", (40,))]
+        assert all(shape == () for _, shape in calls[2:])
+
+    def test_rank_deficient_delay_build(self, monkeypatch):
+        calls = []
+        for name in ("gramian", "proj_control_delay"):
+            def counted(cfg, t, _name=name, _query=getattr(delay, name)):
+                calls.append((_name, np.shape(t)))
+                return _query(cfg, t)
+            monkeypatch.setattr(delay, name, counted)
+        cfg = delay.DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
+                                sigma=[[1.0], [0.0]], delay=0.1)
+        assert delay.kalman_rank(cfg) == 1
+        delay.build_projected_model(cfg)
+        assert calls == [("gramian", (5,)), ("proj_control_delay", (5,))]
 
 
 class TestBlowupFit:

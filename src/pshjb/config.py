@@ -154,7 +154,7 @@ def _delay_start(model: ProjectedModel, present: np.ndarray | None = None) -> np
     return present
 
 
-def _build_model(section) -> tuple[ProjectedModel, np.ndarray]:
+def _build_model(section, horizon: float) -> tuple[ProjectedModel, np.ndarray]:
     kind = _require(_mapping(section, "model"), "kind", "model")
     if kind not in ("heat", "delay"):
         raise ConfigError(f"unknown model kind {kind!r}")
@@ -168,7 +168,7 @@ def _build_model(section) -> tuple[ProjectedModel, np.ndarray]:
             {"modes": _modes_start, "smooth": _smooth_start}, x0, f"{where}.x0",
             default="modes", n_modes=cfg.n_modes)
     x0 = spec.pop("x0", {})
-    model = build_delay(_read(DelayConfig, spec, where))
+    model = build_delay(_read(DelayConfig, spec, where), horizon)
     return model, _read(_delay_start, x0, f"{where}.x0", model=model)
 
 
@@ -215,6 +215,17 @@ def _build_cost(section, model: ProjectedModel) -> CostSpec:
     return _read(CostSpec, section, "cost", ell0=ell0, ham=ham, phi=phi)
 
 
+def _horizon(section) -> float:
+    """The horizon of the cost section, read before the model: a
+    rank-deficient delay build probes image inclusion up to it.  The checks
+    and messages are those of :class:`CostSpec`, which reads it again."""
+    value = _mapping(section, "cost").get("horizon", CostSpec.horizon)
+    horizon = _convert(float, value, "cost.horizon")
+    if not horizon > 0:
+        raise ConfigError(f"cost: horizon must be finite and > 0, got {horizon}")
+    return horizon
+
+
 def _simulate(horizon: float, t0: float = 0.0, n_samples: int = 10_000,
               time_steps: int = 20, n_random_policies: int = 10) -> dict:
     """The settings of the ``simulate`` section, as :class:`RunConfig` fields."""
@@ -246,8 +257,9 @@ def load_config(path: str, seed_override: int | None = None) -> RunConfig:
         seed = _convert(int, raw.get("seed", 0), "seed")
     if seed < 0:        # numpy's generators take no negative seed
         raise ConfigError(f"seed must be >= 0, got {seed}")
-    model, x0 = _build_model(_require(raw, "model", "config"))
-    cost = _build_cost(_require(raw, "cost", "config"), model)
+    cost_section = _require(raw, "cost", "config")
+    model, x0 = _build_model(_require(raw, "model", "config"), _horizon(cost_section))
+    cost = _build_cost(cost_section, model)
     solver = _read(SolverConfig, raw.get("solver", {}), "solver")
     sim = _read(_simulate, raw.get("simulate", {}), "simulate", horizon=cost.horizon)
     return RunConfig(model=model, cost=cost, solver=solver, x0=x0, seed=seed, **sim)

@@ -222,16 +222,17 @@ class DelayProjectedModel(ProjectedModel):
         return e @ gramian(self.cfg, t - s) @ np.swapaxes(e, -1, -2)
 
 
-def build_projected_model(cfg: DelayConfig) -> DelayProjectedModel:
-    """Build the projected model after the controllability precondition:
-    full Kalman rank or, failing that, a control response inside the
-    covariance image within ``INCLUSION_TOL`` (:func:`inclusion_residual`,
-    the solver's rule) at the probe times 1e-3, 1e-2, 0.1, 0.5 and 1, from
-    one stacked :func:`gramian` and one :func:`proj_control_delay` call;
-    otherwise :class:`RankDeficient`."""
+def build_projected_model(cfg: DelayConfig, horizon: float) -> DelayProjectedModel:
+    """Build the projected model for problems on [0, ``horizon``] after the
+    controllability precondition: full Kalman rank or, failing that, a
+    control response inside the covariance image within ``INCLUSION_TOL``
+    (:func:`inclusion_residual`, the solver's rule) at the probe times
+    horizon times 1e-3, 1e-2, 0.1, 0.5 and 1, from one stacked
+    :func:`gramian` and one :func:`proj_control_delay` call; otherwise
+    :class:`RankDeficient`."""
     rank = kalman_rank(cfg)
     if rank < cfg.n:
-        t = np.array([1e-3, 1e-2, 1e-1, 0.5, 1.0])
+        t = horizon * np.array([1e-3, 1e-2, 1e-1, 0.5, 1.0])
         worst = inclusion_residual(gramian(cfg, t), proj_control_delay(cfg, t)).max()
         if worst > INCLUSION_TOL:
             raise RankDeficient(

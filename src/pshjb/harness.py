@@ -22,13 +22,27 @@ remain valid).
 
 Both branches read the steps' control integrals from one table per
 (model, t0, horizon, time_steps), cached on the function that builds it,
-and run in blocks of at most _SIM_BLOCK samples, drawn in turn from one
+and run in the blocks of :func:`_spans`: _SIM_BLOCK samples each, a
+one-sample tail joining the block before it, drawn in turn from one
 generator.  The generator yields the same stream whether rows are drawn in
-one call or in consecutive ones, and every step is elementwise per sample,
-so the costs equal those of one whole-population pass bit for bit.
-Each block's terminal states are priced by the terminal cost and dropped,
-so memory is a few blocks' worth, whatever the number of samples: only the
-(n_samples,) costs are a whole-population array.
+one call or in consecutive ones, no product is taken on one sample (numpy
+multiplies a one-sample slab by another path, whose last bits differ)
+unless n_samples is 1, and every step is elementwise per sample, so the
+costs equal those of one whole-population pass bit for bit.  Each block's
+terminal states are priced by the terminal cost and dropped, so memory is
+a few blocks' worth, whatever the number of samples: only the (n_samples,)
+costs are a whole-population array.
+
+A greedy block's noise does not depend on its states, so a helper thread
+draws it one block ahead (:func:`_step_noise_ahead`): while the calling
+thread walks the steps of block k, the helper draws block k + 1, forms
+its step increments and writes them into the other of two noise buffers
+that the call allocates once.  The helper of a block is joined before the
+next one starts, and the last before the call returns or raises; it
+touches only numpy, the generator and those buffers.  The costs are those
+of a serial pass, bit for bit.  Open-loop blocks draw in the calling
+thread: there the noise is most of a block's work, and a helper measured
+slower.
 
 The greedy loop keeps its arrays components first: the state is (N, B)
 and the gradient (m, B) for B samples, so the scattered interpolation, the
@@ -38,6 +52,7 @@ step's control response is an (N, n_u) table gathered by the argmin index.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -53,7 +68,11 @@ from .spectral import psd_roots
 # N = m = 2) in a core's L2 while all its steps run.  Greedy heat policy
 # at 200 000 samples and 20 steps, on 2 MiB-L2 cores: 0.44 s with blocks of
 # 16 384 to 65 536, 0.50 s with 8 192 (per-call overhead), 0.64 s in one
-# whole-population pass.
+# whole-population pass.  The greedy noise helper draws a sixteenth of a
+# block at a time (1 024 samples: 330 KB of draws at 20 steps and N = 2,
+# which stay in cache until they are multiplied) into one of two
+# block-sized noise buffers (5.2 MB each there): the block being walked and
+# the next.
 _SIM_BLOCK = 16_384
 
 
@@ -141,6 +160,64 @@ def _control_integrals(
     return out
 
 
+def _spans(n: int, size: int) -> list[tuple[int, int]]:
+    """(start, stop) of the consecutive spans that cover range(n): spans of
+    ``size`` items, the last one of 2 to size + 1 (a one-item tail joins
+    the span before it), or one span of one item when n is 1.  numpy
+    multiplies a one-sample slab by another path, whose last bits differ,
+    so no product is taken on one sample unless there is only one."""
+    starts = list(range(0, n, size))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        del starts[-1]
+    return list(zip(starts, starts[1:] + [n]))
+
+
+def _step_noise_ahead(rng, roots: np.ndarray, n_samples: int, walk) -> None:
+    """Call ``walk(lo, b, noise)`` on the blocks of :func:`_spans` of
+    _SIM_BLOCK samples in order, where ``noise[j]`` holds the (N, b) step-j
+    increments roots[j] @ draws of samples lo..lo + b - 1, while a helper
+    thread forms the next block's increments in the other of two buffers.
+
+    The helper draws each block's (b, steps, N) standard normals in stream
+    order, a sixteenth of a block at a time, and multiplies each chunk's
+    slabs of all steps into the buffer in one stacked matmul; it calls
+    nothing of this package.  An exception in the helper is raised in the
+    caller, and the helper has ended whenever this returns or raises.
+    """
+    steps, n_dim = roots.shape[:2]
+    noise = np.empty((2, steps, n_dim, _SIM_BLOCK + 1))
+    rows = _SIM_BLOCK // 16
+    draws = np.empty((rows + 1, steps, n_dim))
+    blocks = _spans(n_samples, _SIM_BLOCK)
+    failed = []
+
+    def fill(out, lo, hi):
+        try:
+            for r0, r1 in _spans(hi - lo, rows):
+                chunk = draws[:r1 - r0]
+                rng.standard_normal(out=chunk)
+                np.matmul(roots, chunk.transpose(1, 2, 0), out=out[:, :, r0:r1])
+        except BaseException as exc:        # raised again in the caller
+            failed.append(exc)
+
+    def start(k):
+        thread = threading.Thread(target=fill, args=(noise[k % 2], *blocks[k]))
+        thread.start()
+        return thread
+
+    helper = start(0)
+    try:
+        for k, (lo, hi) in enumerate(blocks):
+            helper.join()
+            if failed:
+                raise failed[0]
+            if k + 1 < len(blocks):
+                helper = start(k + 1)
+            walk(lo, hi - lo, noise[k % 2])
+    finally:
+        helper.join()
+
+
 def simulate_cost(
     model: ProjectedModel,
     cost: CostSpec,
@@ -174,11 +251,10 @@ def simulate_cost(
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
         root_t = psd_roots(model.proj_cov(T - t0))[0].T
         c0 = ell0_int + float(ell1[idx].sum() * dt)
-        for lo in range(0, n_samples, _SIM_BLOCK):
-            b = min(_SIM_BLOCK, n_samples - lo)
-            z = rng.standard_normal((b, model.proj_dim)) @ root_t
+        for lo, hi in _spans(n_samples, _SIM_BLOCK):
+            z = rng.standard_normal((hi - lo, model.proj_dim)) @ root_t
             z += mean_terminal
-            costs[lo:lo + b] = c0 + cost.phi(z)
+            costs[lo:hi] = c0 + cost.phi(z)
         return SimulationResult.from_costs(costs)
 
     if policy.kind != "greedy":
@@ -193,9 +269,8 @@ def simulate_cost(
     roots = psd_roots(model.pushforward_cov(to_go[1:], to_go[:-1]))[0]
     response = b_ints @ u_grid.T            # (steps, N, n_u) control responses
     t_min = sol.iterate.time_grid[1]
-    for lo in range(0, n_samples, _SIM_BLOCK):
-        b = min(_SIM_BLOCK, n_samples - lo)
-        draws = rng.standard_normal((b, time_steps, model.proj_dim))
+
+    def walk(lo, b, noise):
         blk_cost = np.zeros(b)
         z = np.repeat(z_det[:, None], b, axis=1)
         for j in range(time_steps):
@@ -208,8 +283,10 @@ def simulate_cost(
             _, idx = h_min_batch(cost.ham, p, argmin=True)
             blk_cost += ell1[idx] * dt
             z += response[j].take(idx, axis=1)
-            z += roots[j] @ draws[:, j].T
+            z += noise[j, :, :b]
         costs[lo:lo + b] = ell0_int + blk_cost + cost.phi(z.T)   # z = P X(T)
+
+    _step_noise_ahead(rng, roots, n_samples, walk)
     return SimulationResult.from_costs(costs)
 
 

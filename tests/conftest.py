@@ -43,12 +43,12 @@ def scalar_delay_config(c=0.5, d=0.2):
 
 @pytest.fixture(scope="session")
 def delay_model():
-    return delay.build_projected_model(shipped_delay_config())
+    return delay.build_projected_model(shipped_delay_config(), horizon=1.0)
 
 
 @pytest.fixture(scope="session")
 def delay_scalar():
-    return delay.build_projected_model(scalar_delay_config())
+    return delay.build_projected_model(scalar_delay_config(), horizon=1.0)
 
 
 def shipped_delay_ham():

@@ -71,7 +71,7 @@ def heat_problem():
 
 @pytest.fixture(scope="module")
 def delay_problem():
-    model = delay.build_projected_model(shipped_delay_config())
+    model = delay.build_projected_model(shipped_delay_config(), horizon=1.0)
     cost = CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
                     costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
     cfg = SolverConfig(tol=1e-4, max_iter=30, n_time=40, space_points=41)
@@ -115,7 +115,7 @@ def test_criterion_2_heat_blowup(heat_problem):
 
 def test_criterion_3_scalar_oracles():
     c, d = 0.5, 0.2
-    model = delay.build_projected_model(scalar_delay_config(c=c, d=d))
+    model = delay.build_projected_model(scalar_delay_config(c=c, d=d), horizon=1.0)
     worst_delay = 0.0
     for t in np.linspace(0.02, 1.0, 50):
         exact = (1.0 + c * (t >= d)) / np.sqrt(t)
@@ -372,7 +372,8 @@ def test_criterion_13_rank_and_inclusion_logic():
     try:
         delay.build_projected_model(
             DelayConfig(a0=np.zeros((2, 2)), b0=[[0.0], [1.0]],
-                        sigma=[[1.0], [0.0]], delay=0.1)
+                        sigma=[[1.0], [0.0]], delay=0.1),
+            horizon=1.0,
         )
         neg_ok = False
     except RankDeficient:

@@ -906,6 +906,26 @@ class TestCheck:
                 assert err.startswith("smoothing hypothesis violated: ")
                 assert err.count("\n") == 1 and os.listdir(out) == []
 
+    def test_rank_deficient_delay_probed_up_to_the_horizon(self, tmp_path, capsys):
+        # Kalman rank 1 and a control response in span(e1) until the atom at
+        # -2 adds e2 at t = 2: inside a horizon of 1, outside one of 5, so
+        # the build refuses the model at load and no command writes a file
+        with open(os.path.join(SHIPPED, "delay.yaml")) as fh:
+            cfg = yaml.safe_load(fh)
+        cfg["solver"].update(BENCH_GRIDS)
+        cfg["cost"]["horizon"] = 5.0
+        cfg["model"]["delay"].update(
+            a0=[[0.0, 0.0], [0.0, 0.0]], sigma=[[1.0], [0.0]], b0=[[1.0], [0.0]],
+            delay=2.0, atoms=[{"location": -2.0, "weight": [[0.0], [1.0]]}])
+        path = write_config(tmp_path, cfg)
+        for cmd in ("check", "solve"):
+            out = tmp_path / cmd
+            rc = main([cmd, "--config", path, "--out-dir", str(out), "--quiet"])
+            err = capsys.readouterr().err
+            assert rc == 3, (cmd, err)
+            assert err.startswith("smoothing hypothesis violated: kalman rank 1 < n=2")
+            assert os.listdir(out) == []
+
 
 BENCH_GRIDS = {"n_time": 20, "space_points": 21, "quad_order": 5, "time_quad_order": 6}
 

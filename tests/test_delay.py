@@ -235,7 +235,7 @@ class TestStrongInclusion:
         # e^{tA} b0 = e1 for this nilpotent drift: outside Im(sigma) = span(e2)
         np.testing.assert_allclose(proj_control_delay(cfg, 0.1), [[1.0], [0.0]],
                                    atol=1e-14)
-        model = delay.build_projected_model(cfg)
+        model = delay.build_projected_model(cfg, horizon=1.0)
         fit = fit_blowup(model, np.geomspace(1e-4, 1e-1, 20))
         assert fit.slope < -0.6
 
@@ -245,13 +245,13 @@ class TestBuild:
         cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[0.0], [1.0]],
                           sigma=[[1.0], [0.0]], delay=0.1)
         with pytest.raises(RankDeficient):
-            delay.build_projected_model(cfg)
+            delay.build_projected_model(cfg, horizon=1.0)
 
     def test_rank_deficient_but_included_builds(self):
         # control response stays inside the controllability image
         cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
                           sigma=[[1.0], [0.0]], delay=0.1)
-        model = delay.build_projected_model(cfg)
+        model = delay.build_projected_model(cfg, horizon=1.0)
         assert model.proj_dim == 2
 
     def test_atom_leaving_the_image_raises(self):
@@ -262,7 +262,17 @@ class TestBuild:
                           atoms=[(-0.05, [[0.0], [1.0]])])
         assert kalman_rank(cfg) == 1
         with pytest.raises(RankDeficient):
-            delay.build_projected_model(cfg)
+            delay.build_projected_model(cfg, horizon=1.0)
+
+    def test_probe_times_scale_with_the_horizon(self):
+        # the atom at -2 activates at t = 2: past a horizon of 1, inside
+        # one of 5, where the probes at 0.5 T and T see it
+        cfg = DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
+                          sigma=[[1.0], [0.0]], delay=2.0,
+                          atoms=[(-2.0, [[0.0], [1.0]])])
+        assert delay.build_projected_model(cfg, horizon=1.0).proj_dim == 2
+        with pytest.raises(RankDeficient):
+            delay.build_projected_model(cfg, horizon=5.0)
 
 
 class TestProjectedModel:
@@ -371,7 +381,7 @@ class TestFullHistoryConsistency:
 class TestStiffDrift:
     def test_mini_solve_converges(self):
         cfg = replace(shipped_delay_config(), a0=[[-50.0, 0.1], [0.0, -0.2]])
-        model = delay.build_projected_model(cfg)
+        model = delay.build_projected_model(cfg, horizon=1.0)
         solver = hjb.SolverConfig(**MINI_CFG)
         cost = hjb.CostSpec(costs.constant_ell0(0.1), shipped_delay_ham(),
                             costs.tanh_cost([1.0, 1.0], 0.0, 1.0))

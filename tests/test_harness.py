@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
 
@@ -420,11 +423,14 @@ class TestGreedyNoiseBlocks:
 
 class TestSampleBlocks:
     """Blocks change no number: the generator's stream and every per-sample
-    step are the same in one block or many."""
+    step are the same in one block or many, and no product is taken on a
+    one-sample block (at 2 * BLOCK + 1 the last sample joins the block
+    before it)."""
 
     BLOCK = 64
 
-    @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 5])
+    @pytest.mark.parametrize("n", [1, BLOCK, 3 * BLOCK + 5, 2 * BLOCK + 1,
+                                   BLOCK - 1, BLOCK + 1])
     def test_same_as_one_block(self, solved_case, monkeypatch, n):
         model, cost, sol, x0 = solved_case
         policies = [constant(1, 10), Policy.greedy(sol)]
@@ -486,6 +492,108 @@ class TestSampleBlocks:
         pol = random_open_loop_policies(cost.ham, steps, 1, seed=1)[0]
         peak = self.traced_peak(delay_model, cost, pol, n, steps)
         assert peak < 8 * n + 4 * block_states
+
+
+class TestNoiseHelper:
+    """The greedy branch draws its noise one block ahead on a helper thread,
+    which has ended whenever simulate_cost returns or raises."""
+
+    BLOCK = 64
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(harness, "_SIM_BLOCK", self.BLOCK)
+
+    @staticmethod
+    def policies(cost, sol):
+        return [Policy.greedy(sol), constant(1, 10)]
+
+    def test_no_thread_outlives_a_call(self, solved_case):
+        model, cost, sol, x0 = solved_case
+        before = threading.active_count()
+        for pol in self.policies(cost, sol):
+            simulate_cost(model, cost, pol, 0.0, x0, 3 * self.BLOCK + 5, 10, seed=4)
+            assert threading.active_count() == before
+
+    @staticmethod
+    def stub_generator(monkeypatch, pause=0.0, fail_on=None):
+        """Make numpy's generators pause ``pause`` s in each standard_normal
+        call and raise MemoryError on call number ``fail_on``."""
+        default_rng = np.random.default_rng
+
+        class Stub:
+            def __init__(self, seed):
+                self.rng, self.calls = default_rng(seed), 0
+
+            def standard_normal(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == fail_on:
+                    raise MemoryError("draw failed")
+                time.sleep(pause)
+                return self.rng.standard_normal(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "default_rng", Stub)
+
+    def test_terminal_cost_error_on_block_2_of_3(self, solved_case, monkeypatch):
+        # slow draws keep the helper on block 3 while the caller's block 2
+        # raises; the call returns only once the helper has ended
+        model, cost, sol, x0 = solved_case
+        calls = []
+
+        def phi(y):
+            calls.append(len(y))
+            if len(calls) == 2:
+                raise FloatingPointError("phi failed")
+            return cost.phi(y)
+
+        self.stub_generator(monkeypatch, pause=0.005)
+        before = threading.active_count()
+        for pol in self.policies(cost, sol):
+            calls.clear()
+            with pytest.raises(FloatingPointError, match="phi failed"):
+                simulate_cost(model, replace(cost, phi=phi), pol, 0.0, x0,
+                              3 * self.BLOCK, 10, seed=4)
+            assert calls == [self.BLOCK, self.BLOCK]
+            assert threading.active_count() == before
+
+    def test_generator_error_reaches_the_caller(self, solved_case, monkeypatch):
+        # the second draw fails: in the helper for a greedy policy, in the
+        # caller for an open-loop one
+        model, cost, sol, x0 = solved_case
+        self.stub_generator(monkeypatch, fail_on=2)
+        before = threading.active_count()
+        for pol in self.policies(cost, sol):
+            with pytest.raises(MemoryError, match="draw failed"):
+                simulate_cost(model, cost, pol, 0.0, x0, 3 * self.BLOCK, 10, seed=4)
+            assert threading.active_count() == before
+
+    def test_concurrent_calls_share_nothing(self, solved_case):
+        # more callers than cores, each with its own helper, switching
+        # threads every microsecond: a buffer shared between calls would
+        # mix their noise, and every call must give its serial costs
+        model, cost, sol, x0 = solved_case
+        n, seeds = 3 * self.BLOCK + 5, range(6)
+        pol = Policy.greedy(sol)
+        serial = [simulate_cost(model, cost, pol, 0.0, x0, n, 10, seed=s).sample_costs
+                  for s in seeds]
+        got = {}
+
+        def call(s):
+            res = simulate_cost(model, cost, pol, 0.0, x0, n, 10, seed=s)
+            got[s] = res.sample_costs
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in seeds]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert all(np.array_equal(got[s], serial[s]) for s in seeds)
 
 
 class TestDominance:

@@ -46,7 +46,7 @@ class TestLambdaOperator:
         cfg = delay.DelayConfig(
             a0=[[0.0]], b0=[[0.0]], sigma=[[1.0]], delay=0.1
         )
-        model = delay.build_projected_model(cfg)
+        model = delay.build_projected_model(cfg, horizon=1.0)
         lam = lambda_operator(model, 0.3)
         assert lam.shape == (1, 1) and np.all(lam == 0.0)
 
@@ -214,7 +214,7 @@ class TestOneQueryPerGrid:
         cfg = delay.DelayConfig(a0=np.zeros((2, 2)), b0=[[1.0], [0.0]],
                                 sigma=[[1.0], [0.0]], delay=0.1)
         assert delay.kalman_rank(cfg) == 1
-        delay.build_projected_model(cfg)
+        delay.build_projected_model(cfg, horizon=1.0)
         assert calls == [("gramian", (5,)), ("proj_control_delay", (5,))]
 
 
@@ -236,7 +236,8 @@ class TestBlowupFit:
         # the atom at delay d switches on at t = d: the fit leaves out the
         # points within 10% of it, and a grid inside that window leaves no
         # point: the model is refused as unfittable, not as a bad argument
-        model = delay.build_projected_model(scalar_delay_config(c=2.0, d=0.01))
+        model = delay.build_projected_model(scalar_delay_config(c=2.0, d=0.01),
+                                            horizon=1.0)
         assert model.control_discontinuities == (0.01,)
         fit = fit_blowup(model, np.geomspace(1e-4, 1e-1, 30))
         assert np.isfinite(fit.slope)

@@ -440,6 +440,32 @@ def linear_taps(a):
     return (0, 1), (1.0 - a, a)
 
 
+def locate_cells(axes, pts: np.ndarray) -> tuple[np.ndarray, list]:
+    """The mesh cell of each scattered point, clamped at the box.
+
+    ``pts`` has shape (N, B), one row per coordinate.  Returns the flat
+    mesh index of each point's cell's first node (the node of least index
+    on every axis) and, per axis, the point's fraction of its cell, in
+    [0, 1].  A point outside the box lands on the nearest boundary face;
+    the last cell of an axis also serves its last node.  Needs at least two
+    nodes per axis.  :func:`interp_space` reads its taps from here, and so
+    does every caller that must agree with it on a point's cell.
+    """
+    base = 0
+    fracs = [None] * len(axes)
+    stride = 1
+    for d in reversed(range(len(axes))):
+        ax, n = axes[d], len(axes[d])
+        c = (pts[d] - ax[0]) / (ax[1] - ax[0])
+        # ufuncs, not np.clip: its wrapper costs more than the work on a block
+        np.minimum(np.maximum(c, 0.0, out=c), n - 1.0, out=c)
+        i = np.minimum(c.astype(np.intp), n - 2)   # c >= 0: the cast floors
+        fracs[d] = np.subtract(c, i, out=c)
+        base = base + i * stride
+        stride *= n
+    return base, fracs
+
+
 def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     """Interpolation by :func:`linear_taps` at scattered points, clamped at the box.
 
@@ -447,37 +473,35 @@ def interp_space(axes, values: np.ndarray, pts: np.ndarray) -> np.ndarray:
     row per coordinate; the result has shape (*lead, B).  A point outside
     the box takes the value at the nearest boundary point (as
     ``mode="nearest"`` of ``scipy.ndimage.map_coordinates``), which
-    preserves sup-norm bounds of the iterates.  Cell indices and corner
-    weights are computed once; every leading component is then gathered
-    from a (components, mesh) table with 1-D ``take``.  Needs at least two
-    nodes per axis.
+    preserves sup-norm bounds of the iterates.  Cells and fractions come
+    from :func:`locate_cells`, and corner weights are formed once; every
+    leading component is then gathered from a (components, mesh) table
+    with 1-D ``take``.  Needs at least two nodes per axis.
     """
     n_dim = len(axes)
     grid = values.shape[values.ndim - n_dim:]
     lead = values.shape[:values.ndim - n_dim]
     table = values.reshape((-1, int(np.prod(grid))))
-    base = 0                      # flat mesh index of each point's first tap
-    corners = [(0, None)]         # (flat offset from base, weight) per corner
+    base, fracs = locate_cells(axes, pts)
+    first = 0                     # flat offset of the first tap from base
+    corners = [(0, None)]         # (flat offset from the first tap, weight) per corner
     stride = 1
     for d in reversed(range(n_dim)):
-        ax, n = axes[d], grid[d]
-        c = (pts[d] - ax[0]) / (ax[1] - ax[0])
-        # ufuncs, not np.clip: its wrapper costs more than the work on a block
-        np.minimum(np.maximum(c, 0.0, out=c), n - 1.0, out=c)
-        i = np.minimum(c.astype(np.intp), n - 2)   # c >= 0: the cast floors
-        offsets, w = linear_taps(c - i)
-        i += offsets[0]
-        base = base + i * stride
+        offsets, w = linear_taps(fracs.pop())
+        first += offsets[0] * stride
         corners = [
             (off + (o - offsets[0]) * stride, wo if wt is None else wt * wo)
             for off, wt in corners
             for o, wo in zip(offsets, w)
         ]
         del w   # freed before the gather: kept alive, a block's 128 KiB weights slow it
-        stride *= n
+        stride *= grid[d]
+    if first:
+        base = base + first
     # one base index for all taps: the linear taps stay inside the mesh
-    # (the n - 2 clamp), so mode="clip" never clips (a wider kernel's outer
-    # taps at an edge cell would); unlike the default it lets take fill buf
+    # (the cells end one node before the last), so mode="clip" never clips
+    # (a wider kernel's outer taps at an edge cell would); unlike the
+    # default it lets take fill buf
     out = np.empty((table.shape[0], pts.shape[1]))
     buf = np.empty(pts.shape[1])
     for row, field in zip(out, table):

@@ -18,11 +18,17 @@ from pshjb.harness import (
     simulate_cost,
     value_dominance_check,
 )
+from pshjb.errors import DimensionMismatch
 from pshjb.hjb import (
+    HJBSolution,
     Hamiltonian,
     SolverConfig,
+    ValueIterate,
     eval_value,
     h_min_batch,
+    interp_fbar,
+    linear_taps,
+    locate_cells,
     picard_solve,
 )
 from conftest import (
@@ -31,6 +37,7 @@ from conftest import (
     nearest_multilinear,
     sample_block_gaussian,
     shipped_delay_ham,
+    shipped_heat_ham,
 )
 
 
@@ -594,6 +601,193 @@ class TestNoiseHelper:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in callers)
         assert all(np.array_equal(got[s], serial[s]) for s in seeds)
+
+
+# ---------------------------------------------------------------------------
+# greedy feedback from cell winner tables
+
+def exhaustive_controls(winners, sol, ham, tau, z):
+    """The greedy indices of the walk before the tables: the interpolated
+    gradient and the full argmin at every sample."""
+    p = interp_fbar(sol.iterate, tau, z)
+    p *= tau ** (-sol.gamma)
+    return h_min_batch(ham, p, argmin=True)[1]
+
+
+def exhaustive_greedy(model, cost, sol, x0, n, steps, seed):
+    """(n,) greedy costs of the walk that takes every sample's control from
+    :func:`exhaustive_controls`; noise, blocks and pricing as simulate_cost."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_greedy_controls", exhaustive_controls)
+        return simulate_cost(model, cost, Policy.greedy(sol), 0.0, x0, n, steps,
+                             seed=seed).sample_costs
+
+
+def synthetic_solution(axes, fbar, gamma=0.0):
+    """An HJBSolution on ``axes`` and a 6-node geometric time grid to 1,
+    whose gradient slice at time s is ``fbar(s, mesh)`` (mesh from
+    ``np.meshgrid(*axes, indexing="ij")``, slice shape (*grid, m))."""
+    t = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 6)))
+    t[-1] = 1.0
+    mesh = np.meshgrid(*axes, indexing="ij")
+    shape = tuple(a.size for a in axes)
+    it = ValueIterate(t, axes, np.zeros((t.size,) + shape),
+                      np.stack([fbar(s, mesh) for s in t[1:]]), gamma)
+    return HJBSolution(it, 0.0, [], 0, 0.0, gamma, phi=None)
+
+
+def scattered_points(axes, rng):
+    """(N, B) points inside the box, on its nodes and beyond it."""
+    lo = np.array([a[0] for a in axes])
+    hi = np.array([a[-1] for a in axes])
+    width = hi - lo
+    n_dim = len(axes)
+    return np.concatenate([
+        rng.uniform(lo, hi, (2000, n_dim)),                     # inside
+        np.stack([rng.choice(a, 300) for a in axes], axis=-1),  # on nodes
+        lo - width * rng.uniform(0.01, 1.0, (100, n_dim)),      # below
+        hi + width * rng.uniform(0.01, 1.0, (100, n_dim)),      # above
+        rng.uniform(lo - width, hi + width, (300, n_dim)),      # mixed
+    ]).T
+
+
+class TestGreedyInputs:
+    """A greedy policy whose solution does not match the model and cost is
+    refused before any draw."""
+
+    @pytest.fixture(autouse=True)
+    def no_draws(self, monkeypatch, mini_heat_solution, mini_delay_solution):
+        # the solutions are solved before generators are refused
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew from a generator")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+
+    def test_horizon(self, mini_heat_solution, heat_model):
+        sol, cost, _ = mini_heat_solution
+        with pytest.raises(DimensionMismatch, match="horizon"):
+            simulate_cost(heat_model, replace(cost, horizon=2.0), Policy.greedy(sol),
+                          0.0, HEAT_X0, 100, 20, seed=1)
+
+    def test_space_axes(self, mini_delay_solution, delay_scalar):
+        sol, cost, _ = mini_delay_solution
+        with pytest.raises(DimensionMismatch, match="space axes"):
+            simulate_cost(delay_scalar, cost, Policy.greedy(sol), 0.0, [0.3],
+                          100, 20, seed=1)
+
+    def test_control_dim(self, mini_heat_solution, mini_delay_solution, delay_model):
+        sol, _, _ = mini_heat_solution
+        _, cost, _ = mini_delay_solution
+        with pytest.raises(DimensionMismatch, match="components"):
+            simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0, 100, 20,
+                          seed=1)
+
+
+class TestCellWinners:
+    def test_linear_taps_are_convex(self):
+        a = np.concatenate(([0.0, 1.0], np.random.default_rng(5).uniform(0.0, 1.0, 10_000)))
+        offsets, w = linear_taps(a)
+        w = np.array(w)
+        why = ("the greedy policy's cell winner tables (harness._cell_winners) "
+               "take a cell's argmin from its corners, which holds only if the "
+               "interpolation taps are the cell's two nodes with nonnegative "
+               "weights that sum to 1; a kernel with negative weights, such as "
+               "the Keys cubic of ROADMAP items 2a and 11, voids the tables")
+        assert tuple(offsets) == (0, 1), why
+        assert (w >= 0.0).all() and np.abs(w.sum(axis=0) - 1.0).max() <= 2.0 ** -52, why
+
+    # controls 0 and 1 tie at every node with x_0 < 0.25, where control 2
+    # loses by 0.6 (beyond it control 2 wins by 6): their rows there are
+    # -0.3 and ell1 + 2 (-0.3), the same float at ell1 = 0.3 and one ulp
+    # apart at the float below it, where control 1 wins on the nodes.
+    # Inside those cells the interpolated -0.3 is off by an ulp either way,
+    # which decides the tie or reverses the one-ulp lead.
+    TIE_AXES = (np.linspace(-4.0, 4.0, 17),) * 2
+
+    @pytest.mark.parametrize("ell1, on_nodes", [(0.3, 0), (np.nextafter(0.3, 0.0), 1)])
+    def test_ties_and_near_ties(self, delay_model, ell1, on_nodes):
+        ham = Hamiltonian([[1.0], [2.0], [-1.0]], [0.0, ell1, 0.0])
+        sol = synthetic_solution(
+            self.TIE_AXES, lambda s, mesh: np.where(mesh[0] < 0.25, -0.3, 3.0)[..., None])
+        tau = sol.iterate.time_grid[3]          # on a time node: the slice itself
+        table = harness._cell_winners(sol, ham, tau).reshape(17, 17)
+        # cells with a corner in the tie region are in doubt, the others
+        # certain; the last node of an axis starts no cell
+        x = self.TIE_AXES[0]
+        want = np.where(x[:-1] < 0.25, -1, 2)
+        assert np.array_equal(table[:-1, :-1], np.repeat(want[:, None], 16, axis=1))
+        assert (table[-1] == -1).all() and (table[:, -1] == -1).all()
+        # on the nodes an exact tie goes to the lowest index
+        nodes = np.stack([g.ravel() for g in np.meshgrid(x[x < 0.25], x)])
+        idx = harness._greedy_controls(table.ravel(), sol, ham, tau, nodes)
+        assert (idx == on_nodes).all()
+        # inside the cells both controls win somewhere, as in the
+        # exhaustive walk
+        rng = np.random.default_rng(3)
+        pts = np.stack([rng.uniform(-4.0, 0.0, 5000), rng.uniform(-4.0, 4.0, 5000)])
+        idx = harness._greedy_controls(table.ravel(), sol, ham, tau, pts)
+        assert np.array_equal(idx, exhaustive_controls(None, sol, ham, tau, pts))
+        assert set(np.unique(idx)) == {0, 1}
+        cost = make_cost(ham, costs.tanh_cost([1.0, 1.0], 0.0, 1.0))
+        got = simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0, 5000, 20,
+                            seed=3).sample_costs
+        assert np.array_equal(got, exhaustive_greedy(delay_model, cost, sol, X0,
+                                                     5000, 20, seed=3))
+
+    @pytest.mark.parametrize("n_dim", [1, 3])
+    def test_other_dimensions(self, n_dim):
+        # the table walk's indices equal the exhaustive argmin at points
+        # inside, on nodes and beyond the box, at times below, on, between
+        # and beyond the time nodes
+        if n_dim == 1:
+            axes = (np.linspace(-1.0, 2.0, 13),)
+            ham = shipped_delay_ham()
+            fbar = lambda s, mesh: (0.2 * np.sin(2.0 * mesh[0] + s))[..., None]
+        else:
+            axes = (np.linspace(-1.0, 1.0, 7), np.linspace(-2.0, 1.0, 9),
+                    np.linspace(-0.5, 1.5, 6))
+            ham = shipped_heat_ham()
+            fbar = lambda s, m: np.stack([
+                0.15 * np.sin(m[0] + 0.5 * m[1] - m[2] + s),
+                0.15 * np.cos(m[1] - m[0] + 0.3 * m[2] - s)], axis=-1)
+        sol = synthetic_solution(axes, fbar, gamma=0.4)
+        pts = scattered_points(axes, np.random.default_rng(n_dim))
+        t = sol.iterate.time_grid
+        read = 0
+        for tau in (0.5 * t[1], t[3], 0.37, 1.0, 2.0):
+            table = harness._cell_winners(sol, ham, tau)
+            assert (table >= 0).any() and (table < 0).any()
+            idx = harness._greedy_controls(table, sol, ham, tau, pts)
+            assert np.array_equal(idx, exhaustive_controls(None, sol, ham, tau, pts))
+            read += (table.take(locate_cells(axes, pts)[0]) >= 0).mean()
+        assert read / 5 > 0.3               # the tables answer most points
+
+    @pytest.mark.parametrize("block", [16_384, 160, 64])
+    def test_costs_equal_the_exhaustive_walk(self, solved_case, monkeypatch, block):
+        model, cost, sol, x0 = solved_case
+        n = 2 * 16_384 + 1_000
+        ref = exhaustive_greedy(model, cost, sol, x0, n, 20, seed=5)
+        monkeypatch.setattr(harness, "_SIM_BLOCK", block)
+        got = simulate_cost(model, cost, Policy.greedy(sol), 0.0, x0, n, 20, seed=5)
+        assert np.array_equal(got.sample_costs, ref)
+
+    def test_few_samples_take_the_exact_path(self, mini_heat_solution, heat_model,
+                                             monkeypatch):
+        # a walk that sent every sample down interp_fbar would pass every
+        # bit test above: bound the points that reach it at 2 % of the
+        # sample-steps (about 0.2 % on this solution)
+        sol, cost, _ = mini_heat_solution
+        points = []
+
+        def counted(iterate, tau, pts):
+            points.append(pts.shape[1])
+            return interp_fbar(iterate, tau, pts)
+
+        monkeypatch.setattr(harness, "interp_fbar", counted)
+        n, steps = 20_000, 20
+        simulate_cost(heat_model, cost, Policy.greedy(sol), 0.0, HEAT_X0, n, steps,
+                      seed=7)
+        assert sum(points) <= 0.02 * n * steps
 
 
 class TestDominance:

@@ -33,16 +33,15 @@ terminal states are priced by the terminal cost and dropped, so memory is
 a few blocks' worth, whatever the number of samples: only the (n_samples,)
 costs are a whole-population array.
 
-A greedy block's noise does not depend on its states, so a helper thread
-draws it one block ahead (:func:`_step_noise_ahead`): while the calling
-thread walks the steps of block k, the helper draws block k + 1, forms
-its step increments and writes them into the other of two noise buffers
-that the call allocates once.  The helper of a block is joined before the
-next one starts, and the last before the call returns or raises; it
-touches only numpy, the generator and those buffers.  The costs are those
-of a serial pass, bit for bit.  Open-loop blocks draw in the calling
-thread: there the noise is most of a block's work, and a helper measured
-slower.
+A greedy block's noise does not depend on its states, so each call draws
+it one block ahead on one pooled worker thread: while the calling thread
+walks the steps of block k, the worker draws block k + 1, forms its step
+increments and writes them into the other of two noise buffers that the
+call allocates once.  The worker touches only numpy, the generator and
+those buffers; an error in it is raised in the caller, and it has ended
+whenever the call returns or raises.  The costs are those of a serial
+pass, bit for bit.  Open-loop blocks draw in the calling thread: there the
+noise is most of a block's work, and a worker measured slower.
 
 The greedy control is read from per-step cell winner tables
 (:func:`_cell_winners`), built once per call for each step's backward
@@ -70,7 +69,7 @@ control response is an (N, n_u) table gathered by the argmin index.
 from __future__ import annotations
 
 import itertools
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -96,7 +95,7 @@ from .spectral import psd_roots
 # N = m = 2) in a core's L2 while all its steps run.  Greedy heat policy
 # at 200 000 samples and 20 steps, on 2 MiB-L2 cores: 0.44 s with blocks of
 # 16 384 to 65 536, 0.50 s with 8 192 (per-call overhead), 0.64 s in one
-# whole-population pass.  The greedy noise helper draws a sixteenth of a
+# whole-population pass.  The greedy noise worker draws a sixteenth of a
 # block at a time (1 024 samples: 330 KB of draws at 20 steps and N = 2,
 # which stay in cache until they are multiplied) into one of two
 # block-sized noise buffers (5.2 MB each there): the block being walked and
@@ -200,70 +199,24 @@ def _spans(n: int, size: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [n]))
 
 
-def _step_noise_ahead(rng, roots: np.ndarray, n_samples: int, walk) -> None:
-    """Call ``walk(lo, b, noise)`` on the blocks of :func:`_spans` of
-    _SIM_BLOCK samples in order, where ``noise[j]`` holds the (N, b) step-j
-    increments roots[j] @ draws of samples lo..lo + b - 1, while a helper
-    thread forms the next block's increments in the other of two buffers.
-
-    The helper draws each block's (b, steps, N) standard normals in stream
-    order, a sixteenth of a block at a time, and multiplies each chunk's
-    slabs of all steps into the buffer in one stacked matmul; it calls
-    nothing of this package.  An exception in the helper is raised in the
-    caller, and the helper has ended whenever this returns or raises.
-    """
-    steps, n_dim = roots.shape[:2]
-    noise = np.empty((2, steps, n_dim, _SIM_BLOCK + 1))
-    rows = _SIM_BLOCK // 16
-    draws = np.empty((rows + 1, steps, n_dim))
-    blocks = _spans(n_samples, _SIM_BLOCK)
-    failed = []
-
-    def fill(out, lo, hi):
-        try:
-            for r0, r1 in _spans(hi - lo, rows):
-                chunk = draws[:r1 - r0]
-                rng.standard_normal(out=chunk)
-                np.matmul(roots, chunk.transpose(1, 2, 0), out=out[:, :, r0:r1])
-        except BaseException as exc:        # raised again in the caller
-            failed.append(exc)
-
-    def start(k):
-        thread = threading.Thread(target=fill, args=(noise[k % 2], *blocks[k]))
-        thread.start()
-        return thread
-
-    helper = start(0)
-    try:
-        for k, (lo, hi) in enumerate(blocks):
-            helper.join()
-            if failed:
-                raise failed[0]
-            if k + 1 < len(blocks):
-                helper = start(k + 1)
-            walk(lo, hi - lo, noise[k % 2])
-    finally:
-        helper.join()
-
-
 def _check_solution(sol: HJBSolution | None, model: ProjectedModel, cost: CostSpec) -> None:
-    """Raise :class:`DimensionMismatch` unless the greedy policy's solution
-    was solved on the horizon of ``cost``, the projected dimension of
-    ``model`` and the control dimension of ``cost``'s control grid."""
+    """Raise :class:`DimensionMismatch` unless ``sol`` was solved on the
+    horizon of ``cost``, the projected dimension of ``model`` and the
+    control dimension of ``cost``'s control grid."""
     if sol is None:
         raise ValueError("greedy policy needs an HJB solution")
     it = sol.iterate
     if it.horizon != cost.horizon:
         raise DimensionMismatch(
-            f"greedy policy: the solution's horizon {it.horizon:g} is not the "
+            f"the solution's horizon {it.horizon:g} is not the "
             f"cost's {cost.horizon:g}")
     if len(it.space_axes) != model.proj_dim:
         raise DimensionMismatch(
-            f"greedy policy: the solution has {len(it.space_axes)} space axes, "
+            f"the solution has {len(it.space_axes)} space axes, "
             f"the model's projection {model.proj_dim}")
     if it.control_dim != cost.ham.control_dim:
         raise DimensionMismatch(
-            f"greedy policy: the solution's gradient has {it.control_dim} "
+            f"the solution's gradient has {it.control_dim} "
             f"components, the cost's controls {cost.ham.control_dim}")
 
 
@@ -351,22 +304,26 @@ def simulate_cost(
         raise ValueError("need 0 <= t0 < horizon")
     if n_samples < 1 or time_steps < 1:
         raise ValueError("need n_samples >= 1 and time_steps >= 1")
+    u_grid, idx = cost.ham.control_points, policy.indices
     if policy.kind == "greedy":
         _check_solution(policy.solution, model, cost)
+    elif policy.kind != "open_loop":
+        raise ValueError(f"unknown policy kind {policy.kind!r}")
+    elif idx is None or idx.shape != (time_steps,):
+        raise DimensionMismatch("open-loop policy needs one index per step")
+    elif idx.min() < 0 or idx.max() >= len(u_grid):
+        raise DimensionMismatch(
+            f"open-loop policy: control indices must lie in [0, {len(u_grid)})")
     rng = np.random.default_rng(seed)
     steps = np.linspace(t0, T, time_steps + 1)
     dt = steps[1] - steps[0]
     ell0_int = cost.ell0_integral(t0, T)
     b_ints = _control_integrals(model, t0, T, time_steps)
-    u_grid = cost.ham.control_points
     ell1 = cost.ham.running_cost
     z_det = np.asarray(model.proj_semigroup_apply(T - t0, x0), dtype=float)
     costs = np.empty(n_samples)
 
     if policy.kind == "open_loop":
-        idx = policy.indices
-        if idx is None or idx.shape != (time_steps,):
-            raise DimensionMismatch("open-loop policy needs one index per step")
         mean_terminal = z_det + np.einsum("jnk,jk->n", b_ints, u_grid[idx])
         root_t = psd_roots(model.proj_cov(T - t0))[0].T
         c0 = ell0_int + float(ell1[idx].sum() * dt)
@@ -376,8 +333,6 @@ def simulate_cost(
             costs[lo:hi] = c0 + cost.phi(z)
         return SimulationResult.from_costs(costs)
 
-    if policy.kind != "greedy":
-        raise ValueError(f"unknown policy kind {policy.kind!r}")
     sol = policy.solution
 
     # Covariances of the steps' noise increments (see the module docstring):
@@ -391,17 +346,36 @@ def simulate_cost(
     taus = [max(tau, t_min) for tau in to_go[:-1]]
     winners = [_cell_winners(sol, cost.ham, tau) for tau in taus]
 
-    def walk(lo, b, noise):
-        blk_cost = np.zeros(b)
-        z = np.repeat(z_det[:, None], b, axis=1)
-        for j, tau in enumerate(taus):
-            idx = _greedy_controls(winners[j], sol, cost.ham, tau, z)
-            blk_cost += ell1[idx] * dt
-            z += response[j].take(idx, axis=1)
-            z += noise[j, :, :b]
-        costs[lo:lo + b] = ell0_int + blk_cost + cost.phi(z.T)   # z = P X(T)
+    # Each block's noise is filled one block ahead by the worker, in stream
+    # order a sixteenth of a block at a time, each chunk's slabs of all
+    # steps multiplied in one stacked matmul.
+    blocks = _spans(n_samples, _SIM_BLOCK)
+    noise = np.empty((2, time_steps, model.proj_dim, _SIM_BLOCK + 1))
+    rows = _SIM_BLOCK // 16
+    draws = np.empty((rows + 1, time_steps, model.proj_dim))
 
-    _step_noise_ahead(rng, roots, n_samples, walk)
+    def fill(k):
+        lo, hi = blocks[k]
+        for r0, r1 in _spans(hi - lo, rows):
+            chunk = draws[:r1 - r0]
+            rng.standard_normal(out=chunk)
+            np.matmul(roots, chunk.transpose(1, 2, 0), out=noise[k % 2, :, :, r0:r1])
+
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(fill, 0)
+        for k, (lo, hi) in enumerate(blocks):
+            ahead.result()
+            if k + 1 < len(blocks):
+                ahead = worker.submit(fill, k + 1)
+            b = hi - lo
+            blk_cost = np.zeros(b)
+            z = np.repeat(z_det[:, None], b, axis=1)
+            for j, tau in enumerate(taus):
+                idx = _greedy_controls(winners[j], sol, cost.ham, tau, z)
+                blk_cost += ell1[idx] * dt
+                z += response[j].take(idx, axis=1)
+                z += noise[k % 2, j, :, :b]
+            costs[lo:hi] = ell0_int + blk_cost + cost.phi(z.T)    # z = P X(T)
     return SimulationResult.from_costs(costs)
 
 
@@ -422,8 +396,10 @@ def value_dominance_check(
     failure is reported, not raised) and its per-sample costs as
     ``"samples"``.  The greedy suboptimality gap is reported as a
     diagnostic; optimality of the greedy feedback is not asserted (no
-    verification theorem backs it).
+    verification theorem backs it).  A solution that does not fit the
+    model and cost raises :class:`DimensionMismatch` before any simulation.
     """
+    _check_solution(sol, model, cost)
     value = eval_value(sol, model, t0, x0)
     report = {"value": value, "policies": [], "greedy_gap": None}
     for i, pol in enumerate(policies):

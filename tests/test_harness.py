@@ -502,8 +502,9 @@ class TestSampleBlocks:
 
 
 class TestNoiseHelper:
-    """The greedy branch draws its noise one block ahead on a helper thread,
-    which has ended whenever simulate_cost returns or raises."""
+    """The greedy branch draws its noise one block ahead on one pooled worker
+    thread per call, which has ended whenever simulate_cost returns or
+    raises."""
 
     BLOCK = 64
 
@@ -521,6 +522,22 @@ class TestNoiseHelper:
         for pol in self.policies(cost, sol):
             simulate_cost(model, cost, pol, 0.0, x0, 3 * self.BLOCK + 5, 10, seed=4)
             assert threading.active_count() == before
+
+    def test_one_thread_per_call(self, solved_case, monkeypatch):
+        # three greedy blocks share one worker; open-loop blocks start none
+        model, cost, sol, x0 = solved_case
+        started = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        for pol, threads in zip(self.policies(cost, sol), (1, 0)):
+            started.clear()
+            simulate_cost(model, cost, pol, 0.0, x0, 3 * self.BLOCK, 10, seed=4)
+            assert len(started) == threads
 
     @staticmethod
     def stub_generator(monkeypatch, pause=0.0, fail_on=None):
@@ -542,8 +559,8 @@ class TestNoiseHelper:
         monkeypatch.setattr(np.random, "default_rng", Stub)
 
     def test_terminal_cost_error_on_block_2_of_3(self, solved_case, monkeypatch):
-        # slow draws keep the helper on block 3 while the caller's block 2
-        # raises; the call returns only once the helper has ended
+        # slow draws keep the worker on block 3 while the caller's block 2
+        # raises; the call returns only once the worker has ended
         model, cost, sol, x0 = solved_case
         calls = []
 
@@ -564,7 +581,7 @@ class TestNoiseHelper:
             assert threading.active_count() == before
 
     def test_generator_error_reaches_the_caller(self, solved_case, monkeypatch):
-        # the second draw fails: in the helper for a greedy policy, in the
+        # the second draw fails: in the worker for a greedy policy, in the
         # caller for an open-loop one
         model, cost, sol, x0 = solved_case
         self.stub_generator(monkeypatch, fail_on=2)
@@ -575,7 +592,7 @@ class TestNoiseHelper:
             assert threading.active_count() == before
 
     def test_concurrent_calls_share_nothing(self, solved_case):
-        # more callers than cores, each with its own helper, switching
+        # more callers than cores, each with its own worker, switching
         # threads every microsecond: a buffer shared between calls would
         # mix their noise, and every call must give its serial costs
         model, cost, sol, x0 = solved_case
@@ -652,8 +669,9 @@ def scattered_points(axes, rng):
 
 
 class TestGreedyInputs:
-    """A greedy policy whose solution does not match the model and cost is
-    refused before any draw."""
+    """A solution that does not match the model and cost is refused before
+    any draw, by a greedy policy and by the dominance check; so is an
+    open-loop policy whose indices do not fit the steps and controls."""
 
     @pytest.fixture(autouse=True)
     def no_draws(self, monkeypatch, mini_heat_solution, mini_delay_solution):
@@ -680,6 +698,27 @@ class TestGreedyInputs:
         _, cost, _ = mini_delay_solution
         with pytest.raises(DimensionMismatch, match="components"):
             simulate_cost(delay_model, cost, Policy.greedy(sol), 0.0, X0, 100, 20,
+                          seed=1)
+
+    def test_dominance_check_without_greedy(self, mini_heat_solution, heat_model):
+        # open-loop policies alone would price a horizon-2 cost against the
+        # horizon-1 value
+        sol, cost, _ = mini_heat_solution
+        pols = [constant(0), constant(1)]
+        with pytest.raises(DimensionMismatch, match="horizon"):
+            value_dominance_check(heat_model, replace(cost, horizon=2.0), sol, pols,
+                                  0.0, HEAT_X0, n_samples=100, time_steps=20, seed=1)
+
+    @pytest.mark.parametrize("bad", ["-1", "n_u", "short"])
+    def test_open_loop_indices(self, mini_delay_solution, delay_model, bad):
+        # -1 would wrap to the last control and n_u raise numpy's IndexError
+        _, cost, _ = mini_delay_solution
+        n_u = len(cost.ham.control_points)
+        idx = np.zeros(20 - (bad == "short"), dtype=int)
+        idx[3] = {"-1": -1, "n_u": n_u, "short": 0}[bad]
+        match = "one index per step" if bad == "short" else rf"\[0, {n_u}\)"
+        with pytest.raises(DimensionMismatch, match=match):
+            simulate_cost(delay_model, cost, Policy.open_loop(idx), 0.0, X0, 100, 20,
                           seed=1)
 
 

@@ -39,6 +39,10 @@ No public function or method of ``src/pshjb`` is a pure forward: a body
 that, docstring aside, returns one call of a function, method or class
 of ``src/pshjb`` with only its own parameters, ``self`` attributes and
 constants as arguments.
+
+No module of ``src/pshjb`` imports ``threading``: the one thread the
+library starts is the pooled noise worker of a greedy
+``harness.simulate_cost`` call.
 """
 
 import ast
@@ -399,3 +403,19 @@ def test_no_public_pure_forward():
     assert FORWARDS <= found, "stale allowlist entries: " + ", ".join(FORWARDS - found)
     assert found - FORWARDS == set(), "public pure forwards: " + ", ".join(
         sorted(found - FORWARDS))
+
+
+def test_no_module_imports_threading():
+    """Each greedy ``simulate_cost`` call draws its noise on one worker of a
+    ``concurrent.futures`` pool, which re-raises the worker's errors and
+    joins it when the call returns or raises.  A hand-started thread has to
+    do both itself."""
+    found = [
+        f"{path.name}:{n.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for n in ast.walk(ast.parse(path.read_text()))
+        if isinstance(n, ast.Import) and any(a.name.split(".")[0] == "threading"
+                                             for a in n.names)
+        or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "threading"
+    ]
+    assert found == [], "threading imported at " + ", ".join(found)

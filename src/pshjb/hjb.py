@@ -50,6 +50,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -639,8 +642,13 @@ def clamped_share(stencil, weights: np.ndarray, shape: tuple[int, ...]) -> float
 
 def _check_grids(a, b):
     """Raise :class:`GridMismatch` unless the time grids and space axes of
-    ``a`` and ``b`` (iterates or an operator) agree within ``allclose``."""
+    ``a`` and ``b`` (iterates or an operator) agree within ``allclose``.
+    Sides that hold the same grid objects, as every iterate of one operator
+    does, agree without a comparison."""
     ta, tb = a.time_grid, b.time_grid
+    if ta is tb and len(a.space_axes) == len(b.space_axes) and all(
+            x is y for x, y in zip(a.space_axes, b.space_axes)):
+        return
     if ta.shape != tb.shape or not np.allclose(ta, tb):
         raise GridMismatch("time grids differ")
     for x, y in zip(a.space_axes, b.space_axes):
@@ -739,6 +747,11 @@ class UpsilonOperator:
     at most WINDOW_CHUNK_BYTES or one mesh row.  Sweeps on one operator
     therefore share them and are not re-entrant: run one at a time.  A
     sweep allocates only its iterate (:func:`_sweep_bytes` counts all).
+    In :func:`picard_solve` a forked :class:`_NodeWorker` computes every
+    other node of each apply.  It holds the operator copy-on-write: its
+    pages stay shared until it writes, to its own copies of the sweep
+    buffers, and the caller gains only the worker's shared iterate buffers.
+    The worker serves one apply at a time, so applies stay not re-entrant.
     """
 
     def __init__(self, model: ProjectedModel, cost: CostSpec, cfg: SolverConfig,
@@ -756,6 +769,7 @@ class UpsilonOperator:
         self.mesh = np.stack([g.ravel() for g in mesh], axis=-1)   # (P, N)
         self.rule = build_quadrature(model.proj_dim, cfg.quad_order)
         self._precompute()
+        self._worker = None     # the _NodeWorker of a picard_solve, while it runs
 
     # -- assembly ----------------------------------------------------------
     def _precompute(self):
@@ -865,7 +879,11 @@ class UpsilonOperator:
         """Upsilon(g), time node by time node, with the first ``settled``
         nodes copied from ``g``: the :func:`settled_count` of ``g`` against
         the iterate it was computed from, or 0, the exact map.  A value
-        beyond the float range raises FloatingPointError, not a warning."""
+        beyond the float range raises FloatingPointError, not a warning.
+        With a :class:`_NodeWorker` attached, the worker computes every
+        other node from settled + 1 on; an error in the caller's nodes
+        leaves the worker's part uncollected, and :func:`picard_solve` then
+        ends the worker."""
         _check_grids(g, self)
         n_t, npts, m = self.time_grid.size - 1, self.mesh.shape[0], self.model.control_dim
         f = np.empty((n_t + 1, npts))
@@ -873,9 +891,14 @@ class UpsilonOperator:
         fbar = np.empty((n_t, npts, m))
         f[1:settled + 1] = g.f_values.reshape(n_t + 1, npts)[1:settled + 1]
         fbar[:settled] = g.fbar_values.reshape(n_t, npts, m)[:settled]
+        worker = self._worker if n_t - settled > 1 else None
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(settled, n_t):
+            if worker is not None:
+                worker.post(g.fbar_values, settled)
+            for i in range(settled, n_t, 1 if worker is None else 2):
                 f[i + 1], fbar[i] = self._node(i, g.fbar_values)
+            if worker is not None:
+                worker.collect(f, fbar, settled)
         if not (np.isfinite(f).all() and np.isfinite(fbar).all()):
             raise FloatingPointError("Upsilon(g) leaves the float range")
         return self._pack(f, fbar)
@@ -899,6 +922,96 @@ class UpsilonOperator:
         sums *= self.cost.ham.hinge.scale
         return (node.s_f + node.offset[0] - sums[:, 0],
                 node.t**self.gamma * (node.s_grad + node.offset[1:] - sums[:, 1:]))
+
+
+def _fork_allowed() -> bool:
+    """Whether :func:`picard_solve` forks a :class:`_NodeWorker`: the
+    process may run on at least two CPUs (``os.sched_getaffinity``) and has
+    one thread (``Threads: 1`` in /proc/self/status).  One thread rules out
+    both a fork that copies a lock some other thread holds and a
+    multithreaded BLAS, whose threads fight the worker for the cores (on a
+    2-core x86_64 host a mini heat solve took 0.32 s forked with two
+    OpenBLAS threads, 0.18 s serial)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+        with open("/proc/self/status") as fh:
+            threads = [line.split() for line in fh if line.startswith("Threads:")]
+    except (AttributeError, OSError):     # not Linux
+        return False
+    return cpus >= 2 and threads == [["Threads:", "1"]]
+
+
+class _NodeWorker:
+    """A forked process that computes every other unsettled time node of
+    each :meth:`UpsilonOperator.apply` of the operator ``ups``: the nodes
+    settled + 1, settled + 3, ... while the caller computes settled,
+    settled + 2, ....  Each node runs the same ``_node`` on the same
+    gradient slices, so an apply's output is the serial one bit for bit.
+
+    The worker inherits the assembled operator copy-on-write and writes
+    only its own copies of the sweep buffers.  The gradient slices and the
+    settled count go in, and the worker's f rows and gradient slices come
+    out, through one anonymous shared ``mmap`` mapped before the fork.  Per
+    apply the caller writes one byte to the command pipe (:meth:`post`) and
+    the worker answers with one byte when its nodes are written
+    (:meth:`collect`).  The worker exits at EOF on the command pipe, which
+    the caller's :meth:`close` or death brings about, and on any error,
+    which the caller reads as EOF on the answer pipe.
+    """
+
+    def __init__(self, ups: UpsilonOperator):
+        n_t, npts, m = ups.time_grid.size - 1, ups.mesh.shape[0], ups.model.control_dim
+        sizes = [n_t * npts * m, (n_t + 1) * npts]
+        mem = mmap.mmap(-1, 8 * (1 + sum(sizes) + n_t * npts * m))
+        self._settled = np.frombuffer(mem, np.int64, 1)
+        fbar_in, f, fbar = np.split(np.frombuffer(mem, float, offset=8), np.cumsum(sizes))
+        self._fbar_in = fbar_in.reshape((n_t,) + ups.space_shape + (m,))
+        self._f, self._fbar = f.reshape(n_t + 1, npts), fbar.reshape(n_t, npts, m)
+        cmd, self._cmd = os.pipe()
+        self._answer, answer = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (cmd, self._cmd, self._answer, answer):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(self._cmd)
+                os.close(self._answer)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    while os.read(cmd, 1):
+                        for i in range(int(self._settled[0]) + 1, n_t, 2):
+                            self._f[i + 1], self._fbar[i] = ups._node(i, self._fbar_in)
+                        os.write(answer, b"\0")
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(cmd)
+        os.close(answer)
+
+    def post(self, fbar: np.ndarray, settled: int):
+        """Start the worker's nodes of an apply from the gradient slices
+        ``fbar`` with the first ``settled`` nodes copied."""
+        self._fbar_in[...] = fbar
+        self._settled[0] = settled
+        os.write(self._cmd, b"\0")
+
+    def collect(self, f: np.ndarray, fbar: np.ndarray, settled: int):
+        """Wait for the worker's nodes of the posted apply and copy them
+        into the apply's (n_t + 1, P) ``f`` and (n_t, P, m) ``fbar``."""
+        if not os.read(self._answer, 1):
+            raise RuntimeError(f"the Picard node worker (pid {self.pid}) ended during an apply")
+        f[settled + 2::2] = self._f[settled + 2::2]
+        fbar[settled + 1::2] = self._fbar[settled + 1::2]
+
+    def close(self):
+        """End the worker and reap it."""
+        os.close(self._cmd)
+        os.close(self._answer)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -973,6 +1086,12 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
     :meth:`UpsilonOperator.apply` that copies the nodes below the
     :func:`settled_count` of the previous one (none at the start);
     ``diagnostics["copied_nodes"]`` sums the counts so copied.
+
+    A process with one thread and at least two CPUs (:func:`_fork_allowed`)
+    forks one :class:`_NodeWorker` after assembly, which computes every
+    other unsettled node of each apply in the operator's copy-on-write
+    memory; the output is the serial one bit for bit, and the worker is
+    reaped before the solve returns or raises.
     """
     _check_problem_size(cfg, model.proj_dim, model.control_dim)
     check_horizon_cov(model, cost.horizon)
@@ -990,29 +1109,38 @@ def picard_solve(model: ProjectedModel, cost: CostSpec, cfg: SolverConfig) -> HJ
 
     ups = UpsilonOperator(model, cost, cfg, gamma=gamma)
     diagnostics["clamped_mass"] = ups.clamped_mass
-
-    g = ups.initial_iterate()
-    residuals, ratios = [], []
-    bad_streak = settled = copied = 0
-    stop = "max_iter"
-    while len(residuals) < cfg.max_iter:
+    if ups.time_grid.size > 2 and _fork_allowed():
         try:
-            g_next = ups.apply(g, settled)
-            d = sup_distance(g_next, g)
-        except FloatingPointError:
-            stop = "overflow"
-            break
-        copied += settled
-        settled = settled_count(g_next, g)
-        if residuals:
-            ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
-            ratios.append(ratio)
-            bad_streak = bad_streak + 1 if ratio > 1.0 else 0
-        residuals.append(d)
-        g = g_next
-        if d <= cfg.tol or bad_streak >= 3:
-            stop = "tol" if d <= cfg.tol else "growth"
-            break
+            ups._worker = _NodeWorker(ups)
+        except OSError:     # no process to spare: the serial sweep
+            pass
+    try:
+        g = ups.initial_iterate()
+        residuals, ratios = [], []
+        bad_streak = settled = copied = 0
+        stop = "max_iter"
+        while len(residuals) < cfg.max_iter:
+            try:
+                g_next = ups.apply(g, settled)
+                d = sup_distance(g_next, g)
+            except FloatingPointError:
+                stop = "overflow"
+                break
+            copied += settled
+            settled = settled_count(g_next, g)
+            if residuals:
+                ratio = d / residuals[-1] if residuals[-1] > 0 else 0.0
+                ratios.append(ratio)
+                bad_streak = bad_streak + 1 if ratio > 1.0 else 0
+            residuals.append(d)
+            g = g_next
+            if d <= cfg.tol or bad_streak >= 3:
+                stop = "tol" if d <= cfg.tol else "growth"
+                break
+    finally:
+        if ups._worker is not None:
+            ups._worker.close()
+            ups._worker = None
     diagnostics.update(stop=stop, copied_nodes=copied, residual_history=residuals)
     return HJBSolution(
         iterate=g,

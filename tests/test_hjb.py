@@ -1,4 +1,10 @@
 import itertools
+import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -55,6 +61,7 @@ from conftest import (
     weighted_distance,
     zero_iterate,
 )
+from test_cli import GROWING, bench_config, huge_controls, write_config
 
 
 class TestHMin:
@@ -451,6 +458,9 @@ class TestWeightedDistance:
         ups = UpsilonOperator(delay_model, cost, wide_cfg, gamma=0.52)
         with pytest.raises(GridMismatch, match="space grids differ"):
             ups.apply(sol.iterate)
+        # the operator's own time grid object does not vouch for the axes
+        with pytest.raises(GridMismatch, match="space grids differ"):
+            ups.apply(replace(sol.iterate, time_grid=ups.time_grid))
 
 
 @pytest.fixture(scope="module")
@@ -964,6 +974,144 @@ class TestPicard:
         cfg_hi = SolverConfig(**{**MINI_CFG, "gamma": min(sol.gamma + 0.2, 0.9)})
         sol_hi = picard_solve(delay_model, cost, cfg_hi)
         assert sol_hi.residual <= cfg_hi.tol
+
+
+class TestNodeWorker:
+    """picard_solve's forked node worker (``hjb._NodeWorker``), forced on
+    and off by patching its predicate ``hjb._fork_allowed``."""
+
+    @staticmethod
+    def _solve(monkeypatch, allowed, model, cost, cfg):
+        """picard_solve with the worker on or off, and the number of applies
+        the worker took part in."""
+        collected = []
+        collect = hjb._NodeWorker.collect
+        monkeypatch.setattr(hjb, "_fork_allowed", lambda: allowed)
+        monkeypatch.setattr(hjb._NodeWorker, "collect",
+                            lambda self, *args: collected.append(1) or collect(self, *args))
+        sol = picard_solve(model, cost, cfg)
+        with pytest.raises(ChildProcessError):      # the worker was reaped
+            os.waitpid(-1, os.WNOHANG)
+        return sol, len(collected)
+
+    @staticmethod
+    def _problem(case, request, tmp_path):
+        if case in ("heat", "delay"):
+            _, cost, cfg = request.getfixturevalue(f"mini_{case}_solution")
+            return request.getfixturevalue(f"{case}_model"), cost, cfg
+        if case == "odd":
+            _, cost, cfg = request.getfixturevalue("mini_delay_solution")
+            return request.getfixturevalue("delay_model"), cost, replace(cfg, n_time=9)
+        overrides = GROWING if case == "growth" else huge_controls(1e80)
+        run = load_config(write_config(tmp_path, bench_config("delay.yaml", **overrides)))
+        return run.model, run.cost, run.solver
+
+    @pytest.mark.parametrize("case, stop", [
+        ("heat", "tol"), ("delay", "tol"), ("odd", "tol"),
+        ("growth", "growth"), ("overflow", "overflow")])
+    def test_worker_solve_equals_serial(self, case, stop, request, tmp_path, monkeypatch):
+        problem = self._problem(case, request, tmp_path)
+        (serial, none), (forked, used) = (self._solve(monkeypatch, allowed, *problem)
+                                          for allowed in (False, True))
+        assert none == 0 and used > 0
+        assert serial.diagnostics["stop"] == forked.diagnostics["stop"] == stop
+        for key in ("residual_history", "copied_nodes"):
+            assert serial.diagnostics[key] == forked.diagnostics[key]
+        assert np.array_equal(serial.iterate.f_values, forked.iterate.f_values)
+        assert np.array_equal(serial.iterate.fbar_values, forked.iterate.fbar_values)
+
+    def test_no_child_after_a_raise(self, mini_delay_solution, delay_model, monkeypatch):
+        _, cost, cfg = mini_delay_solution
+        monkeypatch.setattr(hjb, "_fork_allowed", lambda: True)
+        calls = []
+
+        def failing(g_next, g):
+            calls.append(1)
+            raise ValueError("settled_count failed")
+
+        monkeypatch.setattr(hjb, "settled_count", failing)
+        with pytest.raises(ValueError, match="settled_count failed"):
+            picard_solve(delay_model, cost, cfg)
+        assert calls == [1]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_worker_raises(self, mini_delay_solution, delay_model, monkeypatch):
+        # the worker kills itself in its first node: the apply raises
+        # instead of waiting for it, and the solve reaps it
+        _, cost, cfg = mini_delay_solution
+        parent, node = os.getpid(), UpsilonOperator._node
+
+        def killing(self, i, fbar):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return node(self, i, fbar)
+
+        def hung(signum, frame):
+            raise TimeoutError("the apply waited for a dead worker")
+
+        monkeypatch.setattr(hjb, "_fork_allowed", lambda: True)
+        monkeypatch.setattr(UpsilonOperator, "_node", killing)
+        old = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match="node worker"):
+                picard_solve(delay_model, cost, cfg)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, old)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failed_fork_runs_serial(self, mini_delay_solution, delay_model, monkeypatch):
+        # a fork refused for want of processes or memory leaves no pipe open
+        # and the solve runs the serial sweep
+        sol, cost, cfg = mini_delay_solution
+
+        def refused():
+            raise BlockingIOError("fork refused")
+
+        monkeypatch.setattr(hjb, "_fork_allowed", lambda: True)
+        monkeypatch.setattr(os, "fork", refused)
+        fds = sorted(os.listdir("/proc/self/fd"))
+        again = picard_solve(delay_model, cost, cfg)
+        assert sorted(os.listdir("/proc/self/fd")) == fds
+        assert np.array_equal(again.iterate.fbar_values, sol.iterate.fbar_values)
+
+    def test_worker_exits_at_eof(self, mini_ups):
+        # the parent's end of the command pipe closes, as at its death
+        worker = hjb._NodeWorker(mini_ups["delay"])
+        os.close(worker._cmd)
+        os.close(worker._answer)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(worker.pid, os.WNOHANG))[0] == 0:
+            assert time.monotonic() < deadline, "the worker outlived its command pipe"
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
+    def test_predicate_chooses_serial(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not hjb._fork_allowed()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(60,))
+        thread.start()
+        try:
+            assert not hjb._fork_allowed()
+        finally:
+            release.set()
+            thread.join(60)
+        assert not thread.is_alive()
+
+    def test_predicate_allows_one_thread(self):
+        # a fresh process with one BLAS thread has one thread in all
+        src = str(Path(hjb.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   MKL_NUM_THREADS="1", PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", "from pshjb import hjb; print(hjb._fork_allowed())"],
+            env=env, capture_output=True, text=True, timeout=120, check=True)
+        assert proc.stdout.strip() == str(len(os.sched_getaffinity(0)) >= 2)
 
 
 class TestTimeCost:

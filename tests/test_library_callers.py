@@ -43,6 +43,11 @@ constants as arguments.
 No module of ``src/pshjb`` imports ``threading``: the one thread the
 library starts is the pooled noise worker of a greedy
 ``harness.simulate_cost`` call.
+
+The one process the library starts is the node worker that
+``hjb.picard_solve`` forks: ``os.fork`` is called once, in ``hjb.py``, and
+no module imports ``subprocess`` or ``multiprocessing`` or calls another
+process-starting ``os`` function.
 """
 
 import ast
@@ -419,3 +424,33 @@ def test_no_module_imports_threading():
         or isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "threading"
     ]
     assert found == [], "threading imported at " + ", ".join(found)
+
+
+
+# what starts a process: these modules and names, imported or called
+PROCESS_STARTERS = {"subprocess", "multiprocessing", "concurrent.futures.ProcessPoolExecutor",
+                    "os.fork", "os.forkpty", "os.system", "os.popen", "os.posix_spawn",
+                    "os.posix_spawnp"} | {f"os.{name}{suffix}" for name in ("spawn", "exec")
+                                          for suffix in ("l", "le", "lp", "lpe", "v", "ve",
+                                                         "vp", "vpe")}
+
+
+def starters(node) -> list[str]:
+    """The dotted names of ``node``, an import or a call, that start a process."""
+    if isinstance(node, ast.Import):
+        names = [a.name for a in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [f"{node.module}.{a.name}" for a in node.names]
+    else:
+        names = [ast.unparse(node.func)] if isinstance(node, ast.Call) else []
+    return [name for name in names if any(name == s or name.startswith(s + ".")
+                                          for s in PROCESS_STARTERS)]
+
+
+def test_one_forked_process():
+    """The node worker of ``picard_solve`` inherits the assembled operator
+    copy-on-write and is reaped before the solve returns or raises; a
+    second place that starts a process has to do both itself."""
+    found = [f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+             for n in ast.walk(ast.parse(path.read_text())) for name in starters(n)]
+    assert found == ["hjb.py:os.fork"], "processes started at " + ", ".join(found)
